@@ -6,11 +6,12 @@ package archive
 // This is Restore scoped to one page id. The base image comes from the
 // newest backup (pickBackup with no target cut); the record stream is the
 // backup generation's contiguous segment chain followed by the live log
-// records past the archived end, cut at the live log's stable end. Replay
-// is pageLSN-conditional exactly like restart redo, so a record the backup
-// already contains is skipped, and running the repair twice produces the
-// identical image. By the truncation invariant every record newer than the
-// archived end is still in the live log, so the stream has no gap.
+// records past the archived end, cut at the live log's stable end. Both are
+// fed to a server.PageRebuilder, whose replay is restart redo's own — a
+// record the backup already contains is skipped, and running the repair twice
+// produces the identical image. By the truncation invariant every record
+// newer than the archived end is still in the live log, so the stream has no
+// gap.
 //
 // RepairPage never writes anywhere — the caller (internal/server/scrub.go,
 // under the page's shard latch) installs the returned image — and never
@@ -21,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/logrec"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -58,110 +58,35 @@ func RepairPage(blobs BlobStore, opts RepairOptions) ([]byte, error) {
 		return nil, fmt.Errorf("repairing page %v: %w", opts.Page, err)
 	}
 
-	var img []byte
-	if base, ok := pages[opts.Page]; ok {
-		img = append([]byte(nil), base...)
-	}
-
-	// The record stream: archived chain, then the live log past the archived
-	// end. Records are delivered in LSN order; apply stays pageLSN-conditional
-	// so overlap (a live record also archived) is harmless.
-	archivedEnd := chainEnd(chain, backup)
-	wpl := opts.Mode == server.ModeWPL
-	committed := make(map[logrec.TID]bool)
-	type wplImage struct {
-		tid  logrec.TID
-		data []byte
-	}
-	var wplImages []wplImage
-	apply := func(r *logrec.Record) error {
-		if wpl {
-			switch r.Type {
-			case logrec.TypePageImage:
-				if r.Page == opts.Page {
-					wplImages = append(wplImages, wplImage{tid: r.TID,
-						data: append([]byte(nil), r.After...)})
+	b := server.NewPageRebuilder(opts.Mode, opts.Page, pages[opts.Page])
+	err = func() error {
+		for _, seg := range chain {
+			recs, err := ReadSegment(blobs, seg)
+			if err != nil {
+				return err
+			}
+			for _, r := range recs {
+				if r.LSN < backup.RedoStart {
+					continue
 				}
-			case logrec.TypeCommit:
-				committed[r.TID] = true
+				if err := b.Feed(r); err != nil {
+					return err
+				}
 			}
+		}
+		if opts.Log == nil {
 			return nil
 		}
-		if r.Page != opts.Page {
-			return nil
-		}
-		switch r.Type {
-		case logrec.TypePageImage:
-			if img != nil && page.Wrap(img).LSN() >= r.LSN {
-				return nil
-			}
-			img = append(img[:0], r.After...)
-			page.Wrap(img).SetLSN(r.LSN)
-		case logrec.TypeUpdate, logrec.TypeCLR:
-			if img == nil {
-				return fmt.Errorf("%w: %v: update at LSN %d precedes any base image",
-					ErrPageUnrepairable, opts.Page, r.LSN)
-			}
-			if lsn := page.Wrap(img).LSN(); lsn >= r.LSN && lsn != 0 {
-				return nil // the base already contains this update
-			}
-			copy(img[r.Off:int(r.Off)+len(r.After)], r.After)
-			page.Wrap(img).SetLSN(r.LSN)
-		}
-		return nil
+		// Records below the archived end were already consumed from the chain.
+		return b.FeedLog(opts.Log, chainEnd(chain, backup))
+	}()
+	switch {
+	case errors.Is(err, server.ErrNoBaseImage):
+		return nil, fmt.Errorf("%w: %v: %w", ErrPageUnrepairable, opts.Page, err)
+	case err != nil:
+		return nil, fmt.Errorf("repairing page %v: %w", opts.Page, err)
 	}
-
-	for _, seg := range chain {
-		recs, err := ReadSegment(blobs, seg)
-		if err != nil {
-			return nil, fmt.Errorf("repairing page %v: %w", opts.Page, err)
-		}
-		for _, r := range recs {
-			if r.LSN < backup.RedoStart {
-				continue
-			}
-			if err := apply(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if opts.Log != nil {
-		stable := opts.Log.StableEnd()
-		from := opts.Log.Head()
-		var applyErr error
-		scanErr := opts.Log.Scan(from, func(r *logrec.Record) bool {
-			if r.LSN+uint64(r.EncodedSize()) > stable {
-				return false
-			}
-			if r.LSN < archivedEnd {
-				return true // already consumed from the archived chain
-			}
-			if applyErr = apply(r); applyErr != nil {
-				return false
-			}
-			return true
-		})
-		if applyErr != nil {
-			return nil, applyErr
-		}
-		if scanErr != nil {
-			return nil, fmt.Errorf("repairing page %v: scanning live log: %w", opts.Page, scanErr)
-		}
-	}
-
-	if wpl {
-		// NO-STEAL: only the newest image whose transaction committed within
-		// the stream may be installed — verbatim, exactly as the server's
-		// install path writes it. With none, the backup base (itself an
-		// installed committed state, necessarily no newer than any committed
-		// image still in the stream) stands.
-		for i := len(wplImages) - 1; i >= 0; i-- {
-			if committed[wplImages[i].tid] {
-				img = wplImages[i].data
-				break
-			}
-		}
-	}
+	img := b.Image()
 	if img == nil {
 		return nil, fmt.Errorf("%w: %v: no backup holds it and no whole-page image is archived",
 			ErrPageUnrepairable, opts.Page)

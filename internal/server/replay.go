@@ -1,0 +1,296 @@
+package server
+
+// Replay: the one piece of code through which a log record reaches a page
+// image, and the one through which it reaches the recovery tables
+// (DESIGN.md §2.1).
+//
+//   - replay is the paper's redo rule (§3.3): copy the record's after-image
+//     onto the page iff pageLSN < LSN, then stamp the LSN. Restart redo and
+//     the standby's ApplyShipped call it conditionally (repeating history);
+//     REDO-mode ShipLog and undo's CLR call it unconditionally (making
+//     history). Every caller owns its own latching, dirty marking and
+//     metering — replay only ever touches the image it is handed.
+//   - PageRebuilder is replay aimed at one page with no server around it:
+//     base image + record stream → the image the stored copy should hold.
+//     Scrub's live-log repair and archive.RepairPage are its two feeders.
+//   - tables.note is the ARIES analysis step (§3.3): what one record does to
+//     the ATT, the DPT and the 2PC decided map. Restart analysis runs it on
+//     private maps; ApplyShipped runs it on the live ones under their mutexes.
+//
+// WPL restart's backward pass (§3.4.3) is a different algorithm — it never
+// replays onto a page — and stays in restart.go.
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/logrec"
+	"repro/internal/page"
+	"repro/internal/wal"
+)
+
+// --- record → page image ----------------------------------------------------
+
+// checkGeometry reports whether r is a redo-able record whose images fit a
+// page. ShipLog runs it on client-shipped records before they are logged (a
+// record that fails here would otherwise sit in the log as poison for every
+// later redo and undo); replay runs it again so that no record, from any
+// source, is ever sliced out of range.
+func checkGeometry(r *logrec.Record) error {
+	switch r.Type {
+	case logrec.TypeUpdate, logrec.TypeCLR:
+		// Undo copies an update's before-image over the same range, so the
+		// two images must agree in length.
+		if r.Type == logrec.TypeUpdate && len(r.Before) != len(r.After) {
+			return fmt.Errorf("server: %v on %v: before-image is %d bytes, after-image %d", r.Type, r.Page, len(r.Before), len(r.After))
+		}
+		if int(r.Off)+len(r.After) > page.Size {
+			return fmt.Errorf("server: %v on %v: bytes [%d,%d) fall outside the page", r.Type, r.Page, r.Off, int(r.Off)+len(r.After))
+		}
+	case logrec.TypePageImage:
+		if len(r.After) != page.Size {
+			return fmt.Errorf("server: %v of %v is %d bytes", r.Type, r.Page, len(r.After))
+		}
+	default:
+		return fmt.Errorf("server: cannot apply %v", r.Type)
+	}
+	return nil
+}
+
+// replay applies r's redo information to img, a page.Size page image, and
+// stamps r.LSN on it. With conditional set it repeats history: the record is
+// skipped when the image's pageLSN shows it already holds the update
+// (pageLSN 0 is a freshly formatted page, which holds nothing). Without it
+// the record is new history and always lands. Allocation-free; a malformed
+// record is an error and leaves img untouched.
+func replay(img []byte, r *logrec.Record, conditional bool) (applied bool, err error) {
+	if len(img) != page.Size {
+		return false, fmt.Errorf("server: replay onto a %d-byte image", len(img))
+	}
+	if err := checkGeometry(r); err != nil {
+		return false, err
+	}
+	pg := page.Wrap(img)
+	if lsn := pg.LSN(); conditional && lsn != 0 && lsn >= r.LSN {
+		return false, nil
+	}
+	off := 0
+	if r.Type != logrec.TypePageImage {
+		off = int(r.Off)
+	}
+	copy(img[off:off+len(r.After)], r.After)
+	pg.SetLSN(r.LSN)
+	return true, nil
+}
+
+// ErrNoBaseImage means a page rebuild met an update before any image of the
+// page: the page was born before the stream begins, so only a source that
+// reaches further back (the archive's backup) can rebuild it.
+var ErrNoBaseImage = errors.New("server: update precedes any base image of the page")
+
+// PageRebuilder folds a base image and a stream of log records, fed in LSN
+// order, into the bytes one page's stored copy should hold. It is scheme
+// aware: ESM/REDO replay the page's records conditionally over the base (a
+// record the base already contains is skipped, so feeding overlapping
+// sources, or the same stream twice over the result, is harmless); WPL keeps
+// the newest whole-page image whose transaction committed within the stream,
+// verbatim — installs never re-stamp an LSN, and the no-steal rule forbids an
+// uncommitted copy at a permanent location.
+type PageRebuilder struct {
+	pid page.ID
+	wpl bool
+	img []byte // nil until a base or a whole-page image is known
+	// WPL only: every logged copy of pid, oldest first, and the transactions
+	// with a commit record in the stream.
+	copies    []wplCopy
+	committed map[logrec.TID]bool
+}
+
+type wplCopy struct {
+	tid  logrec.TID
+	data []byte
+}
+
+// NewPageRebuilder starts a rebuild of pid under mode. base, when non-nil, is
+// the page's image as of the start of the stream (copied).
+func NewPageRebuilder(mode Mode, pid page.ID, base []byte) *PageRebuilder {
+	b := &PageRebuilder{pid: pid, wpl: mode == ModeWPL}
+	if base != nil {
+		b.img = append([]byte(nil), base...)
+	}
+	if b.wpl {
+		b.committed = make(map[logrec.TID]bool)
+	}
+	return b
+}
+
+// Feed folds one record into the rebuild. Records for other pages are
+// ignored. The record is not retained.
+func (b *PageRebuilder) Feed(r *logrec.Record) error {
+	if b.wpl {
+		switch {
+		case r.Type == logrec.TypeCommit:
+			b.committed[r.TID] = true
+		case r.Type == logrec.TypePageImage && r.Page == b.pid:
+			if err := checkGeometry(r); err != nil {
+				return err
+			}
+			b.copies = append(b.copies, wplCopy{tid: r.TID, data: append([]byte(nil), r.After...)})
+		}
+		return nil
+	}
+	if r.Page != b.pid {
+		return nil
+	}
+	switch r.Type {
+	case logrec.TypeUpdate, logrec.TypeCLR, logrec.TypePageImage:
+	default:
+		return nil
+	}
+	if b.img == nil {
+		if r.Type != logrec.TypePageImage {
+			return fmt.Errorf("%w: %v of %v at LSN %d", ErrNoBaseImage, r.Type, b.pid, r.LSN)
+		}
+		b.img = make([]byte, page.Size)
+	}
+	_, err := replay(b.img, r, true)
+	return err
+}
+
+// FeedLog feeds the stable records of l at or above from, the live-log leg of
+// a rebuild. The cut at the stable end keeps the rebuilt page's LSN inside
+// the stable log (the write-ahead rule) and excludes whatever a concurrent
+// transaction appends mid-rebuild; callers force first if they want the
+// freshest image.
+func (b *PageRebuilder) FeedLog(l *wal.Log, from uint64) error {
+	stable := l.StableEnd()
+	var feedErr error
+	err := l.Scan(l.Head(), func(r *logrec.Record) bool {
+		if r.LSN+uint64(r.EncodedSize()) > stable {
+			return false
+		}
+		if r.LSN >= from {
+			feedErr = b.Feed(r)
+		}
+		return feedErr == nil
+	})
+	if feedErr != nil {
+		return feedErr
+	}
+	return err
+}
+
+// Image returns the rebuilt page, or nil when neither the base nor the
+// stream determined it. The slice is the rebuilder's own.
+func (b *PageRebuilder) Image() []byte {
+	for i := len(b.copies) - 1; i >= 0; i-- {
+		if b.committed[b.copies[i].tid] {
+			return b.copies[i].data
+		}
+	}
+	// WPL with no committed copy in the stream: the base — itself an installed
+	// committed state, no newer than any committed copy still logged — stands.
+	return b.img
+}
+
+// --- record → tables --------------------------------------------------------
+
+// newTxn returns an ATT entry with nothing logged yet.
+func newTxn(tid logrec.TID) *txn {
+	return &txn{tid: tid, lastLSN: logrec.NoLSN, firstLSN: logrec.NoLSN, pageLSN: make(map[page.ID]uint64)}
+}
+
+// chain links a record just logged for t at lsn into its undo chain.
+func (t *txn) chain(lsn uint64) {
+	t.lastLSN = lsn
+	if t.firstLSN == logrec.NoLSN {
+		t.firstLSN = lsn
+	}
+}
+
+// noteDirty records in dpt that pid has a logged record at lsn: a clean page
+// opens an entry with recLSN = lsn (insert-if-absent keeps an older recLSN,
+// where redo for the page must begin), and newest advances so a flushed image
+// retires the entry only once it has caught up. A nil dpt (WPL keeps none) is
+// a no-op.
+func noteDirty(dpt map[page.ID]dptEntry, pid page.ID, lsn uint64) {
+	if dpt == nil {
+		return
+	}
+	e, ok := dpt[pid]
+	if !ok {
+		e = dptEntry{rec: lsn}
+	}
+	if lsn > e.newest {
+		e.newest = lsn
+	}
+	dpt[pid] = e
+}
+
+// markDirty is noteDirty on the live DPT.
+func (s *Server) markDirty(pid page.ID, lsn uint64) {
+	s.dptMu.Lock()
+	noteDirty(s.dpt, pid, lsn)
+	s.dptMu.Unlock()
+}
+
+// tables is the recovery state a log record updates: the active transaction
+// table, the dirty page table (nil under WPL) and the coordinator's decided
+// map. note takes no locks — restart analysis owns private maps, and
+// ApplyShipped holds attMu, decMu and dptMu around the live ones.
+type tables struct {
+	att     map[logrec.TID]*txn
+	dpt     map[page.ID]dptEntry
+	decided map[logrec.TID]decidedTxn
+}
+
+// txn finds or creates tid's ATT entry.
+func (tb tables) txn(tid logrec.TID) *txn {
+	t := tb.att[tid]
+	if t == nil {
+		t = newTxn(tid)
+		tb.att[tid] = t
+	}
+	return t
+}
+
+// note is the analysis step for one record, in log order.
+func (tb tables) note(r *logrec.Record) {
+	switch r.Type {
+	case logrec.TypeUpdate, logrec.TypePageImage, logrec.TypeCLR:
+		t := tb.txn(r.TID)
+		t.chain(r.LSN)
+		t.pageLSN[r.Page] = r.LSN
+		noteDirty(tb.dpt, r.Page, r.LSN)
+	case logrec.TypePrepare:
+		t := tb.txn(r.TID)
+		t.chain(r.LSN)
+		t.prepared = true
+		t.prepLSN = r.LSN
+		if coord, parts, err := logrec.DecodePrepareInfo(r.After); err == nil {
+			t.coord = coord
+			t.parts = parts
+		}
+	case logrec.TypeDecide:
+		// Not chained into any branch: the decision's life cycle is this map
+		// plus the forget End.
+		if _, ok := tb.decided[r.TID]; !ok {
+			if _, parts, err := logrec.DecodePrepareInfo(r.After); err == nil {
+				tb.decided[r.TID] = decidedTxn{lsn: r.LSN, parts: parts}
+			}
+		}
+	case logrec.TypeCommit:
+		delete(tb.att, r.TID)
+	case logrec.TypeEnd:
+		delete(tb.att, r.TID)
+		// A forget End retires the decided entry; for a rolled-back loser this
+		// is a harmless no-op.
+		delete(tb.decided, r.TID)
+	case logrec.TypeAbort:
+		if t := tb.att[r.TID]; t != nil {
+			// The abort decision was delivered: the branch is an ordinary loser
+			// again (its CLRs may be partial), not in doubt.
+			t.prepared = false
+		}
+	}
+}

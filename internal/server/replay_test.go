@@ -1,0 +1,211 @@
+package server
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/logrec"
+	"repro/internal/page"
+)
+
+// TestReplayTable drives the applier over every record type × the pageLSN
+// relations × geometry faults. A skipped or rejected record must leave the
+// image untouched; an applied one must change exactly its byte range plus
+// the LSN stamp.
+func TestReplayTable(t *testing.T) {
+	const recLSN = 50_000
+	after := bytes.Repeat([]byte{0xAB}, 40)
+	full := bytes.Repeat([]byte{0xCD}, page.Size)
+	rec := func(typ logrec.Type, off, nBefore int, a []byte) *logrec.Record {
+		return &logrec.Record{LSN: recLSN, TID: 7, Type: typ, Page: 3, Off: uint16(off),
+			Before: make([]byte, nBefore), After: a}
+	}
+	good := map[string]*logrec.Record{
+		"update":             rec(logrec.TypeUpdate, 600, 40, after),
+		"clr":                rec(logrec.TypeCLR, 600, 0, after),
+		"pageimage":          rec(logrec.TypePageImage, 0, 0, full),
+		"update-at-page-end": rec(logrec.TypeUpdate, page.Size-40, 40, after),
+	}
+	pageLSNs := []struct {
+		name string
+		lsn  uint64
+		cond bool // applied by a conditional replay?
+	}{
+		{"zero", 0, true}, // freshly formatted page: holds nothing, so everything lands
+		{"below", recLSN - 1, true},
+		{"equal", recLSN, false},
+		{"above", recLSN + 1, false},
+	}
+	for name, r := range good {
+		for _, pl := range pageLSNs {
+			for _, conditional := range []bool{true, false} {
+				img := make([]byte, page.Size)
+				page.Wrap(img).Init(3)
+				page.Wrap(img).SetLSN(pl.lsn)
+				orig := append([]byte(nil), img...)
+				applied, err := replay(img, r, conditional)
+				if err != nil {
+					t.Fatalf("%s/pageLSN %s: %v", name, pl.name, err)
+				}
+				if want := pl.cond || !conditional; applied != want {
+					t.Fatalf("%s/pageLSN %s/conditional=%v: applied=%v, want %v", name, pl.name, conditional, applied, want)
+				}
+				if !applied {
+					if !bytes.Equal(img, orig) {
+						t.Fatalf("%s/pageLSN %s: skipped record changed the image", name, pl.name)
+					}
+					continue
+				}
+				want := orig
+				off := int(r.Off)
+				if r.Type == logrec.TypePageImage {
+					off = 0
+				}
+				copy(want[off:], r.After)
+				page.Wrap(want).SetLSN(recLSN)
+				if !bytes.Equal(img, want) {
+					t.Fatalf("%s/pageLSN %s: image is not orig + after-image + LSN stamp", name, pl.name)
+				}
+			}
+		}
+	}
+
+	bad := map[string]*logrec.Record{
+		"update past page end":    rec(logrec.TypeUpdate, page.Size-39, 40, after),
+		"update at max offset":    rec(logrec.TypeUpdate, 0xFFFF, 40, after),
+		"clr past page end":       rec(logrec.TypeCLR, page.Size-39, 0, after),
+		"update image mismatch":   rec(logrec.TypeUpdate, 600, 39, after),
+		"short page image":        rec(logrec.TypePageImage, 0, 0, full[:page.Size-1]),
+		"long page image":         rec(logrec.TypePageImage, 0, 0, append(full, 0)),
+		"commit is not redo-able": rec(logrec.TypeCommit, 0, 0, nil),
+		"checkpoint":              rec(logrec.TypeCheckpoint, 0, 0, after),
+	}
+	for name, r := range bad {
+		for _, conditional := range []bool{true, false} {
+			img := make([]byte, page.Size)
+			orig := append([]byte(nil), img...)
+			if applied, err := replay(img, r, conditional); err == nil || applied {
+				t.Fatalf("%s: applied=%v err=%v, want an error", name, applied, err)
+			}
+			if !bytes.Equal(img, orig) {
+				t.Fatalf("%s: rejected record changed the image", name)
+			}
+		}
+	}
+	if _, err := replay(make([]byte, page.Size-1), good["update"], true); err == nil {
+		t.Fatal("replay onto a short image succeeded")
+	}
+}
+
+// FuzzReplay applies arbitrary decoded records to a page image embedded
+// between guard bytes: no panic, no write outside the image, and a second
+// conditional apply of the same record is a no-op.
+func FuzzReplay(f *testing.F) {
+	f.Add(logrec.NewUpdate(1, 2, 100, make([]byte, 8), []byte("12345678")).Encode(nil), uint64(9000), uint64(0))
+	f.Add(logrec.NewPageImage(1, 2, make([]byte, page.Size)).Encode(nil), uint64(9000), uint64(9000))
+	oob := logrec.NewUpdate(1, 2, 0, make([]byte, 64), make([]byte, 64))
+	oob.Off = page.Size - 8
+	f.Add(oob.Encode(nil), uint64(9000), uint64(1))
+	f.Add((&logrec.Record{Type: logrec.TypeCLR, Off: 0xFFFF, After: []byte{1}}).Encode(nil), uint64(1), uint64(0))
+	f.Fuzz(func(t *testing.T, enc []byte, lsn, pageLSN uint64) {
+		r, _, err := logrec.Decode(enc)
+		if err != nil {
+			return
+		}
+		r.LSN = lsn
+		const guard = 64
+		buf := bytes.Repeat([]byte{0x5A}, guard+page.Size+guard)
+		img := buf[guard : guard+page.Size : guard+page.Size]
+		for i := range img {
+			img[i] = 0
+		}
+		page.Wrap(img).SetLSN(pageLSN)
+		applied, err := replay(img, r, true)
+		if err != nil && applied {
+			t.Fatal("applied with an error")
+		}
+		for i, b := range buf {
+			if (i < guard || i >= guard+page.Size) && b != 0x5A {
+				t.Fatalf("replay wrote outside the image at %d", i-guard)
+			}
+		}
+		once := append([]byte(nil), img...)
+		again, err2 := replay(img, r, true)
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("re-apply changed the verdict: %v then %v", err, err2)
+		}
+		// An applied record stamped its LSN, so the re-apply must skip —
+		// except at LSN 0, which a page cannot distinguish from "fresh".
+		if again && applied && lsn != 0 {
+			t.Fatal("re-apply was not skipped")
+		}
+		if !bytes.Equal(img, once) {
+			t.Fatal("re-apply changed the image")
+		}
+	})
+}
+
+// TestDecodeCkpt round-trips both checkpoint layouts and rejects everything
+// else — the legacy (magic-less) layout included — with an error, never a
+// panic.
+func TestDecodeCkpt(t *testing.T) {
+	v2 := ckptPayload{
+		nextPage: 41, nextTID: 9, beginLSN: 123_456,
+		txns: []ckptTxn{{tid: 3, lastLSN: 900, firstLSN: 800}, {tid: 5, lastLSN: logrec.NoLSN, firstLSN: logrec.NoLSN}},
+		wpl:  []ckptWPL{{pid: 7, lsn: 850, tid: 3, committed: true}, {pid: 8, lsn: 860, tid: 5}},
+		dpt:  []ckptDPT{{pid: 7, rec: 810}},
+	}
+	v3 := v2
+	v3.prepared = []ckptPrepared{{tid: 3, prepLSN: 890, coord: 1, parts: []int{0, 1, 2}}, {tid: 5, prepLSN: 895, coord: 0}}
+	v3.decided = []ckptDecided{{tid: 11, lsn: 700, parts: []int{0, 1}}}
+	for name, c := range map[string]ckptPayload{"v2": v2, "v3": v3, "empty": {nextPage: 1, nextTID: 1, beginLSN: 8192}} {
+		enc := c.encode()
+		got, err := decodeCkpt(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.encode(), enc) {
+			t.Fatalf("%s: decode→encode is not the identity", name)
+		}
+		if got.beginLSN != c.beginLSN || len(got.txns) != len(c.txns) || len(got.prepared) != len(c.prepared) || len(got.decided) != len(c.decided) {
+			t.Fatalf("%s: decoded %+v", name, got)
+		}
+		// Every proper prefix, and any over-long payload, is malformed.
+		for n := 0; n < len(enc); n++ {
+			if _, err := decodeCkpt(enc[:n]); err == nil {
+				t.Fatalf("%s: %d-byte prefix of a %d-byte payload decoded", name, n, len(enc))
+			}
+		}
+		for _, extra := range []int{1, 8, 24} {
+			if _, err := decodeCkpt(append(append([]byte(nil), enc...), make([]byte, extra)...)); err == nil {
+				t.Fatalf("%s: payload with %d trailing bytes decoded", name, extra)
+			}
+		}
+	}
+	if wantMagic := v3.encode()[:8]; bytes.Equal(v2.encode()[:8], wantMagic) {
+		t.Fatal("the 2PC trailer did not select the v3 layout")
+	}
+
+	put := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = append(b, byte(w), byte(w>>8), byte(w>>16), byte(w>>24), byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
+		}
+		return b
+	}
+	bad := map[string][]byte{
+		// The pre-DPT layout: nextPage, nextTID, nt, nw, then the entries.
+		"legacy layout":      put(41, 9, 1, 0, 3, 900, 800),
+		"legacy, padded":     put(41, 9, 0, 0, 0, 0, 0, 0),
+		"unknown magic":      put(0x5153434B50543039, 41, 9, 8192, 0, 0, 0),
+		"count overflow":     put(ckptV2Magic, 41, 9, 8192, 1<<61, 0, 0),
+		"count beyond body":  put(ckptV2Magic, 41, 9, 8192, 2, 0, 0, 3, 900, 800),
+		"v3 without trailer": put(ckptV3Magic, 41, 9, 8192, 0, 0, 0),
+		"v3 trailer overrun": put(ckptV3Magic, 41, 9, 8192, 0, 0, 0, 1, 3, 890, 1, 99),
+	}
+	for name, b := range bad {
+		if _, err := decodeCkpt(b); err == nil {
+			t.Fatalf("%s decoded", name)
+		}
+	}
+}

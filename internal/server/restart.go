@@ -7,9 +7,12 @@ package server
 // table is logged, and the log is truncated below the oldest LSN any active
 // transaction still needs. Restart then runs analysis from the checkpoint,
 // redoes history conditionally on page LSNs, and rolls back losers with
-// CLRs. Redo is partitioned by page ID across Config.RedoWorkers goroutines
-// — per-page record order is preserved because a page belongs to exactly one
-// worker; undo stays sequential (CLR LSNs must be deterministic).
+// CLRs. What a record does to the tables (analysis) and to a page (redo) is
+// replay.go's; this file owns the passes around it — table seeding from the
+// checkpoint, DPT pruning, the fan-out and its metering. Redo is partitioned
+// by page ID across Config.RedoWorkers goroutines — per-page record order is
+// preserved because a page belongs to exactly one worker; undo stays
+// sequential (CLR LSNs must be deterministic).
 //
 // WPL checkpoints write the WPL table to the log (paper §3.4.3); restart is
 // the paper's single backward pass that builds the committed-transactions
@@ -86,8 +89,7 @@ type ckptPayload struct {
 	// beginLSN is the log end captured before the ATT/DPT/WPL snapshot was
 	// taken. Restart analysis scans from here: a record appended between the
 	// snapshot and the checkpoint record's own append is re-analyzed rather
-	// than lost. Zero in legacy (pre-DPT) payloads, where analysis falls back
-	// to scanning from just past the checkpoint record.
+	// than lost.
 	beginLSN uint64
 	txns     []ckptTxn
 	wpl      []ckptWPL
@@ -98,9 +100,8 @@ type ckptPayload struct {
 	decided  []ckptDecided
 }
 
-// ckptV2Magic marks the extended checkpoint layout (DPT entries + analysis
-// begin LSN). The legacy layout's first word is nextPage, a 32-bit page id,
-// so a first word with high bits set is unambiguous.
+// ckptV2Magic marks the checkpoint layout (ATT, WPL table, DPT entries and
+// the analysis begin LSN). A payload opening with any other word is rejected.
 const ckptV2Magic = uint64(0x5153434B50543032) // "QSCKPT02"
 
 // ckptV3Magic marks the 2PC-aware layout: the v2 body followed by a trailer
@@ -170,23 +171,27 @@ func (c *ckptPayload) encode() []byte {
 }
 
 func decodeCkpt(b []byte) (*ckptPayload, error) {
-	if len(b) < 32 {
+	if len(b) < 56 {
 		return nil, fmt.Errorf("server: checkpoint payload too short (%d bytes)", len(b))
 	}
 	get := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
 	magic := get(0)
 	if magic != ckptV2Magic && magic != ckptV3Magic {
-		return decodeCkptLegacy(b)
+		return nil, fmt.Errorf("server: unknown checkpoint payload magic %#x", magic)
 	}
 	c := &ckptPayload{
 		nextPage: page.ID(get(1)),
 		nextTID:  logrec.TID(get(2)),
 		beginLSN: get(3),
 	}
+	// Counts are bounded by the payload before any arithmetic on them, so an
+	// absurd count can neither overflow the size check nor index past b.
+	if limit := uint64(len(b) / 8); get(4) > limit || get(5) > limit || get(6) > limit {
+		return nil, fmt.Errorf("server: checkpoint payload size mismatch")
+	}
 	nt, nw, nd := int(get(4)), int(get(5)), int(get(6))
 	body := 56 + 24*nt + 24*nw + 16*nd
-	if nt < 0 || nw < 0 || nd < 0 ||
-		(magic == ckptV2Magic && len(b) != body) ||
+	if (magic == ckptV2Magic && len(b) != body) ||
 		(magic == ckptV3Magic && (len(b) < body+16 || len(b)%8 != 0)) {
 		return nil, fmt.Errorf("server: checkpoint payload size mismatch")
 	}
@@ -275,42 +280,6 @@ func decodeCkpt(b []byte) (*ckptPayload, error) {
 		if idx != words {
 			return bad()
 		}
-	}
-	return c, nil
-}
-
-// decodeCkptLegacy reads the pre-DPT layout (no magic, no beginLSN): archived
-// logs written before fuzzy checkpoints still replay.
-func decodeCkptLegacy(b []byte) (*ckptPayload, error) {
-	get := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	c := &ckptPayload{
-		nextPage: page.ID(get(0)),
-		nextTID:  logrec.TID(get(1)),
-	}
-	nt, nw := int(get(2)), int(get(3))
-	if nt < 0 || nw < 0 || len(b) != 32+24*nt+24*nw {
-		return nil, fmt.Errorf("server: checkpoint payload size mismatch")
-	}
-	idx := 4
-	for i := 0; i < nt; i++ {
-		c.txns = append(c.txns, ckptTxn{
-			tid:      logrec.TID(get(idx)),
-			lastLSN:  get(idx + 1),
-			firstLSN: get(idx + 2),
-		})
-		idx += 3
-	}
-	for i := 0; i < nw; i++ {
-		pid := page.ID(get(idx))
-		lsn := get(idx + 1)
-		packed := get(idx + 2)
-		c.wpl = append(c.wpl, ckptWPL{
-			pid:       pid,
-			lsn:       lsn,
-			tid:       logrec.TID(packed >> 1),
-			committed: packed&1 == 1,
-		})
-		idx += 3
 	}
 	return c, nil
 }
@@ -475,32 +444,16 @@ func (s *Server) checkpointCore(sn *Session) error {
 		return err
 	}
 	atomic.AddInt64(&s.stats.Checkpoints, 1)
-	// Reclaim: the log is needed from the oldest of the analysis scan start,
-	// any active transaction's first record, any WPL copy still awaiting
-	// install, and any dirty page's recLSN (redo starts there).
-	head := minUint64(ckptLSN, c.beginLSN)
-	for _, t := range c.txns {
-		if t.firstLSN != logrec.NoLSN && t.firstLSN < head {
-			head = t.firstLSN
-		}
-	}
-	for _, w := range c.wpl {
-		if w.lsn < head {
-			head = w.lsn
-		}
-	}
+	head := c.reclaimHead(ckptLSN)
+	// Publish the recLSN floor: even a truncation computed from stale state
+	// (an archiver-driven head, a racing checkpoint) cannot reclaim records
+	// redo needs for a still-dirty page.
 	var minRec uint64
 	for _, d := range c.dpt {
-		if d.rec < head {
-			head = d.rec
-		}
 		if minRec == 0 || d.rec < minRec {
 			minRec = d.rec
 		}
 	}
-	// Publish the recLSN floor: even a truncation computed from stale state
-	// (an archiver-driven head, a racing checkpoint) cannot reclaim records
-	// redo needs for a still-dirty page.
 	s.log.SetTruncateFloor(minRec)
 	if s.cfg.PreTruncate != nil {
 		if err := s.cfg.PreTruncate(head); err != nil {
@@ -511,6 +464,26 @@ func (s *Server) checkpointCore(sn *Session) error {
 		}
 	}
 	return s.log.Truncate(head)
+}
+
+// reclaimHead returns the LSN below which the log may be reclaimed once this
+// checkpoint, logged at ckptLSN, is the master record's: the oldest of the
+// analysis scan start, any active transaction's first record, any WPL copy
+// still awaiting install, and any dirty page's recLSN (redo starts there).
+func (c *ckptPayload) reclaimHead(ckptLSN uint64) uint64 {
+	head := minUint64(ckptLSN, c.beginLSN)
+	for _, t := range c.txns {
+		if t.firstLSN != logrec.NoLSN && t.firstLSN < head {
+			head = t.firstLSN
+		}
+	}
+	for _, w := range c.wpl {
+		head = minUint64(head, w.lsn)
+	}
+	for _, d := range c.dpt {
+		head = minUint64(head, d.rec)
+	}
+	return head
 }
 
 func minUint64(a, b uint64) uint64 {
@@ -599,12 +572,10 @@ func (sn *Session) Restart() error {
 		if err != nil {
 			return err
 		}
-		start = sb.checkpointLSN
-		if ckpt.beginLSN > 0 && ckpt.beginLSN < start {
-			// Fuzzy checkpoint: analysis must rescan the window between the
-			// snapshot capture point and the record's own append.
-			start = ckpt.beginLSN
-		}
+		// Analysis rescans the window between the snapshot capture point and
+		// the record's own append (empty for a sharp checkpoint); the scan
+		// passes over the checkpoint record itself, which analysis ignores.
+		start = minUint64(sb.checkpointLSN, ckpt.beginLSN)
 	}
 	// Charge the restart log scan.
 	sn.meter().LogRead(wal.PagesInRange(start, s.log.StableEnd()))
@@ -651,16 +622,17 @@ func (s *Server) bumpAllocFor(r *logrec.Record) {
 
 // ariesRestartQuiesced runs analysis, redo and undo for ESM/REDO.
 func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64) error {
-	// Analysis: rebuild the transaction table and dirty page table.
+	// Analysis: rebuild the transaction table, the dirty page table and the
+	// commit decisions awaiting the forget protocol — each seeded from the
+	// checkpoint, then advanced record by record by the scan (tables.note).
 	att := make(map[logrec.TID]*txn)
+	dpt := make(map[page.ID]dptEntry)
+	decided := make(map[logrec.TID]decidedTxn)
 	if ckpt != nil {
 		for _, ct := range ckpt.txns {
-			att[ct.tid] = &txn{
-				tid:      ct.tid,
-				lastLSN:  ct.lastLSN,
-				firstLSN: ct.firstLSN,
-				pageLSN:  make(map[page.ID]uint64),
-			}
+			t := newTxn(ct.tid)
+			t.lastLSN, t.firstLSN = ct.lastLSN, ct.firstLSN
+			att[ct.tid] = t
 		}
 		// Prepared branches whose PREPARE record predates the scan window are
 		// known only through the checkpoint's 2PC trailer.
@@ -672,102 +644,26 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 				t.prepLSN = cp.prepLSN
 			}
 		}
-	}
-	// Commit decisions awaiting the forget protocol: seeded from the
-	// checkpoint, extended by DECIDE records in the scan, retired by forget
-	// End records.
-	decided := make(map[logrec.TID]decidedTxn)
-	if ckpt != nil {
 		for _, cd := range ckpt.decided {
 			decided[cd.tid] = decidedTxn{lsn: cd.lsn, parts: append([]int(nil), cd.parts...)}
 		}
-	}
-	// The DPT is seeded from the checkpoint's logged entries (fuzzy
-	// checkpoints flush nothing, so a page may have been dirty since well
-	// before the checkpoint — its recLSN is the only record of that), then
-	// extended by the scan with insert-if-absent, which keeps the seeded,
-	// lower recLSNs.
-	dpt := make(map[page.ID]dptEntry)
-	if ckpt != nil {
+		// Fuzzy checkpoints flush nothing, so a page may have been dirty since
+		// well before the checkpoint — its logged recLSN is the only record of
+		// that, and the scan's insert-if-absent keeps it.
 		for _, d := range ckpt.dpt {
 			dpt[d.pid] = dptEntry{rec: d.rec, newest: d.rec}
 		}
 	}
-	scanFrom := start
-	if ckpt != nil && ckpt.beginLSN == 0 {
-		// Legacy (sharp, pre-DPT) checkpoint: skip the record itself. A fuzzy
-		// checkpoint instead scans from beginLSN (= start here); the scan
-		// passes over the checkpoint record, which the switch below ignores.
-		rec, err := s.log.ReadAt(start)
-		if err != nil {
-			return err
-		}
-		scanFrom = start + uint64(rec.EncodedSize())
-	}
-	redoFrom := logrec.NoLSN
-	err := s.log.Scan(scanFrom, func(r *logrec.Record) bool {
-		switch r.Type {
-		case logrec.TypeUpdate, logrec.TypePageImage, logrec.TypeCLR:
-			t := att[r.TID]
-			if t == nil {
-				t = &txn{tid: r.TID, lastLSN: logrec.NoLSN, firstLSN: logrec.NoLSN, pageLSN: make(map[page.ID]uint64)}
-				att[r.TID] = t
-			}
-			t.lastLSN = r.LSN
-			if t.firstLSN == logrec.NoLSN {
-				t.firstLSN = r.LSN
-			}
-			e, ok := dpt[r.Page]
-			if !ok {
-				e = dptEntry{rec: r.LSN}
-			}
-			if r.LSN > e.newest {
-				e.newest = r.LSN
-			}
-			dpt[r.Page] = e
-		case logrec.TypePrepare:
-			t := att[r.TID]
-			if t == nil {
-				t = &txn{tid: r.TID, lastLSN: logrec.NoLSN, firstLSN: logrec.NoLSN, pageLSN: make(map[page.ID]uint64)}
-				att[r.TID] = t
-			}
-			t.lastLSN = r.LSN
-			if t.firstLSN == logrec.NoLSN {
-				t.firstLSN = r.LSN
-			}
-			t.prepared = true
-			t.prepLSN = r.LSN
-			if coord, parts, perr := logrec.DecodePrepareInfo(r.After); perr == nil {
-				t.coord = coord
-				t.parts = parts
-			}
-		case logrec.TypeDecide:
-			if _, ok := decided[r.TID]; !ok {
-				if _, parts, perr := logrec.DecodePrepareInfo(r.After); perr == nil {
-					decided[r.TID] = decidedTxn{lsn: r.LSN, parts: parts}
-				}
-			}
-		case logrec.TypeCommit:
-			delete(att, r.TID)
-		case logrec.TypeEnd:
-			delete(att, r.TID)
-			// A forget End retires the decided entry; for a rolled-back loser
-			// this is a harmless no-op.
-			delete(decided, r.TID)
-		case logrec.TypeAbort:
-			if t := att[r.TID]; t != nil {
-				// The abort decision was delivered before the crash: the branch
-				// is an ordinary loser again (its CLRs may be partial), not in
-				// doubt.
-				t.prepared = false
-			}
-		}
+	tb := tables{att: att, dpt: dpt, decided: decided}
+	err := s.log.Scan(start, func(r *logrec.Record) bool {
+		tb.note(r)
 		s.bumpAllocFor(r)
 		return true
 	})
 	if err != nil {
 		return err
 	}
+	redoFrom := logrec.NoLSN
 	for _, e := range dpt {
 		if redoFrom == logrec.NoLSN || e.rec < redoFrom {
 			redoFrom = e.rec
@@ -879,26 +775,6 @@ func redoRelevant(r *logrec.Record, dpt map[page.ID]dptEntry) bool {
 	return ok && r.LSN >= e.rec
 }
 
-// redoApplyOne redoes one relevant record if the page's LSN shows it is
-// missing, returning 1 if it applied. Safe for concurrent callers on
-// different pages (and, via the shard latch, on the same page).
-func (s *Server) redoApplyOne(sn *Session, r *logrec.Record) (int64, error) {
-	sh := s.pool.Lock(r.Page)
-	defer sh.Unlock()
-	f, err := s.fetchShardLocked(sn, sh, r.Page, false)
-	if err != nil {
-		return 0, err
-	}
-	pg := page.Wrap(f.Bytes())
-	if pg.LSN() >= r.LSN && pg.LSN() != 0 {
-		return 0, nil // already on disk
-	}
-	if err := s.applyShardLocked(sn, sh, r); err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
 // redoQuiesced is the redo pass. With one worker it replays inline, charging
 // the session per record as the serial server did. With several, it scans
 // once and fans records out by page ID — a page's records all go to the same
@@ -916,7 +792,7 @@ func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry, redoFrom ui
 			if !redoRelevant(r, dpt) {
 				return true
 			}
-			n, err := s.redoApplyOne(sn, r)
+			n, err := s.replayOne(sn, r, true)
 			applied += n
 			if err != nil {
 				redoErr = err
@@ -944,7 +820,7 @@ func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry, redoFrom ui
 				if errs[i] != nil {
 					continue // drain after failure
 				}
-				n, err := s.redoApplyOne(nil, r)
+				n, err := s.replayOne(nil, r, true)
 				applied[i] += n
 				if err != nil {
 					errs[i] = err
@@ -1006,20 +882,11 @@ func (s *Server) wplRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64
 	indoubt := make(map[logrec.TID]*txn)
 	images := make(map[logrec.TID][]*wplEntry) // in-doubt copies, newest first
 	decided := make(map[logrec.TID]decidedTxn)
-	scanFrom := start
-	if ckpt != nil && ckpt.beginLSN == 0 {
-		// Legacy checkpoint: the backward scan stops just past the record. A
-		// fuzzy checkpoint's scan instead runs down to beginLSN (= start), so
-		// copies logged between the WPL-table snapshot and the record's
-		// append are seen by the pass rather than lost; the checkpoint record
-		// itself is ignored by the switch below.
-		rec, err := s.log.ReadAt(start)
-		if err != nil {
-			return err
-		}
-		scanFrom = start + uint64(rec.EncodedSize())
-	}
-	err := s.log.ScanBackward(scanFrom, func(r *logrec.Record) bool {
+	// The scan runs down to the checkpoint's begin LSN (= start), so copies
+	// logged between the WPL-table snapshot and the record's append are seen
+	// by the pass rather than lost; the checkpoint record itself is ignored by
+	// the switch below.
+	err := s.log.ScanBackward(start, func(r *logrec.Record) bool {
 		s.bumpAllocFor(r)
 		switch r.Type {
 		case logrec.TypeCommit:
@@ -1040,14 +907,9 @@ func (s *Server) wplRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64
 			}
 		case logrec.TypePrepare:
 			if !resolved[r.TID] {
-				t := &txn{
-					tid:      r.TID,
-					lastLSN:  r.LSN,
-					firstLSN: r.LSN,
-					pageLSN:  make(map[page.ID]uint64),
-					prepared: true,
-					prepLSN:  r.LSN,
-				}
+				t := newTxn(r.TID)
+				t.chain(r.LSN)
+				t.prepared, t.prepLSN = true, r.LSN
 				if coord, parts, perr := logrec.DecodePrepareInfo(r.After); perr == nil {
 					t.coord = coord
 					t.parts = parts
@@ -1095,16 +957,11 @@ func (s *Server) wplRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64
 			if _, ok := indoubt[cp.tid]; ok {
 				continue
 			}
-			indoubt[cp.tid] = &txn{
-				tid:      cp.tid,
-				lastLSN:  cp.prepLSN,
-				firstLSN: cp.prepLSN,
-				pageLSN:  make(map[page.ID]uint64),
-				prepared: true,
-				prepLSN:  cp.prepLSN,
-				coord:    cp.coord,
-				parts:    append([]int(nil), cp.parts...),
-			}
+			t := newTxn(cp.tid)
+			t.chain(cp.prepLSN)
+			t.prepared, t.prepLSN = true, cp.prepLSN
+			t.coord, t.parts = cp.coord, append([]int(nil), cp.parts...)
+			indoubt[cp.tid] = t
 		}
 		// In-doubt copies shipped before the snapshot live only in the
 		// checkpointed (uncommitted) table entries.

@@ -6,14 +6,14 @@ package server
 // torn page surfaces as disk.ErrCorruptPage. This file turns detection into
 // healing:
 //
-//   - repairImage rebuilds one page. First choice is the live log alone
-//     (per-page redo over whole-page images — always sufficient under WPL,
-//     and under ESM/REDO whenever the page's creation image is still in the
-//     log, the PD-style repair). Otherwise Config.RepairPage — wired by
-//     archive.Wire to backup-plus-archived-log per-page redo — supplies the
-//     image. If neither can, the failure is loud and typed: the error wraps
-//     both ErrUnrepairable and the original disk.ErrCorruptPage, and the
-//     damaged bytes are never served.
+//   - repairImage rebuilds one page. First choice is the live log alone,
+//     fed to a PageRebuilder (replay.go) — always sufficient under WPL, and
+//     under ESM/REDO whenever the page's creation image is still in the log,
+//     the PD-style repair. Otherwise Config.RepairPage — wired by
+//     archive.Wire to the same rebuilder fed from backup plus archived log —
+//     supplies the image. If neither can, the failure is loud and typed: the
+//     error wraps both ErrUnrepairable and the original disk.ErrCorruptPage,
+//     and the damaged bytes are never served.
 //   - fetchShardLocked (server.go) calls it when a demand read hits a
 //     corrupt page, repairing in place under the shard latch.
 //   - verifyVolumeQuiesced runs inside Restart when the volume is
@@ -194,8 +194,20 @@ func (s *Server) repairImage(sn *Session, sh *buffer.PoolShard, pid page.ID, cor
 		}
 		return encodeSuperblock(sb), nil
 	}
-	if img := s.repairFromLog(sn, pid); img != nil {
-		return img, nil
+	// The live log alone determines the page when its creation image (ESM/
+	// REDO clients log one whole-page image when a page is born) or, under
+	// WPL, a committed copy is still in it. An update with no image before it
+	// means the prefix is gone and only the archive reaches back far enough.
+	b := NewPageRebuilder(s.cfg.Mode, pid, nil)
+	err := b.FeedLog(s.log, 0)
+	sn.meter().LogRead(1)
+	switch {
+	case errors.Is(err, ErrNoBaseImage):
+		// the archive's turn
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v: %v: %w", ErrUnrepairable, pid, err, corruptErr)
+	case b.Image() != nil:
+		return b.Image(), nil
 	}
 	if s.cfg.RepairPage != nil {
 		img, err := s.cfg.RepairPage(pid)
@@ -206,80 +218,6 @@ func (s *Server) repairImage(sn *Session, sh *buffer.PoolShard, pid page.ID, cor
 	}
 	return nil, fmt.Errorf("%w: %v: no archive wired and the live log cannot rebuild it: %w",
 		ErrUnrepairable, pid, corruptErr)
-}
-
-// repairFromLog rebuilds pid from the live log alone, or returns nil if the
-// log does not fully determine the page. ESM/REDO replay needs the page's
-// creation image (clients log one whole-page image when a page is born, the
-// PD-style repair source) still in the log, followed by every later update;
-// WPL needs the newest committed whole-page image — and under WPL every
-// page not yet installed has one, while installed pages are repairable from
-// the archive. Replay is cut at the stable end captured here; the caller
-// forced the log, so only records appended mid-repair fall outside it.
-func (s *Server) repairFromLog(sn *Session, pid page.ID) []byte {
-	stable := s.log.StableEnd()
-	var img []byte
-	if s.cfg.Mode == ModeWPL {
-		type candidate struct {
-			tid  logrec.TID
-			data []byte
-		}
-		var cands []candidate
-		committed := make(map[logrec.TID]bool)
-		_ = s.log.Scan(s.log.Head(), func(r *logrec.Record) bool {
-			if r.LSN+uint64(r.EncodedSize()) > stable {
-				return false
-			}
-			switch r.Type {
-			case logrec.TypePageImage:
-				if r.Page == pid {
-					cands = append(cands, candidate{tid: r.TID, data: append([]byte(nil), r.After...)})
-				}
-			case logrec.TypeCommit:
-				committed[r.TID] = true
-			}
-			return true
-		})
-		for i := len(cands) - 1; i >= 0; i-- {
-			if committed[cands[i].tid] {
-				// Installed verbatim, exactly as installWPLLocked writes it
-				// (WPL pages are never re-stamped with server LSNs).
-				img = cands[i].data
-				break
-			}
-		}
-		sn.meter().LogRead(1)
-		return img
-	}
-	complete := true
-	_ = s.log.Scan(s.log.Head(), func(r *logrec.Record) bool {
-		if r.Page != pid {
-			return true
-		}
-		if r.LSN+uint64(r.EncodedSize()) > stable {
-			return false
-		}
-		switch r.Type {
-		case logrec.TypePageImage:
-			img = append(img[:0], r.After...)
-			page.Wrap(img).SetLSN(r.LSN)
-		case logrec.TypeUpdate, logrec.TypeCLR:
-			if img == nil {
-				// Updates to a page born before the log head: the prefix is
-				// gone, only the archive can rebuild it.
-				complete = false
-				return false
-			}
-			copy(img[r.Off:int(r.Off)+len(r.After)], r.After)
-			page.Wrap(img).SetLSN(r.LSN)
-		}
-		return true
-	})
-	sn.meter().LogRead(1)
-	if !complete {
-		return nil
-	}
-	return img
 }
 
 // superblockFromLog reconstructs the superblock from the newest checkpoint

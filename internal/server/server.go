@@ -667,14 +667,8 @@ func (sn *Session) Begin() logrec.TID {
 		s.nextTID += logrec.TID(s.stride())
 	}
 	s.allocMu.Unlock()
-	t := &txn{
-		tid:      tid,
-		lastLSN:  logrec.NoLSN,
-		firstLSN: logrec.NoLSN,
-		pageLSN:  make(map[page.ID]uint64),
-	}
 	s.attMu.Lock()
-	s.att[tid] = t
+	s.att[tid] = newTxn(tid)
 	s.attMu.Unlock()
 	return tid
 }
@@ -881,6 +875,16 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("server: bad log page from %v: %w", tid, err)
 	}
+	// The whole batch is vetted before any of it is logged: a record whose
+	// images fall outside the page would be poison for redo and undo alike.
+	for _, r := range recs {
+		if r.Type != logrec.TypeUpdate && r.Type != logrec.TypePageImage {
+			return fmt.Errorf("server: client shipped %v record", r.Type)
+		}
+		if err := checkGeometry(r); err != nil {
+			return fmt.Errorf("server: bad log record from %v: %w", tid, err)
+		}
+	}
 	defer s.enter()()
 	t, ok := s.lookupTxn(tid)
 	if !ok {
@@ -889,9 +893,6 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	atomic.AddInt64(&s.stats.LogPagesReceived, 1)
 	sn.m.ServerCompute(sn.p.ServerPage)
 	for _, r := range recs {
-		if r.Type != logrec.TypeUpdate && r.Type != logrec.TypePageImage {
-			return fmt.Errorf("server: client shipped %v record", r.Type)
-		}
 		r.TID = tid
 		r.PrevLSN = t.lastLSN
 		// Append and table updates form one attMu critical section: a fuzzy
@@ -904,24 +905,16 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 			s.attMu.Unlock()
 			return err
 		}
-		t.lastLSN = lsn
-		if t.firstLSN == logrec.NoLSN {
-			t.firstLSN = lsn
-		}
+		t.chain(lsn)
 		t.pageLSN[r.Page] = lsn
-		s.dptMu.Lock()
-		e, ok := s.dpt[r.Page]
-		if !ok {
-			e = dptEntry{rec: lsn}
-		}
-		if lsn > e.newest {
-			e.newest = lsn
-		}
-		s.dpt[r.Page] = e
-		s.dptMu.Unlock()
+		s.markDirty(r.Page, lsn)
 		s.attMu.Unlock()
 		if s.cfg.Mode == ModeREDO {
-			if err := s.apply(sn, r); err != nil {
+			// New history, applied unconditionally: the record postdates
+			// whatever the frame holds by construction, and a volume reopened
+			// under a fresh in-memory log carries pageLSNs from its previous
+			// life that a pageLSN test would misread as "already applied".
+			if _, err := s.replayOne(sn, r, false); err != nil {
 				return err
 			}
 		}
@@ -932,34 +925,25 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	return nil
 }
 
-// apply applies a log record's redo information to the server's copy of the
-// page (REDO mode and restart redo), latching its shard.
-func (s *Server) apply(sn *Session, r *logrec.Record) error {
+// replayOne brings r.Page into the pool and replays r onto its frame under
+// the shard latch (restart redo, the standby's apply, REDO-mode ShipLog),
+// returning 1 if the record landed. Safe for concurrent callers on different
+// pages and, via the latch, on the same page.
+func (s *Server) replayOne(sn *Session, r *logrec.Record, conditional bool) (int64, error) {
 	sh := s.pool.Lock(r.Page)
 	defer sh.Unlock()
-	return s.applyShardLocked(sn, sh, r)
-}
-
-// applyShardLocked is apply with pid's shard latch already held.
-func (s *Server) applyShardLocked(sn *Session, sh *buffer.PoolShard, r *logrec.Record) error {
 	f, err := s.fetchShardLocked(sn, sh, r.Page, false)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	pg := page.Wrap(f.Bytes())
-	switch r.Type {
-	case logrec.TypeUpdate, logrec.TypeCLR:
-		copy(f.Bytes()[r.Off:int(r.Off)+len(r.After)], r.After)
-	case logrec.TypePageImage:
-		copy(f.Bytes(), r.After)
-	default:
-		return fmt.Errorf("server: cannot apply %v", r.Type)
+	applied, err := replay(f.Bytes(), r, conditional)
+	if !applied {
+		return 0, err
 	}
-	pg.SetLSN(r.LSN)
 	sh.MarkDirty(r.Page)
 	sn.meter().ServerCompute(sn.params().ServerApply)
 	atomic.AddInt64(&s.stats.LogRecordsApplied, 1)
-	return nil
+	return 1, nil
 }
 
 // ShipPage delivers a dirty page. Under ESM the page is cached and stamped
@@ -1013,16 +997,7 @@ func (sn *Session) ShipPage(tid logrec.TID, pid page.ID, data []byte) error {
 		// records. If the cleaner retired it in between (the disk image had
 		// caught up), the arriving image re-dirties the frame at the same
 		// LSN, so reopen the entry conservatively at that LSN.
-		s.dptMu.Lock()
-		e, indpt := s.dpt[pid]
-		if !indpt {
-			e = dptEntry{rec: lsn}
-		}
-		if lsn > e.newest {
-			e.newest = lsn
-		}
-		s.dpt[pid] = e
-		s.dptMu.Unlock()
+		s.markDirty(pid, lsn)
 	}
 	sh.MarkDirty(pid)
 	return nil
@@ -1041,10 +1016,7 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 		s.attMu.Unlock()
 		return err
 	}
-	t.lastLSN = lsn
-	if t.firstLSN == logrec.NoLSN {
-		t.firstLSN = lsn
-	}
+	t.chain(lsn)
 	t.wplPages = append(t.wplPages, pid)
 	s.wplMu.Lock()
 	s.wpl[pid] = &wplEntry{pid: pid, lsn: lsn, tid: t.tid, prev: s.wpl[pid]}
@@ -1120,17 +1092,7 @@ func (sn *Session) Commit(tid logrec.TID) error {
 	}
 	t.lastLSN = c.LSN
 	if s.cfg.Mode == ModeWPL {
-		commitEnd := c.LSN + uint64(c.EncodedSize())
-		s.wplMu.Lock()
-		for _, pid := range t.wplPages {
-			for e := s.wpl[pid]; e != nil; e = e.prev {
-				if e.tid == tid {
-					e.committed = true
-					e.commitEnd = commitEnd
-				}
-			}
-		}
-		s.wplMu.Unlock()
+		s.wplMarkCommitted(t, c.LSN+uint64(c.EncodedSize()))
 	}
 	s.attMu.Unlock()
 	if s.cfg.Serialize || s.cfg.GroupCommitDelay < 0 {
@@ -1199,6 +1161,22 @@ func (sn *Session) Commit(tid logrec.TID) error {
 		s.cfg.PostCommit()
 	}
 	return nil
+}
+
+// wplMarkCommitted marks every logged copy of t's pages committed, with the
+// end LSN of its commit record (installers force up to it). Caller holds
+// attMu — the marking belongs to the commit append's critical section.
+func (s *Server) wplMarkCommitted(t *txn, commitEnd uint64) {
+	s.wplMu.Lock()
+	for _, pid := range t.wplPages {
+		for e := s.wpl[pid]; e != nil; e = e.prev {
+			if e.tid == t.tid {
+				e.committed = true
+				e.commitEnd = commitEnd
+			}
+		}
+	}
+	s.wplMu.Unlock()
 }
 
 // wplCommit installs the transaction's logged pages whose entries are chain
@@ -1437,7 +1415,9 @@ func (s *Server) undo(sn *Session, t *txn, stopAt uint64) error {
 	return nil
 }
 
-// undoApply reverses one update record and logs its CLR.
+// undoApply reverses one update record: it logs the CLR whose after-image is
+// the update's before-image, then replays that CLR onto the page — undo is
+// redo of the compensation.
 //
 //qslint:allow latch-io: ARIES undo restores the before-image and appends its CLR under the page's shard latch — the two must be atomic against concurrent readers of the page, and the append is buffered (no force)
 func (s *Server) undoApply(sn *Session, t *txn, r *logrec.Record) error {
@@ -1447,7 +1427,6 @@ func (s *Server) undoApply(sn *Session, t *txn, r *logrec.Record) error {
 	if err != nil {
 		return err
 	}
-	copy(f.Bytes()[r.Off:int(r.Off)+len(r.Before)], r.Before)
 	clr := &logrec.Record{
 		TID:      t.tid,
 		Type:     logrec.TypeCLR,
@@ -1457,6 +1436,11 @@ func (s *Server) undoApply(sn *Session, t *txn, r *logrec.Record) error {
 		After:    append([]byte(nil), r.Before...),
 		PrevLSN:  t.lastLSN,
 	}
+	// Vetted before it is logged: a CLR that cannot be replayed must not
+	// reach the log.
+	if err := checkGeometry(clr); err != nil {
+		return fmt.Errorf("server: undo %v at %d: %w", t.tid, r.LSN, err)
+	}
 	// CLR append + ATT/DPT updates: one attMu section, same reasoning as
 	// ShipLog (the fuzzy-checkpoint snapshot invariant).
 	s.attMu.Lock()
@@ -1465,19 +1449,12 @@ func (s *Server) undoApply(sn *Session, t *txn, r *logrec.Record) error {
 		s.attMu.Unlock()
 		return err
 	}
-	t.lastLSN = lsn
-	s.dptMu.Lock()
-	e, ok := s.dpt[r.Page]
-	if !ok {
-		e = dptEntry{rec: lsn}
-	}
-	if lsn > e.newest {
-		e.newest = lsn
-	}
-	s.dpt[r.Page] = e
-	s.dptMu.Unlock()
+	t.chain(lsn)
+	s.markDirty(r.Page, lsn)
 	s.attMu.Unlock()
-	page.Wrap(f.Bytes()).SetLSN(lsn)
+	if _, err := replay(f.Bytes(), clr, false); err != nil {
+		return err
+	}
 	sh.MarkDirty(r.Page)
 	return nil
 }

@@ -3,8 +3,9 @@ package server
 // Hot-standby support (DESIGN.md §14). A standby server's log is a byte-exact
 // replica of its primary's stream: ApplyShipped re-appends each shipped
 // record at its original LSN (logrec encoding is deterministic, so the bytes
-// — CRCs included — are identical) and mirrors the primary's table updates,
-// so at every record boundary the standby holds exactly the state a crashed
+// — CRCs included — are identical) and mirrors the primary's table updates
+// through the analysis and redo code restart itself runs (replay.go), so at
+// every record boundary the standby holds exactly the state a crashed
 // primary would recover to at that cut. Promotion is then literally
 // crash-then-restart: discard the volatile state and run the scheme's normal
 // Restart over the replicated log and volume.
@@ -35,12 +36,15 @@ func (s *Server) Standby() bool { return s.standby.Load() }
 // ApplyShipped replays one record of the primary's log stream. Records must
 // arrive in LSN order from a single goroutine. The record is appended at its
 // original LSN (or recognized as already present, when a cold bootstrap
-// restored part of the stream from the archive) and its effect is applied:
-// updates run through the same pageLSN-conditional redo as restart, ATT/DPT/
-// WPL bookkeeping mirrors the primary's, and checkpoint records additionally
-// mirror the master-record write and the primary's log reclamation, so the
-// standby's ring never fills. The caller is responsible for forcing the log
-// (batch-wise) before reporting the records as applied.
+// restored part of the stream from the archive) and its effect is applied
+// through the same code restart uses (replay.go): tables.note mirrors the
+// primary's ATT/DPT/decided bookkeeping, and updates run through the
+// pageLSN-conditional redo. What stays here is what only a live standby has:
+// the append-at-LSN, the WPL table (WPL restart rebuilds it backwards, so it
+// has no forward analysis to share), and checkpoint records, which
+// additionally mirror the master-record write and the primary's log
+// reclamation so the standby's ring never fills. The caller is responsible
+// for forcing the log (batch-wise) before reporting the records as applied.
 func (sn *Session) ApplyShipped(r *logrec.Record) error {
 	s := sn.s
 	if s.restarting.Load() {
@@ -49,6 +53,12 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 	defer s.enter()()
 	if !s.standby.Load() {
 		return fmt.Errorf("%w: ApplyShipped on a non-standby", ErrModeViolation)
+	}
+	switch r.Type {
+	case logrec.TypeUpdate, logrec.TypeCLR, logrec.TypePageImage, logrec.TypeCommit, logrec.TypeAbort,
+		logrec.TypeEnd, logrec.TypePrepare, logrec.TypeDecide, logrec.TypeCheckpoint:
+	default:
+		return fmt.Errorf("server: cannot apply shipped %v record", r.Type)
 	}
 	size := uint64(r.EncodedSize())
 	end := s.log.End()
@@ -63,194 +73,79 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 	default:
 		return fmt.Errorf("server: shipped record at LSN %d leaves a gap (log ends at %d)", r.LSN, end)
 	}
+	wpl := s.cfg.Mode == ModeWPL
+
+	// Append + table updates: one attMu section, mirroring ShipLog, undoApply,
+	// wplShip, Commit, Prepare and logDecision on the primary.
+	s.attMu.Lock()
+	if appendIt {
+		if err := s.appendShippedLocked(r); err != nil {
+			s.attMu.Unlock()
+			return err
+		}
+	}
+	t := s.att[r.TID] // the WPL arms below outlive note's retiring of a committed entry
+	s.decMu.Lock()
+	s.dptMu.Lock()
+	tb := tables{att: s.att, dpt: s.dpt, decided: s.decided}
+	if wpl {
+		tb.dpt = nil // WPL keeps no DPT: installs, not redo, bring pages home
+	}
+	tb.note(r)
+	s.dptMu.Unlock()
+	s.decMu.Unlock()
+	if wpl {
+		switch r.Type {
+		case logrec.TypePageImage:
+			// Mirrors wplShip. The image is not cached or written home — the
+			// no-steal rule stands, and reads reload the newest copy from the
+			// log until its commit record arrives.
+			t = s.att[r.TID]
+			t.wplPages = append(t.wplPages, r.Page)
+			s.wplMu.Lock()
+			s.wpl[r.Page] = &wplEntry{pid: r.Page, lsn: r.LSN, tid: r.TID, prev: s.wpl[r.Page]}
+			s.wplMu.Unlock()
+		case logrec.TypeCommit:
+			if t != nil {
+				s.wplMarkCommitted(t, r.LSN+size)
+			}
+		}
+	}
+	s.attMu.Unlock()
+	// Track the primary's allocation frontier as analysis does, so the
+	// scrubber covers replicated pages and promotion starts from the right
+	// counters even before a checkpoint arrives.
+	s.allocMu.Lock()
+	s.bumpAllocFor(r)
+	s.allocMu.Unlock()
 
 	switch r.Type {
 	case logrec.TypeUpdate, logrec.TypeCLR, logrec.TypePageImage:
-		if s.cfg.Mode == ModeWPL && r.Type == logrec.TypePageImage {
-			if err := s.applyShippedWPLImage(sn, r, appendIt); err != nil {
-				return err
-			}
-			s.allocMu.Lock()
-			s.bumpAllocFor(r)
-			s.allocMu.Unlock()
-			return nil
+		if !wpl {
+			// Repeat history, conditional on the page LSN — identical to
+			// restart redo, and idempotent over a bootstrap-restored (possibly
+			// newer, fuzzy-backup) image.
+			_, err := s.replayOne(sn, r, true)
+			return err
 		}
-		// Append + ATT chain + DPT insert: one attMu section, mirroring
-		// ShipLog/undoApply on the primary.
-		s.attMu.Lock()
-		if appendIt {
-			if err := s.appendShippedLocked(r); err != nil {
-				s.attMu.Unlock()
-				return err
-			}
-		}
-		t := s.shippedTxnLocked(r.TID)
-		t.lastLSN = r.LSN
-		if t.firstLSN == logrec.NoLSN {
-			t.firstLSN = r.LSN
-		}
-		t.pageLSN[r.Page] = r.LSN
-		s.dptMu.Lock()
-		e, ok := s.dpt[r.Page]
-		if !ok {
-			e = dptEntry{rec: r.LSN}
-		}
-		if r.LSN > e.newest {
-			e.newest = r.LSN
-		}
-		s.dpt[r.Page] = e
-		s.dptMu.Unlock()
-		s.attMu.Unlock()
-		// Track the primary's allocation frontier as analysis would, so the
-		// scrubber covers replicated pages and promotion starts from the
-		// right counters even before a checkpoint arrives.
-		s.allocMu.Lock()
-		s.bumpAllocFor(r)
-		s.allocMu.Unlock()
-		// Repeat history, conditional on the page LSN — identical to restart
-		// redo, and idempotent over a bootstrap-restored (possibly newer,
-		// fuzzy-backup) image.
-		_, err := s.redoApplyOne(sn, r)
-		return err
-
 	case logrec.TypeCommit:
-		s.attMu.Lock()
-		if appendIt {
-			if err := s.appendShippedLocked(r); err != nil {
-				s.attMu.Unlock()
-				return err
-			}
-		}
-		t := s.att[r.TID]
-		if t != nil {
-			t.lastLSN = r.LSN
-		}
-		if s.cfg.Mode == ModeWPL && t != nil {
-			commitEnd := r.LSN + size
-			s.wplMu.Lock()
-			for _, pid := range t.wplPages {
-				for e := s.wpl[pid]; e != nil; e = e.prev {
-					if e.tid == r.TID {
-						e.committed = true
-						e.commitEnd = commitEnd
-					}
-				}
-			}
-			s.wplMu.Unlock()
-		}
-		s.attMu.Unlock()
-		if s.cfg.Mode == ModeWPL && t != nil {
+		if wpl && t != nil {
 			s.wplCommit(sn, t)
 		}
-		s.attMu.Lock()
-		delete(s.att, r.TID)
-		s.attMu.Unlock()
-		return nil
-
 	case logrec.TypeAbort:
-		s.attMu.Lock()
-		if appendIt {
-			if err := s.appendShippedLocked(r); err != nil {
-				s.attMu.Unlock()
-				return err
-			}
-		}
-		t := s.att[r.TID]
-		if t != nil {
-			t.lastLSN = r.LSN
-		}
-		s.attMu.Unlock()
 		// ESM/REDO: the primary's undo arrives as CLRs in the stream; under
 		// WPL abort-by-ignoring unlinks the copies here, as on the primary.
-		if s.cfg.Mode == ModeWPL && t != nil {
+		if wpl && t != nil {
 			s.wplAbort(sn, t)
 		}
-		return nil
-
-	case logrec.TypeEnd:
-		s.attMu.Lock()
-		if appendIt {
-			if err := s.appendShippedLocked(r); err != nil {
-				s.attMu.Unlock()
-				return err
-			}
-		}
-		delete(s.att, r.TID)
-		s.decMu.Lock()
-		delete(s.decided, r.TID) // a forget End retires the mirrored decision
-		s.decMu.Unlock()
-		s.attMu.Unlock()
-		return nil
-
-	case logrec.TypePrepare:
-		// Mirror the primary's prepared marking so promotion resurrects the
-		// branch in doubt exactly as the primary's own restart would.
-		s.attMu.Lock()
-		if appendIt {
-			if err := s.appendShippedLocked(r); err != nil {
-				s.attMu.Unlock()
-				return err
-			}
-		}
-		t := s.shippedTxnLocked(r.TID)
-		t.lastLSN = r.LSN
-		if t.firstLSN == logrec.NoLSN {
-			t.firstLSN = r.LSN
-		}
-		t.prepared = true
-		t.prepLSN = r.LSN
-		if coord, parts, perr := logrec.DecodePrepareInfo(r.After); perr == nil {
-			t.coord = coord
-			t.parts = parts
-		}
-		s.attMu.Unlock()
-		s.allocMu.Lock()
-		s.bumpAllocFor(r)
-		s.allocMu.Unlock()
-		return nil
-
-	case logrec.TypeDecide:
-		// The decision is not chained into any branch; mirror the decided map
-		// so a promoted coordinator can answer resolution requests.
-		s.attMu.Lock()
-		if appendIt {
-			if err := s.appendShippedLocked(r); err != nil {
-				s.attMu.Unlock()
-				return err
-			}
-		}
-		s.decMu.Lock()
-		if _, ok := s.decided[r.TID]; !ok {
-			if _, parts, perr := logrec.DecodePrepareInfo(r.After); perr == nil {
-				s.decided[r.TID] = decidedTxn{lsn: r.LSN, parts: parts}
-			}
-		}
-		s.decMu.Unlock()
-		s.attMu.Unlock()
-		s.allocMu.Lock()
-		s.bumpAllocFor(r)
-		s.allocMu.Unlock()
-		return nil
-
 	case logrec.TypeCheckpoint:
-		if appendIt {
-			s.attMu.Lock()
-			err := s.appendShippedLocked(r)
-			s.attMu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
 		return s.applyShippedCheckpoint(sn, r)
-
-	default:
-		return fmt.Errorf("server: cannot apply shipped %v record", r.Type)
 	}
+	return nil
 }
 
 // appendShippedLocked appends r, asserting it lands at its original LSN.
-// Caller holds attMu (or is a checkpoint append, where the primary appends
-// outside attMu too). Append assigns r.LSN = next and the caller checked
+// Caller holds attMu. Append assigns r.LSN = next and the caller checked
 // next == r.LSN, so the assert only fires on a racing local append — which
 // the standby guards exist to prevent.
 func (s *Server) appendShippedLocked(r *logrec.Record) error {
@@ -265,47 +160,12 @@ func (s *Server) appendShippedLocked(r *logrec.Record) error {
 	return nil
 }
 
-// shippedTxnLocked finds or creates the ATT entry for a shipped record's
-// transaction. Caller holds attMu.
-func (s *Server) shippedTxnLocked(tid logrec.TID) *txn {
-	t := s.att[tid]
-	if t == nil {
-		t = &txn{tid: tid, lastLSN: logrec.NoLSN, firstLSN: logrec.NoLSN, pageLSN: make(map[page.ID]uint64)}
-		s.att[tid] = t
-	}
-	return t
-}
-
-// applyShippedWPLImage mirrors wplShip for a shipped whole-page image: ATT
-// chain and WPL-table insert in one attMu section. The image is not cached
-// or written home — the no-steal rule stands, and reads reload the newest
-// copy from the log until its commit record arrives.
-func (s *Server) applyShippedWPLImage(sn *Session, r *logrec.Record, appendIt bool) error {
-	s.attMu.Lock()
-	defer s.attMu.Unlock()
-	if appendIt {
-		if err := s.appendShippedLocked(r); err != nil {
-			return err
-		}
-	}
-	t := s.shippedTxnLocked(r.TID)
-	t.lastLSN = r.LSN
-	if t.firstLSN == logrec.NoLSN {
-		t.firstLSN = r.LSN
-	}
-	t.wplPages = append(t.wplPages, r.Page)
-	s.wplMu.Lock()
-	s.wpl[r.Page] = &wplEntry{pid: r.Page, lsn: r.LSN, tid: r.TID, prev: s.wpl[r.Page]}
-	s.wplMu.Unlock()
-	return nil
-}
-
 // applyShippedCheckpoint mirrors the primary's checkpoint side effects from
 // the record's payload: the master-record write (so promotion's Restart finds
 // the same newest checkpoint a crashed primary's would), the allocation
-// counters, and the log reclamation — the same head computation as
-// checkpointCore, over the logged snapshot instead of live tables, so the
-// standby's ring reclaims in lockstep with the primary's.
+// counters, and the log reclamation — checkpointCore's own head computation
+// (reclaimHead) over the logged snapshot, so the standby's ring reclaims in
+// lockstep with the primary's.
 func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 	c, err := decodeCkpt(r.After)
 	if err != nil {
@@ -347,25 +207,7 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 		}
 		s.wplMu.Unlock()
 	}
-	head := r.LSN
-	if c.beginLSN > 0 {
-		head = minUint64(head, c.beginLSN)
-	}
-	for _, t := range c.txns {
-		if t.firstLSN != logrec.NoLSN && t.firstLSN < head {
-			head = t.firstLSN
-		}
-	}
-	for _, w := range c.wpl {
-		if w.lsn < head {
-			head = w.lsn
-		}
-	}
-	for _, d := range c.dpt {
-		if d.rec < head {
-			head = d.rec
-		}
-	}
+	head := c.reclaimHead(r.LSN)
 	// That head is sound for the primary's volume, not necessarily this one:
 	// pages the primary already cleaned are out of its logged DPT, but the
 	// standby's flush timing is its own, so the same pages may still be dirty

@@ -63,12 +63,7 @@ func (sn *Session) Adopt(tid logrec.TID) error {
 	if _, ok := s.att[tid]; ok {
 		return nil
 	}
-	s.att[tid] = &txn{
-		tid:      tid,
-		lastLSN:  logrec.NoLSN,
-		firstLSN: logrec.NoLSN,
-		pageLSN:  make(map[page.ID]uint64),
-	}
+	s.att[tid] = newTxn(tid)
 	return nil
 }
 
@@ -103,10 +98,7 @@ func (sn *Session) Prepare(tid logrec.TID, coordinator int, participants []int) 
 		exit()
 		return err
 	}
-	t.lastLSN = p.LSN
-	if t.firstLSN == logrec.NoLSN {
-		t.firstLSN = p.LSN
-	}
+	t.chain(p.LSN)
 	t.prepared = true
 	t.coord = coordinator
 	t.parts = append([]int(nil), participants...)

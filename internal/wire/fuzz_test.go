@@ -55,6 +55,15 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 	// back as clean errors, not crash the dispatcher.
 	f.Add([]byte{18, 0, 0, 0, opPrepare, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef})
 	f.Add([]byte{14, 0, 0, 0, opDecide, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 99})
+	// Two well-formed frames: adopt a transaction id, then ship it an update
+	// whose bytes fall outside the page. The record must be refused, not
+	// logged — the abort that follows the disconnect undoes whatever is.
+	oob := logrec.NewUpdate(0, 1, 0, make([]byte, 64), make([]byte, 64))
+	oob.Off = 0xFFF8
+	var frames bytes.Buffer
+	writeRequest(&frames, frame{op: opBegin, tid: 1 << 40})
+	writeRequest(&frames, frame{op: opShipLog, tid: 1 << 40, payload: oob.Encode(nil)})
+	f.Add(frames.Bytes())
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {

@@ -357,3 +357,78 @@ func TestConnectionResetAfterCommitFrame(t *testing.T) {
 		t.Fatalf("commits = %d, want 2 (the delivered commit must execute)", c)
 	}
 }
+
+// TestShipLogRejectsOutOfRangeRecords: a client-shipped record whose images
+// fall outside the page is refused with an ordinary request error — before it
+// is logged — and the transaction, the connection and the server all carry
+// on. (Unchecked, the record panicked a REDO server on apply and sat in an
+// ESM server's log as poison for the abort's undo and for restart.)
+func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
+	past := logrec.NewUpdate(0, 0, 0, make([]byte, 64), make([]byte, 64))
+	past.Off = page.Size - 8
+	mismatch := logrec.NewUpdate(0, 0, 100, make([]byte, 8), make([]byte, 8))
+	mismatch.Before = mismatch.Before[:4]
+	short := logrec.NewPageImage(0, 0, make([]byte, page.Size-1))
+	bad := map[string]*logrec.Record{"update past the page end": past, "before/after length mismatch": mismatch, "short page image": short}
+
+	for _, mode := range []server.Mode{server.ModeREDO, server.ModeESM} {
+		srv := testServer(mode)
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go Serve(lis, srv)
+		cli, err := Dial(lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		for transport, svc := range map[string]Service{"direct": NewDirect(srv, nil, nil), "tcp": cli} {
+			tid, err := svc.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pid, err := svc.AllocPage(tid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg := page.New(pid)
+			if err := svc.ShipLog(tid, logrec.NewPageImage(tid, pid, pg.Bytes()).Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			end := srv.Log().End()
+			for name, r := range bad {
+				r.Page = pid
+				// A good record ahead of the bad one: the batch is refused whole.
+				batch := logrec.NewUpdate(tid, pid, 200, make([]byte, 4), []byte("good")).Encode(nil)
+				err := svc.ShipLog(tid, r.Encode(batch))
+				if err == nil || errors.Is(err, server.ErrNoTxn) {
+					t.Fatalf("%v/%s: %s: err = %v, want a request error", mode, transport, name, err)
+				}
+			}
+			if got := srv.Log().End(); got != end {
+				t.Fatalf("%v/%s: rejected batches grew the log from %d to %d", mode, transport, end, got)
+			}
+			// Same transaction, same connection: still usable, and its abort
+			// (which undoes every logged update) finds no poison.
+			if err := svc.ShipLog(tid, logrec.NewUpdate(tid, pid, 200, make([]byte, 4), []byte("good")).Encode(nil)); err != nil {
+				t.Fatalf("%v/%s: ShipLog after a rejected batch: %v", mode, transport, err)
+			}
+			if err := svc.Abort(tid); err != nil {
+				t.Fatalf("%v/%s: abort: %v", mode, transport, err)
+			}
+			// And so is the next transaction.
+			tid2, err := svc.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.ReadPage(tid2, pid, lock.Shared); err != nil {
+				t.Fatalf("%v/%s: read after abort: %v", mode, transport, err)
+			}
+			if err := svc.Commit(tid2); err != nil {
+				t.Fatalf("%v/%s: commit: %v", mode, transport, err)
+			}
+		}
+	}
+}
