@@ -104,8 +104,8 @@ fuzzy-sweep-smoke:
 bench-ckpt-smoke:
 	$(GO) run ./cmd/benchcommit -ckpt -out $${TMPDIR:-/tmp}/BENCH_checkpoint_smoke.json
 
-# Multi-client commit-throughput benchmark: serialized baseline vs group
-# commit, per scheme, writing BENCH_commit.json — plus the same grid over a
+# Multi-client commit-throughput benchmark: group commit at 1/2/4/8
+# clients, per scheme, writing BENCH_commit.json — plus the same grid over a
 # checksummed volume (BENCH_commit_checksum.json) so the integrity tax of
 # the per-page CRC envelope stays visible in the perf trajectory.
 bench-commit:

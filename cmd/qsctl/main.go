@@ -50,6 +50,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -285,6 +286,17 @@ func statsCmd(addr string, args []string) error {
 		x.CleanerPages, x.CleanerPasses, x.CleanerHotSkips, x.DirtyPages)
 	fmt.Printf("checkpointing    redo_distance_bytes=%d ckpt_stall_ns=%d\n",
 		x.RedoDistanceBytes, x.CkptStallNs)
+	// What pins the log head is the lowest retention holder (DESIGN.md §2.2);
+	// one at or past the stable end holds nothing back.
+	ret := x.Retention
+	pin := wal.Held{Name: "nothing", LSN: ret.StableEnd}
+	for _, h := range ret.Holders {
+		if h.LSN < pin.LSN {
+			pin = h
+		}
+	}
+	fmt.Printf("log retention    head=%d stable_end=%d pinned_by=%s (%d bytes behind)\n",
+		ret.Head, ret.StableEnd, pin.Name, ret.StableEnd-pin.LSN)
 	fmt.Printf("integrity        scanned=%d checksum_failures=%d repaired=%d unrepairable=%d\n",
 		x.ScrubScanned, x.ChecksumFailures, x.PagesRepaired, x.PagesUnrepairable)
 	if x.TwoPCPrepares > 0 || x.TwoPCResolutions > 0 || len(x.InDoubt) > 0 {

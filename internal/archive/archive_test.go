@@ -96,13 +96,28 @@ func TestArchiverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTruncateDefersToArchiveGate is the regression test for the truncation
-// choke point: the log must refuse to reclaim unarchived records — including
-// while a group-commit batch is in flight across the truncation point — and
-// admit the same truncation once the archiver catches up.
-func TestTruncateDefersToArchiveGate(t *testing.T) {
+// putFailer is a blob store whose writes can be made to fail.
+type putFailer struct {
+	*MemBlobs
+	fail bool
+}
+
+func (p *putFailer) Put(name string, data []byte) error {
+	if p.fail {
+		return errors.New("archive medium unavailable")
+	}
+	return p.MemBlobs.Put(name, data)
+}
+
+// TestTruncateDrainsArchiveFirst is the regression test for the archive
+// retention holder: a truncation past unarchived records drains them first
+// (the holder's catch-up is DrainTo), a drain that fails leaves the head
+// pinned at the archived-up-to LSN without failing the truncation, and the
+// head never passes that LSN while a group-commit batch is in flight across
+// the truncation point.
+func TestTruncateDrainsArchiveFirst(t *testing.T) {
 	log := wal.New(1 << 20)
-	blobs := NewMemBlobs()
+	blobs := &putFailer{MemBlobs: NewMemBlobs()}
 	a, err := NewArchiver(log, disk.NewMemStore(), blobs, Options{SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -111,21 +126,23 @@ func TestTruncateDefersToArchiveGate(t *testing.T) {
 	Wire(&cfg, a)
 
 	ends := appendRecords(t, log, 30)
+	blobs.fail = true
+	if err := log.Truncate(ends[14]); err != nil {
+		t.Fatalf("a failed drain failed the truncation: %v", err)
+	}
+	if got := log.Head(); got != wal.FirstLSN {
+		t.Fatalf("head %d passed unarchived records", got)
+	}
+	if pin := log.Holders().Holders; len(pin) != 1 || pin[0].Name != "archive" || pin[0].LSN != wal.FirstLSN {
+		t.Fatalf("holders = %+v, want archive at %d", pin, wal.FirstLSN)
+	}
+	blobs.fail = false
 	mid := ends[14]
 	if err := log.Truncate(mid); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.Head(); got != wal.FirstLSN {
-		t.Fatalf("truncation past unarchived records not deferred: head=%d", got)
-	}
-	if err := a.DrainTo(mid); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Truncate(mid); err != nil {
-		t.Fatal(err)
-	}
-	if got := log.Head(); got != mid {
-		t.Fatalf("truncation after drain: head=%d, want %d", got, mid)
+	if got, upTo := log.Head(), a.ArchivedUpTo(); got != mid || upTo != mid {
+		t.Fatalf("after truncation: head=%d archived-up-to=%d, want both %d", got, upTo, mid)
 	}
 
 	// Group-commit batches in flight: committers park in CommitWait while a
@@ -468,15 +485,15 @@ func TestCorruptionDetected(t *testing.T) {
 	})
 }
 
-// TestBackpressureBoundsLag: the PostCommit hook drains inline whenever the
-// archiver falls more than MaxLagBytes behind, so commit traffic cannot
-// outrun archiving without bound.
+// TestBackpressureBoundsLag: a committing session drains inline whenever the
+// archiver falls more than MaxLagBytes behind (the archive holder's lag
+// allowance), so commit traffic cannot outrun archiving without bound.
 func TestBackpressureBoundsLag(t *testing.T) {
 	const maxLag = 32 << 10
 	w := newRedoWorld(t, Options{SegmentBytes: 8 << 10, MaxLagBytes: maxLag})
 	for i := 0; i < 24; i++ {
 		w.commitPage(t, byte(i+1)) // each ships a full page image: ~8 KB of log
-		if lag := w.arch.Lag(); lag > maxLag {
+		if lag := w.arch.Status().LagBytes; lag > maxLag {
 			t.Fatalf("after commit %d: archiver lag %d exceeds MaxLagBytes %d", i, lag, maxLag)
 		}
 	}

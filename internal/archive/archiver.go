@@ -18,8 +18,8 @@ type Options struct {
 	// (default 1 MB). A segment may exceed it by one record.
 	SegmentBytes int
 	// MaxLagBytes bounds how far the stable log end may run ahead of the
-	// archived-up-to LSN before the PostCommit backpressure hook drains
-	// inline (default 8 MB).
+	// archived-up-to LSN before a committing session drains inline
+	// (default 8 MB): the lag allowance of the archive retention holder.
 	MaxLagBytes uint64
 }
 
@@ -36,14 +36,13 @@ const (
 // the archived segments form one contiguous LSN range starting at the log
 // head observed at creation.
 //
-// The archiver is glued to the log through the wal archive gate
-// (wal.SetArchiveGate, installed by Wire): the log refuses to truncate past
-// the archived-up-to LSN, so no record can be reclaimed before it is safely
-// archived — the same choke point that guards the checkpoint/truncation
-// ordering. The gate reads archivedUpTo through an atomic, never taking the
-// archiver mutex: DrainTo holds that mutex while scanning the log (log mutex
-// inside archiver mutex), and the gate runs under the log mutex, so touching
-// the archiver mutex there would deadlock.
+// The archiver is glued to the log through the "archive" retention holder
+// (wal.Log.Hold, registered by Wire) positioned at the archived-up-to LSN:
+// the log head never passes it, so no record can be reclaimed before it is
+// safely archived, and DrainTo is the holder's catch-up function, so a
+// truncation that wants to go further drains first. The log calls DrainTo
+// with its own mutex released: DrainTo holds the archiver mutex while
+// scanning the log and moving the holder (log mutex inside archiver mutex).
 type Archiver struct {
 	log   *wal.Log
 	store disk.Store
@@ -51,9 +50,10 @@ type Archiver struct {
 	opts  Options
 	gen   uint64
 
-	archivedUpTo atomic.Uint64 // all records below are archived; read by the gate
+	archivedUpTo atomic.Uint64 // all records below are archived; read lock-free by ArchivedUpTo
 
 	mu       sync.Mutex
+	hold     *wal.Holder // nil until Wire registers it
 	segments []SegmentInfo
 	backups  []BackupInfo
 	segBytes int64 // cumulative archived payload bytes
@@ -92,22 +92,13 @@ func (a *Archiver) Generation() uint64 { return a.gen }
 // ArchivedUpTo returns the LSN below which every record is archived.
 func (a *Archiver) ArchivedUpTo() uint64 { return a.archivedUpTo.Load() }
 
-// Lag returns how many stable log bytes are not yet archived.
-func (a *Archiver) Lag() uint64 {
-	stable := a.log.StableEnd()
-	upTo := a.archivedUpTo.Load()
-	if stable <= upTo {
-		return 0
-	}
-	return stable - upTo
-}
-
 // Drain archives everything stable and not yet archived.
 func (a *Archiver) Drain() error { return a.DrainTo(a.log.StableEnd()) }
 
 // DrainTo archives all stable records in [ArchivedUpTo, target), sealing
-// segments of roughly SegmentBytes. It is the PreTruncate hook's body: after
-// DrainTo(newHead) succeeds, the archive gate admits truncation to newHead.
+// segments of roughly SegmentBytes. It is the archive holder's catch-up
+// function: after DrainTo(newHead) succeeds the holder stands at newHead and
+// no longer keeps Truncate from reaching it.
 func (a *Archiver) DrainTo(target uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -145,8 +136,8 @@ func (a *Archiver) DrainTo(target uint64) error {
 			// The stable end fell mid-record (page-grained ForceFull flushing
 			// leaves a torn tail): everything whole is archived; the partial
 			// record will be sealed once a later flush completes it. Truncation
-			// heads are always whole-record boundaries, so a PreTruncate drain
-			// never ends up here short of its target.
+			// heads are always whole-record boundaries, so a drain Truncate
+			// asked for never ends up here short of its target.
 			return nil
 		}
 		info := SegmentInfo{Name: segName(a.gen, from, next), Gen: a.gen, Start: from, End: next}
@@ -156,6 +147,9 @@ func (a *Archiver) DrainTo(target uint64) error {
 		a.segments = append(a.segments, info)
 		a.segBytes += int64(len(payload))
 		a.archivedUpTo.Store(next)
+		if a.hold != nil {
+			a.hold.Set(next)
+		}
 	}
 }
 

@@ -12,14 +12,15 @@ import (
 
 // Wire connects an archiver to a server configuration:
 //
-//   - the wal archive gate, so the log can never reclaim unarchived records
-//     (even when a group-commit batch spans the truncation point — the gate
-//     runs inside Truncate under the log mutex, after every batching
-//     decision has resolved);
-//   - Config.PreTruncate, so checkpoints drain the archive up to their
-//     computed head before truncating (the normal, non-deferred path);
-//   - Config.PostCommit, the backpressure hook: a committer that finds the
-//     archiver more than MaxLagBytes behind drains inline, bounding lag;
+//   - the "archive" retention holder on cfg.Log, at the archived-up-to LSN,
+//     so the log can never reclaim unarchived records (even when a
+//     group-commit batch spans the truncation point — Truncate takes its
+//     minimum over the holders under the log mutex, after every batching
+//     decision has resolved). Its catch-up function is DrainTo, so a
+//     checkpoint's truncation drains the archive up to the computed head
+//     first, and its lag allowance is MaxLagBytes, so a committer that finds
+//     the archiver further behind than that drains inline, bounding lag. A
+//     failed drain fails nothing: the holder simply keeps the head back;
 //   - Config.RepairPage, so a corrupt page the live log cannot rebuild is
 //     repaired from the newest backup plus per-page redo (RepairPage).
 //
@@ -29,15 +30,9 @@ func Wire(cfg *server.Config, a *Archiver) {
 	if cfg.Log != a.log {
 		panic("archive: Wire with a different log than the archiver drains")
 	}
-	a.log.SetArchiveGate(func(newHead uint64) bool {
-		return newHead <= a.archivedUpTo.Load()
-	})
-	cfg.PreTruncate = a.DrainTo
-	cfg.PostCommit = func() {
-		if a.Lag() > a.opts.MaxLagBytes {
-			_ = a.Drain() // best effort; the gate keeps correctness regardless
-		}
-	}
+	a.mu.Lock()
+	a.hold = a.log.Hold("archive", a.archivedUpTo.Load(), a.DrainTo, a.opts.MaxLagBytes)
+	a.mu.Unlock()
 	mode, log, blobs := cfg.Mode, a.log, a.blobs
 	cfg.RepairPage = func(pid page.ID) ([]byte, error) {
 		return RepairPage(blobs, RepairOptions{Mode: mode, Page: pid, Log: log})

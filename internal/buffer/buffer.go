@@ -27,12 +27,11 @@ var (
 
 // Frame is a resident page.
 type Frame struct {
-	pid     page.ID
-	buf     []byte
-	pins    int
-	dirty   bool
-	lastUse uint64        // pool clock at the last Get/Insert (recency)
-	elem    *list.Element // position in the LRU list (nil while pinned)
+	pid   page.ID
+	buf   []byte
+	pins  int
+	dirty bool
+	elem  *list.Element // position in the LRU list (nil while pinned)
 }
 
 // PID returns the page occupying the frame.
@@ -44,10 +43,6 @@ func (f *Frame) Bytes() []byte { return f.buf }
 // Dirty reports whether the frame is marked dirty.
 func (f *Frame) Dirty() bool { return f.dirty }
 
-// LastUse returns the pool's logical clock value at the frame's last
-// reference. The page cleaner compares it against Clock to skip hot pages.
-func (f *Frame) LastUse() uint64 { return f.lastUse }
-
 // Pool is an LRU buffer pool. It is not safe for concurrent use; callers
 // serialize access (the client is single-threaded per workstation and the
 // server wraps it in its own lock).
@@ -57,7 +52,6 @@ type Pool struct {
 	lru      *list.List // front = least recently used; unpinned frames only
 	hits     int64
 	misses   int64
-	clock    uint64 // logical reference clock: ticks on every Get and Insert
 }
 
 // NewPool creates a pool with room for capacity pages.
@@ -92,11 +86,6 @@ func (p *Pool) Len() int { return len(p.frames) }
 func (p *Pool) Hits() int64   { return p.hits }
 func (p *Pool) Misses() int64 { return p.misses }
 
-// Clock returns the pool's logical reference clock: it advances by one on
-// every Get and Insert, so Clock - Frame.LastUse is the frame's age in
-// references (the cleaner's hot-page measure, immune to wall time).
-func (p *Pool) Clock() uint64 { return p.clock }
-
 // Get returns the resident frame for pid, updating recency, or nil.
 func (p *Pool) Get(pid page.ID) *Frame {
 	f, ok := p.frames[pid]
@@ -105,8 +94,6 @@ func (p *Pool) Get(pid page.ID) *Frame {
 		return nil
 	}
 	p.hits++
-	p.clock++
-	f.lastUse = p.clock
 	if f.elem != nil {
 		p.lru.MoveToBack(f.elem)
 	}
@@ -153,8 +140,7 @@ func (p *Pool) Insert(pid page.ID, data []byte) (*Frame, error) {
 	if p.Full() {
 		return nil, fmt.Errorf("%w: pool full inserting %v", ErrNoFrame, pid)
 	}
-	p.clock++
-	f := &Frame{pid: pid, buf: make([]byte, page.Size), lastUse: p.clock}
+	f := &Frame{pid: pid, buf: make([]byte, page.Size)}
 	if data != nil {
 		copy(f.buf, data)
 	}

@@ -5,7 +5,7 @@ package harness
 //
 // The sweep runs the deterministic OO7 update workload once against a
 // primary whose WAL is shipped through repl.Primary — the real shipping
-// path, ship gate and all — draining the stream after every commit into a
+// path, standby retention holder and all — draining the stream after every commit into a
 // record journal. Every record boundary in that stream is a cut: the state a
 // standby holds when the primary dies after shipping exactly that prefix
 // (losing the primary at "every replication-protocol event" reduces to
@@ -46,7 +46,7 @@ import (
 	"repro/internal/wire"
 )
 
-// replLogCapacity is larger than the crash sweep's: the ship gate holds
+// replLogCapacity is larger than the crash sweep's: the standby holder keeps
 // truncation behind the drain cursor, so the log briefly carries the whole
 // build between drains.
 const replLogCapacity = 64 << 20
@@ -92,7 +92,7 @@ func replStandbyConfig(mode server.Mode, standby bool, store disk.Store, log *wa
 
 // runReplWorkload executes the sweep workload against a shipping primary and
 // records the full stream. The first fetch happens before any work so the
-// ship gate is armed from LSN zero — nothing is ever reclaimed undrained.
+// standby holder stands at LSN zero — nothing is ever reclaimed undrained.
 func runReplWorkload(sys SweepSystem, seed int64) (*replRun, error) {
 	plog := wal.New(replLogCapacity)
 	prim := repl.NewPrimary(plog, repl.PrimaryOptions{})
@@ -143,7 +143,7 @@ func runReplWorkload(sys SweepSystem, seed int64) (*replRun, error) {
 		return nil, fmt.Errorf("repl sweep workload %s (system=%s seed=%d): %w", stage, sys.Name, seed, err)
 	}
 
-	if err := drain(); err != nil { // arm the ship gate before any record exists
+	if err := drain(); err != nil { // register the standby holder before any record exists
 		return fail("arm", err)
 	}
 	db, err := oo7.Build(cli, sweepDBConfig(), seed)

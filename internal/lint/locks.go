@@ -2,8 +2,8 @@ package lint
 
 // latch-order: enforces the DESIGN.md §S9 latch partial order,
 //
-//	ckptMu (level 0) → gate (1) → big (2) → one buffer shard latch (3) →
-//	{attMu | dptMu | wplMu | allocMu | scrubMu | state mu} (4) →
+//	ckptMu (level 0) → gate (1) → one buffer shard latch (2) →
+//	{attMu | dptMu | wplMu | allocMu | scrubMu | state mu} (3) →
 //	wal/store internals
 //
 // as a level graph. Each function body is abstractly interpreted in source
@@ -18,8 +18,7 @@ package lint
 // Latches are recognized structurally, so the scratch fixtures exercise the
 // same code paths as the real server:
 //
-//   - a sync.RWMutex field named "gate"            → level 0
-//   - a sync.Mutex field named "big"               → level 1
+//   - a sync.RWMutex field named "gate"            → level 1
 //   - buffer.Sharded.Lock / *buffer.PoolShard      → level 2 (shard)
 //   - sync.Mutex fields attMu/dptMu/wplMu/allocMu  → level 3 (leaf)
 //   - post-PR-4 state mutexes: the server's scrubMu plus the "mu" fields of
@@ -47,19 +46,18 @@ type LatchOrder struct{}
 
 func (LatchOrder) Name() string { return "latch-order" }
 func (LatchOrder) Doc() string {
-	return "latch acquisition order must follow gate → big → one shard latch → leaf mutexes (DESIGN.md §S9)"
+	return "latch acquisition order must follow gate → one shard latch → leaf mutexes (DESIGN.md §S9)"
 }
 
 const (
 	levelOuter = iota // coordination mutex held across the gate (ckptMu)
 	levelGate
-	levelBig
 	levelShard
 	levelLeaf
 	numLevels
 )
 
-var levelName = [numLevels]string{"checkpoint coordination mutex", "session gate", "big (Serialize) mutex", "shard latch", "leaf mutex"}
+var levelName = [numLevels]string{"checkpoint coordination mutex", "session gate", "shard latch", "leaf mutex"}
 
 var leafNames = map[string]bool{
 	"attMu": true, "dptMu": true, "wplMu": true, "allocMu": true,
@@ -265,8 +263,6 @@ func (c *latchClassifier) classify(call *ast.CallExpr) event {
 			switch {
 			case field == "gate" && ts == "sync.RWMutex":
 				level = levelGate
-			case field == "big" && ts == "sync.Mutex":
-				level = levelBig
 			case outerNames[field] && ts == "sync.Mutex":
 				level = levelOuter
 			case leafNames[field] && ts == "sync.Mutex":
@@ -337,7 +333,7 @@ func (c *latchChecker) acquire(ev event, st *[]held) {
 			c.report(c.pkg, ev.pos, "second shard latch acquired while holding one (line %d); never hold two shard latches outside the quiesced index-order path (DESIGN.md §S9)",
 				c.line(h.pos))
 		case h.level > ev.level:
-			c.report(c.pkg, ev.pos, "%s (%s) acquired while holding %s (%s, line %d): inverts the §S9 latch order gate → big → shard → leaf",
+			c.report(c.pkg, ev.pos, "%s (%s) acquired while holding %s (%s, line %d): inverts the §S9 latch order gate → shard → leaf",
 				nameOrLevel(ev), levelName[ev.level], h.name, levelName[h.level], c.line(h.pos))
 		case ev.level == levelGate && h.level == levelGate:
 			c.report(c.pkg, ev.pos, "session gate acquired while already holding it (line %d): the gate is not reentrant", c.line(h.pos))

@@ -12,7 +12,6 @@ import (
 )
 
 type core struct {
-	big   sync.Mutex
 	attMu sync.Mutex
 	pool  *buffer.Sharded
 }
@@ -23,12 +22,6 @@ func (c *core) lockShard(pid page.ID) {
 	sh.Unlock()
 }
 
-// serialize takes the big mutex: clean in isolation.
-func (c *core) serialize() {
-	c.big.Lock()
-	c.big.Unlock()
-}
-
 // doubleShard holds a shard latch while calling a function that latches a
 // shard itself: two shard latches, reached through the call graph.
 func (c *core) doubleShard(pid page.ID) {
@@ -37,10 +30,10 @@ func (c *core) doubleShard(pid page.ID) {
 	sh.Unlock()
 }
 
-// leafThenBig holds a leaf mutex while calling a function that takes the big
-// mutex: a §S9 inversion via the callee's footprint.
-func (c *core) leafThenBig() {
+// leafThenShard holds a leaf mutex while calling a function that latches a
+// shard: a §S9 inversion via the callee's footprint.
+func (c *core) leafThenShard(pid page.ID) {
 	c.attMu.Lock()
-	c.serialize() // want "inverts"
+	c.lockShard(pid) // want "inverts"
 	c.attMu.Unlock()
 }

@@ -28,24 +28,23 @@ type PrimaryOptions struct {
 
 // Primary is the log-shipping side of replication. It serves Fetch against
 // the live WAL, holds truncation behind the standby's cursor through the
-// wal ship gate, and — under AckSemiSync — parks committing sessions until
-// the standby's applied watermark covers their commit record.
-//
-// The gate callback runs inside wal.Truncate under the log mutex, so like
-// the archive gate it reads only atomics and never takes the Primary mutex.
+// "standby" retention holder (wal.Log.Hold), and — under AckSemiSync — parks
+// committing sessions until the standby's applied watermark covers their
+// commit record.
 type Primary struct {
 	log  *wal.Log
 	opts PrimaryOptions
 
-	connected atomic.Bool   // a standby has fetched at least once
-	cursor    atomic.Uint64 // the standby's fetch cursor: truncation floor once connected
+	connected atomic.Bool   // a standby has fetched at least once (hold is registered)
+	cursor    atomic.Uint64 // the standby's fetch cursor, where hold stands; written under mu
 	acked     atomic.Uint64 // standby's applied-and-forced watermark
 
 	fetches     atomic.Int64
 	ackWaits    atomic.Int64
 	ackTimeouts atomic.Int64
 
-	mu   sync.Mutex // guards cond waits; acked itself is atomic
+	mu   sync.Mutex  // guards hold and cond waits; acked itself is atomic
+	hold *wal.Holder // the "standby" retention holder; nil until a cursor is adopted
 	cond *sync.Cond
 }
 
@@ -62,40 +61,27 @@ func NewPrimary(log *wal.Log, opts PrimaryOptions) *Primary {
 	return p
 }
 
-// Wire connects the primary to a server configuration: the wal ship gate
-// (truncation never passes an attached standby's cursor) and, for
-// semi-sync, the CommitAck hook on the commit path. Call before server.New;
-// cfg.Log must be the log the primary ships.
+// Wire connects the primary to a server configuration: for semi-sync, the
+// CommitAck hook on the commit path. Retention needs no wiring — the
+// "standby" holder lives on the log the primary ships, registered when the
+// first cursor is adopted (Fetch) — but cfg.Log must be that log, or the
+// holder would protect a log the server never truncates. Call before
+// server.New.
 func (p *Primary) Wire(cfg *server.Config) {
 	if cfg.Log != p.log {
 		panic("repl: Wire with a different log than the primary ships")
 	}
-	p.log.SetShipGate(func(newHead uint64) bool {
-		return !p.connected.Load() || newHead <= p.cursor.Load()
-	})
 	if p.opts.Mode == AckSemiSync {
 		cfg.CommitAck = p.CommitAck
 	}
 }
 
-// Fetch serves one standby pull: record the ack watermark, advance the ship
-// gate's floor to the request cursor, and return every whole stable record
-// from it, up to maxBytes. A cursor below the log head returns ErrGap.
+// Fetch serves one standby pull: record the ack watermark, return every
+// whole stable record from the request cursor, up to maxBytes, and move the
+// standby holder to that cursor. A cursor below the log head returns ErrGap.
 func (p *Primary) Fetch(from, applied uint64, maxBytes int) (Batch, error) {
 	p.fetches.Add(1)
 	p.recordAck(applied)
-	// Floor before first scan: the gate must hold the head at or below the
-	// cursor from the moment we might serve from it. The floor only moves
-	// forward — a second standby reconnecting from an older cursor races a
-	// deliberate design choice (one standby per primary) and gets ErrGap
-	// once truncation passes it.
-	for {
-		cur := p.cursor.Load()
-		if from <= cur || p.cursor.CompareAndSwap(cur, from) {
-			break
-		}
-	}
-	p.connected.Store(true)
 	if maxBytes <= 0 || maxBytes > p.opts.MaxBatchBytes {
 		maxBytes = p.opts.MaxBatchBytes
 	}
@@ -110,7 +96,32 @@ func (p *Primary) Fetch(from, applied uint64, maxBytes int) (Batch, error) {
 	if err != nil {
 		return Batch{}, err
 	}
+	p.adopt(from)
 	return Batch{Next: next, StableEnd: p.log.StableEnd(), Records: payload}, nil
+}
+
+// adopt moves the standby holder to from, the cursor of a fetch whose scan
+// just succeeded. Only then: a holder's position can become the log head,
+// which must be a record boundary, and a number off the wire is not known to
+// be one until the log has been read from it without a decode error. The
+// steady-state scan cannot lose its race with truncation — the holder
+// already stands at the previous, lower cursor — and a first fetch that does
+// lose it is a standby that arrived after reclamation: ErrGap. The holder
+// only moves forward; a second standby fetching from an older cursor races a
+// deliberate design choice (one standby per primary) and gets ErrGap once
+// truncation passes it.
+func (p *Primary) adopt(from uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.hold == nil:
+		p.hold = p.log.Hold("standby", from, nil, 0)
+		p.cursor.Store(from)
+		p.connected.Store(true)
+	case from > p.cursor.Load():
+		p.hold.Set(from)
+		p.cursor.Store(from)
+	}
 }
 
 // recordAck advances the applied watermark and wakes semi-sync waiters.
@@ -160,13 +171,17 @@ func (p *Primary) CommitAck(endLSN uint64) {
 	}
 }
 
-// Detach releases the ship gate (and any semi-sync waiters) when the
+// Detach releases the standby holder (and any semi-sync waiters) when the
 // standby is decommissioned for good — e.g. after it was promoted and this
 // node is being retired. Without it a departed standby would hold log
 // truncation at its last cursor forever.
 func (p *Primary) Detach() {
-	p.connected.Store(false)
 	p.mu.Lock()
+	p.connected.Store(false)
+	if p.hold != nil {
+		p.hold.Release()
+		p.hold = nil
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }

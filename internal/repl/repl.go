@@ -17,9 +17,9 @@
 // watermark back to the primary. That watermark doubles as the semi-sync
 // acknowledgement — under AckSemiSync, a committing session blocks after its
 // local force until the standby's watermark covers the commit record, so a
-// group-commit batch waits once for the batch-end LSN. A ship gate on the
-// primary's log (wal.SetShipGate) keeps truncation behind the standby's
-// cursor once one has connected; a standby arriving after reclamation gets
+// group-commit batch waits once for the batch-end LSN. A "standby" retention
+// holder on the primary's log (wal.Log.Hold) keeps truncation behind the
+// standby's cursor once one has connected; a standby arriving after reclamation gets
 // ErrGap and must re-bootstrap from the archive (archive.Bootstrap).
 package repl
 

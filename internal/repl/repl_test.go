@@ -387,3 +387,153 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatal("oversized batch decoded")
 	}
 }
+
+// stuckBlobs is an archive medium whose writes can be made to fail, which
+// leaves the archiver unable to advance.
+type stuckBlobs struct {
+	*archive.MemBlobs
+	stuck bool
+}
+
+func (b *stuckBlobs) Put(name string, data []byte) error {
+	if b.stuck {
+		return errors.New("archive medium unavailable")
+	}
+	return b.MemBlobs.Put(name, data)
+}
+
+// TestLogHeadIsTheLowestHolder composes every reason to retain log on one
+// primary — restart redo under fuzzy checkpoints with dirty pages, an
+// archiver, a connected standby — and advances them one at a time. After
+// each checkpoint the head must stand exactly at the lowest of the three,
+// and Holders() must name that one as the pin.
+func TestLogHeadIsTheLowestHolder(t *testing.T) {
+	plog := wal.New(16 << 20)
+	blobs := &stuckBlobs{MemBlobs: archive.NewMemBlobs()}
+	store := disk.NewMemStore()
+	// A lag allowance larger than the test's log: only Truncate asks the
+	// archiver to catch up, never the commit path.
+	arch, err := archive.NewArchiver(plog, store, blobs, archive.Options{MaxLagBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPrimary(plog, PrimaryOptions{})
+	prim := newNode(t, server.ModeESM, func(cfg *server.Config) {
+		cfg.Log = plog
+		cfg.Store = store
+		cfg.FuzzyCheckpoints = true
+		archive.Wire(cfg, arch)
+		p.Wire(cfg)
+	})
+	prim.log = plog
+
+	// checkpoint takes one and returns who pins the head, having checked that
+	// the head is the minimum over the holders.
+	checkpoint := func() string {
+		t.Helper()
+		if err := prim.sn.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		snap := plog.Holders()
+		if len(snap.Holders) != 3 {
+			t.Fatalf("holders = %+v, want redo, archive and standby", snap.Holders)
+		}
+		pin := snap.Holders[0]
+		for _, h := range snap.Holders[1:] {
+			if h.LSN < pin.LSN {
+				pin = h
+			}
+		}
+		if snap.Head != pin.LSN || plog.Head() != pin.LSN {
+			t.Fatalf("head = %d, want the lowest holder %q at %d (%+v)", snap.Head, pin.Name, pin.LSN, snap.Holders)
+		}
+		return pin.Name
+	}
+	position := func(name string) uint64 {
+		t.Helper()
+		for _, h := range plog.Holders().Holders {
+			if h.Name == name {
+				return h.LSN
+			}
+		}
+		t.Fatalf("no holder %q", name)
+		return 0
+	}
+
+	for i := 0; i < 12; i++ {
+		commitPage(t, prim, server.ModeESM, "page.") // dirty in the pool: fuzzy checkpoints flush nothing
+	}
+	// The standby connects and takes exactly one record; its cursor is the
+	// second record. The archive medium is down, so the archiver stays at the
+	// very first. Cleaning the four oldest dirty pages moves redo's start
+	// past both.
+	first, err := p.Fetch(wal.FirstLSN, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Fetch(first.Next, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	blobs.stuck = true
+	if n, err := prim.sn.Clean(4); err != nil || n != 4 {
+		t.Fatalf("clean = %d, %v", n, err)
+	}
+	if pin := checkpoint(); pin != "archive" {
+		t.Fatalf("pinned by %q, want archive", pin)
+	}
+	if plog.Head() != wal.FirstLSN {
+		t.Fatalf("head %d moved past the unarchived first record", plog.Head())
+	}
+
+	// The archive medium comes back: the next truncation drains it as far as
+	// it wanted to go, and the standby's cursor is what is left.
+	blobs.stuck = false
+	if pin := checkpoint(); pin != "standby" {
+		t.Fatalf("pinned by %q, want standby", pin)
+	}
+	if plog.Head() != first.Next {
+		t.Fatalf("head = %d, want the standby cursor %d", plog.Head(), first.Next)
+	}
+
+	// The standby catches up and the archiver drains everything: the oldest
+	// dirty page's recLSN is what is left.
+	cursor := first.Next
+	for {
+		b, err := p.Fetch(cursor, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Next == cursor {
+			break
+		}
+		cursor = b.Next
+	}
+	if err := arch.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if pin := checkpoint(); pin != "redo" {
+		t.Fatalf("pinned by %q, want redo", pin)
+	}
+	if redo := position("redo"); redo <= first.Next || redo >= cursor {
+		t.Fatalf("redo holder at %d, want a dirty page's recLSN inside (%d, %d)", redo, first.Next, cursor)
+	}
+
+	// Everything is cleaned: redo needs only the newest checkpoint, the
+	// archiver drains up to it on demand, and the standby — which has not
+	// fetched the checkpoint records yet — is the pin again.
+	if _, err := prim.sn.Clean(64); err != nil {
+		t.Fatal(err)
+	}
+	if pin := checkpoint(); pin != "standby" {
+		t.Fatalf("pinned by %q, want standby", pin)
+	}
+	if plog.Head() != position("standby") || position("standby") < cursor {
+		t.Fatalf("head = %d, standby holder = %d, last delivering cursor %d", plog.Head(), position("standby"), cursor)
+	}
+
+	// A decommissioned standby releases its holder.
+	p.Detach()
+	if n := len(plog.Holders().Holders); n != 2 {
+		t.Fatalf("%d holders after Detach, want 2", n)
+	}
+}

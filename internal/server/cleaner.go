@@ -7,7 +7,7 @@ package server
 // without bound, restart redo work grows with it, and log truncation stalls
 // at min(recLSN). The cleaner is that mechanism: a paced worker that writes
 // cold dirty pages to the volume in recLSN order (oldest redo obligation
-// first, which is also what advances the truncation floor fastest),
+// first, which is also what advances the redo retention holder fastest),
 // enforcing the WAL rule per page. Commits never wait on it; a committer
 // past the high watermark (2x Config.DirtyPageTarget) cleans a small
 // quantum of pages inline as soft backpressure.
@@ -125,13 +125,6 @@ func (s *Server) cleanOne(sn *Session, pid page.ID) (int, error) {
 			// caught up.
 			sh.Unlock()
 			s.retireDPT(pid, lsn)
-			return 0, nil
-		}
-		if protect := s.cfg.CleanerProtect; protect > 0 && sh.Clock()-f.LastUse() < protect {
-			// Hot page: writing it now buys little (it will re-dirty) and
-			// costs a data write; leave it for a later pass or eviction.
-			sh.Unlock()
-			atomic.AddInt64(&s.stats.CleanerHotSkips, 1)
 			return 0, nil
 		}
 		// WAL before data: the page's newest record must be stable before

@@ -161,32 +161,6 @@ func TestCleanerBackpressureBoundsDPT(t *testing.T) {
 	}
 }
 
-// TestCleanSkipsHotPages covers CleanerProtect: a page used within the
-// protection window is skipped, not written.
-func TestCleanSkipsHotPages(t *testing.T) {
-	s := New(Config{
-		Mode:             ModeESM,
-		PoolPages:        64,
-		LogCapacity:      16 << 20,
-		CheckpointEvery:  1 << 30,
-		FuzzyCheckpoints: true,
-		CleanerProtect:   1 << 30, // everything is hot
-	})
-	defer s.Close()
-	sn := s.NewSession(nil, nil)
-	createPage(t, sn, []byte("hot page....."))
-	n, err := sn.Clean(16)
-	if err != nil {
-		t.Fatalf("clean: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("cleaned %d hot pages, want 0", n)
-	}
-	if st := s.ExtendedStats(); st.CleanerHotSkips == 0 {
-		t.Error("hot skip not counted")
-	}
-}
-
 // TestMaintenanceDuringRestartReturnsErrRestarting pins the typed error:
 // Checkpoint and Clean called while a restart holds the gate fail fast with
 // ErrRestarting instead of queueing behind the write side.

@@ -444,25 +444,12 @@ func (s *Server) checkpointCore(sn *Session) error {
 		return err
 	}
 	atomic.AddInt64(&s.stats.Checkpoints, 1)
+	// Restart now reads nothing below head. Moving the redo holder there and
+	// truncating to it is all this checkpoint knows about retention: whoever
+	// else still needs older log (DESIGN.md "Log retention") holds the head
+	// back inside Truncate, which then advances as far as they allow.
 	head := c.reclaimHead(ckptLSN)
-	// Publish the recLSN floor: even a truncation computed from stale state
-	// (an archiver-driven head, a racing checkpoint) cannot reclaim records
-	// redo needs for a still-dirty page.
-	var minRec uint64
-	for _, d := range c.dpt {
-		if minRec == 0 || d.rec < minRec {
-			minRec = d.rec
-		}
-	}
-	s.log.SetTruncateFloor(minRec)
-	if s.cfg.PreTruncate != nil {
-		if err := s.cfg.PreTruncate(head); err != nil {
-			// Archiving failed: leave the log unreclaimed (the archive gate
-			// would defer the truncation regardless) and report the
-			// checkpoint itself as successful.
-			return nil
-		}
-	}
+	s.redo.Set(head)
 	return s.log.Truncate(head)
 }
 

@@ -37,12 +37,12 @@
 //     happens-before through the gate.
 //   - Stats fields are updated with atomics.
 //
-// Latch order (outer to inner): gate.R → big (Serialize) → one shard latch
-// → attMu → {dptMu | wplMu} → log/store internal locks; allocMu is a leaf
-// taken on its own. Never acquire a shard latch while holding one of the
-// leaf mutexes, and never hold two shard latches (checkpoint-style paths
-// that need all shards run under gate.W, where the pool helpers may latch
-// shards in index order).
+// Latch order (outer to inner): gate.R → one shard latch → attMu →
+// {dptMu | wplMu} → log/store internal locks; allocMu is a leaf taken on its
+// own. Never acquire a shard latch while holding one of the leaf mutexes,
+// and never hold two shard latches (checkpoint-style paths that need all
+// shards run under gate.W, where the pool helpers may latch shards in index
+// order).
 //
 // attMu is more than the ATT map lock: every log append that updates a
 // recovery table (a session record's lastLSN chain, a DPT insert, a WPL
@@ -143,16 +143,11 @@ type Config struct {
 	// crash-point sweep uses this to restart a server over the surviving
 	// store and log of a crashed instance, as reopening the log disk would.
 	Log *wal.Log
-	// Serialize reverts to the pre-concurrent behavior: one global mutex
-	// around every operation and an inline log force per commit. It exists
-	// as the baseline arm of the commit-throughput benchmark.
-	Serialize bool
-	// GroupCommitDelay tunes group commit. 0 (the default) enables group
-	// commit with no extra batching delay: a flush still covers every commit
-	// parked while the previous flush was in progress. A positive value
-	// makes each group flush wait that long for more committers to join
-	// (throughput up, commit latency up). A negative value disables group
-	// commit entirely: each commit forces the log inline.
+	// GroupCommitDelay tunes group commit. 0 (the default) is no extra
+	// batching delay: a flush still covers every commit parked while the
+	// previous flush was in progress. A positive value makes each group
+	// flush wait that long for more committers to join (throughput up,
+	// commit latency up).
 	GroupCommitDelay time.Duration
 	// WPLInstallAsync moves committed-page installs to a background
 	// goroutine (the paper's §3.4.2 asynchronous installer). Off by
@@ -162,20 +157,6 @@ type Config struct {
 	// RedoWorkers is the number of parallel restart-redo workers
 	// (0 = GOMAXPROCS, 1 = sequential redo).
 	RedoWorkers int
-	// PreTruncate, when non-nil, runs before a checkpoint truncates the log,
-	// with the head the checkpoint computed. The log archiver (internal/
-	// archive) hooks here to drain [Head, newHead) into archive segments
-	// before the space is reclaimed; on error the truncation is skipped (the
-	// wal archive gate would refuse it anyway) and the checkpoint still
-	// succeeds — archiving lag must never fail a commit's piggy-backed
-	// checkpoint.
-	PreTruncate func(newHead uint64) error
-	// PostCommit, when non-nil, runs after each successful commit, outside
-	// the quiesce gate and with no locks held. The archiver hooks here for
-	// backpressure: when its lag exceeds the configured bound, the committing
-	// session drains the archive before proceeding, bounding how far the
-	// archive can fall behind the log.
-	PostCommit func()
 	// RepairPage, when non-nil, rebuilds the current contents of one corrupt
 	// page from media beyond the live log. archive.Wire installs
 	// backup-plus-archived-log per-page redo here; repair (internal/server/
@@ -209,10 +190,6 @@ type Config struct {
 	// cleans a few pages inline (soft backpressure, high watermark).
 	// 0 disables backpressure.
 	DirtyPageTarget int
-	// CleanerProtect keeps hot pages out of the cleaner: a dirty page
-	// referenced within this many buffer-clock ticks of now is skipped.
-	// 0 cleans regardless of recency.
-	CleanerProtect uint64
 	// Standby starts the server as a hot standby: it accepts no client
 	// writes, its log and tables are maintained exclusively by
 	// Session.ApplyShipped replaying the primary's record stream, and
@@ -259,7 +236,7 @@ type Stats struct {
 	PagesUnrepairable   int64 // corrupt pages no source could rebuild
 	CleanerPages        int64 // dirty pages written home by the cleaner
 	CleanerPasses       int64 // cleaner passes (ticks + backpressure batches)
-	CleanerHotSkips     int64 // cleaner candidates skipped as recently used
+	CleanerHotSkips     int64 // cleaner candidates skipped: re-dirtied while the cleaner forced the log
 	CkptStallNs         int64 // cumulative wall time commits were excluded by sharp checkpoints
 	TwoPCPrepares       int64 // participant branches prepared (forced PREPARE records)
 	TwoPCPresumedAborts int64 // resolution requests answered "no decision" (presumed abort)
@@ -284,6 +261,7 @@ type StatsX struct {
 	// rescan for redo: StableEnd - min(recLSN) over the DPT (0 when clean).
 	// The cleaner's dirty-page target exists to bound this number.
 	RedoDistanceBytes int64
+	Retention         wal.Retention // what bounds the log head; the lowest holder pins it
 }
 
 // txn is an active-transaction-table entry. The att map itself is guarded
@@ -352,11 +330,13 @@ type Server struct {
 	cfg   Config
 	store disk.Store
 	log   *wal.Log
+	// redo holds the log at the oldest LSN restart would read. Set by
+	// checkpointCore and applyShippedCheckpoint.
+	redo  *wal.Holder
 	locks *lock.Manager
 
 	// gate quiesces the server: see the package comment's concurrency model.
 	gate sync.RWMutex
-	big  sync.Mutex // Serialize mode only: the legacy global mutex
 
 	pool *buffer.Sharded
 
@@ -386,6 +366,9 @@ type Server struct {
 	nextPage page.ID
 	roTID    logrec.TID // next standby read-only TID (standbyTIDBase range)
 	commits  int        // since last checkpoint
+	// pressureRearm is the log end at which the log-pressure checkpoint
+	// trigger re-arms (0 = armed); see Commit.
+	pressureRearm uint64
 
 	stats Stats // atomics
 
@@ -458,6 +441,9 @@ func New(cfg Config) *Server {
 		s.nextPage = page.ID(cfg.ShardID + 1)
 	}
 	s.standby.Store(cfg.Standby)
+	// Until a checkpoint says otherwise restart needs all the log there is.
+	// On an adopted Config.Log this replaces the previous server's holder.
+	s.redo = s.log.Hold("redo", s.log.Head(), nil, 0)
 	if cfg.GroupCommitDelay > 0 {
 		s.log.SetGroupCommitDelay(cfg.GroupCommitDelay)
 	}
@@ -553,6 +539,7 @@ func (s *Server) ExtendedStats() StatsX {
 		PoolMisses:      s.pool.Misses(),
 		LatchContention: s.pool.Contention(),
 		LockWaits:       s.locks.Waits(),
+		Retention:       s.log.Holders(),
 	}
 	s.gate.RLock()
 	x.RedoWorkers = len(s.redoApplied)
@@ -578,18 +565,17 @@ func (s *Server) ExtendedStats() StatsX {
 // Log exposes the log manager for tests and tools.
 func (s *Server) Log() *wal.Log { return s.log }
 
-// enter takes the per-operation (read) side of the quiesce gate — and, in
-// Serialize mode, the legacy global mutex. The returned func releases both.
+// enter takes the per-operation (read) side of the quiesce gate. The
+// returned func releases it.
 func (s *Server) enter() func() {
 	s.gate.RLock()
-	if s.cfg.Serialize {
-		s.big.Lock()
-		return func() {
-			s.big.Unlock()
-			s.gate.RUnlock()
-		}
-	}
 	return s.gate.RUnlock
+}
+
+// commitWait parks until a group flush covers rec — a just-appended COMMIT,
+// PREPARE or DECIDE — and charges the session its share of the group's write.
+func (sn *Session) commitWait(rec *logrec.Record) {
+	sn.m.LogWrite(sn.s.log.CommitWait(rec.LSN + uint64(rec.EncodedSize())))
 }
 
 // stride is the allocation step for page ids and TIDs: ShardCount in a
@@ -1041,9 +1027,9 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 }
 
 // Commit commits tid: the commit record and everything before it is made
-// stable — via the group-commit flusher unless group commit is disabled —
-// then locks are released. Under WPL the transaction's logged pages become
-// installable and are installed (inline, or by the background installer).
+// stable via the group-commit flusher, then locks are released. Under WPL
+// the transaction's logged pages become installable and are installed
+// (inline, or by the background installer).
 func (sn *Session) Commit(tid logrec.TID) error {
 	s := sn.s
 	exit := s.enter()
@@ -1095,13 +1081,7 @@ func (sn *Session) Commit(tid logrec.TID) error {
 		s.wplMarkCommitted(t, c.LSN+uint64(c.EncodedSize()))
 	}
 	s.attMu.Unlock()
-	if s.cfg.Serialize || s.cfg.GroupCommitDelay < 0 {
-		sn.m.LogWrite(s.log.Force())
-	} else {
-		// Park until a group flush covers the commit record; the returned
-		// page count is this committer's share of the group's one write.
-		sn.m.LogWrite(s.log.CommitWait(c.LSN + uint64(c.EncodedSize())))
-	}
+	sn.commitWait(c)
 	if s.cfg.CommitAck != nil {
 		// Semi-sync replication: the commit record is stable locally; now
 		// wait for a standby to acknowledge the LSN just past it (the shipper
@@ -1120,7 +1100,8 @@ func (sn *Session) Commit(tid logrec.TID) error {
 	s.commits++
 	// Checkpoint on schedule, or early when the log is filling (whole-page
 	// logging can write tens of MB per transaction).
-	due := s.commits >= s.cfg.CheckpointEvery || s.log.Used() > s.log.Capacity()/2
+	due := s.commits >= s.cfg.CheckpointEvery ||
+		(s.logPressure() && s.log.End() >= s.pressureRearm)
 	if due {
 		s.commits = 0
 	}
@@ -1156,12 +1137,29 @@ func (sn *Session) Commit(tid logrec.TID) error {
 			// a failed commit for a committed transaction.
 			atomic.AddInt64(&s.stats.CheckpointsFailed, 1)
 		}
+		// Still more than half full: a retention holder or an open
+		// transaction pins the head, so the next checkpoint would reclaim
+		// nothing either and add its own record. Re-arm the pressure trigger
+		// only once the log has really grown.
+		s.allocMu.Lock()
+		s.pressureRearm = 0
+		if s.logPressure() {
+			s.pressureRearm = s.log.End() + s.log.Capacity()/pressureRearmFraction
+		}
+		s.allocMu.Unlock()
 	}
-	if s.cfg.PostCommit != nil {
-		s.cfg.PostCommit()
-	}
+	// A retention holder too far behind the stable end (an archiver past its
+	// lag bound) catches up on the committer's time, with no locks held.
+	s.log.CatchUp()
 	return nil
 }
+
+// pressureRearmFraction of the log's capacity is the growth that re-arms the
+// log-pressure trigger: three more attempts between half full and full.
+const pressureRearmFraction = 8
+
+// logPressure: more than half full, where a commit checkpoints early.
+func (s *Server) logPressure() bool { return s.log.Used() > s.log.Capacity()/2 }
 
 // wplMarkCommitted marks every logged copy of t's pages committed, with the
 // end LSN of its commit record (installers force up to it). Caller holds
@@ -1495,8 +1493,9 @@ func (s *Server) writeSuperblock(sn *Session, sb superblock) error {
 func (s *Server) readSuperblock() (superblock, error) {
 	var buf [page.Size]byte
 	err := s.store.ReadPage(superblockPage, buf[:])
+	fresh := superblock{nextPage: 1, nextTID: 1}
 	if errors.Is(err, disk.ErrNotFound) {
-		return superblock{nextPage: 1, nextTID: 1}, nil
+		return fresh, nil
 	}
 	if errors.Is(err, disk.ErrCorruptPage) {
 		// A rotted or torn master record. Rebuild it from the newest
@@ -1522,6 +1521,11 @@ func (s *Server) readSuperblock() (superblock, error) {
 		return superblock{}, err
 	}
 	if binary.LittleEndian.Uint32(buf[0:]) != superMagic {
+		if buf == [page.Size]byte{} {
+			// No superblock yet (a crash before the first checkpoint): a
+			// file volume reads the hole at page 0 as zeros.
+			return fresh, nil
+		}
 		return superblock{}, errors.New("server: bad superblock magic")
 	}
 	return superblock{

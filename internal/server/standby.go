@@ -212,9 +212,10 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 	// pages the primary already cleaned are out of its logged DPT, but the
 	// standby's flush timing is its own, so the same pages may still be dirty
 	// only here, with their redo records below head. Write them home before
-	// reclaiming (the standby owes those writes eventually anyway), then pin
-	// the truncation floor at whatever remains dirty — hot-skipped or
-	// non-resident pages — exactly as the primary pins its own fuzzy head.
+	// reclaiming (the standby owes those writes eventually anyway), then hold
+	// the log at whatever remains dirty — non-resident pages, or ones
+	// re-dirtied while cleanOne forced the log — exactly as the primary's own
+	// fuzzy head stops at its oldest recLSN.
 	s.dptMu.Lock()
 	orphans := make([]page.ID, 0, len(s.dpt))
 	for pid, e := range s.dpt {
@@ -229,15 +230,12 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 			return err
 		}
 	}
-	floor := uint64(0)
 	s.dptMu.Lock()
 	for _, e := range s.dpt {
-		if floor == 0 || e.rec < floor {
-			floor = e.rec
-		}
+		head = minUint64(head, e.rec)
 	}
 	s.dptMu.Unlock()
-	s.log.SetTruncateFloor(floor)
+	s.redo.Set(head)
 	if head > s.log.Head() {
 		return s.log.Truncate(head)
 	}

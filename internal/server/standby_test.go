@@ -16,13 +16,14 @@ import (
 // replPair is a primary and a standby glued together by an in-process
 // shipper: ship() forces the primary's log, scans everything stable past the
 // cursor, replays it through ApplyShipped, and forces the standby's log (the
-// batch-wise force ApplyShipped's contract requires). A ship gate on the
-// primary keeps checkpoint truncation behind the cursor, as the live log
-// shipper does.
+// batch-wise force ApplyShipped's contract requires). A "standby" retention
+// holder on the primary's log keeps checkpoint truncation behind the cursor,
+// as the live log shipper does.
 type replPair struct {
 	p, s     *Server
 	psn, ssn *Session
 	cursor   uint64
+	hold     *wal.Holder // the primary log's "standby" holder, kept at cursor
 }
 
 func newReplPair(t *testing.T, mode Mode, primary, standby Config) *replPair {
@@ -48,7 +49,7 @@ func newReplPair(t *testing.T, mode Mode, primary, standby Config) *replPair {
 	p := New(primary)
 	s := New(standby)
 	pr := &replPair{p: p, s: s, psn: p.NewSession(nil, nil), ssn: s.NewSession(nil, nil), cursor: p.log.Head()}
-	p.log.SetShipGate(func(newHead uint64) bool { return newHead <= pr.cursor })
+	pr.hold = p.log.Hold("standby", pr.cursor, nil, 0)
 	return pr
 }
 
@@ -65,6 +66,7 @@ func (pr *replPair) ship(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr.cursor = next
+	pr.hold.Set(next)
 	pr.s.log.Force()
 }
 

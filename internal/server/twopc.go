@@ -108,11 +108,7 @@ func (sn *Session) Prepare(tid logrec.TID, coordinator int, participants []int) 
 	s.attMu.Unlock()
 	// The yes vote must be stable before it is uttered: ride the group-commit
 	// flusher exactly as a commit force does.
-	if s.cfg.Serialize || s.cfg.GroupCommitDelay < 0 {
-		sn.m.LogWrite(s.log.Force())
-	} else {
-		sn.m.LogWrite(s.log.CommitWait(p.LSN + uint64(p.EncodedSize())))
-	}
+	sn.commitWait(p)
 	atomic.AddInt64(&s.stats.TwoPCPrepares, 1)
 	exit()
 	return nil
@@ -183,11 +179,7 @@ func (sn *Session) logDecision(tid logrec.TID) error {
 	s.decided[tid] = decidedTxn{lsn: d.LSN, parts: append([]int(nil), t.parts...)}
 	s.decMu.Unlock()
 	s.attMu.Unlock()
-	if s.cfg.Serialize || s.cfg.GroupCommitDelay < 0 {
-		sn.m.LogWrite(s.log.Force())
-	} else {
-		sn.m.LogWrite(s.log.CommitWait(d.LSN + uint64(d.EncodedSize())))
-	}
+	sn.commitWait(d)
 	exit()
 	return nil
 }

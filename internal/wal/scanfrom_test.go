@@ -233,35 +233,3 @@ func TestScanFromEarlyStop(t *testing.T) {
 		t.Fatalf("resume = %d, want %d", resume, lsn2)
 	}
 }
-
-// TestShipGateDefersTruncation: a ship gate refusing the new head leaves the
-// head in place without error (a deferred truncation, not a stable-storage
-// event), and removing the gate lets the same truncation proceed.
-func TestShipGateDefersTruncation(t *testing.T) {
-	l := New(1 << 20)
-	l.Append(upd(1, 1, 16))
-	lsn2, _ := l.Append(upd(1, 2, 16))
-	l.Force()
-
-	shipped := uint64(FirstLSN) // nothing fetched yet
-	l.SetShipGate(func(newHead uint64) bool { return newHead <= shipped })
-	if err := l.Truncate(lsn2); err != nil {
-		t.Fatal(err)
-	}
-	if l.Head() != FirstLSN {
-		t.Fatalf("head advanced to %d past the ship gate", l.Head())
-	}
-
-	shipped = lsn2 // the standby caught up
-	if err := l.Truncate(lsn2); err != nil {
-		t.Fatal(err)
-	}
-	if l.Head() != lsn2 {
-		t.Fatalf("head = %d after gate admitted, want %d", l.Head(), lsn2)
-	}
-
-	l.SetShipGate(nil)
-	if err := l.Truncate(lsn2); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -8,6 +8,11 @@
 // record boundary (ARIES redo), read at a specific LSN (WPL page reload),
 // and truncated from the head as space is reclaimed.
 //
+// What keeps a record in the log is one rule (DESIGN.md "Log retention"):
+// everyone who still needs log registers a named Holder at the oldest LSN it
+// needs, and Truncate moves the head to the lowest of its argument and every
+// holder. The log does not know who the holders are.
+//
 // The log has no notion of why a force happens. Commit forces, two-phase
 // commit's forced PREPARE and DECIDE records (a prepared participant's vote
 // and the coordinator's commit point both require stability before the
@@ -52,12 +57,9 @@ type Log struct {
 	// clamp how far the stable end actually advances, down to not at all.
 	limiter   func(proposed uint64) uint64
 	truncGate func() bool
-	archGate  func(newHead uint64) bool
-	shipGate  func(newHead uint64) bool
-	// floor, when non-zero, bounds how far Truncate may advance the head:
-	// records at or above floor are still needed (fuzzy checkpoints keep the
-	// oldest dirty-page recLSN here, since restart redo must scan from it).
-	floor uint64
+	// holders is the retention registry: the head never passes any of them.
+	// A handful at most, names unique, in registration order.
+	holders []*Holder
 
 	// Group commit. Committers park in CommitWait until a flush attempt has
 	// covered their commit LSN; a one-shot flusher goroutine performs one
@@ -451,62 +453,126 @@ func (l *Log) SetTruncateGate(fn func() bool) {
 	l.truncGate = fn
 }
 
-// SetArchiveGate installs fn, called (with the log lock held) whenever
-// Truncate would advance the head, with the proposed new head. Returning
-// false defers the truncation: the head stays put and Truncate reports
-// success, exactly like a swallowed head-pointer write. The log archiver
-// installs a gate refusing any head above its archived-up-to LSN, so log
-// records can never be reclaimed before they are safely archived — the same
-// choke point (and the same cannot-outrun-stable-state discipline) as the
-// checkpoint/truncation ordering gate from the crash-point sweep. The
-// archive gate is consulted before the truncate gate: a deferred truncation
-// is not a stable-storage event, because the head-pointer write is never
-// attempted. A nil fn removes the gate.
-func (l *Log) SetArchiveGate(fn func(newHead uint64) bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.archGate = fn
+// Holder is one named reason to keep log: its owner (restart redo, an
+// archiver, a standby) still needs every record at or above its position.
+// Positions are record boundaries the owner read from this log, so a head
+// clamped to one is itself a record boundary.
+type Holder struct {
+	log       *Log
+	name      string
+	pos       uint64                    // guarded by log.mu
+	catchUp   func(target uint64) error // may be nil; called with log.mu released
+	allowance uint64                    // lag behind the stable end CatchUp tolerates
 }
 
-// SetShipGate installs fn, called (with the log lock held) whenever Truncate
-// would advance the head, with the proposed new head. Returning false defers
-// the truncation exactly like the archive gate: the head stays put, Truncate
-// reports success, and no stable-storage event is counted, because the
-// head-pointer write is never attempted. The replication shipper installs a
-// gate refusing any head above its shipped-up-to LSN, so the ring can never
-// reclaim records a connected standby has not fetched yet — the same
-// cannot-outrun-stable-state choke point as the archive gate, with the
-// standby's applied LSN standing in for archivedUpTo. Consulted after the
-// archive gate and before the truncate gate. A nil fn removes the gate.
-func (l *Log) SetShipGate(fn func(newHead uint64) bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.shipGate = fn
+// Held is one holder in a Retention snapshot.
+type Held struct {
+	Name string
+	LSN  uint64
 }
 
-// SetTruncateFloor sets the lowest LSN truncation must retain (0 removes the
-// floor). Truncate clamps its head to the floor instead of failing, so a
-// caller computing a head from stale state cannot reclaim records restart
-// redo still needs: the server keeps the oldest dirty-page recLSN here, the
-// redo scan start under fuzzy checkpoints.
-func (l *Log) SetTruncateFloor(lsn uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.floor = lsn
+// Retention is a snapshot of what bounds the log head. The holder with the
+// lowest LSN is the one pinning it.
+type Retention struct {
+	Head, StableEnd uint64
+	Holders         []Held // registration order
 }
 
-// TruncateFloor returns the current recLSN truncation floor (0 = none).
-func (l *Log) TruncateFloor() uint64 {
+// Hold registers a holder at pos: until it is moved (Set) or released,
+// Truncate will not advance the head past it. catchUp (may be nil) lets the
+// log ask the owner to advance to a target, or as far as it can — an
+// archiver drains, where a standby's cursor can only wait. Names are unique:
+// registering a name again replaces the earlier holder, which is how a
+// restarted server or a new archiver generation adopts a surviving log.
+func (l *Log) Hold(name string, pos uint64, catchUp func(target uint64) error, allowance uint64) *Holder {
+	h := &Holder{log: l, name: name, pos: pos, catchUp: catchUp, allowance: allowance}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.floor
+	for i, old := range l.holders {
+		if old.name == name {
+			l.holders[i] = h
+			return h
+		}
+	}
+	l.holders = append(l.holders, h)
+	return h
 }
+
+// Set moves the holder to lsn. Holders move forward; one left below the head
+// pins it where it is.
+func (h *Holder) Set(lsn uint64) {
+	h.log.mu.Lock()
+	h.pos = lsn
+	h.log.mu.Unlock()
+}
+
+// Release removes the holder: its owner no longer needs any log. A no-op for
+// a holder already released or replaced.
+func (h *Holder) Release() {
+	l := h.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, cur := range l.holders {
+		if cur == h {
+			l.holders = append(l.holders[:i], l.holders[i+1:]...)
+			return
+		}
+	}
+}
+
+// Holders returns the retention snapshot.
+func (l *Log) Holders() Retention {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := Retention{Head: l.head, StableEnd: l.flushed}
+	for _, h := range l.holders {
+		r.Holders = append(r.Holders, Held{h.name, h.pos})
+	}
+	return r
+}
+
+// askBehind runs the catch-up of every holder below target — or, on the
+// commit path (toStableEnd), more than its allowance below the stable end.
+// The log mutex is released first: a catch-up scans the log and may write an
+// archive, which must not stall every append and force. One that fails or
+// falls short is not an error here — the holder stays put and keeps pinning
+// the head, and its owner reports its own failures.
+func (l *Log) askBehind(target uint64, toStableEnd bool) {
+	var fns []func(uint64) error
+	l.mu.Lock()
+	if toStableEnd {
+		target = l.flushed
+	}
+	for _, h := range l.holders {
+		slack := uint64(0)
+		if toStableEnd {
+			slack = h.allowance
+		}
+		if h.catchUp != nil && h.pos+slack < target {
+			fns = append(fns, h.catchUp)
+		}
+	}
+	l.mu.Unlock()
+	for _, fn := range fns {
+		_ = fn(target)
+	}
+}
+
+// CatchUp asks every holder further behind the stable end than its allowance
+// to catch up to it. The commit path calls this with no locks held, which
+// bounds such a holder's lag under commit traffic without the log (or the
+// server) knowing what the holder is.
+func (l *Log) CatchUp() { l.askBehind(0, true) }
 
 // Truncate reclaims log space below newHead, which must be a record boundary
-// at or below the stable end. The head never advances past the truncation
-// floor (SetTruncateFloor); a fully clamped truncation is a no-op, not an
-// error, and — like a gate-deferred one — not a stable-storage event.
+// at or below the stable end. The one retention rule: the head moves to the
+// lowest of newHead and every holder. Holders behind newHead that can catch
+// up are asked to first; then the head advances as far as the lowest holder
+// allows. A truncation clamped to nothing is a no-op, not an error, and not
+// a stable-storage event — the head-pointer write is never attempted, so the
+// truncate gate is consulted only when the head would actually move.
 func (l *Log) Truncate(newHead uint64) error {
+	l.askBehind(newHead, false)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if newHead < l.head {
@@ -515,17 +581,13 @@ func (l *Log) Truncate(newHead uint64) error {
 	if newHead > l.flushed {
 		return fmt.Errorf("wal: truncate beyond stable end (%d > %d)", newHead, l.flushed)
 	}
-	if l.floor > 0 && newHead > l.floor {
-		newHead = l.floor
+	for _, h := range l.holders {
+		if h.pos < newHead {
+			newHead = h.pos
+		}
 	}
 	if newHead <= l.head {
 		return nil
-	}
-	if l.archGate != nil && !l.archGate(newHead) {
-		return nil // deferred: the archiver has not drained this span yet
-	}
-	if l.shipGate != nil && !l.shipGate(newHead) {
-		return nil // deferred: a standby has not fetched this span yet
 	}
 	if l.truncGate != nil && !l.truncGate() {
 		return nil // swallowed: the head-pointer write never reached disk
@@ -690,7 +752,7 @@ func (l *Log) Scan(from uint64, fn func(*logrec.Record) bool) error {
 // redelivered.
 //
 // If the resume point has been reclaimed under the caller (the truncation
-// race: the shipper fell behind and no gate held the head back), ScanFrom
+// race: the shipper fell behind and held no Holder at its cursor), ScanFrom
 // returns ErrTruncated with the same resume LSN — the caller must
 // re-bootstrap from an archive rather than resume.
 func (l *Log) ScanFrom(from uint64, cancel <-chan struct{}, fn func(*logrec.Record) bool) (uint64, error) {

@@ -247,54 +247,6 @@ func TestTruncateValidation(t *testing.T) {
 	}
 }
 
-// TestTruncateFloorClampsHead: the recLSN floor bounds reclamation — a
-// truncation above it is clamped down (not an error), a truncation below it
-// proceeds, and clearing the floor restores full reclamation.
-func TestTruncateFloorClampsHead(t *testing.T) {
-	l := New(1 << 20)
-	var lsns []uint64
-	for i := 0; i < 4; i++ {
-		lsn, err := l.Append(upd(1, page.ID(i+1), 64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, lsn)
-	}
-	l.Force()
-	l.SetTruncateFloor(lsns[1])
-	if got := l.TruncateFloor(); got != lsns[1] {
-		t.Fatalf("floor = %d, want %d", got, lsns[1])
-	}
-	// Head may advance up to the floor, never past it.
-	if err := l.Truncate(lsns[3]); err != nil {
-		t.Fatal(err)
-	}
-	if l.Head() != lsns[1] {
-		t.Fatalf("head = %d, want clamped to floor %d", l.Head(), lsns[1])
-	}
-	// The record at the floor is still readable; the one below is reclaimed.
-	if _, err := l.ReadAt(lsns[1]); err != nil {
-		t.Fatalf("record at floor unreadable: %v", err)
-	}
-	if _, err := l.ReadAt(lsns[0]); err == nil {
-		t.Fatal("record below clamped head still readable")
-	}
-	// A fully clamped truncation is a no-op, not an error.
-	if err := l.Truncate(lsns[2]); err != nil {
-		t.Fatalf("clamped truncate errored: %v", err)
-	}
-	if l.Head() != lsns[1] {
-		t.Fatalf("head moved past floor to %d", l.Head())
-	}
-	l.SetTruncateFloor(0)
-	if err := l.Truncate(lsns[3]); err != nil {
-		t.Fatal(err)
-	}
-	if l.Head() != lsns[3] {
-		t.Fatalf("head = %d after floor cleared, want %d", l.Head(), lsns[3])
-	}
-}
-
 // BenchmarkAppend reports per-record allocations on the append path — the
 // sync.Pool of encode buffers is what keeps allocs/op flat (the staging
 // buffer is recycled instead of allocated per record).
