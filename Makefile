@@ -1,9 +1,8 @@
 # Developer/CI entry points. `make check` is the gate: vet, qslint (the
 # static invariant suite, DESIGN.md §11) and its fixture corpus, build, the
-# full test suite under the race detector, the budget-sampled sweeps (crash
-# points §8, group commit §9, media failure §10, page corruption §12, fuzzy
-# checkpoints §13, failover §14, 2PC §16 — all five schemes each), and one
-# pass of the checkpoint latency benchmark (§13).
+# full test suite under the race detector, the budget-sampled sweeps (every
+# kind of DESIGN.md §2.3 × all five schemes), and one pass of the checkpoint
+# latency benchmark (§13).
 #
 # The race-<subsystem> targets re-run a slice of `race` with -count=1; they
 # stay as the repro entry points README.md and DESIGN.md name, but `check`
@@ -11,12 +10,34 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race sweeps sweep-smoke sweep-full race-concurrent group-sweep-smoke media-sweep-smoke race-archive scrub-sweep-smoke race-scrub race-cleaner fuzzy-sweep-smoke bench-ckpt-smoke bench-commit bench-ckpt race-repl repl-sweep-smoke bench-repl race-shard twopc-sweep-smoke bench-shard
+.PHONY: check vet lint lint-fixtures build test race sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard
 
 check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke
 
-# Every sweep smoke, each still runnable on its own by the name the docs use.
-sweeps: sweep-smoke group-sweep-smoke media-sweep-smoke scrub-sweep-smoke fuzzy-sweep-smoke repl-sweep-smoke twopc-sweep-smoke
+# Every sweep kind (crash, fuzzy, restart-crash, group, media, scrub, repl,
+# twopc, twopc-stall — DESIGN.md §2.3) over all five schemes, 50 sampled
+# points each; the group kind, whose committers really race, again under the
+# race detector.
+sweeps: group-sweep-smoke
+	$(GO) test ./internal/harness/ -run '^TestSweep$$' -count=1 -sweep.budget=50
+
+# One kind on its own: crash-sweep-smoke, fuzzy-sweep-smoke,
+# restart-crash-sweep-smoke, group-sweep-smoke (under -race),
+# media-sweep-smoke, scrub-sweep-smoke, repl-sweep-smoke, twopc-sweep-smoke
+# (a prefix match: twopc and twopc-stall). sweep-smoke is the crash kind's
+# older name.
+%-sweep-smoke:
+	$(GO) test $(if $(filter group,$*),-race) ./internal/harness/ -run '^TestSweep$$/^$*' -count=1 -sweep.budget=50
+
+sweep-smoke: crash-sweep-smoke
+
+# Exhaustive: replay every enumerated point, all five schemes — of every
+# kind, or of one (crash-sweep-full, twopc-sweep-full, ...).
+sweep-full:
+	$(GO) test ./internal/harness/ -run '^TestSweep$$' -count=1 -sweep.budget=-1 -v
+
+%-sweep-full:
+	$(GO) test ./internal/harness/ -run '^TestSweep$$/^$*' -count=1 -sweep.budget=-1 -v
 
 vet:
 	$(GO) vet ./...
@@ -45,43 +66,21 @@ build:
 test:
 	$(GO) test ./...
 
+# The harness package alone takes ~9 minutes under the race detector (the
+# paper-shape tests, then the sweeps): past go test's 10-minute default on a
+# slow box.
 race:
-	$(GO) test -race ./...
-
-sweep-smoke:
-	$(GO) test ./internal/harness/ -run TestSweepCrashPoints -count=1 -sweep.budget=50
-
-# Exhaustive: replay every enumerated crash point for all five schemes.
-sweep-full:
-	$(GO) test ./internal/harness/ -run TestSweepCrashPoints -count=1 -sweep.budget=-1 -v
+	$(GO) test -race -timeout 30m ./...
 
 # The concurrency surface (group commit, sharded pool sessions, async WPL
 # installer, parallel redo) under the race detector.
 race-concurrent:
 	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestParallelRedo' -count=1
 
-# 2-client group-commit crash sweep: every record-boundary cut between group
-# formation and the stable flush, one scheme, under -race.
-group-sweep-smoke:
-	$(GO) test -race ./internal/harness/ -run TestGroupCommitSweepSmoke -count=1
-
-# Media-failure sweep: destroy the volume, restore from the fuzzy online
-# backup plus the archived log at every archive boundary event and sampled
-# point-in-time cuts, all five schemes (DESIGN.md §10).
-media-sweep-smoke:
-	$(GO) test ./internal/harness/ -run TestMediaSweepSmoke -count=1
-
 # Archive round-trip (segment/backup framing, truncation gate with batches
 # in flight, restore re-runnability, corruption detection) under -race.
 race-archive:
 	$(GO) test -race ./internal/archive/ -count=1
-
-# Page-corruption sweep: rot/tear every page of a seeded workload below the
-# checksum envelope, then demand detection, byte-identical repair (live log
-# or archive), restart over a fully damaged volume, and loud typed failure
-# when nothing can repair — all five schemes (DESIGN.md §12).
-scrub-sweep-smoke:
-	$(GO) test ./internal/harness/ -run TestScrubSweepSmoke -count=1
 
 # The online scrubber and single-page repair under the race detector:
 # paced scrubbing concurrent with committing sessions.
@@ -93,11 +92,6 @@ race-scrub:
 # (DESIGN.md §13).
 race-cleaner:
 	$(GO) test -race ./internal/server/ -run 'TestCleaner|TestClean|TestMaintenanceDuringRestart' -count=1
-
-# Fuzzy-checkpoint crash sweep: cuts inside cleaner page writes and in the
-# fuzzy-checkpoint-record -> superblock window, all five schemes.
-fuzzy-sweep-smoke:
-	$(GO) test ./internal/harness/ -run 'TestFuzzy' -count=1 -sweep.budget=50
 
 # One pass of the checkpoint latency benchmark as a smoke: proves both arms
 # run end to end; the report goes to a scratch file, not the repo.
@@ -125,13 +119,6 @@ race-repl:
 	$(GO) test -race ./internal/repl/ -count=1
 	$(GO) test -race ./internal/wire/ -run 'TestClientFailover|TestStandby|TestRepl' -count=1
 
-# Failover sweep: cut the shipped stream at every record boundary (budget-
-# sampled), promote the standby, and demand byte-equivalence with a
-# single-node restart at the same cut plus exact acked-commit durability,
-# all five schemes (DESIGN.md §14).
-repl-sweep-smoke:
-	$(GO) test ./internal/harness/ -run TestReplSweep -count=1
-
 # Commit p50/p99 with a hot standby attached: no replication vs async vs
 # semi-sync acks at 8 clients, writing BENCH_repl.json (DESIGN.md §14).
 bench-repl:
@@ -141,13 +128,6 @@ bench-repl:
 # (DESIGN.md §16).
 race-shard:
 	$(GO) test -race ./internal/shard/ -count=1
-
-# Two-shard 2PC sweeps, budget-sampled: crash at globally-numbered stable
-# events, and stall every Prepare/Decide/Forget message in turn; demands
-# cross-shard atomicity, in-doubt lock retention and idempotent resolution
-# for all five schemes (DESIGN.md §16).
-twopc-sweep-smoke:
-	$(GO) test ./internal/harness/ -run 'TestTwoPC' -count=1 -short
 
 # Scale-out throughput 1..4 shards, disjoint vs 10%-cross-shard mixes,
 # writing BENCH_shard.json (DESIGN.md §16).

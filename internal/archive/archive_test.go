@@ -501,3 +501,31 @@ func TestBackpressureBoundsLag(t *testing.T) {
 		t.Fatal("backpressure never sealed a segment")
 	}
 }
+
+// TestArchiverFollowsRebasedLog: an archiver wired over a fresh log that
+// Restart then re-bases above a reopened volume's checkpoint (wal.StartAt)
+// archives from the new start instead of scanning LSNs that never existed.
+func TestArchiverFollowsRebasedLog(t *testing.T) {
+	log := wal.New(1 << 20)
+	a, err := NewArchiver(log, disk.NewMemStore(), NewMemBlobs(), Options{SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.Config{Log: log}
+	Wire(&cfg, a)
+	const start = 3 << 20
+	if err := log.StartAt(start); err != nil {
+		t.Fatal(err)
+	}
+	ends := appendRecords(t, log, 10)
+	if err := a.Drain(); err != nil {
+		t.Fatalf("drain after the re-base: %v", err)
+	}
+	segs := a.Status().Segments
+	if a.ArchivedUpTo() != ends[9] || segs == 0 {
+		t.Fatalf("archived up to %d in %d segments, want %d", a.ArchivedUpTo(), segs, ends[9])
+	}
+	if err := log.Truncate(ends[9]); err != nil || log.Head() != ends[9] {
+		t.Fatalf("archive holder still pins the head at %d: %v", log.Head(), err)
+	}
+}

@@ -105,6 +105,12 @@ func (a *Archiver) DrainTo(target uint64) error {
 	if stable := a.log.StableEnd(); target > stable {
 		target = stable
 	}
+	if head := a.log.Head(); a.hold != nil && a.archivedUpTo.Load() < head {
+		// The holder keeps the head behind this cursor, so a head above it
+		// means the log was re-based while still empty (wal.StartAt, a fresh
+		// log adopted over a used volume): nothing was skipped.
+		a.archivedUpTo.Store(head)
+	}
 	for {
 		from := a.archivedUpTo.Load()
 		if from >= target {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/page"
 	"repro/internal/server"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -654,5 +657,125 @@ func TestStatsStringersAndErrors(t *testing.T) {
 	}
 	if fmt.Sprint(ErrTxnActive) == "" || fmt.Sprint(ErrNoTxn) == "" {
 		t.Fatal("empty error strings")
+	}
+}
+
+// TestReopenedVolumeKeepsCommitsAcrossCrash: a volume checkpointed by one
+// process and reopened by the next under a fresh wal.New — what quickstored
+// does on every start — must not lose the new process's commits at its first
+// crash. The pages carry page LSNs from the old log; a new log that started
+// over below them would have conditional redo skip every committed record.
+func TestReopenedVolumeKeepsCommitsAcrossCrash(t *testing.T) {
+	// Each opener returns the store over the same volume on every call; the
+	// file-backed ones really close and reopen it.
+	file := func(t *testing.T, wrap func(disk.Store) disk.Store) func() disk.Store {
+		path := filepath.Join(t.TempDir(), "vol.db")
+		var open *disk.FileStore
+		t.Cleanup(func() { open.Close() })
+		return func() disk.Store {
+			if open != nil {
+				if err := open.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if open, err = disk.OpenFileStore(path); err != nil {
+				t.Fatal(err)
+			}
+			return wrap(open)
+		}
+	}
+	stores := []struct {
+		name string
+		open func(t *testing.T) func() disk.Store
+	}{
+		{"MemStore", func(*testing.T) func() disk.Store {
+			mem := disk.NewMemStore()
+			return func() disk.Store { return mem }
+		}},
+		{"FileStore", func(t *testing.T) func() disk.Store {
+			return file(t, func(s disk.Store) disk.Store { return s })
+		}},
+		{"checksummed FileStore", func(t *testing.T) func() disk.Store {
+			return file(t, func(s disk.Store) disk.Store { return disk.NewChecksummed(s) })
+		}},
+	}
+	for _, st := range stores {
+		for _, v := range []version{versions[0], versions[3], versions[4]} { // ESM, REDO, WPL
+			st, v := st, v
+			t.Run(st.name+"/"+v.name, func(t *testing.T) {
+				open := st.open(t)
+				connect := func(srv *server.Server) *Client {
+					return New(Config{
+						Scheme:         v.scheme,
+						PoolPages:      64,
+						ShipDirtyPages: v.serverMode != server.ModeREDO,
+					}, wire.NewDirect(srv, nil, nil))
+				}
+				process := func() (*server.Server, *Client) {
+					srv := server.New(server.Config{
+						Mode:            v.serverMode,
+						Store:           open(),
+						Log:             wal.New(16 << 20),
+						PoolPages:       64,
+						CheckpointEvery: 1 << 30,
+					})
+					return srv, connect(srv)
+				}
+
+				// First process: enough pages that its log ends far above where
+				// a fresh one starts, then an orderly checkpoint and exit.
+				srv, cli := process()
+				tx := mustBegin(t, cli)
+				var oid page.OID
+				for i := 0; i < 20; i++ {
+					if _, err := tx.NewPage(); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if oid, err = tx.Allocate(16); err != nil {
+						t.Fatal(err)
+					}
+					if err := tx.Write(oid, 0, []byte("old value 000000")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				srv.Close()
+
+				// Second process: reopen, recover, commit an update, crash.
+				srv, cli = process()
+				defer srv.Close()
+				sn := srv.NewSession(nil, nil)
+				if err := sn.Restart(); err != nil {
+					t.Fatalf("restart over the reopened volume: %v", err)
+				}
+				tx = mustBegin(t, cli)
+				if err := tx.Write(oid, 0, []byte("new value 111111")); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				srv.Crash()
+				if err := sn.Restart(); err != nil {
+					t.Fatalf("restart after the crash: %v", err)
+				}
+				tx = mustBegin(t, connect(srv))
+				defer tx.Abort()
+				got, err := tx.ReadObject(oid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != "new value 111111" {
+					t.Fatalf("object reads %q after crash and restart: the committed update was lost", got)
+				}
+			})
+		}
 	}
 }

@@ -1,43 +1,14 @@
 package harness
 
-// Group-commit crash sweep: crash-consistency testing for the window group
-// commit introduces between group formation and the stable flush.
-//
-// The single-client crash-point sweep (sweep.go) enumerates stable-storage
-// events, which by construction can never land *inside* a group: a group
-// flush is one event. The failure mode specific to group commit is different
-// — several transactions append their commit records, park together, and the
-// server dies before (or part-way into making) the group durable. What must
-// hold then is exactly the WAL contract: a transaction is durable if and
-// only if its commit record lies wholly below the stable end the crash left
-// behind, and each transaction is atomic regardless of which group members
-// made it.
-//
-// Because the interleaving of concurrent committers is scheduling-dependent,
-// this sweep is self-validating rather than replay-deterministic: it derives
-// the expected outcome from the log the run actually produced instead of
-// from a precomputed journal.
-//
-//  1. A serial setup phase gives each of K clients two private pages, each
-//     holding one object with a known old value, and checkpoints so the
-//     setup is stable.
-//  2. Stable storage is frozen (the sweep fuse trips): every later data
-//     write and log flush is swallowed, so the store and the log's stable
-//     end stay exactly at the freeze instant while the log's volatile tail
-//     keeps growing.
-//  3. K clients concurrently run one update transaction each (both objects
-//     to a new value) and commit. The commits batch through group commit;
-//     none becomes durable.
-//  4. Every record boundary in the volatile tail is a cut: the crash
-//     instants from "no commit stable" through "all commits stable". For
-//     each cut the frozen store is cloned, the log is cloned with its
-//     stable end at the cut (wal.CrashClone), a fresh server recovers, and
-//     each client's objects are checked: both new iff that client's commit
-//     record lies wholly below the cut, both old otherwise — never a
-//     mixture, which would be a torn group member.
-//
-// Restart runs with RedoWorkers > 1, so the sweep also drives parallel redo
-// through every cut.
+// The group kind (DESIGN.md §2.3, §9): the window group commit opens between
+// group formation and the stable flush. The crash kind enumerates stable
+// events and so can never land inside a group — a group flush is one event;
+// here stable storage is frozen first, several clients commit concurrently
+// into the volatile tail, and every record boundary of that tail is a cut.
+// The interleaving of concurrent committers is scheduling-dependent, so the
+// kind is self-validating rather than replay-deterministic: the expected
+// outcome at a cut is derived from the log the run actually produced, and a
+// Replay re-runs the committers before cutting.
 
 import (
 	"fmt"
@@ -53,24 +24,18 @@ import (
 	"repro/internal/wire"
 )
 
-// GroupSweepReport summarizes one group-commit sweep.
-type GroupSweepReport struct {
-	System   string
-	Clients  int
-	Cuts     int      // record-boundary crash instants examined
-	Durable  []int    // durable-commit count at each cut (diagnostics)
-	Failures []string // violated invariants, with the cut and client
-}
+const (
+	groupClients    = 4
+	groupObjectSize = 16
+)
 
-// groupSweepClient is one committer's setup and expected values.
-type groupSweepClient struct {
+// groupClient is one committer's setup and expected values.
+type groupClient struct {
 	cli       *client.Client
 	oids      [2]page.OID
-	tid       logrec.TID // transaction that wrote newVal, set in phase 3
+	tid       logrec.TID // transaction that wrote the new value
 	commitEnd uint64     // exclusive end LSN of its commit record, 0 if absent
 }
-
-const groupObjectSize = 16
 
 func groupVal(prefix string, k int) []byte {
 	b := make([]byte, groupObjectSize)
@@ -78,84 +43,79 @@ func groupVal(prefix string, k int) []byte {
 	return b
 }
 
-// GroupCommitSweep runs the self-validating group-commit crash sweep for one
-// scheme with nclients concurrent committers.
-func GroupCommitSweep(sys SweepSystem, nclients int) (*GroupSweepReport, error) {
-	fuse := faultinject.NewFuse(-1)
-	mem := disk.NewMemStore()
-	store := faultinject.NewSweepStore(mem, fuse)
-	log := wal.New(sweepLogCapacity)
-	log.SetFlushLimiter(func(proposed uint64) uint64 {
-		if _, ok := fuse.Event(); !ok {
-			return 0
+// groupConfig has checkpoints only where the kind asks for one.
+func groupConfig(mode server.Mode, redoWorkers int) func(disk.Store, *wal.Log) server.Config {
+	return func(store disk.Store, log *wal.Log) server.Config {
+		return server.Config{
+			Mode:            mode,
+			Store:           store,
+			Log:             log,
+			LogCapacity:     sweepLogCapacity,
+			PoolPages:       sweepServerPool,
+			CheckpointEvery: 1 << 30,
+			RedoWorkers:     redoWorkers,
 		}
-		return proposed
-	})
-	log.SetTruncateGate(func() bool {
-		_, ok := fuse.Event()
-		return ok
-	})
-	srv := server.New(server.Config{
-		Mode:            sys.Mode,
-		Store:           store,
-		Log:             log,
-		LogCapacity:     sweepLogCapacity,
-		PoolPages:       sweepServerPool,
-		CheckpointEvery: 1 << 30, // checkpoints only where the sweep asks for one
-	})
-	defer srv.Close()
-
-	newClient := func(s *server.Server) *client.Client {
-		return client.New(client.Config{
-			Scheme:         sys.Scheme,
-			PoolPages:      sweepClientPool,
-			ShipDirtyPages: sys.Mode != server.ModeREDO,
-		}, wire.NewDirect(s, nil, nil))
 	}
+}
 
-	// Phase 1: serial setup, then checkpoint so it is durable.
-	clients := make([]*groupSweepClient, nclients)
-	for k := range clients {
-		c := &groupSweepClient{cli: newClient(srv)}
+// groupRun is the frozen store and the volatile tail one run left behind.
+type groupRun struct {
+	sys     SweepSystem
+	node    *node
+	clients []*groupClient
+	cuts    []uint64 // the frozen stable end, then every record end above it
+}
+
+func openGroup(sys SweepSystem, _ int64) (*pointSpace, error) {
+	fuse := faultinject.NewFuse(-1)
+	run := &groupRun{sys: sys, node: newNode(fuse, sweepLogCapacity, groupConfig(sys.Mode, 0))}
+	srv, log := run.node.srv, run.node.log
+
+	// Phase 1: serial setup — each client gets two private pages, each
+	// holding one object with a known old value — then a checkpoint so the
+	// setup is stable.
+	for k := 0; k < groupClients; k++ {
+		c := &groupClient{cli: sweepClient(sys, wire.NewDirect(srv, nil, nil))}
 		tx, err := c.cli.Begin()
 		if err != nil {
-			return nil, fmt.Errorf("groupsweep setup begin: %w", err)
+			return nil, fmt.Errorf("setup begin: %w", err)
 		}
 		for i := range c.oids {
 			if _, err := tx.NewPage(); err != nil {
-				return nil, fmt.Errorf("groupsweep setup page: %w", err)
+				return nil, fmt.Errorf("setup page: %w", err)
 			}
 			oid, err := tx.Allocate(groupObjectSize)
 			if err != nil {
-				return nil, fmt.Errorf("groupsweep setup alloc: %w", err)
+				return nil, fmt.Errorf("setup alloc: %w", err)
 			}
 			if err := tx.Write(oid, 0, groupVal("old", k)); err != nil {
-				return nil, fmt.Errorf("groupsweep setup write: %w", err)
+				return nil, fmt.Errorf("setup write: %w", err)
 			}
 			c.oids[i] = oid
 		}
 		if err := tx.Commit(); err != nil {
-			return nil, fmt.Errorf("groupsweep setup commit: %w", err)
+			return nil, fmt.Errorf("setup commit: %w", err)
 		}
-		clients[k] = c
+		run.clients = append(run.clients, c)
 	}
 	if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
-		return nil, fmt.Errorf("groupsweep checkpoint: %w", err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 
-	// Phase 2: freeze stable storage.
+	// Phase 2: freeze stable storage. Every later data write and log flush is
+	// swallowed, so the store and the log's stable end stay exactly at the
+	// freeze instant while the log's volatile tail keeps growing.
 	fuse.Trip()
 	frozenEnd := log.StableEnd()
 
 	// Phase 3: concurrent committers. Every commit call returns (the flush
 	// attempt happened; the fuse swallowed it), but nothing became durable.
 	var wg sync.WaitGroup
-	errs := make([]error, nclients)
-	for k := range clients {
+	errs := make([]error, groupClients)
+	for k, c := range run.clients {
 		wg.Add(1)
-		go func(k int) {
+		go func(k int, c *groupClient) {
 			defer wg.Done()
-			c := clients[k]
 			tx, err := c.cli.Begin()
 			if err != nil {
 				errs[k] = err
@@ -170,90 +130,97 @@ func GroupCommitSweep(sys SweepSystem, nclients int) (*GroupSweepReport, error) 
 				}
 			}
 			errs[k] = tx.Commit()
-		}(k)
+		}(k, c)
 	}
 	wg.Wait()
 	for k, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("groupsweep client %d commit: %w", k, err)
+			return nil, fmt.Errorf("client %d commit: %w", k, err)
 		}
 	}
 
 	// Phase 4: enumerate the volatile tail. Scan walks appended records past
-	// the stable end; boundaries above frozenEnd are the cuts, and each
-	// client's commit record tells us its durability threshold.
-	byTID := make(map[logrec.TID]*groupSweepClient, nclients)
-	for _, c := range clients {
+	// the stable end; boundaries above frozenEnd are the cuts — the crash
+	// instants from "no commit stable" through "all commits stable" — and
+	// each client's commit record gives its durability threshold.
+	byTID := make(map[logrec.TID]*groupClient, groupClients)
+	for _, c := range run.clients {
 		byTID[c.tid] = c
 	}
-	cuts := []uint64{frozenEnd}
+	run.cuts = []uint64{frozenEnd}
 	if err := log.Scan(log.Head(), func(r *logrec.Record) bool {
 		end := r.LSN + uint64(r.EncodedSize())
 		if end <= frozenEnd {
 			return true
 		}
-		cuts = append(cuts, end)
-		if r.Type == logrec.TypeCommit {
-			if c := byTID[r.TID]; c != nil {
-				c.commitEnd = end
-			}
+		run.cuts = append(run.cuts, end)
+		if c := byTID[r.TID]; c != nil && r.Type == logrec.TypeCommit {
+			c.commitEnd = end
 		}
 		return true
 	}); err != nil {
-		return nil, fmt.Errorf("groupsweep scan: %w", err)
+		return nil, fmt.Errorf("scan: %w", err)
 	}
-	for k, c := range clients {
+	for k, c := range run.clients {
 		if c.commitEnd == 0 {
-			return nil, fmt.Errorf("groupsweep: client %d (tid %v) has no commit record in the volatile tail", k, c.tid)
+			return nil, fmt.Errorf("client %d (tid %v) has no commit record in the volatile tail", k, c.tid)
 		}
 	}
+	// The cuts must actually cover the window: none durable at the first,
+	// all at the last.
+	if first, last := run.durableAt(run.cuts[0]), run.durableAt(run.cuts[len(run.cuts)-1]); first != 0 || last != groupClients {
+		return nil, fmt.Errorf("%d cuts run from %d to %d durable commits, want 0 to %d", len(run.cuts), first, last, groupClients)
+	}
+	return &pointSpace{
+		n:      int64(len(run.cuts)),
+		note:   fmt.Sprintf("clients=%d", groupClients),
+		replay: run.replayCut,
+	}, nil
+}
 
-	rep := &GroupSweepReport{System: sys.Name, Clients: nclients, Cuts: len(cuts)}
-	for _, cut := range cuts {
-		durable := 0
-		lg := log.CrashClone(cut)
-		st := mem.Clone()
-		srv2 := server.New(server.Config{
-			Mode:            sys.Mode,
-			Store:           st,
-			Log:             lg,
-			LogCapacity:     sweepLogCapacity,
-			PoolPages:       sweepServerPool,
-			CheckpointEvery: 1 << 30,
-			RedoWorkers:     4, // drive parallel redo through every cut
-		})
-		if err := srv2.NewSession(nil, nil).Restart(); err != nil {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("cut %d: restart failed: %v", cut, err))
-			continue
+// durableAt counts the clients whose commit record lies wholly below cut.
+func (run *groupRun) durableAt(cut uint64) int {
+	n := 0
+	for _, c := range run.clients {
+		if c.commitEnd <= cut {
+			n++
 		}
-		vcli := newClient(srv2)
-		tx, err := vcli.Begin()
-		if err != nil {
-			return nil, fmt.Errorf("groupsweep verify begin (cut %d): %w", cut, err)
-		}
-		for k, c := range clients {
-			want := groupVal("old", k)
-			if c.commitEnd <= cut {
-				want = groupVal("new", k)
-				durable++
-			}
-			for i, oid := range c.oids {
-				got, err := tx.ReadObject(oid)
-				if err != nil {
-					rep.Failures = append(rep.Failures,
-						fmt.Sprintf("cut %d: client %d object %d unreadable: %v", cut, k, i, err))
-					continue
-				}
-				if string(got) != string(want) {
-					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"cut %d: client %d (tid %v, commit end %d) object %d = %q, want %q",
-						cut, k, c.tid, c.commitEnd, i, got, want))
-				}
-			}
-		}
-		tx.Abort()
-		rep.Durable = append(rep.Durable, durable)
 	}
-	return rep, nil
+	return n
+}
+
+// replayCut recovers a clone of the frozen store under a clone of the log
+// whose stable end is the cut, and holds each client to the WAL contract:
+// both objects new iff its commit record lies wholly below the cut, both old
+// otherwise — never a mixture, which would be a torn group member. Restart
+// runs with RedoWorkers > 1, so every cut also drives parallel redo.
+func (run *groupRun) replayCut(point int64) (string, error) {
+	cut := run.cuts[point-1]
+	n := &node{mem: run.node.mem.Clone(), log: run.node.log.CrashClone(cut), cfg: groupConfig(run.sys.Mode, 4)}
+	n.arm(nil)
+	if err := n.restart(); err != nil {
+		return fmt.Sprintf("cut %d: restart failed: %v", cut, err), nil
+	}
+	tx, err := sweepClient(run.sys, wire.NewDirect(n.srv, nil, nil)).Begin()
+	if err != nil {
+		return "", fmt.Errorf("verify begin (cut %d): %w", cut, err)
+	}
+	defer tx.Abort()
+	for k, c := range run.clients {
+		want := groupVal("old", k)
+		if c.commitEnd <= cut {
+			want = groupVal("new", k)
+		}
+		for i, oid := range c.oids {
+			got, err := tx.ReadObject(oid)
+			if err != nil {
+				return fmt.Sprintf("cut %d: client %d object %d unreadable: %v", cut, k, i, err), nil
+			}
+			if string(got) != string(want) {
+				return fmt.Sprintf("cut %d: client %d (tid %v, commit end %d) object %d = %q, want %q",
+					cut, k, c.tid, c.commitEnd, i, got, want), nil
+			}
+		}
+	}
+	return "", nil
 }

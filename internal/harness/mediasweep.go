@@ -1,66 +1,42 @@
 package harness
 
-// Media-failure sweep: systematic backup + archived-log recovery testing
-// for all five recovery schemes.
-//
-// Where the crash-point sweep (sweep.go) kills the server and recovers from
-// the *surviving* volume and log, the media sweep destroys the volume
-// outright: recovery must come entirely from the archive — the fuzzy online
-// backup plus the archived log segments. The sweep runs a stamp workload
-// with a live archiver wired in (tiny segments, so the history seals into
-// many of them), takes one online backup concurrently with running
-// transactions (a genuinely fuzzy copy — no quiesce), and then restores the
-// database at a set of cut LSNs:
-//
-//   - every archive boundary event at or after the backup's fuzz window
-//     closes — each sealed segment end and the end of the archive — which
-//     is exactly the set of states a media failure can strand the archive
-//     in, since segments are written atomically;
-//   - a budget of sampled record boundaries in between: point-in-time
-//     recovery cuts that land mid-segment.
-//
-// At each cut the restored database must contain exactly the transactions
-// whose commit record lies inside the replayed prefix — the durable set is
-// derived from the archived log itself, not from workload bookkeeping, so
-// the check is self-validating even though the backup races the workload
-// (committed-durable, uncommitted-absent, prefix-consistent). Restores are
-// also re-run at the first and last cut and the two volumes diffed
-// byte-for-byte: media recovery is deterministic and re-runnable. Cuts
-// before the first backup's fuzz window closes must fail loudly with
-// ErrNoBackup, never hand back a volume missing backup pages.
+// The media kind (DESIGN.md §2.3, §10): node + archiver; the volume is
+// destroyed outright and recovery comes entirely from the archive — the
+// fuzzy online backup plus the archived log segments — at every archive
+// boundary event and at sampled point-in-time cuts in between.
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/archive"
 	"repro/internal/client"
 	"repro/internal/disk"
 	"repro/internal/logrec"
-	"repro/internal/oo7"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
-// Media sweep sizing: fewer stamps than the crash sweep (each cut pays a
-// full restore), segments small enough that one run seals dozens.
+// Media sizing: fewer stamps than the crash kinds (each cut pays a full
+// restore), segments small enough that one run seals dozens.
 const (
-	mediaStamps       = 64
-	mediaSegmentBytes = 8 << 10
-	mediaMaxLag       = 64 << 10
-	mediaBackupAt     = mediaStamps / 3 // stamp index where the online backup starts
-	mediaBackupTxns   = 16              // stamps committed *inside* the backup's page scan
-	mediaStepPages    = 2               // backup pages copied between stamp batches
-	mediaStepTxns     = 4               // stamps committed per step (the volume is tiny)
-	mediaRedoWorkers  = 4
+	mediaStamps      = 64
+	archSegmentSize  = 8 << 10         // also the scrub kind's
+	archMaxLag       = 64 << 10        // also the scrub kind's
+	mediaBackupAt    = mediaStamps / 3 // stamp index where the online backup starts
+	mediaBackupTxns  = 16              // stamps committed *inside* the backup's page scan
+	mediaStepPages   = 2               // backup pages copied between stamp batches
+	mediaStepTxns    = 4               // stamps committed per step (the volume is tiny)
+	mediaRedoWorkers = 4
 )
 
 // steppedStore interposes on the volume the archiver backs up: every
 // stepPages pages handed to the backup's ForEachPage scan, it runs step().
-// MediaSweep uses it to commit stamp transactions in the middle of the
+// The media kind uses it to commit stamp transactions in the middle of the
 // volume copy, deterministically producing the fuzzy backup the fuzz window
 // [Start, End) exists for — some pages are copied before an update, some
 // after, and replaying the window reconciles them.
@@ -83,342 +59,221 @@ func (s *steppedStore) ForEachPage(fn func(id page.ID, data []byte) error) error
 	})
 }
 
-// mediaTxn journals one stamp transaction: its log-visible transaction id
-// and what it wrote. Whether (and where) it committed is read back from the
-// archived log, not journaled.
-type mediaTxn struct {
-	tid   logrec.TID
-	parts [2]page.OID
-	val   uint32
+// archivedServer is the node + archiver topology of the media and scrub
+// kinds: a server over store with a live archiver (tiny segments) wired in,
+// the archiver backing up archStore — the same volume, possibly behind an
+// interposer.
+type archivedServer struct {
+	srv   *server.Server
+	log   *wal.Log
+	blobs *archive.MemBlobs
+	arch  *archive.Archiver
+	cli   *client.Client
 }
 
-// MediaFailure is one violated media-recovery invariant.
-type MediaFailure struct {
-	System string
-	Seed   int64
-	CutLSN uint64
-	Detail string
-}
-
-// Error formats the failure with its reproduction coordinates.
-func (f *MediaFailure) Error() string {
-	return fmt.Sprintf("media-recovery failure: system=%s seed=%d cut=%d: %s",
-		f.System, f.Seed, f.CutLSN, f.Detail)
-}
-
-// MediaSweepReport summarizes a media sweep over one system.
-type MediaSweepReport struct {
-	System   string
-	Seed     int64
-	Segments int      // archive segments sealed by the workload
-	Backup   uint64   // end of the online backup's fuzz window
-	Cuts     []uint64 // cut LSNs actually restored (boundaries + samples)
-	Failures []*MediaFailure
-}
-
-// mediaRun is the workload state the verifier checks restores against.
-type mediaRun struct {
-	parts []page.OID
-	init  []uint32
-	txns  []mediaTxn
-}
-
-// modelAfter returns the expected x value of every part once the first k
-// stamp transactions (and nothing else) have been applied.
-func (r *mediaRun) modelAfter(k int) []uint32 {
-	vals := append([]uint32(nil), r.init...)
-	idx := make(map[page.OID]int, len(r.parts))
-	for i, p := range r.parts {
-		idx[p] = i
-	}
-	for i := 0; i < k; i++ {
-		for _, p := range r.txns[i].parts {
-			vals[idx[p]] = r.txns[i].val
-		}
-	}
-	return vals
-}
-
-// MediaSweep runs the media-failure sweep for one system: workload with a
-// wired archiver and a concurrent online backup, then destroy the volume
-// and restore at every archive boundary event plus up to budget sampled
-// point-in-time cuts. A non-nil report with failures means invariants were
-// violated; an error means the sweep itself could not run.
-func MediaSweep(sys SweepSystem, seed int64, budget int) (*MediaSweepReport, error) {
-	mem := disk.NewMemStore()
-	log := wal.New(sweepLogCapacity)
-	blobs := archive.NewMemBlobs()
-	stepped := &steppedStore{Store: mem, stepPages: mediaStepPages}
-	arch, err := archive.NewArchiver(log, stepped, blobs, archive.Options{
-		SegmentBytes: mediaSegmentBytes,
-		MaxLagBytes:  mediaMaxLag,
+func newArchivedServer(sys SweepSystem, store, archStore disk.Store, poolPages int) (*archivedServer, error) {
+	a := &archivedServer{log: wal.New(sweepLogCapacity), blobs: archive.NewMemBlobs()}
+	var err error
+	a.arch, err = archive.NewArchiver(a.log, archStore, a.blobs, archive.Options{
+		SegmentBytes: archSegmentSize,
+		MaxLagBytes:  archMaxLag,
 	})
 	if err != nil {
 		return nil, err
 	}
 	cfg := server.Config{
 		Mode:            sys.Mode,
-		Store:           mem,
-		Log:             log,
+		Store:           store,
+		Log:             a.log,
 		LogCapacity:     sweepLogCapacity,
-		PoolPages:       sweepServerPool,
+		PoolPages:       poolPages,
 		CheckpointEvery: sweepCkptEvery,
 	}
-	archive.Wire(&cfg, arch)
-	srv := server.New(cfg)
-	cli := client.New(client.Config{
-		Scheme:         sys.Scheme,
-		PoolPages:      sweepClientPool,
-		ShipDirtyPages: sys.Mode != server.ModeREDO,
-	}, wire.NewDirect(srv, nil, nil))
+	archive.Wire(&cfg, a.arch)
+	a.srv = server.New(cfg)
+	a.cli = sweepClient(sys, wire.NewDirect(a.srv, nil, nil))
+	return a, nil
+}
 
-	run := &mediaRun{}
-	db, err := oo7.Build(cli, sweepDBConfig(), seed)
-	if err != nil {
-		return nil, fmt.Errorf("media sweep build (system=%s seed=%d): %w", sys.Name, seed, err)
-	}
-	run.parts, err = oo7.CollectAtomicParts(cli, &db.Modules[0])
-	if err != nil {
-		return nil, fmt.Errorf("media sweep collect: %w", err)
-	}
-	tx, err := cli.Begin()
+// drain makes the whole log stable and archived.
+func (a *archivedServer) drain() error {
+	a.log.Force()
+	return a.arch.Drain()
+}
+
+// mediaRun is the archive one workload left behind and what it must restore
+// to. The journal's positions are LSNs, each stamp's post the end of its
+// commit record as read back from the archived log — so the durable set at
+// a cut is derived from the archive itself and the check is self-validating
+// even though the backup races the workload.
+type mediaRun struct {
+	sys       SweepSystem
+	blobs     archive.BlobStore
+	j         *journal
+	cuts      []uint64 // every whole-record end in [backupEnd, archEnd]: the PITR candidates
+	always    []int64  // the points whose cut is an archive boundary event
+	segments  int      // archive segments the workload sealed
+	backupEnd uint64   // where the online backup's fuzz window closes
+	archEnd   uint64
+}
+
+func openMedia(sys SweepSystem, seed int64) (*pointSpace, error) {
+	run, err := runMediaWorkload(sys, seed)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range run.parts {
-		x, _, err := oo7.ReadXY(tx, p)
-		if err != nil {
-			tx.Abort()
-			return nil, fmt.Errorf("media sweep baseline read: %w", err)
-		}
-		run.init = append(run.init, x)
+	if run.segments < 2 || len(run.cuts) < 3 {
+		return nil, fmt.Errorf("only %d segments sealed and %d cuts: sweep too weak (segment size too large for the workload?)",
+			run.segments, len(run.cuts))
 	}
-	tx.Abort()
+	return &pointSpace{
+		n:      int64(len(run.cuts)),
+		always: run.always,
+		note:   fmt.Sprintf("segments=%d backupEnd=%d archEnd=%d", run.segments, run.backupEnd, run.archEnd),
+		replay: run.replayCut,
+	}, nil
+}
 
-	// One stamp transaction; i indexes the journal.
-	stamp := func(i int) error {
-		st := mediaTxn{
-			val:   uint32(10001 + i),
-			parts: [2]page.OID{run.parts[(2*i)%len(run.parts)], run.parts[(2*i+1)%len(run.parts)]},
-		}
-		tx, err := cli.Begin()
-		if err != nil {
-			return fmt.Errorf("media sweep stamp %d begin: %w", i, err)
-		}
-		st.tid = tx.TID()
-		for _, p := range st.parts {
-			if err := oo7.StampXY(tx, p, st.val); err != nil {
-				tx.Abort()
-				return fmt.Errorf("media sweep stamp %d write: %w", i, err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return fmt.Errorf("media sweep stamp %d commit: %w", i, err)
-		}
-		run.txns = append(run.txns, st)
-		return nil
+// runMediaWorkload runs the stamp workload with a live archiver wired in and
+// one online backup taken concurrently with running transactions, then reads
+// the archive back.
+func runMediaWorkload(sys SweepSystem, seed int64) (*mediaRun, error) {
+	mem := disk.NewMemStore()
+	stepped := &steppedStore{Store: mem, stepPages: mediaStepPages}
+	a, err := newArchivedServer(sys, mem, stepped, sweepServerPool)
+	if err != nil {
+		return nil, err
 	}
-
+	j := newJournal(func() int64 { return int64(a.log.StableEnd()) })
+	if err := j.build(a.cli, seed); err != nil {
+		return nil, err
+	}
 	// Stamps before the backup, then the online backup with more stamps
-	// committing in the middle of its page scan (via steppedStore — the
-	// genuinely fuzzy copy the fuzz window exists for), then the rest.
-	for i := 0; i < mediaBackupAt; i++ {
-		if err := stamp(i); err != nil {
-			return nil, err
-		}
+	// committing in the middle of its page scan (a genuinely fuzzy copy — no
+	// quiesce), then the rest.
+	if err := j.stamps(a.cli, mediaBackupAt, nil); err != nil {
+		return nil, err
 	}
-	next := mediaBackupAt
-	stepEnd := mediaBackupAt + mediaBackupTxns
 	stepped.step = func() error {
-		for i := 0; i < mediaStepTxns && next < stepEnd; i++ {
-			if err := stamp(next); err != nil {
-				return err
-			}
-			next++
+		upTo := len(j.txns) + mediaStepTxns
+		if upTo > mediaBackupAt+mediaBackupTxns {
+			upTo = mediaBackupAt + mediaBackupTxns
 		}
-		return nil
+		return j.stamps(a.cli, upTo, nil)
 	}
-	backup, err := arch.Backup()
+	backup, err := a.arch.Backup()
 	stepped.step = nil
 	if err != nil {
-		return nil, fmt.Errorf("media sweep online backup: %w", err)
+		return nil, fmt.Errorf("online backup: %w", err)
 	}
-	if next == mediaBackupAt {
-		return nil, fmt.Errorf("media sweep: no stamp ran inside the backup scan (volume smaller than %d pages?)", mediaStepPages)
+	if len(j.txns) == mediaBackupAt {
+		return nil, fmt.Errorf("no stamp ran inside the backup scan (volume smaller than %d pages?)", mediaStepPages)
 	}
-	for i := next; i < mediaStamps; i++ {
-		if err := stamp(i); err != nil {
-			return nil, err
-		}
-	}
-	log.Force()
-	if err := arch.Drain(); err != nil {
+	if err := j.stamps(a.cli, mediaStamps, nil); err != nil {
 		return nil, err
 	}
-	archEnd := arch.ArchivedUpTo()
-
-	// The volume is now destroyed: everything below reads only the archive.
-	report := &MediaSweepReport{System: sys.Name, Seed: seed, Backup: backup.End}
-	bad := func(cut uint64, format string, args ...interface{}) {
-		report.Failures = append(report.Failures, &MediaFailure{
-			System: sys.Name, Seed: seed, CutLSN: cut, Detail: fmt.Sprintf(format, args...)})
+	if err := a.drain(); err != nil {
+		return nil, err
 	}
 
-	// Read the archived history back: commit-record ends keyed by TID give
-	// the durable set at any cut, record ends give the PITR cut candidates.
-	segs, err := archive.ListSegments(blobs, arch.Generation())
+	// The volume is now destroyed: everything below reads only the archive.
+	run := &mediaRun{sys: sys, blobs: a.blobs, j: j, backupEnd: backup.End, archEnd: a.arch.ArchivedUpTo()}
+	segs, err := archive.ListSegments(a.blobs, a.arch.Generation())
 	if err != nil {
 		return nil, err
 	}
-	report.Segments = len(segs)
+	// Archive boundary events — each sealed segment end at or after the fuzz
+	// window closes, the window's close and the end of the archive — are
+	// exactly the states a media failure can strand the archive in, since
+	// segments are written atomically: they are always restored.
+	boundaries := []uint64{run.backupEnd, run.archEnd}
 	commitEnd := make(map[logrec.TID]uint64)
-	boundaries := make(map[uint64]bool) // segment seals: archive boundary events
-	var recEnds []uint64                // whole-record ends: PITR candidates
 	for _, seg := range segs {
-		recs, err := archive.ReadSegment(blobs, seg)
+		recs, err := archive.ReadSegment(a.blobs, seg)
 		if err != nil {
-			return nil, fmt.Errorf("media sweep reading archive: %w", err)
+			return nil, fmt.Errorf("reading archive: %w", err)
 		}
 		for _, r := range recs {
 			end := r.LSN + uint64(r.EncodedSize())
 			if r.Type == logrec.TypeCommit {
 				commitEnd[r.TID] = end
 			}
-			if end >= backup.End && end <= archEnd {
-				recEnds = append(recEnds, end)
+			if end >= run.backupEnd && end <= run.archEnd {
+				run.cuts = append(run.cuts, end)
 			}
 		}
-		if seg.End >= backup.End {
-			boundaries[seg.End] = true
+		if seg.End >= run.backupEnd {
+			boundaries = append(boundaries, seg.End)
 		}
 	}
-	boundaries[backup.End] = true
-	boundaries[archEnd] = true
-
-	cutSet := make(map[uint64]bool, len(boundaries))
-	for b := range boundaries {
-		cutSet[b] = true
-	}
-	for _, i := range samplePoints(int64(len(recEnds)), budget) {
-		cutSet[recEnds[i-1]] = true
-	}
-	for c := range cutSet {
-		report.Cuts = append(report.Cuts, c)
-	}
-	sort.Slice(report.Cuts, func(i, j int) bool { return report.Cuts[i] < report.Cuts[j] })
-
-	// A cut before the backup's fuzz window closes has no usable backup and
-	// must say so, not hand back a partial volume.
-	if backup.End > wal.FirstLSN+1 {
-		if _, err := archive.Restore(blobs, archive.RestoreOptions{
-			Mode: sys.Mode, TargetLSN: backup.End - 1, RedoWorkers: mediaRedoWorkers,
-		}); !errors.Is(err, archive.ErrNoBackup) {
-			bad(backup.End-1, "restore before the backup window closed: got %v, want ErrNoBackup", err)
+	j.postFromLog(commitEnd)
+	run.segments = len(segs)
+	for _, b := range boundaries {
+		i := sort.Search(len(run.cuts), func(i int) bool { return run.cuts[i] >= b })
+		if i == len(run.cuts) || run.cuts[i] != b {
+			return nil, fmt.Errorf("archive boundary %d is not a record end", b)
 		}
+		run.always = append(run.always, int64(i+1))
 	}
-
-	for _, cut := range report.Cuts {
-		if err := verifyMediaCut(sys, run, blobs, commitEnd, cut, cut == report.Cuts[0] || cut == archEnd, bad); err != nil {
-			return nil, err
-		}
-	}
-	return report, nil
+	return run, nil
 }
 
-// verifyMediaCut restores at one cut and checks committed-durable /
-// uncommitted-absent / torn-free against the durable set the archived log
-// defines. When rerun is set the restore is performed twice and the two
-// recovered volumes diffed (media recovery is re-runnable and
-// deterministic).
-func verifyMediaCut(sys SweepSystem, run *mediaRun, blobs archive.BlobStore,
-	commitEnd map[logrec.TID]uint64, cut uint64, rerun bool,
-	bad func(uint64, string, ...interface{})) error {
-	res, err := archive.Restore(blobs, archive.RestoreOptions{
-		Mode:        sys.Mode,
-		TargetLSN:   cut,
+func (run *mediaRun) restore(target uint64) (*archive.RestoreResult, error) {
+	return archive.Restore(run.blobs, archive.RestoreOptions{
+		Mode:        run.sys.Mode,
+		TargetLSN:   target,
 		RedoWorkers: mediaRedoWorkers,
 		PoolPages:   sweepServerPool,
 	})
+}
+
+// replayCut restores at one cut and checks committed-durable /
+// uncommitted-absent / torn-free against the durable set the archived log
+// defines. At the first and last cut the restore is performed twice and the
+// two recovered volumes diffed (media recovery is re-runnable and
+// deterministic); at the first, a target just before it must be refused.
+func (run *mediaRun) replayCut(point int64) (string, error) {
+	cut := run.cuts[point-1]
+	var fails []string
+	bad := func(format string, args ...interface{}) {
+		fails = append(fails, fmt.Sprintf("cut %d: ", cut)+fmt.Sprintf(format, args...))
+	}
+	res, err := run.restore(cut)
 	if err != nil {
-		bad(cut, "restore failed: %v", err)
-		return nil
+		return fmt.Sprintf("cut %d: restore failed: %v", cut, err), nil
 	}
 	defer res.Server.Close()
 	if res.CutLSN != cut {
-		bad(cut, "restore replayed to %d, want exactly the cut (cuts are record boundaries)", res.CutLSN)
+		bad("restore replayed to %d, want exactly the cut (cuts are record boundaries)", res.CutLSN)
 	}
-
-	// The durable set at this cut, straight from the archived log. The
-	// client is serial, so it must be a journal prefix.
-	kc := 0
-	for kc < len(run.txns) {
-		if e := commitEnd[run.txns[kc].tid]; e == 0 || e > cut {
-			break
-		}
-		kc++
+	if d := run.j.verify(sweepClient(run.sys, wire.NewDirect(res.Server, nil, nil)), int64(cut), false); d != "" {
+		bad("%s", d)
 	}
-	for i := kc; i < len(run.txns); i++ {
-		if e := commitEnd[run.txns[i].tid]; e != 0 && e <= cut {
-			bad(cut, "archived commits not prefix-closed: txn %d committed at %d but txn %d did not", i, e, kc)
-			return nil
+	if cut == run.backupEnd && cut > wal.FirstLSN+1 {
+		// A cut before the backup's fuzz window closes has no usable backup
+		// and must say so, not hand back a volume missing backup pages.
+		if _, err := run.restore(cut - 1); !errors.Is(err, archive.ErrNoBackup) {
+			bad("restore before the backup window closed: got %v, want ErrNoBackup", err)
 		}
 	}
-
-	want := run.modelAfter(kc)
-	vcli := client.New(client.Config{
-		Scheme:         sys.Scheme,
-		PoolPages:      sweepClientPool,
-		ShipDirtyPages: sys.Mode != server.ModeREDO,
-	}, wire.NewDirect(res.Server, nil, nil))
-	tx, err := vcli.Begin()
-	if err != nil {
-		bad(cut, "verification begin failed: %v", err)
-		return nil
-	}
-	for i, p := range run.parts {
-		x, y, err := oo7.ReadXY(tx, p)
+	if cut == run.backupEnd || cut == run.archEnd {
+		res2, err := run.restore(cut)
 		if err != nil {
-			tx.Abort()
-			bad(cut, "verification read of part %v failed: %v", p, err)
-			return nil
-		}
-		if x != y && (x > 10000 || y > 10000) {
-			tx.Abort()
-			bad(cut, "part %v has x=%d y=%d (stamps write x=y: torn object update)", p, x, y)
-			return nil
-		}
-		if x != want[i] {
-			tx.Abort()
-			bad(cut, "part %v = %d, want %d (%d of %d stamp txns committed at this cut)",
-				p, x, want[i], kc, len(run.txns))
-			return nil
-		}
-	}
-	tx.Abort()
-
-	if rerun {
-		res2, err := archive.Restore(blobs, archive.RestoreOptions{
-			Mode:        sys.Mode,
-			TargetLSN:   cut,
-			RedoWorkers: mediaRedoWorkers,
-			PoolPages:   sweepServerPool,
-		})
-		if err != nil {
-			bad(cut, "second restore failed (restore must be re-runnable): %v", err)
-			return nil
+			bad("second restore failed (restore must be re-runnable): %v", err)
+			return strings.Join(fails, "; "), nil
 		}
 		defer res2.Server.Close()
 		a, err := dumpStore(res.Store)
 		if err != nil {
-			return err
+			return "", err
 		}
 		b, err := dumpStore(res2.Store)
 		if err != nil {
-			return err
+			return "", err
 		}
-		if diff := diffDumps(a, b); diff != "" {
-			bad(cut, "two restores at the same cut diverge: %s", diff)
+		if d := diffDumps(a, b); d != "" {
+			bad("two restores at the same cut diverge: %s", d)
 		}
 	}
-	return nil
+	return strings.Join(fails, "; "), nil
 }

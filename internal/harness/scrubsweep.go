@@ -1,98 +1,43 @@
 package harness
 
-// Corruption sweep: systematic media-integrity testing for all five
-// recovery schemes.
-//
-// The crash sweep (sweep.go) kills the server; the media sweep
-// (mediasweep.go) destroys the whole volume. This sweep damages the volume
-// page by page — silent bit rot and torn writes, the failures the checksum
-// envelope (internal/disk/checksum.go) exists to catch — and demands that
-// the server detect every damaged page through the envelope and heal it
-// byte-for-byte from its own redundancy: the live log, or the archive's
-// backup plus per-page redo. Three scenarios, in sequence over one seeded
-// workload:
-//
-//  1. Online scrub: with the server running, every stored page (the
-//     superblock included) is rotted or torn below the checksum wrapper,
-//     then one full Scrub pass must detect and repair all of them, leaving
-//     the volume byte-identical to its pristine dump. A second round of
-//     damage and scrubbing must produce the identical volume again (repair
-//     is deterministic and idempotent), and the workload's committed values
-//     must all survive.
-//
-//  2. Restart repair: the server crashes, every page is damaged again, and
-//     Restart must come back — the corrupt superblock rebuilt from the
-//     log's newest checkpoint record, corrupt pages demand-read by redo
-//     repaired in place — with every committed value intact and, after a
-//     healing scrub, the volume again byte-identical.
-//
-//  3. Unrepairable is loud: a fresh server over the same volume with a
-//     fresh (empty) log and no archive wired cannot rebuild a damaged
-//     page. Both a demand read and a scrub must fail with errors wrapping
-//     disk.ErrCorruptPage and server.ErrUnrepairable — damaged bytes are
-//     never silently served.
-//
-// Damage is injected below disk.Checksummed straight into the raw volume
-// (faultinject.RotPage / TearPage), exactly where real media damage lands.
+// The scrub kind (DESIGN.md §2.3, §12): node + archiver over a checksummed
+// volume; the fault is silent bit rot and torn writes injected below the
+// checksum envelope, straight into the raw volume (faultinject.RotPage /
+// TearPage), exactly where real media damage lands. Point p damages the
+// superblock and the first p data pages; the last point — every page — is
+// always replayed.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
-	"repro/internal/archive"
-	"repro/internal/client"
 	"repro/internal/disk"
 	"repro/internal/faultinject"
 	"repro/internal/lock"
-	"repro/internal/oo7"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
-// Scrub sweep sizing: the server pool is kept far smaller than the volume
-// so most repairs cannot be served from a pooled frame and must go through
-// per-page log replay or the archive; the archive segments are tiny so the
-// stamp history seals into several of them.
+// Scrub sizing: the server pool is kept far smaller than the volume so most
+// repairs cannot be served from a pooled frame and must go through per-page
+// log replay or the archive.
 const (
-	scrubStamps       = 48
-	scrubBackupAt     = scrubStamps / 3 // stamp index where the online backup runs
-	scrubSegmentBytes = 8 << 10
-	scrubMaxLag       = 64 << 10
-	scrubServerPool   = 4
+	scrubStamps     = 48
+	scrubBackupAt   = scrubStamps / 3 // stamp index where the online backup runs
+	scrubServerPool = 4
 )
-
-// ScrubFailure is one violated integrity invariant.
-type ScrubFailure struct {
-	System string
-	Seed   int64
-	Detail string
-}
-
-// Error formats the failure with its reproduction coordinates.
-func (f *ScrubFailure) Error() string {
-	return fmt.Sprintf("scrub-sweep failure: system=%s seed=%d: %s", f.System, f.Seed, f.Detail)
-}
-
-// ScrubSweepReport summarizes a corruption sweep over one system.
-type ScrubSweepReport struct {
-	System   string
-	Seed     int64
-	Pages    int   // data pages damaged per round (superblock excluded)
-	Online   int64 // pages repaired by the two online scrub rounds
-	Restart  int64 // pages repaired during and after the crash-restart round
-	Failures []*ScrubFailure
-}
 
 // corruptAll damages every page in ids on the raw volume: alternating
 // single-bit rot and torn tails, except that pages whose first sector is
 // blank are always rotted (tearing one would leave an all-zero page, which
-// is a legitimately absent page, not detectable damage). Returns the number
-// of pages damaged.
-func corruptAll(mem disk.Store, ids []page.ID, pristine map[page.ID][]byte, seed int64) (int, error) {
+// is a legitimately absent page, not detectable damage).
+func corruptAll(mem disk.Store, ids []page.ID, pristine map[page.ID][]byte, seed int64) error {
 	blank := func(b []byte) bool {
 		for _, c := range b {
 			if c != 0 {
@@ -108,243 +53,196 @@ func corruptAll(mem disk.Store, ids []page.ID, pristine map[page.ID][]byte, seed
 		}
 		if tear {
 			if err := faultinject.TearPage(mem, pid, 1); err != nil {
-				return i, fmt.Errorf("tearing page %v: %w", pid, err)
+				return fmt.Errorf("tearing page %v: %w", pid, err)
 			}
-		} else {
-			if _, err := faultinject.RotPage(mem, pid, seed); err != nil {
-				return i, fmt.Errorf("rotting page %v: %w", pid, err)
-			}
+		} else if _, err := faultinject.RotPage(mem, pid, seed); err != nil {
+			return fmt.Errorf("rotting page %v: %w", pid, err)
 		}
 	}
-	return len(ids), nil
+	return nil
 }
 
-// ScrubSweep runs the corruption sweep for one system. A non-nil report
-// with failures means integrity invariants were violated; an error means
-// the sweep itself could not run.
-func ScrubSweep(sys SweepSystem, seed int64) (*ScrubSweepReport, error) {
-	mem := disk.NewMemStore()
-	cs := disk.NewChecksummed(mem)
-	log := wal.New(sweepLogCapacity)
-	blobs := archive.NewMemBlobs()
+// scrubRun is one quiesced workload: a live server over a checksummed volume
+// whose every committed state has reached the volume, and the pristine image
+// every repair must reproduce exactly.
+type scrubRun struct {
+	sys      SweepSystem
+	seed     int64
+	mem      *disk.MemStore
+	cs       disk.Store
+	a        *archivedServer
+	j        *journal
+	pristine map[page.ID][]byte // raw bytes, checksum trailers included
+	sb0      [page.Size]byte    // the pristine superblock
+	ids      []page.ID          // superblock first, then data pages ascending
+}
+
+func runScrubWorkload(sys SweepSystem, seed int64) (*scrubRun, error) {
+	run := &scrubRun{sys: sys, seed: seed, mem: disk.NewMemStore()}
+	run.cs = disk.NewChecksummed(run.mem)
 	// The archiver scans the checksummed store: backups hold verified bytes.
-	arch, err := archive.NewArchiver(log, cs, blobs, archive.Options{
-		SegmentBytes: scrubSegmentBytes,
-		MaxLagBytes:  scrubMaxLag,
-	})
+	a, err := newArchivedServer(sys, run.cs, run.cs, scrubServerPool)
 	if err != nil {
 		return nil, err
 	}
-	cfg := server.Config{
-		Mode:            sys.Mode,
-		Store:           cs,
-		Log:             log,
-		LogCapacity:     sweepLogCapacity,
-		PoolPages:       scrubServerPool,
-		CheckpointEvery: sweepCkptEvery,
+	// Positions are never compared: every check is against the whole journal.
+	run.a, run.j = a, newJournal(func() int64 { return 0 })
+	if err := run.j.build(a.cli, seed); err != nil {
+		return nil, err
 	}
-	archive.Wire(&cfg, arch)
-	srv := server.New(cfg)
-	defer srv.Close()
+	if err := run.j.stamps(a.cli, scrubBackupAt, nil); err != nil {
+		return nil, err
+	}
+	// Online backup mid-workload: later stamps reach the damaged pages only
+	// through archived-log (and live-log) per-page redo.
+	if _, err := a.arch.Backup(); err != nil {
+		return nil, fmt.Errorf("backup: %w", err)
+	}
+	if err := run.j.stamps(a.cli, scrubStamps, nil); err != nil {
+		return nil, err
+	}
+	if err := a.drain(); err != nil {
+		return nil, err
+	}
+	if err := a.srv.NewSession(nil, nil).FlushAll(); err != nil {
+		return nil, fmt.Errorf("quiesce: %w", err)
+	}
+	if run.pristine, err = dumpStore(run.mem); err != nil {
+		return nil, err
+	}
+	if err := run.mem.ReadPage(0, run.sb0[:]); err != nil {
+		return nil, fmt.Errorf("superblock dump: %w", err)
+	}
+	run.ids = []page.ID{0}
+	for pid := range run.pristine {
+		run.ids = append(run.ids, pid)
+	}
+	sort.Slice(run.ids, func(i, j int) bool { return run.ids[i] < run.ids[j] })
+	return run, nil
+}
+
+func openScrub(sys SweepSystem, seed int64) (*pointSpace, error) {
+	run, err := runScrubWorkload(sys, seed)
+	if err != nil {
+		return nil, err
+	}
+	defer run.a.srv.Close()
+	pages := int64(len(run.pristine))
+	if pages < 4 {
+		return nil, fmt.Errorf("workload produced only %d data pages; the sweep is not meaningful", pages)
+	}
+	return &pointSpace{
+		n:      pages,
+		always: []int64{pages},
+		note:   fmt.Sprintf("pages=%d", pages),
+		// Every replay consumes its server, so each runs the workload afresh.
+		replay: func(p int64) (string, error) {
+			run, err := runScrubWorkload(sys, seed)
+			if err != nil {
+				return "", err
+			}
+			defer run.a.srv.Close()
+			return run.damageAndHeal(run.ids[:p+1])
+		},
+	}, nil
+}
+
+// damageAndHeal runs the three corruption scenarios, in sequence, with ids
+// as the damaged set.
+func (run *scrubRun) damageAndHeal(ids []page.ID) (string, error) {
+	srv := run.a.srv
 	sn := srv.NewSession(nil, nil)
-	cli := client.New(client.Config{
-		Scheme:         sys.Scheme,
-		PoolPages:      sweepClientPool,
-		ShipDirtyPages: sys.Mode != server.ModeREDO,
-	}, wire.NewDirect(srv, nil, nil))
-
-	// The stamp workload, journaled exactly like the media sweep's.
-	run := &mediaRun{}
-	db, err := oo7.Build(cli, sweepDBConfig(), seed)
-	if err != nil {
-		return nil, fmt.Errorf("scrub sweep build (system=%s seed=%d): %w", sys.Name, seed, err)
-	}
-	run.parts, err = oo7.CollectAtomicParts(cli, &db.Modules[0])
-	if err != nil {
-		return nil, fmt.Errorf("scrub sweep collect: %w", err)
-	}
-	tx, err := cli.Begin()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range run.parts {
-		x, _, err := oo7.ReadXY(tx, p)
-		if err != nil {
-			tx.Abort()
-			return nil, fmt.Errorf("scrub sweep baseline read: %w", err)
-		}
-		run.init = append(run.init, x)
-	}
-	tx.Abort()
-	stamp := func(i int) error {
-		st := mediaTxn{
-			val:   uint32(20001 + i),
-			parts: [2]page.OID{run.parts[(2*i)%len(run.parts)], run.parts[(2*i+1)%len(run.parts)]},
-		}
-		tx, err := cli.Begin()
-		if err != nil {
-			return fmt.Errorf("scrub sweep stamp %d begin: %w", i, err)
-		}
-		st.tid = tx.TID()
-		for _, p := range st.parts {
-			if err := oo7.StampXY(tx, p, st.val); err != nil {
-				tx.Abort()
-				return fmt.Errorf("scrub sweep stamp %d write: %w", i, err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return fmt.Errorf("scrub sweep stamp %d commit: %w", i, err)
-		}
-		run.txns = append(run.txns, st)
-		return nil
-	}
-	for i := 0; i < scrubStamps; i++ {
-		if i == scrubBackupAt {
-			// Online backup mid-workload: later stamps reach the damaged
-			// pages only through archived-log (and live-log) per-page redo.
-			if _, err := arch.Backup(); err != nil {
-				return nil, fmt.Errorf("scrub sweep backup: %w", err)
-			}
-		}
-		if err := stamp(i); err != nil {
-			return nil, err
-		}
-	}
-	log.Force()
-	if err := arch.Drain(); err != nil {
-		return nil, err
-	}
-	// Quiesce: every committed state reaches the volume, giving the pristine
-	// image every repair below must reproduce exactly.
-	if err := sn.FlushAll(); err != nil {
-		return nil, fmt.Errorf("scrub sweep quiesce: %w", err)
-	}
-	pristine, err := dumpStore(mem) // raw bytes, checksum trailers included
-	if err != nil {
-		return nil, err
-	}
-	var sb0 [page.Size]byte
-	if err := mem.ReadPage(0, sb0[:]); err != nil {
-		return nil, fmt.Errorf("scrub sweep superblock dump: %w", err)
-	}
-	ids := make([]page.ID, 0, len(pristine)+1)
-	ids = append(ids, 0)
-	for pid := range pristine {
-		ids = append(ids, pid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	report := &ScrubSweepReport{System: sys.Name, Seed: seed, Pages: len(pristine)}
-	bad := func(format string, args ...interface{}) {
-		report.Failures = append(report.Failures, &ScrubFailure{
-			System: sys.Name, Seed: seed, Detail: fmt.Sprintf(format, args...)})
-	}
+	var fails []string
+	bad := func(format string, args ...interface{}) { fails = append(fails, fmt.Sprintf(format, args...)) }
+	failed := func() (string, error) { return strings.Join(fails, "; "), nil }
 	// diffVolume checks the volume against the pristine dump; withSB also
 	// compares the superblock (restart legitimately rewrites it, so only the
 	// online rounds check it).
 	diffVolume := func(when string, withSB bool) error {
-		now, err := dumpStore(mem)
+		now, err := dumpStore(run.mem)
 		if err != nil {
 			return err
 		}
-		if d := diffDumps(pristine, now); d != "" {
-			bad("%s: repaired volume differs from pristine: %s", when, d)
-		} else if d := diffDumps(now, pristine); d != "" {
+		if d := diffDumps(run.pristine, now); d != "" {
 			bad("%s: repaired volume differs from pristine: %s", when, d)
 		}
 		if withSB {
 			var got [page.Size]byte
-			if err := mem.ReadPage(0, got[:]); err != nil {
+			if err := run.mem.ReadPage(0, got[:]); err != nil {
 				bad("%s: superblock unreadable after repair: %v", when, err)
-			} else if !bytes.Equal(sb0[:], got[:]) {
+			} else if !bytes.Equal(run.sb0[:], got[:]) {
 				bad("%s: repaired superblock differs from pristine", when)
 			}
 		}
 		return nil
 	}
 	verifyValues := func(when string) {
-		want := run.modelAfter(len(run.txns))
-		vcli := client.New(client.Config{
-			Scheme:         sys.Scheme,
-			PoolPages:      sweepClientPool,
-			ShipDirtyPages: sys.Mode != server.ModeREDO,
-		}, wire.NewDirect(srv, nil, nil))
-		tx, err := vcli.Begin()
-		if err != nil {
-			bad("%s: verification begin failed: %v", when, err)
-			return
-		}
-		defer tx.Abort()
-		for i, p := range run.parts {
-			x, _, err := oo7.ReadXY(tx, p)
-			if err != nil {
-				bad("%s: verification read of part %v failed: %v", when, p, err)
-				return
-			}
-			if x != want[i] {
-				bad("%s: part %v = %d, want %d", when, p, x, want[i])
-				return
-			}
+		if d := run.j.verify(sweepClient(run.sys, wire.NewDirect(srv, nil, nil)), math.MaxInt64, false); d != "" {
+			bad("%s: %s", when, d)
 		}
 	}
 
-	// Scenario 1: online scrub. Two rounds of damage-everything followed by
-	// one full scrub pass each; both must restore the identical volume.
+	// Scenario 1, online scrub: with the server running, damage the set, then
+	// one full Scrub pass must detect and repair all of it, leaving the
+	// volume byte-identical to its pristine dump. A second round must produce
+	// the identical volume again (repair is deterministic and idempotent).
 	for round := int64(1); round <= 2; round++ {
-		n, err := corruptAll(mem, ids, pristine, seed+round*0x9e3779b9)
+		if err := corruptAll(run.mem, ids, run.pristine, run.seed+round*0x9e3779b9); err != nil {
+			return "", err
+		}
+		rep, err := sn.Scrub(0)
 		if err != nil {
-			return nil, err
+			bad("online round %d: scrub failed: %v", round, err)
+			return failed()
 		}
-		rep, serr := sn.Scrub(0)
-		if serr != nil {
-			bad("online round %d: scrub failed: %v", round, serr)
-			return report, nil
-		}
-		if int(rep.Failures) != n || rep.Repaired != rep.Failures || rep.Unrepairable != 0 {
+		if int(rep.Failures) != len(ids) || rep.Repaired != rep.Failures || rep.Unrepairable != 0 {
 			bad("online round %d: damaged %d pages, scrub saw %d failures, %d repaired, %d unrepairable",
-				round, n, rep.Failures, rep.Repaired, rep.Unrepairable)
+				round, len(ids), rep.Failures, rep.Repaired, rep.Unrepairable)
 		}
-		report.Online += rep.Repaired
 		if err := diffVolume(fmt.Sprintf("online round %d", round), true); err != nil {
-			return nil, err
+			return "", err
 		}
 	}
 	verifyValues("online")
 
-	// Scenario 2: crash, damage everything, restart. The superblock heals
-	// from the log's newest checkpoint record; pages redo demand-reads heal
-	// in place; a follow-up scrub heals the pages redo never touched.
+	// Scenario 2, restart repair: crash, damage the set again, restart. The
+	// superblock heals from the log's newest checkpoint record; pages redo
+	// demand-reads heal in place; a follow-up scrub heals the pages redo
+	// never touched.
 	srv.Crash()
-	if _, err := corruptAll(mem, ids, pristine, seed^0x5eedc0de); err != nil {
-		return nil, err
+	if err := corruptAll(run.mem, ids, run.pristine, run.seed^0x5eedc0de); err != nil {
+		return "", err
 	}
 	before := srv.Stats().PagesRepaired
 	if err := sn.Restart(); err != nil {
-		bad("restart over fully damaged volume failed: %v", err)
-		return report, nil
+		bad("restart over the damaged volume failed: %v", err)
+		return failed()
 	}
 	verifyValues("restart")
-	rep, serr := sn.Scrub(0)
-	if serr != nil {
-		bad("post-restart scrub failed: %v", serr)
-		return report, nil
+	rep, err := sn.Scrub(0)
+	if err != nil {
+		bad("post-restart scrub failed: %v", err)
+		return failed()
 	}
 	if rep.Unrepairable != 0 {
 		bad("post-restart scrub: %d unrepairable pages", rep.Unrepairable)
 	}
-	report.Restart = srv.Stats().PagesRepaired - before
+	if got := srv.Stats().PagesRepaired - before; got < int64(len(ids)-1) {
+		bad("restart round repaired %d pages, want at least the %d damaged data pages", got, len(ids)-1)
+	}
 	// The restart checkpoint rewrites the superblock, so compare data pages
 	// only.
 	if err := diffVolume("post-restart", false); err != nil {
-		return nil, err
+		return "", err
 	}
 
-	// Scenario 3: a fresh server over the same volume with a fresh, empty
-	// log and no archive wired has no redundancy left. Damage must surface
-	// as a typed, loud failure — never as silently served bytes.
+	// Scenario 3, unrepairable is loud: a fresh server over the same volume
+	// with a fresh, empty log and no archive wired has no redundancy left.
+	// Damage must surface as a typed, loud failure — never as silently served
+	// bytes.
 	srv2 := server.New(server.Config{
-		Mode:            sys.Mode,
-		Store:           cs,
+		Mode:            run.sys.Mode,
+		Store:           run.cs,
 		Log:             wal.New(sweepLogCapacity),
 		LogCapacity:     sweepLogCapacity,
 		PoolPages:       scrubServerPool,
@@ -354,16 +252,16 @@ func ScrubSweep(sys SweepSystem, seed int64) (*ScrubSweepReport, error) {
 	sn2 := srv2.NewSession(nil, nil)
 	if err := sn2.Restart(); err != nil {
 		bad("process restart on the healed volume failed: %v", err)
-		return report, nil
+		return failed()
 	}
-	target := run.parts[0].Page
-	if _, err := faultinject.RotPage(mem, target, seed^0x0ddba11); err != nil {
-		return nil, err
+	target := ids[len(ids)-1]
+	if _, err := faultinject.RotPage(run.mem, target, run.seed^0x0ddba11); err != nil {
+		return "", err
 	}
 	svc := wire.NewDirect(srv2, nil, nil)
 	tid, err := svc.Begin()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	data, rerr := svc.ReadPage(tid, target, lock.Shared)
 	svc.Abort(tid)
@@ -382,5 +280,5 @@ func ScrubSweep(sys SweepSystem, seed int64) (*ScrubSweepReport, error) {
 	case rep2.Unrepairable != 1:
 		bad("unrepairable page %v: scrub counted %d unrepairable, want 1", target, rep2.Unrepairable)
 	}
-	return report, nil
+	return failed()
 }

@@ -1,42 +1,22 @@
 package harness
 
-// Crash-point sweep: systematic crash-consistency testing for all five
-// recovery schemes.
-//
-// A sweep runs a deterministic OO7 update workload against an in-process
-// server whose two stable-storage channels — the data volume and the WAL's
-// durability boundary — feed one shared counting fuse
-// (faultinject.Fuse). The counting pass (fuse limit < 0) runs the workload
-// to completion and numbers every stable-storage event: each data-page
-// write and each advance of the log's stable end is one crash point. A
-// replay pass then re-runs the identical workload with the fuse set to a
-// chosen point P: events 1..P take effect, and every later write or flush
-// is silently swallowed, freezing stable storage in exactly the state a
-// server crash immediately after event P would leave — including a stable
-// end mid-record when event P was a page-grained ForceFull (the torn-tail
-// case). The server is then crashed, a fresh server is built over the
-// surviving store and log, Restart runs, and the recovery invariants are
-// checked:
-//
-//   - every transaction whose commit call finished before P is durable;
-//   - every transaction not yet committing at P is rolled back;
-//   - the one transaction whose commit straddles P is atomic — wholly
-//     applied or wholly rolled back, never a mixture;
-//   - a second crash+restart with no intervening work changes no data page
-//     (restart, including pageLSN-conditional redo, is idempotent).
-//
-// Everything is deterministic: the same (system, seed) pair enumerates the
-// same crash points and produces the same verdicts, so a reported failure
-// reproduces from its printed system, seed and point alone via
-// ReplayCrashPoint.
+// The sweep engine: the pieces every sweep kind is written over — the stamp
+// journal and its verifier, the fused node and the recover-twice check, the
+// failure and report types, and the enumerate → sample → replay loop behind
+// Sweep and Replay. What a sweep is, and the table of kinds, is DESIGN.md
+// §2.3; each kind's own file holds only its topology, its fault source and
+// its extra assertions.
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/client"
 	"repro/internal/disk"
 	"repro/internal/faultinject"
+	"repro/internal/logrec"
 	"repro/internal/oo7"
 	"repro/internal/page"
 	"repro/internal/server"
@@ -51,8 +31,8 @@ type SweepSystem struct {
 	Mode   server.Mode
 }
 
-// SweepSystems returns the five schemes of the paper, each of which the
-// sweep must hold to the same recovery invariants.
+// SweepSystems returns the five schemes of the paper, each of which every
+// sweep kind must hold to the same recovery invariants.
 func SweepSystems() []SweepSystem {
 	return []SweepSystem{
 		{Name: "PD-ESM", Scheme: client.PD, Mode: server.ModeESM},
@@ -73,48 +53,12 @@ const (
 	sweepClientPool  = 48
 	sweepLogCapacity = 32 << 20
 	sweepCkptEvery   = 3
+	// stampBase is the first stamp value; the OO7 build writes x and y below
+	// 10000, so a stamp value never collides with pristine build state.
+	stampBase = 10001
 )
 
-// sweepVariant tunes the server's checkpoint/cleaner configuration for one
-// sweep family. The zero value is the classic sharp-checkpoint sweep; the
-// fuzzy variant (fuzzySweepVariant) turns on fuzzy checkpoints, drives the
-// page cleaner synchronously between stamp transactions (the background
-// goroutine stays off — CleanerEvery is never set — so every stable-storage
-// event keeps its deterministic number), and sets a dirty-page target so
-// commit backpressure paths run too.
-type sweepVariant struct {
-	name        string // "" = sharp; appears in failure repro recipes
-	fuzzy       bool   // server.Config.FuzzyCheckpoints
-	cleanEvery  int    // run a synchronous cleaner batch after every N stamps (0 = never)
-	cleanBatch  int    // pages per synchronous cleaner batch
-	dirtyTarget int    // server.Config.DirtyPageTarget (backpressure at 2x)
-}
-
-// fuzzySweepVariant is the fuzzy-checkpoint + page-cleaner sweep: cleaner
-// data writes and the checkpoint-record→superblock window become numbered
-// crash points alongside the classic ones.
-func fuzzySweepVariant() sweepVariant {
-	return sweepVariant{name: "fuzzy", fuzzy: true, cleanEvery: 2, cleanBatch: 8, dirtyTarget: 16}
-}
-
-// sweepServerConfig builds the server configuration shared by the workload
-// and both recovery servers of a replay; all three must agree or the replay
-// would recover under a different regime than the crash was taken under.
-func sweepServerConfig(mode server.Mode, store disk.Store, log *wal.Log, v sweepVariant) server.Config {
-	return server.Config{
-		Mode:             mode,
-		Store:            store,
-		Log:              log,
-		LogCapacity:      sweepLogCapacity,
-		PoolPages:        sweepServerPool,
-		CheckpointEvery:  sweepCkptEvery,
-		FuzzyCheckpoints: v.fuzzy,
-		DirtyPageTarget:  v.dirtyTarget,
-		CleanerBatch:     v.cleanBatch,
-	}
-}
-
-// sweepDBConfig is the miniature OO7 database used by the sweep.
+// sweepDBConfig is the miniature OO7 database used by the sweeps.
 func sweepDBConfig() oo7.Config {
 	return oo7.Config{
 		NumAtomicPerComp: 8,
@@ -129,396 +73,365 @@ func sweepDBConfig() oo7.Config {
 	}
 }
 
-// stampTxn journals one stamp transaction: the fuse counts bracketing its
-// commit call and what it wrote. Transactions run serially, so the set of
-// transactions with post ≤ P is always a prefix of the journal.
+// sweepClientConfig is the client configuration of the system's scheme,
+// sized for the sweeps.
+func sweepClientConfig(sys SweepSystem) client.Config {
+	return client.Config{
+		Scheme:         sys.Scheme,
+		PoolPages:      sweepClientPool,
+		ShipDirtyPages: sys.Mode != server.ModeREDO,
+	}
+}
+
+func sweepClient(sys SweepSystem, svc wire.Service) *client.Client {
+	return client.New(sweepClientConfig(sys), svc)
+}
+
+// --- stamp journal ----------------------------------------------------------
+
+// stampTxn journals one stamp transaction: the position clock read
+// immediately before and after its commit call, its transaction id, and what
+// it wrote (x = y = val into both parts).
 type stampTxn struct {
-	pre, post int64 // fuse counts immediately before and after tx.Commit
+	pre, post int64
+	tid       logrec.TID
 	parts     [2]page.OID
 	val       uint32
 }
 
-// sweepRun is the state of one workload execution (counting or replay).
-type sweepRun struct {
-	sys   SweepSystem
-	fuse  *faultinject.Fuse
-	store *faultinject.Store
-	log   *wal.Log
-	srv   *server.Server
+// journal is the record of one seeded stamp workload: the objects it stamps,
+// their (x, y) before any stamp, and every stamp transaction whose commit
+// was attempted, in order. The client is serial, so the stamps committed at
+// any position form a prefix of txns.
+type journal struct {
 	parts []page.OID
-	init  []uint32   // x value of each part before any stamp
-	txns  []stampTxn // stamp journal
-	// buildEnd is the fuse count when the build (and part collection)
-	// finished; crash points at or below it fall inside the build, where
-	// only restart success and idempotence are checked.
+	init  [][2]uint32
+	txns  []stampTxn
+	// buildEnd is the clock once parts and init were complete; positions
+	// below it fall inside the build, where only recovery itself is checked.
 	buildEnd int64
-	// lateErr is a workload error after the fuse blew (expected and benign:
-	// the frozen log eventually reports itself full, etc.).
-	lateErr error
+	// clock reads the kind's position: the fuse count for the crash kinds,
+	// the stable end for repl, the 2PC message count for twopc-stall.
+	clock func() int64
+	// pick chooses stamp i's two objects; nil walks parts pairwise.
+	pick func(i int) [2]page.OID
+	// stampXY and readXY write and read a part's (x, y); they are oo7's unless
+	// the kind lays out its own objects.
+	stampXY func(tx *client.Tx, part page.OID, val uint32) error
+	readXY  func(tx *client.Tx, part page.OID) (x, y uint32, err error)
 }
 
-// runWorkload executes the sweep workload with the fuse limited to `limit`
-// stable-storage events (< 0 = count only). Workload errors after the fuse
-// blows are recorded and benign; before it they are real failures.
-func runWorkload(sys SweepSystem, seed int64, limit int64, v sweepVariant) (*sweepRun, error) {
-	fuse := faultinject.NewFuse(limit)
-	store := faultinject.NewSweepStore(disk.NewMemStore(), fuse)
-	log := wal.New(sweepLogCapacity)
-	log.SetFlushLimiter(func(proposed uint64) uint64 {
-		if _, ok := fuse.Event(); !ok {
-			return 0 // frozen: clamped back to the current stable end
-		}
-		return proposed
-	})
-	// Head reclamation persists a head pointer: one stable event per advance.
-	log.SetTruncateGate(func() bool {
-		_, ok := fuse.Event()
-		return ok
-	})
-	srv := server.New(sweepServerConfig(sys.Mode, store, log, v))
-	cli := client.New(client.Config{
-		Scheme:         sys.Scheme,
-		PoolPages:      sweepClientPool,
-		ShipDirtyPages: sys.Mode != server.ModeREDO,
-	}, wire.NewDirect(srv, nil, nil))
-	// Server-side maintenance session; the fuzzy variant drives the page
-	// cleaner through it between stamp transactions.
-	srvSn := srv.NewSession(nil, nil)
-	run := &sweepRun{sys: sys, fuse: fuse, store: store, log: log, srv: srv}
+func newJournal(clock func() int64) *journal {
+	return &journal{buildEnd: math.MaxInt64, clock: clock, stampXY: oo7.StampXY, readXY: oo7.ReadXY}
+}
 
-	fail := func(stage string, err error) (*sweepRun, error) {
-		if fuse.Blown() {
-			run.lateErr = fmt.Errorf("%s: %w", stage, err)
-			return run, nil
-		}
-		return nil, fmt.Errorf("sweep workload %s (system=%s seed=%d): %w", stage, sys.Name, seed, err)
-	}
-
+// build lays out the miniature OO7 database and journals its atomic parts
+// and their pristine values (read in a read-only transaction: no stable
+// events).
+func (j *journal) build(cli *client.Client, seed int64) error {
 	db, err := oo7.Build(cli, sweepDBConfig(), seed)
 	if err != nil {
-		return fail("build", err)
+		return fmt.Errorf("build: %w", err)
 	}
-	run.parts, err = oo7.CollectAtomicParts(cli, &db.Modules[0])
+	parts, err := oo7.CollectAtomicParts(cli, &db.Modules[0])
 	if err != nil {
-		return fail("collect", err)
+		return fmt.Errorf("collect: %w", err)
 	}
-	// Baseline x values (a read-only transaction: no stable events).
-	tx, err := cli.Begin()
-	if err != nil {
-		return fail("baseline begin", err)
+	j.parts = parts
+	if j.init, err = j.readParts(cli); err != nil {
+		return fmt.Errorf("baseline %w", err)
 	}
-	for _, p := range run.parts {
-		x, _, err := oo7.ReadXY(tx, p)
-		if err != nil {
-			tx.Abort()
-			return fail("baseline read", err)
-		}
-		run.init = append(run.init, x)
-	}
-	tx.Abort()
-	run.buildEnd = fuse.Count()
+	j.buildEnd = j.clock()
+	return nil
+}
 
-	for i := 0; i < sweepStamps; i++ {
-		st := stampTxn{
-			val:   uint32(10001 + i),
-			parts: [2]page.OID{run.parts[(2*i)%len(run.parts)], run.parts[(2*i+1)%len(run.parts)]},
+// stamps runs stamp transactions until the journal holds upTo of them,
+// calling between (if non-nil) after each commit — outside the pre/post
+// bracket, so whatever it does (a cleaner batch, a drain) never blurs which
+// stamps a position covers. A stamp whose commit fails is journaled too: it
+// was in flight, and recovery may legally land it either way.
+func (j *journal) stamps(cli *client.Client, upTo int, between func(i int) error) error {
+	for i := len(j.txns); i < upTo; i++ {
+		st := stampTxn{val: stampBase + uint32(i)}
+		if j.pick != nil {
+			st.parts = j.pick(i)
+		} else {
+			st.parts = [2]page.OID{j.parts[(2*i)%len(j.parts)], j.parts[(2*i+1)%len(j.parts)]}
 		}
 		tx, err := cli.Begin()
 		if err != nil {
-			return fail("stamp begin", err)
+			return fmt.Errorf("stamp %d begin: %w", i, err)
 		}
+		st.tid = tx.TID()
 		for _, p := range st.parts {
-			if err := oo7.StampXY(tx, p, st.val); err != nil {
+			if err := j.stampXY(tx, p, st.val); err != nil {
 				tx.Abort()
-				return fail("stamp write", err)
+				return fmt.Errorf("stamp %d write: %w", i, err)
 			}
 		}
-		st.pre = fuse.Count()
+		st.pre = j.clock()
 		err = tx.Commit()
-		st.post = fuse.Count()
+		st.post = j.clock()
+		j.txns = append(j.txns, st)
 		if err != nil {
-			return fail("stamp commit", err)
+			return fmt.Errorf("stamp %d commit: %w", i, err)
 		}
-		run.txns = append(run.txns, st)
-		// Fuzzy variant: drive the page cleaner synchronously between stamp
-		// transactions. Its data writes and WAL forces feed the same fuse, so
-		// crash points land inside cleaner page writes; running it outside
-		// the pre/post bracket keeps the commit-prefix invariant intact.
-		if v.cleanEvery > 0 && (i+1)%v.cleanEvery == 0 {
-			if _, err := srvSn.Clean(v.cleanBatch); err != nil {
-				return fail("clean", err)
+		if between != nil {
+			if err := between(i); err != nil {
+				return fmt.Errorf("after stamp %d: %w", i, err)
 			}
 		}
 	}
-	return run, nil
+	return nil
 }
 
-// modelAfter returns the expected x value of every part once the first k
-// stamp transactions (and nothing else) have been applied.
-func (r *sweepRun) modelAfter(k int) []uint32 {
-	vals := append([]uint32(nil), r.init...)
-	idx := make(map[page.OID]int, len(r.parts))
-	for i, p := range r.parts {
+// postFromLog re-times every stamp's post to the exclusive end of its commit
+// record (never = no such record). The log-clocked kinds use it because the
+// stable end after a commit call may also cover a checkpoint record the
+// commit path appended right behind the commit record, and a cut between
+// the two must still count the transaction durable.
+func (j *journal) postFromLog(commitEnd map[logrec.TID]uint64) {
+	for i := range j.txns {
+		j.txns[i].post = math.MaxInt64
+		if end, ok := commitEnd[j.txns[i].tid]; ok {
+			j.txns[i].post = int64(end)
+		}
+	}
+}
+
+// byTID finds a journaled stamp by transaction id.
+func (j *journal) byTID(tid logrec.TID) *stampTxn {
+	for i := range j.txns {
+		if j.txns[i].tid == tid {
+			return &j.txns[i]
+		}
+	}
+	return nil
+}
+
+// model returns the expected x value of every part once the first k stamp
+// transactions (and nothing else) have been applied.
+func (j *journal) model(k int) []uint32 {
+	vals := make([]uint32, len(j.init))
+	idx := make(map[page.OID]int, len(j.parts))
+	for i, p := range j.parts {
+		vals[i] = j.init[i][0]
 		idx[p] = i
 	}
-	for i := 0; i < k; i++ {
-		for _, p := range r.txns[i].parts {
-			vals[idx[p]] = r.txns[i].val
+	for _, st := range j.txns[:k] {
+		for _, p := range st.parts {
+			vals[idx[p]] = st.val
 		}
 	}
 	return vals
 }
 
-// SweepFailure is one violated recovery invariant, with everything needed
-// to reproduce it.
-type SweepFailure struct {
-	System  string
-	Seed    int64
-	Point   int64
-	Detail  string
-	Variant string // "" = sharp, "fuzzy" = fuzzy-ckpt, "repl" = failover, "twopc"/"twopc-stall" = sharded 2PC sweeps
-}
-
-// Error formats the failure with its reproduction recipe, naming the replay
-// entry point for the variant the failure came from.
-func (f *SweepFailure) Error() string {
-	fn := "harness.ReplayCrashPoint"
-	switch f.Variant {
-	case "fuzzy":
-		fn = "harness.ReplayFuzzyCrashPoint"
-	case "repl":
-		fn = "harness.ReplayReplCut"
-	case "twopc":
-		fn = "harness.ReplayTwoPCCrashPoint"
-	case "twopc-stall":
-		fn = "harness.ReplayTwoPCStallPoint"
+// check holds a post-recovery reading of every part (got[i] is part i's x
+// and y) to the journal at position point: every stamp whose commit call
+// had finished by then (post ≤ point) is durable, every other one is rolled
+// back, and no object is torn. With atomicBoundary, the one stamp whose
+// commit straddles point (pre ≤ point < post) may instead be wholly applied
+// — the kinds whose clock cannot tell whether its commit record made it.
+// It returns "" or the violated invariant.
+func (j *journal) check(got [][2]uint32, point int64, atomicBoundary bool) string {
+	kc := 0
+	for kc < len(j.txns) && j.txns[kc].post <= point {
+		kc++
 	}
-	return fmt.Sprintf("crash-point failure: system=%s seed=%d point=%d: %s "+
-		"(reproduce: %s(%q, %d, %d))",
-		f.System, f.Seed, f.Point, f.Detail, fn, f.System, f.Seed, f.Point)
+	for i := kc; i < len(j.txns); i++ {
+		if j.txns[i].post <= point {
+			return fmt.Sprintf("journal not prefix-closed: stamp %d committed by %d but stamp %d did not", i, point, kc)
+		}
+	}
+	for i, xy := range got {
+		// Stamps write x = y; anything else is the untouched build state or
+		// half an update.
+		if xy[0] != xy[1] && xy != j.init[i] {
+			return fmt.Sprintf("part %v has x=%d y=%d (stamps always write x=y: torn object update)", j.parts[i], xy[0], xy[1])
+		}
+	}
+	mismatch := func(want []uint32) int {
+		for i := range want {
+			if got[i][0] != want[i] {
+				return i
+			}
+		}
+		return -1
+	}
+	committed := j.model(kc)
+	i := mismatch(committed)
+	if i < 0 {
+		return "" // exactly the committed prefix
+	}
+	if !atomicBoundary || kc == len(j.txns) || j.txns[kc].pre > point {
+		return fmt.Sprintf("part %v = %d, want %d (committed prefix of %d of %d stamps; none was mid-commit)",
+			j.parts[i], got[i][0], committed[i], kc, len(j.txns))
+	}
+	withBoundary := j.model(kc + 1)
+	if b := mismatch(withBoundary); b >= 0 {
+		return fmt.Sprintf("state matches neither %d committed stamps (part %v: got %d want %d) nor %d "+
+			"(part %v: got %d want %d): boundary stamp applied non-atomically",
+			kc, j.parts[i], got[i][0], committed[i], kc+1, j.parts[b], got[b][0], withBoundary[b])
+	}
+	return "" // boundary stamp wholly durable: also legal
 }
 
-// SweepReport summarizes a sweep over one system.
-type SweepReport struct {
-	System   string
-	Seed     int64
-	Points   int64   // crash points enumerated by the counting pass
-	Replayed []int64 // points actually replayed (budget-limited)
-	Failures []*SweepFailure
-}
-
-// CountCrashPoints runs the counting pass alone and returns the number of
-// crash points plus the run (for determinism checks).
-func CountCrashPoints(sys SweepSystem, seed int64) (*sweepRun, int64, error) {
-	return countCrashPoints(sys, seed, sweepVariant{})
-}
-
-func countCrashPoints(sys SweepSystem, seed int64, v sweepVariant) (*sweepRun, int64, error) {
-	run, err := runWorkload(sys, seed, -1, v)
+// readParts reads every part's (x, y) in one read-only transaction.
+func (j *journal) readParts(cli *client.Client) ([][2]uint32, error) {
+	tx, err := cli.Begin()
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("begin: %w", err)
 	}
-	if run.lateErr != nil {
-		return nil, 0, fmt.Errorf("counting pass errored: %w", run.lateErr)
+	defer tx.Abort()
+	got := make([][2]uint32, len(j.parts))
+	for i, p := range j.parts {
+		x, y, err := j.readXY(tx, p)
+		if err != nil {
+			return nil, fmt.Errorf("read of part %v: %w", p, err)
+		}
+		got[i] = [2]uint32{x, y}
 	}
-	return run, run.fuse.Count(), nil
+	return got, nil
 }
 
-// Sweep enumerates every crash point for the system and replays up to
-// `budget` of them (≤ 0 = all), evenly spaced so the sample always covers
-// the first and last points. Failures accumulate; they do not stop the
-// sweep.
-func Sweep(sys SweepSystem, seed int64, budget int) (*SweepReport, error) {
-	return sweepVariantRun(sys, seed, budget, sweepVariant{})
-}
-
-func sweepVariantRun(sys SweepSystem, seed int64, budget int, v sweepVariant) (*SweepReport, error) {
-	_, n, err := countCrashPoints(sys, seed, v)
+// verify reads every journaled part through cli and checks the reading
+// against the journal at point.
+func (j *journal) verify(cli *client.Client, point int64, atomicBoundary bool) string {
+	got, err := j.readParts(cli)
 	if err != nil {
-		return nil, err
+		return fmt.Sprintf("verification %v", err)
 	}
-	rep := &SweepReport{System: sys.Name, Seed: seed, Points: n}
-	for _, p := range samplePoints(n, budget) {
-		rep.Replayed = append(rep.Replayed, p)
-		f, err := replayPoint(sys, seed, p, v)
+	return j.check(got, point, atomicBoundary)
+}
+
+// --- fused node and recover-twice --------------------------------------------
+
+// node is one server over its own volume and log. Both stable-storage
+// channels — data-page writes and advances of the log's stable end — plus
+// the head pointer a truncation persists can be routed through a counting
+// fuse, so each is one numbered event and everything past the fuse's limit
+// is silently swallowed: stable storage freezes in exactly the state a crash
+// right after that event would leave, torn log tail included.
+type node struct {
+	mem   *disk.MemStore
+	store disk.Store // what the server writes: mem, behind the fuse while armed
+	log   *wal.Log
+	cfg   func(store disk.Store, log *wal.Log) server.Config
+	srv   *server.Server
+	// flushes lists the fuse counts at which the armed log advanced (or would
+	// have advanced) its stable end; every other event is a page write or a
+	// head-pointer write.
+	flushes []int64
+}
+
+func newNode(fuse *faultinject.Fuse, logCapacity int, cfg func(disk.Store, *wal.Log) server.Config) *node {
+	n := &node{mem: disk.NewMemStore(), log: wal.New(logCapacity), cfg: cfg}
+	n.arm(fuse)
+	n.srv = server.New(cfg(n.store, n.log))
+	return n
+}
+
+// arm routes the node's stable storage through fuse; nil thaws it.
+func (n *node) arm(fuse *faultinject.Fuse) {
+	if fuse == nil {
+		n.store = n.mem
+		n.log.SetFlushLimiter(nil)
+		n.log.SetTruncateGate(nil)
+		return
+	}
+	n.flushes = nil // the log calls the limiter under its own mutex; none is installed here
+	n.store = faultinject.NewSweepStore(n.mem, fuse)
+	n.log.SetFlushLimiter(func(proposed uint64) uint64 {
+		at, ok := fuse.Event()
+		n.flushes = append(n.flushes, at)
+		if !ok {
+			return 0 // frozen: clamped back to the current stable end
+		}
+		return proposed
+	})
+	n.log.SetTruncateGate(func() bool {
+		_, ok := fuse.Event()
+		return ok
+	})
+}
+
+// crash loses the node's volatile state (the log trims its possibly torn
+// tail) and thaws stable storage for recovery.
+func (n *node) crash() {
+	n.srv.Crash()
+	n.arm(nil)
+}
+
+// restart recovers on a fresh server adopting the surviving store and log.
+func (n *node) restart() error {
+	n.srv = server.New(n.cfg(n.store, n.log))
+	return n.srv.NewSession(nil, nil).Restart()
+}
+
+// crashAndRestart crashes every node, then restarts every node; it returns
+// "" or which restart failed.
+func crashAndRestart(nodes []*node, which string) string {
+	for _, n := range nodes {
+		n.crash()
+	}
+	for i, n := range nodes {
+		if err := n.restart(); err != nil {
+			return fmt.Sprintf("%s of node %d failed: %v", which, i, err)
+		}
+	}
+	return ""
+}
+
+// restartUnchanged crashes and restarts already-recovered nodes and demands
+// that no data page changed: recovering the recovered system is a no-op
+// (conditional redo, WPL reinstall on a clean state).
+func restartUnchanged(nodes ...*node) (string, error) {
+	before, err := dumpNodes(nodes)
+	if err != nil {
+		return "", err
+	}
+	if d := crashAndRestart(nodes, "second restart"); d != "" {
+		return d, nil
+	}
+	after, err := dumpNodes(nodes)
+	if err != nil {
+		return "", err
+	}
+	for i := range nodes {
+		if d := diffDumps(before[i], after[i]); d != "" {
+			return fmt.Sprintf("restart not idempotent: node %d: %s", i, d), nil
+		}
+	}
+	return "", nil
+}
+
+// recoverTwice is the recovery half of a replay: crash every node, restart
+// every node, run the kind's check against the recovered servers, then
+// restartUnchanged. It returns "" or the first violated invariant.
+func recoverTwice(nodes []*node, check func() string) (string, error) {
+	if d := crashAndRestart(nodes, "restart"); d != "" {
+		return d, nil
+	}
+	if d := check(); d != "" {
+		return d, nil
+	}
+	return restartUnchanged(nodes...)
+}
+
+func dumpNodes(nodes []*node) ([]map[page.ID][]byte, error) {
+	out := make([]map[page.ID][]byte, len(nodes))
+	for i, n := range nodes {
+		d, err := dumpStore(n.mem)
 		if err != nil {
 			return nil, err
 		}
-		if f != nil {
-			rep.Failures = append(rep.Failures, f)
-		}
+		out[i] = d
 	}
-	return rep, nil
-}
-
-// ReplayCrashPoint re-runs a single crash point — the reproduction entry
-// point printed with every failure. system must be a SweepSystems name.
-func ReplayCrashPoint(system string, seed int64, point int64) (*SweepFailure, error) {
-	return replayNamed(system, seed, point, sweepVariant{})
-}
-
-func replayNamed(system string, seed int64, point int64, v sweepVariant) (*SweepFailure, error) {
-	for _, sys := range SweepSystems() {
-		if sys.Name == system {
-			return replayPoint(sys, seed, point, v)
-		}
-	}
-	return nil, fmt.Errorf("harness: unknown sweep system %q", system)
-}
-
-// samplePoints picks up to budget points from 1..n, evenly spaced,
-// including 1 and n.
-func samplePoints(n int64, budget int) []int64 {
-	if n <= 0 {
-		return nil
-	}
-	if budget <= 0 || int64(budget) >= n {
-		pts := make([]int64, 0, n)
-		for p := int64(1); p <= n; p++ {
-			pts = append(pts, p)
-		}
-		return pts
-	}
-	pts := make([]int64, 0, budget)
-	var last int64
-	for i := 0; i < budget; i++ {
-		p := 1 + (n-1)*int64(i)/int64(budget-1)
-		if p != last {
-			pts = append(pts, p)
-			last = p
-		}
-	}
-	return pts
-}
-
-// replayPoint runs the workload to crash point P, crashes, recovers on a
-// fresh server over the surviving store and log, and checks the recovery
-// invariants. A nil failure means the point passed.
-func replayPoint(sys SweepSystem, seed int64, point int64, v sweepVariant) (*SweepFailure, error) {
-	run, err := runWorkload(sys, seed, point, v)
-	if err != nil {
-		return nil, err
-	}
-	bad := func(format string, args ...interface{}) *SweepFailure {
-		return &SweepFailure{System: sys.Name, Seed: seed, Point: point,
-			Detail: fmt.Sprintf(format, args...), Variant: v.name}
-	}
-
-	// Crash: volatile state is lost, stable storage thaws for recovery.
-	run.srv.Crash() // trims the log's (possibly torn) volatile tail
-	run.log.SetFlushLimiter(nil)
-	run.log.SetTruncateGate(nil)
-	run.fuse.Disarm()
-	run.store.CrashDropPending()
-
-	// Recover on a fresh server adopting the surviving store and log.
-	srv2 := server.New(sweepServerConfig(sys.Mode, run.store, run.log, v))
-	sn2 := srv2.NewSession(nil, nil)
-	if err := sn2.Restart(); err != nil {
-		return bad("restart failed: %v", err), nil
-	}
-
-	// Data invariants (only meaningful once the build itself is durable).
-	if point > run.buildEnd {
-		if f := verifyStamps(sys, run, srv2, point, bad); f != nil {
-			return f, nil
-		}
-	}
-
-	// Idempotence: recovering the recovered system must not change any data
-	// page (exercises conditional redo and WPL reinstall on a clean state).
-	before, err := dumpStore(run.store)
-	if err != nil {
-		return nil, err
-	}
-	srv2.Crash()
-	srv3 := server.New(sweepServerConfig(sys.Mode, run.store, run.log, v))
-	sn3 := srv3.NewSession(nil, nil)
-	if err := sn3.Restart(); err != nil {
-		return bad("second restart failed: %v", err), nil
-	}
-	after, err := dumpStore(run.store)
-	if err != nil {
-		return nil, err
-	}
-	if diff := diffDumps(before, after); diff != "" {
-		return bad("restart not idempotent: %s", diff), nil
-	}
-	return nil, nil
-}
-
-// verifyStamps checks the committed/rolled-back/atomic-boundary invariants
-// against the recovered server.
-func verifyStamps(sys SweepSystem, run *sweepRun, srv2 *server.Server, point int64,
-	bad func(string, ...interface{}) *SweepFailure) *SweepFailure {
-	// Committed transactions form a prefix of the journal (serial client).
-	kc := 0
-	for kc < len(run.txns) && run.txns[kc].post <= point {
-		kc++
-	}
-	for i := kc; i < len(run.txns); i++ {
-		if run.txns[i].post <= point {
-			return bad("journal not prefix-closed: txn %d committed after txn %d did not", i, kc)
-		}
-	}
-	boundary := kc < len(run.txns) && run.txns[kc].pre <= point
-
-	cli := client.New(client.Config{
-		Scheme:         sys.Scheme,
-		PoolPages:      sweepClientPool,
-		ShipDirtyPages: sys.Mode != server.ModeREDO,
-	}, wire.NewDirect(srv2, nil, nil))
-	tx, err := cli.Begin()
-	if err != nil {
-		return bad("verification begin failed: %v", err)
-	}
-	defer tx.Abort()
-	got := make([]uint32, len(run.parts))
-	for i, p := range run.parts {
-		x, y, err := oo7.ReadXY(tx, p)
-		if err != nil {
-			return bad("verification read of part %v failed: %v", p, err)
-		}
-		// Stamps write x=y=10001+i; the build writes independent randoms
-		// below 10000. A mismatch involving a stamp value is a torn object
-		// update; two small unequal values are just pristine build state.
-		if x != y && (x > 10000 || y > 10000) {
-			return bad("part %v has x=%d y=%d (stamps always write x=y: torn object update)", p, x, y)
-		}
-		got[i] = x
-	}
-
-	mismatch := func(want []uint32) (int, bool) {
-		for i := range want {
-			if got[i] != want[i] {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	committed := run.modelAfter(kc)
-	i, diffA := mismatch(committed)
-	if !diffA {
-		return nil // exactly the committed prefix: rolled back correctly
-	}
-	if !boundary {
-		return bad("part %v = %d, want %d (committed prefix of %d txns; no transaction was mid-commit)",
-			run.parts[i], got[i], committed[i], kc)
-	}
-	withBoundary := run.modelAfter(kc + 1)
-	if j, diffB := mismatch(withBoundary); diffB {
-		return bad("state matches neither %d committed txns (part %v: got %d want %d) nor %d "+
-			"(part %v: got %d want %d): boundary txn applied non-atomically",
-			kc, run.parts[i], got[i], committed[i],
-			kc+1, run.parts[j], got[j], withBoundary[j])
-	}
-	return nil // boundary transaction wholly durable: also legal
+	return out, nil
 }
 
 // dumpStore snapshots every data page (the superblock, page 0, is excluded:
-// restart legitimately rewrites its checkpoint pointer and counters). It
-// accepts any disk.Store — the crash sweeps pass the fault-injecting
-// wrapper, the media sweep passes restored volumes.
+// restart legitimately rewrites its checkpoint pointer and counters).
 func dumpStore(st disk.Store) (map[page.ID][]byte, error) {
 	out := make(map[page.ID][]byte)
 	err := st.ForEachPage(func(id page.ID, data []byte) error {
@@ -564,4 +477,170 @@ func diffDumps(a, b map[page.ID][]byte) string {
 		return fmt.Sprintf("page %v appeared", extra[0])
 	}
 	return ""
+}
+
+// --- failures, reports and the sweep loop -------------------------------------
+
+// Failure is one violated invariant, with everything needed to reproduce it.
+type Failure struct {
+	Kind   string
+	System string
+	Seed   int64
+	Point  int64
+	Detail string
+}
+
+// Error formats the failure with its reproduction recipe.
+func (f *Failure) Error() string {
+	return fmt.Sprintf("%s sweep failure: system=%s seed=%d point=%d: %s (reproduce: harness.Replay(%q, %q, %d, %d))",
+		f.Kind, f.System, f.Seed, f.Point, f.Detail, f.Kind, f.System, f.Seed, f.Point)
+}
+
+// Report summarizes one sweep of one kind over one system.
+type Report struct {
+	Kind     string
+	System   string
+	Seed     int64
+	Points   int64   // points the kind enumerated for this (system, seed)
+	Note     string  // the kind's coverage line (segments sealed, pages damaged, ...)
+	Replayed []int64 // points actually replayed (budget-limited)
+	Failures []*Failure
+}
+
+// pointSpace is what a kind's open returns: the points 1..n it enumerated
+// for one (system, seed) and how to replay one. replay returns "" when the
+// point passed, the violated invariant when it did not, and an error only
+// when the sweep itself could not run.
+type pointSpace struct {
+	n      int64
+	always []int64 // ascending points replayed whatever the budget
+	note   string
+	replay func(point int64) (string, error)
+}
+
+// sample returns the points a sweep of this budget replays, ascending: an
+// even sample of 1..n plus the always-replayed ones.
+func (sp *pointSpace) sample(budget int) []int64 {
+	pts := append(samplePoints(sp.n, budget), sp.always...)
+	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
+	out := pts[:0]
+	for i, p := range pts {
+		if i == 0 || p != pts[i-1] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// sweepKind is one row of the kinds table.
+type sweepKind struct {
+	name string
+	open func(sys SweepSystem, seed int64) (*pointSpace, error)
+}
+
+// sweepKinds lists every sweep kind; DESIGN.md §2.3 has the same table with
+// each kind's topology, fault source, cut space and extra assertions.
+func sweepKinds() []sweepKind {
+	return []sweepKind{
+		{"crash", func(sys SweepSystem, seed int64) (*pointSpace, error) { return openCrash(sys, seed, crashVariant{}) }},
+		{"fuzzy", func(sys SweepSystem, seed int64) (*pointSpace, error) { return openCrash(sys, seed, fuzzyVariant) }},
+		{"restart-crash", openRestartCrash},
+		{"group", openGroup},
+		{"media", openMedia},
+		{"scrub", openScrub},
+		{"repl", openRepl},
+		{"twopc", func(sys SweepSystem, seed int64) (*pointSpace, error) { return openTwoPC(sys, seed, false) }},
+		{"twopc-stall", func(sys SweepSystem, seed int64) (*pointSpace, error) { return openTwoPC(sys, seed, true) }},
+	}
+}
+
+// ErrUnknownSweep is returned (wrapped) by Sweep and Replay for a kind or
+// system name that is not in the tables.
+var ErrUnknownSweep = errors.New("harness: unknown sweep")
+
+func lookupSweep(kind, system string) (sweepKind, SweepSystem, error) {
+	for _, k := range sweepKinds() {
+		if k.name != kind {
+			continue
+		}
+		for _, sys := range SweepSystems() {
+			if sys.Name == system {
+				return k, sys, nil
+			}
+		}
+		return sweepKind{}, SweepSystem{}, fmt.Errorf("%w system %q", ErrUnknownSweep, system)
+	}
+	return sweepKind{}, SweepSystem{}, fmt.Errorf("%w kind %q", ErrUnknownSweep, kind)
+}
+
+// Sweep enumerates the kind's points for (system, seed) and replays up to
+// budget of them (≤ 0 = all), evenly spaced so the sample always covers the
+// first and last, plus whatever the kind always replays. Failures
+// accumulate; they do not stop the sweep.
+func Sweep(kind, system string, seed int64, budget int) (*Report, error) {
+	k, sys, err := lookupSweep(kind, system)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := k.open(sys, seed)
+	if err != nil {
+		return nil, fmt.Errorf("%s sweep (system=%s seed=%d): %w", kind, system, seed, err)
+	}
+	rep := &Report{Kind: kind, System: system, Seed: seed, Points: sp.n, Note: sp.note, Replayed: sp.sample(budget)}
+	for _, p := range rep.Replayed {
+		detail, err := sp.replay(p)
+		if err != nil {
+			return nil, fmt.Errorf("%s sweep (system=%s seed=%d point=%d): %w", kind, system, seed, p, err)
+		}
+		if detail != "" {
+			rep.Failures = append(rep.Failures, &Failure{Kind: kind, System: system, Seed: seed, Point: p, Detail: detail})
+		}
+	}
+	return rep, nil
+}
+
+// Replay re-runs a single point — the reproduction entry point printed with
+// every failure. A nil failure means the point passed.
+func Replay(kind, system string, seed, point int64) (*Failure, error) {
+	k, sys, err := lookupSweep(kind, system)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := k.open(sys, seed)
+	if err != nil {
+		return nil, err
+	}
+	if point < 1 || point > sp.n {
+		return nil, fmt.Errorf("harness: %s point %d out of range 1..%d (system=%s seed=%d)", kind, point, sp.n, system, seed)
+	}
+	detail, err := sp.replay(point)
+	if err != nil || detail == "" {
+		return nil, err
+	}
+	return &Failure{Kind: kind, System: system, Seed: seed, Point: point, Detail: detail}, nil
+}
+
+// samplePoints picks up to budget points from 1..n, evenly spaced,
+// including 1 and n.
+func samplePoints(n int64, budget int) []int64 {
+	if n <= 0 {
+		return nil
+	}
+	if budget <= 0 || int64(budget) >= n {
+		pts := make([]int64, 0, n)
+		for p := int64(1); p <= n; p++ {
+			pts = append(pts, p)
+		}
+		return pts
+	}
+	pts := make([]int64, 0, budget)
+	var last int64
+	for i := 0; i < budget; i++ {
+		p := 1 + (n-1)*int64(i)/int64(budget-1)
+		if p != last {
+			pts = append(pts, p)
+			last = p
+		}
+	}
+	return pts
 }

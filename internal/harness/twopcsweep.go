@@ -1,40 +1,15 @@
 package harness
 
-// Crash-point sweep for the sharded store's presumed-abort two-phase commit
-// (internal/shard, DESIGN.md §16).
-//
-// Two shards run side by side, each with its own volume and WAL, but both
-// stable-storage channels of both shards feed ONE shared counting fuse, so
-// the counting pass numbers every stable event of the whole cluster — data
-// page writes, log flushes (including the PREPARE and DECIDE forces that
-// bracket the 2PC phases), and truncation-head advances — in one global
-// deterministic sequence. A replay freezes the cluster at point P, crashes
-// every shard, restarts every shard, and checks the distributed recovery
-// invariants on top of the single-shard ones:
-//
-//   - cross-shard transactions are all-or-nothing: after recovery plus
-//     resolution the store matches the committed prefix, with the one
-//     boundary transaction either wholly applied on BOTH shards or wholly
-//     rolled back on both — a stamp applied on one shard only is exactly
-//     the atomicity violation 2PC exists to prevent;
-//   - a branch that crashed between its PREPARE and the coordinator's
-//     decision restarts in doubt and HOLDS ITS LOCKS: probing one of its
-//     pages before resolution must time out, and must succeed after;
-//   - resolution (shard.Router.Recover) is idempotent: a second run settles
-//     nothing and changes no data page;
-//   - restart itself stays idempotent (the base sweep's double-restart
-//     check, now over both volumes).
-//
-// A second family — the stall sweep — enumerates the cluster's 2PC
-// messages instead of its stable events: replaying stall point S drops the
-// S-th Prepare/Decide/Forget in transit (faultinject.ErrNotDelivered),
-// which leaves an in-doubt branch with NO crash at all, then crashes and
-// recovers as above. Before the crash each shard takes a checkpoint, so the
-// prepared branch rides the checkpoint's 2PC trailer into restart analysis
-// rather than the log scan — the path a long-lived in-doubt transaction
-// takes in production.
+// The twopc and twopc-stall kinds (DESIGN.md §2.3, §16): two shards, each
+// with its own volume and WAL, all four stable-storage channels on ONE fuse
+// so the counting pass numbers the whole cluster's stable events — the
+// PREPARE and DECIDE forces included — in one global sequence. twopc crashes
+// the cluster after stable event P; twopc-stall drops the S-th
+// Prepare/Decide/Forget in transit instead, which strands an in-doubt branch
+// with no crash at all, and only then crashes.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -62,14 +37,6 @@ const (
 	twopcLockTimeout = 75 * time.Millisecond
 )
 
-// twopcTxn journals one stamp transaction of the 2PC sweep.
-type twopcTxn struct {
-	tid       logrec.TID
-	pre, post int64 // shared-fuse counts bracketing tx.Commit
-	objs      [2]page.OID
-	val       uint32
-}
-
 // stallCounter numbers the cluster's 2PC messages; message `stall` (1-based)
 // is dropped in transit.
 type stallCounter struct {
@@ -89,7 +56,7 @@ func (c *stallCounter) tick() error {
 
 // stallBackend wraps one shard's transport, feeding its 2PC messages
 // through the shared stall counter. Ordinary Service traffic is untouched:
-// the stall sweep is about the window between protocol phases.
+// the stall kind is about the window between protocol phases.
 type stallBackend struct {
 	shard.Backend
 	c *stallCounter
@@ -116,129 +83,55 @@ func (b *stallBackend) Forget(tid logrec.TID) error {
 	return b.Backend.Forget(tid)
 }
 
-// twopcRun is the state of one 2PC workload execution.
+// twopcRun is the state of one 2PC workload execution. The journal's clock
+// is the shared fuse's count, or — when a message is being dropped — the
+// message count: stamp i then has pre < S ≤ post exactly when message S was
+// one of its own, which makes it the boundary stamp at position S-1.
 type twopcRun struct {
-	sys    SweepSystem
-	fuse   *faultinject.Fuse
-	stores [twopcShards]*faultinject.Store
-	logs   [twopcShards]*wal.Log
-	srvs   [twopcShards]*server.Server
-	objs   []page.OID // indices [0,twopcObjsShard) on shard 0, rest on shard 1
-	init   []uint32
-	txns   []twopcTxn // committed stamps, in order
-	// boundary is the stamp in flight when the stall hit (stall sweep only);
-	// it may or may not be in txns depending on whether Commit returned nil.
-	boundary     *twopcTxn
-	buildEnd     int64
-	buildTID     logrec.TID
-	msgs         int64 // 2PC messages observed (counting pass)
-	stalled      bool
-	stallInBuild bool
-	lateErr      error
+	sys     SweepSystem
+	fuse    *faultinject.Fuse
+	nodes   []*node
+	msgs    *stallCounter
+	j       *journal
+	lateErr error // workload error after the fuse blew: benign
 }
 
-// twopcServerConfig is sweepServerConfig plus the shard identity that keys
-// residue-class allocation, and the short lock timeout the retention probes
-// rely on.
-func twopcServerConfig(mode server.Mode, store disk.Store, log *wal.Log, shardID int) server.Config {
-	cfg := sweepServerConfig(mode, store, log, sweepVariant{})
-	cfg.ShardID = shardID
-	cfg.ShardCount = twopcShards
-	cfg.LockTimeout = twopcLockTimeout
-	return cfg
+var errStalled = errors.New("2PC message dropped: the workload stops at the boundary stamp")
+
+// cluster returns a sharded client and its router over the nodes' current
+// servers, every 2PC message ticking c (nil = uncounted).
+func (run *twopcRun) cluster(c *stallCounter) (*client.Client, *shard.Router, error) {
+	backends := make([]shard.Backend, len(run.nodes))
+	for s, n := range run.nodes {
+		backends[s] = wire.NewDirect(n.srv, nil, nil)
+		if c != nil {
+			backends[s] = &stallBackend{Backend: backends[s], c: c}
+		}
+	}
+	return client.NewSharded(sweepClientConfig(run.sys), backends)
 }
 
-// runTwoPCWorkload executes the sharded sweep workload. limit bounds the
-// shared fuse (< 0 = count only); stall drops the stall-th 2PC message
-// (< 0 = none).
+// runTwoPCWorkload executes the sharded workload. limit bounds the shared
+// fuse (< 0 = count only); stall drops the stall-th 2PC message (< 0 =
+// none).
 func runTwoPCWorkload(sys SweepSystem, seed, limit, stall int64) (*twopcRun, error) {
 	fuse := faultinject.NewFuse(limit)
-	run := &twopcRun{sys: sys, fuse: fuse}
-	ctr := &stallCounter{stall: stall}
-	backends := make([]shard.Backend, twopcShards)
-	for s := 0; s < twopcShards; s++ {
-		run.stores[s] = faultinject.NewSweepStore(disk.NewMemStore(), fuse)
-		lg := wal.New(sweepLogCapacity)
-		lg.SetFlushLimiter(func(proposed uint64) uint64 {
-			if _, ok := fuse.Event(); !ok {
-				return 0 // frozen: clamped back to the current stable end
-			}
-			return proposed
-		})
-		lg.SetTruncateGate(func() bool {
-			_, ok := fuse.Event()
-			return ok
-		})
-		run.logs[s] = lg
-		run.srvs[s] = server.New(twopcServerConfig(sys.Mode, run.stores[s], lg, s))
-		backends[s] = &stallBackend{Backend: wire.NewDirect(run.srvs[s], nil, nil), c: ctr}
+	run := &twopcRun{sys: sys, fuse: fuse, msgs: &stallCounter{stall: stall}}
+	j := newJournal(fuse.Count)
+	j.stampXY, j.readXY = writeXY, readXY
+	if stall > 0 {
+		j.clock = func() int64 { return run.msgs.n }
 	}
-	cli, router, err := client.NewSharded(client.Config{
-		Scheme:         sys.Scheme,
-		PoolPages:      sweepClientPool,
-		ShipDirtyPages: sys.Mode != server.ModeREDO,
-	}, backends)
-	if err != nil {
-		return nil, err
-	}
-
-	fail := func(stage string, err error) (*twopcRun, error) {
-		if fuse.Blown() {
-			run.lateErr = fmt.Errorf("%s: %w", stage, err)
-			return run, nil
-		}
-		return nil, fmt.Errorf("2pc sweep workload %s (system=%s seed=%d): %w", stage, sys.Name, seed, err)
-	}
-
-	// Build: one cross-shard transaction lays out twopcObjsShard objects on
-	// each shard (so even the build commit runs the full 2PC protocol).
-	tx, err := cli.Begin()
-	if err != nil {
-		return fail("build begin", err)
-	}
-	run.buildTID = tx.TID()
-	buildErr := func() error {
-		val := uint32(5000)
-		for s := 0; s < twopcShards; s++ {
-			router.SetAllocShard(s)
-			if _, err := tx.NewPage(); err != nil {
-				return fmt.Errorf("new page on shard %d: %w", s, err)
-			}
-			for j := 0; j < twopcObjsShard; j++ {
-				oid, err := tx.Allocate(twopcObjSize)
-				if err != nil {
-					return fmt.Errorf("allocate: %w", err)
-				}
-				if err := writeXY(tx, oid, val); err != nil {
-					return fmt.Errorf("init write: %w", err)
-				}
-				run.objs = append(run.objs, oid)
-				run.init = append(run.init, val)
-				val++
-			}
-		}
-		router.SetAllocShard(-1)
-		return tx.Commit()
-	}()
-	if ctr.hit {
-		run.stalled, run.stallInBuild = true, true
-		return run, nil
-	}
-	if buildErr != nil {
-		return fail("build", buildErr)
-	}
-	run.buildEnd = fuse.Count()
-
 	// Stamps: i%4 == 0 stays on shard 0, == 1 on shard 1, else cross-shard —
-	// the mix the ISSUE's disjoint/cross-shard benchmark also uses. Object
-	// choice is a seeded LCG so different seeds stress different pages.
+	// the mix BENCH_shard also uses. Object choice is a seeded LCG so
+	// different seeds stress different pages.
 	rng := uint64(seed)*2862933555777941757 + 3037000493
-	next := func(n int) int {
+	next := func() int {
 		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(n))
+		return int((rng >> 33) % twopcObjsShard)
 	}
-	for i := 0; i < twopcStamps; i++ {
-		a, b := next(twopcObjsShard), next(twopcObjsShard)
+	j.pick = func(i int) [2]page.OID {
+		a, b := next(), next()
 		if b == a {
 			b = (a + 1) % twopcObjsShard
 		}
@@ -250,47 +143,84 @@ func runTwoPCWorkload(sys SweepSystem, seed, limit, stall int64) (*twopcRun, err
 		default:
 			b += twopcObjsShard // one object on each shard
 		}
-		st := twopcTxn{val: uint32(10001 + i), objs: [2]page.OID{run.objs[a], run.objs[b]}}
-		tx, err := cli.Begin()
-		if err != nil {
-			return fail("stamp begin", err)
-		}
-		st.tid = tx.TID()
-		for _, o := range st.objs {
-			if err := writeXY(tx, o, st.val); err != nil {
-				tx.Abort()
-				return fail("stamp write", err)
-			}
-		}
-		st.pre = fuse.Count()
-		err = tx.Commit()
-		st.post = fuse.Count()
-		if ctr.hit {
-			// The stall landed inside this stamp's 2PC. A nil Commit means the
-			// commit point was reached (a participant decide was dropped); an
-			// error means the stamp aborted or its outcome is unknown. Either
-			// way it is the boundary transaction and the workload stops here.
-			run.stalled = true
-			run.boundary = &st
-			if err == nil {
-				run.txns = append(run.txns, st)
-			}
-			return run, nil
-		}
-		if err != nil {
-			return fail("stamp commit", err)
-		}
-		run.txns = append(run.txns, st)
+		return [2]page.OID{j.parts[a], j.parts[b]}
 	}
-	run.msgs = ctr.n
+	run.j = j
+	for s := 0; s < twopcShards; s++ {
+		s := s
+		run.nodes = append(run.nodes, newNode(fuse, sweepLogCapacity, func(store disk.Store, log *wal.Log) server.Config {
+			cfg := sweepServerConfig(sys.Mode, store, log, crashVariant{})
+			cfg.ShardID = s // keys residue-class allocation
+			cfg.ShardCount = twopcShards
+			cfg.LockTimeout = twopcLockTimeout
+			return cfg
+		}))
+	}
+	cli, router, err := run.cluster(run.msgs)
+	if err != nil {
+		return nil, err
+	}
+	err = run.build(cli, router)
+	if err == nil && !run.msgs.hit {
+		j.buildEnd = j.clock()
+		err = j.stamps(cli, twopcStamps, func(int) error {
+			if run.msgs.hit {
+				return errStalled // commit point reached, a later message dropped
+			}
+			return nil
+		})
+	}
+	switch {
+	case err == nil || run.msgs.hit:
+		// A drop inside a stamp's 2PC makes it the boundary stamp whatever
+		// its Commit returned; a drop inside the build leaves buildEnd unset,
+		// so no position counts as past the build.
+	case fuse.Blown():
+		run.lateErr = err
+	default:
+		return nil, fmt.Errorf("workload: %w", err)
+	}
 	return run, nil
+}
+
+// build lays out twopcObjsShard objects on each shard in ONE cross-shard
+// transaction, so even the build commit runs the full 2PC protocol.
+func (run *twopcRun) build(cli *client.Client, router *shard.Router) error {
+	tx, err := cli.Begin()
+	if err != nil {
+		return fmt.Errorf("build begin: %w", err)
+	}
+	val := uint32(5000)
+	for s := 0; s < twopcShards; s++ {
+		router.SetAllocShard(s)
+		if _, err := tx.NewPage(); err != nil {
+			return fmt.Errorf("build: new page on shard %d: %w", s, err)
+		}
+		for i := 0; i < twopcObjsShard; i++ {
+			oid, err := tx.Allocate(twopcObjSize)
+			if err != nil {
+				return fmt.Errorf("build: allocate: %w", err)
+			}
+			if err := writeXY(tx, oid, val); err != nil {
+				return fmt.Errorf("build: init write: %w", err)
+			}
+			run.j.parts = append(run.j.parts, oid)
+			run.j.init = append(run.j.init, [2]uint32{val, val})
+			val++
+		}
+	}
+	router.SetAllocShard(-1)
+	if err := tx.Commit(); err != nil {
+		return fmt.Errorf("build commit: %w", err)
+	}
+	return nil
 }
 
 // writeXY stores x=y=val into an 8-byte stamp object.
 func writeXY(tx *client.Tx, oid page.OID, val uint32) error {
 	var buf [twopcObjSize]byte
-	putU32(buf[0:], val)
-	putU32(buf[4:], val)
+	binary.LittleEndian.PutUint32(buf[0:], val)
+	binary.LittleEndian.PutUint32(buf[4:], val)
 	return tx.Write(oid, 0, buf[:])
 }
 
@@ -300,402 +230,154 @@ func readXY(tx *client.Tx, oid page.OID) (x, y uint32, err error) {
 	if err := tx.Read(oid, 0, buf[:]); err != nil {
 		return 0, 0, err
 	}
-	return getU32(buf[0:]), getU32(buf[4:]), nil
+	return binary.LittleEndian.Uint32(buf[0:]), binary.LittleEndian.Uint32(buf[4:]), nil
 }
 
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// modelTwoPC returns the expected object values once the first k journaled
-// stamps — plus, when non-nil, the boundary stamp — have been applied.
-func (r *twopcRun) modelTwoPC(k int, boundary *twopcTxn) []uint32 {
-	vals := append([]uint32(nil), r.init...)
-	idx := make(map[page.OID]int, len(r.objs))
-	for i, o := range r.objs {
-		idx[o] = i
-	}
-	for i := 0; i < k; i++ {
-		for _, o := range r.txns[i].objs {
-			vals[idx[o]] = r.txns[i].val
-		}
-	}
-	if boundary != nil {
-		for _, o := range boundary.objs {
-			vals[idx[o]] = boundary.val
-		}
-	}
-	return vals
-}
-
-// CountTwoPCPoints runs the 2PC counting pass: the number of shared-fuse
-// crash points and of 2PC messages (the stall sweep's point space).
-func CountTwoPCPoints(sys SweepSystem, seed int64) (fusePoints, msgPoints int64, err error) {
+// countTwoPCPoints runs the counting pass: the number of shared-fuse crash
+// points and of 2PC messages (the stall kind's point space).
+func countTwoPCPoints(sys SweepSystem, seed int64) (fusePoints, msgPoints int64, err error) {
 	run, err := runTwoPCWorkload(sys, seed, -1, -1)
 	if err != nil {
 		return 0, 0, err
 	}
 	if run.lateErr != nil {
-		return 0, 0, fmt.Errorf("2pc counting pass errored: %w", run.lateErr)
+		return 0, 0, fmt.Errorf("counting pass errored: %w", run.lateErr)
 	}
-	return run.fuse.Count(), run.msgs, nil
+	return run.fuse.Count(), run.msgs.n, nil
 }
 
-// TwoPCSweep enumerates the cluster's crash points for one system and
-// replays up to budget of them (≤ 0 = all), evenly spaced.
-func TwoPCSweep(sys SweepSystem, seed int64, budget int) (*SweepReport, error) {
-	n, _, err := CountTwoPCPoints(sys, seed)
+func openTwoPC(sys SweepSystem, seed int64, stall bool) (*pointSpace, error) {
+	fusePoints, msgPoints, err := countTwoPCPoints(sys, seed)
 	if err != nil {
 		return nil, err
 	}
-	rep := &SweepReport{System: sys.Name, Seed: seed, Points: n}
-	for _, p := range samplePoints(n, budget) {
-		rep.Replayed = append(rep.Replayed, p)
-		f, err := replayTwoPC(sys, seed, p, -1)
-		if err != nil {
-			return nil, err
-		}
-		if f != nil {
-			rep.Failures = append(rep.Failures, f)
-		}
+	if stall {
+		return &pointSpace{n: msgPoints, replay: func(s int64) (string, error) { return replayTwoPC(sys, seed, -1, s) }}, nil
 	}
-	return rep, nil
-}
-
-// TwoPCStallSweep enumerates the cluster's 2PC messages and replays up to
-// budget droppings of them (≤ 0 = all), evenly spaced.
-func TwoPCStallSweep(sys SweepSystem, seed int64, budget int) (*SweepReport, error) {
-	_, n, err := CountTwoPCPoints(sys, seed)
-	if err != nil {
-		return nil, err
-	}
-	rep := &SweepReport{System: sys.Name, Seed: seed, Points: n}
-	for _, p := range samplePoints(n, budget) {
-		rep.Replayed = append(rep.Replayed, p)
-		f, err := replayTwoPC(sys, seed, -1, p)
-		if err != nil {
-			return nil, err
-		}
-		if f != nil {
-			rep.Failures = append(rep.Failures, f)
-		}
-	}
-	return rep, nil
-}
-
-// ReplayTwoPCCrashPoint re-runs a single 2PC crash point — the reproduction
-// entry point printed with "twopc"-variant failures.
-func ReplayTwoPCCrashPoint(system string, seed, point int64) (*SweepFailure, error) {
-	for _, sys := range SweepSystems() {
-		if sys.Name == system {
-			return replayTwoPC(sys, seed, point, -1)
-		}
-	}
-	return nil, fmt.Errorf("harness: unknown sweep system %q", system)
-}
-
-// ReplayTwoPCStallPoint re-runs a single dropped-message point — the
-// reproduction entry point printed with "twopc-stall"-variant failures.
-func ReplayTwoPCStallPoint(system string, seed, point int64) (*SweepFailure, error) {
-	for _, sys := range SweepSystems() {
-		if sys.Name == system {
-			return replayTwoPC(sys, seed, -1, point)
-		}
-	}
-	return nil, fmt.Errorf("harness: unknown sweep system %q", system)
+	return &pointSpace{n: fusePoints, replay: func(p int64) (string, error) { return replayTwoPC(sys, seed, p, -1) }}, nil
 }
 
 // replayTwoPC runs one 2PC replay: exactly one of point (fuse crash point)
-// and stall (dropped 2PC message) is ≥ 0.
-func replayTwoPC(sys SweepSystem, seed, point, stall int64) (*SweepFailure, error) {
-	variant := "twopc"
-	repro := point
-	if stall > 0 {
-		variant = "twopc-stall"
-		repro = stall
-	}
+// and stall (dropped 2PC message) is > 0.
+func replayTwoPC(sys SweepSystem, seed, point, stall int64) (string, error) {
 	run, err := runTwoPCWorkload(sys, seed, point, stall)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	bad := func(format string, args ...interface{}) *SweepFailure {
-		return &SweepFailure{System: sys.Name, Seed: seed, Point: repro,
-			Detail: fmt.Sprintf(format, args...), Variant: variant}
-	}
-
-	// Stall variant: the cluster is still alive, with an in-doubt branch if
-	// the drop landed after a PREPARE. Checkpoint each shard so restart meets
-	// the prepared branch through the checkpoint's 2PC trailer, then crash.
+	at := point // the journal position the recovered cluster is held to
 	if stall > 0 {
-		for s := 0; s < twopcShards; s++ {
-			if err := run.srvs[s].NewSession(nil, nil).Checkpoint(); err != nil {
-				return bad("pre-crash checkpoint on shard %d failed: %v", s, err), nil
+		at = stall - 1
+		// The cluster is still alive, with an in-doubt branch if the drop
+		// landed after a PREPARE. Checkpoint each shard so restart meets the
+		// prepared branch through the checkpoint's 2PC trailer rather than
+		// the log scan — the path a long-lived in-doubt transaction takes in
+		// production — then crash.
+		for s, n := range run.nodes {
+			if err := n.srv.NewSession(nil, nil).Checkpoint(); err != nil {
+				return fmt.Sprintf("pre-crash checkpoint on shard %d failed: %v", s, err), nil
 			}
 		}
 	}
+	return recoverTwice(run.nodes, func() string { return run.resolveAndVerify(at) })
+}
 
-	// Crash every shard: volatile state lost, stable storage thaws.
-	for s := 0; s < twopcShards; s++ {
-		run.srvs[s].Crash()
-		run.logs[s].SetFlushLimiter(nil)
-		run.logs[s].SetTruncateGate(nil)
-	}
-	run.fuse.Disarm()
-	for s := 0; s < twopcShards; s++ {
-		run.stores[s].CrashDropPending()
-	}
+// lockProbe tries a shared lock on pid at shard s from a fresh transaction.
+func (run *twopcRun) lockProbe(s int, pid page.ID) error {
+	sn := run.nodes[s].srv.NewSession(nil, nil)
+	tid := sn.Begin()
+	defer sn.Abort(tid)
+	return sn.Lock(tid, pid, lock.Shared)
+}
 
-	// Restart every shard on a fresh server over its surviving store + log.
-	var srv2 [twopcShards]*server.Server
-	for s := 0; s < twopcShards; s++ {
-		srv2[s] = server.New(twopcServerConfig(sys.Mode, run.stores[s], run.logs[s], s))
-		if err := srv2[s].NewSession(nil, nil).Restart(); err != nil {
-			return bad("restart of shard %d failed: %v", s, err), nil
-		}
-	}
-
-	// In-doubt branches must hold their locks until resolution.
+// resolveAndVerify checks the distributed-recovery invariants on the
+// restarted cluster: in-doubt branches hold their locks until resolution,
+// resolution settles every one of them and is idempotent, and the stamps are
+// all-or-nothing across both shards at journal position at.
+func (run *twopcRun) resolveAndVerify(at int64) string {
+	// A branch that crashed between its PREPARE and the coordinator's
+	// decision restarts in doubt and holds its locks: probing one of its
+	// pages must time out now and succeed after resolution.
 	type probe struct {
 		shard int
 		pid   page.ID
 	}
 	var probes []probe
-	for s := 0; s < twopcShards; s++ {
-		for _, idt := range srv2[s].InDoubt() {
-			st := run.stampByTID(idt.TID)
+	for s, n := range run.nodes {
+		for _, idt := range n.srv.InDoubt() {
+			st := run.j.byTID(idt.TID)
 			if st == nil {
-				continue // build or unjournaled transaction: page set unknown
+				continue // the build transaction: page set not journaled
 			}
-			for _, o := range st.objs {
-				if shardOfPage(o.Page) == s {
+			for _, o := range st.parts {
+				if (shard.Map{N: twopcShards}).ShardOf(o.Page) == s {
 					probes = append(probes, probe{shard: s, pid: o.Page})
 				}
 			}
 		}
 	}
 	for _, p := range probes {
-		sn := srv2[p.shard].NewSession(nil, nil)
-		ptid := sn.Begin()
-		err := sn.Lock(ptid, p.pid, lock.Shared)
-		sn.Abort(ptid)
+		err := run.lockProbe(p.shard, p.pid)
 		if err == nil {
-			return bad("in-doubt branch released page %v on shard %d before resolution", p.pid, p.shard), nil
+			return fmt.Sprintf("in-doubt branch released page %v on shard %d before resolution", p.pid, p.shard)
 		}
 		if !errors.Is(err, lock.ErrDeadlock) {
-			return bad("in-doubt lock probe of page %v on shard %d: %v (want lock timeout)", p.pid, p.shard, err), nil
+			return fmt.Sprintf("in-doubt lock probe of page %v on shard %d: %v (want lock timeout)", p.pid, p.shard, err)
 		}
 	}
 
 	// Recovery resolution settles every in-doubt branch; a second run must
 	// find nothing and change nothing (idempotence under re-delivery).
-	backends2 := make([]shard.Backend, twopcShards)
-	for s := 0; s < twopcShards; s++ {
-		backends2[s] = wire.NewDirect(srv2[s], nil, nil)
-	}
-	router2 := shard.NewRouter(backends2)
-	if _, err := router2.Recover(); err != nil {
-		return bad("recovery resolution failed: %v", err), nil
-	}
-	dumpPre, err := dumpCluster(run)
+	cli, router, err := run.cluster(nil)
 	if err != nil {
-		return nil, err
+		return fmt.Sprintf("verification client: %v", err)
 	}
-	again, err := router2.Recover()
+	if _, err := router.Recover(); err != nil {
+		return fmt.Sprintf("recovery resolution failed: %v", err)
+	}
+	before, err := dumpNodes(run.nodes)
 	if err != nil {
-		return bad("second recovery resolution failed: %v", err), nil
+		return fmt.Sprintf("dump after resolution: %v", err)
+	}
+	again, err := router.Recover()
+	if err != nil {
+		return fmt.Sprintf("second recovery resolution failed: %v", err)
 	}
 	if len(again) != 0 {
-		return bad("resolution not idempotent: second run settled %d branches", len(again)), nil
+		return fmt.Sprintf("resolution not idempotent: second run settled %d branches", len(again))
 	}
-	dumpPost, err := dumpCluster(run)
+	after, err := dumpNodes(run.nodes)
 	if err != nil {
-		return nil, err
+		return fmt.Sprintf("dump after second resolution: %v", err)
 	}
-	if diff := diffClusters(dumpPre, dumpPost); diff != "" {
-		return bad("second resolution changed data: %s", diff), nil
-	}
-	for s := 0; s < twopcShards; s++ {
-		if left := srv2[s].InDoubt(); len(left) != 0 {
-			return bad("shard %d still reports %d in-doubt branches after resolution", s, len(left)), nil
+	for s, n := range run.nodes {
+		if d := diffDumps(before[s], after[s]); d != "" {
+			return fmt.Sprintf("second resolution changed data: shard %d: %s", s, d)
+		}
+		if left := n.srv.InDoubt(); len(left) != 0 {
+			return fmt.Sprintf("shard %d still reports %d in-doubt branches after resolution", s, len(left))
 		}
 	}
-
-	// Locks release once the fate is known.
 	for _, p := range probes {
-		sn := srv2[p.shard].NewSession(nil, nil)
-		ptid := sn.Begin()
-		err := sn.Lock(ptid, p.pid, lock.Shared)
-		sn.Abort(ptid)
-		if err != nil {
-			return bad("page %v on shard %d still locked after resolution: %v", p.pid, p.shard, err), nil
+		if err := run.lockProbe(p.shard, p.pid); err != nil {
+			return fmt.Sprintf("page %v on shard %d still locked after resolution: %v", p.pid, p.shard, err)
 		}
 	}
 
-	// Value invariants: the cluster matches the committed prefix, with the
-	// boundary transaction all-or-nothing across both shards.
-	if !run.stallInBuild && (stall > 0 || point > run.buildEnd) && len(run.objs) > 0 {
-		if f := run.verifyTwoPC(srv2, point, stall, bad); f != nil {
-			return f, nil
+	// Cross-shard atomicity: the cluster matches the committed prefix, the
+	// boundary stamp wholly applied on BOTH shards or wholly rolled back on
+	// both — a stamp on one shard only is exactly what 2PC exists to prevent.
+	if at >= run.j.buildEnd {
+		if d := run.j.verify(cli, at, true); d != "" {
+			return d
 		}
 	}
 
-	// Restart idempotence over both volumes. Resolution commits and aborts
-	// dirtied pool pages after the first restart; flush them so the dumps
-	// compare restart against a settled store, not against work the second
-	// restart legitimately redoes.
-	for s := 0; s < twopcShards; s++ {
-		if err := srv2[s].NewSession(nil, nil).FlushAll(); err != nil {
-			return bad("flush of shard %d after resolution failed: %v", s, err), nil
-		}
-	}
-	before, err := dumpCluster(run)
-	if err != nil {
-		return nil, err
-	}
-	for s := 0; s < twopcShards; s++ {
-		srv2[s].Crash()
-		srv3 := server.New(twopcServerConfig(sys.Mode, run.stores[s], run.logs[s], s))
-		if err := srv3.NewSession(nil, nil).Restart(); err != nil {
-			return bad("second restart of shard %d failed: %v", s, err), nil
-		}
-	}
-	after, err := dumpCluster(run)
-	if err != nil {
-		return nil, err
-	}
-	if diff := diffClusters(before, after); diff != "" {
-		return bad("restart not idempotent: %s", diff), nil
-	}
-	return nil, nil
-}
-
-// stampByTID finds a journaled (or boundary) stamp by transaction id.
-func (r *twopcRun) stampByTID(tid logrec.TID) *twopcTxn {
-	for i := range r.txns {
-		if r.txns[i].tid == tid {
-			return &r.txns[i]
-		}
-	}
-	if r.boundary != nil && r.boundary.tid == tid {
-		return r.boundary
-	}
-	return nil
-}
-
-// shardOfPage mirrors shard.Map.ShardOf for the sweep's fixed shard count.
-func shardOfPage(pid page.ID) int {
-	return shard.Map{N: twopcShards}.ShardOf(pid)
-}
-
-// verifyTwoPC reads every stamp object through a recovered, resolved
-// cluster and checks the committed-prefix / boundary-atomicity invariants.
-func (r *twopcRun) verifyTwoPC(srv2 [twopcShards]*server.Server, point, stall int64,
-	bad func(string, ...interface{}) *SweepFailure) *SweepFailure {
-	// kc and the boundary stamp. Fuse variant: the journal bracket counts
-	// decide which stamps must be durable, exactly as the base sweep. Stall
-	// variant: every journaled stamp before the boundary committed normally.
-	var kc int
-	var boundary *twopcTxn
-	if stall > 0 {
-		kc = len(r.txns)
-		if kc > 0 && r.boundary != nil && r.txns[kc-1].tid == r.boundary.tid {
-			kc-- // the boundary stamp was journaled (commit returned nil)
-		}
-		boundary = r.boundary
-	} else {
-		for kc < len(r.txns) && r.txns[kc].post <= point {
-			kc++
-		}
-		for i := kc; i < len(r.txns); i++ {
-			if r.txns[i].post <= point {
-				return bad("journal not prefix-closed: stamp %d committed while stamp %d did not", i, kc)
-			}
-		}
-		if kc < len(r.txns) && r.txns[kc].pre <= point {
-			boundary = &r.txns[kc]
-		}
-	}
-
-	backends := make([]shard.Backend, twopcShards)
-	for s := 0; s < twopcShards; s++ {
-		backends[s] = wire.NewDirect(srv2[s], nil, nil)
-	}
-	cli, _, err := client.NewSharded(client.Config{
-		Scheme:         r.sys.Scheme,
-		PoolPages:      sweepClientPool,
-		ShipDirtyPages: r.sys.Mode != server.ModeREDO,
-	}, backends)
-	if err != nil {
-		return bad("verification client: %v", err)
-	}
-	tx, err := cli.Begin()
-	if err != nil {
-		return bad("verification begin failed: %v", err)
-	}
-	defer tx.Abort()
-	got := make([]uint32, len(r.objs))
-	for i, o := range r.objs {
-		x, y, err := readXY(tx, o)
-		if err != nil {
-			return bad("verification read of %v failed: %v", o, err)
-		}
-		if x != y {
-			return bad("object %v has x=%d y=%d (stamps always write x=y: torn object update)", o, x, y)
-		}
-		got[i] = x
-	}
-
-	mismatch := func(want []uint32) (int, bool) {
-		for i := range want {
-			if got[i] != want[i] {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	committed := r.modelTwoPC(kc, nil)
-	i, diffA := mismatch(committed)
-	if !diffA {
-		return nil // exactly the committed prefix: the boundary rolled back whole
-	}
-	if boundary == nil {
-		return bad("object %v = %d, want %d (committed prefix of %d stamps; none was mid-commit)",
-			r.objs[i], got[i], committed[i], kc)
-	}
-	withBoundary := r.modelTwoPC(kc, boundary)
-	if j, diffB := mismatch(withBoundary); diffB {
-		return bad("state matches neither %d committed stamps (object %v: got %d want %d) nor "+
-			"boundary-applied (object %v: got %d want %d): cross-shard stamp applied non-atomically",
-			kc, r.objs[i], got[i], committed[i], r.objs[j], got[j], withBoundary[j])
-	}
-	return nil // boundary stamp wholly durable on both shards: also legal
-}
-
-// dumpCluster snapshots both shards' data pages.
-func dumpCluster(run *twopcRun) ([twopcShards]map[page.ID][]byte, error) {
-	var out [twopcShards]map[page.ID][]byte
-	for s := 0; s < twopcShards; s++ {
-		d, err := dumpStore(run.stores[s])
-		if err != nil {
-			return out, err
-		}
-		out[s] = d
-	}
-	return out, nil
-}
-
-// diffClusters describes the first difference between two cluster dumps.
-func diffClusters(a, b [twopcShards]map[page.ID][]byte) string {
-	for s := 0; s < twopcShards; s++ {
-		if d := diffDumps(a[s], b[s]); d != "" {
-			return fmt.Sprintf("shard %d: %s", s, d)
+	// Resolution committed and aborted into pool pages after the restart;
+	// flush them so the recover-twice dumps compare restart against a settled
+	// store, not against work the second restart legitimately redoes.
+	for s, n := range run.nodes {
+		if err := n.srv.NewSession(nil, nil).FlushAll(); err != nil {
+			return fmt.Sprintf("flush of shard %d after resolution failed: %v", s, err)
 		}
 	}
 	return ""

@@ -551,6 +551,20 @@ func (sn *Session) Restart() error {
 			// a fuzzy deployment on a persistent store must reach this point
 			// via orderly shutdown, whose FlushAll provides the same
 			// guarantee; see DESIGN.md §13.)
+			//
+			// The volume's pages still carry page LSNs from the log that wrote
+			// them, and conditional redo skips a record whose LSN is not above
+			// the page's: a log that started over at FirstLSN would have every
+			// commit silently skipped at the next crash until it outgrew the
+			// old one. So an empty log below the checkpoint continues above
+			// anything that log can have stamped — its head never passed the
+			// checkpoint record, so its end was at most one capacity beyond.
+			if s.log.End() <= sb.checkpointLSN {
+				if err := s.log.StartAt(sb.checkpointLSN + s.log.Capacity()); err != nil {
+					return fmt.Errorf("server: the log ends below the volume's checkpoint at %d yet is not empty: %w",
+						sb.checkpointLSN, err)
+				}
+			}
 			return s.checkpointQuiesced(sn)
 		case err != nil:
 			return fmt.Errorf("server: reading checkpoint: %w", err)

@@ -199,3 +199,40 @@ func TestSetRacesTruncate(t *testing.T) {
 		}
 	}
 }
+
+// TestStartAt: an empty log continues its LSN space at start, its holders
+// along with it, and behaves from there exactly like NewAt's; a log that
+// holds records, or a start below the head, is refused and left alone.
+func TestStartAt(t *testing.T) {
+	const start = 5 << 20
+	l := New(1 << 20)
+	h := l.Hold("redo", l.Head(), nil, 0)
+	if err := l.StartAt(start); err != nil {
+		t.Fatal(err)
+	}
+	if r := l.Holders(); r.Head != start || r.StableEnd != start || r.Holders[0].LSN != start || l.End() != start {
+		t.Fatalf("after StartAt(%d): %+v, end %d", start, r, l.End())
+	}
+	lsn, err := l.Append(upd(1, 1, 64))
+	if err != nil || lsn != start {
+		t.Fatalf("first append at %d (%v), want %d", lsn, err, start)
+	}
+	l.Force()
+	if rec, err := l.ReadAt(start); err != nil || rec.LSN != start {
+		t.Fatalf("ReadAt(%d): %v, %v", start, rec, err)
+	}
+	if err := l.Truncate(l.StableEnd()); err != nil || l.Head() != start {
+		t.Fatalf("holder at %d did not pin the head: head %d, %v", start, l.Head(), err)
+	}
+	h.Release()
+
+	if err := l.StartAt(2 * start); err == nil {
+		t.Error("a log holding a record was re-based")
+	}
+	if err := New(1 << 20).StartAt(FirstLSN - 1); err == nil {
+		t.Error("an empty log was re-based below its head")
+	}
+	if l.Head() != start || l.End() == 2*start {
+		t.Errorf("a refused StartAt moved the log: head %d end %d", l.Head(), l.End())
+	}
+}

@@ -127,6 +127,25 @@ func NewAt(capacity int, start uint64) *Log {
 	return l
 }
 
+// StartAt does to an empty log already handed out what NewAt does to a new
+// one: the first record appended will get LSN start. Restart uses it when a
+// fresh log meets a volume a previous process checkpointed, whose page LSNs
+// the new records must exceed. Every retention holder stands at the head of
+// an empty log and moves along with it. A log that holds records, or a start
+// below its head, is refused.
+func (l *Log) StartAt(start uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.next != l.head || start < l.head {
+		return fmt.Errorf("wal: cannot start at %d a log holding [%d, %d)", start, l.head, l.next)
+	}
+	l.head, l.flushed, l.next, l.attempt = start, start, start, start
+	for _, h := range l.holders {
+		h.pos = start
+	}
+	return nil
+}
+
 // encPool recycles Append's staging buffers. Every append encodes into a
 // scratch slice before copying into the ring; without pooling that is one
 // allocation per log record on the commit path (BenchmarkAppend reports the
