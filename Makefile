@@ -73,9 +73,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # The concurrency surface (group commit, sharded pool sessions, async WPL
-# installer, parallel redo) under the race detector.
+# installer and the install-before-commit-force window, parallel redo) under
+# the race detector.
 race-concurrent:
-	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestParallelRedo' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestParallelRedo' -count=1
 
 # Archive round-trip (segment/backup framing, truncation gate with batches
 # in flight, restore re-runnability, corruption detection) under -race.
@@ -89,9 +90,10 @@ race-scrub:
 
 # The background page cleaner and fuzzy checkpoints racing committing
 # sessions under the race detector, including crash+restart afterwards
-# (DESIGN.md §13).
+# (DESIGN.md §13), and the write-ahead regression that evicts and cleans a
+# page whose newest record straddles the stable end (§2.4).
 race-cleaner:
-	$(GO) test -race ./internal/server/ -run 'TestCleaner|TestClean|TestMaintenanceDuringRestart' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestCleaner|TestClean|TestMaintenanceDuringRestart|TestWriteAhead' -count=1
 
 # One pass of the checkpoint latency benchmark as a smoke: proves both arms
 # run end to end; the report goes to a scratch file, not the repo.

@@ -5,10 +5,13 @@ package harness
 // numbers every stable event, a replay freezes storage after event P.
 
 import (
+	"bytes"
 	"fmt"
 
+	"repro/internal/client"
 	"repro/internal/disk"
 	"repro/internal/faultinject"
+	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -45,6 +48,40 @@ func sweepServerConfig(mode server.Mode, store disk.Store, log *wal.Log, v crash
 	}
 }
 
+// wideEvery makes every wideEvery-th stamp of the single-node kinds a wide
+// one.
+const wideEvery = 8
+
+// widen turns every wideEvery-th stamp of j into a transaction whose log
+// records exceed one 8 KB log page: it stamps every part and overwrites the
+// whole manual. The client then ships its records in more than one log page,
+// and the server's ForceFull makes the first of them stable before the commit
+// — the one way a crash point leaves a loser with STABLE update records, so
+// that undo's values are checked at all (the in-flight stamp must read
+// all-pre). A pairwise stamp's records and its commit record reach the log in
+// one flush.
+func widen(j *journal) {
+	wide := func(i int) bool { return i%wideEvery == wideEvery-1 }
+	j.pick = func(i int) []page.OID {
+		if wide(i) {
+			return j.parts
+		}
+		return j.pair(i)
+	}
+	j.pad = func(tx *client.Tx, i int) error {
+		if !wide(i) {
+			return nil
+		}
+		size, err := tx.Size(j.manual)
+		if err != nil {
+			return err
+		}
+		// Past the chunk's link to the next; every byte differs from what any
+		// other wide stamp wrote, so the diffing schemes log all of it.
+		return tx.Write(j.manual, page.OIDSize, bytes.Repeat([]byte{byte(i)}, size-page.OIDSize))
+	}
+}
+
 // crashRun is one execution of the single-node workload.
 type crashRun struct {
 	fuse *faultinject.Fuse
@@ -64,6 +101,7 @@ func runCrashWorkload(sys SweepSystem, seed, limit int64, v crashVariant) (*cras
 		return sweepServerConfig(sys.Mode, store, log, v)
 	})
 	run := &crashRun{fuse: fuse, node: n, j: newJournal(fuse.Count)}
+	widen(run.j)
 	cli := sweepClient(sys, wire.NewDirect(n.srv, nil, nil))
 	err := run.j.build(cli, seed)
 	if err == nil {

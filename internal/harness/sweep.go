@@ -91,11 +91,11 @@ func sweepClient(sys SweepSystem, svc wire.Service) *client.Client {
 
 // stampTxn journals one stamp transaction: the position clock read
 // immediately before and after its commit call, its transaction id, and what
-// it wrote (x = y = val into both parts).
+// it wrote (x = y = val into every one of parts).
 type stampTxn struct {
 	pre, post int64
 	tid       logrec.TID
-	parts     [2]page.OID
+	parts     []page.OID
 	val       uint32
 }
 
@@ -107,14 +107,20 @@ type journal struct {
 	parts []page.OID
 	init  [][2]uint32
 	txns  []stampTxn
+	// manual is the module's manual, the one large object of the miniature
+	// database; no check reads it, so a kind may overwrite it as ballast.
+	manual page.OID
 	// buildEnd is the clock once parts and init were complete; positions
 	// below it fall inside the build, where only recovery itself is checked.
 	buildEnd int64
 	// clock reads the kind's position: the fuse count for the crash kinds,
 	// the stable end for repl, the 2PC message count for twopc-stall.
 	clock func() int64
-	// pick chooses stamp i's two objects; nil walks parts pairwise.
-	pick func(i int) [2]page.OID
+	// pick chooses the objects stamp i writes; pair unless the kind sets it.
+	pick func(i int) []page.OID
+	// pad, if non-nil, runs inside stamp i's transaction once its objects are
+	// stamped, for writes the journal does not model.
+	pad func(tx *client.Tx, i int) error
 	// stampXY and readXY write and read a part's (x, y); they are oo7's unless
 	// the kind lays out its own objects.
 	stampXY func(tx *client.Tx, part page.OID, val uint32) error
@@ -122,7 +128,9 @@ type journal struct {
 }
 
 func newJournal(clock func() int64) *journal {
-	return &journal{buildEnd: math.MaxInt64, clock: clock, stampXY: oo7.StampXY, readXY: oo7.ReadXY}
+	j := &journal{buildEnd: math.MaxInt64, clock: clock, stampXY: oo7.StampXY, readXY: oo7.ReadXY}
+	j.pick = j.pair
+	return j
 }
 
 // build lays out the miniature OO7 database and journals its atomic parts
@@ -137,7 +145,7 @@ func (j *journal) build(cli *client.Client, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("collect: %w", err)
 	}
-	j.parts = parts
+	j.parts, j.manual = parts, db.Modules[0].Manual
 	if j.init, err = j.readParts(cli); err != nil {
 		return fmt.Errorf("baseline %w", err)
 	}
@@ -153,11 +161,7 @@ func (j *journal) build(cli *client.Client, seed int64) error {
 func (j *journal) stamps(cli *client.Client, upTo int, between func(i int) error) error {
 	for i := len(j.txns); i < upTo; i++ {
 		st := stampTxn{val: stampBase + uint32(i)}
-		if j.pick != nil {
-			st.parts = j.pick(i)
-		} else {
-			st.parts = [2]page.OID{j.parts[(2*i)%len(j.parts)], j.parts[(2*i+1)%len(j.parts)]}
-		}
+		st.parts = j.pick(i)
 		tx, err := cli.Begin()
 		if err != nil {
 			return fmt.Errorf("stamp %d begin: %w", i, err)
@@ -167,6 +171,12 @@ func (j *journal) stamps(cli *client.Client, upTo int, between func(i int) error
 			if err := j.stampXY(tx, p, st.val); err != nil {
 				tx.Abort()
 				return fmt.Errorf("stamp %d write: %w", i, err)
+			}
+		}
+		if j.pad != nil {
+			if err := j.pad(tx, i); err != nil {
+				tx.Abort()
+				return fmt.Errorf("stamp %d pad: %w", i, err)
 			}
 		}
 		st.pre = j.clock()
@@ -183,6 +193,11 @@ func (j *journal) stamps(cli *client.Client, upTo int, between func(i int) error
 		}
 	}
 	return nil
+}
+
+// pair is the default pick: two parts, walking the part list pairwise.
+func (j *journal) pair(i int) []page.OID {
+	return []page.OID{j.parts[(2*i)%len(j.parts)], j.parts[(2*i+1)%len(j.parts)]}
 }
 
 // postFromLog re-times every stamp's post to the exclusive end of its commit

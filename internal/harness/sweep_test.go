@@ -5,10 +5,12 @@ import (
 	"flag"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/logrec"
 	"repro/internal/page"
 	"repro/internal/server"
 )
@@ -85,7 +87,7 @@ func sameJournal(t *testing.T, a, b *journal) {
 	}
 	for i := range a.txns {
 		x, y := a.txns[i], b.txns[i]
-		if x.pre != y.pre || x.post != y.post || x.val != y.val || x.parts != y.parts {
+		if x.pre != y.pre || x.post != y.post || x.val != y.val || !slices.Equal(x.parts, y.parts) {
 			t.Fatalf("journal entry %d differs: %+v vs %+v", i, x, y)
 		}
 	}
@@ -128,6 +130,60 @@ func TestSweepDeterministic(t *testing.T) {
 					t.Errorf("point %d verdict not deterministic: %q then %q", p, v1, v2)
 				}
 			}
+		})
+	}
+}
+
+// TestWideStampsLeaveStableLoserRecords checks the crash kind reaches what
+// its wide stamps exist for: under the log-shipping schemes some crash point
+// inside a wide stamp's commit call must leave that stamp a loser whose update
+// records are already stable — the only state in which restart undo has values
+// to restore that the journal checks.
+func TestWideStampsLeaveStableLoserRecords(t *testing.T) {
+	for _, sys := range SweepSystems() {
+		if sys.Mode == server.ModeWPL {
+			continue // ships whole pages: no update records, no undo
+		}
+		sys := sys
+		t.Run(sys.Name, func(t *testing.T) {
+			t.Parallel()
+			count, _, err := countCrashPoints(sys, *sweepSeed, crashVariant{})
+			if err != nil {
+				t.Fatalf("counting pass: %v", err)
+			}
+			wide := count.j.txns[wideEvery-1]
+			if len(wide.parts) != len(count.j.parts) {
+				t.Fatalf("stamp %d wrote %d parts, want all %d", wideEvery-1, len(wide.parts), len(count.j.parts))
+			}
+			hits := 0
+			for p := wide.pre + 1; p < wide.post; p++ {
+				run, err := runCrashWorkload(sys, *sweepSeed, p, crashVariant{})
+				if err != nil {
+					t.Fatalf("workload to point %d: %v", p, err)
+				}
+				run.node.crash()
+				updates, committed := 0, false
+				err = run.node.log.Scan(run.node.log.Head(), func(r *logrec.Record) bool {
+					switch {
+					case r.TID != wide.tid:
+					case r.Type == logrec.TypeUpdate:
+						updates++
+					case r.Type == logrec.TypeCommit:
+						committed = true
+					}
+					return true
+				})
+				if err != nil {
+					t.Fatalf("scan after point %d: %v", p, err)
+				}
+				if updates > 0 && !committed {
+					hits++
+				}
+			}
+			if hits == 0 {
+				t.Fatalf("no crash point in (%d, %d) leaves the wide stamp a loser with stable update records", wide.pre, wide.post)
+			}
+			t.Logf("%s: %d of %d crash points inside the wide stamp's commit leave stable loser records", sys.Name, hits, wide.post-wide.pre-1)
 		})
 	}
 }
@@ -374,9 +430,9 @@ func TestVerifyJournal(t *testing.T) {
 			parts: []page.OID{a, b, c, d},
 			init:  [][2]uint32{{1, 2}, {3, 4}, {5, 5}, {7, 8}},
 			txns: []stampTxn{
-				{pre: 10, post: 20, parts: [2]page.OID{a, b}, val: 10001},
-				{pre: 30, post: 40, parts: [2]page.OID{c, d}, val: 10002},
-				{pre: 50, post: 60, parts: [2]page.OID{a, c}, val: 10003},
+				{pre: 10, post: 20, parts: []page.OID{a, b}, val: 10001},
+				{pre: 30, post: 40, parts: []page.OID{c, d}, val: 10002},
+				{pre: 50, post: 60, parts: []page.OID{a, c}, val: 10003},
 			},
 		}
 	}

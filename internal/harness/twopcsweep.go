@@ -130,7 +130,7 @@ func runTwoPCWorkload(sys SweepSystem, seed, limit, stall int64) (*twopcRun, err
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return int((rng >> 33) % twopcObjsShard)
 	}
-	j.pick = func(i int) [2]page.OID {
+	j.pick = func(i int) []page.OID {
 		a, b := next(), next()
 		if b == a {
 			b = (a + 1) % twopcObjsShard
@@ -143,7 +143,7 @@ func runTwoPCWorkload(sys SweepSystem, seed, limit, stall int64) (*twopcRun, err
 		default:
 			b += twopcObjsShard // one object on each shard
 		}
-		return [2]page.OID{j.parts[a], j.parts[b]}
+		return []page.OID{j.parts[a], j.parts[b]}
 	}
 	run.j = j
 	for s := 0; s < twopcShards; s++ {

@@ -1,4 +1,4 @@
-// fixture-path: repro/internal/server/errdrop
+// fixture-path: repro/internal/recbuf/errdrop
 //
 // Error-discipline positive: a discarded disk.Store write error — the page
 // image may never have reached the volume.

@@ -1,4 +1,4 @@
-// fixture-path: repro/internal/server/errok
+// fixture-path: repro/internal/recbuf/errok
 //
 // Negative error-discipline fixture: handled errors, an explicit `_ =`
 // discard, and the Close exemption. No diagnostics expected.

@@ -1,8 +1,8 @@
-// fixture-path: repro/internal/server/walok
+// fixture-path: repro/internal/recbuf/walok
 //
-// Negative wal-discipline fixture: an allowlisted (server-side) package may
-// write pages, and append-then-write — the correct WAL order — is never
-// flagged. No diagnostics expected.
+// Negative wal-discipline fixture: a storage-protocol package outside the
+// server may write pages, and append-then-write — the correct WAL order — is
+// never flagged. No diagnostics expected.
 package walok
 
 import (

@@ -8,6 +8,10 @@ package lint
 // client, tools) must go through a Session, so every page image that reaches
 // stable storage is covered by the WAL protocol the sweeps verify.
 //
+// Inside internal/server rule A is tighter: the write-back module (DESIGN.md
+// §2.4) is the one path from a page image to the volume, so WritePage is
+// legal only in its two store-write functions, by name.
+//
 // Rule B (write-ahead order within a function): a page write followed later
 // in the same body by a wal.Append, with no log force between them, is the
 // classic inverted ordering — the log record describing (or following) the
@@ -59,6 +63,10 @@ var poolMutators = map[string]bool{
 	"Clear": true, "Pin": true, "Unpin": true, "SetCapacity": true,
 }
 
+// serverStoreWriters are the functions of internal/server that may call
+// WritePage: the data-page write and the master-record write of writeback.go.
+var serverStoreWriters = map[string]bool{"storeWrite": true, "writeSuperblock": true}
+
 const (
 	wdWrite = iota
 	wdForce
@@ -69,8 +77,9 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 	iface := storeInterface(m)
 	walPath := m.Path + "/internal/wal"
 	bufPath := m.Path + "/internal/buffer"
+	serverPath := m.Path + "/internal/server"
 	writeAllow := []string{
-		m.Path + "/internal/server",
+		serverPath,
 		m.Path + "/internal/wal",
 		m.Path + "/internal/archive",
 		m.Path + "/internal/recbuf",
@@ -89,6 +98,7 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 
 	for _, pkg := range pkgs {
 		storeOK := pathIn(pkg.Path, writeAllow)
+		inServer := pathIn(pkg.Path, []string{serverPath})
 		poolOK := pathIn(pkg.Path, poolAllow)
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -117,8 +127,11 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 					}
 					switch name := sel.Sel.Name; {
 					case name == "WritePage" && implementsIface(recvT, iface):
-						if !storeOK {
+						switch {
+						case !storeOK:
 							report(pkg, call.Pos(), "WritePage on a disk.Store from package %s: page writes are reserved to the storage-protocol packages (server/wal/archive/recbuf/faultinject); go through a Session so the WAL protocol covers the write", pkg.Path)
+						case inServer && !serverStoreWriters[fd.Name.Name]:
+							report(pkg, call.Pos(), "WritePage on a disk.Store in %s: inside the server a page reaches the volume only through the write-back module (storeWrite under writeHome or installWPLLocked, writeSuperblock), which carries the write-ahead test", fd.Name.Name)
 						}
 						evs = append(evs, ev{wdWrite, call.Pos()})
 					case (name == "Force" || name == "ForceFull" || name == "CommitWait") && isNamedType(recvT, walPath, "Log"):

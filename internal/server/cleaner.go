@@ -5,12 +5,13 @@ package server
 // Fuzzy checkpoints log the dirty page table instead of flushing it, so some
 // other mechanism must write dirty pages home — otherwise the DPT grows
 // without bound, restart redo work grows with it, and log truncation stalls
-// at min(recLSN). The cleaner is that mechanism: a paced worker that writes
-// cold dirty pages to the volume in recLSN order (oldest redo obligation
-// first, which is also what advances the redo retention holder fastest),
-// enforcing the WAL rule per page. Commits never wait on it; a committer
-// past the high watermark (2x Config.DirtyPageTarget) cleans a small
-// quantum of pages inline as soft backpressure.
+// at min(recLSN). The cleaner is that mechanism: a paced worker that picks
+// cold dirty pages in recLSN order (oldest redo obligation first, which is
+// also what advances the redo retention holder fastest) and hands each to
+// writeHome (writeback.go), which owns the write and the write-ahead test.
+// Commits never wait on it; a committer past the high watermark (2x
+// Config.DirtyPageTarget) cleans a small quantum of pages inline as soft
+// backpressure.
 //
 // Latch order: each page is handled under gate.R → its shard latch → dptMu,
 // exactly the order session operations use, so the cleaner can run
@@ -119,40 +120,28 @@ func (s *Server) cleanOne(sn *Session, pid page.ID) (int, error) {
 			sh.Unlock()
 			return 0, nil
 		}
-		lsn := page.Wrap(f.Bytes()).LSN()
 		if !f.Dirty() {
 			// A flush beat us here; just retire the stale entry if the image
 			// caught up.
+			s.retireDPT(pid, page.Wrap(f.Bytes()).LSN())
 			sh.Unlock()
-			s.retireDPT(pid, lsn)
 			return 0, nil
 		}
-		// WAL before data: the page's newest record must be stable before
-		// the image lands on the volume. Never force while holding the shard
-		// latch — a force can wait out a whole group-commit batch, and every
-		// session whose pages share the shard would wait with it. Force
-		// latch-free, re-latch, re-check; a page re-dirtied meanwhile just
-		// needs one more force, and one that keeps outracing the forces is
-		// too hot to be worth cleaning this pass.
-		if lsn != 0 && lsn >= s.log.StableEnd() {
-			sh.Unlock()
-			if attempt >= 3 {
-				atomic.AddInt64(&s.stats.CleanerHotSkips, 1)
-				return 0, nil
-			}
-			sn.meter().LogWrite(s.log.Force())
-			continue
-		}
-		if err := s.store.WritePage(pid, f.Bytes()); err != nil {
-			sh.Unlock()
-			return 0, err
-		}
-		sn.meter().DataWriteAsync(1)
-		atomic.AddInt64(&s.stats.DataWrites, 1)
-		sh.MarkClean(pid)
+		// Never force under the shard latch (see writeHome): force latch-free
+		// and come back. A page re-dirtied meanwhile just needs one more
+		// force; one that keeps outracing them is too hot to clean this pass.
+		wrote, err := s.writeHome(sn, sh, f, false)
 		sh.Unlock()
-		s.retireDPT(pid, lsn)
-		return 1, nil
+		switch {
+		case err != nil:
+			return 0, err
+		case wrote:
+			return 1, nil
+		case attempt >= 3:
+			atomic.AddInt64(&s.stats.CleanerHotSkips, 1)
+			return 0, nil
+		}
+		sn.meter().LogWrite(s.log.Force())
 	}
 }
 

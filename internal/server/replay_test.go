@@ -145,20 +145,20 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// TestDecodeCkpt round-trips both checkpoint layouts and rejects everything
-// else — the legacy (magic-less) layout included — with an error, never a
-// panic.
+// TestDecodeCkpt round-trips the checkpoint layout, with and without a 2PC
+// trailer's worth of entries, and rejects everything else — the legacy
+// (magic-less) layout included — with an error, never a panic.
 func TestDecodeCkpt(t *testing.T) {
-	v2 := ckptPayload{
+	single := ckptPayload{
 		nextPage: 41, nextTID: 9, beginLSN: 123_456,
 		txns: []ckptTxn{{tid: 3, lastLSN: 900, firstLSN: 800}, {tid: 5, lastLSN: logrec.NoLSN, firstLSN: logrec.NoLSN}},
 		wpl:  []ckptWPL{{pid: 7, lsn: 850, tid: 3, committed: true}, {pid: 8, lsn: 860, tid: 5}},
 		dpt:  []ckptDPT{{pid: 7, rec: 810}},
 	}
-	v3 := v2
-	v3.prepared = []ckptPrepared{{tid: 3, prepLSN: 890, coord: 1, parts: []int{0, 1, 2}}, {tid: 5, prepLSN: 895, coord: 0}}
-	v3.decided = []ckptDecided{{tid: 11, lsn: 700, parts: []int{0, 1}}}
-	for name, c := range map[string]ckptPayload{"v2": v2, "v3": v3, "empty": {nextPage: 1, nextTID: 1, beginLSN: 8192}} {
+	sharded := single
+	sharded.prepared = []ckptPrepared{{tid: 3, prepLSN: 890, coord: 1, parts: []int{0, 1, 2}}, {tid: 5, prepLSN: 895, coord: 0}}
+	sharded.decided = []ckptDecided{{tid: 11, lsn: 700, parts: []int{0, 1}}}
+	for name, c := range map[string]ckptPayload{"single": single, "sharded": sharded, "empty": {nextPage: 1, nextTID: 1, beginLSN: 8192}} {
 		enc := c.encode()
 		got, err := decodeCkpt(enc)
 		if err != nil {
@@ -182,8 +182,8 @@ func TestDecodeCkpt(t *testing.T) {
 			}
 		}
 	}
-	if wantMagic := v3.encode()[:8]; bytes.Equal(v2.encode()[:8], wantMagic) {
-		t.Fatal("the 2PC trailer did not select the v3 layout")
+	if !bytes.Equal(single.encode()[:8], sharded.encode()[:8]) {
+		t.Fatal("the 2PC trailer selected a second layout")
 	}
 
 	put := func(words ...uint64) []byte {
@@ -197,11 +197,13 @@ func TestDecodeCkpt(t *testing.T) {
 		// The pre-DPT layout: nextPage, nextTID, nt, nw, then the entries.
 		"legacy layout":      put(41, 9, 1, 0, 3, 900, 800),
 		"legacy, padded":     put(41, 9, 0, 0, 0, 0, 0, 0),
-		"unknown magic":      put(0x5153434B50543039, 41, 9, 8192, 0, 0, 0),
-		"count overflow":     put(ckptV2Magic, 41, 9, 8192, 1<<61, 0, 0),
-		"count beyond body":  put(ckptV2Magic, 41, 9, 8192, 2, 0, 0, 3, 900, 800),
-		"v3 without trailer": put(ckptV3Magic, 41, 9, 8192, 0, 0, 0),
-		"v3 trailer overrun": put(ckptV3Magic, 41, 9, 8192, 0, 0, 0, 1, 3, 890, 1, 99),
+		"unknown magic":      put(0x5153434B50543039, 41, 9, 8192, 0, 0, 0, 0, 0),
+		"count overflow":     put(ckptMagic, 41, 9, 8192, 1<<61, 0, 0, 0, 0),
+		"count beyond body":  put(ckptMagic, 41, 9, 8192, 2, 0, 0, 3, 900, 800, 0, 0),
+		"trailer missing":    put(ckptMagic, 41, 9, 8192, 0, 0, 0),
+		"trailer half there": put(ckptMagic, 41, 9, 8192, 0, 0, 0, 0),
+		"trailer overrun":    put(ckptMagic, 41, 9, 8192, 0, 0, 0, 1, 3, 890, 1, 99),
+		"trailer count big":  put(ckptMagic, 41, 9, 8192, 0, 0, 0, 0, 1<<61),
 	}
 	for name, b := range bad {
 		if _, err := decodeCkpt(b); err == nil {

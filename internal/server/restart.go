@@ -3,13 +3,14 @@ package server
 // Checkpointing, crash simulation and restart recovery.
 //
 // ESM/REDO take sharp ARIES-style checkpoints: all dirty pages are flushed
-// (after forcing the log per the write-ahead rule), the active-transaction
-// table is logged, and the log is truncated below the oldest LSN any active
-// transaction still needs. Restart then runs analysis from the checkpoint,
-// redoes history conditionally on page LSNs, and rolls back losers with
-// CLRs. What a record does to the tables (analysis) and to a page (redo) is
-// replay.go's; this file owns the passes around it — table seeding from the
-// checkpoint, DPT pruning, the fan-out and its metering. Redo is partitioned
+// (flushDirtyQuiesced, writeback.go), the active-transaction table is logged,
+// and the log is truncated below the oldest LSN any active transaction still
+// needs. Restart then runs analysis from the checkpoint, redoes history
+// conditionally on page LSNs, and rolls back losers with CLRs. What a record
+// does to the tables (analysis) and to a page (redo) is replay.go's, and how a
+// page reaches the volume is writeback.go's; this file owns the passes around
+// them — table seeding from the checkpoint, DPT pruning, the fan-out and its
+// metering. Redo is partitioned
 // by page ID across Config.RedoWorkers goroutines — per-page record order is
 // preserved because a page belongs to exactly one worker; undo stays
 // sequential (CLR LSNs must be deterministic).
@@ -94,21 +95,16 @@ type ckptPayload struct {
 	txns     []ckptTxn
 	wpl      []ckptWPL
 	dpt      []ckptDPT
-	// 2PC trailer (v3). Both empty on a single-shard server, where encode()
-	// emits the byte-identical v2 layout.
+	// 2PC trailer; both empty on a single-shard server.
 	prepared []ckptPrepared
 	decided  []ckptDecided
 }
 
-// ckptV2Magic marks the checkpoint layout (ATT, WPL table, DPT entries and
-// the analysis begin LSN). A payload opening with any other word is rejected.
-const ckptV2Magic = uint64(0x5153434B50543032) // "QSCKPT02"
-
-// ckptV3Magic marks the 2PC-aware layout: the v2 body followed by a trailer
-// of prepared branches and decided-but-unforgotten transactions. Emitted only
-// when the trailer would be non-empty, so single-shard deployments keep
-// producing byte-identical v2 records.
-const ckptV3Magic = uint64(0x5153434B50543033) // "QSCKPT03"
+// ckptMagic opens the one checkpoint layout: the header, the ATT, the WPL
+// table, the DPT, then the 2PC trailer — prepared branches and decided-but-
+// unforgotten transactions, each list behind its count. A payload opening
+// with any other word is rejected.
+const ckptMagic = uint64(0x5153434B50543033) // "QSCKPT03"
 
 func (c *ckptPayload) encode() []byte {
 	buf := make([]byte, 0, 56+24*len(c.txns)+24*len(c.wpl)+16*len(c.dpt))
@@ -117,11 +113,7 @@ func (c *ckptPayload) encode() []byte {
 		binary.LittleEndian.PutUint64(tmp[:], v)
 		buf = append(buf, tmp[:]...)
 	}
-	magic := ckptV2Magic
-	if len(c.prepared) > 0 || len(c.decided) > 0 {
-		magic = ckptV3Magic
-	}
-	put64(magic)
+	put64(ckptMagic)
 	put64(uint64(c.nextPage))
 	put64(uint64(c.nextTID))
 	put64(c.beginLSN)
@@ -146,25 +138,23 @@ func (c *ckptPayload) encode() []byte {
 		put64(uint64(d.pid))
 		put64(d.rec)
 	}
-	if magic == ckptV3Magic {
-		put64(uint64(len(c.prepared)))
-		for _, p := range c.prepared {
-			put64(uint64(p.tid))
-			put64(p.prepLSN)
-			put64(uint64(p.coord))
-			put64(uint64(len(p.parts)))
-			for _, sh := range p.parts {
-				put64(uint64(sh))
-			}
+	put64(uint64(len(c.prepared)))
+	for _, p := range c.prepared {
+		put64(uint64(p.tid))
+		put64(p.prepLSN)
+		put64(uint64(p.coord))
+		put64(uint64(len(p.parts)))
+		for _, sh := range p.parts {
+			put64(uint64(sh))
 		}
-		put64(uint64(len(c.decided)))
-		for _, d := range c.decided {
-			put64(uint64(d.tid))
-			put64(d.lsn)
-			put64(uint64(len(d.parts)))
-			for _, sh := range d.parts {
-				put64(uint64(sh))
-			}
+	}
+	put64(uint64(len(c.decided)))
+	for _, d := range c.decided {
+		put64(uint64(d.tid))
+		put64(d.lsn)
+		put64(uint64(len(d.parts)))
+		for _, sh := range d.parts {
+			put64(uint64(sh))
 		}
 	}
 	return buf
@@ -175,8 +165,7 @@ func decodeCkpt(b []byte) (*ckptPayload, error) {
 		return nil, fmt.Errorf("server: checkpoint payload too short (%d bytes)", len(b))
 	}
 	get := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	magic := get(0)
-	if magic != ckptV2Magic && magic != ckptV3Magic {
+	if magic := get(0); magic != ckptMagic {
 		return nil, fmt.Errorf("server: unknown checkpoint payload magic %#x", magic)
 	}
 	c := &ckptPayload{
@@ -190,9 +179,8 @@ func decodeCkpt(b []byte) (*ckptPayload, error) {
 		return nil, fmt.Errorf("server: checkpoint payload size mismatch")
 	}
 	nt, nw, nd := int(get(4)), int(get(5)), int(get(6))
-	body := 56 + 24*nt + 24*nw + 16*nd
-	if (magic == ckptV2Magic && len(b) != body) ||
-		(magic == ckptV3Magic && (len(b) < body+16 || len(b)%8 != 0)) {
+	// The fixed-size tables, then at least the trailer's two counts.
+	if body := 56 + 24*nt + 24*nw + 16*nd; len(b) < body+16 || len(b)%8 != 0 {
 		return nil, fmt.Errorf("server: checkpoint payload size mismatch")
 	}
 	idx := 7
@@ -220,66 +208,64 @@ func decodeCkpt(b []byte) (*ckptPayload, error) {
 		c.dpt = append(c.dpt, ckptDPT{pid: page.ID(get(idx)), rec: get(idx + 1)})
 		idx += 2
 	}
-	if magic == ckptV3Magic {
-		// The 2PC trailer is variable-length (each entry carries a participant
-		// list), so it is parsed with a running cursor and exact-consumption
-		// check instead of one closed-form size.
-		words := len(b) / 8
-		bad := func() (*ckptPayload, error) {
-			return nil, fmt.Errorf("server: checkpoint 2PC trailer malformed")
-		}
-		np := get(idx)
-		idx++
-		if np > uint64(words) {
+	// The 2PC trailer is variable-length (each entry carries a participant
+	// list), so it is parsed with a running cursor and exact-consumption
+	// check instead of one closed-form size.
+	words := len(b) / 8
+	bad := func() (*ckptPayload, error) {
+		return nil, fmt.Errorf("server: checkpoint 2PC trailer malformed")
+	}
+	np := get(idx)
+	idx++
+	if np > uint64(words) {
+		return bad()
+	}
+	for i := 0; i < int(np); i++ {
+		if idx+4 > words {
 			return bad()
 		}
-		for i := 0; i < int(np); i++ {
-			if idx+4 > words {
-				return bad()
-			}
-			p := ckptPrepared{
-				tid:     logrec.TID(get(idx)),
-				prepLSN: get(idx + 1),
-				coord:   int(get(idx + 2)),
-			}
-			nparts := get(idx + 3)
-			idx += 4
-			if nparts > uint64(words) || idx+int(nparts) > words {
-				return bad()
-			}
-			for j := 0; j < int(nparts); j++ {
-				p.parts = append(p.parts, int(get(idx)))
-				idx++
-			}
-			c.prepared = append(c.prepared, p)
+		p := ckptPrepared{
+			tid:     logrec.TID(get(idx)),
+			prepLSN: get(idx + 1),
+			coord:   int(get(idx + 2)),
 		}
-		if idx >= words {
+		nparts := get(idx + 3)
+		idx += 4
+		if nparts > uint64(words) || idx+int(nparts) > words {
 			return bad()
 		}
-		ndec := get(idx)
-		idx++
-		if ndec > uint64(words) {
+		for j := 0; j < int(nparts); j++ {
+			p.parts = append(p.parts, int(get(idx)))
+			idx++
+		}
+		c.prepared = append(c.prepared, p)
+	}
+	if idx >= words {
+		return bad()
+	}
+	ndec := get(idx)
+	idx++
+	if ndec > uint64(words) {
+		return bad()
+	}
+	for i := 0; i < int(ndec); i++ {
+		if idx+3 > words {
 			return bad()
 		}
-		for i := 0; i < int(ndec); i++ {
-			if idx+3 > words {
-				return bad()
-			}
-			d := ckptDecided{tid: logrec.TID(get(idx)), lsn: get(idx + 1)}
-			nparts := get(idx + 2)
-			idx += 3
-			if nparts > uint64(words) || idx+int(nparts) > words {
-				return bad()
-			}
-			for j := 0; j < int(nparts); j++ {
-				d.parts = append(d.parts, int(get(idx)))
-				idx++
-			}
-			c.decided = append(c.decided, d)
-		}
-		if idx != words {
+		d := ckptDecided{tid: logrec.TID(get(idx)), lsn: get(idx + 1)}
+		nparts := get(idx + 2)
+		idx += 3
+		if nparts > uint64(words) || idx+int(nparts) > words {
 			return bad()
 		}
+		for j := 0; j < int(nparts); j++ {
+			d.parts = append(d.parts, int(get(idx)))
+			idx++
+		}
+		c.decided = append(c.decided, d)
+	}
+	if idx != words {
+		return bad()
 	}
 	return c, nil
 }
@@ -342,22 +328,8 @@ func (s *Server) checkpointFuzzy(sn *Session) error {
 // checkpoint record with the DPT logged instead of flushed.
 func (s *Server) checkpointQuiesced(sn *Session) error {
 	if s.cfg.Mode != ModeWPL && !s.cfg.FuzzyCheckpoints {
-		// Sharp checkpoint: force the log once, then flush every dirty page
-		// (in ascending page order — the sweep's event stream depends on it).
-		sn.meter().LogWrite(s.log.Force())
-		for _, pid := range s.pool.DirtyPages() {
-			sh := s.pool.Lock(pid)
-			f := sh.Peek(pid)
-			lsn := page.Wrap(f.Bytes()).LSN()
-			if err := s.store.WritePage(pid, f.Bytes()); err != nil {
-				sh.Unlock()
-				return err
-			}
-			sn.meter().DataWriteAsync(1)
-			atomic.AddInt64(&s.stats.DataWrites, 1)
-			sh.MarkClean(pid)
-			sh.Unlock()
-			s.retireDPT(pid, lsn)
+		if err := s.flushDirtyQuiesced(sn); err != nil {
+			return err
 		}
 	}
 	return s.checkpointCore(sn)
@@ -429,18 +401,7 @@ func (s *Server) checkpointCore(sn *Session) error {
 		return err
 	}
 	sn.meter().LogWrite(s.log.Force())
-	// The master-record write takes the superblock's shard latch: a fuzzy
-	// checkpoint runs under gate.R, where the scrubber may concurrently be
-	// repairing page 0 under the same latch.
-	sh := s.pool.Lock(superblockPage)
-	err = s.writeSuperblock(sn, superblock{
-		checkpointLSN: ckptLSN,
-		nextPage:      c.nextPage,
-		nextTID:       c.nextTID,
-		hasCheckpoint: true,
-	})
-	sh.Unlock()
-	if err != nil {
+	if err := s.writeSuperblock(sn, c.masterRecord(ckptLSN)); err != nil {
 		return err
 	}
 	atomic.AddInt64(&s.stats.Checkpoints, 1)
@@ -451,6 +412,12 @@ func (s *Server) checkpointCore(sn *Session) error {
 	head := c.reclaimHead(ckptLSN)
 	s.redo.Set(head)
 	return s.log.Truncate(head)
+}
+
+// masterRecord is the superblock that names this checkpoint, logged at
+// ckptLSN, as the newest.
+func (c *ckptPayload) masterRecord(ckptLSN uint64) superblock {
+	return superblock{checkpointLSN: ckptLSN, nextPage: c.nextPage, nextTID: c.nextTID, hasCheckpoint: true}
 }
 
 // reclaimHead returns the LSN below which the log may be reclaimed once this
@@ -999,11 +966,9 @@ func (s *Server) wplRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64
 			return fmt.Errorf("server: WPL restart install %v: %w", e.pid, err)
 		}
 		sn.meter().LogRead(1)
-		if err := s.store.WritePage(e.pid, rec.After); err != nil {
+		if err := s.storeWrite(sn, e.pid, rec.After); err != nil {
 			return err
 		}
-		sn.meter().DataWriteAsync(1)
-		atomic.AddInt64(&s.stats.DataWrites, 1)
 		atomic.AddInt64(&s.stats.WPLInstalls, 1)
 	}
 	// Resurrect in-doubt branches: rebuild their uncommitted WPL chains (the
@@ -1061,20 +1026,5 @@ func (sn *Session) FlushAll() error {
 	if s.cfg.Mode == ModeWPL {
 		return nil // installs happen at commit; nothing safe to force early
 	}
-	sn.meter().LogWrite(s.log.Force())
-	for _, pid := range s.pool.DirtyPages() {
-		sh := s.pool.Lock(pid)
-		f := sh.Peek(pid)
-		lsn := page.Wrap(f.Bytes()).LSN()
-		if err := s.store.WritePage(pid, f.Bytes()); err != nil {
-			sh.Unlock()
-			return err
-		}
-		sn.meter().DataWriteAsync(1)
-		atomic.AddInt64(&s.stats.DataWrites, 1)
-		sh.MarkClean(pid)
-		sh.Unlock()
-		s.retireDPT(pid, lsn)
-	}
-	return nil
+	return s.flushDirtyQuiesced(sn)
 }

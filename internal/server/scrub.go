@@ -154,11 +154,9 @@ func (s *Server) repairShardLocked(sn *Session, sh *buffer.PoolShard, pid page.I
 		atomic.AddInt64(&s.stats.PagesUnrepairable, 1)
 		return err
 	}
-	if werr := s.store.WritePage(pid, img); werr != nil {
+	if werr := s.storeWrite(sn, pid, img); werr != nil {
 		return fmt.Errorf("server: writing repaired page %v: %w", pid, werr)
 	}
-	sn.meter().DataWriteAsync(1)
-	atomic.AddInt64(&s.stats.DataWrites, 1)
 	atomic.AddInt64(&s.stats.PagesRepaired, 1)
 	copy(buf, img)
 	return nil
@@ -248,12 +246,7 @@ func (s *Server) superblockFromLog() (superblock, error) {
 	if err != nil {
 		return superblock{}, err
 	}
-	return superblock{
-		checkpointLSN: ckptLSN,
-		nextPage:      ckpt.nextPage,
-		nextTID:       ckpt.nextTID,
-		hasCheckpoint: true,
-	}, nil
+	return ckpt.masterRecord(ckptLSN), nil
 }
 
 // verifyVolumeQuiesced verifies every stored data page and repairs the

@@ -797,8 +797,6 @@ func (s *Server) makeRoomShardLocked(sn *Session, sh *buffer.PoolShard) error {
 }
 
 // flushVictimShardLocked handles a dirty page leaving its shard.
-//
-//qslint:allow latch-io: the write-ahead rule REQUIRES forcing the log up to the victim's pageLSN before its image leaves under the shard latch; releasing mid-eviction would let the page mutate under the evictor
 func (s *Server) flushVictimShardLocked(sn *Session, sh *buffer.PoolShard, v *buffer.Frame) error {
 	pid := v.PID()
 	if s.cfg.Mode == ModeWPL {
@@ -820,18 +818,8 @@ func (s *Server) flushVictimShardLocked(sn *Session, sh *buffer.PoolShard, v *bu
 		}
 		return nil
 	}
-	// ESM/REDO: write-ahead rule — force the log up to the page's LSN first.
-	pg := page.Wrap(v.Bytes())
-	if pg.LSN() != 0 && pg.LSN() >= s.log.StableEnd() {
-		sn.meter().LogWrite(s.log.Force())
-	}
-	if err := s.store.WritePage(pid, v.Bytes()); err != nil {
-		return err
-	}
-	sn.meter().DataWriteAsync(1)
-	atomic.AddInt64(&s.stats.DataWrites, 1)
-	s.retireDPT(pid, pg.LSN())
-	return nil
+	_, err := s.writeHome(sn, sh, v, true)
+	return err
 }
 
 // retireDPT drops pid's dirty-page-table entry if the image just written
@@ -1236,45 +1224,6 @@ func (s *Server) installHead(sn *Session, pid page.ID, e *wplEntry, gen uint64) 
 	}
 }
 
-// installWPLLocked writes the committed head copy e to its permanent
-// location and removes its table entry. Caller holds e.pid's shard latch and
-// wplMu, and has validated e == s.wpl[e.pid] && e.committed.
-//
-//qslint:allow latch-io: installing a logged copy must force its commit record and write the store under the shard latch + wplMu — the WPL table entry and the permanent location have to change atomically against readers
-func (s *Server) installWPLLocked(sn *Session, sh *buffer.PoolShard, e *wplEntry) error {
-	if e.commitEnd > s.log.StableEnd() {
-		// The committed marking is applied with the commit record's append,
-		// before the force — an evictor can get here while the committer is
-		// still parked in the group-commit flusher. The permanent location
-		// must not see the copy before its commit record is stable.
-		sn.meter().LogWrite(s.log.Force())
-	}
-	var img []byte
-	cached := sh.Peek(e.pid)
-	if cached != nil {
-		img = cached.Bytes() // "marked as read" optimization: cached at commit
-	} else {
-		rec, err := s.log.ReadAt(e.lsn)
-		if err != nil {
-			return fmt.Errorf("server: WPL install of %v: %w", e.pid, err)
-		}
-		img = rec.After
-		sn.meter().LogReadAsync(1)
-		atomic.AddInt64(&s.stats.WPLLogReloads, 1)
-	}
-	if err := s.store.WritePage(e.pid, img); err != nil {
-		return err
-	}
-	sn.meter().DataWriteAsync(1)
-	atomic.AddInt64(&s.stats.DataWrites, 1)
-	atomic.AddInt64(&s.stats.WPLInstalls, 1)
-	delete(s.wpl, e.pid)
-	if cached != nil {
-		sh.MarkClean(e.pid)
-	}
-	return nil
-}
-
 // Abort rolls tid back. Under ESM/REDO the transaction's update records are
 // undone with compensation log records; under WPL its logged copies are
 // simply dropped from the WPL table (§3.4.2: abort by ignoring).
@@ -1482,14 +1431,6 @@ func encodeSuperblock(sb superblock) []byte {
 	return buf
 }
 
-func (s *Server) writeSuperblock(sn *Session, sb superblock) error {
-	if err := s.store.WritePage(superblockPage, encodeSuperblock(sb)); err != nil {
-		return err
-	}
-	sn.meter().DataWriteAsync(1)
-	return nil
-}
-
 func (s *Server) readSuperblock() (superblock, error) {
 	var buf [page.Size]byte
 	err := s.store.ReadPage(superblockPage, buf[:])
@@ -1510,10 +1451,9 @@ func (s *Server) readSuperblock() (superblock, error) {
 			return superblock{}, fmt.Errorf("%w: %v: %v: %w",
 				ErrUnrepairable, superblockPage, rerr, err)
 		}
-		if werr := s.store.WritePage(superblockPage, encodeSuperblock(sb)); werr != nil {
+		if werr := s.storeWrite(nil, superblockPage, encodeSuperblock(sb)); werr != nil {
 			return superblock{}, werr
 		}
-		atomic.AddInt64(&s.stats.DataWrites, 1)
 		atomic.AddInt64(&s.stats.PagesRepaired, 1)
 		return sb, nil
 	}

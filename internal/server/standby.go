@@ -173,15 +173,7 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 	}
 	// The master record must never name an unstable checkpoint record.
 	sn.meter().LogWrite(s.log.Force())
-	sh := s.pool.Lock(superblockPage)
-	err = s.writeSuperblock(sn, superblock{
-		checkpointLSN: r.LSN,
-		nextPage:      c.nextPage,
-		nextTID:       c.nextTID,
-		hasCheckpoint: true,
-	})
-	sh.Unlock()
-	if err != nil {
+	if err := s.writeSuperblock(sn, c.masterRecord(r.LSN)); err != nil {
 		return err
 	}
 	atomic.AddInt64(&s.stats.Checkpoints, 1)

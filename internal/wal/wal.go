@@ -22,6 +22,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -446,9 +447,7 @@ func (l *Log) CrashClone(stableEnd uint64) *Log {
 func (l *Log) trimTornLocked() {
 	lsn := l.head
 	for lsn+logrec.HeaderSize <= l.flushed {
-		var hdr [logrec.HeaderSize]byte
-		l.readRing(lsn, hdr[:])
-		total := uint64(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
+		total := l.sizeAt(lsn)
 		if total < logrec.HeaderSize || lsn+total > l.flushed {
 			break
 		}
@@ -639,6 +638,34 @@ func (l *Log) StableEnd() uint64 {
 	return l.flushed
 }
 
+// Stable reports whether the record that starts at lsn lies wholly below the
+// stable end. This is the write-ahead test for a page whose pageLSN is lsn,
+// and it must look at the record's END: ForceFull parks the stable end on an
+// 8 KB boundary, which can fall inside the record, and a crash then trims the
+// whole record away. lsn is a record boundary or 0: LSN 0 (no record describes
+// the page) and an LSN below the head (reclaimed, so stable long ago) are
+// stable.
+func (l *Log) Stable(lsn uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn < l.head {
+		return true
+	}
+	if lsn+logrec.HeaderSize > l.flushed {
+		return false
+	}
+	size := l.sizeAt(lsn)
+	return size >= logrec.HeaderSize && lsn+size <= l.flushed
+}
+
+// sizeAt reads the length field that opens the record header at lsn. Caller
+// holds l.mu and has checked that the header lies inside the log.
+func (l *Log) sizeAt(lsn uint64) uint64 {
+	var b [4]byte
+	l.readRing(lsn, b[:])
+	return uint64(binary.LittleEndian.Uint32(b[:]))
+}
+
 // End returns the next LSN to be assigned (including volatile records).
 func (l *Log) End() uint64 {
 	l.mu.Lock()
@@ -688,9 +715,7 @@ func (l *Log) decodeAt(lsn uint64, scratch *[]byte) (*logrec.Record, error) {
 	if lsn+logrec.HeaderSize > l.next {
 		return nil, fmt.Errorf("%w: %d", ErrBeyondEnd, lsn)
 	}
-	var hdr [logrec.HeaderSize]byte
-	l.readRing(lsn, hdr[:])
-	total := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
+	total := int(l.sizeAt(lsn))
 	if total < logrec.HeaderSize {
 		return nil, fmt.Errorf("wal: bad record length %d at LSN %d", total, lsn)
 	}

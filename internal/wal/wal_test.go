@@ -289,6 +289,39 @@ func TestForceFullLeavesPartialTail(t *testing.T) {
 	}
 }
 
+// TestStableLooksAtTheRecordEnd pins the write-ahead test: a record is stable
+// only when its last byte is, wherever ForceFull parked the stable end.
+func TestStableLooksAtTheRecordEnd(t *testing.T) {
+	l := New(1 << 20)
+	first, _ := l.Append(upd(1, 1, 2048))
+	second, _ := l.Append(upd(1, 2, 2048)) // crosses the first 8 KB boundary
+	l.ForceFull()
+	if stable := l.StableEnd(); !(second < stable && stable < l.End()) {
+		t.Fatalf("stable end %d does not fall inside the second record [%d,%d)", stable, second, l.End())
+	}
+	for lsn, want := range map[uint64]bool{
+		0:           true,  // a page no record describes
+		first:       true,  // wholly below the stable end
+		second:      false, // starts below it, ends above
+		l.End():     false, // nothing there yet
+		l.End() * 2: false,
+	} {
+		if got := l.Stable(lsn); got != want {
+			t.Errorf("Stable(%d) = %v, want %v", lsn, got, want)
+		}
+	}
+	l.Force()
+	if !l.Stable(second) {
+		t.Error("a forced record is not stable")
+	}
+	if err := l.Truncate(second); err != nil {
+		t.Fatal(err)
+	}
+	if !l.Stable(first) {
+		t.Error("a reclaimed record is not stable")
+	}
+}
+
 func TestTornRecordStopsScanAfterCrash(t *testing.T) {
 	l := New(1 << 20)
 	lsn1, _ := l.Append(upd(1, 1, 5000)) // spans into page 1... (record > 8 KB with header+images)
