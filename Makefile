@@ -1,8 +1,9 @@
 # Developer/CI entry points. `make check` is the gate: vet, qslint (the
 # static invariant suite, DESIGN.md §11) and its fixture corpus, build, the
 # full test suite under the race detector, the budget-sampled sweeps (every
-# kind of DESIGN.md §2.3 × all five schemes), and one pass of the checkpoint
-# latency benchmark (§13).
+# kind of DESIGN.md §2.3 × all five schemes), one pass of the checkpoint
+# latency benchmark (§13), and the tests of the bench/ module, which links
+# these packages but which `go test ./...` here never reaches.
 #
 # The race-<subsystem> targets re-run a slice of `race` with -count=1; they
 # stay as the repro entry points README.md and DESIGN.md name, but `check`
@@ -10,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard
+.PHONY: check vet lint lint-fixtures build test race sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare
 
-check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke
+check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke bench-test
 
 # Every sweep kind (crash, fuzzy, restart-crash, group, media, scrub, repl,
 # twopc, twopc-stall — DESIGN.md §2.3) over all five schemes, 50 sampled
@@ -73,10 +74,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # The concurrency surface (group commit, sharded pool sessions, async WPL
-# installer and the install-before-commit-force window, parallel redo) under
-# the race detector.
+# installer and the install-before-commit-force window, parallel redo, WPL
+# restart analysis across sharp and fuzzy checkpoints) under the race detector.
 race-concurrent:
-	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestParallelRedo' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestParallelRedo' -count=1
 
 # Archive round-trip (segment/backup framing, truncation gate with batches
 # in flight, restore re-runnability, corruption detection) under -race.
@@ -116,10 +117,13 @@ bench-ckpt:
 
 # The replication surface under the race detector: the shipper's fetch/ack
 # paths, the continuously-applying standby, promotion, and the wire-level
-# failover protocol (DESIGN.md §14).
+# failover protocol (DESIGN.md §14), and the engine's own standby tests —
+# ApplyShipped's table mirror checked against analysis of the standby's log,
+# and the WPL copy a shipped checkpoint must not reclaim.
 race-repl:
 	$(GO) test -race ./internal/repl/ -count=1
 	$(GO) test -race ./internal/wire/ -run 'TestClientFailover|TestStandby|TestRepl' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestStandby|TestPromote' -count=1
 
 # Commit p50/p99 with a hot standby attached: no replication vs async vs
 # semi-sync acks at 8 clients, writing BENCH_repl.json (DESIGN.md §14).
@@ -135,3 +139,16 @@ race-shard:
 # writing BENCH_shard.json (DESIGN.md §16).
 bench-shard:
 	$(GO) run ./cmd/benchcommit -shards 4 -out BENCH_shard.json
+
+# bench/ is its own module (replace repro => ../): compile and run its tests
+# against this tree's engine.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# The regression gate in one command: two runs.jsonl files (bench/README.md:
+# each side run at least ten times into its own -out directory, alternating)
+# compared metric by metric against BENCHMARK.json's bounds; non-zero exit on
+# a regression.
+#   make bench-compare OLD=old/runs.jsonl NEW=new/runs.jsonl
+bench-compare:
+	bash bench/run.sh -compare $(OLD) $(NEW)

@@ -16,9 +16,9 @@ import (
 // TestRebuildEquivalence: one record reaches a page through one piece of
 // code, so three routes to a page's current image must agree byte for byte —
 // the rebuilder fed from the live log, RepairPage (backup + archived chain +
-// live tail), and the frame restart leaves (parallel redo for ESM/REDO, the
-// backward pass for WPL) — over a seeded multi-transaction history with
-// aborts, for each server mode. The committed content is also checked
+// live tail), and the frame restart leaves (parallel redo for ESM/REDO,
+// installs from the WPL table for WPL) — over a seeded multi-transaction
+// history with aborts, for each server mode. The committed content is also checked
 // against a model the test keeps itself.
 func TestRebuildEquivalence(t *testing.T) {
 	for _, mode := range []server.Mode{server.ModeESM, server.ModeREDO, server.ModeWPL} {

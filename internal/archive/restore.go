@@ -42,7 +42,7 @@ func Wire(cfg *server.Config, a *Archiver) {
 // RestoreOptions configures a media restore.
 type RestoreOptions struct {
 	// Mode is the recovery scheme the destroyed server ran (restart replay
-	// differs per scheme; WPL restores use the backward-scan restart).
+	// differs per scheme; WPL restores install from the rebuilt WPL table).
 	Mode server.Mode
 	// TargetLSN, when non-zero, is the point-in-time recovery cut: replay
 	// stops at the last whole record ending at or before it, and the restart
@@ -219,9 +219,9 @@ replay:
 // Restore rebuilds a destroyed volume from the newest usable backup plus the
 // archived log (Bootstrap), then recovers it with the server's own Restart:
 // analysis from the backed-up superblock's checkpoint, scheme-appropriate
-// redo (parallel fan-out for ESM/REDO, the backward CTL scan for WPL), then
-// rollback of every transaction the replayed prefix does not commit — which
-// is exactly prefix consistency at the cut LSN.
+// redo (parallel fan-out for ESM/REDO, installs from the WPL table for WPL),
+// then rollback of every transaction the replayed prefix does not commit —
+// which is exactly prefix consistency at the cut LSN.
 func Restore(blobs BlobStore, opts RestoreOptions) (*RestoreResult, error) {
 	boot, err := Bootstrap(blobs, BootstrapOptions{
 		TargetLSN: opts.TargetLSN,

@@ -13,12 +13,13 @@ package server
 //   - PageRebuilder is replay aimed at one page with no server around it:
 //     base image + record stream → the image the stored copy should hold.
 //     Scrub's live-log repair and archive.RepairPage are its two feeders.
-//   - tables.note is the ARIES analysis step (§3.3): what one record does to
-//     the ATT, the DPT and the 2PC decided map. Restart analysis runs it on
-//     private maps; ApplyShipped runs it on the live ones under their mutexes.
-//
-// WPL restart's backward pass (§3.4.3) is a different algorithm — it never
-// replays onto a page — and stays in restart.go.
+//   - tables.note is the analysis step (§3.3, §3.4.3): what one record does to
+//     the ATT, the DPT, the WPL table and the 2PC decided map. Restart runs it
+//     over private maps seeded from the checkpoint (seed), in one forward scan
+//     whatever the mode; ApplyShipped runs it on the live ones under their
+//     mutexes. The WPL table's three transitions — push, mark committed,
+//     unlink — are helpers the live primary's ShipPage, Commit and Abort call
+//     too.
 
 import (
 	"errors"
@@ -234,14 +235,130 @@ func (s *Server) markDirty(pid page.ID, lsn uint64) {
 	s.dptMu.Unlock()
 }
 
+// wplPush links a copy of pid logged at lsn by tid into the WPL table as the
+// page's newest, above whatever was newest before. Insert-if-newer, the rule
+// noteDirty applies to the DPT: a copy the table already holds — it can be in
+// a checkpoint's logged table and in the scan window above it — lands once,
+// and wplPush reports nil. A nil table (ESM/REDO keep none) is a no-op.
+func wplPush(wpl map[page.ID]*wplEntry, pid page.ID, lsn uint64, tid logrec.TID) *wplEntry {
+	head := wpl[pid]
+	if wpl == nil || (head != nil && head.lsn >= lsn) {
+		return nil
+	}
+	e := &wplEntry{pid: pid, lsn: lsn, tid: tid, prev: head}
+	wpl[pid] = e
+	return e
+}
+
+// pushCopy is wplPush for a copy t has just logged (or analysis has just
+// read): the page joins t.wplPages, through which commit and abort find t's
+// copies.
+func (t *txn) pushCopy(wpl map[page.ID]*wplEntry, pid page.ID, lsn uint64) {
+	if wplPush(wpl, pid, lsn, t.tid) != nil {
+		t.wplPages = append(t.wplPages, pid)
+	}
+}
+
+// wplMarkCommitted marks every logged copy of t's pages committed, with the
+// end LSN of t's commit record (an install must not precede its stability).
+// On the live table the caller holds attMu as well as wplMu — the marking
+// belongs to the commit append's critical section.
+func wplMarkCommitted(wpl map[page.ID]*wplEntry, t *txn, commitEnd uint64) {
+	for _, pid := range t.wplPages {
+		for e := wpl[pid]; e != nil; e = e.prev {
+			if e.tid == t.tid {
+				e.committed = true
+				e.commitEnd = commitEnd
+			}
+		}
+	}
+}
+
+// wplUnlink drops t's copies from the table (§3.4.2: abort by ignoring). They
+// sit on top of their chains — t holds its pages' X locks from the first ship
+// to the end — so whatever lay beneath resurfaces as the page's newest copy.
+func wplUnlink(wpl map[page.ID]*wplEntry, t *txn) {
+	for _, pid := range t.wplPages {
+		e := wpl[pid]
+		for e != nil && e.tid == t.tid {
+			e = e.prev
+		}
+		if e == nil {
+			delete(wpl, pid)
+		} else {
+			wpl[pid] = e
+		}
+	}
+}
+
 // tables is the recovery state a log record updates: the active transaction
-// table, the dirty page table (nil under WPL) and the coordinator's decided
-// map. note takes no locks — restart analysis owns private maps, and
-// ApplyShipped holds attMu, decMu and dptMu around the live ones.
+// table, the dirty page table (nil under WPL), the WPL table (nil under
+// ESM/REDO) and the coordinator's decided map. note takes no locks — restart
+// analysis owns private maps, and ApplyShipped holds attMu, decMu and the
+// mode's table mutex around the live ones.
 type tables struct {
 	att     map[logrec.TID]*txn
 	dpt     map[page.ID]dptEntry
+	wpl     map[page.ID]*wplEntry
 	decided map[logrec.TID]decidedTxn
+}
+
+// seed returns the tables as a checkpoint logged them, the state restart's
+// scan advances from its begin LSN; with no checkpoint yet (ckpt nil) they
+// are empty and the scan starts at the log's head.
+func seed(mode Mode, ckpt *ckptPayload) tables {
+	tb := tables{att: make(map[logrec.TID]*txn), decided: make(map[logrec.TID]decidedTxn)}
+	if mode == ModeWPL {
+		tb.wpl = make(map[page.ID]*wplEntry)
+	} else {
+		tb.dpt = make(map[page.ID]dptEntry)
+	}
+	if ckpt == nil {
+		return tb
+	}
+	for _, ct := range ckpt.txns {
+		t := newTxn(ct.tid)
+		t.lastLSN, t.firstLSN = ct.lastLSN, ct.firstLSN
+		tb.att[ct.tid] = t
+	}
+	// Prepared branches whose PREPARE record predates the scan window are
+	// known only through the checkpoint's 2PC trailer.
+	for _, cp := range ckpt.prepared {
+		if t := tb.att[cp.tid]; t != nil {
+			t.prepared = true
+			t.coord = cp.coord
+			t.parts = append([]int(nil), cp.parts...)
+			t.prepLSN = cp.prepLSN
+		}
+	}
+	for _, cd := range ckpt.decided {
+		tb.decided[cd.tid] = decidedTxn{lsn: cd.lsn, parts: append([]int(nil), cd.parts...)}
+	}
+	// Fuzzy checkpoints flush nothing, so a page may have been dirty since
+	// well before the checkpoint — its logged recLSN is the only record of
+	// that, and the scan's insert-if-absent keeps it.
+	for _, d := range ckpt.dpt {
+		noteDirty(tb.dpt, d.pid, d.rec)
+	}
+	// The logged WPL table is sorted by page, then LSN: pushing in that order
+	// rebuilds each chain oldest first.
+	for _, w := range ckpt.wpl {
+		tb.seedCopy(w)
+	}
+	return tb
+}
+
+// seedCopy pushes one entry of a checkpoint's logged WPL table. An
+// uncommitted copy also rejoins its transaction, as note would have it, so a
+// commit or abort record in the scan window finds it.
+func (tb tables) seedCopy(w ckptWPL) {
+	if !w.committed {
+		t := tb.txn(w.tid)
+		t.pageLSN[w.pid] = w.lsn
+		t.pushCopy(tb.wpl, w.pid, w.lsn)
+	} else if e := wplPush(tb.wpl, w.pid, w.lsn, w.tid); e != nil {
+		e.committed = true
+	}
 }
 
 // txn finds or creates tid's ATT entry.
@@ -262,6 +379,9 @@ func (tb tables) note(r *logrec.Record) {
 		t.chain(r.LSN)
 		t.pageLSN[r.Page] = r.LSN
 		noteDirty(tb.dpt, r.Page, r.LSN)
+		if r.Type == logrec.TypePageImage {
+			t.pushCopy(tb.wpl, r.Page, r.LSN)
+		}
 	case logrec.TypePrepare:
 		t := tb.txn(r.TID)
 		t.chain(r.LSN)
@@ -280,6 +400,9 @@ func (tb tables) note(r *logrec.Record) {
 			}
 		}
 	case logrec.TypeCommit:
+		if t := tb.att[r.TID]; t != nil {
+			wplMarkCommitted(tb.wpl, t, r.LSN+uint64(r.EncodedSize()))
+		}
 		delete(tb.att, r.TID)
 	case logrec.TypeEnd:
 		delete(tb.att, r.TID)
@@ -291,6 +414,7 @@ func (tb tables) note(r *logrec.Record) {
 			// The abort decision was delivered: the branch is an ordinary loser
 			// again (its CLRs may be partial), not in doubt.
 			t.prepared = false
+			wplUnlink(tb.wpl, t)
 		}
 	}
 }

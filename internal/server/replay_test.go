@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/disk"
+	"repro/internal/lock"
 	"repro/internal/logrec"
 	"repro/internal/page"
 )
@@ -208,6 +212,244 @@ func TestDecodeCkpt(t *testing.T) {
 	for name, b := range bad {
 		if _, err := decodeCkpt(b); err == nil {
 			t.Fatalf("%s decoded", name)
+		}
+	}
+}
+
+// analysisServer is a WPL server over a store that can refuse one page's
+// writes, so an install can be deferred on demand.
+func analysisServer(fuzzy bool) (*Server, *Session, *failingStore) {
+	store := &failingStore{Store: disk.NewMemStore()}
+	s := New(Config{Mode: ModeWPL, Store: store, PoolPages: 16, LogCapacity: 16 << 20,
+		LockTimeout: time.Second, CheckpointEvery: 1 << 30, FuzzyCheckpoints: fuzzy})
+	return s, s.NewSession(nil, nil), store
+}
+
+// shipCopy opens a transaction that ships a copy of pid with val in slot,
+// and leaves it open.
+func shipCopy(t *testing.T, sn *Session, pid page.ID, slot int, val string) logrec.TID {
+	t.Helper()
+	tid := sn.Begin()
+	data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page.Wrap(data).WriteAt(slot, 0, []byte(val))
+	if err := sn.ShipPage(tid, pid, data); err != nil {
+		t.Fatal(err)
+	}
+	return tid
+}
+
+// chainOf flattens pid's chain in a WPL table, newest first.
+func chainOf(wpl map[page.ID]*wplEntry, pid page.ID) []wplEntry {
+	var out []wplEntry
+	for e := wpl[pid]; e != nil; e = e.prev {
+		c := *e
+		c.prev, c.commitEnd = nil, 0
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestWPLAnalysisAcrossCheckpoint pins restart analysis where the checkpoint
+// and the scan window have to meet: a WPL transaction, or an uninstalled
+// committed copy, that is open across a checkpoint. Each case runs under
+// sharp and fuzzy checkpoints, and every verdict is read again after a second
+// crash and restart — the first restart's closing checkpoint must carry it.
+func TestWPLAnalysisAcrossCheckpoint(t *testing.T) {
+	type env struct {
+		t     *testing.T
+		s     *Server
+		sn    *Session
+		store *failingStore
+		pid   page.ID
+		slot  int
+	}
+	recoverAnd := func(e *env, check func(when string)) {
+		e.t.Helper()
+		for _, when := range []string{"first restart", "second restart"} {
+			e.s.Crash()
+			if err := e.sn.Restart(); err != nil {
+				e.t.Fatalf("%s: %v", when, err)
+			}
+			check(when)
+		}
+	}
+	reads := func(e *env, want string) func(string) {
+		return func(when string) {
+			e.t.Helper()
+			if got := readObject(e.t, e.sn, e.pid, e.slot, len(want)); string(got) != want {
+				e.t.Fatalf("%s: read %q, want %q", when, got, want)
+			}
+		}
+	}
+	ckpt := func(e *env) {
+		e.t.Helper()
+		if err := e.sn.Checkpoint(); err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	// deferInstall commits val with the data disk refusing the page, so the
+	// committed copy stays in the table, then heals the disk.
+	deferInstall := func(e *env, val string) {
+		e.t.Helper()
+		e.store.arm(e.pid)
+		updateObject(e.t, e.sn, e.pid, e.slot, []byte(val), true)
+		e.store.arm(0)
+		if n := e.s.Stats().InstallsDeferred; n != 1 {
+			e.t.Fatalf("InstallsDeferred = %d, want 1", n)
+		}
+	}
+	stored := func(e *env) string {
+		e.t.Helper()
+		buf := make([]byte, page.Size)
+		if err := e.store.ReadPage(e.pid, buf); err != nil {
+			e.t.Fatal(err)
+		}
+		got := make([]byte, 3)
+		if err := page.Wrap(buf).ReadAt(e.slot, 0, got); err != nil {
+			e.t.Fatal(err)
+		}
+		return string(got)
+	}
+
+	// inDoubtAboveDeferred leaves a prepared branch's copy "top" above the
+	// committed, uninstalled copy "mid", with a checkpoint between the two.
+	inDoubtAboveDeferred := func(e *env) logrec.TID {
+		e.t.Helper()
+		deferInstall(e, "mid")
+		ckpt(e)
+		tid := shipCopy(e.t, e.sn, e.pid, e.slot, "top")
+		if err := e.sn.Prepare(tid, 0, []int{0, 1}); err != nil {
+			e.t.Fatal(err)
+		}
+		return tid
+	}
+
+	cases := map[string]func(e *env){
+		// (a) The checkpoint's committed table entry is the only witness of a
+		// copy whose install a disk error deferred.
+		"deferred install rides the checkpoint": func(e *env) {
+			deferInstall(e, "new")
+			ckpt(e)
+			recoverAnd(e, reads(e, "new"))
+		},
+		// (b) Page images below the checkpoint, commit record above it — with
+		// the live install deferred, so only restart can bring the copy home.
+		"commit follows the checkpoint": func(e *env) {
+			tid := shipCopy(e.t, e.sn, e.pid, e.slot, "new")
+			ckpt(e)
+			e.store.arm(e.pid)
+			if err := e.sn.Commit(tid); err != nil {
+				e.t.Fatal(err)
+			}
+			e.store.arm(0)
+			recoverAnd(e, reads(e, "new"))
+		},
+		// (c) A loser whose images the checkpoint logged as table entries.
+		"loser precedes the checkpoint": func(e *env) {
+			shipCopy(e.t, e.sn, e.pid, e.slot, "new")
+			ckpt(e)
+			recoverAnd(e, reads(e, "old"))
+		},
+		// (d) An in-doubt branch's copy above a committed copy still awaiting
+		// install: restart installs the committed one and keeps the branch's
+		// chain with nothing beneath it.
+		"in-doubt copy above an uninstalled committed one, then commit": func(e *env) {
+			tid := inDoubtAboveDeferred(e)
+			recoverAnd(e, func(when string) {
+				e.t.Helper()
+				if got := stored(e); got != "mid" {
+					e.t.Fatalf("%s: the store holds %q, want the committed copy \"mid\"", when, got)
+				}
+				e.s.wplMu.Lock()
+				chain := chainOf(e.s.wpl, e.pid)
+				e.s.wplMu.Unlock()
+				if len(chain) != 1 || chain[0].tid != tid || chain[0].committed {
+					e.t.Fatalf("%s: table chain %+v, want the branch's one uncommitted copy", when, chain)
+				}
+			})
+			if err := e.sn.Decide(tid, true); err != nil {
+				e.t.Fatal(err)
+			}
+			reads(e, "top")("after Decide(commit)")
+			recoverAnd(e, reads(e, "top"))
+		},
+		"in-doubt copy above an uninstalled committed one, then abort": func(e *env) {
+			tid := inDoubtAboveDeferred(e)
+			recoverAnd(e, func(string) {})
+			if err := e.sn.Decide(tid, false); err != nil {
+				e.t.Fatal(err)
+			}
+			reads(e, "mid")("after Decide(abort)")
+			recoverAnd(e, reads(e, "mid"))
+		},
+		// (e) A fuzzy checkpoint racing a ship, built by hand: copy A is in the
+		// snapshot, copy B of a second page is logged between the snapshot's
+		// begin LSN and the checkpoint record. B lands in the table once — also
+		// when a snapshot names it too (the defensive overlap).
+		"copy between the snapshot and the checkpoint record": func(e *env) {
+			tid := shipCopy(e.t, e.sn, e.pid, e.slot, "new")
+			e.s.attMu.Lock()
+			tx := e.s.att[tid]
+			snap := ckptPayload{nextPage: e.s.nextPage, nextTID: e.s.nextTID, beginLSN: e.s.log.End(),
+				txns: []ckptTxn{{tid: tid, lastLSN: tx.lastLSN, firstLSN: tx.firstLSN}},
+				wpl:  []ckptWPL{{pid: e.pid, lsn: tx.lastLSN, tid: tid}}}
+			e.s.attMu.Unlock()
+			pidB, err := e.sn.AllocPage(tid)
+			if err != nil {
+				e.t.Fatal(err)
+			}
+			dataB, slotB := makePage(e.t, pidB, []byte("bee"))
+			if err := e.sn.ShipPage(tid, pidB, dataB); err != nil {
+				e.t.Fatal(err)
+			}
+			lsnB := tx.lastLSN
+			rec := &logrec.Record{Type: logrec.TypeCheckpoint, PrevLSN: logrec.NoLSN, After: snap.encode()}
+			ckptLSN, err := e.s.log.Append(rec)
+			if err != nil {
+				e.t.Fatal(err)
+			}
+			e.s.log.Force()
+			if err := e.s.writeSuperblock(e.sn, snap.masterRecord(ckptLSN)); err != nil {
+				e.t.Fatal(err)
+			}
+			for name, c := range map[string]ckptPayload{"B above the snapshot": snap,
+				"B in the snapshot too": {beginLSN: snap.beginLSN, txns: snap.txns, wpl: append(snap.wpl[:1:1], ckptWPL{pid: pidB, lsn: lsnB, tid: tid})}} {
+				tb := seed(ModeWPL, &c)
+				if err := e.s.log.Scan(c.beginLSN, func(r *logrec.Record) bool { tb.note(r); return true }); err != nil {
+					e.t.Fatal(err)
+				}
+				if a, b := chainOf(tb.wpl, e.pid), chainOf(tb.wpl, pidB); len(a) != 1 || len(b) != 1 || b[0].lsn != lsnB {
+					e.t.Fatalf("%s: chains %+v and %+v, want one entry each", name, a, b)
+				}
+				if pages := tb.att[tid].wplPages; len(pages) != 2 || pages[0] != e.pid || pages[1] != pidB {
+					e.t.Fatalf("%s: wplPages %v, want [%d %d]", name, pages, e.pid, pidB)
+				}
+			}
+			e.store.arm(everyPage) // both installs deferred: restart's to make
+			if err := e.sn.Commit(tid); err != nil {
+				e.t.Fatal(err)
+			}
+			e.store.arm(0)
+			recoverAnd(e, func(when string) {
+				reads(e, "new")(when)
+				if got := readObject(e.t, e.sn, pidB, slotB, 3); string(got) != "bee" {
+					e.t.Fatalf("%s: page B reads %q", when, got)
+				}
+			})
+		},
+	}
+	for name, run := range cases {
+		for _, fuzzy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fuzzy=%v", name, fuzzy), func(t *testing.T) {
+				s, sn, store := analysisServer(fuzzy)
+				defer s.Close()
+				e := &env{t: t, s: s, sn: sn, store: store}
+				e.pid, e.slot = createPage(t, sn, []byte("old"))
+				run(e)
+			})
 		}
 	}
 }

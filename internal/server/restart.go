@@ -7,17 +7,19 @@ package server
 // and the log is truncated below the oldest LSN any active transaction still
 // needs. Restart then runs analysis from the checkpoint, redoes history
 // conditionally on page LSNs, and rolls back losers with CLRs. What a record
-// does to the tables (analysis) and to a page (redo) is replay.go's, and how a
-// page reaches the volume is writeback.go's; this file owns the passes around
-// them — table seeding from the checkpoint, DPT pruning, the fan-out and its
+// does to the tables (analysis, seeded from the checkpoint) and to a page
+// (redo) is replay.go's, and how a page reaches the volume is writeback.go's;
+// this file owns the passes around them — DPT pruning, the fan-out and its
 // metering. Redo is partitioned
 // by page ID across Config.RedoWorkers goroutines — per-page record order is
 // preserved because a page belongs to exactly one worker; undo stays
 // sequential (CLR LSNs must be deterministic).
 //
-// WPL checkpoints write the WPL table to the log (paper §3.4.3); restart is
-// the paper's single backward pass that builds the committed-transactions
-// list, reconstructs the WPL table, and installs the surviving copies.
+// WPL checkpoints write the WPL table to the log (paper §3.4.3); restart runs
+// the same analysis scan, which leaves the WPL table with every copy's fate
+// settled, and installs the newest committed copy of each page. The paper
+// reads that window backwards; reading it forwards builds the same table
+// (DESIGN.md §3).
 //
 // Every entry point here takes the write side of the quiesce gate, so it
 // observes a server with no session operation in flight; the leaf mutexes
@@ -425,26 +427,19 @@ func (c *ckptPayload) masterRecord(ckptLSN uint64) superblock {
 // analysis scan start, any active transaction's first record, any WPL copy
 // still awaiting install, and any dirty page's recLSN (redo starts there).
 func (c *ckptPayload) reclaimHead(ckptLSN uint64) uint64 {
-	head := minUint64(ckptLSN, c.beginLSN)
+	head := min(ckptLSN, c.beginLSN)
 	for _, t := range c.txns {
 		if t.firstLSN != logrec.NoLSN && t.firstLSN < head {
 			head = t.firstLSN
 		}
 	}
 	for _, w := range c.wpl {
-		head = minUint64(head, w.lsn)
+		head = min(head, w.lsn)
 	}
 	for _, d := range c.dpt {
-		head = minUint64(head, d.rec)
+		head = min(head, d.rec)
 	}
 	return head
-}
-
-func minUint64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- crash and restart -----------------------------------------------------
@@ -490,8 +485,8 @@ func (sn *Session) Restart() error {
 		return err
 	}
 	s.allocMu.Lock()
-	s.nextPage = maxPID(s.nextPage, sb.nextPage)
-	s.nextTID = maxTID(s.nextTID, sb.nextTID)
+	s.nextPage = max(s.nextPage, sb.nextPage)
+	s.nextTID = max(s.nextTID, sb.nextTID)
 	s.allocMu.Unlock()
 	if _, ok := s.store.(*disk.Checksummed); ok {
 		// A checksummed volume is verified before any recovery work: every
@@ -543,33 +538,56 @@ func (sn *Session) Restart() error {
 		// Analysis rescans the window between the snapshot capture point and
 		// the record's own append (empty for a sharp checkpoint); the scan
 		// passes over the checkpoint record itself, which analysis ignores.
-		start = minUint64(sb.checkpointLSN, ckpt.beginLSN)
+		start = min(sb.checkpointLSN, ckpt.beginLSN)
 	}
-	// Charge the restart log scan.
+	// Analysis (§3.3, §3.4.3), whatever the mode: the tables as the checkpoint
+	// logged them, advanced record by record over the window above it.
 	sn.meter().LogRead(wal.PagesInRange(start, s.log.StableEnd()))
+	tb := seed(s.cfg.Mode, ckpt)
+	err = s.log.Scan(start, func(r *logrec.Record) bool {
+		tb.note(r)
+		s.bumpAllocFor(r)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	// Whoever is still in the ATT neither committed nor finished rolling back.
+	// In TID order: undo appends CLRs, and their LSNs must be identical run to
+	// run (map iteration is randomized).
+	active := make([]*txn, 0, len(tb.att))
+	for _, t := range tb.att {
+		active = append(active, t)
+	}
+	sort.Slice(active, func(i, j int) bool { return active[i].tid < active[j].tid })
+	// Bring the pages current and dispose of the losers: redo then undo, or
+	// under WPL the installs — a loser's copies are simply never installed.
 	if s.cfg.Mode == ModeWPL {
-		err = s.wplRestartQuiesced(sn, ckpt, start)
+		err = s.wplInstallQuiesced(sn, tb)
 	} else {
-		err = s.ariesRestartQuiesced(sn, ckpt, start)
+		err = s.redoUndoQuiesced(sn, tb, active)
 	}
 	if err != nil {
 		return err
 	}
+	// In doubt: the branch voted yes and the coordinator's outcome is unknown
+	// here. Its pages are current (redo reapplied them; under WPL its copies
+	// stay in the table, off their permanent locations); resurrect the ATT
+	// entry with its locks and leave it — neither committed nor rolled back —
+	// for recovery resolution (presumed abort on a coordinator miss).
+	for _, t := range active {
+		if t.prepared {
+			if err := s.resurrectInDoubt(t, start); err != nil {
+				return err
+			}
+		}
+	}
+	// Install the surviving commit decisions so resolution requests can be
+	// answered as soon as the server is open.
+	s.decMu.Lock()
+	s.decided = tb.decided
+	s.decMu.Unlock()
 	return s.checkpointQuiesced(sn)
-}
-
-func maxPID(a, b page.ID) page.ID {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxTID(a, b logrec.TID) logrec.TID {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // bumpAllocFor advances the allocation counters past a scanned record's ids,
@@ -588,51 +606,11 @@ func (s *Server) bumpAllocFor(r *logrec.Record) {
 	}
 }
 
-// ariesRestartQuiesced runs analysis, redo and undo for ESM/REDO.
-func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64) error {
-	// Analysis: rebuild the transaction table, the dirty page table and the
-	// commit decisions awaiting the forget protocol — each seeded from the
-	// checkpoint, then advanced record by record by the scan (tables.note).
-	att := make(map[logrec.TID]*txn)
-	dpt := make(map[page.ID]dptEntry)
-	decided := make(map[logrec.TID]decidedTxn)
-	if ckpt != nil {
-		for _, ct := range ckpt.txns {
-			t := newTxn(ct.tid)
-			t.lastLSN, t.firstLSN = ct.lastLSN, ct.firstLSN
-			att[ct.tid] = t
-		}
-		// Prepared branches whose PREPARE record predates the scan window are
-		// known only through the checkpoint's 2PC trailer.
-		for _, cp := range ckpt.prepared {
-			if t := att[cp.tid]; t != nil {
-				t.prepared = true
-				t.coord = cp.coord
-				t.parts = append([]int(nil), cp.parts...)
-				t.prepLSN = cp.prepLSN
-			}
-		}
-		for _, cd := range ckpt.decided {
-			decided[cd.tid] = decidedTxn{lsn: cd.lsn, parts: append([]int(nil), cd.parts...)}
-		}
-		// Fuzzy checkpoints flush nothing, so a page may have been dirty since
-		// well before the checkpoint — its logged recLSN is the only record of
-		// that, and the scan's insert-if-absent keeps it.
-		for _, d := range ckpt.dpt {
-			dpt[d.pid] = dptEntry{rec: d.rec, newest: d.rec}
-		}
-	}
-	tb := tables{att: att, dpt: dpt, decided: decided}
-	err := s.log.Scan(start, func(r *logrec.Record) bool {
-		tb.note(r)
-		s.bumpAllocFor(r)
-		return true
-	})
-	if err != nil {
-		return err
-	}
+// redoUndoQuiesced is restart's redo and undo for ESM/REDO, over the tables
+// analysis left and the transactions still active in them, in TID order.
+func (s *Server) redoUndoQuiesced(sn *Session, tb tables, active []*txn) error {
 	redoFrom := logrec.NoLSN
-	for _, e := range dpt {
+	for _, e := range tb.dpt {
 		if redoFrom == logrec.NoLSN || e.rec < redoFrom {
 			redoFrom = e.rec
 		}
@@ -640,55 +618,35 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 	// Redo: repeat history for pages in the DPT, conditional on page LSN,
 	// partitioned by page ID across workers.
 	if redoFrom != logrec.NoLSN {
-		if err := s.redoQuiesced(sn, dpt, redoFrom); err != nil {
+		if err := s.redoQuiesced(sn, tb.dpt, redoFrom); err != nil {
 			return err
 		}
 	} else {
 		s.redoApplied = nil
 	}
-	// Undo losers in TID order: undo appends CLRs, and their LSNs must be
-	// identical run to run (map iteration is randomized).
-	losers := make([]*txn, 0, len(att))
-	for _, t := range att {
-		losers = append(losers, t)
-	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i].tid < losers[j].tid })
-	for _, t := range losers {
+	for _, t := range active {
 		if t.prepared {
-			// In doubt: the branch voted yes and the coordinator's outcome is
-			// unknown here. Redo has already reapplied its pages; resurrect the
-			// ATT entry with its locks and leave it — neither committed nor
-			// rolled back — for recovery resolution (presumed abort on a
-			// coordinator miss).
-			if err := s.resurrectInDoubt(t); err != nil {
-				return err
-			}
-			continue
+			continue // in doubt, not a loser: Restart resurrects it
 		}
+		committed := false
 		if t.lastLSN != logrec.NoLSN {
 			r, err := s.log.ReadAt(t.lastLSN)
 			if err != nil {
 				return fmt.Errorf("server: restart loser check %v at %d: %w", t.tid, t.lastLSN, err)
 			}
-			switch r.Type {
-			case logrec.TypeCommit:
-				// Fuzzy window: the transaction committed — durably, since the
-				// checkpoint record's force covered the earlier commit record —
-				// but its ATT delete raced the snapshot. Not a loser: write the
-				// End its deleter never logged and move on.
-				e := logrec.NewEnd(t.tid)
-				e.PrevLSN = t.lastLSN
-				if _, err := s.log.Append(e); err != nil {
-					return err
-				}
-				continue
-			case logrec.TypeEnd:
-				// Finished rolling back before the snapshot; nothing to undo.
-				continue
+			if r.Type == logrec.TypeEnd {
+				continue // finished rolling back before the snapshot
 			}
+			// Fuzzy window: the transaction committed — durably, since the
+			// checkpoint record's force covered the earlier commit record — but
+			// its ATT delete raced the snapshot. Not a loser: it is owed only
+			// the End its deleter never logged.
+			committed = r.Type == logrec.TypeCommit
 		}
-		if err := s.undo(sn, t, logrec.NoLSN); err != nil {
-			return err
+		if !committed {
+			if err := s.undo(sn, t, logrec.NoLSN); err != nil {
+				return err
+			}
 		}
 		e := logrec.NewEnd(t.tid)
 		e.PrevLSN = t.lastLSN
@@ -697,11 +655,6 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 		}
 	}
 	sn.meter().LogWrite(s.log.Force())
-	// Install the surviving commit decisions so resolution requests can be
-	// answered as soon as the server is open.
-	s.decMu.Lock()
-	s.decided = decided
-	s.decMu.Unlock()
 	// Install the analysis DPT, pruned to frames still dirty after redo and
 	// undo, so the checkpoint that ends restart — and every fuzzy checkpoint
 	// and cleaner pass after it — sees the redone-but-unflushed pages.
@@ -712,21 +665,15 @@ func (s *Server) ariesRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint
 		dirty[pid] = true
 	}
 	s.dptMu.Lock()
-	for pid, e := range dpt {
+	for pid, e := range tb.dpt {
 		if !dirty[pid] {
 			continue
 		}
 		if cur, ok := s.dpt[pid]; ok {
-			if e.rec < cur.rec {
-				cur.rec = e.rec
-			}
-			if e.newest > cur.newest {
-				cur.newest = e.newest
-			}
-			s.dpt[pid] = cur
-		} else {
-			s.dpt[pid] = e
+			e.rec = min(e.rec, cur.rec)
+			e.newest = max(e.newest, cur.newest)
 		}
+		s.dpt[pid] = e
 	}
 	s.dptMu.Unlock()
 	return nil
@@ -834,133 +781,46 @@ func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry, redoFrom ui
 	return nil
 }
 
-// wplRestartQuiesced is the paper's §3.4.3 restart: one backward pass from
-// the end of the log to the most recent checkpoint building the committed
-// transactions list (CTL) and the WPL table, then processing the checkpoint
-// record, then installing every recovered copy.
-func (s *Server) wplRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64) error {
-	ctl := make(map[logrec.TID]bool)
-	table := make(map[page.ID]*wplEntry)
-	// 2PC state (DESIGN.md §16), rebuilt in the same backward pass. A
-	// transaction is in doubt iff its PREPARE record has no Commit/Abort/End
-	// after it — in backward order, iff none of those was seen before the
-	// PREPARE. A decision survives iff no (forget) End follows it.
-	resolved := make(map[logrec.TID]bool) // Commit/Abort/End seen above
-	endSeen := make(map[logrec.TID]bool)
-	indoubt := make(map[logrec.TID]*txn)
-	images := make(map[logrec.TID][]*wplEntry) // in-doubt copies, newest first
-	decided := make(map[logrec.TID]decidedTxn)
-	// The scan runs down to the checkpoint's begin LSN (= start), so copies
-	// logged between the WPL-table snapshot and the record's append are seen
-	// by the pass rather than lost; the checkpoint record itself is ignored by
-	// the switch below.
-	err := s.log.ScanBackward(start, func(r *logrec.Record) bool {
-		s.bumpAllocFor(r)
-		switch r.Type {
-		case logrec.TypeCommit:
-			ctl[r.TID] = true
-			resolved[r.TID] = true
-		case logrec.TypeAbort:
-			resolved[r.TID] = true
-		case logrec.TypeEnd:
-			resolved[r.TID] = true
-			endSeen[r.TID] = true
-		case logrec.TypeDecide:
-			if !endSeen[r.TID] {
-				if _, ok := decided[r.TID]; !ok {
-					if _, parts, perr := logrec.DecodePrepareInfo(r.After); perr == nil {
-						decided[r.TID] = decidedTxn{lsn: r.LSN, parts: parts}
-					}
-				}
+// wplInstallQuiesced brings the volume current under WPL (§3.4.3) from the
+// table analysis left. A copy still uncommitted belongs to a loser and is
+// dropped — abort by ignoring — unless its transaction is prepared. The test
+// is the entry's own flag, never ATT membership: a fuzzy snapshot can catch a
+// committed transaction, copies marked, before its ATT delete. Then the
+// newest committed copy of each page is installed and everything beneath it
+// is obsolete, so what stays in the table is the in-doubt branches' copies,
+// with nothing below the oldest but the store's now-committed image.
+func (s *Server) wplInstallQuiesced(sn *Session, tb tables) error {
+	var installs []*wplEntry
+	for pid, e := range tb.wpl {
+		// Uncommitted copies sit on top of the chain: their writer held the
+		// page's X lock from its first ship on.
+		var kept, oldest *wplEntry
+		for ; e != nil && !e.committed; e = e.prev {
+			if t := tb.att[e.tid]; t == nil || !t.prepared {
+				continue
 			}
-		case logrec.TypePrepare:
-			if !resolved[r.TID] {
-				t := newTxn(r.TID)
-				t.chain(r.LSN)
-				t.prepared, t.prepLSN = true, r.LSN
-				if coord, parts, perr := logrec.DecodePrepareInfo(r.After); perr == nil {
-					t.coord = coord
-					t.parts = parts
-				}
-				indoubt[r.TID] = t
+			if oldest == nil {
+				kept = e
+			} else {
+				oldest.prev = e
 			}
-		case logrec.TypePageImage:
-			if ctl[r.TID] {
-				if _, ok := table[r.Page]; !ok {
-					// Backward scan: first copy seen is the newest committed.
-					table[r.Page] = &wplEntry{pid: r.Page, lsn: r.LSN, tid: r.TID, committed: true}
-				}
-			}
-			if t := indoubt[r.TID]; t != nil {
-				// The PREPARE lies above its images, so the branch is already
-				// known in doubt when its copies stream past.
-				images[r.TID] = append(images[r.TID], &wplEntry{pid: r.Page, lsn: r.LSN, tid: r.TID})
-				t.firstLSN = r.LSN // monotone: the last assignment is the oldest
-			}
+			oldest = e
 		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	// Entries in the checkpoint record pertaining to CTL members or already
-	// marked committed are added (unless superseded).
-	if ckpt != nil {
-		for _, w := range ckpt.wpl {
-			if !w.committed && !ctl[w.tid] {
-				continue
-			}
-			if cur, ok := table[w.pid]; ok && cur.lsn >= w.lsn {
-				continue
-			}
-			table[w.pid] = &wplEntry{pid: w.pid, lsn: w.lsn, tid: w.tid, committed: true}
+		if e != nil {
+			installs = append(installs, e)
 		}
-		// Prepared branches whose PREPARE record predates the scan window are
-		// known only through the checkpoint's 2PC trailer — unless the scan saw
-		// their outcome, in which case they are resolved, not in doubt.
-		for _, cp := range ckpt.prepared {
-			if resolved[cp.tid] {
-				continue
-			}
-			if _, ok := indoubt[cp.tid]; ok {
-				continue
-			}
-			t := newTxn(cp.tid)
-			t.chain(cp.prepLSN)
-			t.prepared, t.prepLSN = true, cp.prepLSN
-			t.coord, t.parts = cp.coord, append([]int(nil), cp.parts...)
-			indoubt[cp.tid] = t
+		if kept == nil {
+			delete(tb.wpl, pid)
+			continue
 		}
-		// In-doubt copies shipped before the snapshot live only in the
-		// checkpointed (uncommitted) table entries.
-		for _, w := range ckpt.wpl {
-			t := indoubt[w.tid]
-			if t == nil || w.committed {
-				continue
-			}
-			images[w.tid] = append(images[w.tid], &wplEntry{pid: w.pid, lsn: w.lsn, tid: w.tid})
-			if w.lsn < t.firstLSN {
-				t.firstLSN = w.lsn
-			}
-		}
-		for _, cd := range ckpt.decided {
-			if endSeen[cd.tid] {
-				continue
-			}
-			if _, ok := decided[cd.tid]; !ok {
-				decided[cd.tid] = decidedTxn{lsn: cd.lsn, parts: append([]int(nil), cd.parts...)}
-			}
-		}
+		oldest.prev = nil
+		tb.wpl[pid] = kept
 	}
 	// Normal processing could resume here; install everything so the log can
 	// be reclaimed by the checkpoint that follows. Installs run in page
 	// order for run-to-run reproducibility.
-	entries := make([]*wplEntry, 0, len(table))
-	for _, e := range table {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].pid < entries[j].pid })
-	for _, e := range entries {
+	sort.Slice(installs, func(i, j int) bool { return installs[i].pid < installs[j].pid })
+	for _, e := range installs {
 		rec, err := s.log.ReadAt(e.lsn)
 		if err != nil {
 			return fmt.Errorf("server: WPL restart install %v: %w", e.pid, err)
@@ -971,49 +831,9 @@ func (s *Server) wplRestartQuiesced(sn *Session, ckpt *ckptPayload, start uint64
 		}
 		atomic.AddInt64(&s.stats.WPLInstalls, 1)
 	}
-	// Resurrect in-doubt branches: rebuild their uncommitted WPL chains (the
-	// no-steal rule keeps these copies off their permanent locations until a
-	// commit decision arrives; reads reload them from the log), re-acquire
-	// their locks, and leave the ATT entries for recovery resolution. Their
-	// firstLSN pins the truncation head, so the images stay readable.
-	tids := make([]logrec.TID, 0, len(indoubt))
-	for tid := range indoubt {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		t := indoubt[tid]
-		ents := images[tid]
-		// Oldest-first = the original ship order; an image seen by both the
-		// scan and the checkpointed table appears twice and is deduped by LSN.
-		sort.Slice(ents, func(i, j int) bool { return ents[i].lsn < ents[j].lsn })
-		byPage := make(map[page.ID]*wplEntry)
-		for _, e := range ents {
-			if cur := byPage[e.pid]; cur != nil && cur.lsn == e.lsn {
-				continue
-			}
-			e.prev = byPage[e.pid] // nil for the oldest: below it is the store's committed copy
-			byPage[e.pid] = e
-			t.wplPages = append(t.wplPages, e.pid)
-			t.pageLSN[e.pid] = e.lsn
-		}
-		s.wplMu.Lock()
-		for pid, head := range byPage {
-			s.wpl[pid] = head
-		}
-		s.wplMu.Unlock()
-		//qslint:allow determinism: in-doubt age reporting only (qsctl 2pc-status); never logged, no control flow depends on it
-		t.prepTime = time.Now()
-		s.attMu.Lock()
-		s.att[tid] = t
-		s.attMu.Unlock()
-		if err := s.relockInDoubt(t); err != nil {
-			return err
-		}
-	}
-	s.decMu.Lock()
-	s.decided = decided
-	s.decMu.Unlock()
+	s.wplMu.Lock()
+	s.wpl = tb.wpl
+	s.wplMu.Unlock()
 	return nil
 }
 

@@ -991,9 +991,8 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 		return err
 	}
 	t.chain(lsn)
-	t.wplPages = append(t.wplPages, pid)
 	s.wplMu.Lock()
-	s.wpl[pid] = &wplEntry{pid: pid, lsn: lsn, tid: t.tid, prev: s.wpl[pid]}
+	t.pushCopy(s.wpl, pid, lsn)
 	s.wplMu.Unlock()
 	s.attMu.Unlock()
 	sn.m.LogWriteAsync(s.log.ForceFull())
@@ -1066,7 +1065,9 @@ func (sn *Session) Commit(tid logrec.TID) error {
 	}
 	t.lastLSN = c.LSN
 	if s.cfg.Mode == ModeWPL {
-		s.wplMarkCommitted(t, c.LSN+uint64(c.EncodedSize()))
+		s.wplMu.Lock()
+		wplMarkCommitted(s.wpl, t, c.LSN+uint64(c.EncodedSize()))
+		s.wplMu.Unlock()
 	}
 	s.attMu.Unlock()
 	sn.commitWait(c)
@@ -1148,22 +1149,6 @@ const pressureRearmFraction = 8
 
 // logPressure: more than half full, where a commit checkpoints early.
 func (s *Server) logPressure() bool { return s.log.Used() > s.log.Capacity()/2 }
-
-// wplMarkCommitted marks every logged copy of t's pages committed, with the
-// end LSN of its commit record (installers force up to it). Caller holds
-// attMu — the marking belongs to the commit append's critical section.
-func (s *Server) wplMarkCommitted(t *txn, commitEnd uint64) {
-	s.wplMu.Lock()
-	for _, pid := range t.wplPages {
-		for e := s.wpl[pid]; e != nil; e = e.prev {
-			if e.tid == t.tid {
-				e.committed = true
-				e.commitEnd = commitEnd
-			}
-		}
-	}
-	s.wplMu.Unlock()
-}
 
 // wplCommit installs the transaction's logged pages whose entries are chain
 // heads (the asynchronous installer of §3.4.2 — inline here unless
@@ -1275,7 +1260,12 @@ func (sn *Session) Abort(tid logrec.TID) error {
 		err = aerr
 	}
 	if s.cfg.Mode == ModeWPL {
-		s.wplAbort(sn, t)
+		// The aborting transaction still holds its X locks, so no one else
+		// can be shipping these pages.
+		s.wplMu.Lock()
+		wplUnlink(s.wpl, t)
+		s.wplMu.Unlock()
+		s.wplAborted(sn, t)
 	} else if err == nil {
 		err = s.undo(sn, t, logrec.NoLSN)
 	}
@@ -1294,38 +1284,23 @@ func (sn *Session) Abort(tid logrec.TID) error {
 	return err
 }
 
-// wplAbort unlinks the aborting transaction's copies from the WPL table. If
-// an older committed copy resurfaces as chain head, it is installed so its
-// log space can eventually be reclaimed. The aborting transaction still
-// holds its X locks, so no one else can be shipping these pages.
-func (s *Server) wplAbort(sn *Session, t *txn) {
+// wplAborted is what an abort owes beyond the table, once t's copies are
+// unlinked: the cached copy in the pool is the aborted version, so it is
+// dropped, and an older committed copy that resurfaced as chain head is
+// installed so its log space can eventually be reclaimed.
+func (s *Server) wplAborted(sn *Session, t *txn) {
 	for _, pid := range t.wplPages {
-		s.wplMu.Lock()
-		head := s.wpl[pid]
-		// Remove t's entries from the chain.
-		var keep *wplEntry
-		for e := head; e != nil; e = e.prev {
-			if e.tid != t.tid {
-				keep = e
-				break
-			}
-		}
-		if keep == nil {
-			delete(s.wpl, pid)
-		} else {
-			s.wpl[pid] = keep
-		}
-		gen := s.wplGen
-		s.wplMu.Unlock()
-		// The cached copy in the pool is the aborted version; drop it.
 		sh := s.pool.Lock(pid)
 		if f := sh.Peek(pid); f != nil {
 			sh.MarkClean(pid)
 			sh.Remove(pid)
 		}
 		sh.Unlock()
-		if keep != nil && keep.committed {
-			s.installHead(sn, pid, keep, gen)
+		s.wplMu.Lock()
+		head, gen := s.wpl[pid], s.wplGen
+		s.wplMu.Unlock()
+		if head != nil && head.committed {
+			s.installHead(sn, pid, head, gen)
 		}
 	}
 }

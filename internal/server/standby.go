@@ -38,10 +38,10 @@ func (s *Server) Standby() bool { return s.standby.Load() }
 // original LSN (or recognized as already present, when a cold bootstrap
 // restored part of the stream from the archive) and its effect is applied
 // through the same code restart uses (replay.go): tables.note mirrors the
-// primary's ATT/DPT/decided bookkeeping, and updates run through the
-// pageLSN-conditional redo. What stays here is what only a live standby has:
-// the append-at-LSN, the WPL table (WPL restart rebuilds it backwards, so it
-// has no forward analysis to share), and checkpoint records, which
+// primary's ATT/DPT/WPL-table/decided bookkeeping, and updates run through
+// the pageLSN-conditional redo. What stays here is what only a live standby
+// has: the append-at-LSN, what a WPL commit or abort owes beyond the table
+// (installs, dropping the aborted frame), and checkpoint records, which
 // additionally mirror the master-record write and the primary's log
 // reclamation so the standby's ring never fills. The caller is responsible
 // for forcing the log (batch-wise) before reporting the records as applied.
@@ -84,33 +84,20 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 			return err
 		}
 	}
-	t := s.att[r.TID] // the WPL arms below outlive note's retiring of a committed entry
+	t := s.att[r.TID] // the WPL side effects below outlive note's retiring of a committed entry
+	// Each mode keeps one page table and one mutex for it: the DPT, or under
+	// WPL — where installs, not redo, bring pages home — the WPL table. A
+	// shipped page image is not cached or written home: the no-steal rule
+	// stands, and reads reload the newest copy from the log.
+	tb, mu := tables{att: s.att, dpt: s.dpt, decided: s.decided}, &s.dptMu
+	if wpl {
+		tb, mu = tables{att: s.att, wpl: s.wpl, decided: s.decided}, &s.wplMu
+	}
 	s.decMu.Lock()
-	s.dptMu.Lock()
-	tb := tables{att: s.att, dpt: s.dpt, decided: s.decided}
-	if wpl {
-		tb.dpt = nil // WPL keeps no DPT: installs, not redo, bring pages home
-	}
+	mu.Lock()
 	tb.note(r)
-	s.dptMu.Unlock()
+	mu.Unlock()
 	s.decMu.Unlock()
-	if wpl {
-		switch r.Type {
-		case logrec.TypePageImage:
-			// Mirrors wplShip. The image is not cached or written home — the
-			// no-steal rule stands, and reads reload the newest copy from the
-			// log until its commit record arrives.
-			t = s.att[r.TID]
-			t.wplPages = append(t.wplPages, r.Page)
-			s.wplMu.Lock()
-			s.wpl[r.Page] = &wplEntry{pid: r.Page, lsn: r.LSN, tid: r.TID, prev: s.wpl[r.Page]}
-			s.wplMu.Unlock()
-		case logrec.TypeCommit:
-			if t != nil {
-				s.wplMarkCommitted(t, r.LSN+size)
-			}
-		}
-	}
 	s.attMu.Unlock()
 	// Track the primary's allocation frontier as analysis does, so the
 	// scrubber covers replicated pages and promotion starts from the right
@@ -134,9 +121,9 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 		}
 	case logrec.TypeAbort:
 		// ESM/REDO: the primary's undo arrives as CLRs in the stream; under
-		// WPL abort-by-ignoring unlinks the copies here, as on the primary.
+		// WPL note has unlinked the copies, as Abort does on the primary.
 		if wpl && t != nil {
-			s.wplAbort(sn, t)
+			s.wplAborted(sn, t)
 		}
 	case logrec.TypeCheckpoint:
 		return s.applyShippedCheckpoint(sn, r)
@@ -178,24 +165,20 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 	}
 	atomic.AddInt64(&s.stats.Checkpoints, 1)
 	s.allocMu.Lock()
-	s.nextPage = maxPID(s.nextPage, c.nextPage)
-	s.nextTID = maxTID(s.nextTID, c.nextTID)
+	s.nextPage = max(s.nextPage, c.nextPage)
+	s.nextTID = max(s.nextTID, c.nextTID)
 	s.allocMu.Unlock()
 	if s.cfg.Mode == ModeWPL {
 		// Copies committed before the replicated stream began (a cold
 		// bootstrap) have no commit record in the stream; the checkpoint's
 		// logged table is the only witness. Merge them — unless a newer copy
 		// from the stream supersedes — so standby reads reload the committed
-		// version; promotion's Restart performs the same merge itself.
+		// version; promotion's Restart seeds its table the same way.
 		s.wplMu.Lock()
 		for _, w := range c.wpl {
-			if !w.committed {
-				continue
+			if w.committed {
+				tables{wpl: s.wpl}.seedCopy(w)
 			}
-			if cur := s.wpl[w.pid]; cur != nil && cur.lsn >= w.lsn {
-				continue
-			}
-			s.wpl[w.pid] = &wplEntry{pid: w.pid, lsn: w.lsn, tid: w.tid, committed: true}
 		}
 		s.wplMu.Unlock()
 	}
@@ -224,14 +207,53 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 	}
 	s.dptMu.Lock()
 	for _, e := range s.dpt {
-		head = minUint64(head, e.rec)
+		head = min(head, e.rec)
 	}
 	s.dptMu.Unlock()
+	head = s.wplHoldBelow(sn, head)
 	s.redo.Set(head)
 	if head > s.log.Head() {
 		return s.log.Truncate(head)
 	}
 	return nil
+}
+
+// wplHoldBelow is the WPL twin of the orphan drain above: copies the primary
+// has installed are out of its logged table, but an install here may have
+// been deferred by a disk error or still be queued, leaving the standby's
+// table naming a copy below head. Committed chain heads reaching below head
+// are installed now; the log is then held at whatever the table still names —
+// a copy the disk refused again, an open transaction's — as the primary's own
+// head stops at its oldest table entry.
+func (s *Server) wplHoldBelow(sn *Session, head uint64) uint64 {
+	s.wplMu.Lock()
+	gen := s.wplGen
+	var owed []*wplEntry
+	for _, e := range s.wpl {
+		if e.committed && wplOldest(e) < head {
+			owed = append(owed, e)
+		}
+	}
+	s.wplMu.Unlock()
+	sort.Slice(owed, func(i, j int) bool { return owed[i].pid < owed[j].pid })
+	for _, e := range owed {
+		s.installHead(sn, e.pid, e, gen)
+	}
+	s.wplMu.Lock()
+	for _, e := range s.wpl {
+		head = min(head, wplOldest(e))
+	}
+	s.wplMu.Unlock()
+	return head
+}
+
+// wplOldest returns the lowest LSN in e's chain — pushes ascend, so the
+// bottom entry's: the log may not be reclaimed past it while the chain stands.
+func wplOldest(e *wplEntry) uint64 {
+	for e.prev != nil {
+		e = e.prev
+	}
+	return e.lsn
 }
 
 // Promote ends standby mode: the server discards its volatile state and runs

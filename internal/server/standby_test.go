@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/lock"
 	"repro/internal/logrec"
 	"repro/internal/page"
 	"repro/internal/wal"
@@ -68,6 +69,41 @@ func (pr *replPair) ship(t *testing.T) {
 	pr.cursor = next
 	pr.hold.Set(next)
 	pr.s.log.Force()
+	if pr.s.cfg.Mode == ModeWPL && pr.s.Stats().Checkpoints == 0 {
+		pr.checkWPLMirror(t)
+	}
+}
+
+// checkWPLMirror: the standby's live WPL table is what restart analysis would
+// build from the standby's own log — seed(nil) + note over every record —
+// minus what the live standby has already installed: an install drops a
+// chain from its committed head down, so the live chain is the analysis
+// chain's top, cut (if at all) just above a committed entry. Holds until the
+// first mirrored checkpoint reclaims the log analysis would need.
+func (pr *replPair) checkWPLMirror(t *testing.T) {
+	t.Helper()
+	tb := seed(ModeWPL, nil)
+	if err := pr.s.log.Scan(pr.s.log.Head(), func(r *logrec.Record) bool { tb.note(r); return true }); err != nil {
+		t.Fatal(err)
+	}
+	pr.s.wplMu.Lock()
+	defer pr.s.wplMu.Unlock()
+	for pid := range pr.s.wpl {
+		if tb.wpl[pid] == nil {
+			t.Fatalf("live table names P%d, analysis of the standby's log does not", pid)
+		}
+	}
+	for pid := range tb.wpl {
+		live, want := chainOf(pr.s.wpl, pid), chainOf(tb.wpl, pid)
+		if len(live) > len(want) || (len(live) < len(want) && !want[len(live)].committed) {
+			t.Fatalf("P%d: live chain %+v, analysis chain %+v", pid, live, want)
+		}
+		for i := range live {
+			if live[i] != want[i] {
+				t.Fatalf("P%d: live chain %+v, analysis chain %+v", pid, live, want)
+			}
+		}
+	}
 }
 
 // TestStandbyApplyAndPromote drives a committed and an in-flight transaction
@@ -380,4 +416,107 @@ func TestStandbyReadsConcurrentWithApply(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// failingStore rejects writes of one page — or, armed with everyPage, of
+// every data page — while armed; superblock writes always go through.
+type failingStore struct {
+	disk.Store
+	mu   sync.Mutex
+	fail page.ID // 0 = healthy
+}
+
+const everyPage = ^page.ID(0)
+
+func (f *failingStore) arm(pid page.ID) {
+	f.mu.Lock()
+	f.fail = pid
+	f.mu.Unlock()
+}
+
+func (f *failingStore) WritePage(id page.ID, data []byte) error {
+	f.mu.Lock()
+	fail := f.fail
+	f.mu.Unlock()
+	if id != superblockPage && (id == fail || fail == everyPage) {
+		return errors.New("failingStore: injected write error")
+	}
+	return f.Store.WritePage(id, data)
+}
+
+// TestStandbyWPLKeepsUninstalledCopyAcrossShippedCheckpoint: the standby's
+// install of a committed copy is deferred by a disk error while the primary's
+// succeeds, so the primary's next checkpoint logs an empty WPL table. The
+// standby must not reclaim its log past the copy its own table still names —
+// reads reload it from there — and must retry the install when it mirrors a
+// checkpoint, so the copy is home before the log moves on and a promotion
+// finds the committed value.
+func TestStandbyWPLKeepsUninstalledCopyAcrossShippedCheckpoint(t *testing.T) {
+	store := &failingStore{Store: disk.NewMemStore()}
+	pr := newReplPair(t, ModeWPL, Config{}, Config{Store: store})
+	defer pr.p.Close()
+	defer pr.s.Close()
+	read := func(when string, want string) {
+		t.Helper()
+		tid := pr.ssn.Begin()
+		defer pr.ssn.Commit(tid)
+		data, err := pr.ssn.ReadPage(tid, 1, lock.Shared)
+		if err != nil {
+			t.Errorf("%s: %v", when, err)
+			return
+		}
+		if got := make([]byte, len(want)); page.Wrap(data).ReadAt(0, 0, got) != nil || string(got) != want {
+			t.Errorf("%s: read %q, want %q", when, got, want)
+		}
+	}
+
+	pid, slot := createPage(t, pr.psn, []byte("old value"))
+	if pid != 1 || slot != 0 {
+		t.Fatalf("created P%d slot %d, want P1 slot 0", pid, slot)
+	}
+	pr.ship(t)
+	store.arm(pid)
+	updateObject(t, pr.psn, pid, slot, []byte("new value"), true)
+	pr.ship(t)
+	if n := pr.s.Stats().InstallsDeferred; n != 1 {
+		t.Fatalf("InstallsDeferred = %d, want 1", n)
+	}
+	pr.s.wplMu.Lock()
+	e := pr.s.wpl[pid]
+	pr.s.wplMu.Unlock()
+	if e == nil || !e.committed {
+		t.Fatalf("the deferred install left table entry %+v, want the committed copy", e)
+	}
+
+	// The primary installed its copy, so its checkpoint logs an empty table;
+	// a few commits first, so the checkpoint's own head lies well above e.
+	for i := 0; i < 2; i++ {
+		createPage(t, pr.psn, []byte("filler"))
+	}
+	if err := pr.psn.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pr.ship(t) // the standby retries the install: still failing
+	pr.s.wplMu.Lock()
+	still := pr.s.wpl[pid] == e
+	pr.s.wplMu.Unlock()
+	if !still {
+		t.Fatal("the entry left the table although its install cannot have succeeded")
+	}
+	if head := pr.s.log.Holders().Head; head > e.lsn {
+		t.Errorf("standby log head %d passed the uninstalled copy at %d", head, e.lsn)
+	}
+	read("standby read across the shipped checkpoint", "new value")
+
+	// The disk heals; the next mirrored checkpoint brings the copy home.
+	store.arm(0)
+	createPage(t, pr.psn, []byte("filler"))
+	if err := pr.psn.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pr.ship(t)
+	if err := pr.ssn.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	read("read after promotion", "new value")
 }

@@ -17,9 +17,9 @@ package server
 //	         itself (presumed abort), the branches just roll back.
 //
 // A branch that crashes between Prepare and Decide restarts in doubt: restart
-// analysis resurrects its ATT entry with locks held (internal/server/
-// restart.go), and ResolveInDoubt answers the router's recovery resolution —
-// present in decided means commit, absent means presumed abort.
+// resurrects its ATT entry with locks held (resurrectInDoubt), and
+// ResolveInDoubt answers the router's recovery resolution — present in
+// decided means commit, absent means presumed abort.
 
 import (
 	"fmt"
@@ -262,34 +262,38 @@ func (s *Server) InDoubt() []InDoubtTxn {
 func (sn *Session) InDoubt() []InDoubtTxn { return sn.s.InDoubt() }
 
 // resurrectInDoubt installs an in-doubt branch discovered by restart analysis
-// (ESM/REDO path) into the live ATT with its locks held. The branch's page
-// set is rebuilt by walking its PrevLSN chain — every record of an active
-// branch is at or above the truncation head, so the walk cannot fall off the
-// log — which covers branches seeded from a checkpoint's 2PC trailer whose
-// updates predate the analysis scan window. Caller holds gate.W.
-func (s *Server) resurrectInDoubt(t *txn) error {
-	cur := t.lastLSN
+// into the live ATT and re-acquires its exclusive page locks before new
+// sessions are admitted, so the branch keeps isolating its uncommitted pages
+// (redo-reapplied, or under WPL off their permanent locations) until
+// resolution. Analysis, which scanned from start, has noted in t.pageLSN every
+// page the branch logged inside that window or a checkpoint's WPL table
+// names; for a branch that began below it, seeded from the checkpoint's ATT
+// and 2PC trailer, the rest of the page set is rebuilt by walking its PrevLSN
+// chain — every record of an active branch is at or above the truncation
+// head, so the walk cannot fall off the log. Caller holds gate.W, so every
+// lock acquisition is immediate.
+func (s *Server) resurrectInDoubt(t *txn, start uint64) error {
+	cur := logrec.NoLSN
+	if t.firstLSN < start {
+		cur = t.lastLSN
+	}
 	for cur != logrec.NoLSN {
 		r, err := s.log.ReadAt(cur)
 		if err != nil {
 			return fmt.Errorf("server: in-doubt %v page walk at %d: %w", t.tid, cur, err)
 		}
 		switch r.Type {
-		case logrec.TypeUpdate, logrec.TypePageImage:
+		case logrec.TypeUpdate, logrec.TypePageImage, logrec.TypeCLR:
 			if _, ok := t.pageLSN[r.Page]; !ok {
 				t.pageLSN[r.Page] = r.LSN // newest first: keep the first seen
 			}
-			cur = r.PrevLSN
-		case logrec.TypeCLR:
+		}
+		cur = r.PrevLSN
+		if r.Type == logrec.TypeCLR {
 			// Partial rollback before the prepare: the CLR's page matches the
 			// undone update's, so recording it and skipping via UndoNext still
 			// covers every touched page.
-			if _, ok := t.pageLSN[r.Page]; !ok {
-				t.pageLSN[r.Page] = r.LSN
-			}
 			cur = r.UndoNext
-		default:
-			cur = r.PrevLSN
 		}
 	}
 	//qslint:allow determinism: in-doubt age reporting only (qsctl 2pc-status); never logged, no control flow depends on it
@@ -297,23 +301,9 @@ func (s *Server) resurrectInDoubt(t *txn) error {
 	s.attMu.Lock()
 	s.att[t.tid] = t
 	s.attMu.Unlock()
-	return s.relockInDoubt(t)
-}
-
-// relockInDoubt re-acquires an in-doubt branch's exclusive page locks at
-// restart, before new sessions are admitted, so the branch keeps isolating
-// its uncommitted (redo-reapplied) pages until resolution. The server is
-// quiesced, so every acquisition is immediate. Caller holds gate.W.
-func (s *Server) relockInDoubt(t *txn) error {
 	pids := make([]page.ID, 0, len(t.pageLSN))
 	for pid := range t.pageLSN {
 		pids = append(pids, pid)
-	}
-	for _, pid := range t.wplPages {
-		if _, ok := t.pageLSN[pid]; !ok {
-			pids = append(pids, pid)
-			t.pageLSN[pid] = t.prepLSN
-		}
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	for _, pid := range pids {

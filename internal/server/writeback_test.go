@@ -146,7 +146,9 @@ func TestWPLInstallWaitsForCommitRecord(t *testing.T) {
 	c.PrevLSN = tx.lastLSN
 	_, err := s.log.Append(c)
 	commitEnd := c.LSN + uint64(c.EncodedSize())
-	s.wplMarkCommitted(tx, commitEnd)
+	s.wplMu.Lock()
+	wplMarkCommitted(s.wpl, tx, commitEnd)
+	s.wplMu.Unlock()
 	s.attMu.Unlock()
 	if err != nil {
 		t.Fatal(err)

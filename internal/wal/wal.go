@@ -843,27 +843,6 @@ func (l *Log) ScanFrom(from uint64, cancel <-chan struct{}, fn func(*logrec.Reco
 	}
 }
 
-// ScanBackward collects every stable record in [from, StableEnd) and calls
-// fn from the newest to the oldest, stopping early if fn returns false. This
-// is the access pattern of WPL restart (paper §3.4.3); the caller charges
-// the log disk for the pages touched. Records are cloned out of Scan's
-// shared decode buffer, so (unlike Scan) they remain valid after fn returns.
-func (l *Log) ScanBackward(from uint64, fn func(*logrec.Record) bool) error {
-	var recs []*logrec.Record
-	if err := l.Scan(from, func(r *logrec.Record) bool {
-		recs = append(recs, r.Clone())
-		return true
-	}); err != nil {
-		return err
-	}
-	for i := len(recs) - 1; i >= 0; i-- {
-		if !fn(recs[i]) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // PagesInRange returns the number of 8 KB log pages overlapping [from, to),
 // for disk-cost accounting of scans.
 func PagesInRange(from, to uint64) int {

@@ -113,25 +113,6 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestScanBackward(t *testing.T) {
-	l := New(1 << 20)
-	for i := 0; i < 5; i++ {
-		l.Append(upd(logrec.TID(i), 1, 8))
-	}
-	l.Force()
-	var tids []logrec.TID
-	l.ScanBackward(l.Head(), func(r *logrec.Record) bool {
-		tids = append(tids, r.TID)
-		return true
-	})
-	want := []logrec.TID{4, 3, 2, 1, 0}
-	for i := range want {
-		if tids[i] != want[i] {
-			t.Fatalf("backward order %v", tids)
-		}
-	}
-}
-
 func TestTruncateReclaimsSpace(t *testing.T) {
 	l := New(8192) // fits three ~2 KB records
 	var lsns []uint64
