@@ -75,9 +75,10 @@ race:
 
 # The concurrency surface (group commit, sharded pool sessions, async WPL
 # installer and the install-before-commit-force window, parallel redo, WPL
-# restart analysis across sharp and fuzzy checkpoints) under the race detector.
+# restart analysis across sharp and fuzzy checkpoints, the live tables checked
+# against analysis of the log after every call) under the race detector.
 race-concurrent:
-	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestParallelRedo' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestParallelRedo|TestLiveTables' -count=1
 
 # Archive round-trip (segment/backup framing, truncation gate with batches
 # in flight, restore re-runnability, corruption detection) under -race.
@@ -131,9 +132,11 @@ bench-repl:
 	$(GO) run ./cmd/benchcommit -repl -out BENCH_repl.json
 
 # The sharding router and cross-shard 2PC paths under the race detector
-# (DESIGN.md §16).
+# (DESIGN.md §16), and Decide racing checkpoints, a crash and its own
+# re-delivery on one shard (§2.5).
 race-shard:
 	$(GO) test -race ./internal/shard/ -count=1
+	$(GO) test -race ./internal/server/ -run 'TestDecideRaces|TestRedeliveredDecide' -count=1
 
 # Scale-out throughput 1..4 shards, disjoint vs 10%-cross-shard mixes,
 # writing BENCH_shard.json (DESIGN.md §16).

@@ -13,7 +13,7 @@ import (
 // drop loses a log-append failure: the caller would report commit success
 // for a record that never reached the log.
 func drop(log *wal.Log, r *logrec.Record) {
-	log.Append(r) // want "discarded"
+	log.Append(r) // want "discarded" "only through the logging step"
 }
 
 // lag loses an archiver drain failure: the archive silently stops keeping

@@ -12,6 +12,14 @@ package lint
 // §2.4) is the one path from a page image to the volume, so WritePage is
 // legal only in its two store-write functions, by name.
 //
+// The logging step (DESIGN.md §2.5) is fenced the same way: inside
+// internal/server a record enters the log through logAndNote — which also
+// advances the recovery tables, in the same attMu section — or, for a
+// checkpoint record, through checkpointCore; wal.Append anywhere else is a
+// record the tables never saw. And the two table facts a crash must not find
+// half-written, a branch's prepared flag and a decided entry, are assigned
+// only in replay.go, where note lives.
+//
 // Rule B (write-ahead order within a function): a page write followed later
 // in the same body by a wal.Append, with no log force between them, is the
 // classic inverted ordering — the log record describing (or following) the
@@ -24,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 )
 
@@ -66,6 +75,16 @@ var poolMutators = map[string]bool{
 // serverStoreWriters are the functions of internal/server that may call
 // WritePage: the data-page write and the master-record write of writeback.go.
 var serverStoreWriters = map[string]bool{"storeWrite": true, "writeSuperblock": true}
+
+// serverLogAppenders are the functions of internal/server that may call
+// wal.Append: the logging step of replay.go (logAndNote is a precondition-free
+// call of logAndNoteIf, which holds the append), and the checkpoint record's
+// own append.
+var serverLogAppenders = map[string]bool{"logAndNoteIf": true, "checkpointCore": true}
+
+// noteFile is the file of internal/server that may assign txn.prepared and
+// insert into a decided map.
+const noteFile = "replay.go"
 
 const (
 	wdWrite = iota
@@ -111,7 +130,26 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 					pos  token.Pos
 				}
 				var evs []ev
+				inNoteFile := filepath.Base(m.Fset.Position(file.Pos()).Filename) == noteFile
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok && inServer && !inNoteFile {
+						// txn and decidedTxn are the analysed package's own types.
+						for _, lhs := range as.Lhs {
+							switch l := lhs.(type) {
+							case *ast.SelectorExpr:
+								if xt := pkg.Info.TypeOf(l.X); l.Sel.Name == "prepared" && xt != nil && namedIn(xt, pkg.Path, "txn") {
+									report(pkg, l.Pos(), "assignment to txn.prepared in %s: a branch's prepared flag changes only in tables.note (%s), inside the critical section of the record that changes it — a flag cleared on its own is the Decide window (DESIGN.md §2.5)", fd.Name.Name, noteFile)
+								}
+							case *ast.IndexExpr:
+								if xt := pkg.Info.TypeOf(l.X); xt != nil {
+									if mt, ok := xt.Underlying().(*types.Map); ok && namedIn(mt.Elem(), pkg.Path, "decidedTxn") {
+										report(pkg, l.Pos(), "insert into the decided map in %s: a commit decision is entered only by tables.note (%s), with its DECIDE record", fd.Name.Name, noteFile)
+									}
+								}
+							}
+						}
+						return true
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
@@ -137,6 +175,9 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 					case (name == "Force" || name == "ForceFull" || name == "CommitWait") && isNamedType(recvT, walPath, "Log"):
 						evs = append(evs, ev{wdForce, call.Pos()})
 					case name == "Append" && isNamedType(recvT, walPath, "Log"):
+						if inServer && !serverLogAppenders[fd.Name.Name] {
+							report(pkg, call.Pos(), "wal.Append in %s: inside the server a record enters the log only through the logging step (logAndNote, which advances the recovery tables in the same attMu section) or checkpointCore", fd.Name.Name)
+						}
 						evs = append(evs, ev{wdAppend, call.Pos()})
 					case poolMutators[name] && !poolOK &&
 						(isNamedType(recvT, bufPath, "Pool") || isNamedType(recvT, bufPath, "Sharded") || isNamedType(recvT, bufPath, "PoolShard")):

@@ -13,17 +13,19 @@ package server
 //   - PageRebuilder is replay aimed at one page with no server around it:
 //     base image + record stream → the image the stored copy should hold.
 //     Scrub's live-log repair and archive.RepairPage are its two feeders.
-//   - tables.note is the analysis step (§3.3, §3.4.3): what one record does to
-//     the ATT, the DPT, the WPL table and the 2PC decided map. Restart runs it
-//     over private maps seeded from the checkpoint (seed), in one forward scan
-//     whatever the mode; ApplyShipped runs it on the live ones under their
-//     mutexes. The WPL table's three transitions — push, mark committed,
-//     unlink — are helpers the live primary's ShipPage, Commit and Abort call
-//     too.
+//   - tables is the recovery state — the ATT, the DPT, the WPL table and the
+//     2PC decided map — as one value with three operations (DESIGN.md §2.5):
+//     seed (checkpoint → tables), note (record → tables: the analysis step of
+//     §3.3 and §3.4.3) and snapshot (tables → checkpoint). Restart runs seed
+//     and note over a private value, in one forward scan whatever the mode,
+//     and then makes it the server's; a live server — primary or standby —
+//     embeds one and advances it through logAndNote, the only way a
+//     transactional record enters its log.
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -261,8 +263,6 @@ func (t *txn) pushCopy(wpl map[page.ID]*wplEntry, pid page.ID, lsn uint64) {
 
 // wplMarkCommitted marks every logged copy of t's pages committed, with the
 // end LSN of t's commit record (an install must not precede its stability).
-// On the live table the caller holds attMu as well as wplMu — the marking
-// belongs to the commit append's critical section.
 func wplMarkCommitted(wpl map[page.ID]*wplEntry, t *txn, commitEnd uint64) {
 	for _, pid := range t.wplPages {
 		for e := wpl[pid]; e != nil; e = e.prev {
@@ -293,9 +293,9 @@ func wplUnlink(wpl map[page.ID]*wplEntry, t *txn) {
 
 // tables is the recovery state a log record updates: the active transaction
 // table, the dirty page table (nil under WPL), the WPL table (nil under
-// ESM/REDO) and the coordinator's decided map. note takes no locks — restart
-// analysis owns private maps, and ApplyShipped holds attMu, decMu and the
-// mode's table mutex around the live ones.
+// ESM/REDO) and the coordinator's decided map. Its methods take no locks:
+// restart analysis owns a private value, and around the server's embedded one
+// logAndNote, checkpointCore and install hold the mutexes.
 type tables struct {
 	att     map[logrec.TID]*txn
 	dpt     map[page.ID]dptEntry
@@ -361,6 +361,49 @@ func (tb tables) seedCopy(w ckptWPL) {
 	}
 }
 
+// snapshot is seed's inverse: the tables as a checkpoint logs them — the ATT
+// with the prepared branches' 2PC trailer, the decided map, every DPT entry's
+// recLSN and every WPL chain entry. Entries come out in map order; encode
+// sorts them.
+func (tb tables) snapshot() ckptPayload {
+	var c ckptPayload
+	for _, t := range tb.att {
+		c.txns = append(c.txns, ckptTxn{tid: t.tid, lastLSN: t.lastLSN, firstLSN: t.firstLSN})
+		if t.prepared {
+			c.prepared = append(c.prepared, ckptPrepared{tid: t.tid, prepLSN: t.prepLSN, coord: t.coord, parts: append([]int(nil), t.parts...)})
+		}
+	}
+	for tid, d := range tb.decided {
+		c.decided = append(c.decided, ckptDecided{tid: tid, lsn: d.lsn, parts: append([]int(nil), d.parts...)})
+	}
+	for pid, e := range tb.dpt {
+		c.dpt = append(c.dpt, ckptDPT{pid: pid, rec: e.rec})
+	}
+	for _, head := range tb.wpl {
+		for e := head; e != nil; e = e.prev {
+			c.wpl = append(c.wpl, ckptWPL{pid: e.pid, lsn: e.lsn, tid: e.tid, committed: e.committed})
+		}
+	}
+	return c
+}
+
+// sort puts every list in key order. Map iteration is randomized; sorted, the
+// checkpoint record's bytes — and with them every later LSN — are identical
+// run to run, which the crash-point sweep's reproducibility depends on, and
+// seed can rebuild each WPL chain oldest first.
+func (c *ckptPayload) sort() {
+	sort.Slice(c.txns, func(i, j int) bool { return c.txns[i].tid < c.txns[j].tid })
+	sort.Slice(c.wpl, func(i, j int) bool {
+		if c.wpl[i].pid != c.wpl[j].pid {
+			return c.wpl[i].pid < c.wpl[j].pid
+		}
+		return c.wpl[i].lsn < c.wpl[j].lsn
+	})
+	sort.Slice(c.dpt, func(i, j int) bool { return c.dpt[i].pid < c.dpt[j].pid })
+	sort.Slice(c.prepared, func(i, j int) bool { return c.prepared[i].tid < c.prepared[j].tid })
+	sort.Slice(c.decided, func(i, j int) bool { return c.decided[i].tid < c.decided[j].tid })
+}
+
 // txn finds or creates tid's ATT entry.
 func (tb tables) txn(tid logrec.TID) *txn {
 	t := tb.att[tid]
@@ -400,6 +443,9 @@ func (tb tables) note(r *logrec.Record) {
 			}
 		}
 	case logrec.TypeCommit:
+		// The entry retires with the record that settles it — a prepared branch
+		// included — so no snapshot ever holds a transaction whose commit is
+		// logged.
 		if t := tb.att[r.TID]; t != nil {
 			wplMarkCommitted(tb.wpl, t, r.LSN+uint64(r.EncodedSize()))
 		}
@@ -417,4 +463,95 @@ func (tb tables) note(r *logrec.Record) {
 			wplUnlink(tb.wpl, t)
 		}
 	}
+}
+
+// --- the live tables ----------------------------------------------------------
+
+// logAndNote is the only way a transactional record enters the log of a live
+// server and the only way its tables advance: one attMu critical section that
+// appends r — a shipped record at the LSN the primary gave it, or not at all
+// when a cold bootstrap already restored it — and runs note under decMu and
+// the mode's table mutex. The caller has built the record (TID, PrevLSN) and
+// afterwards does what only it owes: the redo apply, the pool copy, the force,
+// the installs, the locks.
+//
+// attMu is therefore more than the ATT map lock. A checkpoint captures its
+// analysis begin LSN and snapshots the tables inside one attMu section too
+// (checkpointCore), so under gate.R any record below the captured begin LSN
+// has its table updates in the snapshot, and any record the snapshot missed
+// lies at or above it and is re-analyzed by the restart scan (DESIGN.md §13).
+// Only the append is inside — a force can wait on the group-commit flusher.
+func (s *Server) logAndNote(r *logrec.Record, shipped bool) error {
+	_, err := s.logAndNoteIf(r, shipped, nil)
+	return err
+}
+
+// logAndNoteIf is logAndNote behind a precondition on the tables (nil: none),
+// evaluated inside the step's critical section so that the check and the
+// append are one atomic act: two deliveries of a decision log one DECIDE, two
+// of a forget one End. It reports whether r was logged.
+func (s *Server) logAndNoteIf(r *logrec.Record, shipped bool, pre func() bool) (bool, error) {
+	s.attMu.Lock()
+	defer s.attMu.Unlock()
+	s.decMu.Lock()
+	defer s.decMu.Unlock()
+	if pre != nil && !pre() {
+		return false, nil
+	}
+	want, present := r.LSN, false
+	if shipped {
+		switch end := s.log.End(); {
+		case want+uint64(r.EncodedSize()) <= end:
+			// Already in the log (archive.Bootstrap re-appended the restored
+			// stream at identical LSNs); tables and pages still need its effects.
+			present = true
+		case want != end:
+			return false, fmt.Errorf("server: shipped record at LSN %d leaves a gap (log ends at %d)", want, end)
+		}
+	}
+	if !present {
+		got, err := s.log.Append(r)
+		if err != nil {
+			return false, err
+		}
+		if shipped && got != want {
+			// Only a racing local append could do this — which the standby
+			// guards exist to prevent.
+			return false, fmt.Errorf("server: shipped record for LSN %d appended at %d (log diverged)", want, got)
+		}
+	}
+	mu := &s.dptMu
+	if s.cfg.Mode == ModeWPL {
+		mu = &s.wplMu
+	}
+	mu.Lock()
+	s.tables.note(r)
+	mu.Unlock()
+	return true, nil
+}
+
+// lockTables takes attMu and every table mutex beneath it: what a checkpoint's
+// snapshot and install hold around the whole value.
+func (s *Server) lockTables() {
+	s.attMu.Lock()
+	s.decMu.Lock()
+	s.dptMu.Lock()
+	s.wplMu.Lock()
+}
+
+func (s *Server) unlockTables() {
+	s.wplMu.Unlock()
+	s.dptMu.Unlock()
+	s.decMu.Unlock()
+	s.attMu.Unlock()
+}
+
+// install makes tb the server's tables: empty ones at a crash, the analysis
+// result at restart. The WPL generation moves with them, so an install job
+// queued against the old table is dropped.
+func (s *Server) install(tb tables) {
+	s.lockTables()
+	s.tables = tb
+	s.wplGen++
+	s.unlockTables()
 }

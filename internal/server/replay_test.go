@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -450,6 +452,350 @@ func TestWPLAnalysisAcrossCheckpoint(t *testing.T) {
 				e.pid, e.slot = createPage(t, sn, []byte("old"))
 				run(e)
 			})
+		}
+	}
+}
+
+// tableView flattens a tables value into comparable parts: what a checkpoint
+// carries of each ATT entry (plus the pages of its WPL copies), the DPT, every
+// WPL chain newest first, and the decided map. Transactions that logged
+// nothing are left out — a Begin reaches no log, so analysis cannot know them,
+// and one a checkpoint happened to catch may since have finished unlogged.
+type tableView struct {
+	att     map[logrec.TID]string
+	dpt     map[page.ID]dptEntry
+	wpl     map[page.ID][]wplEntry
+	decided map[logrec.TID]string
+}
+
+func viewOf(tb tables) tableView {
+	v := tableView{att: map[logrec.TID]string{}, dpt: map[page.ID]dptEntry{}, wpl: map[page.ID][]wplEntry{}, decided: map[logrec.TID]string{}}
+	for tid, t := range tb.att {
+		if t.lastLSN == logrec.NoLSN {
+			continue
+		}
+		pages := append([]page.ID(nil), t.wplPages...)
+		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+		v.att[tid] = fmt.Sprintf("last=%d first=%d prepared=%v coord=%d parts=%v prepLSN=%d wplPages=%v",
+			t.lastLSN, t.firstLSN, t.prepared, t.coord, t.parts, t.prepLSN, pages)
+	}
+	for pid, e := range tb.dpt {
+		v.dpt[pid] = e
+	}
+	for pid := range tb.wpl {
+		v.wpl[pid] = chainOf(tb.wpl, pid)
+	}
+	for tid, d := range tb.decided {
+		v.decided[tid] = fmt.Sprintf("lsn=%d parts=%v", d.lsn, d.parts)
+	}
+	return v
+}
+
+// liveView is viewOf over the server's own tables, under their mutexes.
+func (s *Server) liveView() tableView {
+	s.lockTables()
+	defer s.unlockTables()
+	return viewOf(s.tables)
+}
+
+// diffTables lists the differences between two views of the tables. A side
+// that is a live server (aSrv, bSrv non-nil; nil for a pure analysis result)
+// may lack what its own write-backs have retired: a DPT entry once the stored
+// image has caught up with the page's newest record, and the bottom of a WPL
+// chain from a committed copy down once that copy was installed.
+func diffTables(a, b tableView, aSrv, bSrv *Server) []string {
+	var out []string
+	for tid, want := range b.att {
+		if got, ok := a.att[tid]; !ok || got != want {
+			out = append(out, fmt.Sprintf("ATT %v: %q vs %q", tid, got, want))
+		}
+	}
+	for tid, got := range a.att {
+		if _, ok := b.att[tid]; !ok {
+			out = append(out, fmt.Sprintf("ATT %v: %q vs nothing", tid, got))
+		}
+	}
+	for tid, want := range b.decided {
+		if got, ok := a.decided[tid]; !ok || got != want {
+			out = append(out, fmt.Sprintf("decided %v: %q vs %q", tid, got, want))
+		}
+	}
+	for tid, got := range a.decided {
+		if _, ok := b.decided[tid]; !ok {
+			out = append(out, fmt.Sprintf("decided %v: %q vs nothing", tid, got))
+		}
+	}
+	retired := func(s *Server, pid page.ID, newest uint64) bool {
+		buf := make([]byte, page.Size)
+		return s != nil && s.store.ReadPage(pid, buf) == nil && page.Wrap(buf).LSN() >= newest
+	}
+	for pid, eb := range b.dpt {
+		ea, ok := a.dpt[pid]
+		// A checkpoint logs recLSNs only, so an analysis side knows a page's
+		// newest record just from its scan window: it may understate it.
+		newestOK := ea.newest == eb.newest || (aSrv == nil && ea.newest < eb.newest) || (bSrv == nil && eb.newest < ea.newest)
+		if ok && (ea.rec != eb.rec || !newestOK) {
+			out = append(out, fmt.Sprintf("DPT P%d: %+v vs %+v", pid, ea, eb))
+		} else if !ok && !retired(aSrv, pid, eb.newest) {
+			out = append(out, fmt.Sprintf("DPT P%d: nothing vs %+v, and the stored image has not caught up", pid, eb))
+		}
+	}
+	for pid, ea := range a.dpt {
+		if _, ok := b.dpt[pid]; !ok && !retired(bSrv, pid, ea.newest) {
+			out = append(out, fmt.Sprintf("DPT P%d: %+v vs nothing, and the stored image has not caught up", pid, ea))
+		}
+	}
+	pids := map[page.ID]bool{}
+	for pid := range a.wpl {
+		pids[pid] = true
+	}
+	for pid := range b.wpl {
+		pids[pid] = true
+	}
+	for pid := range pids {
+		short, long, shortSrv := a.wpl[pid], b.wpl[pid], aSrv
+		if len(short) > len(long) {
+			short, long, shortSrv = long, short, bSrv
+		}
+		ok := len(short) == len(long) || (shortSrv != nil && long[len(short)].committed)
+		for i := range short {
+			ok = ok && short[i] == long[i]
+		}
+		if !ok {
+			out = append(out, fmt.Sprintf("WPL P%d: chain %+v vs %+v", pid, a.wpl[pid], b.wpl[pid]))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// analysisView is what restart analysis would make of s's log right now: the
+// newest checkpoint the master record names, seeded, and note over everything
+// from its begin LSN — or over the whole log, before the first checkpoint.
+func analysisView(t *testing.T, s *Server) tableView {
+	t.Helper()
+	sb, err := s.readSuperblock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, ckpt := s.log.Head(), (*ckptPayload)(nil)
+	if sb.hasCheckpoint {
+		rec, err := s.log.ReadAt(sb.checkpointLSN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ckpt, err = decodeCkpt(rec.After); err != nil {
+			t.Fatal(err)
+		}
+		start = min(sb.checkpointLSN, ckpt.beginLSN)
+	}
+	tb := seed(s.cfg.Mode, ckpt)
+	if err := s.log.Scan(start, func(r *logrec.Record) bool { tb.note(r); return true }); err != nil {
+		t.Fatal(err)
+	}
+	return viewOf(tb)
+}
+
+// TestLiveTablesMatchAnalysis: the live tables are a function of the log. A
+// scripted history covers every record type — updates and page images, an
+// abort (CLRs under ESM/REDO), a read-only commit, transactions open across a
+// sharp and a fuzzy checkpoint, a prepared branch decided each way, a forget,
+// and a restart that finds a loser and an in-doubt branch — and after EVERY
+// Session call the server's tables equal seed(newest checkpoint) + note over
+// its own log, modulo what a write-home or install has since retired.
+func TestLiveTablesMatchAnalysis(t *testing.T) {
+	for _, mode := range []Mode{ModeESM, ModeREDO, ModeWPL} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, sn := newTestServer(t, mode)
+			defer s.Close()
+			check := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if d := diffTables(s.liveView(), analysisView(t, s), s, nil); len(d) != 0 {
+					t.Fatalf("after %s the live tables are not what analysis of the log builds (live vs analysis):\n%s", what, strings.Join(d, "\n"))
+				}
+			}
+			begin := func() logrec.TID {
+				tid := sn.Begin()
+				check("Begin", nil)
+				return tid
+			}
+			// ship sends one page's new contents the way the mode's client does:
+			// log record then page (ESM), log record (REDO), page (WPL).
+			ship := func(tid logrec.TID, pid page.ID, rec *logrec.Record, data []byte) {
+				t.Helper()
+				if mode != ModeWPL {
+					check("ShipLog", sn.ShipLog(tid, rec.Encode(nil)))
+				}
+				if mode != ModeREDO {
+					check("ShipPage", sn.ShipPage(tid, pid, data))
+				}
+			}
+			create := func(tid logrec.TID, val string) (page.ID, int) {
+				t.Helper()
+				pid, err := sn.AllocPage(tid)
+				check("AllocPage", err)
+				data, slot := makePage(t, pid, []byte(val))
+				ship(tid, pid, logrec.NewPageImage(tid, pid, data), data)
+				return pid, slot
+			}
+			write := func(tid logrec.TID, pid page.ID, slot int, val string) {
+				t.Helper()
+				data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+				check("ReadPage", err)
+				pg := page.Wrap(data)
+				old := make([]byte, len(val))
+				if err := pg.ReadAt(slot, 0, old); err != nil {
+					t.Fatal(err)
+				}
+				off, err := pg.ObjectOffset(slot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pg.WriteAt(slot, 0, []byte(val))
+				ship(tid, pid, logrec.NewUpdate(tid, pid, off, old, []byte(val)), data)
+			}
+			ckpt := func(fuzzy bool) {
+				t.Helper()
+				s.cfg.FuzzyCheckpoints = fuzzy
+				check(fmt.Sprintf("Checkpoint(fuzzy=%v)", fuzzy), sn.Checkpoint())
+			}
+			reads := func(pid page.ID, slot int, want string) {
+				t.Helper()
+				if got := readObject(t, sn, pid, slot, len(want)); string(got) != want {
+					t.Fatalf("P%d reads %q, want %q", pid, got, want)
+				}
+				check("a read-only transaction", nil)
+			}
+
+			// Page images, updates, a commit touching two pages.
+			t1 := begin()
+			pa, sa := create(t1, "a0")
+			pb, sb := create(t1, "b0")
+			check("Commit", sn.Commit(t1))
+			t2 := begin()
+			write(t2, pa, sa, "a1")
+			check("Commit", sn.Commit(t2))
+			// An abort: CLRs and an End, or under WPL the unlink.
+			t3 := begin()
+			write(t3, pa, sa, "a2")
+			write(t3, pb, sb, "b2")
+			check("Abort", sn.Abort(t3))
+			reads(pa, sa, "a1")
+			// Transactions open across a sharp and then a fuzzy checkpoint; a
+			// read-only one the checkpoint catches with nothing logged.
+			t4 := begin()
+			write(t4, pb, sb, "b4")
+			ro := begin()
+			_, err := sn.ReadPage(ro, pa, lock.Shared)
+			check("ReadPage", err)
+			ckpt(false)
+			check("Commit (read-only)", sn.Commit(ro))
+			check("Commit", sn.Commit(t4))
+			t5 := begin()
+			write(t5, pa, sa, "a5")
+			ckpt(true)
+			write(t5, pb, sb, "b5")
+			check("Commit", sn.Commit(t5))
+			// A branch this shard coordinates, decided commit across a fuzzy
+			// checkpoint that carries it in the 2PC trailer, then forgotten.
+			t6 := begin()
+			write(t6, pa, sa, "a6")
+			check("Prepare", sn.Prepare(t6, 0, []int{0, 1}))
+			ckpt(true)
+			check("Decide(commit)", sn.Decide(t6, true))
+			ckpt(true) // the decided entry rides the checkpoint
+			check("Forget", sn.Forget(t6))
+			// A branch decided abort, across a sharp checkpoint.
+			t7 := begin()
+			write(t7, pb, sb, "b7")
+			check("Prepare", sn.Prepare(t7, 0, []int{0, 1}))
+			ckpt(false)
+			check("Decide(abort)", sn.Decide(t7, false))
+			reads(pb, sb, "b5")
+			// Restart finds a loser and a branch in doubt (coordinated elsewhere):
+			// the analysis result IS the live tables, losers rolled back on them.
+			t8 := begin()
+			write(t8, pa, sa, "a8")
+			check("Prepare", sn.Prepare(t8, 1, []int{0, 1}))
+			t9 := begin()
+			write(t9, pb, sb, "b9")
+			s.log.Force()
+			s.Crash()
+			check("Restart", sn.Restart())
+			if in := s.InDoubt(); len(in) != 1 || in[0].TID != t8 {
+				t.Fatalf("in doubt after restart: %+v, want %v alone", in, t8)
+			}
+			check("Decide(commit) of the resurrected branch", sn.Decide(t8, true))
+			reads(pa, sa, "a8")
+			reads(pb, sb, "b5")
+			ckpt(false)
+			if v := s.liveView(); len(v.att)+len(v.dpt)+len(v.wpl)+len(v.decided) != 0 {
+				t.Fatalf("tables not empty at the end of the history: %+v", v)
+			}
+		})
+	}
+}
+
+// TestSnapshotSeedRoundTrip: snapshot is seed's inverse. Tables built by note
+// from a synthetic history survive snapshot → encode → decode → seed, up to
+// what a checkpoint does not carry (a DPT entry's newest, a transaction's
+// pageLSN map and prepare time, a committed copy's commitEnd).
+func TestSnapshotSeedRoundTrip(t *testing.T) {
+	img := make([]byte, page.Size)
+	upd := func(lsn uint64, tid logrec.TID, pid page.ID) *logrec.Record {
+		r := logrec.NewUpdate(tid, pid, 100, []byte("old"), []byte("new"))
+		r.LSN = lsn
+		return r
+	}
+	copyOf := func(lsn uint64, tid logrec.TID, pid page.ID) *logrec.Record {
+		r := logrec.NewPageImage(tid, pid, img)
+		r.LSN = lsn
+		return r
+	}
+	at := func(lsn uint64, r *logrec.Record) *logrec.Record { r.LSN = lsn; return r }
+	histories := map[Mode][]*logrec.Record{
+		ModeESM: {
+			upd(9000, 3, 7), upd(9100, 3, 8), upd(9200, 5, 9), upd(9300, 3, 7),
+			at(9400, logrec.NewPrepare(3, 1, []int{0, 1, 2})),
+			at(9500, logrec.NewDecide(11, 0, []int{0, 1})),
+			upd(9600, 6, 9), at(9700, logrec.NewCommit(6)),
+		},
+		ModeWPL: {
+			copyOf(9000, 2, 7), at(18000, logrec.NewCommit(2)), // committed, uninstalled
+			copyOf(19000, 3, 7), copyOf(28000, 3, 8), // a prepared branch's copies, one above the committed one
+			at(37000, logrec.NewPrepare(3, 0, []int{0, 1})),
+			copyOf(38000, 5, 9), // an open transaction's
+			at(47000, logrec.NewDecide(3, 0, []int{0, 1})),
+		},
+	}
+	histories[ModeREDO] = histories[ModeESM]
+	for mode, recs := range histories {
+		tb := seed(mode, nil)
+		tb.txn(42) // begun, nothing logged
+		for _, r := range recs {
+			tb.note(r)
+		}
+		c := tb.snapshot()
+		c.nextPage, c.nextTID, c.beginLSN = 10, 43, 48000
+		enc := c.encode()
+		dec, err := decodeCkpt(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		back := seed(mode, dec)
+		if _, ok := back.att[42]; !ok || len(back.att) != len(tb.att) {
+			t.Fatalf("%v: ATT %v came back as %v", mode, tb.att, back.att)
+		}
+		if d := diffTables(viewOf(back), viewOf(tb), nil, nil); len(d) != 0 {
+			t.Fatalf("%v: seed(snapshot(tb)) != tb:\n%s", mode, strings.Join(d, "\n"))
+		}
+		c2 := back.snapshot()
+		c2.nextPage, c2.nextTID, c2.beginLSN = c.nextPage, c.nextTID, c.beginLSN
+		if !bytes.Equal(c2.encode(), enc) {
+			t.Fatalf("%v: snapshot(seed(snapshot(tb))) encodes differently", mode)
 		}
 	}
 }

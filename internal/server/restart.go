@@ -109,6 +109,7 @@ type ckptPayload struct {
 const ckptMagic = uint64(0x5153434B50543033) // "QSCKPT03"
 
 func (c *ckptPayload) encode() []byte {
+	c.sort()
 	buf := make([]byte, 0, 56+24*len(c.txns)+24*len(c.wpl)+16*len(c.dpt))
 	var tmp [8]byte
 	put64 := func(v uint64) {
@@ -341,62 +342,21 @@ func (s *Server) checkpointQuiesced(sn *Session) error {
 // the master record, and reclaims log space. Caller holds gate.W (sharp,
 // restart) or gate.R plus ckptMu (fuzzy).
 //
-// The analysis begin LSN and all three table snapshots are captured inside
-// ONE attMu critical section. Every append that updates a recovery table
-// also runs inside an attMu section (see the package comment), so a record
-// below beginLSN has its table updates in the snapshot, and a record the
-// snapshot missed is at or above beginLSN, where the restart scan re-analyzes
-// it. DPT deletions are the one exception (the cleaner retires entries under
-// dptMu alone), and they only ever remove pages whose stored image has
-// caught up — losing one from the snapshot loses no redo work.
+// The analysis begin LSN and the snapshot of the tables are captured inside
+// ONE attMu critical section — the other half of logAndNote's invariant
+// (replay.go). DPT and WPL-table deletions are the one exception (write-homes
+// and installs retire entries under dptMu or wplMu alone), and they only ever
+// remove pages whose stored image has caught up — losing one from the
+// snapshot loses no redo work.
 func (s *Server) checkpointCore(sn *Session) error {
-	s.allocMu.Lock()
-	c := ckptPayload{nextPage: s.nextPage, nextTID: s.nextTID}
-	s.allocMu.Unlock()
-	s.attMu.Lock()
+	s.lockTables()
+	c := s.tables.snapshot()
 	c.beginLSN = s.log.End()
-	for _, t := range s.att {
-		c.txns = append(c.txns, ckptTxn{tid: t.tid, lastLSN: t.lastLSN, firstLSN: t.firstLSN})
-		if t.prepared {
-			c.prepared = append(c.prepared, ckptPrepared{
-				tid:     t.tid,
-				prepLSN: t.prepLSN,
-				coord:   t.coord,
-				parts:   append([]int(nil), t.parts...),
-			})
-		}
-	}
-	s.decMu.Lock()
-	for tid, d := range s.decided {
-		c.decided = append(c.decided, ckptDecided{tid: tid, lsn: d.lsn, parts: append([]int(nil), d.parts...)})
-	}
-	s.decMu.Unlock()
-	s.dptMu.Lock()
-	for pid, e := range s.dpt {
-		c.dpt = append(c.dpt, ckptDPT{pid: pid, rec: e.rec})
-	}
-	s.dptMu.Unlock()
-	s.wplMu.Lock()
-	for _, head := range s.wpl {
-		for e := head; e != nil; e = e.prev {
-			c.wpl = append(c.wpl, ckptWPL{pid: e.pid, lsn: e.lsn, tid: e.tid, committed: e.committed})
-		}
-	}
-	s.wplMu.Unlock()
-	s.attMu.Unlock()
-	// Map iteration is randomized; sort so the checkpoint record's bytes —
-	// and with them every later LSN — are identical run to run, which the
-	// crash-point sweep's reproducibility depends on.
-	sort.Slice(c.txns, func(i, j int) bool { return c.txns[i].tid < c.txns[j].tid })
-	sort.Slice(c.wpl, func(i, j int) bool {
-		if c.wpl[i].pid != c.wpl[j].pid {
-			return c.wpl[i].pid < c.wpl[j].pid
-		}
-		return c.wpl[i].lsn < c.wpl[j].lsn
-	})
-	sort.Slice(c.dpt, func(i, j int) bool { return c.dpt[i].pid < c.dpt[j].pid })
-	sort.Slice(c.prepared, func(i, j int) bool { return c.prepared[i].tid < c.prepared[j].tid })
-	sort.Slice(c.decided, func(i, j int) bool { return c.decided[i].tid < c.decided[j].tid })
+	s.unlockTables()
+	// Read after the snapshot, so the counters lie above every id it names.
+	s.allocMu.Lock()
+	c.nextPage, c.nextTID = s.nextPage, s.nextTID
+	s.allocMu.Unlock()
 	rec := &logrec.Record{Type: logrec.TypeCheckpoint, PrevLSN: logrec.NoLSN, After: c.encode()}
 	ckptLSN, err := s.log.Append(rec)
 	if err != nil {
@@ -454,19 +414,7 @@ func (s *Server) Crash() {
 	s.gate.Lock()
 	defer s.gate.Unlock()
 	s.pool.Clear()
-	s.attMu.Lock()
-	s.att = make(map[logrec.TID]*txn)
-	s.attMu.Unlock()
-	s.decMu.Lock()
-	s.decided = make(map[logrec.TID]decidedTxn)
-	s.decMu.Unlock()
-	s.dptMu.Lock()
-	s.dpt = make(map[page.ID]dptEntry)
-	s.dptMu.Unlock()
-	s.wplMu.Lock()
-	s.wpl = make(map[page.ID]*wplEntry)
-	s.wplGen++
-	s.wplMu.Unlock()
+	s.install(seed(s.cfg.Mode, nil))
 	s.locks.Reset()
 	s.log.Crash()
 }
@@ -552,6 +500,16 @@ func (sn *Session) Restart() error {
 	if err != nil {
 		return err
 	}
+	// Bring the pages current from the tables analysis left: redo, or under WPL
+	// the installs.
+	if s.cfg.Mode == ModeWPL {
+		err = s.wplInstallQuiesced(sn, tb)
+	} else {
+		err = s.redoQuiesced(sn, tb.dpt)
+	}
+	if err != nil {
+		return err
+	}
 	// Whoever is still in the ATT neither committed nor finished rolling back.
 	// In TID order: undo appends CLRs, and their LSNs must be identical run to
 	// run (map iteration is randomized).
@@ -560,33 +518,28 @@ func (sn *Session) Restart() error {
 		active = append(active, t)
 	}
 	sort.Slice(active, func(i, j int) bool { return active[i].tid < active[j].tid })
-	// Bring the pages current and dispose of the losers: redo then undo, or
-	// under WPL the installs — a loser's copies are simply never installed.
-	if s.cfg.Mode == ModeWPL {
-		err = s.wplInstallQuiesced(sn, tb)
-	} else {
-		err = s.redoUndoQuiesced(sn, tb, active)
-	}
-	if err != nil {
-		return err
-	}
-	// In doubt: the branch voted yes and the coordinator's outcome is unknown
-	// here. Its pages are current (redo reapplied them; under WPL its copies
-	// stay in the table, off their permanent locations); resurrect the ATT
-	// entry with its locks and leave it — neither committed nor rolled back —
-	// for recovery resolution (presumed abort on a coordinator miss).
+	// From here the analysis result is the server's tables, and what is left of
+	// recovery runs on them through the live server's own paths.
+	s.install(tb)
 	for _, t := range active {
 		if t.prepared {
-			if err := s.resurrectInDoubt(t, start); err != nil {
-				return err
-			}
+			// In doubt: the branch voted yes and the coordinator's outcome is
+			// unknown here. Its pages are current (redo reapplied them; under WPL
+			// its copies stay in the table, off their permanent locations); it
+			// stays in the ATT, locks re-acquired, neither committed nor rolled
+			// back, for recovery resolution (presumed abort on a coordinator
+			// miss).
+			err = s.resurrectInDoubt(t, start)
+		} else {
+			// A loser (ESM/REDO; WPL dropped its own with their copies): rolled
+			// back the way Abort rolls back.
+			err = s.rollback(sn, t)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	// Install the surviving commit decisions so resolution requests can be
-	// answered as soon as the server is open.
-	s.decMu.Lock()
-	s.decided = tb.decided
-	s.decMu.Unlock()
+	sn.meter().LogWrite(s.log.Force())
 	return s.checkpointQuiesced(sn)
 }
 
@@ -606,79 +559,6 @@ func (s *Server) bumpAllocFor(r *logrec.Record) {
 	}
 }
 
-// redoUndoQuiesced is restart's redo and undo for ESM/REDO, over the tables
-// analysis left and the transactions still active in them, in TID order.
-func (s *Server) redoUndoQuiesced(sn *Session, tb tables, active []*txn) error {
-	redoFrom := logrec.NoLSN
-	for _, e := range tb.dpt {
-		if redoFrom == logrec.NoLSN || e.rec < redoFrom {
-			redoFrom = e.rec
-		}
-	}
-	// Redo: repeat history for pages in the DPT, conditional on page LSN,
-	// partitioned by page ID across workers.
-	if redoFrom != logrec.NoLSN {
-		if err := s.redoQuiesced(sn, tb.dpt, redoFrom); err != nil {
-			return err
-		}
-	} else {
-		s.redoApplied = nil
-	}
-	for _, t := range active {
-		if t.prepared {
-			continue // in doubt, not a loser: Restart resurrects it
-		}
-		committed := false
-		if t.lastLSN != logrec.NoLSN {
-			r, err := s.log.ReadAt(t.lastLSN)
-			if err != nil {
-				return fmt.Errorf("server: restart loser check %v at %d: %w", t.tid, t.lastLSN, err)
-			}
-			if r.Type == logrec.TypeEnd {
-				continue // finished rolling back before the snapshot
-			}
-			// Fuzzy window: the transaction committed — durably, since the
-			// checkpoint record's force covered the earlier commit record — but
-			// its ATT delete raced the snapshot. Not a loser: it is owed only
-			// the End its deleter never logged.
-			committed = r.Type == logrec.TypeCommit
-		}
-		if !committed {
-			if err := s.undo(sn, t, logrec.NoLSN); err != nil {
-				return err
-			}
-		}
-		e := logrec.NewEnd(t.tid)
-		e.PrevLSN = t.lastLSN
-		if _, err := s.log.Append(e); err != nil {
-			return err
-		}
-	}
-	sn.meter().LogWrite(s.log.Force())
-	// Install the analysis DPT, pruned to frames still dirty after redo and
-	// undo, so the checkpoint that ends restart — and every fuzzy checkpoint
-	// and cleaner pass after it — sees the redone-but-unflushed pages.
-	// (Conditional redo leaves pageLSN >= newest for any page it touched, and
-	// undo's own CLR bookkeeping has already inserted its pages.)
-	dirty := make(map[page.ID]bool)
-	for _, pid := range s.pool.DirtyPages() {
-		dirty[pid] = true
-	}
-	s.dptMu.Lock()
-	for pid, e := range tb.dpt {
-		if !dirty[pid] {
-			continue
-		}
-		if cur, ok := s.dpt[pid]; ok {
-			e.rec = min(e.rec, cur.rec)
-			e.newest = max(e.newest, cur.newest)
-		}
-		s.dpt[pid] = e
-	}
-	s.dptMu.Unlock()
-	return nil
-}
-
 // redoRelevant reports whether r must be considered by redo given the DPT.
 func redoRelevant(r *logrec.Record, dpt map[page.ID]dptEntry) bool {
 	switch r.Type {
@@ -690,12 +570,42 @@ func redoRelevant(r *logrec.Record, dpt map[page.ID]dptEntry) bool {
 	return ok && r.LSN >= e.rec
 }
 
-// redoQuiesced is the redo pass. With one worker it replays inline, charging
-// the session per record as the serial server did. With several, it scans
-// once and fans records out by page ID — a page's records all go to the same
-// worker, preserving per-page order — then bulk-charges the session for the
-// aggregate work. Caller holds gate.W.
-func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry, redoFrom uint64) error {
+// redoQuiesced is restart's redo for ESM/REDO: repeat history for the pages
+// in the analysis DPT from the oldest recLSN, conditional on page LSN, then
+// prune the DPT to the frames redo left dirty, so the checkpoint that ends
+// restart — and every fuzzy checkpoint and cleaner pass after it — sees the
+// redone-but-unflushed pages and nothing else (conditional redo leaves
+// pageLSN >= newest for any page it touched). Caller holds gate.W.
+func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry) error {
+	s.redoApplied = nil
+	redoFrom := logrec.NoLSN
+	for _, e := range dpt {
+		redoFrom = min(redoFrom, e.rec)
+	}
+	if redoFrom == logrec.NoLSN {
+		return nil
+	}
+	if err := s.redoScan(sn, dpt, redoFrom); err != nil {
+		return err
+	}
+	dirty := make(map[page.ID]bool)
+	for _, pid := range s.pool.DirtyPages() {
+		dirty[pid] = true
+	}
+	for pid := range dpt {
+		if !dirty[pid] {
+			delete(dpt, pid)
+		}
+	}
+	return nil
+}
+
+// redoScan replays the redo-relevant records from redoFrom on. With one
+// worker it replays inline, charging the session per record as the serial
+// server did. With several, it scans once and fans records out by page ID — a
+// page's records all go to the same worker, preserving per-page order — then
+// bulk-charges the session for the aggregate work.
+func (s *Server) redoScan(sn *Session, dpt map[page.ID]dptEntry, redoFrom uint64) error {
 	nw := s.cfg.RedoWorkers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
@@ -782,21 +692,24 @@ func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry, redoFrom ui
 }
 
 // wplInstallQuiesced brings the volume current under WPL (§3.4.3) from the
-// table analysis left. A copy still uncommitted belongs to a loser and is
-// dropped — abort by ignoring — unless its transaction is prepared. The test
-// is the entry's own flag, never ATT membership: a fuzzy snapshot can catch a
-// committed transaction, copies marked, before its ATT delete. Then the
-// newest committed copy of each page is installed and everything beneath it
-// is obsolete, so what stays in the table is the in-doubt branches' copies,
-// with nothing below the oldest but the store's now-committed image.
+// tables analysis left. A loser — still in the ATT, not prepared — leaves it
+// with its copies, unlogged: abort by ignoring. Then the newest committed copy
+// of each page is installed and everything beneath it is obsolete, so what
+// stays in the table is the in-doubt branches' copies, with nothing below the
+// oldest but the store's now-committed image.
 func (s *Server) wplInstallQuiesced(sn *Session, tb tables) error {
+	for tid, t := range tb.att {
+		if !t.prepared {
+			delete(tb.att, tid)
+		}
+	}
 	var installs []*wplEntry
 	for pid, e := range tb.wpl {
 		// Uncommitted copies sit on top of the chain: their writer held the
 		// page's X lock from its first ship on.
 		var kept, oldest *wplEntry
 		for ; e != nil && !e.committed; e = e.prev {
-			if t := tb.att[e.tid]; t == nil || !t.prepared {
+			if tb.att[e.tid] == nil {
 				continue
 			}
 			if oldest == nil {
@@ -831,9 +744,6 @@ func (s *Server) wplInstallQuiesced(sn *Session, tb tables) error {
 		}
 		atomic.AddInt64(&s.stats.WPLInstalls, 1)
 	}
-	s.wplMu.Lock()
-	s.wpl = tb.wpl
-	s.wplMu.Unlock()
 	return nil
 }
 

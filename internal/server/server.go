@@ -32,9 +32,9 @@
 //     the lock manager's job, exactly as page latches vs. locks in ARIES.
 //   - The ATT, DPT, WPL table and allocation counters each have a small
 //     leaf mutex (attMu, dptMu, wplMu, allocMu). A txn's fields beyond the
-//     map entry itself are owned by the session driving it (clients issue
-//     requests for one transaction sequentially); quiesced readers get
-//     happens-before through the gate.
+//     map entry itself change only in tables.note, under attMu, and are
+//     otherwise read by the session driving it (clients issue requests for
+//     one transaction sequentially).
 //   - Stats fields are updated with atomics.
 //
 // Latch order (outer to inner): gate.R → one shard latch → attMu →
@@ -44,19 +44,12 @@
 // shards run under gate.W, where the pool helpers may latch shards in index
 // order).
 //
-// attMu is more than the ATT map lock: every log append that updates a
-// recovery table (a session record's lastLSN chain, a DPT insert, a WPL
-// entry or commit marking) happens inside one attMu critical section, and a
-// fuzzy checkpoint captures its analysis begin LSN and snapshots all three
-// tables inside one attMu section too. That pairing is what makes fuzzy
-// checkpoints sound under gate.R: any record with LSN below the captured
-// begin LSN has its table updates visible to the snapshot, and any record
-// the snapshot missed has LSN at or above it and is re-analyzed by the
-// restart scan (DESIGN.md §13).
+// attMu is more than the ATT map lock: it is the critical section in which
+// logAndNote (replay.go) appends a record and advances the tables, and in
+// which a checkpoint snapshots them — see there.
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -264,11 +257,10 @@ type StatsX struct {
 	Retention         wal.Retention // what bounds the log head; the lowest holder pins it
 }
 
-// txn is an active-transaction-table entry. The att map itself is guarded
-// by attMu; a txn's fields are owned by the single session driving the
-// transaction (clients issue a transaction's requests sequentially), with
-// quiesced paths (checkpoint, restart) reading them under the write side of
-// the gate.
+// txn is an active-transaction-table entry. The att map and the entries'
+// fields are written under attMu — by tables.note, through logAndNote — and
+// snapshotted under it; the single session driving the transaction (clients
+// issue a transaction's requests sequentially) reads its own entry freely.
 type txn struct {
 	tid      logrec.TID
 	lastLSN  uint64 // most recent log record (undo chain head); NoLSN if none
@@ -340,26 +332,17 @@ type Server struct {
 
 	pool *buffer.Sharded
 
-	attMu sync.Mutex
-	att   map[logrec.TID]*txn
+	// The recovery tables (replay.go), each map under its own leaf mutex:
+	// att under attMu, dpt (ESM/REDO) under dptMu, wpl under wplMu, and under
+	// decMu decided — the coordinator's commit decisions whose DECIDE record
+	// is logged but whose participants have not all confirmed (the
+	// presumed-abort "recovery table"; an abort decision is never entered,
+	// absence IS the abort answer). decMu, dptMu and wplMu nest inside attMu.
+	tables
+	attMu, decMu, dptMu, wplMu sync.Mutex
 
-	// decMu guards the coordinator's decided-transactions map: commit
-	// decisions whose DECIDE record is stable but whose participants have not
-	// all confirmed (the presumed-abort "recovery table"). An abort decision
-	// is never entered — absence IS the abort answer. decMu is a leaf like
-	// attMu; the decision append nests it inside an attMu section (logDecision)
-	// so a fuzzy checkpoint's snapshot cannot miss a decision it will not
-	// re-scan.
-	decMu   sync.Mutex
-	decided map[logrec.TID]decidedTxn
-
-	dptMu    sync.Mutex
-	dpt      map[page.ID]dptEntry // dirty page table (ESM/REDO)
-	cleaning map[page.ID]bool     // pages claimed by an in-flight cleanOne
-
-	wplMu  sync.Mutex
-	wpl    map[page.ID]*wplEntry
-	wplGen uint64 // bumped at crash/restart so stale async installs are dropped
+	cleaning map[page.ID]bool // pages claimed by an in-flight cleanOne; under dptMu
+	wplGen   uint64           // under wplMu; moves with install so stale async installs are dropped
 
 	allocMu  sync.Mutex
 	nextTID  logrec.TID
@@ -425,11 +408,8 @@ func New(cfg Config) *Server {
 		log:      cfg.Log,
 		locks:    lock.NewManager(cfg.LockTimeout),
 		pool:     buffer.NewSharded(cfg.PoolPages, cfg.PoolShards),
-		att:      make(map[logrec.TID]*txn),
-		decided:  make(map[logrec.TID]decidedTxn),
-		dpt:      make(map[page.ID]dptEntry),
+		tables:   seed(cfg.Mode, nil),
 		cleaning: make(map[page.ID]bool),
-		wpl:      make(map[page.ID]*wplEntry),
 		nextTID:  1,
 		nextPage: 1,
 	}
@@ -869,20 +849,9 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	for _, r := range recs {
 		r.TID = tid
 		r.PrevLSN = t.lastLSN
-		// Append and table updates form one attMu critical section: a fuzzy
-		// checkpoint snapshotting under attMu either sees this record's ATT
-		// chain and DPT entry, or sees a begin LSN at or below it and
-		// re-analyzes it from the log (see the package comment).
-		s.attMu.Lock()
-		lsn, err := s.log.Append(r)
-		if err != nil {
-			s.attMu.Unlock()
+		if err := s.logAndNote(r, false); err != nil {
 			return err
 		}
-		t.chain(lsn)
-		t.pageLSN[r.Page] = lsn
-		s.markDirty(r.Page, lsn)
-		s.attMu.Unlock()
 		if s.cfg.Mode == ModeREDO {
 			// New history, applied unconditionally: the record postdates
 			// whatever the frame holds by construction, and a volume reopened
@@ -977,24 +946,14 @@ func (sn *Session) ShipPage(tid logrec.TID, pid page.ID, data []byte) error {
 	return nil
 }
 
-// wplShip appends the page image to the log and updates the WPL table. The
-// append, the ATT chain update and the table insert form one attMu critical
-// section so a fuzzy checkpoint's snapshot cannot miss a copy it will not
-// re-scan (see the package comment).
+// wplShip logs the page image — note links it into the WPL table — and caches
+// the copy.
 func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 	r := logrec.NewPageImage(t.tid, pid, data)
 	r.PrevLSN = t.lastLSN
-	s.attMu.Lock()
-	lsn, err := s.log.Append(r)
-	if err != nil {
-		s.attMu.Unlock()
+	if err := s.logAndNote(r, false); err != nil {
 		return err
 	}
-	t.chain(lsn)
-	s.wplMu.Lock()
-	t.pushCopy(s.wpl, pid, lsn)
-	s.wplMu.Unlock()
-	s.attMu.Unlock()
 	sn.m.LogWriteAsync(s.log.ForceFull())
 	// Cache the copy; the permanent location is untouched until install.
 	sh := s.pool.Lock(pid)
@@ -1017,7 +976,12 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 // stable via the group-commit flusher, then locks are released. Under WPL
 // the transaction's logged pages become installable and are installed
 // (inline, or by the background installer).
-func (sn *Session) Commit(tid logrec.TID) error {
+func (sn *Session) Commit(tid logrec.TID) error { return sn.commit(tid, false) }
+
+// commit is Commit, and — with decided set — the commit half of Decide: a
+// prepared branch's fate belongs to the coordinator, and only its decision
+// may finish it.
+func (sn *Session) commit(tid logrec.TID, decided bool) error {
 	s := sn.s
 	exit := s.enter()
 	t, ok := s.lookupTxn(tid)
@@ -1026,50 +990,20 @@ func (sn *Session) Commit(tid logrec.TID) error {
 		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
 	if s.standby.Load() {
-		if t.lastLSN != logrec.NoLSN {
-			// A replicated transaction: its fate is the primary's to decide,
-			// through the shipped stream — never a local client's.
-			exit()
-			return ErrStandby
-		}
-		// Read-only standby session: nothing was logged (writes are refused),
-		// so finish without appending — a standby-side commit record would
-		// diverge the replicated log from the primary's byte stream.
-		s.attMu.Lock()
-		delete(s.att, tid)
-		s.attMu.Unlock()
-		exit()
-		s.locks.ReleaseAll(tid)
-		return nil
+		return sn.finishStandby(t, exit)
 	}
-	if t.prepared {
-		// A prepared branch's fate belongs to the coordinator. Decide(true)
-		// clears the flag (after the decision is stable) before re-entering
-		// here.
+	if t.prepared && !decided {
 		exit()
 		return fmt.Errorf("%w: %v", ErrInDoubt, tid)
 	}
 	c := logrec.NewCommit(tid)
 	c.PrevLSN = t.lastLSN
-	// The commit append, the ATT chain update and (under WPL) the committed
-	// marking form one attMu critical section: a fuzzy checkpoint snapshot
-	// that catches this transaction before its ATT delete sees lastLSN
-	// pointing at the commit record (restart then knows it is no loser), and
-	// a WPL snapshot sees its copies marked. Only the append is inside —
-	// the force below can wait on the group-commit flusher.
-	s.attMu.Lock()
-	if _, err := s.log.Append(c); err != nil {
-		s.attMu.Unlock()
+	// note retires the ATT entry — and under WPL marks t's copies committed —
+	// in the append's critical section; t itself stays ours for the installs.
+	if err := s.logAndNote(c, false); err != nil {
 		exit()
 		return err
 	}
-	t.lastLSN = c.LSN
-	if s.cfg.Mode == ModeWPL {
-		s.wplMu.Lock()
-		wplMarkCommitted(s.wpl, t, c.LSN+uint64(c.EncodedSize()))
-		s.wplMu.Unlock()
-	}
-	s.attMu.Unlock()
 	sn.commitWait(c)
 	if s.cfg.CommitAck != nil {
 		// Semi-sync replication: the commit record is stable locally; now
@@ -1082,9 +1016,6 @@ func (sn *Session) Commit(tid logrec.TID) error {
 	if s.cfg.Mode == ModeWPL {
 		s.wplCommit(sn, t)
 	}
-	s.attMu.Lock()
-	delete(s.att, tid)
-	s.attMu.Unlock()
 	s.allocMu.Lock()
 	s.commits++
 	// Checkpoint on schedule, or early when the log is filling (whole-page
@@ -1153,8 +1084,7 @@ func (s *Server) logPressure() bool { return s.log.Used() > s.log.Capacity()/2 }
 // wplCommit installs the transaction's logged pages whose entries are chain
 // heads (the asynchronous installer of §3.4.2 — inline here unless
 // Config.WPLInstallAsync hands the work to the background goroutine). The
-// committed marking itself happened with the commit record's append, inside
-// Commit's attMu section.
+// committed marking itself happened with the commit record's append (note).
 func (s *Server) wplCommit(sn *Session, t *txn) {
 	for _, pid := range t.wplPages {
 		s.wplMu.Lock()
@@ -1212,7 +1142,13 @@ func (s *Server) installHead(sn *Session, pid page.ID, e *wplEntry, gen uint64) 
 // Abort rolls tid back. Under ESM/REDO the transaction's update records are
 // undone with compensation log records; under WPL its logged copies are
 // simply dropped from the WPL table (§3.4.2: abort by ignoring).
-func (sn *Session) Abort(tid logrec.TID) error {
+func (sn *Session) Abort(tid logrec.TID) error { return sn.abort(tid, false) }
+
+// abort is Abort, and — with decided set — the abort half of Decide. An
+// in-doubt branch must survive client disconnects and unilateral rollback
+// attempts: only the coordinator's decision — or restart resolution's presumed
+// abort — may roll it back.
+func (sn *Session) abort(tid logrec.TID, decided bool) error {
 	s := sn.s
 	exit := s.enter()
 	t, ok := s.lookupTxn(tid)
@@ -1221,22 +1157,9 @@ func (sn *Session) Abort(tid logrec.TID) error {
 		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
 	if s.standby.Load() {
-		if t.lastLSN != logrec.NoLSN {
-			exit()
-			return ErrStandby
-		}
-		// Read-only standby session: release without logging, as in Commit.
-		s.attMu.Lock()
-		delete(s.att, tid)
-		s.attMu.Unlock()
-		exit()
-		s.locks.ReleaseAll(tid)
-		return nil
+		return sn.finishStandby(t, exit)
 	}
-	if t.prepared {
-		// An in-doubt branch must survive client disconnects and unilateral
-		// rollback attempts: only Decide(false) — or restart resolution's
-		// presumed abort — may roll it back.
+	if t.prepared && !decided {
 		exit()
 		return fmt.Errorf("%w: %v", ErrInDoubt, tid)
 	}
@@ -1246,42 +1169,80 @@ func (sn *Session) Abort(tid logrec.TID) error {
 		// nothing to undo and restart treats unknown ids as aborted, so it is
 		// dropped without appending or forcing anything.
 		atomic.AddInt64(&s.stats.Aborts, 1)
-		s.attMu.Lock()
-		delete(s.att, tid)
-		s.attMu.Unlock()
-		exit()
-		s.locks.ReleaseAll(tid)
+		sn.finishUnlogged(tid, exit)
 		return nil
 	}
 	a := logrec.NewAbort(tid)
 	a.PrevLSN = t.lastLSN
-	var err error
-	if _, aerr := s.log.Append(a); aerr != nil {
-		err = aerr
+	// note clears a decided branch's prepared flag and, under WPL, unlinks t's
+	// copies (t still holds its X locks, so no one else is shipping these
+	// pages) in the append's critical section.
+	if err := s.logAndNote(a, false); err != nil {
+		exit()
+		return err
 	}
 	if s.cfg.Mode == ModeWPL {
-		// The aborting transaction still holds its X locks, so no one else
-		// can be shipping these pages.
-		s.wplMu.Lock()
-		wplUnlink(s.wpl, t)
-		s.wplMu.Unlock()
 		s.wplAborted(sn, t)
-	} else if err == nil {
-		err = s.undo(sn, t, logrec.NoLSN)
 	}
-	e := logrec.NewEnd(tid)
-	e.PrevLSN = t.lastLSN
-	if _, eerr := s.log.Append(e); eerr != nil && err == nil {
-		err = eerr
+	err := s.rollback(sn, t)
+	if err != nil {
+		// The locks are about to go, so a partial rollback is sealed with its End
+		// all the same: an End-less one would be resumed by the next restart over
+		// pages that later transactions have since committed to.
+		_ = s.logEnd(t)
 	}
 	sn.m.LogWrite(s.log.Force())
 	atomic.AddInt64(&s.stats.Aborts, 1)
+	// A no-op once the End's note has retired the entry; if the End could not
+	// be logged the entry still leaves, or it would pin the log head for good.
+	sn.finishUnlogged(tid, exit)
+	return err
+}
+
+// rollback finishes a transaction that will not commit: under ESM/REDO its
+// updates are undone with CLRs (WPL aborts by ignoring, §3.4.2), then the End
+// record retires its ATT entry. Abort and restart's loser pass both end here.
+// A failed undo logs no End: restart returns the error with the loser still a
+// loser, and the next restart resumes the rollback from its CLRs.
+func (s *Server) rollback(sn *Session, t *txn) error {
+	if s.cfg.Mode != ModeWPL {
+		if err := s.undo(sn, t, logrec.NoLSN); err != nil {
+			return err
+		}
+	}
+	return s.logEnd(t)
+}
+
+// logEnd logs the End that closes t's chain and retires its ATT entry.
+func (s *Server) logEnd(t *txn) error {
+	e := logrec.NewEnd(t.tid)
+	e.PrevLSN = t.lastLSN
+	return s.logAndNote(e, false)
+}
+
+// finishStandby ends a local session's transaction on a standby. A replicated
+// transaction's fate is the primary's to decide, through the shipped stream —
+// never a local client's; a read-only one logged nothing (writes are refused)
+// and finishes without appending — a standby-side record would diverge the
+// replicated log from the primary's byte stream.
+func (sn *Session) finishStandby(t *txn, exit func()) error {
+	if t.lastLSN != logrec.NoLSN {
+		exit()
+		return ErrStandby
+	}
+	sn.finishUnlogged(t.tid, exit)
+	return nil
+}
+
+// finishUnlogged ends tid with no record of its own to retire it: the ATT
+// entry is dropped, the gate left and the locks released.
+func (sn *Session) finishUnlogged(tid logrec.TID, exit func()) {
+	s := sn.s
 	s.attMu.Lock()
 	delete(s.att, tid)
 	s.attMu.Unlock()
 	exit()
 	s.locks.ReleaseAll(tid)
-	return err
 }
 
 // wplAborted is what an abort owes beyond the table, once t's copies are
@@ -1363,90 +1324,12 @@ func (s *Server) undoApply(sn *Session, t *txn, r *logrec.Record) error {
 	if err := checkGeometry(clr); err != nil {
 		return fmt.Errorf("server: undo %v at %d: %w", t.tid, r.LSN, err)
 	}
-	// CLR append + ATT/DPT updates: one attMu section, same reasoning as
-	// ShipLog (the fuzzy-checkpoint snapshot invariant).
-	s.attMu.Lock()
-	lsn, err := s.log.Append(clr)
-	if err != nil {
-		s.attMu.Unlock()
+	if err := s.logAndNote(clr, false); err != nil {
 		return err
 	}
-	t.chain(lsn)
-	s.markDirty(r.Page, lsn)
-	s.attMu.Unlock()
 	if _, err := replay(f.Bytes(), clr, false); err != nil {
 		return err
 	}
 	sh.MarkDirty(r.Page)
 	return nil
-}
-
-// --- superblock ----------------------------------------------------------
-
-const superMagic = 0x51535342 // "QSSB"
-
-type superblock struct {
-	checkpointLSN uint64
-	nextPage      page.ID
-	nextTID       logrec.TID
-	hasCheckpoint bool
-}
-
-func encodeSuperblock(sb superblock) []byte {
-	buf := make([]byte, page.Size)
-	binary.LittleEndian.PutUint32(buf[0:], superMagic)
-	flags := uint32(0)
-	if sb.hasCheckpoint {
-		flags = 1
-	}
-	binary.LittleEndian.PutUint32(buf[4:], flags)
-	binary.LittleEndian.PutUint64(buf[8:], sb.checkpointLSN)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(sb.nextPage))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(sb.nextTID))
-	return buf
-}
-
-func (s *Server) readSuperblock() (superblock, error) {
-	var buf [page.Size]byte
-	err := s.store.ReadPage(superblockPage, buf[:])
-	fresh := superblock{nextPage: 1, nextTID: 1}
-	if errors.Is(err, disk.ErrNotFound) {
-		return fresh, nil
-	}
-	if errors.Is(err, disk.ErrCorruptPage) {
-		// A rotted or torn master record. Rebuild it from the newest
-		// checkpoint record still in the log — never from the archive, whose
-		// copy could name an older checkpoint and make restart skip redo it
-		// still needs. No checkpoint record means the superblock cannot be
-		// trusted at all: fail loudly rather than recover from a guess.
-		atomic.AddInt64(&s.stats.ChecksumFailures, 1)
-		sb, rerr := s.superblockFromLog()
-		if rerr != nil {
-			atomic.AddInt64(&s.stats.PagesUnrepairable, 1)
-			return superblock{}, fmt.Errorf("%w: %v: %v: %w",
-				ErrUnrepairable, superblockPage, rerr, err)
-		}
-		if werr := s.storeWrite(nil, superblockPage, encodeSuperblock(sb)); werr != nil {
-			return superblock{}, werr
-		}
-		atomic.AddInt64(&s.stats.PagesRepaired, 1)
-		return sb, nil
-	}
-	if err != nil {
-		return superblock{}, err
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != superMagic {
-		if buf == [page.Size]byte{} {
-			// No superblock yet (a crash before the first checkpoint): a
-			// file volume reads the hole at page 0 as zeros.
-			return fresh, nil
-		}
-		return superblock{}, errors.New("server: bad superblock magic")
-	}
-	return superblock{
-		hasCheckpoint: binary.LittleEndian.Uint32(buf[4:]) == 1,
-		checkpointLSN: binary.LittleEndian.Uint64(buf[8:]),
-		nextPage:      page.ID(binary.LittleEndian.Uint32(buf[16:])),
-		nextTID:       logrec.TID(binary.LittleEndian.Uint64(buf[24:])),
-	}, nil
 }

@@ -97,8 +97,9 @@ func readObject(t *testing.T, sn *Session, pid page.ID, slot, n int) []byte {
 }
 
 // updateObject runs a transaction overwriting the object's bytes following
-// the mode's client protocol, optionally crashing before commit.
-func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byte, commit bool) {
+// the mode's client protocol and returns its id; without commit the
+// transaction is left open.
+func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byte, commit bool) logrec.TID {
 	t.Helper()
 	tid := sn.Begin()
 	data, err := sn.ReadPage(tid, pid, lock.Exclusive)
@@ -135,6 +136,7 @@ func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byt
 			t.Fatal(err)
 		}
 	}
+	return tid
 }
 
 func TestCreateAndReadBack(t *testing.T) {
@@ -181,6 +183,44 @@ func TestUncommittedUpdateRolledBackByCrash(t *testing.T) {
 			got := readObject(t, sn, pid, slot, 12)
 			if string(got) != "original...." {
 				t.Fatalf("after crash got %q", got)
+			}
+		})
+	}
+}
+
+// TestRestartRetriesAFailedLoserUndo: a restart whose undo of a loser fails
+// (here a read error on the loser's page, flushed home by a sharp checkpoint
+// so that undo must fetch it) returns the error WITHOUT logging the loser's
+// End. Were the End logged and ever stable, the next restart would take the
+// half-undone loser for finished and its update would stay for good.
+func TestRestartRetriesAFailedLoserUndo(t *testing.T) {
+	for _, mode := range []Mode{ModeESM, ModeREDO} {
+		t.Run(mode.String(), func(t *testing.T) {
+			store := &failingStore{Store: disk.NewMemStore()}
+			s := New(Config{Mode: mode, Store: store, PoolPages: 16, LogCapacity: 16 << 20,
+				LockTimeout: time.Second, CheckpointEvery: 1 << 30})
+			defer s.Close()
+			sn := s.NewSession(nil, nil)
+			pid, slot := createPage(t, sn, []byte("original...."))
+			updateObject(t, sn, pid, slot, []byte("uncommitted!"), false)
+			if err := sn.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			s.Crash()
+			store.armRead(pid)
+			if err := sn.Restart(); err == nil {
+				t.Fatal("restart succeeded over an unreadable loser page")
+			}
+			// Whatever the failed restart appended reaches the disk before the
+			// server dies again.
+			s.log.Force()
+			s.Crash()
+			store.armRead(0)
+			if err := sn.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			if got := readObject(t, sn, pid, slot, 12); string(got) != "original...." {
+				t.Fatalf("after the retried restart got %q", got)
 			}
 		})
 	}

@@ -34,14 +34,13 @@ const standbyTIDBase = logrec.TID(1) << 62
 func (s *Server) Standby() bool { return s.standby.Load() }
 
 // ApplyShipped replays one record of the primary's log stream. Records must
-// arrive in LSN order from a single goroutine. The record is appended at its
-// original LSN (or recognized as already present, when a cold bootstrap
-// restored part of the stream from the archive) and its effect is applied
-// through the same code restart uses (replay.go): tables.note mirrors the
-// primary's ATT/DPT/WPL-table/decided bookkeeping, and updates run through
-// the pageLSN-conditional redo. What stays here is what only a live standby
-// has: the append-at-LSN, what a WPL commit or abort owes beyond the table
-// (installs, dropping the aborted frame), and checkpoint records, which
+// arrive in LSN order from a single goroutine. The record enters the log and
+// the tables through the step the primary's own records take (logAndNote,
+// replay.go) — appended at its original LSN, or recognized as already present
+// when a cold bootstrap restored part of the stream from the archive — and
+// updates run through the pageLSN-conditional redo restart uses. What stays
+// here is what only a live standby has: what a WPL commit or abort owes beyond
+// the table (installs, dropping the aborted frame), and checkpoint records, which
 // additionally mirror the master-record write and the primary's log
 // reclamation so the standby's ring never fills. The caller is responsible
 // for forcing the log (batch-wise) before reporting the records as applied.
@@ -60,45 +59,12 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 	default:
 		return fmt.Errorf("server: cannot apply shipped %v record", r.Type)
 	}
-	size := uint64(r.EncodedSize())
-	end := s.log.End()
-	appendIt := false
-	switch {
-	case r.LSN+size <= end:
-		// Already in the log: the cold-bootstrap replay over a restored
-		// stream (archive.Bootstrap re-appended these at identical LSNs).
-		// Tables and pages still need the record's effects.
-	case r.LSN == end:
-		appendIt = true
-	default:
-		return fmt.Errorf("server: shipped record at LSN %d leaves a gap (log ends at %d)", r.LSN, end)
+	// Looked up first: the WPL side effects below outlive note's retiring of a
+	// committed entry.
+	t, _ := s.lookupTxn(r.TID)
+	if err := s.logAndNote(r, true); err != nil {
+		return err
 	}
-	wpl := s.cfg.Mode == ModeWPL
-
-	// Append + table updates: one attMu section, mirroring ShipLog, undoApply,
-	// wplShip, Commit, Prepare and logDecision on the primary.
-	s.attMu.Lock()
-	if appendIt {
-		if err := s.appendShippedLocked(r); err != nil {
-			s.attMu.Unlock()
-			return err
-		}
-	}
-	t := s.att[r.TID] // the WPL side effects below outlive note's retiring of a committed entry
-	// Each mode keeps one page table and one mutex for it: the DPT, or under
-	// WPL — where installs, not redo, bring pages home — the WPL table. A
-	// shipped page image is not cached or written home: the no-steal rule
-	// stands, and reads reload the newest copy from the log.
-	tb, mu := tables{att: s.att, dpt: s.dpt, decided: s.decided}, &s.dptMu
-	if wpl {
-		tb, mu = tables{att: s.att, wpl: s.wpl, decided: s.decided}, &s.wplMu
-	}
-	s.decMu.Lock()
-	mu.Lock()
-	tb.note(r)
-	mu.Unlock()
-	s.decMu.Unlock()
-	s.attMu.Unlock()
 	// Track the primary's allocation frontier as analysis does, so the
 	// scrubber covers replicated pages and promotion starts from the right
 	// counters even before a checkpoint arrives.
@@ -106,8 +72,11 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 	s.bumpAllocFor(r)
 	s.allocMu.Unlock()
 
+	wpl := s.cfg.Mode == ModeWPL
 	switch r.Type {
 	case logrec.TypeUpdate, logrec.TypeCLR, logrec.TypePageImage:
+		// Under WPL a shipped page image is not cached or written home: the
+		// no-steal rule stands, and reads reload the newest copy from the log.
 		if !wpl {
 			// Repeat history, conditional on the page LSN — identical to
 			// restart redo, and idempotent over a bootstrap-restored (possibly
@@ -127,22 +96,6 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 		}
 	case logrec.TypeCheckpoint:
 		return s.applyShippedCheckpoint(sn, r)
-	}
-	return nil
-}
-
-// appendShippedLocked appends r, asserting it lands at its original LSN.
-// Caller holds attMu. Append assigns r.LSN = next and the caller checked
-// next == r.LSN, so the assert only fires on a racing local append — which
-// the standby guards exist to prevent.
-func (s *Server) appendShippedLocked(r *logrec.Record) error {
-	want := r.LSN
-	got, err := s.log.Append(r)
-	if err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("server: shipped record for LSN %d appended at %d (log diverged)", want, got)
 	}
 	return nil
 }
@@ -177,7 +130,7 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 		s.wplMu.Lock()
 		for _, w := range c.wpl {
 			if w.committed {
-				tables{wpl: s.wpl}.seedCopy(w)
+				s.tables.seedCopy(w)
 			}
 		}
 		s.wplMu.Unlock()

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,39 +70,18 @@ func (pr *replPair) ship(t *testing.T) {
 	pr.cursor = next
 	pr.hold.Set(next)
 	pr.s.log.Force()
-	if pr.s.cfg.Mode == ModeWPL && pr.s.Stats().Checkpoints == 0 {
-		pr.checkWPLMirror(t)
+	// Both sides log through the same step, so at a ship boundary — everything
+	// the primary logged is stable and applied — their tables agree, modulo
+	// what each side's own write-homes and installs have retired.
+	if d := diffTables(pr.p.liveView(), pr.s.liveView(), pr.p, pr.s); len(d) != 0 {
+		t.Fatalf("tables diverge at the ship boundary %d (primary vs standby):\n%s", next, strings.Join(d, "\n"))
 	}
-}
-
-// checkWPLMirror: the standby's live WPL table is what restart analysis would
-// build from the standby's own log — seed(nil) + note over every record —
-// minus what the live standby has already installed: an install drops a
-// chain from its committed head down, so the live chain is the analysis
-// chain's top, cut (if at all) just above a committed entry. Holds until the
-// first mirrored checkpoint reclaims the log analysis would need.
-func (pr *replPair) checkWPLMirror(t *testing.T) {
-	t.Helper()
-	tb := seed(ModeWPL, nil)
-	if err := pr.s.log.Scan(pr.s.log.Head(), func(r *logrec.Record) bool { tb.note(r); return true }); err != nil {
-		t.Fatal(err)
-	}
-	pr.s.wplMu.Lock()
-	defer pr.s.wplMu.Unlock()
-	for pid := range pr.s.wpl {
-		if tb.wpl[pid] == nil {
-			t.Fatalf("live table names P%d, analysis of the standby's log does not", pid)
-		}
-	}
-	for pid := range tb.wpl {
-		live, want := chainOf(pr.s.wpl, pid), chainOf(tb.wpl, pid)
-		if len(live) > len(want) || (len(live) < len(want) && !want[len(live)].committed) {
-			t.Fatalf("P%d: live chain %+v, analysis chain %+v", pid, live, want)
-		}
-		for i := range live {
-			if live[i] != want[i] {
-				t.Fatalf("P%d: live chain %+v, analysis chain %+v", pid, live, want)
-			}
+	// And the standby's are what restart analysis would build from its own log.
+	// Holds until the first mirrored checkpoint: that one logs the primary's
+	// tables, and a standby's write-homes are its own.
+	if pr.s.Stats().Checkpoints == 0 {
+		if d := diffTables(pr.s.liveView(), analysisView(t, pr.s), pr.s, nil); len(d) != 0 {
+			t.Fatalf("the standby's tables are not what analysis of its log builds (live vs analysis):\n%s", strings.Join(d, "\n"))
 		}
 	}
 }
@@ -419,11 +399,13 @@ func TestStandbyReadsConcurrentWithApply(t *testing.T) {
 }
 
 // failingStore rejects writes of one page — or, armed with everyPage, of
-// every data page — while armed; superblock writes always go through.
+// every data page — while armed; superblock writes always go through. armRead
+// does the same for reads of one page.
 type failingStore struct {
 	disk.Store
-	mu   sync.Mutex
-	fail page.ID // 0 = healthy
+	mu       sync.Mutex
+	fail     page.ID // 0 = healthy
+	failRead page.ID // 0 = healthy
 }
 
 const everyPage = ^page.ID(0)
@@ -432,6 +414,22 @@ func (f *failingStore) arm(pid page.ID) {
 	f.mu.Lock()
 	f.fail = pid
 	f.mu.Unlock()
+}
+
+func (f *failingStore) armRead(pid page.ID) {
+	f.mu.Lock()
+	f.failRead = pid
+	f.mu.Unlock()
+}
+
+func (f *failingStore) ReadPage(id page.ID, buf []byte) error {
+	f.mu.Lock()
+	fail := f.failRead
+	f.mu.Unlock()
+	if id != superblockPage && id == fail {
+		return errors.New("failingStore: injected read error")
+	}
+	return f.Store.ReadPage(id, buf)
 }
 
 func (f *failingStore) WritePage(id page.ID, data []byte) error {

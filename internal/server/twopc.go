@@ -22,6 +22,7 @@ package server
 // decided means commit, absent means presumed abort.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -89,23 +90,14 @@ func (sn *Session) Prepare(tid logrec.TID, coordinator int, participants []int) 
 	}
 	p := logrec.NewPrepare(tid, coordinator, participants)
 	p.PrevLSN = t.lastLSN
-	// Append + ATT chain + prepared marking: one attMu critical section, so a
-	// fuzzy checkpoint either snapshots the branch as prepared or re-analyzes
-	// the PREPARE record from its scan window (the same invariant as Commit).
-	s.attMu.Lock()
-	if _, err := s.log.Append(p); err != nil {
-		s.attMu.Unlock()
+	// Stamped before note marks the branch prepared: InDoubt reads the time of
+	// prepared branches only, under the attMu the marking happens in.
+	//qslint:allow determinism: in-doubt age reporting only (qsctl 2pc-status); never logged, no control flow depends on it
+	t.prepTime = time.Now()
+	if err := s.logAndNote(p, false); err != nil {
 		exit()
 		return err
 	}
-	t.chain(p.LSN)
-	t.prepared = true
-	t.coord = coordinator
-	t.parts = append([]int(nil), participants...)
-	t.prepLSN = p.LSN
-	//qslint:allow determinism: in-doubt age reporting only (qsctl 2pc-status); never logged, no control flow depends on it
-	t.prepTime = time.Now()
-	s.attMu.Unlock()
 	// The yes vote must be stable before it is uttered: ride the group-commit
 	// flusher exactly as a commit force does.
 	sn.commitWait(p)
@@ -117,30 +109,37 @@ func (sn *Session) Prepare(tid logrec.TID, coordinator int, participants []int) 
 // Decide delivers the coordinator's outcome to tid's branch on this shard.
 // On the coordinator shard a commit decision first logs and forces the DECIDE
 // record (the transaction's commit point) and enters it in the decided map;
-// then — on every shard — the branch finishes through the normal Commit or
-// Abort path, releasing its locks. Idempotent: deciding a finished branch is
-// a no-op, so the router may re-deliver after partial failures.
+// then — on every shard — the branch finishes through the normal commit or
+// abort path, releasing its locks. The branch stays prepared until the Commit
+// or Abort record's own note settles it, so a checkpoint sees it in doubt or
+// sees the logged outcome, never a decided branch that looks like a loser
+// (DESIGN.md §2.5). Idempotent: deciding a finished branch is a no-op, so the
+// router may re-deliver after partial failures — but "finished" is answered
+// only once the outcome is durable: the ATT entry retires with the commit
+// record's append, before its force, and the router takes a nil here as leave
+// to forget the decision.
 func (sn *Session) Decide(tid logrec.TID, commit bool) error {
 	s := sn.s
 	if s.standby.Load() {
 		return ErrStandby
 	}
-	if commit {
-		if err := sn.logDecision(tid); err != nil {
+	if !commit {
+		if err := sn.abort(tid, true); !errors.Is(err, ErrNoTxn) {
 			return err
 		}
-	}
-	t, ok := s.lookupTxn(tid)
-	if !ok {
 		return nil // branch already finished; re-delivery
 	}
-	s.attMu.Lock()
-	t.prepared = false // fate known: Commit/Abort below may proceed
-	s.attMu.Unlock()
-	if commit {
-		return sn.Commit(tid)
+	if err := sn.logDecision(tid); err != nil {
+		return err
 	}
-	return sn.Abort(tid)
+	if err := sn.commit(tid, true); !errors.Is(err, ErrNoTxn) {
+		return err
+	}
+	// Branch already finished; re-delivery. An earlier delivery may still be
+	// parked on the flusher with the commit record unforced: wait with it.
+	defer s.enter()()
+	sn.m.LogWrite(s.log.CommitWait(s.log.End()))
+	return nil
 }
 
 // logDecision makes tid's commit decision stable if this shard is its
@@ -148,40 +147,23 @@ func (sn *Session) Decide(tid logrec.TID, commit bool) error {
 // record is the commit point of the whole cross-shard transaction.
 func (sn *Session) logDecision(tid logrec.TID) error {
 	s := sn.s
-	exit := s.enter()
+	defer s.enter()()
 	t, ok := s.lookupTxn(tid)
 	if !ok || !t.prepared || t.coord != s.cfg.ShardID {
 		// Not ours to decide (participant shard), not prepared (single-shard
 		// fast path), or already finished — nothing to log.
-		exit()
 		return nil
 	}
-	// The DECIDE append is deliberately NOT chained into the branch's PrevLSN
-	// chain: restart's loser check must still find the PREPARE at lastLSN to
-	// classify the branch, and the decision's own life cycle is the decided
-	// map + forget End, not the undo chain.
+	// The DECIDE record is deliberately NOT chained into the branch's PrevLSN
+	// chain: the decision's own life cycle is the decided map + forget End,
+	// not the undo chain.
 	d := logrec.NewDecide(tid, t.coord, t.parts)
 	d.PrevLSN = logrec.NoLSN
-	s.attMu.Lock()
-	s.decMu.Lock()
-	if _, done := s.decided[tid]; done {
-		s.decMu.Unlock()
-		s.attMu.Unlock()
-		exit()
-		return nil
+	logged, err := s.logAndNoteIf(d, false, func() bool { _, done := s.decided[tid]; return !done })
+	if logged {
+		sn.commitWait(d)
 	}
-	if _, err := s.log.Append(d); err != nil {
-		s.decMu.Unlock()
-		s.attMu.Unlock()
-		exit()
-		return err
-	}
-	s.decided[tid] = decidedTxn{lsn: d.LSN, parts: append([]int(nil), t.parts...)}
-	s.decMu.Unlock()
-	s.attMu.Unlock()
-	sn.commitWait(d)
-	exit()
-	return nil
+	return err
 }
 
 // Forget ends the presumed-abort forget protocol for a decided transaction:
@@ -196,24 +178,10 @@ func (sn *Session) Forget(tid logrec.TID) error {
 		return ErrStandby
 	}
 	defer s.enter()()
-	s.attMu.Lock()
-	s.decMu.Lock()
-	if _, ok := s.decided[tid]; !ok {
-		s.decMu.Unlock()
-		s.attMu.Unlock()
-		return nil
-	}
 	e := logrec.NewEnd(tid)
 	e.PrevLSN = logrec.NoLSN
-	if _, err := s.log.Append(e); err != nil {
-		s.decMu.Unlock()
-		s.attMu.Unlock()
-		return err
-	}
-	delete(s.decided, tid)
-	s.decMu.Unlock()
-	s.attMu.Unlock()
-	return nil
+	_, err := s.logAndNoteIf(e, false, func() bool { _, ok := s.decided[tid]; return ok })
+	return err
 }
 
 // ResolveInDoubt answers a recovery-resolution request for tid, asked of the
@@ -261,9 +229,9 @@ func (s *Server) InDoubt() []InDoubtTxn {
 // in-process wire transport.
 func (sn *Session) InDoubt() []InDoubtTxn { return sn.s.InDoubt() }
 
-// resurrectInDoubt installs an in-doubt branch discovered by restart analysis
-// into the live ATT and re-acquires its exclusive page locks before new
-// sessions are admitted, so the branch keeps isolating its uncommitted pages
+// resurrectInDoubt re-acquires the exclusive page locks of an in-doubt branch
+// restart analysis left in the ATT, before new sessions are admitted, so the
+// branch keeps isolating its uncommitted pages
 // (redo-reapplied, or under WPL off their permanent locations) until
 // resolution. Analysis, which scanned from start, has noted in t.pageLSN every
 // page the branch logged inside that window or a checkpoint's WPL table
@@ -296,10 +264,9 @@ func (s *Server) resurrectInDoubt(t *txn, start uint64) error {
 			cur = r.UndoNext
 		}
 	}
+	s.attMu.Lock()
 	//qslint:allow determinism: in-doubt age reporting only (qsctl 2pc-status); never logged, no control flow depends on it
 	t.prepTime = time.Now()
-	s.attMu.Lock()
-	s.att[t.tid] = t
 	s.attMu.Unlock()
 	pids := make([]page.ID, 0, len(t.pageLSN))
 	for pid := range t.pageLSN {

@@ -11,10 +11,14 @@ package server
 // chooses which pages go and in what order.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"repro/internal/buffer"
+	"repro/internal/disk"
+	"repro/internal/logrec"
 	"repro/internal/page"
 )
 
@@ -123,4 +127,74 @@ func (s *Server) installWPLLocked(sn *Session, sh *buffer.PoolShard, e *wplEntry
 		sh.MarkClean(e.pid)
 	}
 	return nil
+}
+
+// --- superblock ----------------------------------------------------------
+
+const superMagic = 0x51535342 // "QSSB"
+
+type superblock struct {
+	checkpointLSN uint64
+	nextPage      page.ID
+	nextTID       logrec.TID
+	hasCheckpoint bool
+}
+
+func encodeSuperblock(sb superblock) []byte {
+	buf := make([]byte, page.Size)
+	binary.LittleEndian.PutUint32(buf[0:], superMagic)
+	flags := uint32(0)
+	if sb.hasCheckpoint {
+		flags = 1
+	}
+	binary.LittleEndian.PutUint32(buf[4:], flags)
+	binary.LittleEndian.PutUint64(buf[8:], sb.checkpointLSN)
+	binary.LittleEndian.PutUint32(buf[16:], uint32(sb.nextPage))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(sb.nextTID))
+	return buf
+}
+
+func (s *Server) readSuperblock() (superblock, error) {
+	var buf [page.Size]byte
+	err := s.store.ReadPage(superblockPage, buf[:])
+	fresh := superblock{nextPage: 1, nextTID: 1}
+	if errors.Is(err, disk.ErrNotFound) {
+		return fresh, nil
+	}
+	if errors.Is(err, disk.ErrCorruptPage) {
+		// A rotted or torn master record. Rebuild it from the newest
+		// checkpoint record still in the log — never from the archive, whose
+		// copy could name an older checkpoint and make restart skip redo it
+		// still needs. No checkpoint record means the superblock cannot be
+		// trusted at all: fail loudly rather than recover from a guess.
+		atomic.AddInt64(&s.stats.ChecksumFailures, 1)
+		sb, rerr := s.superblockFromLog()
+		if rerr != nil {
+			atomic.AddInt64(&s.stats.PagesUnrepairable, 1)
+			return superblock{}, fmt.Errorf("%w: %v: %v: %w",
+				ErrUnrepairable, superblockPage, rerr, err)
+		}
+		if werr := s.storeWrite(nil, superblockPage, encodeSuperblock(sb)); werr != nil {
+			return superblock{}, werr
+		}
+		atomic.AddInt64(&s.stats.PagesRepaired, 1)
+		return sb, nil
+	}
+	if err != nil {
+		return superblock{}, err
+	}
+	if binary.LittleEndian.Uint32(buf[0:]) != superMagic {
+		if buf == [page.Size]byte{} {
+			// No superblock yet (a crash before the first checkpoint): a
+			// file volume reads the hole at page 0 as zeros.
+			return fresh, nil
+		}
+		return superblock{}, errors.New("server: bad superblock magic")
+	}
+	return superblock{
+		hasCheckpoint: binary.LittleEndian.Uint32(buf[4:]) == 1,
+		checkpointLSN: binary.LittleEndian.Uint64(buf[8:]),
+		nextPage:      page.ID(binary.LittleEndian.Uint32(buf[16:])),
+		nextTID:       logrec.TID(binary.LittleEndian.Uint64(buf[24:])),
+	}, nil
 }
