@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare
+.PHONY: check vet lint lint-fixtures build test race sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare bench-pairs
 
 check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke bench-test
 
@@ -74,11 +74,12 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # The concurrency surface (group commit, sharded pool sessions, async WPL
-# installer and the install-before-commit-force window, parallel redo, WPL
+# installer and the install-before-commit-force window, restart's one pass
+# held against the per-page rebuilder and writing pages home as it goes, WPL
 # restart analysis across sharp and fuzzy checkpoints, the live tables checked
 # against analysis of the log after every call) under the race detector.
 race-concurrent:
-	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestParallelRedo|TestLiveTables' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestRestartMatchesPageRebuilder|TestRestartRedoesBelowAnalysisStart|TestRestartHealsYoungTornPage|TestRestartWritesHome|TestLiveTables' -count=1
 
 # Archive round-trip (segment/backup framing, truncation gate with batches
 # in flight, restore re-runnability, corruption detection) under -race.
@@ -155,3 +156,10 @@ bench-test:
 #   make bench-compare OLD=old/runs.jsonl NEW=new/runs.jsonl
 bench-compare:
 	bash bench/run.sh -compare $(OLD) $(NEW)
+
+# The two files for bench-compare in one command: BASE (any git ref, exported
+# with `git archive`) against this working tree, N alternating pairs, seeds
+# 1..N, every workload or one (W). ~45 s per workload per run.
+#   make bench-pairs BASE=HEAD~1 W=crash-restart N=10
+bench-pairs:
+	bash bench-pairs.sh $(BASE) $(or $(W),"") $(or $(N),10)

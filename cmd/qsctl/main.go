@@ -15,7 +15,7 @@
 //	qsctl faults disarm
 //
 // And it reports the daemon's server-side counters (group-commit batching,
-// buffer-pool and latch behaviour, restart redo utilization):
+// buffer-pool and latch behaviour, the last restart phase by phase):
 //
 //	qsctl stats            # human-readable counter summary
 //	qsctl stats -json      # raw JSON (wire.DaemonStats)
@@ -317,8 +317,11 @@ func statsCmd(addr string, args []string) error {
 		}
 		fmt.Println()
 	}
-	if x.RedoWorkers > 0 {
-		fmt.Printf("restart redo     workers=%d applied=%v\n", x.RedoWorkers, x.RedoApplied)
+	if r := x.Restart; x.Restarts > 0 {
+		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+		fmt.Printf("restart          verify=%.2fms pass=%.2fms undo=%.2fms checkpoint=%.2fms scanned=%d records/%dB redone=%d verified=%d pages losers=%d in_doubt=%d\n",
+			ms(r.VerifyNs), ms(r.PassNs), ms(r.UndoNs), ms(r.CheckpointNs),
+			r.RecordsScanned, r.BytesScanned, r.RecordsRedone, r.PagesVerified, r.Losers, r.InDoubt)
 	}
 	if a := x.Archive; a != nil {
 		fmt.Printf("archiver         gen=%d segments=%d archived_to=%d lag=%dB (%d segments behind)\n",
@@ -491,17 +494,16 @@ func archiveCmd(addr, cmd string) error {
 func restoreCmd(args []string) error {
 	fs := flag.NewFlagSet("restore", flag.ContinueOnError)
 	var (
-		dir     = fs.String("archive-dir", "", "archive directory (required)")
-		data    = fs.String("data", "", "destination volume file (required)")
-		mode    = fs.String("mode", "esm", "recovery mode the server ran: esm|redo|wpl")
-		target  = fs.Uint64("target", 0, "point-in-time target LSN (0 = end of archive)")
-		workers = fs.Int("workers", 0, "parallel redo workers (0 = GOMAXPROCS)")
+		dir    = fs.String("archive-dir", "", "archive directory (required)")
+		data   = fs.String("data", "", "destination volume file (required)")
+		mode   = fs.String("mode", "esm", "recovery mode the server ran: esm|redo|wpl")
+		target = fs.Uint64("target", 0, "point-in-time target LSN (0 = end of archive)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dir == "" || *data == "" {
-		return fmt.Errorf("usage: restore -archive-dir DIR -data VOL [-mode esm|redo|wpl] [-target LSN] [-workers N]")
+		return fmt.Errorf("usage: restore -archive-dir DIR -data VOL [-mode esm|redo|wpl] [-target LSN]")
 	}
 	var m server.Mode
 	switch *mode {
@@ -523,9 +525,8 @@ func restoreCmd(args []string) error {
 		return err // a stale temp volume from a crashed restore is discarded
 	}
 	res, err := archive.Restore(blobs, archive.RestoreOptions{
-		Mode:        m,
-		TargetLSN:   *target,
-		RedoWorkers: *workers,
+		Mode:      m,
+		TargetLSN: *target,
 		NewStore: func() (disk.Store, error) {
 			return disk.OpenFileStore(tmp)
 		},

@@ -329,7 +329,7 @@ func TestBackupRestorePITR(t *testing.T) {
 
 	// The volume is destroyed; restore to end of archive. Committed pages
 	// are back, the loser's overwrite is rolled back.
-	res, err := Restore(w.blobs, RestoreOptions{Mode: server.ModeREDO, RedoWorkers: 2})
+	res, err := Restore(w.blobs, RestoreOptions{Mode: server.ModeREDO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestBackupRestorePITR(t *testing.T) {
 		t.Fatalf("archive holds %d commits, want 4", len(commits))
 	}
 	cut := commits[2]
-	res2, err := Restore(w.blobs, RestoreOptions{Mode: server.ModeREDO, TargetLSN: cut, RedoWorkers: 2})
+	res2, err := Restore(w.blobs, RestoreOptions{Mode: server.ModeREDO, TargetLSN: cut})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // TestRebuildEquivalence: one record reaches a page through one piece of
 // code, so three routes to a page's current image must agree byte for byte —
 // the rebuilder fed from the live log, RepairPage (backup + archived chain +
-// live tail), and the frame restart leaves (parallel redo for ESM/REDO,
+// live tail), and the frame restart leaves (the pass's redo for ESM/REDO,
 // installs from the WPL table for WPL) — over a seeded multi-transaction
 // history with aborts, for each server mode. The committed content is also checked
 // against a model the test keeps itself.
@@ -34,7 +34,7 @@ func rebuildEquivalence(t *testing.T, mode server.Mode) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := server.Config{Mode: mode, Store: store, Log: log, PoolPages: 256, CheckpointEvery: 1 << 30, RedoWorkers: 2}
+	cfg := server.Config{Mode: mode, Store: store, Log: log, PoolPages: 256, CheckpointEvery: 1 << 30}
 	Wire(&cfg, arch)
 	srv := server.New(cfg)
 	sn := srv.NewSession(nil, nil)

@@ -49,9 +49,6 @@ type RestoreOptions struct {
 	// pass rolls back every transaction without a commit record in that
 	// prefix. Zero means end of archive.
 	TargetLSN uint64
-	// RedoWorkers is forwarded to the restored server's restart (parallel
-	// redo fan-out).
-	RedoWorkers int
 	// PoolPages is forwarded to the restored server (default server pool
 	// size if zero).
 	PoolPages int
@@ -218,10 +215,10 @@ replay:
 
 // Restore rebuilds a destroyed volume from the newest usable backup plus the
 // archived log (Bootstrap), then recovers it with the server's own Restart:
-// analysis from the backed-up superblock's checkpoint, scheme-appropriate
-// redo (parallel fan-out for ESM/REDO, installs from the WPL table for WPL),
-// then rollback of every transaction the replayed prefix does not commit —
-// which is exactly prefix consistency at the cut LSN.
+// one pass from the backed-up superblock's checkpoint (analysis, with redo as
+// it goes for ESM/REDO; installs from the WPL table for WPL), then rollback of
+// every transaction the replayed prefix does not commit — which is exactly
+// prefix consistency at the cut LSN.
 func Restore(blobs BlobStore, opts RestoreOptions) (*RestoreResult, error) {
 	boot, err := Bootstrap(blobs, BootstrapOptions{
 		TargetLSN: opts.TargetLSN,
@@ -238,11 +235,10 @@ func Restore(blobs BlobStore, opts RestoreOptions) (*RestoreResult, error) {
 	}
 
 	srv := server.New(server.Config{
-		Mode:        opts.Mode,
-		Store:       store,
-		Log:         log,
-		PoolPages:   opts.PoolPages,
-		RedoWorkers: opts.RedoWorkers,
+		Mode:      opts.Mode,
+		Store:     store,
+		Log:       log,
+		PoolPages: opts.PoolPages,
 	})
 	sn := srv.NewSession(nil, nil)
 	if err := sn.Restart(); err != nil {

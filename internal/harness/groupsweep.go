@@ -44,7 +44,7 @@ func groupVal(prefix string, k int) []byte {
 }
 
 // groupConfig has checkpoints only where the kind asks for one.
-func groupConfig(mode server.Mode, redoWorkers int) func(disk.Store, *wal.Log) server.Config {
+func groupConfig(mode server.Mode) func(disk.Store, *wal.Log) server.Config {
 	return func(store disk.Store, log *wal.Log) server.Config {
 		return server.Config{
 			Mode:            mode,
@@ -53,7 +53,6 @@ func groupConfig(mode server.Mode, redoWorkers int) func(disk.Store, *wal.Log) s
 			LogCapacity:     sweepLogCapacity,
 			PoolPages:       sweepServerPool,
 			CheckpointEvery: 1 << 30,
-			RedoWorkers:     redoWorkers,
 		}
 	}
 }
@@ -68,7 +67,7 @@ type groupRun struct {
 
 func openGroup(sys SweepSystem, _ int64) (*pointSpace, error) {
 	fuse := faultinject.NewFuse(-1)
-	run := &groupRun{sys: sys, node: newNode(fuse, sweepLogCapacity, groupConfig(sys.Mode, 0))}
+	run := &groupRun{sys: sys, node: newNode(fuse, sweepLogCapacity, groupConfig(sys.Mode))}
 	srv, log := run.node.srv, run.node.log
 
 	// Phase 1: serial setup — each client gets two private pages, each
@@ -192,11 +191,10 @@ func (run *groupRun) durableAt(cut uint64) int {
 // replayCut recovers a clone of the frozen store under a clone of the log
 // whose stable end is the cut, and holds each client to the WAL contract:
 // both objects new iff its commit record lies wholly below the cut, both old
-// otherwise — never a mixture, which would be a torn group member. Restart
-// runs with RedoWorkers > 1, so every cut also drives parallel redo.
+// otherwise — never a mixture, which would be a torn group member.
 func (run *groupRun) replayCut(point int64) (string, error) {
 	cut := run.cuts[point-1]
-	n := &node{mem: run.node.mem.Clone(), log: run.node.log.CrashClone(cut), cfg: groupConfig(run.sys.Mode, 4)}
+	n := &node{mem: run.node.mem.Clone(), log: run.node.log.CrashClone(cut), cfg: groupConfig(run.sys.Mode)}
 	n.arm(nil)
 	if err := n.restart(); err != nil {
 		return fmt.Sprintf("cut %d: restart failed: %v", cut, err), nil

@@ -24,14 +24,13 @@ import (
 // Media sizing: fewer stamps than the crash kinds (each cut pays a full
 // restore), segments small enough that one run seals dozens.
 const (
-	mediaStamps      = 64
-	archSegmentSize  = 8 << 10         // also the scrub kind's
-	archMaxLag       = 64 << 10        // also the scrub kind's
-	mediaBackupAt    = mediaStamps / 3 // stamp index where the online backup starts
-	mediaBackupTxns  = 16              // stamps committed *inside* the backup's page scan
-	mediaStepPages   = 2               // backup pages copied between stamp batches
-	mediaStepTxns    = 4               // stamps committed per step (the volume is tiny)
-	mediaRedoWorkers = 4
+	mediaStamps     = 64
+	archSegmentSize = 8 << 10         // also the scrub kind's
+	archMaxLag      = 64 << 10        // also the scrub kind's
+	mediaBackupAt   = mediaStamps / 3 // stamp index where the online backup starts
+	mediaBackupTxns = 16              // stamps committed *inside* the backup's page scan
+	mediaStepPages  = 2               // backup pages copied between stamp batches
+	mediaStepTxns   = 4               // stamps committed per step (the volume is tiny)
 )
 
 // steppedStore interposes on the volume the archiver backs up: every
@@ -220,10 +219,9 @@ func runMediaWorkload(sys SweepSystem, seed int64) (*mediaRun, error) {
 
 func (run *mediaRun) restore(target uint64) (*archive.RestoreResult, error) {
 	return archive.Restore(run.blobs, archive.RestoreOptions{
-		Mode:        run.sys.Mode,
-		TargetLSN:   target,
-		RedoWorkers: mediaRedoWorkers,
-		PoolPages:   sweepServerPool,
+		Mode:      run.sys.Mode,
+		TargetLSN: target,
+		PoolPages: sweepServerPool,
 	})
 }
 

@@ -159,25 +159,37 @@ var (
 // Decode parses one record from the front of b and returns it along with the
 // number of bytes consumed. The returned record's images alias b.
 func Decode(b []byte) (*Record, int, error) {
+	r := new(Record)
+	n, err := DecodeInto(r, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, n, nil
+}
+
+// DecodeInto is Decode into a record the caller owns: every field of dst is
+// overwritten, its images alias b, and nothing is allocated — a log scan
+// decodes its whole window into one Record. On error dst is left untouched.
+func DecodeInto(dst *Record, b []byte) (int, error) {
 	if len(b) < HeaderSize {
-		return nil, 0, ErrShort
+		return 0, ErrShort
 	}
 	total := int(binary.LittleEndian.Uint32(b))
 	if total < HeaderSize {
-		return nil, 0, ErrBadSizes
+		return 0, ErrBadSizes
 	}
 	if len(b) < total {
-		return nil, 0, ErrShort
+		return 0, ErrShort
 	}
 	if crc32.ChecksumIEEE(b[8:total]) != binary.LittleEndian.Uint32(b[4:]) {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	beforeLen := int(binary.LittleEndian.Uint16(b[48:]))
 	afterLen := total - HeaderSize - beforeLen
 	if afterLen < 0 {
-		return nil, 0, ErrBadSizes
+		return 0, ErrBadSizes
 	}
-	r := &Record{
+	*dst = Record{
 		LSN:      binary.LittleEndian.Uint64(b[8:]),
 		PrevLSN:  binary.LittleEndian.Uint64(b[16:]),
 		TID:      TID(binary.LittleEndian.Uint64(b[24:])),
@@ -187,12 +199,12 @@ func Decode(b []byte) (*Record, int, error) {
 		Off:      binary.LittleEndian.Uint16(b[46:]),
 	}
 	if beforeLen > 0 {
-		r.Before = b[HeaderSize : HeaderSize+beforeLen : HeaderSize+beforeLen]
+		dst.Before = b[HeaderSize : HeaderSize+beforeLen : HeaderSize+beforeLen]
 	}
 	if afterLen > 0 {
-		r.After = b[HeaderSize+beforeLen : total : total]
+		dst.After = b[HeaderSize+beforeLen : total : total]
 	}
-	return r, total, nil
+	return total, nil
 }
 
 // DecodeAll parses every record in b, which must contain a whole number of

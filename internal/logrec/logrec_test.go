@@ -2,6 +2,7 @@ package logrec
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +119,56 @@ func TestDecodeAll(t *testing.T) {
 		if got[i].Type != want[i].Type || got[i].LSN != want[i].LSN {
 			t.Fatalf("record %d: %v != %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestDecodeIntoAgreesWithDecode: decoding into one reused record gives, for
+// every record of a mixed stream, exactly what Decode allocates — nothing of
+// the previous record shows through (a control record after an update has no
+// images), an error leaves the destination alone, and nothing is allocated.
+func TestDecodeIntoAgreesWithDecode(t *testing.T) {
+	stream := []*Record{
+		NewUpdate(7, 42, 128, []byte("before!!"), []byte("after!!!")),
+		NewCommit(7),
+		NewPageImage(9, 11, bytes.Repeat([]byte{0xAB}, page.Size)),
+		{TID: 1, Type: TypeCLR, Page: 5, Off: 10, UndoNext: 777, After: []byte{1, 2, 3}},
+		NewEnd(1),
+	}
+	var dst Record
+	var encoded [][]byte
+	for i, r := range stream {
+		r.LSN, r.PrevLSN = uint64(1000+i), uint64(900+i)
+		buf := r.Encode(nil)
+		encoded = append(encoded, buf)
+		want, wantN, err := Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := DecodeInto(&dst, buf)
+		if err != nil || n != wantN {
+			t.Fatalf("record %d: DecodeInto consumed %d, %v; Decode consumed %d", i, n, err, wantN)
+		}
+		if !reflect.DeepEqual(&dst, want) {
+			t.Fatalf("record %d: DecodeInto gave %v, Decode %v", i, &dst, want)
+		}
+	}
+	last := dst
+	bad := append([]byte(nil), encoded[0]...)
+	bad[len(bad)-1] ^= 0xff
+	if _, err := DecodeInto(&dst, bad); err != ErrCorrupt {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if !reflect.DeepEqual(dst, last) {
+		t.Fatal("a failed DecodeInto changed its destination")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, buf := range encoded {
+			if _, err := DecodeInto(&dst, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeInto allocates %.0f times per %d records", allocs, len(encoded))
 	}
 }
 

@@ -1,8 +1,8 @@
 package server
 
-// Concurrency tests for the session gate, sharded pool, group commit, the
-// async WPL installer and parallel restart redo. All of them are run under
-// the race detector by make check.
+// Concurrency tests for the session gate, sharded pool, group commit and the
+// async WPL installer. All of them are run under the race detector by make
+// check.
 
 import (
 	"bytes"
@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/lock"
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -257,78 +256,6 @@ func TestWPLAsyncInstaller(t *testing.T) {
 		got := readObject(t, sn, pids[i], slots[i], len(want))
 		if string(got) != want {
 			t.Errorf("page %d: got %q want %q", i, got, want)
-		}
-	}
-}
-
-// TestParallelRedoMatchesSequential replays the identical crashed workload
-// through sequential and 4-way-parallel redo and requires byte-identical
-// stores afterwards.
-func TestParallelRedoMatchesSequential(t *testing.T) {
-	build := func(workers int) (*Server, *disk.MemStore) {
-		store := disk.NewMemStore()
-		s := New(Config{
-			Mode:            ModeESM,
-			Store:           store,
-			PoolPages:       16, // small: evictions put pages in the DPT's past
-			LogCapacity:     16 << 20,
-			LockTimeout:     time.Second,
-			CheckpointEvery: 1 << 30,
-			RedoWorkers:     workers,
-		})
-		sn := s.NewSession(nil, nil)
-		const pages, rounds = 12, 4
-		var pids [pages]page.ID
-		var slots [pages]int
-		for i := range pids {
-			pids[i], slots[i] = createPage(t, sn, []byte(fmt.Sprintf("page %d......", i)))
-		}
-		if err := sn.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < rounds; r++ {
-			for i := range pids {
-				updateObject(t, sn, pids[i], slots[i], []byte(fmt.Sprintf("p%d round %02d", i, r)), true)
-			}
-		}
-		s.Crash()
-		if err := sn.Restart(); err != nil {
-			t.Fatal(err)
-		}
-		return s, store
-	}
-
-	seqSrv, seqStore := build(1)
-	parSrv, parStore := build(4)
-
-	seqStats := seqSrv.ExtendedStats()
-	parStats := parSrv.ExtendedStats()
-	if parStats.RedoWorkers != 4 {
-		t.Fatalf("parallel restart used %d workers, want 4", parStats.RedoWorkers)
-	}
-	var seqApplied, parApplied int64
-	for _, n := range seqStats.RedoApplied {
-		seqApplied += n
-	}
-	for _, n := range parStats.RedoApplied {
-		parApplied += n
-	}
-	if seqApplied != parApplied {
-		t.Errorf("redo applied %d records sequentially but %d in parallel", seqApplied, parApplied)
-	}
-	if seqApplied == 0 {
-		t.Error("redo applied no records: workload did not exercise redo")
-	}
-
-	var a, b [page.Size]byte
-	for pid := page.ID(1); pid < 64; pid++ {
-		errA := seqStore.ReadPage(pid, a[:])
-		errB := parStore.ReadPage(pid, b[:])
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("page %v present in one store only (seq err %v, par err %v)", pid, errA, errB)
-		}
-		if errA == nil && !bytes.Equal(a[:], b[:]) {
-			t.Errorf("page %v differs between sequential and parallel redo", pid)
 		}
 	}
 }

@@ -5,8 +5,9 @@ package server
 // (DESIGN.md §2.1).
 //
 //   - replay is the paper's redo rule (§3.3): copy the record's after-image
-//     onto the page iff pageLSN < LSN, then stamp the LSN. Restart redo and
-//     the standby's ApplyShipped call it conditionally (repeating history);
+//     onto the page iff pageLSN < LSN, then stamp the LSN. Restart's pass and
+//     the standby's ApplyShipped call it conditionally (repeat: note a record,
+//     then repeat it, is how both take in a log they did not write);
 //     REDO-mode ShipLog and undo's CLR call it unconditionally (making
 //     history). Every caller owns its own latching, dirty marking and
 //     metering — replay only ever touches the image it is handed.
@@ -463,6 +464,53 @@ func (tb tables) note(r *logrec.Record) {
 			wplUnlink(tb.wpl, t)
 		}
 	}
+}
+
+// --- a record of an existing log ----------------------------------------------
+
+// repeat is history repeated for one record of a log this server takes in
+// rather than writes — restart's pass over the window, a standby receiving the
+// primary's stream — once the caller has noted it in the tables (restart in
+// the value it is building, the standby through logAndNote). The allocation
+// frontier moves past the record's ids, in whole strides so a sharded server
+// stays in its residue class even when the record carries another shard's id
+// (an adopted cross-shard TID), and under ESM/REDO a redoable record is
+// replayed onto its page, conditionally on the page LSN; repeat returns 1 if
+// it landed. Under WPL a logged copy is neither cached nor written home: the
+// no-steal rule stands, and the table says which copy is current.
+func (s *Server) repeat(sn *Session, r *logrec.Record) (int64, error) {
+	st := s.stride()
+	s.allocMu.Lock()
+	if r.TID >= s.nextTID {
+		n := (uint64(r.TID)-uint64(s.nextTID))/st + 1
+		s.nextTID += logrec.TID(n * st)
+	}
+	if r.Page >= s.nextPage {
+		n := (uint64(r.Page)-uint64(s.nextPage))/st + 1
+		s.nextPage += page.ID(n * st)
+	}
+	s.allocMu.Unlock()
+	if s.cfg.Mode == ModeWPL || !redoable(r) {
+		return 0, nil
+	}
+	return s.replayOne(sn, r, true)
+}
+
+// redoable reports whether r carries redo information for a page.
+func redoable(r *logrec.Record) bool {
+	switch r.Type {
+	case logrec.TypeUpdate, logrec.TypePageImage, logrec.TypeCLR:
+		return true
+	}
+	return false
+}
+
+// redoRelevant reports whether restart's pass must replay r, a record below
+// the analysis start: a redoable record of a page the checkpoint's logged DPT
+// has open at or below it.
+func redoRelevant(r *logrec.Record, dpt map[page.ID]dptEntry) bool {
+	e, ok := dpt[r.Page]
+	return ok && r.LSN >= e.rec && redoable(r)
 }
 
 // --- the live tables ----------------------------------------------------------

@@ -5,21 +5,21 @@ package server
 // ESM/REDO take sharp ARIES-style checkpoints: all dirty pages are flushed
 // (flushDirtyQuiesced, writeback.go), the active-transaction table is logged,
 // and the log is truncated below the oldest LSN any active transaction still
-// needs. Restart then runs analysis from the checkpoint, redoes history
-// conditionally on page LSNs, and rolls back losers with CLRs. What a record
-// does to the tables (analysis, seeded from the checkpoint) and to a page
-// (redo) is replay.go's, and how a page reaches the volume is writeback.go's;
-// this file owns the passes around them — DPT pruning, the fan-out and its
-// metering. Redo is partitioned
-// by page ID across Config.RedoWorkers goroutines — per-page record order is
-// preserved because a page belongs to exactly one worker; undo stays
-// sequential (CLR LSNs must be deterministic).
+// needs. Restart then reads the log once, forward: each record is noted in the
+// tables (analysis, seeded from the checkpoint) and replayed onto its page
+// conditionally on the page LSN (redo) as it is read — the step a standby
+// takes for a shipped record — and losers are rolled back with CLRs. What a
+// record does to the tables and to a page is replay.go's, and how a page
+// reaches the volume is writeback.go's; this file owns what is around them:
+// where the pass begins, DPT pruning, the phase timeline. Redo is sequential
+// because the log is read in order; undo is too (CLR LSNs must be
+// deterministic).
 //
 // WPL checkpoints write the WPL table to the log (paper §3.4.3); restart runs
-// the same analysis scan, which leaves the WPL table with every copy's fate
-// settled, and installs the newest committed copy of each page. The paper
-// reads that window backwards; reading it forwards builds the same table
-// (DESIGN.md §3).
+// the same pass, which replays nothing and leaves the WPL table with every
+// copy's fate settled, and installs the newest committed copy of each page.
+// The paper reads that window backwards; reading it forwards builds the same
+// table (DESIGN.md §3).
 //
 // Every entry point here takes the write side of the quiesce gate, so it
 // observes a server with no session operation in flight; the leaf mutexes
@@ -29,9 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -420,7 +418,9 @@ func (s *Server) Crash() {
 }
 
 // Restart recovers the server from stable state after a crash, leaving it
-// ready for new transactions.
+// ready for new transactions: verify the volume, repeat history in one pass
+// over the stable log, roll the losers back, checkpoint. StatsX.Restart
+// reports the phases.
 func (sn *Session) Restart() error {
 	s := sn.s
 	s.gate.Lock()
@@ -428,6 +428,12 @@ func (sn *Session) Restart() error {
 	s.restarting.Store(true)
 	defer s.restarting.Store(false)
 	atomic.AddInt64(&s.stats.Restarts, 1)
+	var (
+		rs    RestartStats
+		clock time.Time
+	)
+	lap(&clock)
+	defer func() { s.lastRestart = rs }()
 	sb, err := s.readSuperblock()
 	if err != nil {
 		return err
@@ -437,15 +443,18 @@ func (sn *Session) Restart() error {
 	s.nextTID = max(s.nextTID, sb.nextTID)
 	s.allocMu.Unlock()
 	if _, ok := s.store.(*disk.Checksummed); ok {
-		// A checksummed volume is verified before any recovery work: every
-		// corrupt page is repaired here (from the live log or the archive),
-		// so redo and undo replay over sound pages. This cannot be deferred
-		// to redo's own fetches — they run inside a log scan, which holds
-		// the log mutex repair itself needs.
+		// A checksummed volume is verified before any recovery work, so redo and
+		// undo replay over sound pages: every corrupt page below the
+		// superblock's allocation frontier is repaired here, from the live log
+		// or the archive. A page born above it has its creation image in the
+		// pass's window, and a page image needs no stored copy (replayOne).
+		scanned := atomic.LoadInt64(&s.stats.ScrubScanned)
 		if err := s.verifyVolumeQuiesced(sn); err != nil {
 			return err
 		}
+		rs.PagesVerified = atomic.LoadInt64(&s.stats.ScrubScanned) - scanned
 	}
+	rs.VerifyNs = lap(&clock)
 	start := s.log.Head()
 	var ckpt *ckptPayload
 	if sb.hasCheckpoint {
@@ -475,7 +484,9 @@ func (sn *Session) Restart() error {
 						sb.checkpointLSN, err)
 				}
 			}
-			return s.checkpointQuiesced(sn)
+			err = s.checkpointQuiesced(sn)
+			rs.CheckpointNs = lap(&clock)
+			return err
 		case err != nil:
 			return fmt.Errorf("server: reading checkpoint: %w", err)
 		}
@@ -488,28 +499,61 @@ func (sn *Session) Restart() error {
 		// passes over the checkpoint record itself, which analysis ignores.
 		start = min(sb.checkpointLSN, ckpt.beginLSN)
 	}
-	// Analysis (§3.3, §3.4.3), whatever the mode: the tables as the checkpoint
-	// logged them, advanced record by record over the window above it.
-	sn.meter().LogRead(wal.PagesInRange(start, s.log.StableEnd()))
+	// The pass (§3.3 analysis and redo, §3.4.3), whatever the mode: the tables
+	// as the checkpoint logged them, advanced record by record over the window
+	// above it, each record repeated as it is read — note, then repeat, the
+	// step a standby takes for a shipped record. A page the checkpoint logged as
+	// dirty may owe redo from below the analysis start, so the pass begins at
+	// the oldest logged recLSN and on the way up replays, without noting, what
+	// the logged DPT covers. ScanFrom, not Scan: replaying can evict a dirty
+	// page, and writing it home asks the log whether its newest record is
+	// stable, which a callback under the log's lock cannot. After a crash every
+	// retained record is stable, so nothing is left unread.
 	tb := seed(s.cfg.Mode, ckpt)
-	err = s.log.Scan(start, func(r *logrec.Record) bool {
-		tb.note(r)
-		s.bumpAllocFor(r)
-		return true
+	from := start
+	for _, e := range tb.dpt {
+		from = min(from, e.rec)
+	}
+	sn.meter().LogRead(wal.PagesInRange(from, s.log.StableEnd()))
+	var redoErr error
+	end, err := s.log.ScanFrom(from, nil, func(r *logrec.Record) bool {
+		rs.RecordsScanned++
+		var n int64
+		switch {
+		case r.LSN >= start:
+			tb.note(r)
+			n, redoErr = s.repeat(sn, r)
+		case redoRelevant(r, tb.dpt):
+			n, redoErr = s.replayOne(sn, r, true)
+		}
+		rs.RecordsRedone += n
+		return redoErr == nil
 	})
+	rs.BytesScanned = int64(end - from)
+	if err == nil {
+		err = redoErr
+	}
 	if err != nil {
 		return err
 	}
-	// Bring the pages current from the tables analysis left: redo, or under WPL
-	// the installs.
 	if s.cfg.Mode == ModeWPL {
-		err = s.wplInstallQuiesced(sn, tb)
+		if err := s.wplInstallQuiesced(sn, tb); err != nil {
+			return err
+		}
 	} else {
-		err = s.redoQuiesced(sn, tb.dpt)
+		// Prune the DPT to the frames redo left dirty, so the checkpoint that
+		// ends restart — and every fuzzy checkpoint and cleaner pass after it —
+		// sees the redone-but-unflushed pages and nothing else (conditional redo
+		// leaves pageLSN >= newest for any page it touched).
+		dirty := make(map[page.ID]dptEntry)
+		for _, pid := range s.pool.DirtyPages() {
+			if e, ok := tb.dpt[pid]; ok {
+				dirty[pid] = e
+			}
+		}
+		tb.dpt = dirty
 	}
-	if err != nil {
-		return err
-	}
+	rs.PassNs = lap(&clock)
 	// Whoever is still in the ATT neither committed nor finished rolling back.
 	// In TID order: undo appends CLRs, and their LSNs must be identical run to
 	// run (map iteration is randomized).
@@ -529,10 +573,12 @@ func (sn *Session) Restart() error {
 			// stays in the ATT, locks re-acquired, neither committed nor rolled
 			// back, for recovery resolution (presumed abort on a coordinator
 			// miss).
+			rs.InDoubt++
 			err = s.resurrectInDoubt(t, start)
 		} else {
 			// A loser (ESM/REDO; WPL dropped its own with their copies): rolled
 			// back the way Abort rolls back.
+			rs.Losers++
 			err = s.rollback(sn, t)
 		}
 		if err != nil {
@@ -540,155 +586,21 @@ func (sn *Session) Restart() error {
 		}
 	}
 	sn.meter().LogWrite(s.log.Force())
-	return s.checkpointQuiesced(sn)
+	rs.UndoNs = lap(&clock)
+	err = s.checkpointQuiesced(sn)
+	rs.CheckpointNs = lap(&clock)
+	return err
 }
 
-// bumpAllocFor advances the allocation counters past a scanned record's ids,
-// in whole strides so a sharded server stays in its residue class even when
-// the record carries another shard's id (an adopted cross-shard TID). Caller
-// holds gate.W (restart) or allocMu (standby apply).
-func (s *Server) bumpAllocFor(r *logrec.Record) {
-	st := s.stride()
-	if r.TID >= s.nextTID {
-		n := (uint64(r.TID)-uint64(s.nextTID))/st + 1
-		s.nextTID += logrec.TID(n * st)
-	}
-	if r.Page >= s.nextPage {
-		n := (uint64(r.Page)-uint64(s.nextPage))/st + 1
-		s.nextPage += page.ID(n * st)
-	}
-}
-
-// redoRelevant reports whether r must be considered by redo given the DPT.
-func redoRelevant(r *logrec.Record, dpt map[page.ID]dptEntry) bool {
-	switch r.Type {
-	case logrec.TypeUpdate, logrec.TypePageImage, logrec.TypeCLR:
-	default:
-		return false
-	}
-	e, ok := dpt[r.Page]
-	return ok && r.LSN >= e.rec
-}
-
-// redoQuiesced is restart's redo for ESM/REDO: repeat history for the pages
-// in the analysis DPT from the oldest recLSN, conditional on page LSN, then
-// prune the DPT to the frames redo left dirty, so the checkpoint that ends
-// restart — and every fuzzy checkpoint and cleaner pass after it — sees the
-// redone-but-unflushed pages and nothing else (conditional redo leaves
-// pageLSN >= newest for any page it touched). Caller holds gate.W.
-func (s *Server) redoQuiesced(sn *Session, dpt map[page.ID]dptEntry) error {
-	s.redoApplied = nil
-	redoFrom := logrec.NoLSN
-	for _, e := range dpt {
-		redoFrom = min(redoFrom, e.rec)
-	}
-	if redoFrom == logrec.NoLSN {
-		return nil
-	}
-	if err := s.redoScan(sn, dpt, redoFrom); err != nil {
-		return err
-	}
-	dirty := make(map[page.ID]bool)
-	for _, pid := range s.pool.DirtyPages() {
-		dirty[pid] = true
-	}
-	for pid := range dpt {
-		if !dirty[pid] {
-			delete(dpt, pid)
-		}
-	}
-	return nil
-}
-
-// redoScan replays the redo-relevant records from redoFrom on. With one
-// worker it replays inline, charging the session per record as the serial
-// server did. With several, it scans once and fans records out by page ID — a
-// page's records all go to the same worker, preserving per-page order — then
-// bulk-charges the session for the aggregate work.
-func (s *Server) redoScan(sn *Session, dpt map[page.ID]dptEntry, redoFrom uint64) error {
-	nw := s.cfg.RedoWorkers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw == 1 {
-		var applied int64
-		var redoErr error
-		err := s.log.Scan(redoFrom, func(r *logrec.Record) bool {
-			if !redoRelevant(r, dpt) {
-				return true
-			}
-			n, err := s.replayOne(sn, r, true)
-			applied += n
-			if err != nil {
-				redoErr = err
-				return false
-			}
-			return true
-		})
-		s.redoApplied = []int64{applied}
-		if err != nil {
-			return err
-		}
-		return redoErr
-	}
-
-	chans := make([]chan *logrec.Record, nw)
-	applied := make([]int64, nw)
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for i := range chans {
-		chans[i] = make(chan *logrec.Record, 64)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := range chans[i] {
-				if errs[i] != nil {
-					continue // drain after failure
-				}
-				n, err := s.replayOne(nil, r, true)
-				applied[i] += n
-				if err != nil {
-					errs[i] = err
-				}
-			}
-		}(i)
-	}
-	// Snapshot counters so the session can be bulk-charged for work the
-	// meterless workers perform.
-	preReads := atomic.LoadInt64(&s.stats.DataReads)
-	preWrites := atomic.LoadInt64(&s.stats.DataWrites)
-	preLogPages := s.log.PagesWritten()
-	scanErr := s.log.Scan(redoFrom, func(r *logrec.Record) bool {
-		if !redoRelevant(r, dpt) {
-			return true
-		}
-		// Clone: Scan's record aliases its reusable decode buffer, and this
-		// one crosses a channel into another goroutine.
-		chans[int(uint64(r.Page)%uint64(nw))] <- r.Clone()
-		return true
-	})
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	s.redoApplied = applied
-	var total int64
-	for _, n := range applied {
-		total += n
-	}
-	sn.meter().ServerCompute(time.Duration(total) * sn.params().ServerApply)
-	sn.meter().DataRead(int(atomic.LoadInt64(&s.stats.DataReads) - preReads))
-	sn.meter().DataWriteAsync(int(atomic.LoadInt64(&s.stats.DataWrites) - preWrites))
-	sn.meter().LogWrite(int(s.log.PagesWritten() - preLogPages))
-	if scanErr != nil {
-		return scanErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// lap times restart's phases: the nanoseconds since the previous lap, whose
+// time it keeps in last (the first call starts the clock).
+//
+//qslint:allow determinism: wall-clock phase accounting only (StatsX.Restart); never logged, never replayed, no control flow depends on it
+func lap(last *time.Time) int64 {
+	now := time.Now()
+	d := now.Sub(*last)
+	*last = now
+	return int64(d)
 }
 
 // wplInstallQuiesced brings the volume current under WPL (§3.4.3) from the

@@ -147,9 +147,6 @@ type Config struct {
 	// default: the crash-point sweep needs installs to happen at
 	// deterministic points, and they then run inline at commit.
 	WPLInstallAsync bool
-	// RedoWorkers is the number of parallel restart-redo workers
-	// (0 = GOMAXPROCS, 1 = sequential redo).
-	RedoWorkers int
 	// RepairPage, when non-nil, rebuilds the current contents of one corrupt
 	// page from media beyond the live log. archive.Wire installs
 	// backup-plus-archived-log per-page redo here; repair (internal/server/
@@ -241,20 +238,36 @@ type Stats struct {
 type StatsX struct {
 	Stats
 	GroupCommit     wal.GroupCommitStats
-	LogForces       int64   // stable log writes (each group flush is one)
-	LogPagesWritten int64   // cumulative 8 KB log pages written
-	PoolHits        int64   // buffer pool hits
-	PoolMisses      int64   // buffer pool misses
-	LatchContention int64   // shard-latch acquisitions that found the latch held
-	LockWaits       int64   // lock-manager requests that blocked on a conflict
-	RedoWorkers     int     // workers used by the most recent restart redo
-	RedoApplied     []int64 // records applied per redo worker (utilization)
-	DirtyPages      int64   // current DPT size (pages restart redo would visit)
+	LogForces       int64        // stable log writes (each group flush is one)
+	LogPagesWritten int64        // cumulative 8 KB log pages written
+	PoolHits        int64        // buffer pool hits
+	PoolMisses      int64        // buffer pool misses
+	LatchContention int64        // shard-latch acquisitions that found the latch held
+	LockWaits       int64        // lock-manager requests that blocked on a conflict
+	Restart         RestartStats // the most recent restart, phase by phase
+	RedoApplied     []int64      // one element, Restart.RecordsRedone: the pass is sequential (bench/ reads this field)
+	DirtyPages      int64        // current DPT size (pages restart redo would visit)
 	// RedoDistanceBytes is the stable log span a crash right now would
 	// rescan for redo: StableEnd - min(recLSN) over the DPT (0 when clean).
 	// The cleaner's dirty-page target exists to bound this number.
 	RedoDistanceBytes int64
 	Retention         wal.Retention // what bounds the log head; the lowest holder pins it
+}
+
+// RestartStats is the recovery timeline of one Restart: how long each phase
+// took and how much work it found. A restart that failed part-way leaves the
+// phases it finished.
+type RestartStats struct {
+	VerifyNs       int64 // master record read, checksummed volume verified and repaired
+	PassNs         int64 // the log pass: analysis and redo (WPL: analysis, then the installs)
+	UndoNs         int64 // losers rolled back, in-doubt branches re-locked, log forced
+	CheckpointNs   int64 // the closing checkpoint
+	RecordsScanned int64 // log records the pass read
+	BytesScanned   int64 // log bytes the pass read
+	RecordsRedone  int64 // records the pass replayed onto a page (ESM/REDO)
+	PagesVerified  int64 // stored pages verified before the pass (checksummed volumes)
+	Losers         int64 // transactions rolled back
+	InDoubt        int64 // prepared branches left for resolution
 }
 
 // txn is an active-transaction-table entry. The att map and the entries'
@@ -382,9 +395,9 @@ type Server struct {
 	// without log appends.
 	standby atomic.Bool
 
-	// redoApplied records the most recent restart's per-worker apply counts;
-	// written under gate.W, read under gate.R (ExtendedStats).
-	redoApplied []int64
+	// lastRestart is the most recent restart's timeline; written under gate.W,
+	// read under gate.R (ExtendedStats).
+	lastRestart RestartStats
 }
 
 // New creates a server and formats the volume if it is empty. If the volume
@@ -522,8 +535,8 @@ func (s *Server) ExtendedStats() StatsX {
 		Retention:       s.log.Holders(),
 	}
 	s.gate.RLock()
-	x.RedoWorkers = len(s.redoApplied)
-	x.RedoApplied = append([]int64(nil), s.redoApplied...)
+	x.Restart = s.lastRestart
+	x.RedoApplied = []int64{s.lastRestart.RecordsRedone}
 	s.gate.RUnlock()
 	s.dptMu.Lock()
 	x.DirtyPages = int64(len(s.dpt))
@@ -594,8 +607,9 @@ func (s *Server) NewSession(m costmodel.Meter, p *costmodel.Params) *Session {
 	return &Session{s: s, m: m, p: p}
 }
 
-// meter is sn.m, nil-safe: internal paths with no session (parallel redo
-// workers, the background installer) pass a nil *Session and charge nothing.
+// meter is sn.m, nil-safe: internal paths with no session (the background
+// installer, the master record's repair) pass a nil *Session and charge
+// nothing.
 func (sn *Session) meter() costmodel.Meter {
 	if sn == nil {
 		return costmodel.NopMeter{}
@@ -699,7 +713,7 @@ func (sn *Session) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte
 
 // fetchShardLocked brings pid into its pool shard, reading from the WPL log
 // copy or the data volume as appropriate. Caller holds pid's shard latch. If
-// mustExist is false, a missing page is created empty (restart redo path).
+// mustExist is false, a missing page is created empty (the replay path).
 func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID, mustExist bool) (*buffer.Frame, error) {
 	if f := sh.Get(pid); f != nil {
 		return f, nil
@@ -733,11 +747,10 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 			// Rot, a torn write, or a misdirected write under the stored
 			// copy. Repair in place before serving or redoing anything;
 			// unrepairable pages fail loudly and the damaged bytes are
-			// never served. During Restart repair cannot run here — redo
-			// fetches from inside a log scan, which holds the log mutex
-			// repair needs — so recovery relies on verifyVolumeQuiesced
-			// having already healed the volume and treats fresh damage as
-			// fatal rather than deadlocking.
+			// never served. Restart does not repair here: verifyVolumeQuiesced
+			// has healed every page the superblock knew of and the pass rebuilds
+			// a page born since from its creation image (replayOne); damage that
+			// neither covers is fatal to it.
 			atomic.AddInt64(&s.stats.ChecksumFailures, 1)
 			if s.restarting.Load() {
 				return nil, err
@@ -869,13 +882,27 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 }
 
 // replayOne brings r.Page into the pool and replays r onto its frame under
-// the shard latch (restart redo, the standby's apply, REDO-mode ShipLog),
+// the shard latch (restart's pass, the standby's apply, REDO-mode ShipLog),
 // returning 1 if the record landed. Safe for concurrent callers on different
 // pages and, via the latch, on the same page.
+//
+// A whole-page image overwrites every byte, so it needs no stored copy: over
+// one that fails its checksum it lands on a blank frame, as over one never
+// written, and later records apply on top in log order. That heals a page born
+// after the newest checkpoint and torn by the crash, which restart's
+// verification (up to the superblock's frontier) never sees. Any other record
+// over a damaged copy fails, loudly.
 func (s *Server) replayOne(sn *Session, r *logrec.Record, conditional bool) (int64, error) {
 	sh := s.pool.Lock(r.Page)
 	defer sh.Unlock()
 	f, err := s.fetchShardLocked(sn, sh, r.Page, false)
+	if r.Type == logrec.TypePageImage && errors.Is(err, disk.ErrCorruptPage) {
+		var blank [page.Size]byte
+		page.Wrap(blank[:]).Init(r.Page)
+		if err = s.makeRoomShardLocked(sn, sh); err == nil {
+			f, err = sh.Insert(r.Page, blank[:])
+		}
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -37,12 +37,12 @@ func (s *Server) Standby() bool { return s.standby.Load() }
 // arrive in LSN order from a single goroutine. The record enters the log and
 // the tables through the step the primary's own records take (logAndNote,
 // replay.go) — appended at its original LSN, or recognized as already present
-// when a cold bootstrap restored part of the stream from the archive — and
-// updates run through the pageLSN-conditional redo restart uses. What stays
-// here is what only a live standby has: what a WPL commit or abort owes beyond
-// the table (installs, dropping the aborted frame), and checkpoint records, which
-// additionally mirror the master-record write and the primary's log
-// reclamation so the standby's ring never fills. The caller is responsible
+// when a cold bootstrap restored part of the stream from the archive — and is
+// then repeated the way restart's pass repeats it (repeat, replay.go). What
+// stays here is what only a live standby has: what a WPL commit or abort owes
+// beyond the table (installs, dropping the aborted frame), and checkpoint
+// records, which additionally mirror the master-record write and the primary's
+// log reclamation so the standby's ring never fills. The caller is responsible
 // for forcing the log (batch-wise) before reporting the records as applied.
 func (sn *Session) ApplyShipped(r *logrec.Record) error {
 	s := sn.s
@@ -65,25 +65,15 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 	if err := s.logAndNote(r, true); err != nil {
 		return err
 	}
-	// Track the primary's allocation frontier as analysis does, so the
-	// scrubber covers replicated pages and promotion starts from the right
-	// counters even before a checkpoint arrives.
-	s.allocMu.Lock()
-	s.bumpAllocFor(r)
-	s.allocMu.Unlock()
-
+	// Repeat history as restart's pass does: the primary's allocation frontier
+	// (so the scrubber covers replicated pages and promotion starts from the
+	// right counters even before a checkpoint arrives) and the redo, which is
+	// idempotent over a bootstrap-restored (possibly newer, fuzzy-backup) image.
+	if _, err := s.repeat(sn, r); err != nil {
+		return err
+	}
 	wpl := s.cfg.Mode == ModeWPL
 	switch r.Type {
-	case logrec.TypeUpdate, logrec.TypeCLR, logrec.TypePageImage:
-		// Under WPL a shipped page image is not cached or written home: the
-		// no-steal rule stands, and reads reload the newest copy from the log.
-		if !wpl {
-			// Repeat history, conditional on the page LSN — identical to
-			// restart redo, and idempotent over a bootstrap-restored (possibly
-			// newer, fuzzy-backup) image.
-			_, err := s.replayOne(sn, r, true)
-			return err
-		}
 	case logrec.TypeCommit:
 		if wpl && t != nil {
 			s.wplCommit(sn, t)

@@ -691,109 +691,115 @@ func (l *Log) PagesWritten() int64 {
 func (l *Log) ReadAt(lsn uint64) (*logrec.Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.readAtLocked(lsn)
+	r := new(logrec.Record)
+	if err := l.decodeAt(lsn, r, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-func (l *Log) readAtLocked(lsn uint64) (*logrec.Record, error) {
-	return l.decodeAt(lsn, nil)
-}
-
-// decodeAt decodes the record at lsn. With a nil scratch each call allocates
-// a fresh buffer and the record owns its payload. With a non-nil scratch the
-// encoded bytes are staged in *scratch (grown as needed and reused), so the
-// record's Before/After images alias that buffer and are valid only until
-// the next decodeAt against the same scratch — Scan uses this to decode a
-// whole restart pass with a single payload allocation. Caller holds l.mu.
-func (l *Log) decodeAt(lsn uint64, scratch *[]byte) (*logrec.Record, error) {
+// decodeAt decodes the record at lsn into dst. With a nil scratch each call
+// allocates a fresh buffer and the record owns its payload. With a non-nil
+// scratch the encoded bytes are staged in *scratch (grown as needed and
+// reused), so the record's Before/After images alias that buffer and are
+// valid only until the next decodeAt against the same scratch — the scans
+// decode a whole restart pass into one record over one buffer. Caller holds
+// l.mu.
+func (l *Log) decodeAt(lsn uint64, dst *logrec.Record, scratch *[]byte) error {
 	if lsn < l.head {
-		return nil, fmt.Errorf("%w: %d < head %d", ErrTruncated, lsn, l.head)
+		return fmt.Errorf("%w: %d < head %d", ErrTruncated, lsn, l.head)
 	}
 	// Reads may cover the volatile tail: the in-memory log buffer is part of
 	// the log manager (WPL re-reads unforced page images, undo walks fresh
 	// records). A crash truncates next back to flushed, so post-crash reads
 	// see only stable records.
 	if lsn+logrec.HeaderSize > l.next {
-		return nil, fmt.Errorf("%w: %d", ErrBeyondEnd, lsn)
+		return fmt.Errorf("%w: %d", ErrBeyondEnd, lsn)
 	}
 	total := int(l.sizeAt(lsn))
 	if total < logrec.HeaderSize {
-		return nil, fmt.Errorf("wal: bad record length %d at LSN %d", total, lsn)
+		return fmt.Errorf("wal: bad record length %d at LSN %d", total, lsn)
 	}
 	if lsn+uint64(total) > l.next {
-		return nil, fmt.Errorf("%w: %d bytes at LSN %d", ErrTorn, total, lsn)
+		return fmt.Errorf("%w: %d bytes at LSN %d", ErrTorn, total, lsn)
 	}
 	var buf []byte
 	if scratch != nil {
 		if cap(*scratch) < total {
-			*scratch = make([]byte, total)
+			*scratch = make([]byte, max(total, 2*cap(*scratch)))
 		}
 		buf = (*scratch)[:total]
 	} else {
 		buf = make([]byte, total)
 	}
 	l.readRing(lsn, buf)
-	r, _, err := logrec.Decode(buf)
-	if err != nil {
+	if _, err := logrec.DecodeInto(dst, buf); err != nil {
 		// A record whose extent reaches the stable end and fails its CRC is
 		// the surviving prefix of a torn write (possibly spanning the ring's
 		// wrap point), not corruption in the middle of the log: report it as
 		// a torn tail so scans stop cleanly instead of failing recovery.
 		if lsn+uint64(total) >= l.flushed {
-			return nil, fmt.Errorf("%w: %v at LSN %d", ErrTorn, err, lsn)
+			return fmt.Errorf("%w: %v at LSN %d", ErrTorn, err, lsn)
 		}
-		return nil, fmt.Errorf("wal: record at LSN %d: %w", lsn, err)
+		return fmt.Errorf("wal: record at LSN %d: %w", lsn, err)
 	}
-	return r, nil
+	return nil
 }
 
-// Scan calls fn for every stable record with LSN in [from, StableEnd), in
-// LSN order, stopping early if fn returns false. from must be a record
-// boundary at or above the head; passing Head() scans the whole retained
-// log.
+// Scan calls fn for every record with LSN in [from, End) — the volatile tail
+// included — in LSN order, stopping early if fn returns false. from must be a
+// record boundary at or above the head; passing Head() scans the whole
+// retained log. The log lock is held throughout: the scan sees one state of
+// the log, no truncation overtakes it, and fn must not call back into the log
+// (ScanFrom's may).
 //
-// The record passed to fn reuses one decode buffer across the whole scan:
-// its Before/After images are valid only for the duration of the callback.
-// Callers that retain a record past their callback must Clone it; retaining
-// only scalar fields (TID, Page, LSN, Type) is always safe.
+// Every record is decoded into one Record over one buffer, reused across the
+// scan: the record passed to fn — the record, not only its images — is valid
+// for the callback only. A callback that keeps more than copies of scalar
+// fields (TID, Page, LSN, Type) must Clone it.
 func (l *Log) Scan(from uint64, fn func(*logrec.Record) bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from < l.head {
 		return fmt.Errorf("%w: scan from %d < head %d", ErrTruncated, from, l.head)
 	}
-	var scratch []byte
+	var (
+		rec     logrec.Record
+		scratch []byte
+	)
 	for lsn := from; lsn < l.next; {
-		r, err := l.decodeAt(lsn, &scratch)
+		err := l.decodeAt(lsn, &rec, &scratch)
 		if errors.Is(err, ErrTorn) || errors.Is(err, ErrBeyondEnd) {
 			return nil // torn tail after a crash: end of usable log
 		}
 		if err != nil {
 			return err
 		}
-		if !fn(r) {
+		if !fn(&rec) {
 			return nil
 		}
-		lsn += uint64(r.EncodedSize())
+		lsn += uint64(rec.EncodedSize())
 	}
 	return nil
 }
 
-// ScanFrom is the tail-follow scan used by log shipping: it calls fn for
-// every record wholly stable in [from, StableEnd), in LSN order, and returns
-// the boundary just past the last record delivered — the LSN at which a later
-// call resumes once more of the tail has been forced. Unlike Scan it never
-// delivers the volatile tail (shipping a record the primary could still lose
-// in a crash would let a standby get ahead of its primary), it re-acquires
-// the log lock per record so a long catch-up scan never blocks appenders or
-// the group-commit flusher, and it stops promptly when cancel is closed.
+// ScanFrom is the scan whose callback runs without the log lock: it calls fn
+// for every record wholly stable in [from, StableEnd), in LSN order, and
+// returns the boundary just past the last record delivered — the LSN at which
+// a later call resumes once more of the tail has been forced. Log shipping and
+// the archiver follow the tail with it, and restart reads its window with it
+// (its callback writes pages home, which consults the log). Unlike Scan it
+// never delivers the volatile tail (shipping a record the primary could still
+// lose in a crash would let a standby get ahead of its primary), it
+// re-acquires the log lock per record so a long catch-up scan never blocks
+// appenders or the group-commit flusher, and it stops promptly when cancel is
+// closed.
 //
-// Each delivered record is staged in a buffer private to this call, so —
-// unlike Scan — the record stays valid while fn runs without the log lock
-// held; it is still invalidated by the next record, so callers that retain
-// one must Clone it (Encode-ing it into an outgoing batch is the typical,
-// safe use). fn returning false stops the scan after the current record; the
-// returned resume LSN then points just past it, so nothing is skipped or
-// redelivered.
+// Like Scan it decodes into one Record over one buffer, private to this call
+// and overwritten by the next record, so callers that retain one must Clone
+// it (Encode-ing it into an outgoing batch is the typical, safe use). fn
+// returning false stops the scan after the current record; the returned
+// resume LSN then points just past it, so nothing is skipped or redelivered.
 //
 // If the resume point has been reclaimed under the caller (the truncation
 // race: the shipper fell behind and held no Holder at its cursor), ScanFrom
@@ -801,7 +807,10 @@ func (l *Log) Scan(from uint64, fn func(*logrec.Record) bool) error {
 // re-bootstrap from an archive rather than resume.
 func (l *Log) ScanFrom(from uint64, cancel <-chan struct{}, fn func(*logrec.Record) bool) (uint64, error) {
 	lsn := from
-	var scratch []byte
+	var (
+		rec     logrec.Record
+		scratch []byte
+	)
 	for {
 		select {
 		case <-cancel:
@@ -818,25 +827,24 @@ func (l *Log) ScanFrom(from uint64, cancel <-chan struct{}, fn func(*logrec.Reco
 			l.mu.Unlock()
 			return lsn, nil // header not fully stable: end of shippable log
 		}
-		r, err := l.decodeAt(lsn, &scratch)
-		if err == nil && lsn+uint64(r.EncodedSize()) > l.flushed {
+		err := l.decodeAt(lsn, &rec, &scratch)
+		end := lsn + uint64(rec.EncodedSize())
+		if err == nil && end > l.flushed {
 			// The record decodes (its bytes are in the ring) but its tail is
 			// still volatile — a mid-batch cut leaves the durability boundary
 			// inside a record. Stop before it; the next call picks it up once
 			// a flush covers it.
 			err = ErrBeyondEnd
 		}
+		l.mu.Unlock()
 		if errors.Is(err, ErrTorn) || errors.Is(err, ErrBeyondEnd) {
-			l.mu.Unlock()
 			return lsn, nil
 		}
 		if err != nil {
-			l.mu.Unlock()
 			return lsn, err
 		}
-		l.mu.Unlock()
-		cont := fn(r)
-		lsn += uint64(r.EncodedSize())
+		cont := fn(&rec)
+		lsn = end
 		if !cont {
 			return lsn, nil
 		}

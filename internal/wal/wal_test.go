@@ -435,10 +435,52 @@ func TestTornRecordAcrossWrapPoint(t *testing.T) {
 	l.Force()
 	l.Crash()
 	var got []*logrec.Record
-	if err := l.Scan(l.Head(), func(r *logrec.Record) bool { got = append(got, r); return true }); err != nil {
+	if err := l.Scan(l.Head(), func(r *logrec.Record) bool { got = append(got, r.Clone()); return true }); err != nil {
 		t.Fatalf("scan after second crash errored: %v", err)
 	}
 	if len(got) != 1 || got[0].TID != 3 || got[0].Page != 3 {
 		t.Fatalf("scan after second crash read %d records %v, want the one post-crash record", len(got), got)
+	}
+}
+
+// TestScanDoesNotAllocatePerRecord: both scans decode their whole window into
+// one record over one buffer, so what a scan allocates does not depend on how
+// many records it reads.
+func TestScanDoesNotAllocatePerRecord(t *testing.T) {
+	logOf := func(n int) *Log {
+		l := New(1 << 20)
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(upd(logrec.TID(i), page.ID(i%7), 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Force()
+		return l
+	}
+	scans := map[string]func(l *Log, fn func(*logrec.Record) bool) error{
+		"Scan": func(l *Log, fn func(*logrec.Record) bool) error { return l.Scan(l.Head(), fn) },
+		"ScanFrom": func(l *Log, fn func(*logrec.Record) bool) error {
+			_, err := l.ScanFrom(l.Head(), nil, fn)
+			return err
+		},
+	}
+	for name, scan := range scans {
+		perScan := func(n int) float64 {
+			l := logOf(n)
+			seen := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				seen = 0
+				if err := scan(l, func(r *logrec.Record) bool { seen += len(r.After); return true }); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if seen == 0 {
+				t.Fatalf("%s over %d records read nothing", name, n)
+			}
+			return allocs
+		}
+		if few, many := perScan(10), perScan(1000); many != few {
+			t.Errorf("%s allocates %.0f times over 10 records and %.0f over 1000", name, few, many)
+		}
 	}
 }
