@@ -2,8 +2,9 @@
 # static invariant suite, DESIGN.md §11) and its fixture corpus, build, the
 # full test suite under the race detector, the budget-sampled sweeps (every
 # kind of DESIGN.md §2.3 × all five schemes), one pass of the checkpoint
-# latency benchmark (§13), and the tests of the bench/ module, which links
-# these packages but which `go test ./...` here never reaches.
+# latency benchmark (§13), the tests of the bench/ module, which links
+# these packages but which `go test ./...` here never reaches, and a short
+# run of every fuzz target.
 #
 # The race-<subsystem> targets re-run a slice of `race` with -count=1; they
 # stay as the repro entry points README.md and DESIGN.md name, but `check`
@@ -11,9 +12,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare bench-pairs
+.PHONY: check vet lint lint-fixtures build test race fuzz-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare bench-pairs
 
-check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke bench-test
+check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke bench-test fuzz-smoke
 
 # Every sweep kind (crash, fuzzy, restart-crash, group, media, scrub, repl,
 # twopc, twopc-stall — DESIGN.md §2.3) over all five schemes, 50 sampled
@@ -72,6 +73,17 @@ test:
 # slow box.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Every fuzz target for FUZZTIME each (go test fuzzes one target per run):
+# the wire frame parser, a live daemon fed garbage with flaky-net armed (its
+# message-fault path), log-record decoding, and replay onto a page.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = internal/wire:FuzzParseRequest internal/wire:FuzzServerAgainstGarbage \
+	internal/logrec:FuzzDecode internal/logrec:FuzzEncodeDecode internal/server:FuzzReplay
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test ./$${t%%:*}/ -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) -parallel 2; \
+	done
 
 # The concurrency surface (group commit, sharded pool sessions, async WPL
 # installer and the install-before-commit-force window, restart's one pass

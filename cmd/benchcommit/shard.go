@@ -179,15 +179,12 @@ func runShardCell(size int, mix string, writeDelay time.Duration) ShardRun {
 		for s := 0; s < size; s++ {
 			backends[s] = wire.NewDirect(srvs[s], nil, nil)
 		}
-		cli, router, err := client.NewSharded(client.Config{
+		cli, router := client.NewSharded(client.Config{
 			Scheme:         client.PD,
 			PoolPages:      1 << 20 / 8192 * 8, // 8 MB
 			RecoveryBytes:  4 << 20,
 			ShipDirtyPages: true,
 		}, backends)
-		if err != nil {
-			log.Fatalf("benchcommit: shard setup: %v", err)
-		}
 		clis[i] = cli
 		tx, err := cli.Begin()
 		if err != nil {

@@ -165,13 +165,14 @@ func main() {
 	case "bench":
 		//qslint:allow determinism: interactive bench timer, printed to the operator and never replayed
 		start := time.Now()
-		for i := 0; i < *n; i++ {
+		done := 0
+		for ; done < *n; done++ {
 			err = store.Update(func(tx *quickstore.Tx) error {
 				oid, err := tx.Allocate(64)
 				if err != nil {
 					return err
 				}
-				return tx.Write(oid, 0, []byte(fmt.Sprintf("bench %d", i)))
+				return tx.Write(oid, 0, []byte(fmt.Sprintf("bench %d", done)))
 			})
 			if err != nil {
 				break
@@ -179,8 +180,8 @@ func main() {
 		}
 		//qslint:allow determinism: interactive bench timer, printed to the operator and never replayed
 		elapsed := time.Since(start)
-		fmt.Printf("%d txns in %v (%.0f txn/s)\n", *n, elapsed.Round(time.Millisecond),
-			float64(*n)/elapsed.Seconds())
+		fmt.Printf("%d txns in %v (%.0f txn/s)\n", done, elapsed.Round(time.Millisecond),
+			float64(done)/elapsed.Seconds())
 	default:
 		err = fmt.Errorf("unknown command %q", flag.Arg(0))
 	}

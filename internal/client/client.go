@@ -99,11 +99,6 @@ type Config struct {
 	Meter costmodel.Meter
 	// Params supplies service times for the meter; nil means defaults.
 	Params *costmodel.Params
-	// Retry, when MaxAttempts > 1, wraps the transport with bounded retry
-	// plus exponential backoff and jitter for transient transport faults
-	// (wire.WithRetry). After exhaustion operations return
-	// wire.ErrServerUnavailable.
-	Retry wire.RetryPolicy
 }
 
 // Stats counts client-side work. Figure 9/14 derive their page-write counts
@@ -143,7 +138,8 @@ type Client struct {
 	allocPage page.ID
 }
 
-// New creates a client speaking to svc.
+// New creates a client speaking to svc. Retry is a property of the
+// transport: wrap it first, client.New(cfg, wire.WithRetry(c, pol)).
 func New(cfg Config, svc wire.Service) *Client {
 	if cfg.PoolPages == 0 {
 		cfg.PoolPages = (8 << 20) / page.Size
@@ -160,7 +156,6 @@ func New(cfg Config, svc wire.Service) *Client {
 	if cfg.Params == nil {
 		cfg.Params = costmodel.Default1995()
 	}
-	svc = wire.WithRetry(svc, cfg.Retry) // no-op unless MaxAttempts > 1
 	c := &Client{
 		cfg:   cfg,
 		svc:   svc,

@@ -1,30 +1,17 @@
 package client
 
 import (
-	"fmt"
-
 	"repro/internal/shard"
-	"repro/internal/wire"
 )
 
 // NewSharded creates a client over a multi-shard store: backends[i] is shard
 // i's transport (wire.NewDirect against a server configured with ShardID=i,
-// ShardCount=len(backends), or a wire.Dial connection to its daemon). The
-// retry policy, when enabled, wraps each shard's transport individually —
-// retries belong below the router, so a re-sent Prepare or Decide reaches
-// the same shard that missed it — and the router itself is returned for
-// placement control (AllocPageOn) and recovery resolution (Recover).
-func NewSharded(cfg Config, backends []shard.Backend) (*Client, *shard.Router, error) {
-	wrapped := make([]shard.Backend, len(backends))
-	for i, b := range backends {
-		svc := wire.WithRetry(b, cfg.Retry)
-		wb, ok := svc.(shard.Backend)
-		if !ok {
-			return nil, nil, fmt.Errorf("client: shard %d transport lacks the 2PC surface", i)
-		}
-		wrapped[i] = wb
-	}
-	cfg.Retry = wire.RetryPolicy{} // already applied per shard
-	router := shard.NewRouter(wrapped)
-	return New(cfg, router), router, nil
+// ShardCount=len(backends), or a wire.Dial connection to its daemon). Retry
+// belongs below the router — wrap each shard's transport in wire.WithRetry
+// before passing it, so a re-sent Prepare or Decide reaches the same shard
+// that missed it. The router itself is returned for placement control
+// (AllocPageOn) and recovery resolution (Recover).
+func NewSharded(cfg Config, backends []shard.Backend) (*Client, *shard.Router) {
+	router := shard.NewRouter(backends)
+	return New(cfg, router), router
 }

@@ -25,14 +25,14 @@ type Blobs struct {
 
 	mu   sync.Mutex
 	plan Plan
-	rng  *rng
+	rng  *RNG
 	ops  uint64
 	hits int64
 }
 
 // NewBlobs wraps inner with the given plan. A zero plan injects nothing.
 func NewBlobs(inner BlobStore, plan Plan) *Blobs {
-	return &Blobs{inner: inner, plan: plan, rng: newRNG(plan.Seed)}
+	return &Blobs{inner: inner, plan: plan, rng: NewRNG(plan.Seed)}
 }
 
 // Faults returns the number of faults injected so far.
@@ -47,25 +47,25 @@ func (b *Blobs) Put(name string, data []byte) error {
 	b.mu.Lock()
 	b.ops++
 	seq := b.ops
-	if b.plan.WriteErrorRate > 0 && b.rng.float() < b.plan.WriteErrorRate {
+	if b.plan.WriteErrorRate > 0 && b.rng.Float() < b.plan.WriteErrorRate {
 		b.hits++
 		b.mu.Unlock()
 		return injected("transient blob write error", seq)
 	}
-	if b.plan.TornWriteRate > 0 && b.rng.float() < b.plan.TornWriteRate {
+	if b.plan.TornWriteRate > 0 && b.rng.Float() < b.plan.TornWriteRate {
 		b.hits++
 		keep := 0
 		if sectors := len(data) / SectorSize; sectors > 0 {
-			keep = b.rng.intn(sectors) * SectorSize
+			keep = b.rng.Intn(sectors) * SectorSize
 		}
 		b.mu.Unlock()
 		// Silent: the truncated blob is stored and success reported, as a
 		// crash after a partial upload followed by a spurious ack would.
 		return b.inner.Put(name, append([]byte(nil), data[:keep]...))
 	}
-	if b.plan.BitFlipRate > 0 && len(data) > 0 && b.rng.float() < b.plan.BitFlipRate {
+	if b.plan.BitFlipRate > 0 && len(data) > 0 && b.rng.Float() < b.plan.BitFlipRate {
 		b.hits++
-		bit := b.rng.intn(len(data) * 8)
+		bit := b.rng.Intn(len(data) * 8)
 		b.mu.Unlock()
 		flipped := append([]byte(nil), data...)
 		flipped[bit/8] ^= 1 << (bit % 8)
@@ -80,7 +80,7 @@ func (b *Blobs) Get(name string) ([]byte, error) {
 	b.mu.Lock()
 	b.ops++
 	seq := b.ops
-	if b.plan.ReadErrorRate > 0 && b.rng.float() < b.plan.ReadErrorRate {
+	if b.plan.ReadErrorRate > 0 && b.rng.Float() < b.plan.ReadErrorRate {
 		b.hits++
 		b.mu.Unlock()
 		return nil, injected("transient blob read error", seq)

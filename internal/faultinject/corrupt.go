@@ -22,8 +22,8 @@ func RotPage(st disk.Store, id page.ID, seed int64) (int, error) {
 	if err := st.ReadPage(id, buf[:]); err != nil {
 		return 0, fmt.Errorf("faultinject: rot read of %v: %w", id, err)
 	}
-	r := newRNG(seed ^ int64(id)*0x9e37)
-	bit := 8 + r.intn(page.Size*8-8)
+	r := NewRNG(seed ^ int64(id)*0x9e37)
+	bit := 8 + r.Intn(page.Size*8-8)
 	buf[bit/8] ^= 1 << (bit % 8)
 	if err := st.WritePage(id, buf[:]); err != nil {
 		return 0, fmt.Errorf("faultinject: rot write of %v: %w", id, err)

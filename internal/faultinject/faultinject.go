@@ -1,9 +1,12 @@
 // Package faultinject provides a deterministic, seed-driven fault-injection
-// substrate for crash-consistency testing. It wraps the two places where
-// state leaves a process — stable storage (disk.Store) and the client↔server
-// transport — and perturbs them according to a Plan: transient I/O errors,
-// torn page writes, write reordering, dropped/duplicated/delayed messages,
-// and connection resets mid-commit.
+// substrate for crash-consistency testing. A Plan names faults for the two
+// places where state leaves a process. Its disk half — transient I/O errors,
+// torn page writes, write reordering, silent bit rot — is applied by the Store
+// and Blobs wrappers. Its message half — dropped, duplicated and delayed
+// requests, stalled commits, connection resets mid-commit — is the Messages
+// schedule, which this package only draws: the wire package's fault carrier
+// (a client's wire.WithFaults, a daemon's serve loop) and repl.WrapFetch
+// apply it to frames.
 //
 // Every decision is drawn from a seeded PRNG keyed only by the operation
 // sequence, so a given (plan, seed) pair produces the identical fault
@@ -36,24 +39,26 @@ var ErrInjected = errors.New("faultinject: injected fault")
 // transport failure leaves delivery ambiguous.
 var ErrNotDelivered = fmt.Errorf("%w: request not delivered", ErrInjected)
 
+// ErrReplyLost marks an injected transport fault where the request was
+// delivered and served but its reply never arrived (a connection reset
+// mid-commit): the caller cannot know the outcome.
+var ErrReplyLost = fmt.Errorf("%w: reply lost", ErrInjected)
+
 // injected builds a classified injected error.
 func injected(kind string, seq uint64) error {
 	return fmt.Errorf("%w: %s (op %d)", ErrInjected, kind, seq)
 }
 
-// dropped builds an injected pre-delivery drop error.
-func dropped(seq uint64) error {
-	return fmt.Errorf("%w (op %d)", ErrNotDelivered, seq)
-}
-
-// rng is a splitmix64 generator: tiny, fast, and stable across Go versions
+// RNG is a splitmix64 generator: tiny, fast, and stable across Go versions
 // (math/rand's stream is not guaranteed between releases, and reproducibility
-// from a printed seed is the whole point of this package).
-type rng struct{ state uint64 }
+// from a printed seed is the whole point of this package). It is the one
+// seeded generator of the tree's fault and backoff schedules.
+type RNG struct{ state uint64 }
 
-func newRNG(seed int64) *rng { return &rng{state: uint64(seed)*0x9e3779b97f4a7c15 + 1} }
+// NewRNG returns a generator whose stream is a pure function of seed.
+func NewRNG(seed int64) *RNG { return &RNG{state: uint64(seed)*0x9e3779b97f4a7c15 + 1} }
 
-func (r *rng) next() uint64 {
+func (r *RNG) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -61,11 +66,11 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+// Float returns a uniform float64 in [0, 1).
+func (r *RNG) Float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// intn returns a uniform int in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// Intn returns a uniform int in [0, n).
+func (r *RNG) Intn(n int) int { return int(r.next() % uint64(n)) }
 
 // Plan describes a fault schedule. The zero value injects nothing. Rates are
 // probabilities in [0, 1] evaluated per operation against the seeded PRNG.
@@ -84,13 +89,67 @@ type Plan struct {
 	// until a later read checks an integrity envelope.
 	BitFlipRate float64
 
-	// Transport faults (Transport wrapper).
-	DropRate      float64       // request is never sent; caller sees a timeout-like error
-	DupRate       float64       // request is delivered twice (tests idempotence)
+	// Message faults (the Messages schedule).
+	DropRate      float64       // request is never delivered; caller sees a transport error
+	DupRate       float64       // request is delivered twice, if re-doing it is harmless
 	DelayRate     float64       // request is delayed by up to MaxDelay
 	MaxDelay      time.Duration // bound for injected delays (default 5 ms)
 	ResetOnCommit float64       // Commit is delivered, but the response is lost (connection reset)
 	StallCommit   time.Duration // every Commit stalls this long before delivery (stalled-peer tests)
+}
+
+// Message is the fault drawn for one message.
+type Message struct {
+	Drop  error         // non-nil: the request is never delivered (wraps ErrNotDelivered)
+	Delay time.Duration // hold the request this long before delivering it
+	Dup   bool          // deliver the request twice, if re-doing it is harmless
+	Reset error         // non-nil: deliver the request, then lose its reply (wraps ErrReplyLost)
+}
+
+// Messages is the message half of a Plan: a deterministic stream of
+// per-message faults, safe for concurrent use.
+type Messages struct {
+	mu   sync.Mutex
+	plan Plan
+	rng  *RNG
+	seq  uint64
+}
+
+// NewMessages starts plan's message schedule, or returns nil when the plan
+// has no message faults.
+func NewMessages(plan Plan) *Messages {
+	if plan.DropRate == 0 && plan.DupRate == 0 && plan.DelayRate == 0 && plan.ResetOnCommit == 0 && plan.StallCommit == 0 {
+		return nil
+	}
+	if plan.MaxDelay == 0 {
+		plan.MaxDelay = 5 * time.Millisecond
+	}
+	return &Messages{plan: plan, rng: NewRNG(plan.Seed)}
+}
+
+// Next draws the next message's fault. Only a commit stalls or loses its
+// reply.
+func (m *Messages) Next(commit bool) Message {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.seq++
+	p := &m.plan
+	var msg Message
+	if p.DropRate > 0 && m.rng.Float() < p.DropRate {
+		msg.Drop = fmt.Errorf("%w (op %d)", ErrNotDelivered, m.seq)
+		return msg
+	}
+	if p.DelayRate > 0 && m.rng.Float() < p.DelayRate {
+		msg.Delay = time.Duration(m.rng.Float() * float64(p.MaxDelay))
+	}
+	msg.Dup = p.DupRate > 0 && m.rng.Float() < p.DupRate
+	if commit {
+		msg.Delay += p.StallCommit
+		if p.ResetOnCommit > 0 && m.rng.Float() < p.ResetOnCommit {
+			msg.Reset = fmt.Errorf("%w: connection reset during commit (op %d)", ErrReplyLost, m.seq)
+		}
+	}
+	return msg
 }
 
 // Plans returns the built-in named plans usable from qsctl ("qsctl faults

@@ -3,12 +3,12 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/disk"
-	"repro/internal/lock"
-	"repro/internal/logrec"
 	"repro/internal/page"
 )
 
@@ -171,103 +171,42 @@ func TestFuseSwallowsPastLimit(t *testing.T) {
 	}
 }
 
-// fakeService records delivered calls; every op succeeds.
-type fakeService struct {
-	begins, locks, commits, ships int
-	nextTID                       logrec.TID
-}
-
-func (f *fakeService) Begin() (logrec.TID, error) {
-	f.begins++
-	f.nextTID++
-	return f.nextTID, nil
-}
-func (f *fakeService) Lock(logrec.TID, page.ID, lock.Mode) error { f.locks++; return nil }
-func (f *fakeService) AllocPage(logrec.TID) (page.ID, error)     { return 1, nil }
-func (f *fakeService) ReadPage(logrec.TID, page.ID, lock.Mode) ([]byte, error) {
-	return make([]byte, page.Size), nil
-}
-func (f *fakeService) ShipLog(logrec.TID, []byte) error           { f.ships++; return nil }
-func (f *fakeService) ShipPage(logrec.TID, page.ID, []byte) error { return nil }
-func (f *fakeService) Commit(logrec.TID) error                    { f.commits++; return nil }
-func (f *fakeService) Abort(logrec.TID) error                     { return nil }
-
-// transportTrace runs a fixed op sequence through a fresh flaky transport and
-// returns the per-op error pattern plus delivery counts.
-func transportTrace(seed int64) (trace []byte, delivered fakeService) {
+// messageTrace draws a fixed run of message faults from a fresh flaky-net
+// schedule — every fourth message a commit — and renders each.
+func messageTrace(seed int64) []string {
 	plan := Plans()["flaky-net"]
 	plan.Seed = seed
-	tr := WrapTransport(&delivered, plan)
-	tr.Sleep = func(time.Duration) {} // injected delays: don't slow the test
+	plan.ResetOnCommit = 0.2
+	msgs := NewMessages(plan)
+	var trace []string
 	for i := 0; i < 150; i++ {
-		var err error
-		switch i % 4 {
-		case 0:
-			_, err = tr.Begin()
-		case 1:
-			err = tr.Lock(1, page.ID(i), lock.Shared)
-		case 2:
-			err = tr.ShipLog(1, []byte{1, 2, 3})
-		case 3:
-			err = tr.Commit(1)
-		}
-		if err != nil {
-			trace = append(trace, 1)
-		} else {
-			trace = append(trace, 0)
-		}
+		trace = append(trace, fmt.Sprintf("%+v", msgs.Next(i%4 == 3)))
 	}
-	return trace, delivered
+	return trace
 }
 
-// TestTransportDeterministic: same seed, same drops and deliveries.
+// TestTransportDeterministic: the message schedule is a pure function of the
+// plan and seed — same seed, same drops, delays, duplicates and resets.
 func TestTransportDeterministic(t *testing.T) {
-	a, da := transportTrace(9)
-	b, db := transportTrace(9)
-	if !bytes.Equal(a, b) || da != db {
-		t.Fatal("transport fault schedule not reproducible from the seed")
+	a, b := messageTrace(9), messageTrace(9)
+	if !slices.Equal(a, b) {
+		t.Fatal("message fault schedule not reproducible from the seed")
 	}
-	dropped := 0
-	for _, v := range a {
-		dropped += int(v)
+	drops := 0
+	for _, m := range a {
+		if strings.Contains(m, "not delivered") {
+			drops++
+		}
 	}
-	if dropped == 0 {
-		t.Fatal("flaky-net plan injected no faults in 150 ops")
+	if drops == 0 {
+		t.Fatal("flaky-net plan injected no drops in 150 messages")
 	}
-	c, _ := transportTrace(10)
-	if bytes.Equal(a, c) {
-		t.Error("seeds 9 and 10 produced the identical transport schedule")
+	if slices.Equal(a, messageTrace(10)) {
+		t.Error("seeds 9 and 10 produced the identical message schedule")
 	}
-}
-
-// TestTransportDropIsNotDelivered: a dropped request reports ErrNotDelivered
-// and really is not delivered — the guarantee the retry layer's commit
-// handling relies on.
-func TestTransportDropIsNotDelivered(t *testing.T) {
-	var inner fakeService
-	tr := WrapTransport(&inner, Plan{Name: "drop-all", Seed: 1, DropRate: 1})
-	tr.Sleep = func(time.Duration) {}
-	err := tr.Commit(1)
-	if !errors.Is(err, ErrNotDelivered) {
-		t.Fatalf("dropped commit returned %v, want ErrNotDelivered", err)
-	}
-	if inner.commits != 0 {
-		t.Fatal("dropped commit was delivered")
-	}
-}
-
-// TestTransportResetOnCommit: the commit is delivered but the response is
-// lost, so the caller sees an injected error it cannot distinguish from a
-// connection reset — while the transaction really committed.
-func TestTransportResetOnCommit(t *testing.T) {
-	var inner fakeService
-	tr := WrapTransport(&inner, Plan{Name: "reset", Seed: 1, ResetOnCommit: 1})
-	tr.Sleep = func(time.Duration) {}
-	err := tr.Commit(1)
-	if !errors.Is(err, ErrInjected) || errors.Is(err, ErrNotDelivered) {
-		t.Fatalf("reset-on-commit returned %v, want an injected (but delivered) fault", err)
-	}
-	if inner.commits != 1 {
-		t.Fatalf("commit delivered %d times, want 1", inner.commits)
+	for _, name := range []string{"eio", "torn", "reorder", "bitrot", "pagerot"} {
+		if NewMessages(Plans()[name]) != nil {
+			t.Errorf("disk-only plan %q has a message schedule", name)
+		}
 	}
 }

@@ -25,7 +25,7 @@ type Store struct {
 	mu      sync.Mutex
 	plan    Plan
 	armed   bool
-	rng     *rng
+	rng     *RNG
 	reads   uint64
 	writes  uint64
 	faults  int64
@@ -55,7 +55,7 @@ func (s *Store) Arm(plan Plan) {
 	defer s.mu.Unlock()
 	s.plan = plan
 	s.armed = true
-	s.rng = newRNG(plan.Seed)
+	s.rng = NewRNG(plan.Seed)
 	s.reads, s.writes = 0, 0
 	s.pending = nil
 }
@@ -107,7 +107,7 @@ func (s *Store) ReadPage(id page.ID, buf []byte) error {
 			return nil
 		}
 	}
-	if s.armed && s.plan.ReadErrorRate > 0 && s.rng.float() < s.plan.ReadErrorRate {
+	if s.armed && s.plan.ReadErrorRate > 0 && s.rng.Float() < s.plan.ReadErrorRate {
 		s.faults++
 		s.mu.Unlock()
 		return injected("transient read error", seq)
@@ -130,24 +130,24 @@ func (s *Store) WritePage(id page.ID, data []byte) error {
 	if !s.armed {
 		return s.inner.WritePage(id, data)
 	}
-	if s.plan.WriteErrorRate > 0 && s.rng.float() < s.plan.WriteErrorRate {
+	if s.plan.WriteErrorRate > 0 && s.rng.Float() < s.plan.WriteErrorRate {
 		s.faults++
 		return injected("transient write error", seq)
 	}
-	if s.plan.TornWriteRate > 0 && s.rng.float() < s.plan.TornWriteRate {
+	if s.plan.TornWriteRate > 0 && s.rng.Float() < s.plan.TornWriteRate {
 		s.faults++
 		if err := s.tornWriteLocked(id, data); err != nil {
 			return err
 		}
 		return injected("torn write", seq)
 	}
-	if s.plan.BitFlipRate > 0 && s.rng.float() < s.plan.BitFlipRate {
+	if s.plan.BitFlipRate > 0 && s.rng.Float() < s.plan.BitFlipRate {
 		// Silent rot: one bit of the stored page differs from what was
 		// written, and the write still reports success (no injected error —
 		// only an integrity envelope on a later read can catch this).
 		s.faults++
 		rotted := append([]byte(nil), data...)
-		bit := s.rng.intn(len(rotted) * 8)
+		bit := s.rng.Intn(len(rotted) * 8)
 		rotted[bit/8] ^= 1 << (bit % 8)
 		return s.inner.WritePage(id, rotted)
 	}
@@ -165,7 +165,7 @@ func (s *Store) WritePage(id page.ID, data []byte) error {
 // contents, as a write interrupted by power loss would.
 func (s *Store) tornWriteLocked(id page.ID, data []byte) error {
 	sectors := len(data) / SectorSize
-	keep := s.rng.intn(sectors) * SectorSize // 0 .. len-SectorSize bytes of new data
+	keep := s.rng.Intn(sectors) * SectorSize // 0 .. len-SectorSize bytes of new data
 	merged := make([]byte, len(data))
 	if err := s.inner.ReadPage(id, merged); err != nil {
 		// Page never written: the unwritten remainder reads as zeroes.
@@ -199,7 +199,7 @@ func (s *Store) rngIntn(n int) int {
 	if s.rng == nil {
 		return 0
 	}
-	return s.rng.intn(n)
+	return s.rng.Intn(n)
 }
 
 // Pages implements disk.Store.

@@ -2,49 +2,27 @@ package repl
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/faultinject"
 )
 
-// WrapFetch perturbs a FetchFunc with a faultinject transport plan's message
-// faults: dropped fetches (the caller sees ErrNotDelivered and retries with
-// backoff) and delivery delays. Duplication is meaningless for an idempotent
-// pull — a re-sent fetch returns the same batch — so only DropRate,
-// DelayRate and MaxDelay apply. The fault stream is a pure function of
-// plan.Seed, like every faultinject wrapper.
+// WrapFetch perturbs a FetchFunc with plan's message schedule
+// (faultinject.Messages): dropped fetches (the caller sees ErrNotDelivered and
+// retries with backoff) and delivery delays. Duplication is meaningless for an
+// idempotent pull — a re-sent fetch returns the same batch — so it is not
+// applied.
 func WrapFetch(fetch FetchFunc, plan faultinject.Plan) FetchFunc {
-	if plan.MaxDelay == 0 {
-		plan.MaxDelay = 5 * time.Millisecond
-	}
-	var mu sync.Mutex
-	state := uint64(plan.Seed)
-	next := func() float64 {
-		// splitmix64, the same generator the retry jitter uses.
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z ^= z >> 30
-		z *= 0xbf58476d1ce4e5b9
-		z ^= z >> 27
-		z *= 0x94d049bb133111eb
-		z ^= z >> 31
-		return float64(z>>11) / (1 << 53)
+	msgs := faultinject.NewMessages(plan)
+	if msgs == nil {
+		return fetch
 	}
 	return func(from, applied uint64, maxBytes int) (Batch, error) {
-		mu.Lock()
-		drop := plan.DropRate > 0 && next() < plan.DropRate
-		var delay time.Duration
-		if plan.DelayRate > 0 && next() < plan.DelayRate {
-			delay = time.Duration(next() * float64(plan.MaxDelay))
+		m := msgs.Next(false)
+		if m.Drop != nil {
+			return Batch{}, fmt.Errorf("fetch from %d: %w", from, m.Drop)
 		}
-		mu.Unlock()
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if drop {
-			return Batch{}, fmt.Errorf("%w: fetch from %d dropped", faultinject.ErrNotDelivered, from)
-		}
+		time.Sleep(m.Delay)
 		return fetch(from, applied, maxBytes)
 	}
 }

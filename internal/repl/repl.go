@@ -73,7 +73,7 @@ type Batch struct {
 // FetchFunc is the standby's view of a primary: fetch stable records from
 // `from`, reporting `applied` (the standby's applied-and-forced watermark —
 // the semi-sync ack) and accepting at most maxBytes of payload. It is the
-// seam between repl and the transport: wire.TCPClient.ReplFetch for a real
+// seam between repl and the transport: wire.Client.ReplFetch for a real
 // link, Primary.Fetch directly for in-process tests and sweeps.
 type FetchFunc func(from, applied uint64, maxBytes int) (Batch, error)
 

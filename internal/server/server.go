@@ -655,9 +655,14 @@ func (sn *Session) Begin() logrec.TID {
 
 // Lock acquires a page lock on behalf of tid, blocking until granted. Lock
 // waits do not hold the quiesce gate (a parked waiter must not block a
-// checkpoint).
+// checkpoint). A lock for a finished transaction would never be released, so
+// an unknown tid — a Lock re-sent after a dropped connection already aborted
+// its transaction — is ErrNoTxn, as for every other transactional call.
 func (sn *Session) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
 	sn.m.ServerCompute(sn.p.LockReqCPU)
+	if _, ok := sn.s.lookupTxn(tid); !ok {
+		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
+	}
 	return sn.s.locks.Lock(tid, pid, mode)
 }
 

@@ -460,6 +460,10 @@ func TestUnknownTxnRejected(t *testing.T) {
 	if err := sn.Abort(999); !errors.Is(err, ErrNoTxn) {
 		t.Fatalf("err = %v", err)
 	}
+	// A lock granted to an unknown transaction would never be released.
+	if err := sn.Lock(999, 1, lock.Exclusive); !errors.Is(err, ErrNoTxn) {
+		t.Fatalf("err = %v", err)
+	}
 }
 
 func TestWPLReloadFromLogAfterEviction(t *testing.T) {

@@ -225,10 +225,6 @@ func (s *Server) InDoubt() []InDoubtTxn {
 	return out
 }
 
-// InDoubt lists this shard's in-doubt branches through a session, for the
-// in-process wire transport.
-func (sn *Session) InDoubt() []InDoubtTxn { return sn.s.InDoubt() }
-
 // resurrectInDoubt re-acquires the exclusive page locks of an in-doubt branch
 // restart analysis left in the ATT, before new sessions are admitted, so the
 // branch keeps isolating its uncommitted pages

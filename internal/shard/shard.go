@@ -27,8 +27,8 @@ import (
 )
 
 // Backend is one shard's transport: the ordinary client↔server surface plus
-// the two-phase-commit surface. wire.Direct, wire.TCPClient, and the retry
-// wrapper all satisfy it.
+// the two-phase-commit surface. Every wire.Client satisfies it — in process,
+// over TCP, or wrapped in retry.
 type Backend interface {
 	wire.Service
 	wire.TwoPC

@@ -25,14 +25,11 @@ func newCluster(t *testing.T, n int) (*client.Client, *shard.Router, []*server.S
 		})
 		backends[s] = wire.NewDirect(srvs[s], nil, nil)
 	}
-	cli, router, err := client.NewSharded(client.Config{
+	cli, router := client.NewSharded(client.Config{
 		Scheme:         client.PD,
 		PoolPages:      32,
 		ShipDirtyPages: true,
 	}, backends)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return cli, router, srvs
 }
 

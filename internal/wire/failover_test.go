@@ -97,6 +97,13 @@ func TestClientFailoverResolvesInDoubtCommit(t *testing.T) {
 	}
 	defer slis.Close()
 	go ServeWith(slis, ssrv, ServeOpts{Standby: sb})
+	// Semi-sync acks start with the standby's first fetch; a commit before it
+	// proceeds asynchronously by design.
+	for deadline := time.Now().Add(5 * time.Second); !p.Status().Connected; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never fetched: %+v", p.Status())
+		}
+	}
 
 	// The application client: retries with the standby as failover target.
 	cli, err := Dial(plis.Addr().String())

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disk"
+	"repro/internal/faultinject"
 	"repro/internal/logrec"
 	"repro/internal/server"
 )
@@ -33,11 +35,15 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
-// FuzzServerAgainstGarbage throws arbitrary bytes at a live TCP server; it
-// must neither panic nor corrupt state for well-behaved clients that follow.
+// FuzzServerAgainstGarbage throws arbitrary bytes at a live TCP server whose
+// flaky-net plan is armed, so every frame also goes through the daemon's
+// message-fault path: it must neither panic nor corrupt state for
+// well-behaved clients that follow, which retry through the injected drops.
 func FuzzServerAgainstGarbage(f *testing.F) {
+	fs := faultinject.NewStore(disk.NewMemStore())
 	srv := server.New(server.Config{
 		Mode:        server.ModeESM,
+		Store:       fs,
 		PoolPages:   64,
 		LogCapacity: 8 << 20,
 		LockTimeout: 200 * time.Millisecond,
@@ -46,7 +52,18 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	go Serve(lis, srv)
+	go ServeWith(lis, srv, ServeOpts{Faults: fs})
+	retry := func(c *Client) *Client {
+		return WithRetry(c, RetryPolicy{MaxAttempts: 20, Sleep: func(time.Duration) {}})
+	}
+	admin, err := Dial(lis.Addr().String())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := retry(admin).Faults(true, "flaky-net", 1); err != nil {
+		f.Fatal(err)
+	}
+	admin.Close()
 	f.Add([]byte{1, 2, 3})
 	f.Add(bytes.Repeat([]byte{0}, 32))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
@@ -64,6 +81,8 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 	writeRequest(&frames, frame{op: opBegin, tid: 1 << 40})
 	writeRequest(&frames, frame{op: opShipLog, tid: 1 << 40, payload: oob.Encode(nil)})
 	f.Add(frames.Bytes())
+	// Frames of op codes past the table, which the fault path looks up.
+	f.Add([]byte{14, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {
@@ -77,11 +96,12 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer cli.Close()
-		tid, err := cli.Begin()
+		svc := retry(cli)
+		tid, err := svc.Begin()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Abort(tid); err != nil {
+		if err := svc.Abort(tid); err != nil {
 			t.Fatal(err)
 		}
 	})

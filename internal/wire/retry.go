@@ -3,10 +3,11 @@ package wire
 // Bounded retry with exponential backoff and jitter for transient transport
 // faults (dropped messages, broken connections, injected network errors).
 //
-// Retries are applied per operation. Commit is special: once a commit
-// request may have reached the server, a transport failure makes the outcome
-// genuinely ambiguous — the server commits and aborts-on-disconnect are both
-// possible, and a blind re-send that draws ErrNoTxn cannot tell them apart.
+// Retries are applied per frame, under the op table's re-send rule for its
+// op (ops.go). Commit is special: once a commit request may have reached the
+// server, a transport failure makes the outcome genuinely ambiguous — the
+// server commits and aborts-on-disconnect are both possible, and a blind
+// re-send that draws ErrNoTxn cannot tell them apart.
 // WithRetry therefore re-sends a Commit only when the failure guarantees the
 // request was never delivered (an injected pre-delivery drop); otherwise it
 // surfaces ErrCommitOutcomeUnknown and the application decides whether to
@@ -21,8 +22,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/lock"
-	"repro/internal/logrec"
-	"repro/internal/page"
 	"repro/internal/server"
 )
 
@@ -49,29 +48,29 @@ type RetryPolicy struct {
 	// operation exhausts its attempt budget on connection-class failures (or
 	// a Commit turns ambiguous), the client is redirected there — the standby
 	// is presumed promoted once the primary stops answering — and the
-	// operation gets one more full attempt budget. Requires an inner Service
-	// with a Redirect method (TCPClient); ignored otherwise.
+	// operation gets one more full attempt budget. Requires a client from
+	// Dial; ignored otherwise.
 	FailoverAddr string
 }
 
-// retrier wraps a Service with RetryPolicy semantics. One client issues one
-// request at a time (the page-server protocol), so it is unsynchronized.
+// retrier carries frames with RetryPolicy semantics, each op under its
+// re-send rule from the op table. One client issues one request at a time
+// (the page-server protocol), so it is unsynchronized.
 type retrier struct {
-	inner Service
+	inner carrier
 	pol   RetryPolicy
-	// splitmix64 jitter source: reproducible from Seed across Go versions.
-	rngState uint64
+	rng   *faultinject.RNG // jitter: reproducible from Seed across Go versions
 	// failedOver is set after the one-shot redirect to FailoverAddr.
 	failedOver bool
 }
 
-// WithRetry wraps svc so every operation is attempted up to
+// WithRetry wraps c's carrier so every operation is attempted up to
 // pol.MaxAttempts times on transient transport errors, with exponential
 // backoff and jitter between attempts. A pol.MaxAttempts of 0 or 1 returns
-// svc unchanged.
-func WithRetry(svc Service, pol RetryPolicy) Service {
+// c unchanged.
+func WithRetry(c *Client, pol RetryPolicy) *Client {
 	if pol.MaxAttempts <= 1 {
-		return svc
+		return c
 	}
 	if pol.BaseDelay == 0 {
 		pol.BaseDelay = 2 * time.Millisecond
@@ -82,7 +81,7 @@ func WithRetry(svc Service, pol RetryPolicy) Service {
 	if pol.Sleep == nil {
 		pol.Sleep = time.Sleep
 	}
-	return &retrier{inner: svc, pol: pol, rngState: uint64(pol.Seed)*0x9e3779b97f4a7c15 + 1}
+	return &Client{c: &retrier{inner: c.c, pol: pol, rng: faultinject.NewRNG(pol.Seed)}}
 }
 
 // transient reports whether err is worth retrying: transport-level failures
@@ -106,14 +105,6 @@ func transient(err error) bool {
 	return errors.As(err, &nerr)
 }
 
-func (c *retrier) jitterNext() float64 {
-	c.rngState += 0x9e3779b97f4a7c15
-	z := c.rngState
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return float64((z^(z>>31))>>11) / (1 << 53)
-}
-
 // backoff sleeps before retry attempt n (n = 1 before the second attempt).
 func (c *retrier) backoff(n int) {
 	d := c.pol.BaseDelay << (n - 1)
@@ -121,46 +112,42 @@ func (c *retrier) backoff(n int) {
 		d = c.pol.MaxDelay
 	}
 	if c.pol.Jitter > 0 {
-		f := 1 - c.pol.Jitter*c.jitterNext()
+		f := 1 - c.pol.Jitter*c.rng.Float()
 		d = time.Duration(float64(d) * f)
 	}
 	c.pol.Sleep(d)
 }
 
-// Re-send policies: idempotent operations retry on any transient failure;
-// operations with server-side effects that must not be duplicated re-send
-// only when the failure guarantees non-delivery.
-const (
-	resendAlways        = iota // idempotent
-	resendIfUndelivered        // surface ambiguous failures unchanged (ShipLog)
-	resendCommit               // surface ambiguous failures as ErrCommitOutcomeUnknown
-)
-
-// do runs op under the retry loop with the given re-send policy.
-func (c *retrier) do(policy int, op func() error) error {
+// roundTrip runs f under the retry loop with its op's re-send rule.
+func (c *retrier) roundTrip(f frame) ([]byte, error) {
+	rule := rowOf(f.op).resend
 	var err error
 	for {
 		for n := 0; n < c.pol.MaxAttempts; n++ {
 			if n > 0 {
 				c.backoff(n)
 			}
-			err = op()
+			var out []byte
+			out, err = c.inner.roundTrip(f)
 			if !transient(err) {
-				return err
+				if rule == resendAbort && errors.Is(err, server.ErrNoTxn) {
+					return nil, nil
+				}
+				return out, err
 			}
-			if policy != resendAlways && !errors.Is(err, faultinject.ErrNotDelivered) {
+			if (rule == resendIfUndelivered || rule == resendCommit) && !errors.Is(err, faultinject.ErrNotDelivered) {
 				// The op may have reached the dead primary: never re-send it,
 				// but do redirect so the caller's *next* operations (the
 				// re-reads that resolve the ambiguity) reach the standby.
 				c.maybeFailover()
-				if policy == resendCommit {
-					return fmt.Errorf("%w: %v", ErrCommitOutcomeUnknown, err)
+				if rule == resendCommit {
+					return nil, fmt.Errorf("%w: %v", ErrCommitOutcomeUnknown, err)
 				}
-				return err
+				return nil, err
 			}
 		}
 		if !c.maybeFailover() {
-			return fmt.Errorf("%w: %d attempts, last error: %v", ErrServerUnavailable, c.pol.MaxAttempts, err)
+			return nil, fmt.Errorf("%w: %d attempts, last error: %v", ErrServerUnavailable, c.pol.MaxAttempts, err)
 		}
 	}
 }
@@ -168,83 +155,11 @@ func (c *retrier) do(policy int, op func() error) error {
 // maybeFailover performs the one-shot redirect to FailoverAddr, reporting
 // whether it did (and the caller gets another attempt budget).
 func (c *retrier) maybeFailover() bool {
-	if c.failedOver || c.pol.FailoverAddr == "" {
-		return false
-	}
-	r, ok := c.inner.(interface{ Redirect(string) })
-	if !ok {
+	t, ok := c.inner.(*tcpConn)
+	if c.failedOver || c.pol.FailoverAddr == "" || !ok {
 		return false
 	}
 	c.failedOver = true
-	r.Redirect(c.pol.FailoverAddr)
+	t.redirect(c.pol.FailoverAddr)
 	return true
 }
-
-// Begin implements Service.
-func (c *retrier) Begin() (logrec.TID, error) {
-	var tid logrec.TID
-	err := c.do(resendAlways, func() error {
-		var e error
-		tid, e = c.inner.Begin()
-		return e
-	})
-	return tid, err
-}
-
-// Lock implements Service.
-func (c *retrier) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
-	return c.do(resendAlways, func() error { return c.inner.Lock(tid, pid, mode) })
-}
-
-// AllocPage implements Service.
-func (c *retrier) AllocPage(tid logrec.TID) (page.ID, error) {
-	var pid page.ID
-	err := c.do(resendAlways, func() error {
-		var e error
-		pid, e = c.inner.AllocPage(tid)
-		return e
-	})
-	return pid, err
-}
-
-// ReadPage implements Service.
-func (c *retrier) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error) {
-	var data []byte
-	err := c.do(resendAlways, func() error {
-		var e error
-		data, e = c.inner.ReadPage(tid, pid, mode)
-		return e
-	})
-	return data, err
-}
-
-// ShipLog implements Service. Re-sending a log batch whose delivery status
-// is unknown would double-append records, so like Commit it is re-sent only
-// on guaranteed-undelivered failures; otherwise the error surfaces and the
-// client aborts the transaction.
-func (c *retrier) ShipLog(tid logrec.TID, data []byte) error {
-	return c.do(resendIfUndelivered, func() error { return c.inner.ShipLog(tid, data) })
-}
-
-// ShipPage implements Service (idempotent: same bytes, last write wins).
-func (c *retrier) ShipPage(tid logrec.TID, pid page.ID, data []byte) error {
-	return c.do(resendAlways, func() error { return c.inner.ShipPage(tid, pid, data) })
-}
-
-// Commit implements Service; see the package comment for the ambiguity rule.
-func (c *retrier) Commit(tid logrec.TID) error {
-	return c.do(resendCommit, func() error { return c.inner.Commit(tid) })
-}
-
-// Abort implements Service. An abort that draws ErrNoTxn after a transport
-// failure already happened server-side (disconnect handling aborts active
-// transactions), which is the outcome the caller wanted.
-func (c *retrier) Abort(tid logrec.TID) error {
-	err := c.do(resendAlways, func() error { return c.inner.Abort(tid) })
-	if errors.Is(err, server.ErrNoTxn) {
-		return nil
-	}
-	return err
-}
-
-var _ Service = (*retrier)(nil)

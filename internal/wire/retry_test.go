@@ -9,38 +9,46 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/lock"
-	"repro/internal/logrec"
 	"repro/internal/page"
 	"repro/internal/server"
 )
 
-// scriptedService fails each operation with the scripted errors in order,
-// then succeeds, counting delivered attempts.
-type scriptedService struct {
-	errs  []error // consumed one per call, any op
+// scripted is a carrier that fails each frame with the scripted errors in
+// order, then succeeds with a canned reply, counting delivered frames.
+type scripted struct {
+	errs  []error // consumed one per frame, any op
 	calls int
+	ops   []byte // op of every delivered frame
 }
 
-func (s *scriptedService) step() error {
+func (s *scripted) roundTrip(f frame) ([]byte, error) {
 	s.calls++
+	s.ops = append(s.ops, f.op)
 	if len(s.errs) > 0 {
 		err := s.errs[0]
 		s.errs = s.errs[1:]
-		return err
+		return nil, err
 	}
-	return nil
+	switch f.op {
+	case opBegin:
+		return make([]byte, 8), nil
+	case opAllocPage:
+		return make([]byte, 4), nil
+	case opReadPage:
+		return make([]byte, page.Size), nil
+	case opResolveInDoubt:
+		return make([]byte, 5), nil
+	case opStats:
+		return []byte("{}"), nil
+	}
+	return nil, nil
 }
 
-func (s *scriptedService) Begin() (logrec.TID, error)                { return 1, s.step() }
-func (s *scriptedService) Lock(logrec.TID, page.ID, lock.Mode) error { return s.step() }
-func (s *scriptedService) AllocPage(logrec.TID) (page.ID, error)     { return 1, s.step() }
-func (s *scriptedService) ReadPage(logrec.TID, page.ID, lock.Mode) ([]byte, error) {
-	return make([]byte, page.Size), s.step()
+// scriptedClient returns a client over a scripted carrier.
+func scriptedClient(errs ...error) (*scripted, *Client) {
+	s := &scripted{errs: errs}
+	return s, &Client{c: s}
 }
-func (s *scriptedService) ShipLog(logrec.TID, []byte) error           { return s.step() }
-func (s *scriptedService) ShipPage(logrec.TID, page.ID, []byte) error { return s.step() }
-func (s *scriptedService) Commit(logrec.TID) error                    { return s.step() }
-func (s *scriptedService) Abort(logrec.TID) error                     { return s.step() }
 
 func retryPolicy(maxAttempts int, sleeps *[]time.Duration) RetryPolicy {
 	return RetryPolicy{
@@ -54,19 +62,19 @@ func retryPolicy(maxAttempts int, sleeps *[]time.Duration) RetryPolicy {
 }
 
 func TestWithRetryDisabledReturnsSameService(t *testing.T) {
-	svc := &scriptedService{}
-	if WithRetry(svc, RetryPolicy{}) != Service(svc) {
+	_, svc := scriptedClient()
+	if WithRetry(svc, RetryPolicy{}) != svc {
 		t.Fatal("zero policy must not wrap")
 	}
-	if WithRetry(svc, RetryPolicy{MaxAttempts: 1}) != Service(svc) {
+	if WithRetry(svc, RetryPolicy{MaxAttempts: 1}) != svc {
 		t.Fatal("single-attempt policy must not wrap")
 	}
 }
 
 func TestRetryRecoversFromTransientErrors(t *testing.T) {
 	var sleeps []time.Duration
-	svc := &scriptedService{errs: []error{io.EOF, io.ErrUnexpectedEOF}}
-	r := WithRetry(svc, retryPolicy(5, &sleeps))
+	svc, c := scriptedClient(io.EOF, io.ErrUnexpectedEOF)
+	r := WithRetry(c, retryPolicy(5, &sleeps))
 	if err := r.Lock(1, 1, lock.Shared); err != nil {
 		t.Fatalf("lock after two transient failures: %v", err)
 	}
@@ -87,8 +95,8 @@ func TestRetryRecoversFromTransientErrors(t *testing.T) {
 
 func TestRetryExhaustionReturnsServerUnavailable(t *testing.T) {
 	var sleeps []time.Duration
-	svc := &scriptedService{errs: []error{io.EOF, io.EOF, io.EOF, io.EOF}}
-	r := WithRetry(svc, retryPolicy(3, &sleeps))
+	svc, c := scriptedClient(io.EOF, io.EOF, io.EOF, io.EOF)
+	r := WithRetry(c, retryPolicy(3, &sleeps))
 	err := r.Lock(1, 1, lock.Shared)
 	if !errors.Is(err, ErrServerUnavailable) {
 		t.Fatalf("err = %v, want ErrServerUnavailable", err)
@@ -101,8 +109,8 @@ func TestRetryExhaustionReturnsServerUnavailable(t *testing.T) {
 func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
 	for _, appErr := range []error{lock.ErrDeadlock, server.ErrNoTxn, ErrTxnAbortedByFault} {
 		var sleeps []time.Duration
-		svc := &scriptedService{errs: []error{appErr}}
-		r := WithRetry(svc, retryPolicy(5, &sleeps))
+		svc, c := scriptedClient(appErr)
+		r := WithRetry(c, retryPolicy(5, &sleeps))
 		if err := r.Lock(1, 1, lock.Shared); !errors.Is(err, appErr) {
 			t.Fatalf("err = %v, want %v unchanged", err, appErr)
 		}
@@ -114,8 +122,8 @@ func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
 
 func TestCommitAmbiguousFailureIsNotResent(t *testing.T) {
 	var sleeps []time.Duration
-	svc := &scriptedService{errs: []error{io.EOF}} // delivery state unknown
-	r := WithRetry(svc, retryPolicy(5, &sleeps))
+	svc, c := scriptedClient(io.EOF) // delivery state unknown
+	r := WithRetry(c, retryPolicy(5, &sleeps))
 	err := r.Commit(1)
 	if !errors.Is(err, ErrCommitOutcomeUnknown) {
 		t.Fatalf("err = %v, want ErrCommitOutcomeUnknown", err)
@@ -127,8 +135,8 @@ func TestCommitAmbiguousFailureIsNotResent(t *testing.T) {
 
 func TestCommitResentWhenGuaranteedUndelivered(t *testing.T) {
 	var sleeps []time.Duration
-	svc := &scriptedService{errs: []error{faultinject.ErrNotDelivered, faultinject.ErrNotDelivered}}
-	r := WithRetry(svc, retryPolicy(5, &sleeps))
+	svc, c := scriptedClient(faultinject.ErrNotDelivered, faultinject.ErrNotDelivered)
+	r := WithRetry(c, retryPolicy(5, &sleeps))
 	if err := r.Commit(1); err != nil {
 		t.Fatalf("commit after two undelivered drops: %v", err)
 	}
@@ -139,8 +147,8 @@ func TestCommitResentWhenGuaranteedUndelivered(t *testing.T) {
 
 func TestShipLogAmbiguousFailureSurfacesRaw(t *testing.T) {
 	var sleeps []time.Duration
-	svc := &scriptedService{errs: []error{io.EOF}}
-	r := WithRetry(svc, retryPolicy(5, &sleeps))
+	svc, c := scriptedClient(io.EOF)
+	r := WithRetry(c, retryPolicy(5, &sleeps))
 	err := r.ShipLog(1, []byte{1})
 	if !errors.Is(err, io.EOF) || errors.Is(err, ErrCommitOutcomeUnknown) || errors.Is(err, ErrServerUnavailable) {
 		t.Fatalf("err = %v, want the raw transport error (a re-send would double-append)", err)
@@ -152,8 +160,8 @@ func TestShipLogAmbiguousFailureSurfacesRaw(t *testing.T) {
 
 func TestAbortTreatsNoTxnAsDone(t *testing.T) {
 	var sleeps []time.Duration
-	svc := &scriptedService{errs: []error{server.ErrNoTxn}}
-	r := WithRetry(svc, retryPolicy(5, &sleeps))
+	_, c := scriptedClient(server.ErrNoTxn)
+	r := WithRetry(c, retryPolicy(5, &sleeps))
 	if err := r.Abort(1); err != nil {
 		t.Fatalf("abort drawing ErrNoTxn must succeed (server already aborted): %v", err)
 	}
@@ -162,8 +170,8 @@ func TestAbortTreatsNoTxnAsDone(t *testing.T) {
 func TestRetryBackoffDeterministic(t *testing.T) {
 	run := func() []time.Duration {
 		var sleeps []time.Duration
-		svc := &scriptedService{errs: []error{io.EOF, io.EOF, io.EOF, io.EOF}}
-		WithRetry(svc, retryPolicy(5, &sleeps)).Lock(1, 1, lock.Shared)
+		_, c := scriptedClient(io.EOF, io.EOF, io.EOF, io.EOF)
+		WithRetry(c, retryPolicy(5, &sleeps)).Lock(1, 1, lock.Shared)
 		return sleeps
 	}
 	a, b := run(), run()
@@ -182,10 +190,9 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 // deterministic drops, because drops are guaranteed-undelivered.
 func TestRetryOverFlakyTransport(t *testing.T) {
 	srv := testServer(server.ModeESM)
-	flaky := faultinject.WrapTransport(NewDirect(srv, nil, nil), faultinject.Plan{
+	flaky := WithFaults(NewDirect(srv, nil, nil), faultinject.Plan{
 		Name: "drops", Seed: 3, DropRate: 0.3,
 	})
-	flaky.Sleep = func(time.Duration) {}
 	var sleeps []time.Duration
 	svc := WithRetry(flaky, retryPolicy(10, &sleeps))
 	for i := 0; i < 5; i++ {
@@ -218,9 +225,10 @@ func TestTCPClientRedialsAfterBrokenConnection(t *testing.T) {
 	if _, err := cli.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	cli.mu.Lock()
-	cli.conn.Close() // kill the socket out from under the client
-	cli.mu.Unlock()
+	tc := cli.c.(*tcpConn)
+	tc.mu.Lock()
+	tc.conn.Close() // kill the socket out from under the client
+	tc.mu.Unlock()
 	if _, err := cli.Begin(); err == nil {
 		t.Fatal("call over the killed socket must fail")
 	}
