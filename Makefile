@@ -45,12 +45,12 @@ vet:
 	$(GO) vet ./...
 
 # qslint: latch order (§S9), WAL layering / write-ahead order, sweep
-# determinism, stable-storage error discipline, and the §15 dataflow
+# determinism, stable-storage error discipline, and the dataflow
 # protocol analyzers (force-before-ack, latch-io, goroutine-lifecycle,
 # sentinel-errors) — over every package including cmd/, plus the harness's
 # in-package test files (-tests). Fails on any finding the checked-in
 # baseline does not cover, and on stale baseline entries; the JSON report
-# is left in lint-report.json for tooling either way.
+# is left in lint-report.json (untracked) for tooling either way.
 lint:
 	$(GO) run ./cmd/qslint -tests -baseline lint-baseline.json -json . > lint-report.json
 

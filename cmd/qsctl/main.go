@@ -472,9 +472,13 @@ func archiveCmd(addr, cmd string) error {
 			info.Name, info.Pages, info.RedoStart, info.Start, info.End)
 		return nil
 	case "archive-status":
-		st, err := cli.ArchiveStatus()
+		ds, err := cli.ServerStats()
 		if err != nil {
 			return err
+		}
+		st := ds.Archive
+		if st == nil {
+			return wire.ErrNoArchive
 		}
 		fmt.Printf("generation       %d\n", st.Generation)
 		fmt.Printf("segments         %d (%d bytes archived)\n", st.Segments, st.SegmentBytes)

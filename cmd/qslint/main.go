@@ -1,8 +1,8 @@
 // Command qslint runs the project's static invariant suite (internal/lint)
 // over the whole module: latch order (DESIGN.md §S9), WAL write-ahead and
 // layering discipline, sweep determinism, stable-storage error handling,
-// and the dataflow protocol analyzers added with DESIGN.md §15
-// (force-before-ack, latch-io, goroutine-lifecycle, sentinel-errors).
+// and the dataflow protocol analyzers (force-before-ack, latch-io,
+// goroutine-lifecycle, sentinel-errors), all described in DESIGN.md §11.
 // It exits nonzero if any unsuppressed, non-baselined diagnostic remains,
 // so `make lint` (part of `make check`) gates every change.
 //

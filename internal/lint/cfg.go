@@ -1,10 +1,9 @@
 package lint
 
 // Per-function control-flow graphs, built straight from go/ast (DESIGN.md
-// §15). qslint's first generation interpreted statement lists recursively,
-// which handles structured control flow but cannot answer questions like
-// "is there ANY path from this latch acquisition to this force?" or "can
-// this loop ever reach the function exit?". The CFG makes paths explicit:
+// §11). Every qslint analyzer that asks a path question — which latches are
+// held here, has the log been forced on every path, can this loop reach the
+// exit — reads a function body through this graph:
 //
 //   - every basic block is a straight-line slice of evaluation steps
 //     (simple statements plus the condition/tag expressions that guard
@@ -13,12 +12,15 @@ package lint
 //     labeled break/continue and fallthrough), early returns, and
 //     terminating calls (panic, os.Exit, log.Fatal*, runtime.Goexit) all
 //     become edges;
+//   - an if's head block records its condition, and its first successor is
+//     the edge taken when the condition holds, so a dataflow can give the
+//     two edges different facts (a TryLock holds its latch on one only);
 //   - a `for` with no condition gets no loop-head → after edge, so "the
 //     exit is unreachable from inside this loop" is a plain reachability
 //     query (the goroutine-lifecycle analyzer's core);
-//   - defer and go statements appear as ordinary nodes; the dataflow
-//     clients decide their semantics (a deferred release does not release
-//     mid-body; a goroutine body runs under an empty abstract state).
+//   - defer and go statements appear as ordinary nodes, and a function
+//     literal's body is a graph of its own (funcBodies); the dataflow
+//     clients decide their semantics.
 //
 // Approximations, chosen to stay small and honest: goto edges go to the
 // function exit (none of the protocol code uses goto); a select's comm
@@ -37,6 +39,9 @@ import (
 type Block struct {
 	Nodes []ast.Node // simple stmts and guard exprs, evaluation order
 	Succs []*Block
+	// Cond is the condition of the if this block heads: Succs[0] is the edge
+	// taken when it holds, Succs[1] the one taken when it does not.
+	Cond ast.Expr
 }
 
 // CFG is one function body's control-flow graph.
@@ -85,6 +90,20 @@ func buildCFG(body *ast.BlockStmt) *CFG {
 	b.stmts(body.List)
 	b.edge(b.cur, b.c.Exit)
 	return b.c
+}
+
+// funcBodies returns body and the body of every function literal inside it:
+// each runs as a function of its own (on another goroutine, or at some later
+// point), so each gets its own graph and starts from its own entry fact.
+func funcBodies(body *ast.BlockStmt) []*ast.BlockStmt {
+	out := []*ast.BlockStmt{body}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.FuncLit); ok {
+			out = append(out, fl.Body)
+		}
+		return true
+	})
+	return out
 }
 
 // ctrlFrame is one enclosing breakable/continuable construct.
@@ -254,6 +273,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.add(x.Cond)
 		head := b.cur
+		head.Cond = x.Cond
 		thenB := b.newBlock()
 		afterB := b.newBlock()
 		b.edge(head, thenB)

@@ -1,7 +1,7 @@
 package lint
 
 // CFG construction sanity: the exit-reachability and merge behaviors the
-// §15 analyzers lean on, checked on small parsed bodies rather than
+// §11 analyzers lean on, checked on small parsed bodies rather than
 // through full analyzer runs.
 
 import (

@@ -1,9 +1,10 @@
 package lint
 
 // A small forward abstract-interpretation engine over the CFG (DESIGN.md
-// §15). An analyzer supplies the lattice (bottom element, merge) and a
-// transfer function; the engine runs the usual worklist iteration to a
-// fixed point and hands back the fact at every reachable block's entry.
+// §11). An analyzer supplies the lattice (bottom element, merge), a
+// transfer function and, optionally, a branch refinement; the engine runs
+// the usual worklist iteration to a fixed point and hands back the fact at
+// every reachable block's entry.
 //
 // Diagnostics are NOT emitted during fixpoint iteration — a block may be
 // visited many times as facts refine. Clients call Replay afterwards: one
@@ -21,6 +22,9 @@ type flow[T any] struct {
 	// transfer interprets one CFG node. report is false during fixpoint
 	// iteration and true during the final replay pass.
 	transfer func(n ast.Node, fact T, report bool) T
+	// branch, if set, refines the fact leaving an if's head block along one
+	// edge: taken is true on the edge followed when cond holds.
+	branch func(cond ast.Expr, fact T, taken bool) T
 }
 
 // run iterates to a fixed point and returns the entry fact of every
@@ -39,14 +43,18 @@ func runFlow[T any](c *CFG, fl flow[T]) map[*Block]T {
 		for _, n := range b.Nodes {
 			fact = fl.transfer(n, fact, false)
 		}
-		for _, succ := range b.Succs {
+		for i, succ := range b.Succs {
+			out := fact
+			if b.Cond != nil && fl.branch != nil {
+				out = fl.branch(b.Cond, fl.clone(fact), i == 0)
+			}
 			cur, seen := in[succ]
 			var changed bool
 			if !seen {
-				in[succ] = fl.clone(fact)
+				in[succ] = fl.clone(out)
 				changed = true
 			} else {
-				in[succ], changed = fl.merge(cur, fact)
+				in[succ], changed = fl.merge(cur, out)
 			}
 			if changed && !queued[succ] {
 				queued[succ] = true
@@ -88,4 +96,15 @@ func forEachCall(n ast.Node, f func(*ast.CallExpr)) {
 		}
 		return true
 	})
+}
+
+// nodeCalls visits the calls a CFG node evaluates where it stands: a
+// select's clause bodies are blocks of their own, and a deferred or spawned
+// call runs at some later point.
+func nodeCalls(n ast.Node, f func(*ast.CallExpr)) {
+	switch n.(type) {
+	case *ast.SelectStmt, *ast.DeferStmt, *ast.GoStmt:
+		return
+	}
+	forEachCall(n, f)
 }

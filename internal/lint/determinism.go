@@ -47,8 +47,7 @@ func (Determinism) Check(m *Module, pkgs []*Package, report Reporter) {
 		m.Path + "/internal/wire",
 		m.Path + "/cmd",
 	}
-	iface := storeInterface(m)
-	walPath := m.Path + "/internal/wal"
+	store := storeInterface(m)
 	serverPath := m.Path + "/internal/server"
 
 	// emits reports whether the loop body observable-effects depend on
@@ -73,16 +72,12 @@ func (Determinism) Check(m *Module, pkgs []*Package, report Reporter) {
 				return true
 			}
 			opkg := obj.Pkg()
-			var recvT types.Type
-			if tv, ok := pkg.Info.Types[sel.X]; ok {
-				recvT = tv.Type
-			}
 			switch {
 			case opkg != nil && opkg.Path() == "fmt":
 				at = call
-			case isNamedType(recvT, walPath, "Log"):
+			case walCall(m, pkg, call, obj.Name()):
 				at = call
-			case implementsIface(recvT, iface):
+			case storeCall(pkg, store, call, obj.Name()):
 				at = call
 			case opkg != nil && opkg.Path() == serverPath && obj.Type().(*types.Signature).Recv() != nil:
 				at = call

@@ -33,14 +33,13 @@ func hasErrResult(sig *types.Signature) bool {
 }
 
 func (ErrCheck) Check(m *Module, pkgs []*Package, report Reporter) {
-	iface := storeInterface(m)
-	storeMethods := make(map[string]bool)
-	if iface != nil {
-		for i := 0; i < iface.NumMethods(); i++ {
-			storeMethods[iface.Method(i).Name()] = true
+	store := storeInterface(m)
+	var storeMethods []string
+	if store != nil {
+		for i := 0; i < store.NumMethods(); i++ {
+			storeMethods = append(storeMethods, store.Method(i).Name())
 		}
 	}
-	walPath := m.Path + "/internal/wal"
 	archivePath := m.Path + "/internal/archive"
 
 	for _, pkg := range pkgs {
@@ -71,15 +70,11 @@ func (ErrCheck) Check(m *Module, pkgs []*Package, report Reporter) {
 					if !ok || !hasErrResult(sig) || obj.Name() == "Close" {
 						return true
 					}
-					var recvT types.Type
-					if tv, ok := pkg.Info.Types[sel.X]; ok {
-						recvT = tv.Type
-					}
 					what := ""
 					switch {
-					case isNamedType(recvT, walPath, "Log"):
+					case walCall(m, pkg, call, obj.Name()):
 						what = "wal.Log." + obj.Name()
-					case storeMethods[obj.Name()] && implementsIface(recvT, iface):
+					case storeCall(pkg, store, call, storeMethods...):
 						what = "disk.Store." + obj.Name()
 					case obj.Pkg() != nil && obj.Pkg().Path() == archivePath:
 						what = "archive." + obj.Name()

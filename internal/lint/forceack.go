@@ -107,14 +107,7 @@ func (ForceAck) Check(m *Module, pkgs []*Package, report Reporter) {
 				return merged, merged != dst
 			},
 			transfer: func(n ast.Node, fact bool, rep bool) bool {
-				switch n.(type) {
-				case *ast.SelectStmt, *ast.DeferStmt, *ast.GoStmt:
-					// Clause bodies are separate blocks; deferred and spawned
-					// calls run at an unknown later point — neither force nor
-					// append effects apply here.
-					return fact
-				}
-				forEachCall(n, func(call *ast.CallExpr) {
+				nodeCalls(n, func(call *ast.CallExpr) {
 					switch {
 					case c.isForce(c.pkg, call):
 						fact = true
@@ -142,40 +135,17 @@ func (ForceAck) Check(m *Module, pkgs []*Package, report Reporter) {
 	}
 }
 
-// walMethod resolves call to a method on wal.Log with one of the given
-// names.
-func (c *forceAckChecker) walMethod(pkg *Package, call *ast.CallExpr, names ...string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != c.m.Path+"/internal/wal" {
-		return false
-	}
-	recv := obj.Type().(*types.Signature).Recv()
-	if recv == nil || !isNamedType(recv.Type(), c.m.Path+"/internal/wal", "Log") {
-		return false
-	}
-	for _, n := range names {
-		if obj.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // isForce: wal.Force / wal.CommitWait make the tail stable. ForceFull is
 // NOT a force event — it flushes a partial block for the group-commit
 // heuristic and gives no covering guarantee to this path's records.
 func (c *forceAckChecker) isForce(pkg *Package, call *ast.CallExpr) bool {
-	return c.walMethod(pkg, call, "Force", "CommitWait")
+	return walCall(c.m, pkg, call, "Force", "CommitWait")
 }
 
 // isAppend: wal.Append extends the unforced tail; ApplyShipped appends the
 // shipped record into the local log (the standby's append).
 func (c *forceAckChecker) isAppend(pkg *Package, call *ast.CallExpr) bool {
-	if c.walMethod(pkg, call, "Append") {
+	if walCall(c.m, pkg, call, "Append") {
 		return true
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -183,11 +153,7 @@ func (c *forceAckChecker) isAppend(pkg *Package, call *ast.CallExpr) bool {
 		return false
 	}
 	obj, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return obj != nil && c.inModule(obj.Pkg())
-}
-
-func (c *forceAckChecker) inModule(pkg *types.Package) bool {
-	return pkg != nil && pathIn(pkg.Path(), []string{c.m.Path})
+	return obj != nil && inModule(c.m, obj.Pkg())
 }
 
 // isAck recognizes the two acknowledgement shapes: a Store on an atomic

@@ -109,14 +109,10 @@ func (c *goroutineChecker) fieldKey(pkg *Package, e ast.Expr) (string, bool) {
 		return "", false
 	}
 	named, ok := deref(tv.Type).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	if !ok || !inModule(c.m, named.Obj().Pkg()) {
 		return "", false
 	}
-	p := named.Obj().Pkg().Path()
-	if !pathIn(p, []string{c.m.Path}) {
-		return "", false
-	}
-	return p + "." + named.Obj().Name() + "." + sel.Sel.Name, true
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + sel.Sel.Name, true
 }
 
 // checkSpawn analyzes one `go` statement.

@@ -14,22 +14,23 @@ package lint
 //   - wal.Append under a shard latch: forbidden. Append under attMu is
 //     the §13 commit protocol (it orders the append with the table
 //     mutations) and stays legal.
-//   - disk Store I/O (ReadPage/WritePage/ForEachPage) under a LEAF mutex:
-//     forbidden. Under a shard latch it is the eviction/cleaner/scrub
+//   - disk Store I/O (ReadPage/WritePage/ForEachPage on any disk.Store
+//     implementor, wherever declared) under a LEAF mutex: forbidden. Under a shard latch it is the eviction/cleaner/scrub
 //     protocol — the latch is exactly what makes the frame image stable
 //     while it is written — so shard-latch disk I/O is legal.
 //   - blocking constructs (channel send/receive, select without default,
 //     time.Sleep) under either: forbidden. sync.Cond.Wait is exempt when
 //     exactly one leaf mutex is held — Wait atomically releases its own
-//     mutex (the primary's ack wait) — but flagged when anything else is
-//     held on top.
+//     mutex (the primary's ack wait) — but flagged when another shard latch
+//     or leaf mutex is held on top (the gate and ckptMu do not count).
 //
-// The fact is a may-held set of latches, tracked over the CFG with union
-// merges: a diagnostic means some path reaches the operation with the
-// latch held. Calls into module functions are checked against the
-// interprocedural may-summaries (callee may force / may block / may touch
-// the store), so a helper that forces deep in the call chain is caught at
-// the latched call site.
+// The held set is latch-order's: the same may-held dataflow over the CFG,
+// driven by the same held-latch step (locks.go), so a diagnostic means some
+// path reaches the operation with the latch held, and the two analyzers
+// never disagree about what is held. Calls into module functions are
+// checked against the interprocedural may-summaries (callee may force / may
+// block / may touch the store), so a helper that forces deep in the call
+// chain is caught at the latched call site.
 
 import (
 	"go/ast"
@@ -52,18 +53,16 @@ const (
 	bitMayAppendWAL
 )
 
-// ioHeld is the may-held latch set: small, so a slice beats a map.
-type ioHeld []held
-
 type latchIOChecker struct {
 	latchClassifier
 	report Reporter
 	sums   *summaries
 	may    map[*types.Func]uint32
+	store  *types.Interface
 }
 
 func (LatchIO) Check(m *Module, pkgs []*Package, report Reporter) {
-	c := &latchIOChecker{latchClassifier: latchClassifier{m: m}, report: report}
+	c := &latchIOChecker{latchClassifier: latchClassifier{m: m}, report: report, store: storeInterface(m)}
 	c.sums = collectFuncs(m, pkgs, "latch-io", false)
 
 	seed := make(map[*types.Func]uint32, len(c.sums.funcs))
@@ -83,7 +82,7 @@ func (LatchIO) Check(m *Module, pkgs []*Package, report Reporter) {
 			continue
 		}
 		c.pkg = mf.Pkg
-		c.checkFunc(mf)
+		c.runHeld(mf, c.check)
 	}
 }
 
@@ -121,11 +120,11 @@ func (c *latchIOChecker) directEffects(body ast.Node) uint32 {
 			return false
 		case *ast.CallExpr:
 			switch {
-			case c.isWALCall(x, "Force", "CommitWait", "ForceFull"):
+			case walCall(c.m, c.pkg, x, "Force", "CommitWait", "ForceFull"):
 				bits |= bitMayForce
-			case c.isWALCall(x, "Append"):
+			case walCall(c.m, c.pkg, x, "Append"):
 				bits |= bitMayAppendWAL
-			case c.isDiskCall(x):
+			case storeCall(c.pkg, c.store, x, diskIO...):
 				bits |= bitMayStore
 			case isTimeSleep(c.pkg, x) || c.isCondWait(x):
 				bits |= bitMayBlock
@@ -137,250 +136,95 @@ func (c *latchIOChecker) directEffects(body ast.Node) uint32 {
 	return bits
 }
 
-// checkFunc runs the may-held dataflow over one function.
-func (c *latchIOChecker) checkFunc(mf *moduleFunc) {
-	cfg := c.sums.CFG(mf)
-	fl := flow[ioHeld]{
-		bottom: func() ioHeld { return nil },
-		clone:  func(h ioHeld) ioHeld { return append(ioHeld(nil), h...) },
-		merge: func(dst, src ioHeld) (ioHeld, bool) {
-			changed := false
-			for _, h := range src {
-				if !dst.has(h.name, h.level) {
-					dst = append(dst, h)
-					changed = true
-				}
-			}
-			return dst, changed
-		},
-		transfer: c.transfer,
-	}
-	in := runFlow(cfg, fl)
-	replayFlow(cfg, fl, in)
-}
-
-func (h ioHeld) has(name string, level int) bool {
-	for _, x := range h {
-		if x.name == name && x.level == level {
-			return true
-		}
-	}
-	return false
-}
-
-func (h ioHeld) anyAt(level int) *held {
-	for i := range h {
-		if h[i].level == level {
-			return &h[i]
-		}
-	}
-	return nil
-}
-
 // tracked reports the innermost tracked latch (shard preferred for the
 // message), or nil when neither a shard latch nor a leaf mutex is held.
-func (h ioHeld) tracked() *held {
+func (h heldSet) tracked() *held {
 	if s := h.anyAt(levelShard); s != nil {
 		return s
 	}
 	return h.anyAt(levelLeaf)
 }
 
-func (c *latchIOChecker) transfer(n ast.Node, fact ioHeld, rep bool) ioHeld {
-	switch x := n.(type) {
-	case *ast.SelectStmt:
-		// Clause bodies are separate CFG blocks; the node itself is the
-		// blocking decision.
-		if rep && !selectHasDefault(x) {
-			if t := fact.tracked(); t != nil {
-				c.report(c.pkg, x.Pos(), "blocking select while holding %s (%s): a latched session must never wait on channel traffic",
-					t.name, levelName[t.level])
-			}
-		}
-		return fact
-	case *ast.SendStmt:
-		if rep {
-			if t := fact.tracked(); t != nil {
-				c.report(c.pkg, x.Pos(), "channel send while holding %s (%s): a latched session must never wait on channel traffic",
-					t.name, levelName[t.level])
-			}
-		}
-		return c.applyCalls(x, fact, rep)
-	case *ast.DeferStmt:
-		// defer s.enter()(): the inner call runs now. A plain deferred call
-		// runs at return time, after this body's releases — skip it.
-		if inner, ok := x.Call.Fun.(*ast.CallExpr); ok {
-			return c.applyCalls(inner, fact, rep)
-		}
-		return fact
-	case *ast.GoStmt:
-		// The spawned body runs under its own (empty) latch state; only the
-		// argument expressions evaluate here.
-		for _, a := range x.Call.Args {
-			fact = c.applyCalls(a, fact, rep)
-		}
-		return fact
-	case *ast.AssignStmt:
-		// Bind `sh := pool.Lock(pid)` handles before applying effects.
-		name := ""
-		if len(x.Lhs) == 1 && len(x.Rhs) == 1 {
-			if id, ok := x.Lhs[0].(*ast.Ident); ok {
-				name = id.Name
-			}
-		}
-		return c.applyCallsNamed(x, fact, rep, name)
-	}
-	return c.applyCalls(n, fact, rep)
-}
-
-func (c *latchIOChecker) applyCalls(n ast.Node, fact ioHeld, rep bool) ioHeld {
-	return c.applyCallsNamed(n, fact, rep, "")
-}
-
-// applyCallsNamed interprets every call and blocking receive under n in
-// evaluation order, updating and checking the held set.
-func (c *latchIOChecker) applyCallsNamed(n ast.Node, fact ioHeld, rep bool, bind string) ioHeld {
-	if n == nil {
-		return fact
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && rep {
-				if t := fact.tracked(); t != nil {
-					c.report(c.pkg, x.Pos(), "channel receive while holding %s (%s): a latched session must never wait on channel traffic",
-						t.name, levelName[t.level])
-				}
-			}
-		case *ast.CallExpr:
-			fact = c.applyOneCall(x, fact, rep, bind)
-		}
-		return true
-	})
-	return fact
-}
-
-func (c *latchIOChecker) applyOneCall(call *ast.CallExpr, fact ioHeld, rep bool, bind string) ioHeld {
-	// Latch state transitions first (shared classifier with latch-order).
-	switch ev := c.classify(call); ev.kind {
-	case evAcquire, evTryAcquire:
-		if !fact.has(ev.name, ev.level) {
-			fact = append(fact, held{level: ev.level, name: ev.name, pos: ev.pos})
-		}
-		return fact
-	case evRelease:
-		out := fact[:0:0]
-		for _, h := range fact {
-			if h.level == ev.level && (h.name == ev.name || ev.name == "") {
-				continue
-			}
-			out = append(out, h)
-		}
-		return out
-	case evShardLock:
-		name := bind
-		if name == "" {
-			name = "(unbound shard latch)"
-		}
-		if !fact.has(name, levelShard) {
-			fact = append(fact, held{level: levelShard, name: name, pos: call.Pos()})
-		}
-		return fact
-	case evEnter:
-		return fact // the gate is above every tracked latch; not latch-io's concern
-	}
-
+// check judges one node against the latches held just before it.
+func (c *latchIOChecker) check(n ast.Node, ev event, fact heldSet) {
 	t := fact.tracked()
 	if t == nil {
-		return fact
+		return
 	}
-	shard := fact.anyAt(levelShard)
-
-	if rep {
-		switch {
-		case c.isWALCall(call, "Force", "CommitWait", "ForceFull"):
-			c.report(c.pkg, call.Pos(), "wal force while holding %s (%s): release the latch first — the commit path forces after attMu, the cleaner forces latch-free (DESIGN.md §13)",
+	switch x := n.(type) {
+	case *ast.SelectStmt:
+		if !selectHasDefault(x) {
+			c.report(c.pkg, x.Pos(), "blocking select while holding %s (%s): a latched session must never wait on channel traffic",
 				t.name, levelName[t.level])
-		case c.isWALCall(call, "Append") && shard != nil:
-			c.report(c.pkg, call.Pos(), "wal append while holding shard latch %s: log appends belong to the attMu commit section, never under a page latch",
-				shard.name)
-		case c.isDiskCall(call) && shard == nil:
-			c.report(c.pkg, call.Pos(), "disk store I/O while holding %s (leaf mutex): only shard-latched page writes (eviction, cleaning, scrub) may touch the store",
-				t.name)
-		case isTimeSleep(c.pkg, call):
-			c.report(c.pkg, call.Pos(), "time.Sleep while holding %s (%s)", t.name, levelName[t.level])
-		case c.isCondWait(call):
-			// Wait releases its own mutex; holding exactly that one leaf is
-			// the canonical pattern. Anything more is a convoy.
-			if len(fact) > 1 || shard != nil {
-				c.report(c.pkg, call.Pos(), "sync.Cond.Wait with %d tracked latches held (Wait only releases its own mutex; everything else stays held while parked)",
-					len(fact))
-			}
-		default:
-			if callee := resolveModuleCall(c.m, c.pkg, call); callee != nil {
-				if cf := c.sums.funcs[callee]; cf != nil && !cf.Allowed {
-					bits := c.may[callee]
-					switch {
-					case bits&bitMayForce != 0:
-						c.report(c.pkg, call.Pos(), "call to %s, which may force the wal, while holding %s (%s)",
-							callee.Name(), t.name, levelName[t.level])
-					case bits&bitMayAppendWAL != 0 && shard != nil:
-						c.report(c.pkg, call.Pos(), "call to %s, which may append to the wal, while holding shard latch %s",
-							callee.Name(), shard.name)
-					case bits&bitMayStore != 0 && shard == nil:
-						c.report(c.pkg, call.Pos(), "call to %s, which may touch the disk store, while holding %s (leaf mutex)",
-							callee.Name(), t.name)
-					case bits&bitMayBlock != 0:
-						c.report(c.pkg, call.Pos(), "call to %s, which may block on channel traffic or sleep, while holding %s (%s)",
-							callee.Name(), t.name, levelName[t.level])
-					}
-				}
-			}
+		}
+	case *ast.SendStmt:
+		c.report(c.pkg, x.Pos(), "channel send while holding %s (%s): a latched session must never wait on channel traffic",
+			t.name, levelName[t.level])
+	case *ast.UnaryExpr:
+		c.report(c.pkg, x.Pos(), "channel receive while holding %s (%s): a latched session must never wait on channel traffic",
+			t.name, levelName[t.level])
+	case *ast.CallExpr:
+		if ev.kind == evNone || ev.kind == evCall {
+			c.checkCall(x, t, fact)
 		}
 	}
-	return fact
+}
+
+// checkCall judges a call that is not itself a latch event.
+func (c *latchIOChecker) checkCall(call *ast.CallExpr, t *held, fact heldSet) {
+	shard := fact.anyAt(levelShard)
+	switch {
+	case walCall(c.m, c.pkg, call, "Force", "CommitWait", "ForceFull"):
+		c.report(c.pkg, call.Pos(), "wal force while holding %s (%s): release the latch first — the commit path forces after attMu, the cleaner forces latch-free (DESIGN.md §13)",
+			t.name, levelName[t.level])
+	case walCall(c.m, c.pkg, call, "Append") && shard != nil:
+		c.report(c.pkg, call.Pos(), "wal append while holding shard latch %s: log appends belong to the attMu commit section, never under a page latch",
+			shard.name)
+	case storeCall(c.pkg, c.store, call, diskIO...) && shard == nil:
+		c.report(c.pkg, call.Pos(), "disk store I/O while holding %s (leaf mutex): only shard-latched page writes (eviction, cleaning, scrub) may touch the store",
+			t.name)
+	case isTimeSleep(c.pkg, call):
+		c.report(c.pkg, call.Pos(), "time.Sleep while holding %s (%s)", t.name, levelName[t.level])
+	case c.isCondWait(call):
+		// Wait releases its own mutex; holding exactly that one leaf is the
+		// canonical pattern. Anything more is a convoy. The gate and ckptMu
+		// sit above every tracked latch and do not count.
+		n := 0
+		for _, h := range fact {
+			if h.level == levelShard || h.level == levelLeaf {
+				n++
+			}
+		}
+		if n > 1 || shard != nil {
+			c.report(c.pkg, call.Pos(), "sync.Cond.Wait with %d tracked latches held (Wait only releases its own mutex; everything else stays held while parked)",
+				n)
+		}
+	default:
+		callee := resolveModuleCall(c.m, c.pkg, call)
+		if cf := c.sums.funcs[callee]; cf == nil || cf.Allowed {
+			return
+		}
+		switch bits := c.may[callee]; {
+		case bits&bitMayForce != 0:
+			c.report(c.pkg, call.Pos(), "call to %s, which may force the wal, while holding %s (%s)",
+				callee.Name(), t.name, levelName[t.level])
+		case bits&bitMayAppendWAL != 0 && shard != nil:
+			c.report(c.pkg, call.Pos(), "call to %s, which may append to the wal, while holding shard latch %s",
+				callee.Name(), shard.name)
+		case bits&bitMayStore != 0 && shard == nil:
+			c.report(c.pkg, call.Pos(), "call to %s, which may touch the disk store, while holding %s (leaf mutex)",
+				callee.Name(), t.name)
+		case bits&bitMayBlock != 0:
+			c.report(c.pkg, call.Pos(), "call to %s, which may block on channel traffic or sleep, while holding %s (%s)",
+				callee.Name(), t.name, levelName[t.level])
+		}
+	}
 }
 
 // --- event recognition ------------------------------------------------------
 
-func (c *latchIOChecker) isWALCall(call *ast.CallExpr, names ...string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj, _ := c.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != c.m.Path+"/internal/wal" {
-		return false
-	}
-	recv := obj.Type().(*types.Signature).Recv()
-	if recv == nil || !isNamedType(recv.Type(), c.m.Path+"/internal/wal", "Log") {
-		return false
-	}
-	for _, n := range names {
-		if obj.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
-// isDiskCall: a page-I/O method declared in internal/disk (the Store
-// interface or any of its implementations).
-func (c *latchIOChecker) isDiskCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "ReadPage", "WritePage", "ForEachPage":
-	default:
-		return false
-	}
-	obj, _ := c.pkg.Info.Uses[sel.Sel].(*types.Func)
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == c.m.Path+"/internal/disk"
-}
+// diskIO are the disk.Store methods that do page I/O.
+var diskIO = []string{"ReadPage", "WritePage", "ForEachPage"}
 
 func (c *latchIOChecker) isCondWait(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -1,12 +1,11 @@
 // Package lint is qslint: a from-scratch static analyzer (stdlib go/parser +
 // go/types only, no x/tools) that enforces the project invariants every
-// crash-point, group-commit and media sweep depends on but that, until now,
-// only reviewer discipline protected (DESIGN.md §11):
+// crash-point, group-commit and media sweep depends on (DESIGN.md §11):
 //
-//   - latch-order: the §S9 latch partial order — session gate → one buffer
-//     shard latch → {attMu|dptMu|wplMu|allocMu} → wal/store internals — is
-//     modeled as a level graph and every function's acquisition sequence,
-//     including through its callees, is checked against it.
+//   - latch-order: the §S9 latch partial order — ckptMu → session gate →
+//     one buffer shard latch → leaf mutexes → wal/store internals — is
+//     modeled as a level graph and every acquisition, including those made
+//     by callees, is checked against the latches held on some path to it.
 //   - wal-discipline: only the storage-protocol packages may write pages to
 //     a disk.Store or mutate server pool frames, and within a function a
 //     page write must never precede a wal.Append without a prior log force
@@ -16,6 +15,11 @@
 //     feeding output, log records or store writes.
 //   - error-discipline: error returns from wal.*, disk.Store.* and
 //     archive.* calls must not be silently discarded.
+//   - force-before-ack, latch-io, goroutine-lifecycle, sentinel-errors:
+//     path-sensitive protocol checks.
+//
+// Every path question is answered the same way: a dataflow (dataflow.go)
+// over one control-flow graph per function body (cfg.go).
 //
 // A legitimate exception carries an annotation that must state a reason:
 //
@@ -31,8 +35,10 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -264,4 +270,50 @@ func pathIn(p string, prefixes []string) bool {
 		}
 	}
 	return false
+}
+
+// inModule reports whether pkg belongs to the module under analysis.
+func inModule(m *Module, pkg *types.Package) bool {
+	return pkg != nil && pathIn(pkg.Path(), []string{m.Path})
+}
+
+// walCall reports whether call invokes one of the named methods of wal.Log.
+func walCall(m *Module, pkg *Package, call *ast.CallExpr, names ...string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !slices.Contains(names, sel.Sel.Name) {
+		return false
+	}
+	obj, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if obj == nil {
+		return false
+	}
+	recv := obj.Type().(*types.Signature).Recv()
+	return recv != nil && isNamedType(recv.Type(), m.Path+"/internal/wal", "Log")
+}
+
+// storeInterface resolves disk.Store so implementors can be recognized
+// structurally (MemStore, FileStore, fault-injecting wrappers, fixtures).
+func storeInterface(m *Module) *types.Interface {
+	pkg, err := m.Load(m.Path + "/internal/disk")
+	if err != nil {
+		return nil
+	}
+	obj := pkg.Types.Scope().Lookup("Store")
+	if obj == nil {
+		return nil
+	}
+	iface, _ := obj.Type().Underlying().(*types.Interface)
+	return iface
+}
+
+// storeCall reports whether call invokes one of the named methods on a
+// disk.Store implementor — the interface itself or any type that satisfies
+// it, wherever that type is declared.
+func storeCall(pkg *Package, store *types.Interface, call *ast.CallExpr, names ...string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || store == nil || !slices.Contains(names, sel.Sel.Name) {
+		return false
+	}
+	tv, ok := pkg.Info.Types[sel.X]
+	return ok && (types.Implements(tv.Type, store) || types.Implements(types.NewPointer(tv.Type), store))
 }

@@ -1,44 +1,45 @@
 package lint
 
-// latch-order: enforces the DESIGN.md §S9 latch partial order,
+// latch-order, and the held-latch step it shares with latch-io.
+//
+// The DESIGN.md §S9 latch partial order is a level graph:
 //
 //	ckptMu (level 0) → gate (1) → one buffer shard latch (2) →
-//	{attMu | dptMu | wplMu | allocMu | scrubMu | state mu} (3) →
+//	{attMu | dptMu | wplMu | allocMu | scrubMu | decMu | state mu} (3) →
 //	wal/store internals
 //
-// as a level graph. Each function body is abstractly interpreted in source
-// order, tracking the multiset of held latches through branches, loops,
-// defers and the s.enter()/exit() gate idiom; acquiring a latch whose level
-// is below one already held, re-acquiring the (non-reentrant) gate, or
-// holding two shard latches at once is a diagnostic. Lock acquisitions made
-// by callees count too: every function gets a transitive "footprint" (the
-// set of latch levels it may acquire), propagated to a fixed point across
-// the whole module, and a call is checked against the caller's held set.
-//
-// Latches are recognized structurally, so the scratch fixtures exercise the
-// same code paths as the real server:
+// Latches are recognized structurally, so the fixtures exercise the same
+// code paths as the real server:
 //
 //   - a sync.RWMutex field named "gate"            → level 1
 //   - buffer.Sharded.Lock / *buffer.PoolShard      → level 2 (shard)
-//   - sync.Mutex fields attMu/dptMu/wplMu/allocMu  → level 3 (leaf)
-//   - post-PR-4 state mutexes: the server's scrubMu plus the "mu" fields of
-//     repl.Primary, repl.Standby and archive.Archiver are held briefly with
-//     nothing nested inside, so they sit at leaf level; ckptMu is the
-//     opposite — checkpointFuzzy takes it BEFORE entering the gate — so it
-//     gets its own outermost level above the gate
+//   - the sync.Mutex fields in leafNames           → level 3 (leaf)
+//   - the "mu" field of the leafMuTypes: state held briefly with nothing
+//     nested inside, so it sits at leaf level
+//   - ckptMu: checkpointFuzzy takes it BEFORE entering the gate, so it gets
+//     its own outermost level above the gate
 //   - a module function named "enter" returning func() acquires the gate;
 //     calling the returned value releases it (the server's enter/exit pair)
 //
 // wal/store internal mutexes are innermost by construction and unmodeled.
-// The multi-shard quiesced path (buffer.lockAll, index order under gate.W)
-// carries a //qslint:allow latch-order annotation: an annotated function is
-// skipped and its footprint treated as vouched for.
+//
+// Which latches are held at a point of a function body is one may-dataflow
+// over the body's CFG — a latch held on some path into the point is held —
+// whose transfer is step, the one held-latch step latch-io runs too. A
+// TryLock in an if condition holds its latch only on the edge where it
+// succeeded (branch). latch-order keeps only its checks: an acquisition
+// below a held level, of the gate or a leaf already held, or of a second
+// shard latch (one a loop keeps across its back edge included) is a
+// diagnostic; so is a call to a module function whose footprint — the latch
+// levels it or its callees may acquire, propagated to a fixed point over
+// the module's call graph — does the same against the held set. A function
+// carrying //qslint:allow latch-order (buffer.lockAll, the quiesced
+// multi-shard path) is skipped and its footprint treated as vouched for.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // LatchOrder is the §S9 latch partial-order analyzer.
@@ -61,8 +62,8 @@ var levelName = [numLevels]string{"checkpoint coordination mutex", "session gate
 
 var leafNames = map[string]bool{
 	"attMu": true, "dptMu": true, "wplMu": true, "allocMu": true,
-	// scrubMu (PR 5) guards only the scrub cursor and is held with nothing
-	// else — leaf is its natural (most restrictive) slot.
+	// scrubMu guards only the scrub cursor and is held with nothing else —
+	// leaf is its natural (most restrictive) slot.
 	"scrubMu": true,
 	// decMu guards the 2PC coordinator's decided-transaction table; it nests
 	// inside attMu on the logDecision/Forget paths, and leaf mutexes are
@@ -87,13 +88,6 @@ var leafMuTypes = [][2]string{
 	{"internal/shard", "Router"},
 }
 
-// held is one latch currently held by the function under analysis.
-type held struct {
-	level int
-	name  string // source expression ("s.gate", "s.attMu") or shard handle var
-	pos   token.Pos
-}
-
 // event classifies one call expression.
 type event struct {
 	kind  int // evNone..evCall
@@ -101,6 +95,10 @@ type event struct {
 	name  string
 	fn    *types.Func // evCall
 	pos   token.Pos
+}
+
+func (e event) acquires() bool {
+	return e.kind == evAcquire || e.kind == evTryAcquire || e.kind == evShardLock || e.kind == evEnter
 }
 
 const (
@@ -118,17 +116,13 @@ type latchChecker struct {
 	report Reporter
 	sums   *summaries
 	foot   map[*types.Func]uint32 // 1<<level may be acquired by fn or its callees
-
-	// per-function interpreter state
-	pendingAssign string            // LHS name while scanning `x := <call>`
-	releasers     map[string]string // releaser var → gate lock name it releases
 }
 
 func (LatchOrder) Check(m *Module, pkgs []*Package, report Reporter) {
 	c := &latchChecker{latchClassifier: latchClassifier{m: m}, report: report}
 
-	// Pass 1+2: per-function direct latch footprints, propagated over the
-	// call graph by the shared summary layer (handles recursion).
+	// Per-function direct latch footprints, propagated over the call graph
+	// by the shared summary layer (handles recursion).
 	c.sums = collectFuncs(m, pkgs, "latch-order", false)
 	seed := make(map[*types.Func]uint32, len(c.sums.funcs))
 	for _, obj := range c.sums.order {
@@ -139,15 +133,10 @@ func (LatchOrder) Check(m *Module, pkgs []*Package, report Reporter) {
 		c.pkg = mf.Pkg
 		var bits uint32
 		ast.Inspect(mf.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch ev := c.classify(call); ev.kind {
-			case evAcquire, evTryAcquire, evShardLock:
-				bits |= 1 << ev.level
-			case evEnter:
-				bits |= 1 << levelGate
+			if call, ok := n.(*ast.CallExpr); ok {
+				if ev := c.classify(call); ev.acquires() {
+					bits |= 1 << ev.level
+				}
 			}
 			return true
 		})
@@ -155,15 +144,71 @@ func (LatchOrder) Check(m *Module, pkgs []*Package, report Reporter) {
 	}
 	c.foot = c.sums.propagateMay(seed)
 
-	// Pass 3: abstract interpretation of every function body.
 	for _, obj := range c.sums.order {
 		mf := c.sums.funcs[obj]
 		if mf.Allowed {
 			continue
 		}
 		c.pkg = mf.Pkg
-		c.releasers = make(map[string]string)
-		c.walkStmts(mf.Decl.Body.List, &[]held{})
+		c.runHeld(mf, c.check)
+	}
+}
+
+// check judges one event against the latches held before it.
+func (c *latchChecker) check(_ ast.Node, ev event, fact heldSet) {
+	switch {
+	case ev.acquires():
+		c.acquire(ev, fact)
+	case ev.kind == evCall:
+		c.checkFootprint(ev, fact)
+	}
+}
+
+func (c *latchChecker) line(p token.Pos) int { return c.m.Fset.Position(p).Line }
+
+// acquire checks a new latch against everything held.
+func (c *latchChecker) acquire(ev event, fact heldSet) {
+	for _, h := range fact {
+		switch {
+		case ev.level == levelShard && h.level == levelShard:
+			c.report(c.pkg, ev.pos, "second shard latch acquired while holding one (line %d); never hold two shard latches outside the quiesced index-order path (DESIGN.md §S9)",
+				c.line(h.pos))
+		case h.name == ev.name && h.level == ev.level:
+			c.report(c.pkg, ev.pos, "%s already held (acquired at line %d; the quiesce gate and leaf mutexes are not reentrant)",
+				h.name, c.line(h.pos))
+		case h.level > ev.level:
+			c.report(c.pkg, ev.pos, "%s (%s) acquired while holding %s (%s, line %d): inverts the §S9 latch order gate → shard → leaf",
+				ev.name, levelName[ev.level], h.name, levelName[h.level], c.line(h.pos))
+		case ev.level == levelGate && h.level == levelGate:
+			c.report(c.pkg, ev.pos, "session gate acquired while already holding it (line %d): the gate is not reentrant", c.line(h.pos))
+		}
+	}
+}
+
+// checkFootprint validates a call to a module function against the held set.
+func (c *latchChecker) checkFootprint(ev event, fact heldSet) {
+	mf := c.sums.funcs[ev.fn]
+	foot := c.foot[ev.fn]
+	if mf == nil || mf.Allowed || foot == 0 {
+		return
+	}
+	for lvl := 0; lvl < numLevels; lvl++ {
+		if foot&(1<<lvl) == 0 {
+			continue
+		}
+		for _, h := range fact {
+			switch {
+			case lvl == levelShard && h.level == levelShard:
+				c.report(c.pkg, ev.pos, "call to %s, which acquires a shard latch, while already holding shard latch %s (line %d)",
+					ev.fn.Name(), h.name, c.line(h.pos))
+			case lvl == levelGate && h.level == levelGate:
+				c.report(c.pkg, ev.pos, "call to %s, which acquires the session gate, while already holding it (line %d): the gate is not reentrant",
+					ev.fn.Name(), c.line(h.pos))
+			case h.level > lvl:
+				c.report(c.pkg, ev.pos, "call to %s, which acquires a %s, while holding %s (%s, line %d): inverts the §S9 latch order",
+					ev.fn.Name(), levelName[lvl], h.name, levelName[h.level], c.line(h.pos))
+			}
+		}
 	}
 }
 
@@ -185,9 +230,9 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// latchClassifier is the structural latch recognizer, shared by latch-order
-// and latch-io: both need the same mapping from call expressions to latch
-// events, applied per package under analysis.
+// latchClassifier is the structural latch recognizer and the held-latch
+// step, shared by latch-order and latch-io, applied per package under
+// analysis.
 type latchClassifier struct {
 	m   *Module
 	pkg *Package // package currently under analysis
@@ -195,12 +240,8 @@ type latchClassifier struct {
 
 func (c *latchClassifier) bufferPath() string { return c.m.Path + "/internal/buffer" }
 
-func (c *latchClassifier) inModule(pkg *types.Package) bool {
-	return pkg != nil && (pkg.Path() == c.m.Path || strings.HasPrefix(pkg.Path(), c.m.Path+"/"))
-}
-
-// leafMuLevel reports whether mutexExpr is the "mu" field of one of the
-// leafMuTypes (repl primary/standby state, archiver drain lock).
+// isLeafStateMu reports whether fx is the "mu" field of one of the
+// leafMuTypes.
 func (c *latchClassifier) isLeafStateMu(fx *ast.SelectorExpr) bool {
 	if fx.Sel.Name != "mu" {
 		return false
@@ -220,87 +261,74 @@ func (c *latchClassifier) isLeafStateMu(fx *ast.SelectorExpr) bool {
 // classify maps a call expression to a latch event.
 func (c *latchClassifier) classify(call *ast.CallExpr) event {
 	pos := call.Pos()
-	sel, selOK := call.Fun.(*ast.SelectorExpr)
 	var obj *types.Func
-	if selOK {
-		obj, _ = c.pkg.Info.Uses[sel.Sel].(*types.Func)
-	} else if id, ok := call.Fun.(*ast.Ident); ok {
-		obj, _ = c.pkg.Info.Uses[id].(*types.Func)
-	}
-
-	if selOK {
-		method := sel.Sel.Name
-		switch method {
-		case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-			recvTV, ok := c.pkg.Info.Types[sel.X]
-			if !ok {
-				break
-			}
-			rt := recvTV.Type
-			if isNamedType(rt, c.bufferPath(), "Sharded") && method == "Lock" {
-				return event{kind: evShardLock, level: levelShard, pos: pos}
-			}
-			if isNamedType(rt, c.bufferPath(), "PoolShard") {
-				name := types.ExprString(sel.X)
-				switch method {
-				case "Unlock", "RUnlock":
-					return event{kind: evRelease, level: levelShard, name: name, pos: pos}
-				case "TryLock", "TryRLock":
-					return event{kind: evTryAcquire, level: levelShard, name: name, pos: pos}
-				default:
-					return event{kind: evAcquire, level: levelShard, name: name, pos: pos}
-				}
-			}
-			// Field-named sync mutexes: the receiver must itself be a field
-			// selector (s.gate, q.attMu, ...).
-			fx, ok2 := sel.X.(*ast.SelectorExpr)
-			if !ok2 {
-				break
-			}
-			ts := deref(rt).String()
-			field := fx.Sel.Name
-			level := -1
-			switch {
-			case field == "gate" && ts == "sync.RWMutex":
-				level = levelGate
-			case outerNames[field] && ts == "sync.Mutex":
-				level = levelOuter
-			case leafNames[field] && ts == "sync.Mutex":
-				level = levelLeaf
-			case ts == "sync.Mutex" && c.isLeafStateMu(fx):
-				level = levelLeaf
-			}
-			if level < 0 {
-				break
-			}
-			name := types.ExprString(sel.X)
-			switch method {
-			case "Unlock", "RUnlock":
-				return event{kind: evRelease, level: level, name: name, pos: pos}
-			case "TryLock", "TryRLock":
-				return event{kind: evTryAcquire, level: level, name: name, pos: pos}
-			default:
-				return event{kind: evAcquire, level: level, name: name, pos: pos}
-			}
+	switch fn := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		obj, _ = c.pkg.Info.Uses[fn.Sel].(*types.Func)
+		if ev, ok := c.latchMethod(fn); ok {
+			ev.pos = pos
+			return ev
 		}
+	case *ast.Ident:
+		obj, _ = c.pkg.Info.Uses[fn].(*types.Func)
 	}
-
-	if obj == nil {
-		if selOK {
-			obj, _ = c.pkg.Info.Uses[sel.Sel].(*types.Func)
-		} else if id, ok := call.Fun.(*ast.Ident); ok {
-			if o := c.pkg.Info.Uses[id]; o != nil {
-				obj, _ = o.(*types.Func)
-			}
-		}
-	}
-	if obj != nil && c.inModule(obj.Pkg()) {
+	if obj != nil && inModule(c.m, obj.Pkg()) {
 		if obj.Name() == "enter" && returnsReleaser(obj) {
-			return event{kind: evEnter, level: levelGate, pos: pos}
+			return event{kind: evEnter, level: levelGate, name: "gate (via enter)", pos: pos}
 		}
 		return event{kind: evCall, fn: obj, pos: pos}
 	}
 	return event{kind: evNone}
+}
+
+// latchMethod recognizes Lock/TryLock/Unlock (and the R forms) on a latch.
+func (c *latchClassifier) latchMethod(sel *ast.SelectorExpr) (event, bool) {
+	method := sel.Sel.Name
+	switch method {
+	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
+	default:
+		return event{}, false
+	}
+	recvTV, ok := c.pkg.Info.Types[sel.X]
+	if !ok {
+		return event{}, false
+	}
+	rt := recvTV.Type
+	level := -1
+	switch {
+	case isNamedType(rt, c.bufferPath(), "Sharded"):
+		return event{kind: evShardLock, level: levelShard}, method == "Lock"
+	case isNamedType(rt, c.bufferPath(), "PoolShard"):
+		level = levelShard
+	default:
+		// Field-named sync mutexes: the receiver must itself be a field
+		// selector (s.gate, q.attMu, ...).
+		fx, ok := sel.X.(*ast.SelectorExpr)
+		if !ok {
+			return event{}, false
+		}
+		ts := deref(rt).String()
+		switch field := fx.Sel.Name; {
+		case field == "gate" && ts == "sync.RWMutex":
+			level = levelGate
+		case outerNames[field] && ts == "sync.Mutex":
+			level = levelOuter
+		case leafNames[field] && ts == "sync.Mutex":
+			level = levelLeaf
+		case ts == "sync.Mutex" && c.isLeafStateMu(fx):
+			level = levelLeaf
+		default:
+			return event{}, false
+		}
+	}
+	ev := event{kind: evAcquire, level: level, name: types.ExprString(sel.X)}
+	switch method {
+	case "Unlock", "RUnlock":
+		ev.kind = evRelease
+	case "TryLock", "TryRLock":
+		ev.kind = evTryAcquire
+	}
+	return ev, true
 }
 
 // returnsReleaser reports whether fn's signature is func(...) func().
@@ -313,356 +341,191 @@ func returnsReleaser(fn *types.Func) bool {
 	return ok && res.Params().Len() == 0 && res.Results().Len() == 0
 }
 
-// --- abstract interpretation ------------------------------------------------
+// --- the held-latch step ----------------------------------------------------
 
-func cloneHeld(h []held) *[]held {
-	cp := append([]held(nil), h...)
-	return &cp
+// held is one latch that may be held.
+type held struct {
+	level int
+	name  string // source expression ("s.gate", "s.attMu"), shard handle var, or "gate (via enter)"
+	pos   token.Pos
+	exit  string // the enter() gate's bound releaser variable, if any
 }
 
-func (c *latchChecker) line(p token.Pos) int { return c.m.Fset.Position(p).Line }
+// heldSet is the may-held latch set: small, so a slice beats a map.
+type heldSet []held
 
-// acquire checks the new latch against everything held and records it.
-func (c *latchChecker) acquire(ev event, st *[]held) {
-	for _, h := range *st {
-		switch {
-		case h.name == ev.name && h.level == ev.level:
-			c.report(c.pkg, ev.pos, "%s already held (acquired at line %d; the quiesce gate and leaf mutexes are not reentrant)",
-				h.name, c.line(h.pos))
-		case ev.level == levelShard && h.level == levelShard:
-			c.report(c.pkg, ev.pos, "second shard latch acquired while holding one (line %d); never hold two shard latches outside the quiesced index-order path (DESIGN.md §S9)",
-				c.line(h.pos))
-		case h.level > ev.level:
-			c.report(c.pkg, ev.pos, "%s (%s) acquired while holding %s (%s, line %d): inverts the §S9 latch order gate → shard → leaf",
-				nameOrLevel(ev), levelName[ev.level], h.name, levelName[h.level], c.line(h.pos))
-		case ev.level == levelGate && h.level == levelGate:
-			c.report(c.pkg, ev.pos, "session gate acquired while already holding it (line %d): the gate is not reentrant", c.line(h.pos))
-		}
-	}
-	*st = append(*st, held{level: ev.level, name: ev.name, pos: ev.pos})
-}
-
-func nameOrLevel(ev event) string {
-	if ev.name != "" {
-		return ev.name
-	}
-	return levelName[ev.level]
-}
-
-// release drops the most recent matching latch, if held.
-func (c *latchChecker) release(ev event, st *[]held) {
-	for i := len(*st) - 1; i >= 0; i-- {
-		h := (*st)[i]
-		if h.level == ev.level && (h.name == ev.name || ev.name == "") {
-			*st = append((*st)[:i], (*st)[i+1:]...)
-			return
-		}
-	}
-}
-
-// checkFootprint validates a call to a module function against the held set.
-func (c *latchChecker) checkFootprint(ev event, st *[]held) {
-	mf := c.sums.funcs[ev.fn]
-	foot := c.foot[ev.fn]
-	if mf == nil || mf.Allowed || foot == 0 {
-		return
-	}
-	for lvl := 0; lvl < numLevels; lvl++ {
-		if foot&(1<<lvl) == 0 {
-			continue
-		}
-		for _, h := range *st {
-			switch {
-			case lvl == levelShard && h.level == levelShard:
-				c.report(c.pkg, ev.pos, "call to %s, which acquires a shard latch, while already holding shard latch %s (line %d)",
-					ev.fn.Name(), h.name, c.line(h.pos))
-			case lvl == levelGate && h.level == levelGate:
-				c.report(c.pkg, ev.pos, "call to %s, which acquires the session gate, while already holding it (line %d): the gate is not reentrant",
-					ev.fn.Name(), c.line(h.pos))
-			case h.level > lvl:
-				c.report(c.pkg, ev.pos, "call to %s, which acquires a %s, while holding %s (%s, line %d): inverts the §S9 latch order",
-					ev.fn.Name(), levelName[lvl], h.name, levelName[h.level], c.line(h.pos))
-			}
-		}
-	}
-}
-
-// applyCall processes one call expression's latch effect.
-func (c *latchChecker) applyCall(call *ast.CallExpr, st *[]held) {
-	// Invocation of a bound releaser variable: exit().
-	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) == 0 {
-		if gateName, ok := c.releasers[id.Name]; ok {
-			c.release(event{level: levelGate, name: gateName}, st)
-			return
-		}
-	}
-	ev := c.classify(call)
-	switch ev.kind {
-	case evAcquire, evTryAcquire: // TryAcquire outside the if-idiom: assume success
-		c.acquire(ev, st)
-	case evRelease:
-		c.release(ev, st)
-	case evShardLock:
-		name := c.pendingAssign
-		if name == "" {
-			name = "(unbound shard latch)"
-		}
-		ev.name = name
-		c.acquire(ev, st)
-	case evEnter:
-		name := "gate (via enter)"
-		c.acquire(event{kind: evAcquire, level: levelGate, name: name, pos: ev.pos}, st)
-		if c.pendingAssign != "" {
-			c.releasers[c.pendingAssign] = name
-		}
-	case evCall:
-		c.checkFootprint(ev, st)
-	}
-}
-
-// scanExpr processes latch effects of every call in e, in source order.
-// Function literals get a fresh empty held set (they run on their own
-// goroutine or at an unknown later point).
-func (c *latchChecker) scanExpr(e ast.Expr, st *[]held) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			saveRel := c.releasers
-			c.releasers = make(map[string]string)
-			c.walkStmts(x.Body.List, &[]held{})
-			c.releasers = saveRel
-			return false
-		case *ast.CallExpr:
-			c.applyCall(x, st)
-			return true
-		}
-		return true
-	})
-}
-
-// tryLockIf matches `if [!]x.TryLock() { ... }` and returns the event and
-// whether the condition is negated.
-func (c *latchChecker) tryLockIf(cond ast.Expr) (event, bool, bool) {
-	negated := false
-	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		negated = true
-		cond = u.X
-	}
-	call, ok := cond.(*ast.CallExpr)
-	if !ok {
-		return event{}, false, false
-	}
-	ev := c.classify(call)
-	if ev.kind != evTryAcquire {
-		return event{}, false, false
-	}
-	return ev, negated, true
-}
-
-// walkStmts interprets a statement list; it reports whether control
-// definitely leaves the enclosing function (return/branch).
-func (c *latchChecker) walkStmts(list []ast.Stmt, st *[]held) bool {
-	for _, s := range list {
-		if c.walkStmt(s, st) {
+func (h heldSet) has(name string, level int) bool {
+	for _, x := range h {
+		if x.name == name && x.level == level {
 			return true
 		}
 	}
 	return false
 }
 
-func (c *latchChecker) walkStmt(s ast.Stmt, st *[]held) bool {
-	switch x := s.(type) {
-	case *ast.ExprStmt:
-		c.scanExpr(x.X, st)
-	case *ast.AssignStmt:
-		// Bind `sh := s.pool.Lock(pid)` / `exit := s.enter()` handles.
-		if len(x.Lhs) == 1 && len(x.Rhs) == 1 {
-			if id, ok := x.Lhs[0].(*ast.Ident); ok {
-				if _, isCall := x.Rhs[0].(*ast.CallExpr); isCall {
-					c.pendingAssign = id.Name
-				}
-			}
-		}
-		for _, r := range x.Rhs {
-			c.scanExpr(r, st)
-		}
-		c.pendingAssign = ""
-		for _, l := range x.Lhs {
-			c.scanExpr(l, st)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					if len(vs.Names) == 1 && len(vs.Values) == 1 {
-						if _, isCall := vs.Values[0].(*ast.CallExpr); isCall {
-							c.pendingAssign = vs.Names[0].Name
-						}
-					}
-					for _, v := range vs.Values {
-						c.scanExpr(v, st)
-					}
-					c.pendingAssign = ""
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// defer s.enter()() / defer s.lockAll()(): the inner call runs NOW
-		// (acquiring), the release runs at function end — held to the end.
-		if inner, ok := x.Call.Fun.(*ast.CallExpr); ok {
-			c.applyCall(inner, st)
-			break
-		}
-		// defer mu.Unlock() / defer exit(): release at end; stays held here.
-		ev := c.classify(x.Call)
-		if ev.kind == evAcquire || ev.kind == evTryAcquire || ev.kind == evShardLock || ev.kind == evEnter {
-			c.applyCall(x.Call, st) // defer mu.Lock() — degenerate but an acquisition
-		}
-		// evCall in a defer runs at an unknown lock state: skip.
-	case *ast.GoStmt:
-		if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			saveRel := c.releasers
-			c.releasers = make(map[string]string)
-			c.walkStmts(fl.Body.List, &[]held{})
-			c.releasers = saveRel
-		}
-		for _, a := range x.Call.Args {
-			c.scanExpr(a, st)
-		}
-	case *ast.IfStmt:
-		if x.Init != nil {
-			c.walkStmt(x.Init, st)
-		}
-		if ev, negated, ok := c.tryLockIf(x.Cond); ok && x.Else == nil {
-			if negated {
-				// if !TryLock { body runs unheld }; afterwards held either way.
-				thenSt := cloneHeld(*st)
-				c.walkStmts(x.Body.List, thenSt)
-				c.acquire(ev, st)
-			} else {
-				// if TryLock { body runs held }; afterwards unheld.
-				thenSt := cloneHeld(*st)
-				c.acquire(ev, thenSt)
-				c.walkStmts(x.Body.List, thenSt)
-			}
-			return false
-		}
-		c.scanExpr(x.Cond, st)
-		thenSt := cloneHeld(*st)
-		tTerm := c.walkStmts(x.Body.List, thenSt)
-		if x.Else != nil {
-			elseSt := cloneHeld(*st)
-			var eTerm bool
-			if blk, ok := x.Else.(*ast.BlockStmt); ok {
-				eTerm = c.walkStmts(blk.List, elseSt)
-			} else {
-				eTerm = c.walkStmt(x.Else, elseSt)
-			}
-			switch {
-			case tTerm && eTerm:
-				return true
-			case tTerm:
-				*st = *elseSt
-			case eTerm:
-				*st = *thenSt
-			default:
-				*st = intersectHeld(*thenSt, *elseSt)
-			}
-			return false
-		}
-		if !tTerm {
-			*st = intersectHeld(*st, *thenSt)
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			c.walkStmt(x.Init, st)
-		}
-		c.scanExpr(x.Cond, st)
-		c.loopBody(x.Body, x.Post, st)
-	case *ast.RangeStmt:
-		c.scanExpr(x.X, st)
-		c.loopBody(x.Body, nil, st)
-	case *ast.BlockStmt:
-		return c.walkStmts(x.List, st)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			c.walkStmt(x.Init, st)
-		}
-		c.scanExpr(x.Tag, st)
-		for _, cc := range x.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				sub := cloneHeld(*st)
-				c.walkStmts(clause.Body, sub)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range x.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				sub := cloneHeld(*st)
-				c.walkStmts(clause.Body, sub)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cc := range x.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				sub := cloneHeld(*st)
-				c.walkStmts(clause.Body, sub)
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			c.scanExpr(r, st)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true // break/continue/goto: don't merge into fallthrough
-	case *ast.LabeledStmt:
-		return c.walkStmt(x.Stmt, st)
-	case *ast.SendStmt:
-		c.scanExpr(x.Chan, st)
-		c.scanExpr(x.Value, st)
-	case *ast.IncDecStmt:
-		c.scanExpr(x.X, st)
-	}
-	return false
-}
-
-// loopBody interprets a loop body with a copy of the held set. A shard latch
-// acquired inside the body and still held when the iteration ends would be a
-// second shard latch on the next pass — exactly the "two shard latches"
-// violation, reached via iteration rather than nesting.
-func (c *latchChecker) loopBody(body *ast.BlockStmt, post ast.Stmt, st *[]held) {
-	pre := make(map[string]bool, len(*st))
-	for _, h := range *st {
-		pre[h.name] = true
-	}
-	sub := cloneHeld(*st)
-	c.walkStmts(body.List, sub)
-	if post != nil {
-		c.walkStmt(post, sub)
-	}
-	for _, h := range *sub {
-		if h.level == levelShard && !pre[h.name] {
-			c.report(c.pkg, h.pos, "shard latch %s acquired in a loop and still held at the end of the iteration: the next pass would hold two shard latches (quiesced multi-shard paths must latch in index order and carry //qslint:allow latch-order)", h.name)
-		}
-	}
-	*st = *sub
-}
-
-// intersectHeld keeps latches held on both paths.
-func intersectHeld(a, b []held) []held {
-	inB := make(map[string]bool, len(b))
-	for _, h := range b {
-		inB[h.name+"\x00"+levelName[h.level]] = true
-	}
-	var out []held
-	for _, h := range a {
-		if inB[h.name+"\x00"+levelName[h.level]] {
-			out = append(out, h)
+func (h heldSet) without(name string, level int) heldSet {
+	out := h[:0:0]
+	for _, x := range h {
+		if x.name != name || x.level != level {
+			out = append(out, x)
 		}
 	}
 	return out
+}
+
+func (h heldSet) anyAt(level int) *held {
+	for i := range h {
+		if h[i].level == level {
+			return &h[i]
+		}
+	}
+	return nil
+}
+
+// checkFn judges one node against the latches held just before it: a call
+// (with its latch event), a channel send or receive, or a select.
+type checkFn func(n ast.Node, ev event, fact heldSet)
+
+// runHeld runs the held-latch dataflow over mf — its declaration and, from
+// an empty set, each function literal inside it — and, once the facts are
+// fixed, hands check every node step visits.
+func (c *latchClassifier) runHeld(mf *moduleFunc, check checkFn) {
+	fl := flow[heldSet]{
+		bottom: func() heldSet { return nil },
+		clone:  func(h heldSet) heldSet { return append(heldSet(nil), h...) },
+		merge: func(dst, src heldSet) (heldSet, bool) {
+			changed := false
+			for _, h := range src {
+				if !dst.has(h.name, h.level) {
+					dst = append(dst, h)
+					changed = true
+				}
+			}
+			return dst, changed
+		},
+		branch: c.branch,
+		transfer: func(n ast.Node, fact heldSet, rep bool) heldSet {
+			if rep {
+				return c.step(n, fact, check)
+			}
+			return c.step(n, fact, nil)
+		},
+	}
+	for _, body := range funcBodies(mf.Decl.Body) {
+		cfg := buildCFG(body)
+		replayFlow(cfg, fl, runFlow(cfg, fl))
+	}
+}
+
+// branch refines an if's outgoing edge: where the condition is a TryLock
+// (or its negation) that failed on this edge, the latch is not held.
+func (c *latchClassifier) branch(cond ast.Expr, fact heldSet, taken bool) heldSet {
+	failed := !taken
+	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		cond, failed = u.X, taken
+	}
+	if call, ok := cond.(*ast.CallExpr); ok && failed {
+		if ev := c.classify(call); ev.kind == evTryAcquire {
+			return fact.without(ev.name, ev.level)
+		}
+	}
+	return fact
+}
+
+// step is the held-latch transfer over one CFG node: it applies the latch
+// effect of every call the node evaluates, in order, and, when check is
+// non-nil, hands check each call, channel operation and select with the set
+// held just before it.
+//
+//   - Lock acquires, Unlock releases; TryLock acquires as if it succeeded
+//     (branch drops it on the edge where it failed);
+//   - `sh := pool.Lock(pid)` names the shard latch by its handle;
+//   - enter() acquires the gate, `exit := x.enter()` binds its releaser, and
+//     exit() releases it;
+//   - `defer x.enter()()` runs the inner call now; any other deferred call
+//     runs after this body's releases and is skipped;
+//   - a go statement evaluates only its arguments here, and a function
+//     literal is a body of its own (funcBodies) that starts from an empty set.
+func (c *latchClassifier) step(n ast.Node, fact heldSet, check checkFn) heldSet {
+	bind := ""
+	switch x := n.(type) {
+	case *ast.SelectStmt:
+		// The clause bodies are blocks of their own; the node is the
+		// blocking decision.
+		if check != nil {
+			check(x, event{}, fact)
+		}
+		return fact
+	case *ast.SendStmt:
+		if check != nil {
+			check(x, event{}, fact)
+		}
+	case *ast.DeferStmt:
+		inner, ok := x.Call.Fun.(*ast.CallExpr)
+		if !ok {
+			return fact
+		}
+		n = inner
+	case *ast.GoStmt:
+		for _, a := range x.Call.Args {
+			fact = c.step(a, fact, check)
+		}
+		return fact
+	case *ast.AssignStmt:
+		if id, ok := x.Lhs[0].(*ast.Ident); ok && len(x.Lhs) == 1 && len(x.Rhs) == 1 {
+			bind = id.Name
+		}
+	case *ast.DeclStmt:
+		if gd, ok := x.Decl.(*ast.GenDecl); ok && len(gd.Specs) == 1 {
+			if vs, ok := gd.Specs[0].(*ast.ValueSpec); ok && len(vs.Names) == 1 && len(vs.Values) == 1 {
+				bind = vs.Names[0].Name
+			}
+		}
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch x := m.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW && check != nil {
+				check(x, event{}, fact)
+			}
+		case *ast.CallExpr:
+			fact = c.apply(x, fact, bind, check)
+		}
+		return true
+	})
+	return fact
+}
+
+// apply is step for one call; bind names the variable the node assigns.
+func (c *latchClassifier) apply(call *ast.CallExpr, fact heldSet, bind string, check checkFn) heldSet {
+	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) == 0 {
+		for _, h := range fact {
+			if h.exit == id.Name {
+				return fact.without(h.name, h.level)
+			}
+		}
+	}
+	ev := c.classify(call)
+	if ev.kind == evShardLock {
+		ev.name = bind
+		if bind == "" {
+			ev.name = "(unbound shard latch)"
+		}
+	}
+	if check != nil {
+		check(call, ev, fact)
+	}
+	switch {
+	case ev.acquires() && !fact.has(ev.name, ev.level):
+		h := held{level: ev.level, name: ev.name, pos: ev.pos}
+		if ev.kind == evEnter {
+			h.exit = bind
+		}
+		fact = append(fact, h)
+	case ev.kind == evRelease:
+		fact = fact.without(ev.name, ev.level)
+	}
+	return fact
 }

@@ -166,7 +166,7 @@ func (c *sentinelChecker) sentinelVar(e ast.Expr) *types.Var {
 	if !types.AssignableTo(v.Type(), errType) {
 		return nil
 	}
-	if !pathIn(v.Pkg().Path(), []string{c.m.Path}) {
+	if !inModule(c.m, v.Pkg()) {
 		return nil
 	}
 	return v

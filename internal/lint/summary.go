@@ -1,10 +1,10 @@
 package lint
 
-// The interprocedural summary layer (DESIGN.md §15). The latch-order
-// analyzer has always needed "what may this callee acquire?" answered
-// across the whole module; force-before-ack needs "does this callee force
-// the log on every path?", and latch-io needs "may this callee force or
-// block?". All three are the same shape: a per-function bitmask summary,
+// The interprocedural summary layer (DESIGN.md §11). latch-order needs
+// "what may this callee acquire?" answered across the whole module;
+// force-before-ack needs "does this callee force the log on every path?",
+// and latch-io needs "may this callee force or block?". All three are the
+// same shape: a per-function bitmask summary,
 // seeded from each body and propagated over the module call graph to a
 // fixed point. This file owns that shape — function collection, call-graph
 // edges, CFG caching, and the two propagation modes:
@@ -18,8 +18,7 @@ package lint
 //     only adds establishing events).
 //
 // Functions vouched for by a //qslint:allow <analyzer> doc directive are
-// excluded from propagation — their effects are the annotation's problem,
-// exactly as latch-order has always treated footprints.
+// excluded from propagation — their effects are the annotation's problem.
 
 import (
 	"go/ast"
@@ -201,13 +200,8 @@ func resolveModuleCall(m *Module, pkg *Package, call *ast.CallExpr) *types.Func 
 	default:
 		return nil
 	}
-	f, ok := obj.(*types.Func)
-	if !ok || f.Pkg() == nil {
-		return nil
+	if f, ok := obj.(*types.Func); ok && inModule(m, f.Pkg()) {
+		return f
 	}
-	p := f.Pkg().Path()
-	if p != m.Path && !pathIn(p, []string{m.Path}) {
-		return nil
-	}
-	return f
+	return nil
 }

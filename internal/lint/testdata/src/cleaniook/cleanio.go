@@ -19,6 +19,7 @@ import (
 )
 
 type flusher struct {
+	gate  sync.RWMutex
 	pool  *buffer.Sharded
 	log   *wal.Log
 	store disk.Store
@@ -50,6 +51,22 @@ func (f *flusher) logCommit(r *logrec.Record) error {
 // waitRoom parks on the pool condition holding exactly the cond's own
 // leaf mutex; Wait releases it atomically while parked.
 func (f *flusher) waitRoom() {
+	f.attMu.Lock()
+	for !f.ready {
+		f.cond.Wait()
+	}
+	f.attMu.Unlock()
+}
+
+func (f *flusher) enter() func() {
+	f.gate.RLock()
+	return f.gate.RUnlock
+}
+
+// waitRoomGated is waitRoom inside the session gate: the gate sits above
+// every tracked latch, so Wait still holds nothing but its own leaf.
+func (f *flusher) waitRoomGated() {
+	defer f.enter()()
 	f.attMu.Lock()
 	for !f.ready {
 		f.cond.Wait()

@@ -24,6 +24,20 @@ func inverted(log *wal.Log, st disk.Store, r *logrec.Record) error {
 	return nil
 }
 
+// appendLoop appends, then writes: in source order the append comes first,
+// but from the second pass on it follows the previous pass's unforced write.
+func appendLoop(log *wal.Log, st disk.Store, rs []*logrec.Record) error {
+	for _, r := range rs {
+		if _, err := log.Append(r); err != nil { // want "write-ahead"
+			return err
+		}
+		if err := st.WritePage(3, make([]byte, 64)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // forcedFirst is the sharp-checkpoint shape: force, flush, then append the
 // record describing already-stable state. Clean.
 func forcedFirst(log *wal.Log, st disk.Store, r *logrec.Record) error {

@@ -20,12 +20,15 @@ package lint
 // half-written, a branch's prepared flag and a decided entry, are assigned
 // only in replay.go, where note lives.
 //
-// Rule B (write-ahead order within a function): a page write followed later
-// in the same body by a wal.Append, with no log force between them, is the
-// classic inverted ordering — the log record describing (or following) the
-// write could be lost in a crash that survives the page. Bodies that force
-// first (checkpointQuiesced: Force → WritePage loop) are fine; restore-style
-// paths that intentionally write images before re-appending history carry a
+// Rule B (write-ahead order within a function): a page write followed on
+// some path by a wal.Append, with no log force between them, is the classic
+// inverted ordering — the log record describing (or following) the write
+// could be lost in a crash that survives the page. It is a flow over the
+// body's CFG with two facts: "forced before any write", a must fact, and
+// "unforced write pending", a may fact, so a loop that appends after the
+// previous pass's write is caught. Bodies that force first
+// (checkpointQuiesced: Force → WritePage loop) are fine; restore-style paths
+// that intentionally write images before re-appending history carry a
 // //qslint:allow wal-discipline annotation.
 
 import (
@@ -33,7 +36,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"sort"
 )
 
 // WALDiscipline is the page-write layering / write-ahead-order analyzer.
@@ -42,28 +44,6 @@ type WALDiscipline struct{}
 func (WALDiscipline) Name() string { return "wal-discipline" }
 func (WALDiscipline) Doc() string {
 	return "only protocol packages may write pages, and a page write must not precede wal.Append without a log force"
-}
-
-// storeInterface resolves disk.Store so implementors can be recognized
-// structurally (MemStore, FileStore, fault-injecting wrappers, fixtures).
-func storeInterface(m *Module) *types.Interface {
-	pkg, err := m.Load(m.Path + "/internal/disk")
-	if err != nil {
-		return nil
-	}
-	obj := pkg.Types.Scope().Lookup("Store")
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
-func implementsIface(t types.Type, iface *types.Interface) bool {
-	if t == nil || iface == nil {
-		return false
-	}
-	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }
 
 // poolMutators are the buffer-pool frame mutations rule A fences in.
@@ -86,15 +66,8 @@ var serverLogAppenders = map[string]bool{"logAndNoteIf": true, "checkpointCore":
 // insert into a decided map.
 const noteFile = "replay.go"
 
-const (
-	wdWrite = iota
-	wdForce
-	wdAppend
-)
-
 func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
-	iface := storeInterface(m)
-	walPath := m.Path + "/internal/wal"
+	store := storeInterface(m)
 	bufPath := m.Path + "/internal/buffer"
 	serverPath := m.Path + "/internal/server"
 	writeAllow := []string{
@@ -125,11 +98,6 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 				if !ok || fd.Body == nil || pkg.FuncAllowed("wal-discipline", fd) {
 					continue
 				}
-				type ev struct {
-					kind int
-					pos  token.Pos
-				}
-				var evs []ev
 				inNoteFile := filepath.Base(m.Fset.Position(file.Pos()).Filename) == noteFile
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if as, ok := n.(*ast.AssignStmt); ok && inServer && !inNoteFile {
@@ -158,57 +126,75 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 					if !ok {
 						return true
 					}
-					recvTV, typed := pkg.Info.Types[sel.X]
-					var recvT types.Type
-					if typed {
-						recvT = recvTV.Type
-					}
+					recvT := pkg.Info.TypeOf(sel.X)
 					switch name := sel.Sel.Name; {
-					case name == "WritePage" && implementsIface(recvT, iface):
+					case storeCall(pkg, store, call, "WritePage"):
 						switch {
 						case !storeOK:
 							report(pkg, call.Pos(), "WritePage on a disk.Store from package %s: page writes are reserved to the storage-protocol packages (server/wal/archive/recbuf/faultinject); go through a Session so the WAL protocol covers the write", pkg.Path)
 						case inServer && !serverStoreWriters[fd.Name.Name]:
 							report(pkg, call.Pos(), "WritePage on a disk.Store in %s: inside the server a page reaches the volume only through the write-back module (storeWrite under writeHome or installWPLLocked, writeSuperblock), which carries the write-ahead test", fd.Name.Name)
 						}
-						evs = append(evs, ev{wdWrite, call.Pos()})
-					case (name == "Force" || name == "ForceFull" || name == "CommitWait") && isNamedType(recvT, walPath, "Log"):
-						evs = append(evs, ev{wdForce, call.Pos()})
-					case name == "Append" && isNamedType(recvT, walPath, "Log"):
+					case walCall(m, pkg, call, "Append"):
 						if inServer && !serverLogAppenders[fd.Name.Name] {
 							report(pkg, call.Pos(), "wal.Append in %s: inside the server a record enters the log only through the logging step (logAndNote, which advances the recovery tables in the same attMu section) or checkpointCore", fd.Name.Name)
 						}
-						evs = append(evs, ev{wdAppend, call.Pos()})
 					case poolMutators[name] && !poolOK &&
 						(isNamedType(recvT, bufPath, "Pool") || isNamedType(recvT, bufPath, "Sharded") || isNamedType(recvT, bufPath, "PoolShard")):
 						report(pkg, call.Pos(), "%s mutates buffer-pool frames from package %s: frame state is owned by the server's fix/unfix protocol", name, pkg.Path)
 					}
 					return true
 				})
-				sort.Slice(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
-				// A force anywhere before the first write covers it (the sharp
-				// checkpoint: Force → flush dirty pages → append checkpoint-end
-				// record is the canonical legitimate write-then-append body).
-				pendingWrite := token.NoPos
-				forced := false
-				for _, e := range evs {
-					switch e.kind {
-					case wdForce:
-						forced = true
-						pendingWrite = token.NoPos
-					case wdWrite:
-						if !forced && !pendingWrite.IsValid() {
-							pendingWrite = e.pos
-						}
-					case wdAppend:
-						if pendingWrite.IsValid() {
-							report(pkg, e.pos, "wal.Append after a page write at line %d with no log force between them: the write-ahead rule requires the log record stable before (or a Force since) any page write it describes",
-								m.Fset.Position(pendingWrite).Line)
-							pendingWrite = token.NoPos
-						}
-					}
+				for _, body := range funcBodies(fd.Body) {
+					writeAhead(m, pkg, store, body, report)
 				}
 			}
 		}
 	}
+}
+
+// writeAheadFact is rule B's fact at one point of a body.
+type writeAheadFact struct {
+	forced bool      // must: the log was forced on every path, before any page write
+	write  token.Pos // may: a page write no force has covered yet, on some path
+}
+
+// writeAhead runs rule B over one body. A force before the first write
+// covers the whole body (the sharp checkpoint: Force → flush dirty pages →
+// append the checkpoint record is the canonical legitimate write-then-append
+// body); after that, a force clears the pending write and an append reports
+// it.
+func writeAhead(m *Module, pkg *Package, store *types.Interface, body *ast.BlockStmt, report Reporter) {
+	fl := flow[writeAheadFact]{
+		bottom: func() writeAheadFact { return writeAheadFact{} },
+		clone:  func(f writeAheadFact) writeAheadFact { return f },
+		merge: func(dst, src writeAheadFact) (writeAheadFact, bool) {
+			out := writeAheadFact{forced: dst.forced && src.forced, write: dst.write}
+			if !out.write.IsValid() {
+				out.write = src.write
+			}
+			return out, out != dst
+		},
+		transfer: func(n ast.Node, f writeAheadFact, rep bool) writeAheadFact {
+			nodeCalls(n, func(call *ast.CallExpr) {
+				switch {
+				case walCall(m, pkg, call, "Force", "ForceFull", "CommitWait"):
+					f = writeAheadFact{forced: true}
+				case storeCall(pkg, store, call, "WritePage"):
+					if !f.forced && !f.write.IsValid() {
+						f.write = call.Pos()
+					}
+				case walCall(m, pkg, call, "Append") && f.write.IsValid():
+					if rep {
+						report(pkg, call.Pos(), "wal.Append after a page write at line %d with no log force between them: the write-ahead rule requires the log record stable before (or a Force since) any page write it describes",
+							m.Fset.Position(f.write).Line)
+					}
+					f.write = token.NoPos
+				}
+			})
+			return f
+		},
+	}
+	cfg := buildCFG(body)
+	replayFlow(cfg, fl, runFlow(cfg, fl))
 }

@@ -16,15 +16,21 @@ import (
 	"repro/internal/server"
 )
 
-// TestOpTableComplete: every op code has a name and an explicit re-send rule,
-// names are unique, only idempotent data ops may be duplicated, and an
-// unknown code still prints as op<N>.
+// TestOpTableComplete: every op code but the retired one has a name and an
+// explicit re-send rule, names are unique, only idempotent data ops may be
+// duplicated, and an unknown code still prints as op<N>.
 func TestOpTableComplete(t *testing.T) {
 	if len(ops) != opResolveInDoubt+1 {
 		t.Fatalf("op table has %d rows, want %d", len(ops), opResolveInDoubt+1)
 	}
+	if ops[opRetired] != (opInfo{}) {
+		t.Fatalf("the retired op code has a row: %+v", ops[opRetired])
+	}
 	seen := map[string]bool{}
 	for op := byte(opBegin); op <= opResolveInDoubt; op++ {
+		if op == opRetired {
+			continue
+		}
 		row := ops[op]
 		if row.name == "" || row.resend == 0 {
 			t.Errorf("op %d: row %+v lacks a name or a re-send rule", op, row)

@@ -40,7 +40,7 @@ const (
 	opFaults    // arm/disarm a fault plan (management, not part of Service)
 	opStats     // fetch DaemonStats as JSON (management, not part of Service)
 	opBackup    // take an online fuzzy backup (management, not part of Service)
-	opArchStats // fetch archive.Status as JSON (management, not part of Service)
+	opRetired   // no op: archiver status rides opStats; held so later codes keep their values
 	opScrub     // verify/repair stored pages now (management, not part of Service)
 	opReplFetch // standby pull of stable WAL records (management, not part of Service)
 	opPromote   // promote a standby to primary (management, not part of Service)
@@ -97,7 +97,6 @@ var ops = [...]opInfo{
 	opFaults:    {"faults", resendAlways, false}, // re-arming restarts the same schedule
 	opStats:     {"stats", resendAlways, false},  // also InDoubt
 	opBackup:    {"backup", resendIfUndelivered, false},
-	opArchStats: {"archive-status", resendAlways, false},
 	opScrub:     {"scrub", resendAlways, false},
 	opReplFetch: {"repl-fetch", resendAlways, false}, // a re-sent pull returns the same batch
 	opPromote:   {"promote", resendIfUndelivered, false},

@@ -28,9 +28,9 @@ type ServeOpts struct {
 	// the opFaults management op (qsctl faults): a plan's disk half on this
 	// store, its message half on every frame the daemon serves.
 	Faults *faultinject.Store
-	// Archive, when non-nil, serves the opBackup and opArchStats management
-	// ops (qsctl backup / archive-status) and adds archiver progress to
-	// opStats responses.
+	// Archive, when non-nil, serves the opBackup management op (qsctl
+	// backup) and adds archiver progress to opStats responses (qsctl stats
+	// and archive-status).
 	Archive *archive.Archiver
 	// Repl, when non-nil, serves opReplFetch (a standby pulling this
 	// primary's WAL) and adds shipping progress to opStats responses.
@@ -235,18 +235,13 @@ func (s *session) roundTrip(f frame) ([]byte, error) {
 		return d.stats()
 	case opBackup:
 		if d.opts.Archive == nil {
-			return nil, errNoArchive
+			return nil, ErrNoArchive
 		}
 		info, err := d.opts.Archive.Backup()
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(info)
-	case opArchStats:
-		if d.opts.Archive == nil {
-			return nil, errNoArchive
-		}
-		return json.Marshal(d.opts.Archive.Status())
 	case opScrub:
 		// Payload: [u32 limit]; limit 0 scans the whole volume, a positive
 		// limit scans the next batch from the daemon's scrub cursor.
@@ -270,7 +265,9 @@ func (s *session) roundTrip(f frame) ([]byte, error) {
 	return nil, fmt.Errorf("wire: unknown op %d", f.op)
 }
 
-var errNoArchive = errors.New("wire: archiving not enabled on this server (start with -archive-dir)")
+// ErrNoArchive: the daemon was started without archiving, so it takes no
+// backups and its DaemonStats carry no archiver status.
+var ErrNoArchive = errors.New("wire: archiving not enabled on this server (start with -archive-dir)")
 
 // faults serves opFaults. Payload: [u8 arm][i64 seed][plan name]; the reply
 // is the name of the plan now armed, or empty when disarmed. Arming installs

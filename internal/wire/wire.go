@@ -299,13 +299,6 @@ func (c *Client) Backup() (archive.BackupInfo, error) {
 	return info, err
 }
 
-// ArchiveStatus fetches the daemon's archiver snapshot (qsctl archive-status).
-func (c *Client) ArchiveStatus() (archive.Status, error) {
-	var st archive.Status
-	err := c.fetchJSON(frame{op: opArchStats}, &st)
-	return st, err
-}
-
 // Scrub asks the daemon to verify (and repair) stored pages now (qsctl
 // scrub). limit 0 scans the whole volume; a positive limit scans the next
 // batch from the daemon's scrub cursor. An unrepairable page surfaces as an
