@@ -75,10 +75,11 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # Every fuzz target for FUZZTIME each (go test fuzzes one target per run):
-# the wire frame parser, a live daemon fed garbage with flaky-net armed (its
-# message-fault path), log-record decoding, and replay onto a page.
+# the wire frame parser and its batch parser, a live daemon fed garbage with
+# flaky-net armed (its message-fault path), log-record decoding, and replay
+# onto a page.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = internal/wire:FuzzParseRequest internal/wire:FuzzServerAgainstGarbage \
+FUZZ_TARGETS = internal/wire:FuzzParseRequest internal/wire:FuzzSubFrames internal/wire:FuzzServerAgainstGarbage \
 	internal/logrec:FuzzDecode internal/logrec:FuzzEncodeDecode internal/server:FuzzReplay
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -252,8 +252,7 @@ func (c *Client) Begin() (*Tx, error) {
 		tid:            tid,
 		dirty:          make(map[page.ID]bool),
 		fresh:          make(map[page.ID]bool),
-		xlocked:        make(map[page.ID]bool),
-		slocked:        make(map[page.ID]bool),
+		locks:          make(map[page.ID]lock.Mode),
 		startSpills:    c.stats.RecbufSpills,
 		startEvictions: c.stats.Evictions,
 	}
@@ -274,17 +273,14 @@ func (c *Client) handleFault(d *vmem.Desc, _ vmem.Addr, write bool) error {
 	return c.tx.enableRecovery(d)
 }
 
-// fetch makes pid resident and returns its descriptor, evicting as needed.
-// Pages cached across transaction boundaries still need a lock each
-// transaction — ESM caches pages but not locks (§3.1).
-func (c *Client) fetch(tx *Tx, pid page.ID) (*vmem.Desc, error) {
+// fetch makes pid resident, locked in mode, and returns its descriptor,
+// evicting as needed. Pages cached across transaction boundaries still need a
+// lock each transaction — ESM caches pages but not locks (§3.1).
+func (c *Client) fetch(tx *Tx, pid page.ID, mode lock.Mode) (*vmem.Desc, error) {
 	if d := c.space.ByPage(pid); d != nil {
 		c.pool.Get(pid) // recency
-		if !tx.slocked[pid] && !tx.xlocked[pid] {
-			if err := c.svc.Lock(tx.tid, pid, lock.Shared); err != nil {
-				return nil, err
-			}
-			tx.slocked[pid] = true
+		if err := tx.lock(pid, mode); err != nil {
+			return nil, err
 		}
 		return d, nil
 	}
@@ -293,11 +289,13 @@ func (c *Client) fetch(tx *Tx, pid page.ID) (*vmem.Desc, error) {
 			return nil, err
 		}
 	}
-	data, err := c.svc.ReadPage(tx.tid, pid, lock.Shared)
+	data, err := c.svc.ReadPage(tx.tid, pid, mode)
 	if err != nil {
 		return nil, err
 	}
-	tx.slocked[pid] = true
+	if !tx.holds(pid, mode) {
+		tx.locks[pid] = mode
+	}
 	c.stats.PagesFetched++
 	f, err := c.pool.Insert(pid, data)
 	if err != nil {

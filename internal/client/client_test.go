@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/lock"
+	"repro/internal/logrec"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -181,6 +183,10 @@ func TestUncommittedLostAtCrash(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// The shipped frames travel with the transaction's next call.
+			if err := r.cli.svc.Lock(tx2.tid, oid.Page, lock.Exclusive); err != nil {
+				t.Fatal(err)
+			}
 			r.srv.Crash()
 			if err := r.srv.NewSession(nil, nil).Restart(); err != nil {
 				t.Fatal(err)
@@ -271,6 +277,79 @@ func TestOneFaultPerPagePerTransaction(t *testing.T) {
 			tx3.Commit()
 			if f := r.cli.Stats().Faults; f != 2 {
 				t.Fatalf("faults = %d, want 2", f)
+			}
+		})
+	}
+}
+
+// lockRecorder is a Service that writes down every lock request it passes
+// on, a ReadPage's included.
+type lockRecorder struct {
+	wire.Service
+	locks []string
+}
+
+func (r *lockRecorder) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
+	r.locks = append(r.locks, "lock "+mode.String())
+	return r.Service.Lock(tid, pid, mode)
+}
+
+func (r *lockRecorder) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error) {
+	r.locks = append(r.locks, "read-page "+mode.String())
+	return r.Service.ReadPage(tid, pid, mode)
+}
+
+// TestWriteTakesItsExclusiveLockUpFront: a write to a cached page the
+// transaction has not locked asks for the exclusive lock at once, with no
+// shared lock to upgrade — on an uncached page, in the ReadPage — while a read
+// followed by a write still takes the paper's shared lock and upgrades it.
+func TestWriteTakesItsExclusiveLockUpFront(t *testing.T) {
+	for _, v := range versions {
+		t.Run(v.name, func(t *testing.T) {
+			r := newRig(v, 64, 1<<20)
+			rec := &lockRecorder{Service: r.cli.svc}
+			r.cli.svc = rec
+			tx := mustBegin(t, r.cli)
+			oid, err := tx.Allocate(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			run := func(ops ...func(*Tx) error) string {
+				t.Helper()
+				rec.locks = nil
+				tx := mustBegin(t, r.cli)
+				for _, op := range ops {
+					if err := op(tx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprint(rec.locks)
+			}
+			write := func(tx *Tx) error { return tx.Write(oid, 0, []byte("written!")) }
+			read := func(tx *Tx) error { _, err := tx.ReadObject(oid); return err }
+			for _, c := range []struct {
+				what string
+				ops  []func(*Tx) error
+				want string
+			}{
+				{"write on a cached page", []func(*Tx) error{write}, "[lock X]"},
+				{"read then write", []func(*Tx) error{read, write}, "[lock S lock X]"},
+			} {
+				if got := run(c.ops...); got != c.want {
+					t.Errorf("%s: %s, want %s", c.what, got, c.want)
+				}
+			}
+			r.reconnect(v)
+			rec.Service = r.cli.svc
+			r.cli.svc = rec
+			if got := run(write); got != "[read-page X]" {
+				t.Errorf("write on an uncached page: %s, want [read-page X]", got)
 			}
 		})
 	}

@@ -15,14 +15,13 @@ import (
 // Tx is an active transaction. All object access goes through it; at most
 // one transaction is active per client.
 type Tx struct {
-	c       *Client
-	tid     logrec.TID
-	dirty   map[page.ID]bool // pages updated and still resident
-	fresh   map[page.ID]bool // pages created by this transaction
-	xlocked map[page.ID]bool // pages exclusively locked this transaction
-	slocked map[page.ID]bool // pages share-locked this transaction
-	logBuf  []byte           // encoded log records awaiting shipment
-	done    bool
+	c      *Client
+	tid    logrec.TID
+	dirty  map[page.ID]bool      // pages updated and still resident
+	fresh  map[page.ID]bool      // pages created by this transaction
+	locks  map[page.ID]lock.Mode // page locks taken this transaction
+	logBuf []byte                // encoded log records awaiting shipment
+	done   bool
 	// Pressure counters at Begin, for the adaptive memory-split policy.
 	startSpills    int64
 	startEvictions int64
@@ -38,15 +37,23 @@ func (tx *Tx) check() error {
 	return nil
 }
 
-// ensureX acquires the exclusive page lock once per transaction.
-func (tx *Tx) ensureX(pid page.ID) error {
-	if tx.xlocked[pid] {
+// holds reports whether the transaction already holds pid's lock in mode or
+// a stronger one.
+func (tx *Tx) holds(pid page.ID, mode lock.Mode) bool {
+	held, ok := tx.locks[pid]
+	return ok && (held == lock.Exclusive || mode == lock.Shared)
+}
+
+// lock acquires pid's lock in mode once per transaction; asking for
+// Exclusive while holding Shared is the paper's upgrade.
+func (tx *Tx) lock(pid page.ID, mode lock.Mode) error {
+	if tx.holds(pid, mode) {
 		return nil
 	}
-	if err := tx.c.svc.Lock(tx.tid, pid, lock.Exclusive); err != nil {
+	if err := tx.c.svc.Lock(tx.tid, pid, mode); err != nil {
 		return err
 	}
-	tx.xlocked[pid] = true
+	tx.locks[pid] = mode
 	return nil
 }
 
@@ -71,12 +78,12 @@ func (tx *Tx) enableRecovery(d *vmem.Desc) error {
 			c.rb.PutPage(d.Page, d.Frame)
 			c.stats.PageCopies++
 		}
-		if err := tx.ensureX(d.Page); err != nil {
+		if err := tx.lock(d.Page, lock.Exclusive); err != nil {
 			return err
 		}
 		d.RecoveryEnabled = true
 	case WPL:
-		if err := tx.ensureX(d.Page); err != nil {
+		if err := tx.lock(d.Page, lock.Exclusive); err != nil {
 			return err
 		}
 		d.RecoveryEnabled = true
@@ -166,7 +173,7 @@ func (tx *Tx) prepareStructWrite(d *vmem.Desc) error {
 	case WPL:
 		// Nothing to capture.
 	}
-	if err := tx.ensureX(d.Page); err != nil {
+	if err := tx.lock(d.Page, lock.Exclusive); err != nil {
 		return err
 	}
 	c.space.Protect(d, vmem.ReadWrite)
@@ -177,12 +184,12 @@ func (tx *Tx) prepareStructWrite(d *vmem.Desc) error {
 // --- object operations ------------------------------------------------------
 
 // objectRange resolves an OID to its descriptor and the page-offset range of
-// the object.
-func (tx *Tx) objectRange(oid page.OID) (*vmem.Desc, int, int, error) {
+// the object, its page locked in mode.
+func (tx *Tx) objectRange(oid page.OID, mode lock.Mode) (*vmem.Desc, int, int, error) {
 	if err := tx.check(); err != nil {
 		return nil, 0, 0, err
 	}
-	d, err := tx.c.fetch(tx, oid.Page)
+	d, err := tx.c.fetch(tx, oid.Page, mode)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -200,13 +207,13 @@ func (tx *Tx) objectRange(oid page.OID) (*vmem.Desc, int, int, error) {
 
 // Size returns the object's size in bytes.
 func (tx *Tx) Size(oid page.OID) (int, error) {
-	_, _, size, err := tx.objectRange(oid)
+	_, _, size, err := tx.objectRange(oid, lock.Shared)
 	return size, err
 }
 
 // Read copies len(dst) bytes from the object starting at off.
 func (tx *Tx) Read(oid page.OID, off int, dst []byte) error {
-	d, objOff, size, err := tx.objectRange(oid)
+	d, objOff, size, err := tx.objectRange(oid, lock.Shared)
 	if err != nil {
 		return err
 	}
@@ -219,7 +226,7 @@ func (tx *Tx) Read(oid page.OID, off int, dst []byte) error {
 
 // ReadObject returns a copy of the whole object.
 func (tx *Tx) ReadObject(oid page.OID) ([]byte, error) {
-	_, _, size, err := tx.objectRange(oid)
+	_, _, size, err := tx.objectRange(oid, lock.Shared)
 	if err != nil {
 		return nil, err
 	}
@@ -233,9 +240,10 @@ func (tx *Tx) ReadObject(oid page.OID) ([]byte, error) {
 // Write stores data into the object starting at off. Under PD and WPL the
 // write goes through the virtual-memory protection machinery (first write
 // per page faults); under SD and SL it goes through the software update
-// function.
+// function. Knowing it will write, it takes the page's exclusive lock up
+// front rather than a shared one the write would then upgrade.
 func (tx *Tx) Write(oid page.OID, off int, data []byte) error {
-	d, objOff, size, err := tx.objectRange(oid)
+	d, objOff, size, err := tx.objectRange(oid, lock.Exclusive)
 	if err != nil {
 		return err
 	}
@@ -252,9 +260,6 @@ func (tx *Tx) Write(oid page.OID, off int, data []byte) error {
 			if err := tx.touchBlocks(d, start, len(data)); err != nil {
 				return err
 			}
-		}
-		if err := tx.ensureX(oid.Page); err != nil {
-			return err
 		}
 		copy(d.Frame[start:start+len(data)], data)
 		tx.markDirty(d)
@@ -291,7 +296,7 @@ func (tx *Tx) Allocate(size int) (page.OID, error) {
 
 // tryAllocateOn attempts allocation on pid; ok=false means the page is full.
 func (tx *Tx) tryAllocateOn(pid page.ID, size int) (page.OID, error, bool) {
-	d, err := tx.c.fetch(tx, pid)
+	d, err := tx.c.fetch(tx, pid, lock.Shared)
 	if err != nil {
 		return page.NilOID, err, true
 	}
@@ -336,7 +341,7 @@ func (tx *Tx) NewPage() (page.ID, error) {
 	page.Wrap(f.Bytes()).Init(pid)
 	d := c.space.Map(pid, f.Bytes())
 	tx.fresh[pid] = true
-	tx.xlocked[pid] = true // AllocPage grants the X lock at the server
+	tx.locks[pid] = lock.Exclusive // AllocPage grants the X lock at the server
 	d.RecoveryEnabled = true
 	c.space.Protect(d, vmem.ReadWrite)
 	tx.markDirty(d)
@@ -346,7 +351,7 @@ func (tx *Tx) NewPage() (page.ID, error) {
 
 // Free releases an object.
 func (tx *Tx) Free(oid page.OID) error {
-	d, _, _, err := tx.objectRange(oid)
+	d, _, _, err := tx.objectRange(oid, lock.Exclusive)
 	if err != nil {
 		return err
 	}

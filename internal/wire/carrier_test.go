@@ -18,16 +18,17 @@ import (
 
 // TestOpTableComplete: every op code but the retired one has a name and an
 // explicit re-send rule, names are unique, only idempotent data ops may be
-// duplicated, and an unknown code still prints as op<N>.
+// duplicated, only the status-only data ops are deferred, and an unknown code
+// still prints as op<N>.
 func TestOpTableComplete(t *testing.T) {
-	if len(ops) != opResolveInDoubt+1 {
-		t.Fatalf("op table has %d rows, want %d", len(ops), opResolveInDoubt+1)
+	if len(ops) != opBatch+1 {
+		t.Fatalf("op table has %d rows, want %d", len(ops), opBatch+1)
 	}
 	if ops[opRetired] != (opInfo{}) {
 		t.Fatalf("the retired op code has a row: %+v", ops[opRetired])
 	}
 	seen := map[string]bool{}
-	for op := byte(opBegin); op <= opResolveInDoubt; op++ {
+	for op := byte(opBegin); op <= opBatch; op++ {
 		if op == opRetired {
 			continue
 		}
@@ -42,6 +43,9 @@ func TestOpTableComplete(t *testing.T) {
 		if want := op == opLock || op == opReadPage || op == opShipPage; row.dup != want {
 			t.Errorf("op %s: dup = %v, want %v", row.name, row.dup, want)
 		}
+		if want := op == opShipLog || op == opShipPage; (row.batch == deferred) != want {
+			t.Errorf("op %s: deferred = %v, want %v", row.name, row.batch == deferred, want)
+		}
 	}
 	if got := opName(200); got != "op200" {
 		t.Fatalf("unknown op prints %q, want op200", got)
@@ -49,7 +53,8 @@ func TestOpTableComplete(t *testing.T) {
 }
 
 // TestFaultsDuplicateOnlyIdempotentOps: with every message duplicated, only
-// Lock, ReadPage and ShipPage are delivered twice; everything else once.
+// Lock, ReadPage and a batch of nothing but ShipPages and such a call are
+// delivered twice; everything else once.
 func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	sc, c := scriptedClient()
 	svc := WithFaults(c, faultinject.Plan{Name: "dup-all", Seed: 1, DupRate: 1})
@@ -57,9 +62,11 @@ func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	svc.Lock(1, 1, lock.Shared)
 	svc.AllocPage(1)
 	svc.ReadPage(1, 1, lock.Shared)
+	svc.ShipPage(1, 1, nil)
+	svc.Lock(1, 1, lock.Exclusive) // batch: ship-page, lock
 	svc.ShipLog(1, nil)
 	svc.ShipPage(1, 1, nil)
-	svc.Commit(1)
+	svc.Commit(1) // batch: ship-log, ship-page, commit
 	svc.Abort(1)
 	svc.Adopt(2)
 	svc.Prepare(2, 0, []int{0})
@@ -71,10 +78,10 @@ func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	for _, op := range sc.ops {
 		delivered[opName(op)]++
 	}
-	want := map[string]int{"begin": 2, "lock": 2, "alloc-page": 1, "read-page": 2, "ship-log": 1, "ship-page": 2,
-		"commit": 1, "abort": 1, "prepare": 1, "decide": 2, "resolve-in-doubt": 1, "stats": 1}
+	want := map[string]int{"begin": 2, "lock": 2, "alloc-page": 1, "read-page": 2, "batch": 3,
+		"abort": 1, "prepare": 1, "decide": 2, "resolve-in-doubt": 1, "stats": 1}
 	if fmt.Sprint(delivered) != fmt.Sprint(want) {
-		t.Fatalf("deliveries %v, want %v (begin and decide each carry two calls)", delivered, want)
+		t.Fatalf("deliveries %v, want %v (begin and decide each carry two calls, and the first batch goes twice)", delivered, want)
 	}
 }
 

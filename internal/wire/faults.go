@@ -28,15 +28,18 @@ func (c faulty) roundTrip(f frame) ([]byte, error) { return perturb(c.msgs, c.in
 // perturb carries f through inner under the next message fault: a drop is
 // never delivered, a delay or stall holds the request first, a duplicate is
 // delivered twice when the op table says doing it again is harmless, and a
-// reset delivers the request and loses its reply. It is the one message-fault
-// path, a client's (WithFaults) and a daemon's (serveConn).
+// reset delivers the request and loses its reply. A batch is one message: it
+// stalls or resets as a commit when a commit ends it, and is duplicated only
+// if every member may be. It is the one message-fault path, a client's
+// (WithFaults) and a daemon's (serveConn).
 func perturb(msgs *faultinject.Messages, inner carrier, f frame) ([]byte, error) {
-	m := msgs.Next(f.op == opCommit)
+	last, row := asOne(f)
+	m := msgs.Next(last.op == opCommit)
 	if m.Drop != nil {
 		return nil, m.Drop
 	}
 	time.Sleep(m.Delay)
-	if m.Dup && rowOf(f.op).dup {
+	if m.Dup && row.dup {
 		_, _ = inner.roundTrip(f) // the caller sees the second delivery's reply
 	}
 	out, err := inner.roundTrip(f)

@@ -83,6 +83,31 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 	f.Add(frames.Bytes())
 	// Frames of op codes past the table, which the fault path looks up.
 	f.Add([]byte{14, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Batches the client codec never builds: nested, empty, a member whose
+	// length runs past the frame, a management op as a member. Each must be
+	// refused whole, whatever the fault path makes of it first.
+	const tid = 1 << 40
+	batch := func(members ...frame) []byte {
+		var payload []byte
+		for _, m := range members {
+			payload = appendMember(payload, m)
+		}
+		var buf bytes.Buffer
+		writeRequest(&buf, frame{op: opBatch, tid: tid, payload: payload})
+		return buf.Bytes()
+	}
+	f.Add(batch(frame{op: opBatch, tid: tid, payload: appendMember(nil, frame{op: opCommit, tid: tid})}))
+	f.Add(batch())
+	past := batch(frame{op: opCommit, tid: tid})
+	past[4+headSize] = 0xff // the member's length
+	f.Add(past)
+	f.Add(batch(frame{op: opStats, tid: tid}))
+	// An adopted transaction, then a batch whose out-of-range ship-log must
+	// stop it before its commit.
+	var adopted bytes.Buffer
+	writeRequest(&adopted, frame{op: opBegin, tid: tid})
+	adopted.Write(batch(frame{op: opShipLog, tid: tid, payload: oob.Encode(nil)}, frame{op: opCommit, tid: tid}))
+	f.Add(adopted.Bytes())
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {

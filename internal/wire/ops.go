@@ -10,6 +10,11 @@ package wire
 // status 0 means success with result payload; otherwise the payload is an
 // error message and the status selects a sentinel so errors.Is works across
 // the wire for the errors callers branch on.
+//
+// A batch frame (opBatch) carries one transaction's frames, served in order:
+// its tid is theirs and its payload is the members, each
+// [u32 len][14-byte head][payload]. Every member but the last is deferred
+// (status-only), and the last is deferred or carries (see batchRole).
 
 import (
 	"encoding/binary"
@@ -48,6 +53,7 @@ const (
 	opPrepare        // force a PREPARE record and vote yes
 	opDecide         // deliver the outcome; mode selects abort/commit/forget
 	opResolveInDoubt // recovery resolution against the coordinator shard
+	opBatch          // one transaction's deferred frames and the call that carries them
 )
 
 // opDecide mode byte values.
@@ -58,7 +64,8 @@ const (
 )
 
 // resend is what the retry carrier may do with a request after a transient
-// transport failure.
+// transport failure. The first three are in order of strictness: a batch
+// takes the largest of its members' rules (asOne), and Abort never rides one.
 type resend uint8
 
 const (
@@ -77,35 +84,53 @@ const (
 	resendAbort
 )
 
+// batchRole is how an op travels beside its transaction's other frames.
+type batchRole uint8
+
+const (
+	// alone: sent by itself, carrying nothing.
+	alone batchRole = iota
+	// deferred: a status-only frame. The client does not wait for its reply:
+	// it waits in its transaction's pending batch for the next call that
+	// carries, and an error it draws surfaces there.
+	deferred
+	// carries: a call whose answer the caller waits for. It takes its
+	// transaction's pending frames along, itself last, in one batch frame.
+	carries
+)
+
 // opInfo is one op's row of the protocol table.
 type opInfo struct {
 	name   string // key of the per-op counters in DaemonStats.Ops
 	resend resend
 	dup    bool // a message fault may deliver it twice: doing it again is harmless
+	batch  batchRole
 }
 
 // ops is the protocol table, indexed by op code.
 var ops = [...]opInfo{
-	opBegin:     {"begin", resendAlways, false}, // also Adopt; a second Begin would leak a transaction
-	opLock:      {"lock", resendAlways, true},   // re-granting a held lock is a no-op
-	opAllocPage: {"alloc-page", resendAlways, false},
-	opReadPage:  {"read-page", resendAlways, true},
-	opShipLog:   {"ship-log", resendIfUndelivered, false},
-	opShipPage:  {"ship-page", resendAlways, true}, // same bytes twice: last write wins
-	opCommit:    {"commit", resendCommit, false},
-	opAbort:     {"abort", resendAbort, false},
-	opFaults:    {"faults", resendAlways, false}, // re-arming restarts the same schedule
-	opStats:     {"stats", resendAlways, false},  // also InDoubt
-	opBackup:    {"backup", resendIfUndelivered, false},
-	opScrub:     {"scrub", resendAlways, false},
-	opReplFetch: {"repl-fetch", resendAlways, false}, // a re-sent pull returns the same batch
-	opPromote:   {"promote", resendIfUndelivered, false},
+	opBegin:     {"begin", resendAlways, false, alone}, // also Adopt; a second Begin would leak a transaction
+	opLock:      {"lock", resendAlways, true, carries}, // re-granting a held lock is a no-op
+	opAllocPage: {"alloc-page", resendAlways, false, carries},
+	opReadPage:  {"read-page", resendAlways, true, carries},
+	opShipLog:   {"ship-log", resendIfUndelivered, false, deferred},
+	opShipPage:  {"ship-page", resendAlways, true, deferred}, // same bytes twice: last write wins
+	opCommit:    {"commit", resendCommit, false, carries},
+	opAbort:     {"abort", resendAbort, false, alone},   // drops its transaction's pending frames unsent
+	opFaults:    {"faults", resendAlways, false, alone}, // re-arming restarts the same schedule
+	opStats:     {"stats", resendAlways, false, alone},  // also InDoubt
+	opBackup:    {"backup", resendIfUndelivered, false, alone},
+	opScrub:     {"scrub", resendAlways, false, alone},
+	opReplFetch: {"repl-fetch", resendAlways, false, alone}, // a re-sent pull returns the same batch
+	opPromote:   {"promote", resendIfUndelivered, false, alone},
 	// The server absorbs re-delivered votes, decisions (Decide and Forget
 	// both ride opDecide) and resolutions: the forced PREPARE/DECIDE records
 	// make the 2PC state machine re-entrant.
-	opPrepare:        {"prepare", resendAlways, false},
-	opDecide:         {"decide", resendAlways, false},
-	opResolveInDoubt: {"resolve-in-doubt", resendAlways, false},
+	opPrepare:        {"prepare", resendAlways, false, carries},
+	opDecide:         {"decide", resendAlways, false, alone}, // an abort decision drops pending frames, as Abort does
+	opResolveInDoubt: {"resolve-in-doubt", resendAlways, false, alone},
+	// A batch's own re-send and duplicate rules are its members' (asOne).
+	opBatch: {"batch", resendIfUndelivered, false, alone},
 }
 
 // rowOf returns op's row; an unknown code has the zero row.
@@ -114,6 +139,29 @@ func rowOf(op byte) opInfo {
 		return ops[op]
 	}
 	return opInfo{}
+}
+
+// asOne is how the carriers that treat a frame as one message — retry,
+// message faults, a daemon connection's bookkeeping — see f: a plain frame as
+// itself under its op's row; a batch as its last member under the strictest
+// re-send rule of its members, duplicable only if every member is. A batch
+// that does not parse is itself under the batch row.
+func asOne(f frame) (frame, opInfo) {
+	row := rowOf(f.op)
+	if f.op != opBatch {
+		return f, row
+	}
+	members, err := subFrames(f)
+	if err != nil {
+		return f, row
+	}
+	row.resend, row.dup = resendAlways, true
+	for _, m := range members {
+		r := rowOf(m.op)
+		row.resend = max(row.resend, r.resend)
+		row.dup = row.dup && r.dup
+	}
+	return members[len(members)-1], row
 }
 
 // opName returns the stable human-readable name of an op code.
@@ -235,17 +283,23 @@ func readBody(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
+// headSize is a request's header: op, tid, pid, mode.
+const headSize = 14
+
+func appendHead(b []byte, f frame) []byte {
+	b = append(b, f.op)
+	b = binary.LittleEndian.AppendUint64(b, uint64(f.tid))
+	b = binary.LittleEndian.AppendUint32(b, uint32(f.pid))
+	return append(b, f.mode)
+}
+
 func writeRequest(w io.Writer, f frame) error {
-	var head [14]byte
-	head[0] = f.op
-	binary.LittleEndian.PutUint64(head[1:], uint64(f.tid))
-	binary.LittleEndian.PutUint32(head[9:], uint32(f.pid))
-	head[13] = f.mode
-	return writeFrame(w, head[:], f.payload)
+	var head [headSize]byte
+	return writeFrame(w, appendHead(head[:0], f), f.payload)
 }
 
 func parseRequest(body []byte) (frame, error) {
-	if len(body) < 14 {
+	if len(body) < headSize {
 		return frame{}, errors.New("wire: short request")
 	}
 	return frame{
@@ -253,6 +307,56 @@ func parseRequest(body []byte) (frame, error) {
 		tid:     logrec.TID(binary.LittleEndian.Uint64(body[1:])),
 		pid:     page.ID(binary.LittleEndian.Uint32(body[9:])),
 		mode:    body[13],
-		payload: body[14:],
+		payload: body[headSize:],
 	}, nil
+}
+
+// memberSize is the number of bytes f adds to a batch's payload.
+func memberSize(f frame) int { return 4 + headSize + len(f.payload) }
+
+// appendMember appends f to a batch payload.
+func appendMember(b []byte, f frame) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(headSize+len(f.payload)))
+	return append(appendHead(b, f), f.payload...)
+}
+
+// subFrames splits a batch frame into its members, refusing any batch the
+// client codec does not build: an empty one, a member for another
+// transaction, and a member whose op may not ride where it stands — a nested
+// batch, a management op, a carrying call before the last place.
+func subFrames(b frame) ([]frame, error) {
+	var members []frame
+	for p := b.payload; len(p) > 0; {
+		if len(p) < 4 {
+			return nil, errors.New("wire: batch member without a length")
+		}
+		n := binary.LittleEndian.Uint32(p)
+		if uint64(n) > uint64(len(p)-4) {
+			return nil, errors.New("wire: batch member runs past the frame")
+		}
+		m, err := parseRequest(p[4 : 4+n])
+		if err != nil {
+			return nil, err
+		}
+		members = append(members, m)
+		p = p[4+n:]
+	}
+	if len(members) == 0 {
+		return nil, errors.New("wire: empty batch")
+	}
+	for i, m := range members {
+		if m.tid != b.tid {
+			return nil, fmt.Errorf("wire: batch of %v holds a frame of %v", b.tid, m.tid)
+		}
+		switch rowOf(m.op).batch {
+		case deferred:
+		case carries:
+			if i < len(members)-1 {
+				return nil, fmt.Errorf("wire: %s frame before the end of a batch", opName(m.op))
+			}
+		default:
+			return nil, fmt.Errorf("wire: %s frame in a batch", opName(m.op))
+		}
+	}
+	return members, nil
 }

@@ -81,14 +81,16 @@ func pinnedSequence(t *testing.T, svc pinnedTransport) {
 		t.Fatal("resolve after forget = commit, want presumed abort")
 	}
 
-	// Error replies: every op against a transaction the server never saw.
+	// Error replies: every op against a transaction the server never saw. The
+	// ship-log and ship-page wait for the commit that carries them, and the
+	// ship-log's error stops that batch.
 	const none = logrec.TID(999)
 	_, err = svc.AllocPage(none)
 	fails("alloc", err)
 	_, err = svc.ReadPage(none, pid, lock.Shared)
 	fails("read", err)
-	fails("ship log", svc.ShipLog(none, upd.Encode(nil)))
-	fails("ship page", svc.ShipPage(none, pid, pg.Bytes()))
+	must("ship log", svc.ShipLog(none, upd.Encode(nil)))
+	must("ship page", svc.ShipPage(none, pid, pg.Bytes()))
 	fails("commit", svc.Commit(none))
 	fails("abort", svc.Abort(none))
 	fails("prepare", svc.Prepare(none, 0, []int{0}))
@@ -105,7 +107,10 @@ func (m *recordingMeter) MsgToServer(n int) { m.msgs = append(m.msgs, fmt.Sprint
 func (m *recordingMeter) MsgToClient(n int) { m.msgs = append(m.msgs, fmt.Sprintf("<%d", n)) }
 
 // TestDirectChargesFrameSizes: the in-process transport charges each
-// request and reply exactly these byte counts.
+// request and reply exactly these byte counts — a batch's members each as
+// the request and reply the paper's protocol sends, so the simulated network
+// carries what it always has. Only a batch stopped by an error charges less:
+// its members after the failed one are never served.
 func TestDirectChargesFrameSizes(t *testing.T) {
 	m := &recordingMeter{}
 	pinnedSequence(t, NewDirect(testServer(server.ModeESM), m, nil))
@@ -113,7 +118,7 @@ func TestDirectChargesFrameSizes(t *testing.T) {
 		">28 <20 >28 <16 >8272 <12 >8220 <12 >28 <12 " + // begin alloc shiplog shippage commit
 		">28 <20 >28 <12 >28 <8204 >28 <12 " + // begin lock readpage abort
 		">28 <12 >28 <12 >96 <12 >44 <12 >28 <12 >28 <25 >28 <12 >28 <17 " + // adopt lock shiplog prepare decide resolve forget resolve
-		">28 <16 >28 <12 >96 <12 >8220 <12 >28 <12 >28 <12 >40 <12 >28 <12" // error replies
+		">28 <16 >28 <12 >96 <12 >28 <12 >40 <12 >28 <12" // error replies: alloc read shiplog(stops its batch) abort prepare decide
 	if got := strings.Join(m.msgs, " "); got != want {
 		t.Fatalf("meter charges changed:\n got %s\nwant %s", got, want)
 	}
@@ -138,7 +143,10 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 }
 
 // TestFrameBytesUnchanged: the same sequence over TCP sends and receives
-// exactly these bytes.
+// exactly these bytes. Its three ship-log/ship-page runs each travel in the
+// batch frame of the call after them: 18 more request bytes apiece (the
+// batch's own length and head), one reply for the batch instead of one per
+// member, and no replies at all for the members the failed ship-log stops.
 func TestFrameBytesUnchanged(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -158,7 +166,7 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		sum := sha256.Sum256(b)
 		return fmt.Sprintf("%d:%s", len(b), hex.EncodeToString(sum[:8]))
 	}
-	const wantTx, wantRx = "25242:1ca4b17311dac7b8", "8686:4787f198bc4d9ee0"
+	const wantTx, wantRx = "25296:081cf917ed7071b8", "8563:6b03505a2e96de54"
 	if got := digest(conn.tx); got != wantTx {
 		t.Errorf("request bytes changed: got %s, want %s", got, wantTx)
 	}

@@ -4,7 +4,8 @@ package wire
 // faults (dropped messages, broken connections, injected network errors).
 //
 // Retries are applied per frame, under the op table's re-send rule for its
-// op (ops.go). Commit is special: once a commit request may have reached the
+// op (ops.go); a batch is one frame, under the strictest rule of its members.
+// Commit is special: once a commit request may have reached the
 // server, a transport failure makes the outcome genuinely ambiguous — the
 // server commits and aborts-on-disconnect are both possible, and a blind
 // re-send that draws ErrNoTxn cannot tell them apart.
@@ -118,9 +119,11 @@ func (c *retrier) backoff(n int) {
 	c.pol.Sleep(d)
 }
 
-// roundTrip runs f under the retry loop with its op's re-send rule.
+// roundTrip runs f under the retry loop with its re-send rule: its op's, or
+// for a batch the strictest of its members'.
 func (c *retrier) roundTrip(f frame) ([]byte, error) {
-	rule := rowOf(f.op).resend
+	_, row := asOne(f)
+	rule := row.resend
 	var err error
 	for {
 		for n := 0; n < c.pol.MaxAttempts; n++ {

@@ -29,7 +29,8 @@ func (s *scripted) roundTrip(f frame) ([]byte, error) {
 		s.errs = s.errs[1:]
 		return nil, err
 	}
-	switch f.op {
+	last, _ := asOne(f) // a batch answers as its last member
+	switch last.op {
 	case opBegin:
 		return make([]byte, 8), nil
 	case opAllocPage:
@@ -145,16 +146,23 @@ func TestCommitResentWhenGuaranteedUndelivered(t *testing.T) {
 	}
 }
 
+// TestShipLogAmbiguousFailureSurfacesRaw: a ShipLog travels with its
+// transaction's next call, and a batch holding one is re-sent only when it
+// surely never arrived. An ambiguous failure reaches the call that carried
+// it — here a Lock, itself safe to re-send — as the raw transport error.
 func TestShipLogAmbiguousFailureSurfacesRaw(t *testing.T) {
 	var sleeps []time.Duration
 	svc, c := scriptedClient(io.EOF)
 	r := WithRetry(c, retryPolicy(5, &sleeps))
-	err := r.ShipLog(1, []byte{1})
+	if err := r.ShipLog(1, []byte{1}); err != nil || svc.calls != 0 {
+		t.Fatalf("ShipLog = %v after %d frames, want nil and nothing sent", err, svc.calls)
+	}
+	err := r.Lock(1, 1, lock.Exclusive)
 	if !errors.Is(err, io.EOF) || errors.Is(err, ErrCommitOutcomeUnknown) || errors.Is(err, ErrServerUnavailable) {
 		t.Fatalf("err = %v, want the raw transport error (a re-send would double-append)", err)
 	}
-	if svc.calls != 1 {
-		t.Fatalf("ambiguously failed ShipLog was re-sent (%d attempts)", svc.calls)
+	if svc.calls != 1 || svc.ops[0] != opBatch {
+		t.Fatalf("ambiguously failed batch was re-sent (%d attempts: %v)", svc.calls, svc.ops)
 	}
 }
 

@@ -140,30 +140,32 @@ func (d *daemon) serveConn(conn net.Conn) {
 		if err != nil {
 			status, reply = encodeErr(err)
 		}
+		// A batch is booked as its last member: it is one transaction's.
+		last, _ := asOne(f)
 		switch status {
 		case stOK:
-			switch f.op {
+			switch last.op {
 			case opBegin:
-				if f.tid != 0 {
+				if last.tid != 0 {
 					// An Adopt's reply echoes the adopted id, as a Begin's names
 					// the new one.
-					reply = binary.LittleEndian.AppendUint64(nil, uint64(f.tid))
+					reply = binary.LittleEndian.AppendUint64(nil, uint64(last.tid))
 				}
 				active[logrec.TID(binary.LittleEndian.Uint64(reply))] = true
 			case opCommit, opAbort:
-				delete(active, f.tid)
+				delete(active, last.tid)
 			case opDecide:
-				if f.mode != decideForget {
-					delete(active, f.tid)
+				if last.mode != decideForget {
+					delete(active, last.tid)
 				}
 			}
 		case stFaultAbort:
 			// Graceful degradation: a disk fault failed this request, not the
 			// process. Abort the affected transaction so its locks release
 			// and every other client keeps running.
-			if active[f.tid] {
-				s.sn.Abort(f.tid)
-				delete(active, f.tid)
+			if active[last.tid] {
+				s.sn.Abort(last.tid)
+				delete(active, last.tid)
 			}
 		}
 		if err := writeFrame(w, []byte{status}, reply); err != nil {
@@ -177,7 +179,31 @@ func (d *daemon) serveConn(conn net.Conn) {
 
 // roundTrip serves one request frame: the reply payload, or the server's
 // error as it is.
-func (s *session) roundTrip(f frame) ([]byte, error) {
+func (s *session) roundTrip(f frame) ([]byte, error) { return s.each(f, s.serve) }
+
+// each serves f through one, a batch member by member in order: the first
+// error stops the batch and is its reply, and otherwise its last member's
+// reply is.
+func (s *session) each(f frame, one func(frame) ([]byte, error)) ([]byte, error) {
+	if f.op != opBatch {
+		return one(f)
+	}
+	s.d.ops[opBatch].Add(1)
+	members, err := subFrames(f)
+	if err != nil {
+		return nil, err
+	}
+	var out []byte
+	for _, m := range members {
+		if out, err = one(m); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// serve serves one frame that is not a batch.
+func (s *session) serve(f frame) ([]byte, error) {
 	d, sn := s.d, s.sn
 	d.ops[f.op].Add(1)
 	switch f.op {

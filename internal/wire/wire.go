@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/archive"
 	"repro/internal/costmodel"
@@ -33,9 +34,13 @@ type Service interface {
 	AllocPage(tid logrec.TID) (page.ID, error)
 	// ReadPage fetches a page after acquiring the given lock.
 	ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error)
-	// ShipLog delivers one page worth of encoded log records.
+	// ShipLog delivers one page worth of encoded log records. The records
+	// may travel with the transaction's next call instead, and an error they
+	// draw may surface there; after it the transaction must be aborted.
 	ShipLog(tid logrec.TID, data []byte) error
-	// ShipPage delivers a dirty page.
+	// ShipPage delivers a dirty page. Like ShipLog, it may travel with the
+	// transaction's next call, and its error may surface there; after it the
+	// transaction must be aborted.
 	ShipPage(tid logrec.TID, pid page.ID, data []byte) error
 	// Commit commits the transaction (forcing the log at the server).
 	Commit(tid logrec.TID) error
@@ -76,9 +81,15 @@ type carrier interface {
 
 // Client is the protocol's client side, written once: every Service, TwoPC
 // and management call builds a frame, hands it to the client's carrier and
-// decodes the reply.
+// decodes the reply. A status-only frame (ShipLog, ShipPage) is not sent on
+// its own: it waits, encoded, until its transaction's next call that needs
+// an answer carries it along in one batch frame.
 type Client struct {
 	c carrier
+	// mu guards pending: shard.Router lets a management goroutine (Recover)
+	// call in beside the transaction's own calls.
+	mu      sync.Mutex
+	pending map[logrec.TID][]byte // per transaction, its deferred frames as batch members
 }
 
 var (
@@ -94,17 +105,20 @@ const (
 
 // direct carries frames in process: each is served on the client's own server
 // session by the function a daemon connection runs, and charged to the meter
-// as the paper's Ethernet would carry it. With a NopMeter this is the plain
-// embedded configuration; with a SimMeter it models the network between a
-// client workstation and the server.
+// as the paper's Ethernet would carry it — a batch's members one request and
+// reply each, as the paper's protocol sends them. With a NopMeter this is the
+// plain embedded configuration; with a SimMeter it models the network between
+// a client workstation and the server.
 type direct struct {
 	s *session
 	m costmodel.Meter
 }
 
-func (d *direct) roundTrip(f frame) ([]byte, error) {
+func (d *direct) roundTrip(f frame) ([]byte, error) { return d.s.each(f, d.one) }
+
+func (d *direct) one(f frame) ([]byte, error) {
 	d.m.MsgToServer(reqHeader + len(f.payload))
-	out, err := d.s.roundTrip(f)
+	out, err := d.s.serve(f)
 	d.m.MsgToClient(respHeader + len(out))
 	return out, err
 }
@@ -129,15 +143,58 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// call sends f as its op's row says: a deferred frame joins its
+// transaction's pending frames and answers nil; a carrying one goes last in
+// a batch frame of them, or alone when none are pending; any other goes
+// alone. A frame that would push the batch past maxFrame first sends the
+// pending frames as a batch of their own.
+func (c *Client) call(f frame) ([]byte, error) {
+	role := rowOf(f.op).batch
+	if role == alone {
+		return c.c.roundTrip(f)
+	}
+	buf := c.take(f.tid)
+	if buf != nil && headSize+len(buf)+memberSize(f) > maxFrame {
+		if _, err := c.c.roundTrip(frame{op: opBatch, tid: f.tid, payload: buf}); err != nil {
+			return nil, err
+		}
+		buf = nil
+	}
+	switch {
+	case role == deferred:
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.pending == nil {
+			c.pending = make(map[logrec.TID][]byte)
+		}
+		c.pending[f.tid] = appendMember(buf, f)
+		return nil, nil
+	case buf == nil:
+		return c.c.roundTrip(f)
+	}
+	return c.c.roundTrip(frame{op: opBatch, tid: f.tid, payload: appendMember(buf, f)})
+}
+
+// take removes tid's pending frames and returns them; nil when none wait.
+// Abort and an abort decision call it to drop them unsent: the server never
+// saw them, so there is nothing to undo.
+func (c *Client) take(tid logrec.TID) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	buf := c.pending[tid]
+	delete(c.pending, tid)
+	return buf
+}
+
 // send is a call whose reply carries nothing but its status.
 func (c *Client) send(f frame) error {
-	_, err := c.c.roundTrip(f)
+	_, err := c.call(f)
 	return err
 }
 
 // fetchJSON is a management call whose reply is a JSON document.
 func (c *Client) fetchJSON(f frame, v any) error {
-	out, err := c.c.roundTrip(f)
+	out, err := c.call(f)
 	if err != nil {
 		return err
 	}
@@ -149,7 +206,7 @@ func (c *Client) fetchJSON(f frame, v any) error {
 
 // Begin implements Service.
 func (c *Client) Begin() (logrec.TID, error) {
-	out, err := c.c.roundTrip(frame{op: opBegin})
+	out, err := c.call(frame{op: opBegin})
 	if err != nil {
 		return 0, err
 	}
@@ -166,7 +223,7 @@ func (c *Client) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
 
 // AllocPage implements Service.
 func (c *Client) AllocPage(tid logrec.TID) (page.ID, error) {
-	out, err := c.c.roundTrip(frame{op: opAllocPage, tid: tid})
+	out, err := c.call(frame{op: opAllocPage, tid: tid})
 	if err != nil {
 		return 0, err
 	}
@@ -178,7 +235,7 @@ func (c *Client) AllocPage(tid logrec.TID) (page.ID, error) {
 
 // ReadPage implements Service.
 func (c *Client) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error) {
-	out, err := c.c.roundTrip(frame{op: opReadPage, tid: tid, pid: pid, mode: byte(mode)})
+	out, err := c.call(frame{op: opReadPage, tid: tid, pid: pid, mode: byte(mode)})
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +260,10 @@ func (c *Client) Commit(tid logrec.TID) error {
 	return c.send(frame{op: opCommit, tid: tid})
 }
 
-// Abort implements Service.
+// Abort implements Service. The transaction's pending frames are dropped
+// unsent.
 func (c *Client) Abort(tid logrec.TID) error {
+	c.take(tid)
 	return c.send(frame{op: opAbort, tid: tid})
 }
 
@@ -223,11 +282,14 @@ func (c *Client) Prepare(tid logrec.TID, coordinator int, participants []int) er
 	return c.send(frame{op: opPrepare, tid: tid, payload: logrec.EncodePrepareInfo(coordinator, participants)})
 }
 
-// Decide implements TwoPC.
+// Decide implements TwoPC. An abort decision is the router's Abort of a
+// branch, and drops the branch's pending frames unsent as Abort does.
 func (c *Client) Decide(tid logrec.TID, commit bool) error {
 	mode := byte(decideAbort)
 	if commit {
 		mode = decideCommit
+	} else {
+		c.take(tid)
 	}
 	return c.send(frame{op: opDecide, tid: tid, mode: mode})
 }
@@ -242,7 +304,7 @@ func (c *Client) Forget(tid logrec.TID) error {
 // Resolve implements TwoPC. Reply: [u8 commit][u32 n][u32 ×n participant
 // shard ids].
 func (c *Client) Resolve(tid logrec.TID) (bool, []int, error) {
-	out, err := c.c.roundTrip(frame{op: opResolveInDoubt, tid: tid})
+	out, err := c.call(frame{op: opResolveInDoubt, tid: tid})
 	if err != nil {
 		return false, nil, err
 	}
@@ -279,7 +341,7 @@ func (c *Client) Faults(arm bool, name string, seed int64) (string, error) {
 	}
 	binary.LittleEndian.PutUint64(payload[1:9], uint64(seed))
 	copy(payload[9:], name)
-	out, err := c.c.roundTrip(frame{op: opFaults, payload: payload})
+	out, err := c.call(frame{op: opFaults, payload: payload})
 	return string(out), err
 }
 
@@ -317,7 +379,7 @@ func (c *Client) ReplFetch(from, applied uint64, maxBytes int) (repl.Batch, erro
 	binary.LittleEndian.PutUint64(payload[0:], from)
 	binary.LittleEndian.PutUint64(payload[8:], applied)
 	binary.LittleEndian.PutUint32(payload[16:], uint32(maxBytes))
-	out, err := c.c.roundTrip(frame{op: opReplFetch, payload: payload[:]})
+	out, err := c.call(frame{op: opReplFetch, payload: payload[:]})
 	if err != nil {
 		return repl.Batch{}, err
 	}

@@ -362,7 +362,9 @@ func TestConnectionResetAfterCommitFrame(t *testing.T) {
 // fall outside the page is refused with an ordinary request error — before it
 // is logged — and the transaction, the connection and the server all carry
 // on. (Unchecked, the record panicked a REDO server on apply and sat in an
-// ESM server's log as poison for the abort's undo and for restart.)
+// ESM server's log as poison for the abort's undo and for restart.) The
+// records travel with the transaction's next call, a Lock here, and the
+// refusal is its reply.
 func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
 	past := logrec.NewUpdate(0, 0, 0, make([]byte, 64), make([]byte, 64))
 	past.Off = page.Size - 8
@@ -397,12 +399,18 @@ func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
 			if err := svc.ShipLog(tid, logrec.NewPageImage(tid, pid, pg.Bytes()).Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
+			if err := svc.Lock(tid, pid, lock.Exclusive); err != nil {
+				t.Fatal(err)
+			}
 			end := srv.Log().End()
 			for name, r := range bad {
 				r.Page = pid
-				// A good record ahead of the bad one: the batch is refused whole.
+				// A good record ahead of the bad one: the log page is refused whole.
 				batch := logrec.NewUpdate(tid, pid, 200, make([]byte, 4), []byte("good")).Encode(nil)
-				err := svc.ShipLog(tid, r.Encode(batch))
+				if err := svc.ShipLog(tid, r.Encode(batch)); err != nil {
+					t.Fatalf("%v/%s: %s: ShipLog = %v, want it deferred", mode, transport, name, err)
+				}
+				err := svc.Lock(tid, pid, lock.Exclusive)
 				if err == nil || errors.Is(err, server.ErrNoTxn) {
 					t.Fatalf("%v/%s: %s: err = %v, want a request error", mode, transport, name, err)
 				}
@@ -413,6 +421,9 @@ func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
 			// Same transaction, same connection: still usable, and its abort
 			// (which undoes every logged update) finds no poison.
 			if err := svc.ShipLog(tid, logrec.NewUpdate(tid, pid, 200, make([]byte, 4), []byte("good")).Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Lock(tid, pid, lock.Exclusive); err != nil {
 				t.Fatalf("%v/%s: ShipLog after a rejected batch: %v", mode, transport, err)
 			}
 			if err := svc.Abort(tid); err != nil {
