@@ -2,9 +2,9 @@
 # static invariant suite, DESIGN.md §11) and its fixture corpus, build, the
 # full test suite under the race detector, the budget-sampled sweeps (every
 # kind of DESIGN.md §2.3 × all five schemes), one pass of the checkpoint
-# latency benchmark (§13), the tests of the bench/ module, which links
-# these packages but which `go test ./...` here never reaches, and a short
-# run of every fuzz target.
+# latency benchmark (§13), one iteration of each per-layer microbenchmark,
+# the tests of the bench/ module, which links these packages but which
+# `go test ./...` here never reaches, and a short run of every fuzz target.
 #
 # The race-<subsystem> targets re-run a slice of `race` with -count=1; they
 # stay as the repro entry points README.md and DESIGN.md name, but `check`
@@ -12,9 +12,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race fuzz-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare bench-pairs
+.PHONY: check vet lint lint-fixtures build test race fuzz-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-micro bench-micro-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare bench-pairs
 
-check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke bench-test fuzz-smoke
+check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke bench-micro-smoke bench-test fuzz-smoke
 
 # Every sweep kind (crash, fuzzy, restart-crash, group, media, scrub, repl,
 # twopc, twopc-stall — DESIGN.md §2.3) over all five schemes, 50 sampled
@@ -115,6 +115,18 @@ race-cleaner:
 # run end to end; the report goes to a scratch file, not the repo.
 bench-ckpt-smoke:
 	$(GO) run ./cmd/benchcommit -ckpt -out $${TMPDIR:-/tmp}/BENCH_checkpoint_smoke.json
+
+# The per-layer microbenchmarks, ns/op and allocs/op each: a WAL append,
+# restart phase by phase, the dereference of a resident object, and a T1
+# traversal by a client whose pool holds half the module. The smoke runs
+# each benchmark once.
+BENCH_MICRO = $(GO) test ./internal/wal/ ./internal/server/ ./internal/client/ ./internal/oo7/ -run '^$$' \
+	-bench '^Benchmark(Append|Restart|ReadObject|TraverseT1)$$' -benchmem
+bench-micro:
+	$(BENCH_MICRO)
+
+bench-micro-smoke:
+	$(BENCH_MICRO) -benchtime=1x
 
 # Multi-client commit-throughput benchmark: group commit at 1/2/4/8
 # clients, per scheme, writing BENCH_commit.json — plus the same grid over a

@@ -100,6 +100,15 @@ func (p *Pool) Get(pid page.ID) *Frame {
 	return f
 }
 
+// Touch is Get for a frame the caller already holds: the same hit count and
+// recency update, without the lookup. f must be resident.
+func (p *Pool) Touch(f *Frame) {
+	p.hits++
+	if f.elem != nil {
+		p.lru.MoveToBack(f.elem)
+	}
+}
+
 // Peek returns the resident frame without touching recency or stats.
 func (p *Pool) Peek(pid page.ID) *Frame { return p.frames[pid] }
 

@@ -69,6 +69,39 @@ func TestLRUVictimOrder(t *testing.T) {
 	}
 }
 
+// TestTouchIsGetWithoutTheLookup: the same access sequence through Get and
+// through Touch on held frames leaves the same victim order and hit count;
+// a pinned frame is counted but not queued.
+func TestTouchIsGetWithoutTheLookup(t *testing.T) {
+	byGet, byTouch := NewPool(4), NewPool(4)
+	var held []*Frame
+	for pid := page.ID(1); pid <= 4; pid++ {
+		byGet.Insert(pid, nil)
+		f, _ := byTouch.Insert(pid, nil)
+		held = append(held, f)
+	}
+	byGet.Pin(4)
+	byTouch.Pin(4)
+	for _, pid := range []page.ID{3, 1, 4, 3, 2} {
+		byGet.Get(pid)
+		byTouch.Touch(held[pid-1])
+	}
+	if byGet.Hits() != 5 || byTouch.Hits() != 5 || byTouch.Misses() != 0 {
+		t.Fatalf("hits %d by Get, %d by Touch (misses %d)", byGet.Hits(), byTouch.Hits(), byTouch.Misses())
+	}
+	for i := 0; i < 3; i++ {
+		g, h := byGet.Victim(), byTouch.Victim()
+		if g.PID() != h.PID() {
+			t.Fatalf("victim %d: %v by Get, %v by Touch", i, g.PID(), h.PID())
+		}
+		byGet.Remove(g.PID())
+		byTouch.Remove(h.PID())
+	}
+	if byTouch.Victim() != nil {
+		t.Fatal("the pinned frame became a victim")
+	}
+}
+
 func TestFullPoolRejectsInsert(t *testing.T) {
 	p := NewPool(1)
 	p.Insert(1, nil)

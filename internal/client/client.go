@@ -136,6 +136,26 @@ type Client struct {
 	stats Stats
 	// allocPage is the page new objects are placed on until it fills.
 	allocPage page.ID
+	// txSeq numbers this client's transactions; a descriptor's cached lock
+	// is valid only under the number it was cached with. Server tids cannot
+	// serve: a restarted server may hand one out again.
+	txSeq uint64
+	// chunk is the unused tail of the slab ReadObject cuts copies from.
+	chunk []byte
+}
+
+// readChunk is the size of the slabs ReadObject's copies are cut from.
+const readChunk = 16 << 10
+
+// objectCopy returns an n-byte slice cut from the current slab, capped so
+// that appending to it reallocates rather than overwriting the next copy.
+func (c *Client) objectCopy(n int) []byte {
+	if n > len(c.chunk) {
+		c.chunk = make([]byte, max(readChunk, n))
+	}
+	out := c.chunk[:n:n]
+	c.chunk = c.chunk[n:]
+	return out
 }
 
 // New creates a client speaking to svc. Retry is a property of the
@@ -247,9 +267,11 @@ func (c *Client) Begin() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.txSeq++
 	c.tx = &Tx{
 		c:              c,
 		tid:            tid,
+		seq:            c.txSeq,
 		dirty:          make(map[page.ID]bool),
 		fresh:          make(map[page.ID]bool),
 		locks:          make(map[page.ID]lock.Mode),
@@ -274,12 +296,14 @@ func (c *Client) handleFault(d *vmem.Desc, _ vmem.Addr, write bool) error {
 }
 
 // fetch makes pid resident, locked in mode, and returns its descriptor,
-// evicting as needed. Pages cached across transaction boundaries still need a
-// lock each transaction — ESM caches pages but not locks (§3.1).
+// evicting as needed. A resident page costs one descriptor lookup: the
+// descriptor holds its pool frame and the lock this transaction took on it.
+// Pages cached across transaction boundaries still need a lock each
+// transaction — ESM caches pages but not locks (§3.1).
 func (c *Client) fetch(tx *Tx, pid page.ID, mode lock.Mode) (*vmem.Desc, error) {
 	if d := c.space.ByPage(pid); d != nil {
-		c.pool.Get(pid) // recency
-		if err := tx.lock(pid, mode); err != nil {
+		c.pool.Touch(d.Frame)
+		if err := tx.lockDesc(d, mode); err != nil {
 			return nil, err
 		}
 		return d, nil
@@ -301,7 +325,7 @@ func (c *Client) fetch(tx *Tx, pid page.ID, mode lock.Mode) (*vmem.Desc, error) 
 	if err != nil {
 		return nil, err
 	}
-	return c.space.Map(pid, f.Bytes()), nil
+	return c.space.Map(pid, f), nil
 }
 
 // evictOne pushes the LRU page out of the client pool, generating log

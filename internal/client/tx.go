@@ -17,6 +17,7 @@ import (
 type Tx struct {
 	c      *Client
 	tid    logrec.TID
+	seq    uint64                // the client's number for it (Client.txSeq)
 	dirty  map[page.ID]bool      // pages updated and still resident
 	fresh  map[page.ID]bool      // pages created by this transaction
 	locks  map[page.ID]lock.Mode // page locks taken this transaction
@@ -37,11 +38,17 @@ func (tx *Tx) check() error {
 	return nil
 }
 
+// covers reports whether holding a lock in mode held satisfies a request
+// for mode.
+func covers(held, mode lock.Mode) bool {
+	return held == lock.Exclusive || mode == lock.Shared
+}
+
 // holds reports whether the transaction already holds pid's lock in mode or
 // a stronger one.
 func (tx *Tx) holds(pid page.ID, mode lock.Mode) bool {
 	held, ok := tx.locks[pid]
-	return ok && (held == lock.Exclusive || mode == lock.Shared)
+	return ok && covers(held, mode)
 }
 
 // lock acquires pid's lock in mode once per transaction; asking for
@@ -54,6 +61,20 @@ func (tx *Tx) lock(pid page.ID, mode lock.Mode) error {
 		return err
 	}
 	tx.locks[pid] = mode
+	return nil
+}
+
+// lockDesc is lock for a resident page: the lock d caches for this
+// transaction answers it when strong enough, and the lock table otherwise,
+// after which d caches mode (the table may hold more).
+func (tx *Tx) lockDesc(d *vmem.Desc, mode lock.Mode) error {
+	if d.LockTx == tx.seq && covers(d.Lock, mode) {
+		return nil
+	}
+	if err := tx.lock(d.Page, mode); err != nil {
+		return err
+	}
+	d.LockTx, d.Lock = tx.seq, mode
 	return nil
 }
 
@@ -75,7 +96,7 @@ func (tx *Tx) enableRecovery(d *vmem.Desc) error {
 				return err
 			}
 			c.m.ClientCompute(c.p.CopyPage)
-			c.rb.PutPage(d.Page, d.Frame)
+			c.rb.PutPage(d.Page, d.Frame.Bytes())
 			c.stats.PageCopies++
 		}
 		if err := tx.lock(d.Page, lock.Exclusive); err != nil {
@@ -137,7 +158,7 @@ func (tx *Tx) touchBlocks(d *vmem.Desc, start, n int) error {
 			return err
 		}
 		c.m.ClientCompute(c.p.CopyBlock)
-		c.rb.PutBlock(d.Page, b, d.Frame[b*bs:(b+1)*bs])
+		c.rb.PutBlock(d.Page, b, d.Frame.Bytes()[b*bs:(b+1)*bs])
 		c.stats.BlockCopies++
 	}
 	return nil
@@ -159,7 +180,7 @@ func (tx *Tx) prepareStructWrite(d *vmem.Desc) error {
 				return err
 			}
 			c.m.ClientCompute(c.p.CopyPage)
-			c.rb.PutPage(d.Page, d.Frame)
+			c.rb.PutPage(d.Page, d.Frame.Bytes())
 			c.stats.PageCopies++
 			d.RecoveryEnabled = true
 		}
@@ -193,14 +214,9 @@ func (tx *Tx) objectRange(oid page.OID, mode lock.Mode) (*vmem.Desc, int, int, e
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	pg := page.Wrap(d.Frame)
-	off, err := pg.ObjectOffset(int(oid.Slot))
+	off, size, err := page.Wrap(d.Frame.Bytes()).ObjectRange(int(oid.Slot))
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("client: %v: %w", oid, err)
-	}
-	size, err := pg.ObjectSize(int(oid.Slot))
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	return d, off, size, nil
 }
@@ -211,7 +227,8 @@ func (tx *Tx) Size(oid page.OID) (int, error) {
 	return size, err
 }
 
-// Read copies len(dst) bytes from the object starting at off.
+// Read copies len(dst) bytes from the object starting at off: a copy
+// through the page's descriptor.
 func (tx *Tx) Read(oid page.OID, off int, dst []byte) error {
 	d, objOff, size, err := tx.objectRange(oid, lock.Shared)
 	if err != nil {
@@ -221,17 +238,20 @@ func (tx *Tx) Read(oid page.OID, off int, dst []byte) error {
 		return fmt.Errorf("client: read [%d,%d) outside %v (size %d)", off, off+len(dst), oid, size)
 	}
 	tx.c.m.ClientCompute(tx.c.p.Deref)
-	return tx.c.space.Read(d.VAddr+uint64(objOff+off), dst)
+	return tx.c.space.Read(d, objOff+off, dst)
 }
 
-// ReadObject returns a copy of the whole object.
+// ReadObject returns a copy of the whole object. Copies are cut from a
+// client-owned slab, but each is an independent slice: appending to one, or
+// a later write to the object, leaves every other copy as it was.
 func (tx *Tx) ReadObject(oid page.OID) ([]byte, error) {
-	_, _, size, err := tx.objectRange(oid, lock.Shared)
+	d, objOff, size, err := tx.objectRange(oid, lock.Shared)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, size)
-	if err := tx.Read(oid, 0, out); err != nil {
+	tx.c.m.ClientCompute(tx.c.p.Deref)
+	out := tx.c.objectCopy(size)
+	if err := tx.c.space.Read(d, objOff, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -261,11 +281,11 @@ func (tx *Tx) Write(oid page.OID, off int, data []byte) error {
 				return err
 			}
 		}
-		copy(d.Frame[start:start+len(data)], data)
+		copy(d.Frame.Bytes()[start:start+len(data)], data)
 		tx.markDirty(d)
 		return nil
 	default:
-		return c.space.Write(d.VAddr+uint64(start), data)
+		return c.space.Write(d, start, data)
 	}
 }
 
@@ -300,7 +320,7 @@ func (tx *Tx) tryAllocateOn(pid page.ID, size int) (page.OID, error, bool) {
 	if err != nil {
 		return page.NilOID, err, true
 	}
-	pg := page.Wrap(d.Frame)
+	pg := page.Wrap(d.Frame.Bytes())
 	if pg.FreeSpace() < size {
 		return page.NilOID, nil, false
 	}
@@ -339,7 +359,7 @@ func (tx *Tx) NewPage() (page.ID, error) {
 		return 0, err
 	}
 	page.Wrap(f.Bytes()).Init(pid)
-	d := c.space.Map(pid, f.Bytes())
+	d := c.space.Map(pid, f)
 	tx.fresh[pid] = true
 	tx.locks[pid] = lock.Exclusive // AllocPage grants the X lock at the server
 	d.RecoveryEnabled = true
@@ -358,7 +378,7 @@ func (tx *Tx) Free(oid page.OID) error {
 	if err := tx.prepareStructWrite(d); err != nil {
 		return err
 	}
-	return page.Wrap(d.Frame).Free(int(oid.Slot))
+	return page.Wrap(d.Frame.Bytes()).Free(int(oid.Slot))
 }
 
 // --- log generation ----------------------------------------------------------
@@ -472,7 +492,7 @@ func (tx *Tx) emitPageDiff(pid page.ID, old, cur []byte) error {
 		if firstErr != nil {
 			return
 		}
-		off, err := po.ObjectOffset(slot)
+		off, _, err := po.ObjectRange(slot)
 		if err != nil {
 			firstErr = err
 			return

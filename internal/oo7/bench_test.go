@@ -1,0 +1,59 @@
+package oo7
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/costmodel"
+	"repro/internal/disk"
+	"repro/internal/server"
+	"repro/internal/wire"
+)
+
+// BenchmarkTraverseT1 times one read-only T1 traversal transaction of a
+// module with the shape the oo7-read workload uses (a tenth of the small
+// module's composite parts under a five-level assembly tree), by a PD-ESM
+// client whose pool holds half the module, in process over wire.NewDirect.
+// Most of an op is the client's own work: dereferences of resident objects,
+// and the page faults and evictions of a pool smaller than the module.
+func BenchmarkTraverseT1(b *testing.B) {
+	cfg := SmallConfig().Scale(10)
+	cfg.NumAssmLevels = 5
+	cfg.NumModules = 1
+	store := disk.NewMemStore()
+	srv := server.New(server.Config{
+		Mode:            server.ModeESM,
+		Store:           store,
+		PoolPages:       4096,
+		LogCapacity:     64 << 20,
+		LockTimeout:     time.Second,
+		CheckpointEvery: 1 << 30,
+	})
+	defer srv.Close()
+	loader := client.New(client.Config{PoolPages: 2048, RecoveryBytes: 8 << 20, ShipDirtyPages: true},
+		wire.NewDirect(srv, nil, nil))
+	db, err := Build(loader, cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	cli := client.New(client.Config{PoolPages: store.Pages() / 2, RecoveryBytes: 96 << 10, ShipDirtyPages: true},
+		wire.NewDirect(srv, nil, nil))
+	mod := &db.Modules[0]
+	p := costmodel.Default1995()
+	want := Result{CompVisits: cfg.BaseAssemblies() * cfg.NumCompPerAssm}
+	want.AtomicVisits = want.CompVisits * cfg.NumAtomicPerComp
+	if res, err := Run(cli, mod, T1, costmodel.NopMeter{}, p); err != nil || res != want {
+		b.Fatalf("warm-up T1: %+v, %v; want %+v", res, err, want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cli, mod, T1, costmodel.NopMeter{}, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -281,40 +281,26 @@ func (p *Page) Free(slot int) error {
 	return nil
 }
 
-// ObjectSize returns the size of the object in slot.
-func (p *Page) ObjectSize(slot int) (int, error) {
+// ObjectRange returns the byte offset within the page and the size of the
+// object in slot, decoding its directory entry once. The object occupies
+// [off, off+size).
+func (p *Page) ObjectRange(slot int) (off, size int, err error) {
 	if slot < 0 || slot >= p.SlotCount() {
-		return 0, ErrBadSlot
+		return 0, 0, ErrBadSlot
 	}
-	off, l := p.slot(slot)
-	if off == 0 && l == 0 {
-		return 0, ErrBadSlot
+	off, size = p.slot(slot)
+	if off == 0 && size == 0 {
+		return 0, 0, ErrBadSlot
 	}
-	return l, nil
-}
-
-// ObjectOffset returns the byte offset within the page of the object in slot.
-// The object occupies [offset, offset+size).
-func (p *Page) ObjectOffset(slot int) (int, error) {
-	if slot < 0 || slot >= p.SlotCount() {
-		return 0, ErrBadSlot
-	}
-	off, l := p.slot(slot)
-	if off == 0 && l == 0 {
-		return 0, ErrBadSlot
-	}
-	return off, nil
+	return off, size, nil
 }
 
 // Object returns the object's bytes in place. Mutations write through to the
 // page.
 func (p *Page) Object(slot int) ([]byte, error) {
-	if slot < 0 || slot >= p.SlotCount() {
-		return nil, ErrBadSlot
-	}
-	off, l := p.slot(slot)
-	if off == 0 && l == 0 {
-		return nil, ErrBadSlot
+	off, l, err := p.ObjectRange(slot)
+	if err != nil {
+		return nil, err
 	}
 	return p.buf[off : off+l : off+l], nil
 }

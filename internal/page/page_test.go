@@ -66,6 +66,18 @@ func TestAllocateAndAccess(t *testing.T) {
 			t.Fatal("fresh object not zeroed")
 		}
 	}
+	// ObjectRange names the bytes Object returns.
+	off, size, err := p.ObjectRange(s2)
+	obj, _ := p.Object(s2)
+	if err != nil || size != 200 || size != len(obj) || &p.Bytes()[off] != &obj[0] {
+		t.Fatalf("ObjectRange(%d) = %d, %d, %v", s2, off, size, err)
+	}
+	p.Free(s1)
+	for _, slot := range []int{s1, -1, 2} {
+		if _, _, err := p.ObjectRange(slot); err != ErrBadSlot {
+			t.Fatalf("ObjectRange(%d) of a freed or absent slot: %v", slot, err)
+		}
+	}
 }
 
 func TestAllocateZeroesReusedSpace(t *testing.T) {

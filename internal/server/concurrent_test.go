@@ -57,7 +57,7 @@ func workerUpdate(sn *Session, pid page.ID, slot int, newVal []byte) error {
 	if err := pg.ReadAt(slot, 0, old); err != nil {
 		return err
 	}
-	off, err := pg.ObjectOffset(slot)
+	off, _, err := pg.ObjectRange(slot)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func TestLogPressureCheckpointBacksOffWhenHeadIsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := page.Wrap(data).ObjectOffset(pslot)
+	off, _, err := page.Wrap(data).ObjectRange(pslot)
 	if err != nil {
 		t.Fatal(err)
 	}

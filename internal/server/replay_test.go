@@ -650,7 +650,7 @@ func TestLiveTablesMatchAnalysis(t *testing.T) {
 				if err := pg.ReadAt(slot, 0, old); err != nil {
 					t.Fatal(err)
 				}
-				off, err := pg.ObjectOffset(slot)
+				off, _, err := pg.ObjectRange(slot)
 				if err != nil {
 					t.Fatal(err)
 				}

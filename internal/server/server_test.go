@@ -111,7 +111,7 @@ func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byt
 	if err := pg.ReadAt(slot, 0, old); err != nil {
 		t.Fatal(err)
 	}
-	off, err := pg.ObjectOffset(slot)
+	off, _, err := pg.ObjectRange(slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestAbortRestoresOldValue(t *testing.T) {
 				t.Fatal(err)
 			}
 			pg := page.Wrap(data)
-			off, _ := pg.ObjectOffset(slot)
+			off, _, _ := pg.ObjectRange(slot)
 			old := make([]byte, 12)
 			pg.ReadAt(slot, 0, old)
 			pg.WriteAt(slot, 0, []byte("aborted....."))
@@ -269,7 +269,7 @@ func TestCrashAfterAbortKeepsOldValue(t *testing.T) {
 			tid := sn.Begin()
 			data, _ := sn.ReadPage(tid, pid, lock.Exclusive)
 			pg := page.Wrap(data)
-			off, _ := pg.ObjectOffset(slot)
+			off, _, _ := pg.ObjectRange(slot)
 			old := make([]byte, 12)
 			pg.ReadAt(slot, 0, old)
 			pg.WriteAt(slot, 0, []byte("dead-update!"))

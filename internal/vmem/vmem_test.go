@@ -2,14 +2,29 @@ package vmem
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/page"
 )
 
-func frame() []byte { return make([]byte, page.Size) }
+// framePool backs every test mapping; frame hands out a fresh frame of it.
+var (
+	framePool = buffer.NewPool(1 << 14)
+	framePID  page.ID
+)
+
+func frame() *buffer.Frame {
+	framePID++
+	f, err := framePool.Insert(framePID, nil)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
 
 func TestMapLookup(t *testing.T) {
 	s := NewSpace()
@@ -38,17 +53,17 @@ func TestMapLookup(t *testing.T) {
 func TestReadableByDefaultWriteFaults(t *testing.T) {
 	s := NewSpace()
 	f := frame()
-	f[10] = 77
+	f.Bytes()[10] = 77
 	d := s.Map(1, f)
 	var got [1]byte
-	if err := s.Read(d.VAddr+10, got[:]); err != nil {
+	if err := s.Read(d, 10, got[:]); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 77 {
 		t.Fatalf("read %d", got[0])
 	}
 	// Write without a handler fails with a protection error.
-	if err := s.Write(d.VAddr, []byte{1}); err == nil {
+	if err := s.Write(d, 0, []byte{1}); err == nil {
 		t.Fatal("write to ReadOnly frame without handler succeeded")
 	}
 }
@@ -67,20 +82,20 @@ func TestFaultHandlerEnablesWrite(t *testing.T) {
 		fd.RecoveryEnabled = true
 		return nil
 	})
-	if err := s.Write(d.VAddr+8, []byte{42}); err != nil {
+	if err := s.Write(d, 8, []byte{42}); err != nil {
 		t.Fatal(err)
 	}
 	if faultedAddr != d.VAddr+8 || !faultedWrite {
 		t.Fatalf("fault at %#x write=%v", faultedAddr, faultedWrite)
 	}
-	if d.Frame[8] != 42 {
+	if d.Frame.Bytes()[8] != 42 {
 		t.Fatal("write not applied")
 	}
 	if s.Faults() != 1 {
 		t.Fatalf("faults = %d", s.Faults())
 	}
 	// Second write: no fault (memory speed).
-	if err := s.Write(d.VAddr+9, []byte{43}); err != nil {
+	if err := s.Write(d, 9, []byte{43}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Faults() != 1 {
@@ -99,7 +114,7 @@ func TestNoneProtFaultsOnRead(t *testing.T) {
 		return nil
 	})
 	var b [1]byte
-	if err := s.Read(d.VAddr, b[:]); err != nil {
+	if err := s.Read(d, 0, b[:]); err != nil {
 		t.Fatal(err)
 	}
 	if faults != 1 {
@@ -107,20 +122,72 @@ func TestNoneProtFaultsOnRead(t *testing.T) {
 	}
 }
 
+func TestHeldDescriptorFaultsThroughTable(t *testing.T) {
+	s := NewSpace()
+	s.Map(1, frame())
+	d := s.Map(2, frame())
+	s.Map(3, frame())
+	var calls int
+	s.SetFaultHandler(func(fd *Desc, addr Addr, write bool) error {
+		calls++
+		if want := s.Lookup(addr); fd != want || fd != d {
+			t.Errorf("handler got %p for %#x, Lookup gives %p, held %p", fd, addr, want, d)
+		}
+		if write {
+			s.Protect(fd, ReadWrite)
+		} else {
+			s.Protect(fd, ReadOnly)
+		}
+		return nil
+	})
+	for i := 0; i < 3; i++ {
+		if err := s.Write(d, 40+i, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 1 || s.Faults() != 1 {
+		t.Fatalf("three writes to a ReadOnly frame: handler ran %d times, %d faults; want 1", calls, s.Faults())
+	}
+	if err := s.Read(d, 40, make([]byte, 3)); err != nil || calls != 1 {
+		t.Fatalf("read of a ReadWrite frame: err %v, handler ran %d times", err, calls)
+	}
+
+	// No caller sets None today, but a read of a None frame must still fault.
+	s.Protect(d, None)
+	got := make([]byte, 3)
+	if err := s.Read(d, 40, got); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 || !bytes.Equal(got, []byte{0, 1, 2}) {
+		t.Fatalf("read of a None frame: handler ran %d times in all, read %v", calls, got)
+	}
+}
+
 func TestCrossBoundaryAccessRejected(t *testing.T) {
 	s := NewSpace()
 	d := s.Map(1, frame())
 	s.Map(2, frame())
-	err := s.Write(d.VAddr+page.Size-2, []byte{1, 2, 3, 4})
-	if err == nil {
-		t.Fatal("cross-boundary write succeeded")
+	err := s.Write(d, page.Size-2, []byte{1, 2, 3, 4})
+	if !errors.Is(err, ErrBounds) {
+		t.Fatalf("cross-boundary write: %v, want ErrBounds", err)
 	}
 }
 
 func TestUnmappedAccess(t *testing.T) {
+	// An access through a descriptor whose frame was unmapped faults, and
+	// the fault finds no mapping at its address.
 	s := NewSpace()
-	if err := s.Read(Base, make([]byte, 4)); err == nil {
-		t.Fatal("read of unmapped address succeeded")
+	s.SetFaultHandler(func(*Desc, Addr, bool) error {
+		t.Fatal("handler called for an unmapped address")
+		return nil
+	})
+	d := s.Map(1, frame())
+	s.Unmap(d)
+	if err := s.Read(d, 0, make([]byte, 4)); !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("read of unmapped frame: %v, want ErrUnmapped", err)
+	}
+	if err := s.Write(d, 0, make([]byte, 4)); !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("write of unmapped frame: %v, want ErrUnmapped", err)
 	}
 }
 
@@ -145,8 +212,8 @@ func TestWriteThroughSharedFrame(t *testing.T) {
 	f := frame()
 	d := s.Map(1, f)
 	s.Protect(d, ReadWrite)
-	s.Write(d.VAddr+100, []byte("hello"))
-	if !bytes.Equal(f[100:105], []byte("hello")) {
+	s.Write(d, 100, []byte("hello"))
+	if !bytes.Equal(f.Bytes()[100:105], []byte("hello")) {
 		t.Fatal("write not visible through frame slice")
 	}
 }
