@@ -1,10 +1,12 @@
 # Developer/CI entry points. `make check` is the gate: vet, qslint (the
 # static invariant suite, DESIGN.md §11) and its fixture corpus, build, the
 # full test suite under the race detector, the budget-sampled sweeps (every
-# kind of DESIGN.md §2.3 × all five schemes), one pass of the checkpoint
-# latency benchmark (§13), one iteration of each per-layer microbenchmark,
-# the tests of the bench/ module, which links these packages but which
-# `go test ./...` here never reaches, and a short run of every fuzz target.
+# kind of DESIGN.md §2.3 × all five schemes), one iteration of each per-layer
+# microbenchmark, the tests of the bench/ module, which links these packages
+# but which `go test ./...` here never reaches, and a short run of every fuzz
+# target. Fuzzy checkpoints racing concurrent commits and the page cleaner
+# (§13) are covered by TestCleanerConcurrentWithCommits, under `race` and
+# `race-cleaner`.
 #
 # The race-<subsystem> targets re-run a slice of `race` with -count=1; they
 # stay as the repro entry points README.md and DESIGN.md name, but `check`
@@ -12,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race fuzz-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-ckpt-smoke bench-micro bench-micro-smoke bench-commit bench-ckpt race-repl bench-repl race-shard bench-shard bench-test bench-compare bench-pairs
+.PHONY: check vet lint lint-fixtures build test race fuzz-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs
 
-check: vet lint lint-fixtures build race sweeps bench-ckpt-smoke bench-micro-smoke bench-test fuzz-smoke
+check: vet lint lint-fixtures build race sweeps bench-micro-smoke bench-test fuzz-smoke
 
 # Every sweep kind (crash, fuzzy, restart-crash, group, media, scrub, repl,
 # twopc, twopc-stall — DESIGN.md §2.3) over all five schemes, 50 sampled
@@ -111,11 +113,6 @@ race-scrub:
 race-cleaner:
 	$(GO) test -race ./internal/server/ -run 'TestCleaner|TestClean|TestMaintenanceDuringRestart|TestWriteAhead' -count=1
 
-# One pass of the checkpoint latency benchmark as a smoke: proves both arms
-# run end to end; the report goes to a scratch file, not the repo.
-bench-ckpt-smoke:
-	$(GO) run ./cmd/benchcommit -ckpt -out $${TMPDIR:-/tmp}/BENCH_checkpoint_smoke.json
-
 # The per-layer microbenchmarks, ns/op and allocs/op each: a WAL append,
 # restart phase by phase, the dereference of a resident object, and a T1
 # traversal by a client whose pool holds half the module. The smoke runs
@@ -128,20 +125,6 @@ bench-micro:
 bench-micro-smoke:
 	$(BENCH_MICRO) -benchtime=1x
 
-# Multi-client commit-throughput benchmark: group commit at 1/2/4/8
-# clients, per scheme, writing BENCH_commit.json — plus the same grid over a
-# checksummed volume (BENCH_commit_checksum.json) so the integrity tax of
-# the per-page CRC envelope stays visible in the perf trajectory.
-bench-commit:
-	$(GO) run ./cmd/benchcommit -out BENCH_commit.json
-	$(GO) run ./cmd/benchcommit -checksum -out BENCH_commit_checksum.json
-
-# Commit p99 during an active checkpoint, sharp stop-the-world flush vs
-# fuzzy checkpoint + background cleaner, writing BENCH_checkpoint.json
-# (DESIGN.md §13).
-bench-ckpt:
-	$(GO) run ./cmd/benchcommit -ckpt -out BENCH_checkpoint.json
-
 # The replication surface under the race detector: the shipper's fetch/ack
 # paths, the continuously-applying standby, promotion, and the wire-level
 # failover protocol (DESIGN.md §14), and the engine's own standby tests —
@@ -152,22 +135,12 @@ race-repl:
 	$(GO) test -race ./internal/wire/ -run 'TestClientFailover|TestStandby|TestRepl' -count=1
 	$(GO) test -race ./internal/server/ -run 'TestStandby|TestPromote' -count=1
 
-# Commit p50/p99 with a hot standby attached: no replication vs async vs
-# semi-sync acks at 8 clients, writing BENCH_repl.json (DESIGN.md §14).
-bench-repl:
-	$(GO) run ./cmd/benchcommit -repl -out BENCH_repl.json
-
 # The sharding router and cross-shard 2PC paths under the race detector
 # (DESIGN.md §16), and Decide racing checkpoints, a crash and its own
 # re-delivery on one shard (§2.5).
 race-shard:
 	$(GO) test -race ./internal/shard/ -count=1
 	$(GO) test -race ./internal/server/ -run 'TestDecideRaces|TestRedeliveredDecide' -count=1
-
-# Scale-out throughput 1..4 shards, disjoint vs 10%-cross-shard mixes,
-# writing BENCH_shard.json (DESIGN.md §16).
-bench-shard:
-	$(GO) run ./cmd/benchcommit -shards 4 -out BENCH_shard.json
 
 # bench/ is its own module (replace repro => ../): compile and run its tests
 # against this tree's engine.

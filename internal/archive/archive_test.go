@@ -146,10 +146,10 @@ func TestTruncateDrainsArchiveFirst(t *testing.T) {
 	}
 
 	// Group-commit batches in flight: committers park in CommitWait while a
-	// slow flush spans the proposed truncation point; concurrent truncation
+	// delayed flush spans the proposed truncation point; concurrent truncation
 	// attempts must never pass the archived-up-to LSN.
-	log.SetWriteDelay(200 * time.Microsecond)
-	defer log.SetWriteDelay(0)
+	log.SetGroupCommitDelay(200 * time.Microsecond)
+	defer log.SetGroupCommitDelay(0)
 	done := make(chan error, 2)
 	for w := 0; w < 2; w++ {
 		go func(w int) {

@@ -109,6 +109,10 @@ func (p *Pool) Touch(f *Frame) {
 	}
 }
 
+// Miss counts a miss the caller found without a lookup (its own table
+// says pid is absent), as Touch counts a hit.
+func (p *Pool) Miss() { p.misses++ }
+
 // Peek returns the resident frame without touching recency or stats.
 func (p *Pool) Peek(pid page.ID) *Frame { return p.frames[pid] }
 

@@ -308,6 +308,7 @@ func (c *Client) fetch(tx *Tx, pid page.ID, mode lock.Mode) (*vmem.Desc, error) 
 		}
 		return d, nil
 	}
+	c.pool.Miss()
 	if c.pool.Full() {
 		if err := c.evictOne(tx); err != nil {
 			return nil, err

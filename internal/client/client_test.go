@@ -124,6 +124,38 @@ func TestAllocateWriteReadCommit(t *testing.T) {
 	}
 }
 
+// TestPoolCountsFetchMisses checks the client pool's hit ratio: a cold read
+// is a miss, and a re-read of the cached page in a new transaction is a hit.
+func TestPoolCountsFetchMisses(t *testing.T) {
+	for _, v := range versions {
+		t.Run(v.name, func(t *testing.T) {
+			r := newRig(v, 64, 1<<20)
+			tx := mustBegin(t, r.cli)
+			oid, err := tx.Allocate(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			r.reconnect(v)
+			pool := r.cli.Pool()
+			for i, want := range [][2]int64{{0, 1}, {1, 1}} {
+				tx := mustBegin(t, r.cli)
+				if _, err := tx.ReadObject(oid); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if hits, misses := pool.Hits(), pool.Misses(); hits != want[0] || misses != want[1] {
+					t.Fatalf("after read %d: hits=%d misses=%d, want hits=%d misses=%d", i+1, hits, misses, want[0], want[1])
+				}
+			}
+		})
+	}
+}
+
 func TestCommittedSurvivesServerCrash(t *testing.T) {
 	for _, v := range versions {
 		t.Run(v.name, func(t *testing.T) {

@@ -122,9 +122,9 @@ func runTwoPCWorkload(sys SweepSystem, seed, limit, stall int64) (*twopcRun, err
 	if stall > 0 {
 		j.clock = func() int64 { return run.msgs.n }
 	}
-	// Stamps: i%4 == 0 stays on shard 0, == 1 on shard 1, else cross-shard —
-	// the mix BENCH_shard also uses. Object choice is a seeded LCG so
-	// different seeds stress different pages.
+	// Stamps: i%4 == 0 stays on shard 0, == 1 on shard 1, else cross-shard.
+	// Object choice is a seeded LCG so different seeds stress different
+	// pages.
 	rng := uint64(seed)*2862933555777941757 + 3037000493
 	next := func() int {
 		rng = rng*6364136223846793005 + 1442695040888963407

@@ -35,10 +35,10 @@ func TestCleanerConcurrentWithCommits(t *testing.T) {
 				DirtyPageTarget:  4,
 			})
 			defer s.Close()
-			// A modeled log latency keeps the run long enough for the paced
+			// A group-commit delay keeps the run long enough for the paced
 			// worker to tick, and the per-worker page fan-out keeps the DPT
 			// backlog above the target so those ticks actually clean.
-			s.log.SetWriteDelay(200 * time.Microsecond)
+			s.log.SetGroupCommitDelay(200 * time.Microsecond)
 
 			const workers, pagesPer, txns = 4, 6, 30
 			errs := make([]error, workers)

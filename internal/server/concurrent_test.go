@@ -136,9 +136,9 @@ func TestConcurrentSessionsDistinctPages(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatchesConcurrentCommits checks the heart of the tentpole:
-// with a modeled log-device latency, concurrent committers share stable
-// flushes, so the log is forced fewer times than there are commits.
+// TestGroupCommitBatchesConcurrentCommits checks group commit: with a
+// group-commit delay holding each flush open, concurrent committers share
+// stable flushes, so the log is forced fewer times than there are commits.
 func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 	s := New(Config{
 		Mode:            ModeESM,
@@ -158,7 +158,7 @@ func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 		pids[w], slots[w] = createPage(t, setup, []byte(fmt.Sprintf("worker %d....", w)))
 	}
 
-	s.Log().SetWriteDelay(100 * time.Microsecond) // give groups time to form
+	s.Log().SetGroupCommitDelay(100 * time.Microsecond) // give groups time to form
 	before := s.ExtendedStats()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -197,7 +197,7 @@ func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 	}
 
 	// The batched commits must still be durable.
-	s.Log().SetWriteDelay(0)
+	s.Log().SetGroupCommitDelay(0)
 	s.Crash()
 	sn := s.NewSession(nil, nil)
 	if err := sn.Restart(); err != nil {

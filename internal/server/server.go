@@ -747,7 +747,9 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 		err := s.store.ReadPage(pid, buf[:])
 		switch {
 		case errors.Is(err, disk.ErrNotFound) && !mustExist:
-			page.Wrap(buf[:]).Init(pid)
+			sn.meter().DataRead(1)
+			atomic.AddInt64(&s.stats.DataReads, 1)
+			return s.insertBlankShardLocked(sn, sh, pid)
 		case errors.Is(err, disk.ErrCorruptPage):
 			// Rot, a torn write, or a misdirected write under the stored
 			// copy. Repair in place before serving or redoing anything;
@@ -773,6 +775,18 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 		return nil, err
 	}
 	return sh.Insert(pid, buf[:])
+}
+
+// insertBlankShardLocked makes room in the shard and inserts pid as a freshly
+// initialised page: one the volume never stored, or one a whole-page image is
+// about to overwrite. Caller holds the shard latch.
+func (s *Server) insertBlankShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID) (*buffer.Frame, error) {
+	var blank [page.Size]byte
+	page.Wrap(blank[:]).Init(pid)
+	if err := s.makeRoomShardLocked(sn, sh); err != nil {
+		return nil, err
+	}
+	return sh.Insert(pid, blank[:])
 }
 
 // makeRoomShardLocked evicts the shard's LRU frame if the shard is full,
@@ -902,11 +916,7 @@ func (s *Server) replayOne(sn *Session, r *logrec.Record, conditional bool) (int
 	defer sh.Unlock()
 	f, err := s.fetchShardLocked(sn, sh, r.Page, false)
 	if r.Type == logrec.TypePageImage && errors.Is(err, disk.ErrCorruptPage) {
-		var blank [page.Size]byte
-		page.Wrap(blank[:]).Init(r.Page)
-		if err = s.makeRoomShardLocked(sn, sh); err == nil {
-			f, err = sh.Insert(r.Page, blank[:])
-		}
+		f, err = s.insertBlankShardLocked(sn, sh, r.Page)
 	}
 	if err != nil {
 		return 0, err

@@ -70,7 +70,6 @@ type Log struct {
 	// call — like the old inline Force — returns rather than hanging.
 	gcCond        *sync.Cond
 	gcDelay       time.Duration // extra wait for a group to form before flushing
-	writeDelay    time.Duration // modeled log-device latency per stable write
 	attempt       uint64        // highest LSN any flush has attempted to make stable
 	gcWaiters     int64
 	flusherOn     bool
@@ -80,7 +79,7 @@ type Log struct {
 }
 
 // GroupCommitStats counts group-commit activity for observability
-// (qsctl stats, the commit-throughput benchmark).
+// (qsctl stats, bench/'s wal.* metrics).
 type GroupCommitStats struct {
 	Commits        int64     // commit waits served
 	Batches        int64     // group flushes performed
@@ -240,20 +239,10 @@ func (l *Log) advanceFlushed(proposed uint64) int {
 
 // Force makes every appended record stable and returns the number of 8 KB
 // log pages physically written, so callers can charge the log disk. A force
-// that has nothing to flush writes no pages. When a write delay is
-// configured (SetWriteDelay) the caller blocks for one device write.
+// that has nothing to flush writes no pages.
 func (l *Log) Force() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.writeDelay > 0 && l.next > l.flushed {
-		e := l.epoch
-		l.mu.Unlock()
-		time.Sleep(l.writeDelay)
-		l.mu.Lock()
-		if l.epoch != e {
-			return 0 // crashed while the write was in flight
-		}
-	}
 	n := l.advanceFlushed(l.next)
 	if n > 0 {
 		l.forces++
@@ -269,18 +258,6 @@ func (l *Log) SetGroupCommitDelay(d time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.gcDelay = d
-}
-
-// SetWriteDelay models the latency of one stable log write (the device the
-// paper's dedicated log disk would be). Force and group flushes block for
-// this long per write; ForceFull (asynchronous full-page writes) does not.
-// The commit-throughput benchmark uses this so group commit shows its real
-// effect — amortizing the device write across a group — even on a machine
-// whose in-memory "log disk" is otherwise free.
-func (l *Log) SetWriteDelay(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.writeDelay = d
 }
 
 // CommitWait makes the record ending at lsn stable via group commit and
@@ -324,18 +301,14 @@ func (l *Log) CommitWait(lsn uint64) int {
 // flushGroup is the dedicated flusher: it performs one stable write covering
 // every commit parked at the moment of the write, then exits. A committer
 // that arrives mid-flush re-arms it, so there is never more than one flusher
-// and never a lost wakeup. Sleeping happens outside the log lock: the
-// batching delay and the device write time are exactly the windows in which
-// new committers join the group.
+// and never a lost wakeup. The batching delay is slept outside the log
+// lock: it is the window in which new committers join the group.
 func (l *Log) flushGroup() {
 	l.mu.Lock()
-	gcDelay, writeDelay := l.gcDelay, l.writeDelay
+	gcDelay := l.gcDelay
 	l.mu.Unlock()
 	if gcDelay > 0 {
 		time.Sleep(gcDelay)
-	}
-	if writeDelay > 0 {
-		time.Sleep(writeDelay)
 	}
 	l.mu.Lock()
 	batch := l.gcWaiters

@@ -126,13 +126,6 @@ func (s Scheme) split() (client.Scheme, server.Mode, error) {
 	}
 }
 
-// ServerMode returns the server-side recovery mode for the scheme, for use
-// with cmd/quickstored.
-func (s Scheme) ServerMode() (server.Mode, error) {
-	_, m, err := s.split()
-	return m, err
-}
-
 // Options configures Open.
 type Options struct {
 	// Scheme is the recovery scheme (default PDESM).
