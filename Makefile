@@ -114,11 +114,12 @@ race-cleaner:
 	$(GO) test -race ./internal/server/ -run 'TestCleaner|TestClean|TestMaintenanceDuringRestart|TestWriteAhead' -count=1
 
 # The per-layer microbenchmarks, ns/op and allocs/op each: a WAL append,
-# restart phase by phase, the dereference of a resident object, and a T1
-# traversal by a client whose pool holds half the module. The smoke runs
-# each benchmark once.
-BENCH_MICRO = $(GO) test ./internal/wal/ ./internal/server/ ./internal/client/ ./internal/oo7/ -run '^$$' \
-	-bench '^Benchmark(Append|Restart|ReadObject|TraverseT1)$$' -benchmem
+# restart phase by phase, the dereference of a resident object, a T1
+# traversal by a client whose pool holds half the module, and a one-object
+# update over loopback TCP with its request frames per transaction. The
+# smoke runs each benchmark once.
+BENCH_MICRO = $(GO) test ./internal/wal/ ./internal/server/ ./internal/client/ ./internal/oo7/ ./internal/wire/ -run '^$$' \
+	-bench '^Benchmark(Append|Restart|ReadObject|TraverseT1|OneObjectUpdate)$$' -benchmem
 bench-micro:
 	$(BENCH_MICRO)
 

@@ -33,7 +33,8 @@ func (r *relay) served(t *testing.T) map[string]int64 {
 // transaction costs the next exactly one Lock however often it is read. It
 // still costs one after the server crashes and a new server process
 // restarts from the volume between two transactions, although that server
-// hands out the last transaction's tid again. A page evicted and fetched
+// hands out the last transaction's tid again — the first of a block reserved
+// after the checkpoint and never recorded. A page evicted and fetched
 // again inside one transaction comes back in one ReadPage under the lock the
 // transaction already holds: no Lock.
 func TestCachedPageRelocksEveryTransaction(t *testing.T) {
@@ -103,12 +104,13 @@ func TestCachedPageRelocksEveryTransaction(t *testing.T) {
 				}
 			}
 
-			// The last transaction before the crash starts right after a
-			// checkpoint, so a restart from that checkpoint hands its tid out
-			// again.
+			// The last transaction before the crash takes the first id of a
+			// block its connection reserves right after a checkpoint, so a
+			// restart from that checkpoint hands the id out again.
 			if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
+			link.Client = wire.NewDirect(srv, nil, nil)
 			last, _, _ := readA()
 			srv.Crash()
 			srv.Close()

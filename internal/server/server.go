@@ -594,6 +594,50 @@ type Session struct {
 	s *Server
 	m costmodel.Meter
 	p *costmodel.Params
+	// tidMu guards blocks: a management goroutine may call in beside a
+	// transaction's own calls.
+	tidMu sync.Mutex
+	// blocks are the transaction ids reserved for this session and not all
+	// opened yet (Reserve, Open); they die with the session.
+	blocks []tidBlock
+}
+
+// TIDBlock is how many transaction ids one Reserve sets aside: a wire
+// connection begins that many transactions for one reserve frame.
+const TIDBlock = 256
+
+// tidBlock is a run of n reserved ids, first, first+stride, ...; used marks
+// the ones opened.
+type tidBlock struct {
+	first  logrec.TID
+	stride uint64
+	n      int
+	opened int
+	used   [TIDBlock / 64]uint64
+}
+
+// claim marks tid opened if it is in one of sn's blocks and not opened yet,
+// reporting whether it was; a block all of whose ids are opened is dropped.
+func (sn *Session) claim(tid logrec.TID) bool {
+	sn.tidMu.Lock()
+	defer sn.tidMu.Unlock()
+	for i := range sn.blocks {
+		b := &sn.blocks[i]
+		if tid < b.first {
+			continue
+		}
+		d := uint64(tid - b.first)
+		k := d / b.stride
+		if d%b.stride != 0 || k >= uint64(b.n) || b.used[k/64]&(1<<(k%64)) != 0 {
+			continue
+		}
+		b.used[k/64] |= 1 << (k % 64)
+		if b.opened++; b.opened == b.n {
+			sn.blocks = append(sn.blocks[:i], sn.blocks[i+1:]...)
+		}
+		return true
+	}
+	return false
 }
 
 // NewSession opens a session charging work to m with service times from p.
@@ -625,12 +669,29 @@ func (sn *Session) params() *costmodel.Params {
 	return sn.p
 }
 
-// Begin starts a transaction and returns its id.
+// Begin starts a transaction and returns its id: it reserves one id and
+// opens it.
 func (sn *Session) Begin() logrec.TID {
+	tid, _ := sn.reserve(1)
+	sn.Open(tid) // a fresh reservation opens
+	return tid
+}
+
+// Reserve sets aside TIDBlock transaction ids for this session and returns
+// the first and the stride between them (ShardCount when sharded, else 1).
+// Only this session may open them (Open). Nothing is logged: an id reserved
+// but never opened before a crash may be reserved again after restart, which
+// is safe because every session — every connection — dies with the server.
+// An in-process Crash keeps the allocation frontier, so it reissues none.
+func (sn *Session) Reserve() (logrec.TID, uint64) { return sn.reserve(TIDBlock) }
+
+// reserve sets aside n ids; it is the one transaction id allocation.
+func (sn *Session) reserve(n int) (logrec.TID, uint64) {
 	s := sn.s
 	defer s.enter()()
 	s.allocMu.Lock()
-	var tid logrec.TID
+	var first logrec.TID
+	stride := uint64(1)
 	if s.standby.Load() {
 		// Standby read-only sessions draw TIDs from a disjoint high range:
 		// the low range belongs to the primary's transactions arriving in
@@ -640,17 +701,56 @@ func (sn *Session) Begin() logrec.TID {
 		if s.roTID == 0 {
 			s.roTID = standbyTIDBase
 		}
-		tid = s.roTID
-		s.roTID++
+		first = s.roTID
+		s.roTID += logrec.TID(n)
 	} else {
-		tid = s.nextTID
-		s.nextTID += logrec.TID(s.stride())
+		stride = s.stride()
+		first = s.nextTID
+		s.nextTID += logrec.TID(uint64(n) * stride)
 	}
 	s.allocMu.Unlock()
+	sn.tidMu.Lock()
+	sn.blocks = append(sn.blocks, tidBlock{first: first, stride: stride, n: n})
+	sn.tidMu.Unlock()
+	return first, stride
+}
+
+// Open begins transaction tid, creating its ATT entry. tid must be one this
+// session reserved and has not opened yet, or a coordinator-issued id of
+// another shard's residue class (the router adopting a transaction onto this
+// shard, which residue-class allocation keeps from colliding with a local
+// one). Opening a transaction that is already active is a no-op, so a
+// duplicated or re-sent open is harmless. Anything else is ErrNoTxn: an open
+// never re-creates a finished transaction, nor one reserved on a connection
+// that has since died. A standby's read-only id opens only while it is one.
+func (sn *Session) Open(tid logrec.TID) error {
+	s := sn.s
+	defer s.enter()()
+	fresh := sn.claim(tid)
 	s.attMu.Lock()
+	defer s.attMu.Unlock()
+	if _, ok := s.att[tid]; ok {
+		return nil
+	}
+	standby := s.standby.Load()
+	switch {
+	case fresh && tid >= standbyTIDBase && !standby:
+		return fmt.Errorf("%w: %v reserved before promotion", ErrNoTxn, tid)
+	case fresh:
+	case standby:
+		return ErrStandby
+	case s.ownClass(tid):
+		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
+	}
 	s.att[tid] = newTxn(tid)
-	s.attMu.Unlock()
-	return tid
+	return nil
+}
+
+// ownClass reports whether tid is in this shard's residue class — every id
+// is, unsharded.
+func (s *Server) ownClass(tid logrec.TID) bool {
+	st := s.stride()
+	return (uint64(tid)-1)%st == uint64(s.cfg.ShardID)%st
 }
 
 // Lock acquires a page lock on behalf of tid, blocking until granted. Lock

@@ -49,25 +49,6 @@ type InDoubtTxn struct {
 	Age         time.Duration
 }
 
-// Adopt registers a coordinator-issued transaction id on this shard, creating
-// an empty ATT entry for it. Residue-class TID allocation (Config.ShardID/
-// ShardCount) guarantees the id cannot collide with a local allocation.
-// Idempotent: re-adopting an active id is a no-op, so retried joins are safe.
-func (sn *Session) Adopt(tid logrec.TID) error {
-	s := sn.s
-	if s.standby.Load() {
-		return ErrStandby
-	}
-	defer s.enter()()
-	s.attMu.Lock()
-	defer s.attMu.Unlock()
-	if _, ok := s.att[tid]; ok {
-		return nil
-	}
-	s.att[tid] = newTxn(tid)
-	return nil
-}
-
 // Prepare votes yes on behalf of tid's branch: the PREPARE record (carrying
 // the coordinator identity and participant set) is appended and forced before
 // the call returns, so a yes vote survives any crash. From here until Decide

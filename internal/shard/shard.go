@@ -126,8 +126,9 @@ func (r *Router) lookup(tid logrec.TID) *gtxn {
 }
 
 // ensureJoined lazily adopts tid onto shard s the first time an operation
-// routes there. Adopt is idempotent server-side, so a lost ack costs one
-// duplicate message, nothing more.
+// routes there. A wire backend's Adopt sends nothing of its own: the open
+// rides the branch's first carrying call, and the server absorbs a second
+// one, so a re-sent batch is harmless.
 func (r *Router) ensureJoined(tid logrec.TID, s int) error {
 	g := r.lookup(tid)
 	r.mu.Lock()

@@ -152,3 +152,88 @@ func TestRecoverWithNothingInDoubt(t *testing.T) {
 		t.Errorf("Recover settled %d branches on a healthy cluster", len(res))
 	}
 }
+
+// TestJoiningAShardCostsNoFrame: the router's Adopt of a branch onto a
+// second shard rides that branch's first carrying call, as a Begin's open
+// does on the coordinator. A cross-shard update of one cached object per
+// shard costs the coordinator four frames — open+lock, ships+prepare,
+// decide, forget — and the participant three, neither a frame of its own to
+// begin or join.
+func TestJoiningAShardCostsNoFrame(t *testing.T) {
+	const n = 2
+	backends := make([]shard.Backend, n)
+	wires := make([]*wire.Client, n)
+	for s := 0; s < n; s++ {
+		wires[s] = wire.NewDirect(server.New(server.Config{Mode: server.ModeESM, PoolPages: 64,
+			LogCapacity: 8 << 20, ShardID: s, ShardCount: n}), nil, nil)
+		backends[s] = wires[s]
+	}
+	cli, router := client.NewSharded(client.Config{Scheme: client.PD, PoolPages: 32, ShipDirtyPages: true}, backends)
+	tx, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs [n]page.OID
+	for s := range objs {
+		router.SetAllocShard(s)
+		if _, err := tx.NewPage(); err != nil {
+			t.Fatal(err)
+		}
+		if objs[s], err = tx.Allocate(4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	router.SetAllocShard(-1)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	update := func(v byte) logrec.TID {
+		t.Helper()
+		tx, err := cli.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objs {
+			if err := tx.Write(o, 0, []byte{v, 0, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return tx.TID()
+	}
+	ops := func() (out [n]map[string]int64) {
+		t.Helper()
+		for s, w := range wires {
+			ds, err := w.ServerStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[s] = ds.Ops
+		}
+		return out
+	}
+	update(1) // coordinated by shard 1: both shards have reserved ids now
+	before := ops()
+	tid := update(2)
+	after := ops()
+	coord := router.Map().CoordinatorOf(tid)
+	for s := 0; s < n; s++ {
+		var frames int64
+		for op, k := range after[s] {
+			switch op {
+			case "batch", "open", "ship-log", "ship-page", "stats":
+			default:
+				frames += k - before[s][op]
+			}
+		}
+		want := int64(3)
+		if s == coord {
+			want = 4
+		}
+		if opens := after[s]["open"] - before[s]["open"]; frames != want || opens != 1 {
+			t.Errorf("shard %d (coordinator %d) served %d frames and %d opens, want %d and 1", s, coord, frames, opens, want)
+		}
+	}
+}

@@ -88,7 +88,8 @@ func TestFailedMemberStopsItsBatch(t *testing.T) {
 }
 
 // TestAbortDropsPendingFrames: frames still waiting when their transaction
-// aborts never reach the daemon.
+// aborts never reach the daemon. The transaction's open did: it rode the
+// alloc-page, the one batch served.
 func TestAbortDropsPendingFrames(t *testing.T) {
 	srv := testServer(server.ModeESM)
 	cli := dialTest(t, serveTCP(t, srv, ServeOpts{}))
@@ -114,18 +115,71 @@ func TestAbortDropsPendingFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(ds.Ops); got != "map[abort:1 alloc-page:1 begin:1 stats:1]" {
-		t.Fatalf("daemon served %s, want no ship-log, ship-page or batch", got)
+	if got := fmt.Sprint(ds.Ops); got != "map[abort:1 alloc-page:1 batch:1 open:1 reserve:1 stats:1]" {
+		t.Fatalf("daemon served %s, want no ship-log or ship-page, and one batch of open and alloc-page", got)
 	}
 	if _, ok := cli.pending[tid]; ok {
 		t.Fatal("the aborted transaction's frames are still pending")
 	}
 }
 
+// TestUnsentTransactionCostsNothing: a transaction that sends nothing before
+// it ends — Begin then Abort, or the router's Adopt then an abort decision —
+// costs a warm connection no frame at all, and the server no abort.
+func TestUnsentTransactionCostsNothing(t *testing.T) {
+	srv := testServer(server.ModeESM)
+	cli := dialTest(t, serveTCP(t, srv, ServeOpts{}))
+	warm, err := cli.Begin() // reserves the connection's block
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.AllocPage(warm); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Commit(warm); err != nil {
+		t.Fatal(err)
+	}
+	before, err := cli.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aborts := srv.Stats().Aborts
+	tid, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Abort(tid); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Adopt(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Decide(1<<20, false); err != nil {
+		t.Fatal(err)
+	}
+	after, err := cli.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op, n := range after.Ops {
+		if d := n - before.Ops[op]; d != 0 && op != "stats" {
+			t.Errorf("daemon served %d %s frames for transactions that sent nothing", d, op)
+		}
+	}
+	if got := srv.Stats().Aborts; got != aborts {
+		t.Errorf("aborts went from %d to %d", aborts, got)
+	}
+	if len(cli.pending) != 0 {
+		t.Fatalf("%d transactions still have pending frames", len(cli.pending))
+	}
+}
+
 // TestPendingFramesAfterRedialDrawNoTxn: a Dial client whose connection broke
-// while frames waited sends them on the next connection, where the
-// transaction is gone — the daemon aborted it at the disconnect — so the
-// batch draws ErrNoTxn and its Commit never runs.
+// while frames waited sends them on the next connection. There the
+// transaction is gone — the daemon aborted it at the disconnect — or was
+// never opened: its id was reserved on the dead connection. Either way the
+// batch draws ErrNoTxn, its Commit never runs and no aborted id is opened
+// again; and the client's next Begin reserves a fresh block.
 func TestPendingFramesAfterRedialDrawNoTxn(t *testing.T) {
 	srv := testServer(server.ModeESM)
 	cli := dialTest(t, serveTCP(t, srv, ServeOpts{}))
@@ -144,11 +198,15 @@ func TestPendingFramesAfterRedialDrawNoTxn(t *testing.T) {
 	if err := cli.ShipPage(tid, pid, pg.Bytes()); err != nil {
 		t.Fatal(err)
 	}
+	unsent, err := cli.Begin() // its open waits
+	if err != nil {
+		t.Fatal(err)
+	}
 	tc := cli.c.(*tcpConn)
 	tc.mu.Lock()
 	tc.conn.Close()
 	tc.mu.Unlock()
-	if _, err := cli.Begin(); err == nil {
+	if _, err := cli.ServerStats(); err == nil {
 		t.Fatal("a call over the killed socket succeeded")
 	}
 	for deadline := time.Now().Add(2 * time.Second); srv.Stats().Aborts == 0; time.Sleep(time.Millisecond) {
@@ -159,61 +217,118 @@ func TestPendingFramesAfterRedialDrawNoTxn(t *testing.T) {
 	if err := cli.Commit(tid); !errors.Is(err, server.ErrNoTxn) {
 		t.Fatalf("Commit carried over a new connection = %v, want ErrNoTxn", err)
 	}
-	if c := srv.Stats().Commits; c != 0 {
-		t.Fatalf("commits = %d, want 0", c)
+	// The carrier's redial, not a refused open, tells the client its block
+	// is gone: the first Begin after it reserves a fresh one.
+	before, err := cli.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.AllocPage(fresh); err != nil {
+		t.Fatalf("the first transaction after the redial: %v", err)
+	}
+	after, err := cli.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.Ops["reserve"] - before.Ops["reserve"]; d != 1 {
+		t.Fatalf("the first Begin after the redial sent %d reserves, want 1", d)
+	}
+	if err := cli.Commit(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.ReadPage(unsent, pid, lock.Shared); !errors.Is(err, server.ErrNoTxn) {
+		t.Fatalf("an open reserved on the dead connection, carried over the new one = %v, want ErrNoTxn", err)
+	}
+	// A re-sent open of the aborted transaction is refused as well.
+	if err := cli.Adopt(tid); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Lock(tid, pid, lock.Shared); !errors.Is(err, server.ErrNoTxn) {
+		t.Fatalf("a second open of the aborted %v = %v, want ErrNoTxn", tid, err)
+	}
+	if c := srv.Stats().Commits; c != 1 {
+		t.Fatalf("commits = %d, want only the fresh transaction's", c)
 	}
 }
 
 // TestPendingFramesBesideAManagementGoroutine: a management goroutine (the
 // router's Recover) calls in on the same client while transactions defer and
-// carry frames — abort decisions for other transactions and stats — and
-// neither side loses or steals the other's frames (run under -race).
+// carry frames — abort decisions for other transactions, stats, and
+// transactions of its own that take ids from the same reserved blocks, in
+// process from the same server session — and neither side loses or steals
+// the other's frames or ids (run under -race).
 func TestPendingFramesBesideAManagementGoroutine(t *testing.T) {
-	srv := testServer(server.ModeESM)
-	cli := dialTest(t, serveTCP(t, srv, ServeOpts{}))
-	const rounds = 50
-	done := make(chan error, 1)
-	go func() {
+	carriers := []struct {
+		name string
+		dial func(*server.Server) *Client
+	}{
+		{"direct", func(srv *server.Server) *Client { return NewDirect(srv, nil, nil) }},
+		{"tcp", func(srv *server.Server) *Client { return dialTest(t, serveTCP(t, srv, ServeOpts{})) }},
+	}
+	for _, cr := range carriers {
+		srv := testServer(server.ModeESM)
+		cli := cr.dial(srv)
+		const rounds = 150 // two transactions a round: more than one block of ids
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < rounds; i++ {
+				if err := cli.Decide(logrec.TID(1<<30+i), false); err != nil {
+					done <- err
+					return
+				}
+				if _, err := cli.ServerStats(); err != nil {
+					done <- err
+					return
+				}
+				tid, err := cli.Begin()
+				if err != nil {
+					done <- err
+					return
+				}
+				if _, err := cli.AllocPage(tid); err != nil {
+					done <- err
+					return
+				}
+				if err := cli.Abort(tid); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
 		for i := 0; i < rounds; i++ {
-			if err := cli.Decide(logrec.TID(1<<30+i), false); err != nil {
-				done <- err
-				return
+			tid, err := cli.Begin()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, err := cli.ServerStats(); err != nil {
-				done <- err
-				return
+			pid, err := cli.AllocPage(tid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg := page.New(pid)
+			if err := cli.ShipLog(tid, logrec.NewPageImage(tid, pid, pg.Bytes()).Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := cli.ShipPage(tid, pid, pg.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if err := cli.Commit(tid); err != nil {
+				t.Fatal(err)
 			}
 		}
-		done <- nil
-	}()
-	for i := 0; i < rounds; i++ {
-		tid, err := cli.Begin()
-		if err != nil {
-			t.Fatal(err)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", cr.name, err)
 		}
-		pid, err := cli.AllocPage(tid)
-		if err != nil {
-			t.Fatal(err)
+		if got, aborts := srv.Stats().Commits, srv.Stats().Aborts; got != rounds || aborts != rounds {
+			t.Fatalf("%s: commits = %d, aborts = %d, want %d each", cr.name, got, aborts, rounds)
 		}
-		pg := page.New(pid)
-		if err := cli.ShipLog(tid, logrec.NewPageImage(tid, pid, pg.Bytes()).Encode(nil)); err != nil {
-			t.Fatal(err)
+		if n := len(cli.pending); n != 0 {
+			t.Fatalf("%s: %d transactions still have pending frames", cr.name, n)
 		}
-		if err := cli.ShipPage(tid, pid, pg.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if err := cli.Commit(tid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Stats().Commits; got != rounds {
-		t.Fatalf("commits = %d, want %d", got, rounds)
-	}
-	if n := len(cli.pending); n != 0 {
-		t.Fatalf("%d transactions still have pending frames", n)
 	}
 }
 
@@ -298,4 +413,41 @@ func FuzzSubFrames(f *testing.F) {
 			t.Fatalf("members re-encode to %x, parsed from %x", again, payload)
 		}
 	})
+}
+
+// TestBeginDropsFramesLeftUnderAReissuedID: a server restarted from its
+// volume may reserve an id again that the client used before, on a
+// connection that died with the old server. Frames a transaction abandoned
+// under that id must not ride the new transaction's first call.
+func TestBeginDropsFramesLeftUnderAReissuedID(t *testing.T) {
+	sc, cli := scriptedClient() // every reserve answers a block from id 1
+	tid, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.ShipLog(tid, []byte("abandoned")); err != nil {
+		t.Fatal(err)
+	}
+	cli.tids.left = 0 // the connection died and the restarted server reserves from 1 again
+	again, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != tid {
+		t.Fatalf("Begin after the reserve = %v, want the reissued %v", again, tid)
+	}
+	if err := cli.Lock(again, 1, lock.Shared); err != nil {
+		t.Fatal(err)
+	}
+	members, err := subFrames(sc.frames[len(sc.frames)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, m := range members {
+		ops = append(ops, opName(m.op))
+	}
+	if got := strings.Join(ops, " "); got != "open lock" {
+		t.Fatalf("the new transaction's first call carried %q, want %q", got, "open lock")
+	}
 }

@@ -18,17 +18,19 @@ import (
 
 // TestOpTableComplete: every op code but the retired one has a name and an
 // explicit re-send rule, names are unique, only idempotent data ops may be
-// duplicated, only the status-only data ops are deferred, and an unknown code
+// duplicated — a reserve (a second block, both the connection's) and an open
+// (a no-op on an active transaction) among them — only the status-only data
+// ops are deferred, a transaction's open among them, and an unknown code
 // still prints as op<N>.
 func TestOpTableComplete(t *testing.T) {
-	if len(ops) != opBatch+1 {
-		t.Fatalf("op table has %d rows, want %d", len(ops), opBatch+1)
+	if len(ops) != opOpen+1 {
+		t.Fatalf("op table has %d rows, want %d", len(ops), opOpen+1)
 	}
 	if ops[opRetired] != (opInfo{}) {
 		t.Fatalf("the retired op code has a row: %+v", ops[opRetired])
 	}
 	seen := map[string]bool{}
-	for op := byte(opBegin); op <= opBatch; op++ {
+	for op := byte(opReserve); op <= opOpen; op++ {
 		if op == opRetired {
 			continue
 		}
@@ -36,14 +38,17 @@ func TestOpTableComplete(t *testing.T) {
 		if row.name == "" || row.resend == 0 {
 			t.Errorf("op %d: row %+v lacks a name or a re-send rule", op, row)
 		}
+		if want := op == opReserve || op == opOpen; want && row.resend != resendAlways {
+			t.Errorf("op %s: re-send rule %d, want resendAlways", row.name, row.resend)
+		}
 		if seen[row.name] {
 			t.Errorf("op %d: duplicate name %q", op, row.name)
 		}
 		seen[row.name] = true
-		if want := op == opLock || op == opReadPage || op == opShipPage; row.dup != want {
+		if want := op == opLock || op == opReadPage || op == opShipPage || op == opReserve || op == opOpen; row.dup != want {
 			t.Errorf("op %s: dup = %v, want %v", row.name, row.dup, want)
 		}
-		if want := op == opShipLog || op == opShipPage; (row.batch == deferred) != want {
+		if want := op == opShipLog || op == opShipPage || op == opOpen; (row.batch == deferred) != want {
 			t.Errorf("op %s: deferred = %v, want %v", row.name, row.batch == deferred, want)
 		}
 	}
@@ -53,12 +58,13 @@ func TestOpTableComplete(t *testing.T) {
 }
 
 // TestFaultsDuplicateOnlyIdempotentOps: with every message duplicated, only
-// Lock, ReadPage and a batch of nothing but ShipPages and such a call are
-// delivered twice; everything else once.
+// a reserve, Lock, ReadPage and a batch of nothing but opens, ShipPages and
+// such a call are delivered twice; everything else once.
 func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	sc, c := scriptedClient()
 	svc := WithFaults(c, faultinject.Plan{Name: "dup-all", Seed: 1, DupRate: 1})
-	svc.Begin()
+	svc.Begin()                 // reserve: tid 1 of a block from 1
+	svc.Lock(1, 1, lock.Shared) // batch: open, lock
 	svc.Lock(1, 1, lock.Shared)
 	svc.AllocPage(1)
 	svc.ReadPage(1, 1, lock.Shared)
@@ -69,7 +75,7 @@ func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	svc.Commit(1) // batch: ship-log, ship-page, commit
 	svc.Abort(1)
 	svc.Adopt(2)
-	svc.Prepare(2, 0, []int{0})
+	svc.Prepare(2, 0, []int{0}) // batch: open, prepare
 	svc.Decide(2, true)
 	svc.Forget(2)
 	svc.Resolve(2)
@@ -78,10 +84,10 @@ func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	for _, op := range sc.ops {
 		delivered[opName(op)]++
 	}
-	want := map[string]int{"begin": 2, "lock": 2, "alloc-page": 1, "read-page": 2, "batch": 3,
-		"abort": 1, "prepare": 1, "decide": 2, "resolve-in-doubt": 1, "stats": 1}
+	want := map[string]int{"reserve": 2, "lock": 2, "alloc-page": 1, "read-page": 2, "batch": 6,
+		"abort": 1, "decide": 2, "resolve-in-doubt": 1, "stats": 1}
 	if fmt.Sprint(delivered) != fmt.Sprint(want) {
-		t.Fatalf("deliveries %v, want %v (begin and decide each carry two calls, and the first batch goes twice)", delivered, want)
+		t.Fatalf("deliveries %v, want %v (decide carries two calls, and the first two batches go twice)", delivered, want)
 	}
 }
 
@@ -131,7 +137,7 @@ func TestCarrierParity(t *testing.T) {
 	}
 	var want string
 	for _, cr := range carriers {
-		srv := testServer(server.ModeESM)
+		srv := shardServer()
 		var sleeps []time.Duration
 		svc := cr.dial(srv, &sleeps)
 		exerciseService(t, svc)

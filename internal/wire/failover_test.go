@@ -343,3 +343,42 @@ func TestStandbyRejectsWritesOverWire(t *testing.T) {
 		t.Fatalf("primary stats missing shipping progress: %+v", pds.Repl)
 	}
 }
+
+// TestPromotionRetiresAStandbysBlock: the ids a connection reserved on a
+// standby come from its read-only range, and none opens once the standby is
+// promoted under the connection. The open that draws ErrNoTxn retires the
+// client's block, so its next Begin reserves from the promoted server.
+func TestPromotionRetiresAStandbysBlock(t *testing.T) {
+	srv := server.New(server.Config{Mode: server.ModeESM, Standby: true, PoolPages: 64,
+		LogCapacity: 16 << 20, LockTimeout: time.Second, CheckpointEvery: 1 << 30})
+	defer srv.Close()
+	cli := dialTest(t, serveTCP(t, srv, ServeOpts{}))
+	tid, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Lock(tid, 1, lock.Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Commit(tid); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.NewSession(nil, nil).Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if tid, err = cli.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Lock(tid, 1, lock.Shared); !errors.Is(err, server.ErrNoTxn) {
+		t.Fatalf("a read-only id opened after promotion: %v, want ErrNoTxn", err)
+	}
+	if tid, err = cli.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.AllocPage(tid); err != nil {
+		t.Fatalf("the first transaction after the refused open, %v: %v", tid, err)
+	}
+	if err := cli.Commit(tid); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,17 +13,20 @@ type faulty struct {
 }
 
 // WithFaults wraps c's carrier with plan's message faults: dropped, duplicated
-// and delayed requests, stalled or reset commits. A plan with no message
-// faults returns c unchanged.
+// and delayed requests, stalled or reset commits. The two clients share c's
+// transactions, as WithRetry's do. A plan with no message faults returns c
+// unchanged.
 func WithFaults(c *Client, plan faultinject.Plan) *Client {
 	msgs := faultinject.NewMessages(plan)
 	if msgs == nil {
 		return c
 	}
-	return &Client{c: faulty{inner: c.c, msgs: msgs}}
+	return &Client{c: faulty{inner: c.c, msgs: msgs}, connState: c.connState}
 }
 
 func (c faulty) roundTrip(f frame) ([]byte, error) { return perturb(c.msgs, c.inner, f) }
+
+func (c faulty) epoch() uint64 { return c.inner.epoch() }
 
 // perturb carries f through inner under the next message fault: a drop is
 // never delivered, a delay or stall holds the request first, a duplicate is

@@ -14,7 +14,8 @@ import (
 
 // FuzzParseRequest hardens the server-side frame parser.
 func FuzzParseRequest(f *testing.F) {
-	f.Add([]byte{opBegin, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{opReserve, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{opOpen, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xaa}, 64))
 	// 2PC ops: a prepare frame carrying a participant-set payload, a decide
@@ -72,13 +73,15 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 	// back as clean errors, not crash the dispatcher.
 	f.Add([]byte{18, 0, 0, 0, opPrepare, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef})
 	f.Add([]byte{14, 0, 0, 0, opDecide, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 99})
-	// Two well-formed frames: adopt a transaction id, then ship it an update
-	// whose bytes fall outside the page. The record must be refused, not
-	// logged — the abort that follows the disconnect undoes whatever is.
+	// Well-formed frames: reserve a block, open an id the connection never
+	// reserved (refused), then ship that id an update whose bytes fall
+	// outside the page. The record must be refused, not logged — the abort
+	// that follows the disconnect undoes whatever is.
 	oob := logrec.NewUpdate(0, 1, 0, make([]byte, 64), make([]byte, 64))
 	oob.Off = 0xFFF8
 	var frames bytes.Buffer
-	writeRequest(&frames, frame{op: opBegin, tid: 1 << 40})
+	writeRequest(&frames, frame{op: opReserve})
+	writeRequest(&frames, frame{op: opOpen, tid: 1 << 40})
 	writeRequest(&frames, frame{op: opShipLog, tid: 1 << 40, payload: oob.Encode(nil)})
 	f.Add(frames.Bytes())
 	// Frames of op codes past the table, which the fault path looks up.
@@ -102,12 +105,9 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 	past[4+headSize] = 0xff // the member's length
 	f.Add(past)
 	f.Add(batch(frame{op: opStats, tid: tid}))
-	// An adopted transaction, then a batch whose out-of-range ship-log must
-	// stop it before its commit.
-	var adopted bytes.Buffer
-	writeRequest(&adopted, frame{op: opBegin, tid: tid})
-	adopted.Write(batch(frame{op: opShipLog, tid: tid, payload: oob.Encode(nil)}, frame{op: opCommit, tid: tid}))
-	f.Add(adopted.Bytes())
+	// A batch whose open is refused (an id never reserved here), whose
+	// out-of-range ship-log would stop it before its commit anyway.
+	f.Add(batch(frame{op: opOpen, tid: tid}, frame{op: opShipLog, tid: tid, payload: oob.Encode(nil)}, frame{op: opCommit, tid: tid}))
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {

@@ -34,7 +34,7 @@ import (
 
 // Op codes.
 const (
-	opBegin = iota + 1
+	opReserve = iota + 1 // a block of transaction ids for this connection
 	opLock
 	opAllocPage
 	opReadPage
@@ -49,11 +49,12 @@ const (
 	opScrub     // verify/repair stored pages now (management, not part of Service)
 	opReplFetch // standby pull of stable WAL records (management, not part of Service)
 	opPromote   // promote a standby to primary (management, not part of Service)
-	// Two-phase commit (the TwoPC surface; Adopt rides opBegin with tid≠0).
+	// Two-phase commit (the TwoPC surface; Adopt rides opOpen).
 	opPrepare        // force a PREPARE record and vote yes
 	opDecide         // deliver the outcome; mode selects abort/commit/forget
 	opResolveInDoubt // recovery resolution against the coordinator shard
 	opBatch          // one transaction's deferred frames and the call that carries them
+	opOpen           // begin (or adopt) a transaction: its first frame, deferred
 )
 
 // opDecide mode byte values.
@@ -109,7 +110,9 @@ type opInfo struct {
 
 // ops is the protocol table, indexed by op code.
 var ops = [...]opInfo{
-	opBegin:     {"begin", resendAlways, false, alone}, // also Adopt; a second Begin would leak a transaction
+	// A second reserve sets aside a second block: both are the connection's,
+	// and the client hands out the one whose reply it hears.
+	opReserve:   {"reserve", resendAlways, true, alone},
 	opLock:      {"lock", resendAlways, true, carries}, // re-granting a held lock is a no-op
 	opAllocPage: {"alloc-page", resendAlways, false, carries},
 	opReadPage:  {"read-page", resendAlways, true, carries},
@@ -131,6 +134,10 @@ var ops = [...]opInfo{
 	opResolveInDoubt: {"resolve-in-doubt", resendAlways, false, alone},
 	// A batch's own re-send and duplicate rules are its members' (asOne).
 	opBatch: {"batch", resendIfUndelivered, false, alone},
+	// Opening an active transaction is a no-op, and an id not reserved on the
+	// connection that carries the open is ErrNoTxn: a second delivery, or a
+	// re-send over a new connection, never creates a transaction twice.
+	opOpen: {"open", resendAlways, true, deferred},
 }
 
 // rowOf returns op's row; an unknown code has the zero row.

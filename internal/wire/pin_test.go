@@ -12,7 +12,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/logrec"
 	"repro/internal/page"
-	"repro/internal/server"
 )
 
 // These tests pin the protocol's observable bytes: what the in-process
@@ -27,7 +26,7 @@ type pinnedTransport interface {
 }
 
 // pinnedSequence runs a fixed sequence of every Service op, the 2PC calls
-// but InDoubt, and error replies against a fresh ESM server.
+// but InDoubt, and error replies against a fresh ESM server, shard 0 of 2.
 func pinnedSequence(t *testing.T, svc pinnedTransport) {
 	t.Helper()
 	must := func(what string, err error) {
@@ -60,7 +59,7 @@ func pinnedSequence(t *testing.T, svc pinnedTransport) {
 	must("read", err)
 	must("abort", svc.Abort(tid2))
 
-	// A branch under a coordinator-issued id: adopted, updated, prepared,
+	// A branch under an id shard 1 issued: adopted, updated, prepared,
 	// decided, resolved, forgotten, resolved again (now presumed abort).
 	const g = logrec.TID(1 << 20)
 	must("adopt", svc.Adopt(g))
@@ -108,16 +107,17 @@ func (m *recordingMeter) MsgToClient(n int) { m.msgs = append(m.msgs, fmt.Sprint
 
 // TestDirectChargesFrameSizes: the in-process transport charges each
 // request and reply exactly these byte counts — a batch's members each as
-// the request and reply the paper's protocol sends, so the simulated network
-// carries what it always has. Only a batch stopped by an error charges less:
-// its members after the failed one are never served.
+// the request and reply the paper's protocol sends, a transaction's open as
+// its begin, and the connection's one reserve as a message of its own. Only
+// a batch stopped by an error charges less: its members after the failed one
+// are never served.
 func TestDirectChargesFrameSizes(t *testing.T) {
 	m := &recordingMeter{}
-	pinnedSequence(t, NewDirect(testServer(server.ModeESM), m, nil))
+	pinnedSequence(t, NewDirect(shardServer(), m, nil))
 	const want = "" +
-		">28 <20 >28 <16 >8272 <12 >8220 <12 >28 <12 " + // begin alloc shiplog shippage commit
-		">28 <20 >28 <12 >28 <8204 >28 <12 " + // begin lock readpage abort
-		">28 <12 >28 <12 >96 <12 >44 <12 >28 <12 >28 <25 >28 <12 >28 <17 " + // adopt lock shiplog prepare decide resolve forget resolve
+		">28 <28 >28 <12 >28 <16 >8272 <12 >8220 <12 >28 <12 " + // reserve open alloc shiplog shippage commit
+		">28 <12 >28 <12 >28 <8204 >28 <12 " + // open lock readpage abort
+		">28 <12 >28 <12 >96 <12 >44 <12 >28 <12 >28 <25 >28 <12 >28 <17 " + // open(adopt) lock shiplog prepare decide resolve forget resolve
 		">28 <16 >28 <12 >96 <12 >28 <12 >40 <12 >28 <12" // error replies: alloc read shiplog(stops its batch) abort prepare decide
 	if got := strings.Join(m.msgs, " "); got != want {
 		t.Fatalf("meter charges changed:\n got %s\nwant %s", got, want)
@@ -143,7 +143,8 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 }
 
 // TestFrameBytesUnchanged: the same sequence over TCP sends and receives
-// exactly these bytes. Its three ship-log/ship-page runs each travel in the
+// exactly these bytes. One reserve frame stands for both Begins. Each
+// transaction's open, and its three ship-log/ship-page runs, travel in the
 // batch frame of the call after them: 18 more request bytes apiece (the
 // batch's own length and head), one reply for the batch instead of one per
 // member, and no replies at all for the members the failed ship-log stops.
@@ -153,7 +154,7 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	go Serve(lis, testServer(server.ModeESM))
+	go Serve(lis, shardServer())
 	raw, err := net.Dial("tcp", lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		sum := sha256.Sum256(b)
 		return fmt.Sprintf("%d:%s", len(b), hex.EncodeToString(sum[:8]))
 	}
-	const wantTx, wantRx = "25296:081cf917ed7071b8", "8563:6b03505a2e96de54"
+	const wantTx, wantRx = "25368:10f937feb188fddf", "8545:e69c93b55eb45320"
 	if got := digest(conn.tx); got != wantTx {
 		t.Errorf("request bytes changed: got %s, want %s", got, wantTx)
 	}

@@ -67,8 +67,9 @@ type retrier struct {
 
 // WithRetry wraps c's carrier so every operation is attempted up to
 // pol.MaxAttempts times on transient transport errors, with exponential
-// backoff and jitter between attempts. A pol.MaxAttempts of 0 or 1 returns
-// c unchanged.
+// backoff and jitter between attempts. The two clients share c's
+// transactions: frames one defers, either carries. A pol.MaxAttempts of 0 or
+// 1 returns c unchanged.
 func WithRetry(c *Client, pol RetryPolicy) *Client {
 	if pol.MaxAttempts <= 1 {
 		return c
@@ -82,7 +83,7 @@ func WithRetry(c *Client, pol RetryPolicy) *Client {
 	if pol.Sleep == nil {
 		pol.Sleep = time.Sleep
 	}
-	return &Client{c: &retrier{inner: c.c, pol: pol, rng: faultinject.NewRNG(pol.Seed)}}
+	return &Client{c: &retrier{inner: c.c, pol: pol, rng: faultinject.NewRNG(pol.Seed)}, connState: c.connState}
 }
 
 // transient reports whether err is worth retrying: transport-level failures
@@ -154,6 +155,8 @@ func (c *retrier) roundTrip(f frame) ([]byte, error) {
 		}
 	}
 }
+
+func (c *retrier) epoch() uint64 { return c.inner.epoch() }
 
 // maybeFailover performs the one-shot redirect to FailoverAddr, reporting
 // whether it did (and the caller gets another attempt budget).

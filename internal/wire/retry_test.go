@@ -16,14 +16,16 @@ import (
 // scripted is a carrier that fails each frame with the scripted errors in
 // order, then succeeds with a canned reply, counting delivered frames.
 type scripted struct {
-	errs  []error // consumed one per frame, any op
-	calls int
-	ops   []byte // op of every delivered frame
+	errs   []error // consumed one per frame, any op
+	calls  int
+	ops    []byte  // op of every delivered frame
+	frames []frame // every delivered frame
 }
 
 func (s *scripted) roundTrip(f frame) ([]byte, error) {
 	s.calls++
 	s.ops = append(s.ops, f.op)
+	s.frames = append(s.frames, f)
 	if len(s.errs) > 0 {
 		err := s.errs[0]
 		s.errs = s.errs[1:]
@@ -31,8 +33,8 @@ func (s *scripted) roundTrip(f frame) ([]byte, error) {
 	}
 	last, _ := asOne(f) // a batch answers as its last member
 	switch last.op {
-	case opBegin:
-		return make([]byte, 8), nil
+	case opReserve: // a block from tid 1, stride 1
+		return []byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, nil
 	case opAllocPage:
 		return make([]byte, 4), nil
 	case opReadPage:
@@ -45,10 +47,12 @@ func (s *scripted) roundTrip(f frame) ([]byte, error) {
 	return nil, nil
 }
 
+func (s *scripted) epoch() uint64 { return 0 }
+
 // scriptedClient returns a client over a scripted carrier.
 func scriptedClient(errs ...error) (*scripted, *Client) {
 	s := &scripted{errs: errs}
-	return s, &Client{c: s}
+	return s, newClient(s)
 }
 
 func retryPolicy(maxAttempts int, sleeps *[]time.Duration) RetryPolicy {
@@ -217,6 +221,8 @@ func TestRetryOverFlakyTransport(t *testing.T) {
 // TestTCPClientRedialsAfterBrokenConnection: a Dial-created client whose
 // socket dies must fail the in-flight call, then transparently reconnect on
 // the next one — the property WithRetry relies on for fresh-socket attempts.
+// The transaction ids it reserved died with the socket: the first Begin after
+// the redial reserves a fresh block, and its transaction runs.
 func TestTCPClientRedialsAfterBrokenConnection(t *testing.T) {
 	srv := testServer(server.ModeESM)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -230,17 +236,25 @@ func TestTCPClientRedialsAfterBrokenConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Begin(); err != nil {
+	tid, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.AllocPage(tid); err != nil {
 		t.Fatal(err)
 	}
 	tc := cli.c.(*tcpConn)
 	tc.mu.Lock()
 	tc.conn.Close() // kill the socket out from under the client
 	tc.mu.Unlock()
-	if _, err := cli.Begin(); err == nil {
+	if _, err := cli.AllocPage(tid); err == nil {
 		t.Fatal("call over the killed socket must fail")
 	}
-	if _, err := cli.Begin(); err != nil {
+	tid, err = cli.Begin()
+	if err != nil {
 		t.Fatalf("client did not redial after the broken connection: %v", err)
+	}
+	if _, err := cli.AllocPage(tid); err != nil {
+		t.Fatalf("the first transaction after the redial: %v", err)
 	}
 }

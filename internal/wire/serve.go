@@ -71,6 +71,12 @@ type daemon struct {
 type session struct {
 	d  *daemon
 	sn *server.Session
+	// active holds the transactions opened on a daemon connection and not
+	// yet finished: a client crash (connection drop) aborts them, so their
+	// locks release and the server keeps serving other clients — the
+	// availability argument for server-side logs in §6 of the paper. Nil in
+	// process, where there is no connection to drop.
+	active map[logrec.TID]bool
 }
 
 // Serve accepts connections on lis and dispatches requests to srv until the
@@ -94,20 +100,15 @@ func ServeWith(lis net.Listener, srv *server.Server, opts ServeOpts) error {
 
 func (d *daemon) serveConn(conn net.Conn) {
 	defer conn.Close()
-	s := &session{d: d, sn: d.srv.NewSession(nil, nil)}
+	s := &session{d: d, sn: d.srv.NewSession(nil, nil), active: make(map[logrec.TID]bool)}
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
-	// Transactions begun on this connection; a client crash (connection
-	// drop) aborts whatever is still active so its locks release and the
-	// server keeps serving other clients — the availability argument for
-	// server-side logs in §6 of the paper.
-	active := make(map[logrec.TID]bool)
 	defer func() {
 		// Abort in TID order: each abort appends log records, and the sweep's
 		// replay diff depends on the log byte stream being identical run to
 		// run — map order would shuffle it.
-		tids := make([]logrec.TID, 0, len(active))
-		for tid := range active {
+		tids := make([]logrec.TID, 0, len(s.active))
+		for tid := range s.active {
 			tids = append(tids, tid)
 		}
 		sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
@@ -140,33 +141,13 @@ func (d *daemon) serveConn(conn net.Conn) {
 		if err != nil {
 			status, reply = encodeErr(err)
 		}
-		// A batch is booked as its last member: it is one transaction's.
-		last, _ := asOne(f)
-		switch status {
-		case stOK:
-			switch last.op {
-			case opBegin:
-				if last.tid != 0 {
-					// An Adopt's reply echoes the adopted id, as a Begin's names
-					// the new one.
-					reply = binary.LittleEndian.AppendUint64(nil, uint64(last.tid))
-				}
-				active[logrec.TID(binary.LittleEndian.Uint64(reply))] = true
-			case opCommit, opAbort:
-				delete(active, last.tid)
-			case opDecide:
-				if last.mode != decideForget {
-					delete(active, last.tid)
-				}
-			}
-		case stFaultAbort:
+		if status == stFaultAbort && s.active[f.tid] {
 			// Graceful degradation: a disk fault failed this request, not the
-			// process. Abort the affected transaction so its locks release
-			// and every other client keeps running.
-			if active[last.tid] {
-				s.sn.Abort(last.tid)
-				delete(active, last.tid)
-			}
+			// process. Abort the affected transaction (a batch is one
+			// transaction's) so its locks release and every other client
+			// keeps running.
+			s.sn.Abort(f.tid)
+			delete(s.active, f.tid)
 		}
 		if err := writeFrame(w, []byte{status}, reply); err != nil {
 			return
@@ -180,6 +161,9 @@ func (d *daemon) serveConn(conn net.Conn) {
 // roundTrip serves one request frame: the reply payload, or the server's
 // error as it is.
 func (s *session) roundTrip(f frame) ([]byte, error) { return s.each(f, s.serve) }
+
+// epoch is constant: a session is one connection's server end.
+func (s *session) epoch() uint64 { return 0 }
 
 // each serves f through one, a batch member by member in order: the first
 // error stops the batch and is its reply, and otherwise its last member's
@@ -202,18 +186,33 @@ func (s *session) each(f frame, one func(frame) ([]byte, error)) ([]byte, error)
 	return out, nil
 }
 
-// serve serves one frame that is not a batch.
+// serve serves one frame that is not a batch, and on a daemon connection
+// books the transaction it opens or finishes — whichever place in a batch
+// the frame has.
 func (s *session) serve(f frame) ([]byte, error) {
+	out, err := s.dispatch(f)
+	if s.active != nil && err == nil {
+		switch {
+		case f.op == opOpen:
+			s.active[f.tid] = true
+		case f.op == opCommit, f.op == opAbort, f.op == opDecide && f.mode != decideForget:
+			delete(s.active, f.tid)
+		}
+	}
+	return out, err
+}
+
+// dispatch hands one frame that is not a batch to the server.
+func (s *session) dispatch(f frame) ([]byte, error) {
 	d, sn := s.d, s.sn
 	d.ops[f.op].Add(1)
 	switch f.op {
-	case opBegin:
-		// A non-zero tid is an Adopt: the router registering a
-		// coordinator-issued transaction id on this shard.
-		if f.tid != 0 {
-			return nil, sn.Adopt(f.tid)
-		}
-		return binary.LittleEndian.AppendUint64(nil, uint64(sn.Begin())), nil
+	case opReserve:
+		// Reply: [u64 first][u64 stride]; the block holds server.TIDBlock ids.
+		first, stride := sn.Reserve()
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(first)), stride), nil
+	case opOpen:
+		return nil, sn.Open(f.tid)
 	case opLock:
 		return nil, sn.Lock(f.tid, f.pid, lock.Mode(f.mode))
 	case opAllocPage:

@@ -22,11 +22,12 @@ type TCPClient = Client
 // connection, so a retry carrier above it gets a fresh socket per attempt;
 // one wrapped around a raw connection cannot redial.
 type tcpConn struct {
-	mu   sync.Mutex
-	addr string // non-empty when created by Dial: enables redial
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	mu    sync.Mutex
+	addr  string // non-empty when created by Dial: enables redial
+	conn  net.Conn
+	drops uint64 // connections dropped or closed so far: the epoch
+	r     *bufio.Reader
+	w     *bufio.Writer
 }
 
 // Dial connects to a quickstored server.
@@ -37,12 +38,12 @@ func Dial(addr string) (*TCPClient, error) {
 	}
 	t := newTCPConn(conn)
 	t.addr = addr
-	return &Client{c: t}, nil
+	return newClient(t), nil
 }
 
 // NewTCPClient wraps an established connection.
 func NewTCPClient(conn net.Conn) *TCPClient {
-	return &Client{c: newTCPConn(conn)}
+	return newClient(newTCPConn(conn))
 }
 
 func newTCPConn(conn net.Conn) *tcpConn {
@@ -62,6 +63,7 @@ func (t *tcpConn) Close() error {
 	}
 	err := t.conn.Close()
 	t.conn = nil
+	t.drops++
 	return err
 }
 
@@ -71,7 +73,14 @@ func (t *tcpConn) dropConnLocked() {
 	if t.conn != nil {
 		t.conn.Close()
 		t.conn = nil
+		t.drops++
 	}
+}
+
+func (t *tcpConn) epoch() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.drops
 }
 
 // redirect points the carrier at a different server address — the failover

@@ -26,7 +26,8 @@ import (
 
 // Service is the storage server's RPC surface as seen by a client.
 type Service interface {
-	// Begin starts a transaction.
+	// Begin starts a transaction. Its open may travel with the
+	// transaction's next call, and an error it draws may surface there.
 	Begin() (logrec.TID, error)
 	// Lock acquires a page lock, blocking until granted.
 	Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error
@@ -53,7 +54,8 @@ type Service interface {
 // Service operations.
 type TwoPC interface {
 	// Adopt registers a coordinator-issued transaction id on this shard
-	// (idempotent), creating an empty branch for it.
+	// (idempotent), creating an empty branch for it. Like Begin's, its open
+	// may travel with the branch's next call.
 	Adopt(tid logrec.TID) error
 	// Prepare asks the shard to vote yes on tid, forcing a PREPARE record
 	// carrying the coordinator identity and participant set.
@@ -77,19 +79,46 @@ type TwoPC interface {
 // the only thing transports differ in.
 type carrier interface {
 	roundTrip(f frame) ([]byte, error)
+	// epoch names the connection the next frame rides. It changes whenever
+	// the carrier drops its connection, so the transaction ids reserved on
+	// the old one (which died with it) are not handed out again.
+	epoch() uint64
 }
 
 // Client is the protocol's client side, written once: every Service, TwoPC
 // and management call builds a frame, hands it to the client's carrier and
-// decodes the reply. A status-only frame (ShipLog, ShipPage) is not sent on
-// its own: it waits, encoded, until its transaction's next call that needs
-// an answer carries it along in one batch frame.
+// decodes the reply. A status-only frame (open, ShipLog, ShipPage) is not
+// sent on its own: it waits, encoded, until its transaction's next call that
+// needs an answer carries it along in one batch frame. Begin takes its id
+// from a block the connection reserved, so a transaction's first frame is
+// its first carrying call.
 type Client struct {
 	c carrier
+	*connState
+}
+
+// connState is the transactions' side of a connection: a Client and every
+// Client WithRetry or WithFaults wraps around it share one, as their frames
+// share the connection at the end of the carrier chain.
+type connState struct {
 	// mu guards pending: shard.Router lets a management goroutine (Recover)
 	// call in beside the transaction's own calls.
 	mu      sync.Mutex
 	pending map[logrec.TID][]byte // per transaction, its deferred frames as batch members
+	tidMu   sync.Mutex
+	tids    tidRun // under tidMu
+}
+
+// newClient returns a client over c with a connection of its own.
+func newClient(c carrier) *Client { return &Client{c: c, connState: &connState{}} }
+
+// tidRun is what is left of the block of transaction ids a reserve frame
+// set aside on one connection.
+type tidRun struct {
+	next   logrec.TID
+	stride uint64
+	left   int
+	epoch  uint64 // the carrier's connection it was reserved on
 }
 
 var (
@@ -116,6 +145,10 @@ type direct struct {
 
 func (d *direct) roundTrip(f frame) ([]byte, error) { return d.s.each(f, d.one) }
 
+// epoch is constant: an in-process session lives as long as its client, and
+// an in-process crash keeps the server's allocation frontier.
+func (d *direct) epoch() uint64 { return 0 }
+
 func (d *direct) one(f frame) ([]byte, error) {
 	d.m.MsgToServer(reqHeader + len(f.payload))
 	out, err := d.s.serve(f)
@@ -130,7 +163,7 @@ func NewDirect(srv *server.Server, m costmodel.Meter, p *costmodel.Params) *Clie
 		m = costmodel.NopMeter{}
 	}
 	s := &session{d: &daemon{srv: srv}, sn: srv.NewSession(m, p)}
-	return &Client{c: &direct{s: s, m: m}}
+	return newClient(&direct{s: s, m: m})
 }
 
 // Close tears down the connection of a client from Dial or NewTCPClient. It
@@ -155,24 +188,43 @@ func (c *Client) call(f frame) ([]byte, error) {
 	}
 	buf := c.take(f.tid)
 	if buf != nil && headSize+len(buf)+memberSize(f) > maxFrame {
-		if _, err := c.c.roundTrip(frame{op: opBatch, tid: f.tid, payload: buf}); err != nil {
+		if _, err := c.carry(f.tid, buf); err != nil {
 			return nil, err
 		}
 		buf = nil
 	}
 	switch {
 	case role == deferred:
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.pending == nil {
-			c.pending = make(map[logrec.TID][]byte)
-		}
-		c.pending[f.tid] = appendMember(buf, f)
+		c.put(f.tid, appendMember(buf, f))
 		return nil, nil
 	case buf == nil:
 		return c.c.roundTrip(f)
 	}
-	return c.c.roundTrip(frame{op: opBatch, tid: f.tid, payload: appendMember(buf, f)})
+	return c.carry(f.tid, appendMember(buf, f))
+}
+
+// carry sends tid's batch. An open in it that draws ErrNoTxn was refused
+// where a fresh reservation opens — the server lost the block under a live
+// connection, as a standby promoted under it does — so the next Begin
+// reserves anew rather than hand out more ids of a dead block.
+func (c *Client) carry(tid logrec.TID, payload []byte) ([]byte, error) {
+	out, err := c.c.roundTrip(frame{op: opBatch, tid: tid, payload: payload})
+	if unopened(payload) && errors.Is(err, server.ErrNoTxn) {
+		c.tidMu.Lock()
+		c.tids.left = 0
+		c.tidMu.Unlock()
+	}
+	return out, err
+}
+
+// put makes buf tid's pending frames.
+func (c *Client) put(tid logrec.TID, buf []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pending == nil {
+		c.pending = make(map[logrec.TID][]byte)
+	}
+	c.pending[tid] = buf
 }
 
 // take removes tid's pending frames and returns them; nil when none wait.
@@ -204,17 +256,39 @@ func (c *Client) fetchJSON(f frame, v any) error {
 	return nil
 }
 
-// Begin implements Service.
+// Begin implements Service. The id comes from the block the connection
+// reserved — one reserve frame per server.TIDBlock transactions, or after the
+// carrier drops its connection — and the open waits for the transaction's
+// first carrying call.
 func (c *Client) Begin() (logrec.TID, error) {
-	out, err := c.call(frame{op: opBegin})
-	if err != nil {
-		return 0, err
+	c.tidMu.Lock()
+	defer c.tidMu.Unlock()
+	if epoch := c.c.epoch(); c.tids.left == 0 || c.tids.epoch != epoch {
+		// The epoch is read before the reserve: one that redials tags the
+		// block with the old connection, so the next Begin reserves afresh.
+		out, err := c.call(frame{op: opReserve})
+		if err != nil {
+			return 0, err
+		}
+		if len(out) != 16 || binary.LittleEndian.Uint64(out[8:]) == 0 {
+			return 0, errors.New("wire: bad reserve response")
+		}
+		c.tids = tidRun{next: logrec.TID(binary.LittleEndian.Uint64(out)),
+			stride: binary.LittleEndian.Uint64(out[8:]), left: server.TIDBlock, epoch: epoch}
 	}
-	if len(out) != 8 {
-		return 0, errors.New("wire: bad Begin response")
-	}
-	return logrec.TID(binary.LittleEndian.Uint64(out)), nil
+	tid := c.tids.next
+	c.tids.next += logrec.TID(c.tids.stride)
+	c.tids.left--
+	// The open replaces whatever is pending under the id: a restarted
+	// server may reserve it again, and frames left from its first use belong
+	// to a transaction that died with the old connection.
+	c.put(tid, appendMember(nil, frame{op: opOpen, tid: tid}))
+	return tid, nil
 }
+
+// unopened reports whether pending frames begin with an open: their
+// transaction has not reached the server.
+func unopened(pending []byte) bool { return len(pending) > 4 && pending[4] == opOpen }
 
 // Lock implements Service.
 func (c *Client) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
@@ -261,20 +335,22 @@ func (c *Client) Commit(tid logrec.TID) error {
 }
 
 // Abort implements Service. The transaction's pending frames are dropped
-// unsent.
+// unsent; if its open is among them the server never saw it, and no frame is
+// sent at all.
 func (c *Client) Abort(tid logrec.TID) error {
-	c.take(tid)
+	if unopened(c.take(tid)) {
+		return nil
+	}
 	return c.send(frame{op: opAbort, tid: tid})
 }
 
-// Adopt implements TwoPC: it rides opBegin with a non-zero tid, so old
-// daemons that predate sharding reject it as a malformed Begin rather than
-// silently misrouting it.
+// Adopt implements TwoPC: the branch's open waits, like a Begin's, for the
+// first call that carries it, so joining a shard costs no frame.
 func (c *Client) Adopt(tid logrec.TID) error {
 	if tid == 0 {
 		return errors.New("wire: Adopt of transaction id 0")
 	}
-	return c.send(frame{op: opBegin, tid: tid})
+	return c.send(frame{op: opOpen, tid: tid})
 }
 
 // Prepare implements TwoPC.
@@ -283,13 +359,14 @@ func (c *Client) Prepare(tid logrec.TID, coordinator int, participants []int) er
 }
 
 // Decide implements TwoPC. An abort decision is the router's Abort of a
-// branch, and drops the branch's pending frames unsent as Abort does.
+// branch, and drops the branch's pending frames unsent as Abort does — with
+// them an open, and then the frame too.
 func (c *Client) Decide(tid logrec.TID, commit bool) error {
 	mode := byte(decideAbort)
 	if commit {
 		mode = decideCommit
-	} else {
-		c.take(tid)
+	} else if unopened(c.take(tid)) {
+		return nil
 	}
 	return c.send(frame{op: opDecide, tid: tid, mode: mode})
 }

@@ -25,6 +25,20 @@ func testServer(mode server.Mode) *server.Server {
 	})
 }
 
+// shardServer is testServer as shard 0 of 2, so that an odd id is its own
+// and an even one — a coordinator-issued id of shard 1 — it adopts.
+func shardServer() *server.Server {
+	return server.New(server.Config{
+		Mode:            server.ModeESM,
+		PoolPages:       64,
+		LogCapacity:     16 << 20,
+		LockTimeout:     500 * time.Millisecond,
+		CheckpointEvery: 1 << 30,
+		ShardID:         0,
+		ShardCount:      2,
+	})
+}
+
 // exerciseService runs the standard create/update/read protocol against any
 // Service implementation.
 func exerciseService(t *testing.T, svc Service) {
@@ -222,6 +236,60 @@ func TestClientCrashAbortsItsTransactions(t *testing.T) {
 	}
 }
 
+// TestDisconnectAbortsATransactionOpenedInABatch: a transaction whose open
+// rode the batch of its first Lock is booked for the disconnect abort like
+// any other — the open is not the batch's last member — so when its client's
+// socket dies, the X lock it took is released at once, not at LockTimeout.
+func TestDisconnectAbortsATransactionOpenedInABatch(t *testing.T) {
+	const timeout = 5 * time.Second
+	srv := server.New(server.Config{Mode: server.ModeESM, PoolPages: 64, LogCapacity: 16 << 20,
+		LockTimeout: timeout, CheckpointEvery: 1 << 30})
+	addr := serveTCP(t, srv, ServeOpts{})
+	cliA := dialTest(t, addr)
+	tid, err := cliA.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := cliA.AllocPage(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cliA.Commit(tid); err != nil {
+		t.Fatal(err)
+	}
+	if tid, err = cliA.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := cliA.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cliA.Lock(tid, pid, lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	after, err := cliA.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"batch", "open", "lock"} {
+		if d := after.Ops[op] - before.Ops[op]; d != 1 {
+			t.Fatalf("the X lock was served with %d %s frames, want it in one batch after its open", d, op)
+		}
+	}
+	cliA.c.(*tcpConn).Close() // the client crashes holding X
+
+	cliB := dialTest(t, addr)
+	tidB, err := cliB.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = cliB.Lock(tidB, pid, lock.Exclusive)
+	if wait := time.Since(start); err != nil || wait > timeout/5 {
+		t.Fatalf("second client's X lock: %v after %v, want it granted well inside the %v lock timeout", err, wait, timeout)
+	}
+}
+
 // rawSession speaks the wire protocol over a bare connection so tests can
 // cut it off mid-frame.
 type rawSession struct {
@@ -259,7 +327,8 @@ func (s *rawSession) call(f frame) []byte {
 func setupMidCommit(t *testing.T, addr string) (s *rawSession, tid logrec.TID, pid page.ID, slot int) {
 	t.Helper()
 	s = dialRaw(t, addr)
-	tid = logrec.TID(binary.LittleEndian.Uint64(s.call(frame{op: opBegin})))
+	tid = logrec.TID(binary.LittleEndian.Uint64(s.call(frame{op: opReserve})))
+	s.call(frame{op: opOpen, tid: tid})
 	pid = page.ID(binary.LittleEndian.Uint32(s.call(frame{op: opAllocPage, tid: tid})))
 	pg := page.New(pid)
 	slot, _ = pg.Allocate(8)
@@ -269,7 +338,8 @@ func setupMidCommit(t *testing.T, addr string) (s *rawSession, tid logrec.TID, p
 	s.call(frame{op: opShipPage, tid: tid, pid: pid, payload: pg.Bytes()})
 	s.call(frame{op: opCommit, tid: tid})
 
-	tid = logrec.TID(binary.LittleEndian.Uint64(s.call(frame{op: opBegin})))
+	tid++ // the block's next id
+	s.call(frame{op: opOpen, tid: tid})
 	s.call(frame{op: opLock, tid: tid, pid: pid, mode: byte(lock.Exclusive)})
 	rec := logrec.NewUpdate(tid, pid, page.HeaderSize, []byte("original"), []byte("halfdone"))
 	s.call(frame{op: opShipLog, tid: tid, payload: rec.Encode(nil)})
