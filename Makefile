@@ -3,8 +3,9 @@
 # full test suite under the race detector, the budget-sampled sweeps (every
 # kind of DESIGN.md §2.3 × all five schemes), one iteration of each per-layer
 # microbenchmark, the tests of the bench/ module, which links these packages
-# but which `go test ./...` here never reaches, and a short run of every fuzz
-# target. Fuzzy checkpoints racing concurrent commits and the page cleaner
+# but which `go test ./...` here never reaches, a short run of every fuzz
+# target and one daemon driven end to end through qsctl (daemon-smoke).
+# Fuzzy checkpoints racing concurrent commits and the page cleaner
 # (§13) are covered by TestCleanerConcurrentWithCommits, under `race` and
 # `race-cleaner`.
 #
@@ -14,9 +15,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race fuzz-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs
+.PHONY: check vet lint lint-fixtures build test race fuzz-smoke daemon-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs
 
-check: vet lint lint-fixtures build race sweeps bench-micro-smoke bench-test fuzz-smoke
+check: vet lint lint-fixtures build race sweeps bench-micro-smoke bench-test fuzz-smoke daemon-smoke
 
 # Every sweep kind (crash, fuzzy, restart-crash, group, media, scrub, repl,
 # twopc, twopc-stall — DESIGN.md §2.3) over all five schemes, 50 sampled
@@ -87,6 +88,12 @@ fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		$(GO) test ./$${t%%:*}/ -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) -parallel 2; \
 	done
+
+# Build quickstored and qsctl, run an archiving daemon (put, stats, backup,
+# put, SIGTERM), restore its volume from the archive into a new file and read
+# both objects back through a daemon started on it with default flags.
+daemon-smoke:
+	bash daemon-smoke.sh
 
 # The concurrency surface (group commit, sharded pool sessions, async WPL
 # installer and the install-before-commit-force window, restart's one pass

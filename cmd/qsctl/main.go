@@ -15,23 +15,24 @@
 //	qsctl faults disarm
 //
 // And it reports the daemon's server-side counters (group-commit batching,
-// buffer-pool and latch behaviour, the last restart phase by phase):
+// buffer-pool and latch behaviour, what pins the log head, the last restart
+// phase by phase): every field of wire.DaemonStats, one line per struct.
 //
-//	qsctl stats            # human-readable counter summary
+//	qsctl stats            # Field=value text, lines named by field path
 //	qsctl stats -json      # raw JSON (wire.DaemonStats)
 //
 // When the daemon archives its log (-archive-dir), qsctl also drives media
 // recovery (see the README walkthrough):
 //
 //	qsctl backup                                  # fuzzy online backup, no quiesce
-//	qsctl archive-status                          # archiver lag and backup positions
+//	qsctl archive-status                          # the Archive line of qsctl stats
 //	qsctl restore -archive-dir DIR -data VOL      # offline: rebuild a destroyed volume
 //	qsctl restore -archive-dir DIR -data VOL -target 123456   # point-in-time
 //
 // When replication is on (quickstored -repl on the primary, -replica-of on
 // the standby), qsctl shows shipping/apply lag and drives failover:
 //
-//	qsctl repl-status                 # role, ack mode, acked/applied LSNs, lag
+//	qsctl repl-status                 # the Repl (primary) or Standby line of qsctl stats
 //	qsctl -addr standby:7447 promote  # stop following, open for writes
 package main
 
@@ -40,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -50,149 +50,147 @@ import (
 	"repro/internal/disk"
 	"repro/internal/faultinject"
 	"repro/internal/server"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
+// globals are qsctl's flags before the command name.
+type globals struct {
+	addr, scheme string
+	n            int
+	seed         int64
+}
+
+// commands is qsctl's command table: each entry runs with the arguments
+// after its name.
+var commands = map[string]func(g globals, args []string) error{
+	"put":            withStore(putCmd),
+	"get":            withStore(getCmd),
+	"bench":          withStore(benchCmd),
+	"stats":          statsCmd,
+	"scrub":          scrubCmd,
+	"backup":         backupCmd,
+	"archive-status": sectionCmd(func() error { return wire.ErrNoArchive }, "Archive"),
+	"restore":        restoreCmd,
+	"repl-status": sectionCmd(func() error {
+		fmt.Println("replication not configured (start the primary with -repl, the standby with -replica-of)")
+		return nil
+	}, "Repl", "Standby"),
+	"promote":    promoteCmd,
+	"2pc-status": twopcStatusCmd,
+	"faults":     faultsCmd,
+}
+
 func main() {
-	var (
-		addr   = flag.String("addr", "localhost:7447", "server address")
-		scheme = flag.String("scheme", "pd-esm", "client scheme: pd-esm|sd-esm|sl-esm|pd-redo|wpl")
-		n      = flag.Int("n", 100, "bench: transactions to run")
-		seed   = flag.Int64("seed", 1, "faults arm: fault plan seed")
-	)
+	var g globals
+	flag.StringVar(&g.addr, "addr", "localhost:7447", "server address")
+	flag.StringVar(&g.scheme, "scheme", "pd-esm", "client scheme: pd-esm|sd-esm|sl-esm|pd-redo|wpl")
+	flag.IntVar(&g.n, "n", 100, "bench: transactions to run")
+	flag.Int64Var(&g.seed, "seed", 1, "faults arm: fault plan seed")
 	flag.Parse()
-	if flag.NArg() < 1 {
+	cmd, ok := commands[flag.Arg(0)]
+	if !ok {
 		fmt.Fprintln(os.Stderr, "usage: qsctl [flags] put <data> | get <oid> | bench | stats [-json] | scrub [limit] | backup | archive-status | restore [flags] | repl-status | promote | 2pc-status [addr...] | faults arm <plan> | faults disarm | faults list")
 		os.Exit(2)
 	}
-	if flag.Arg(0) == "faults" {
-		if err := faultsCmd(*addr, *seed, flag.Args()[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "stats" {
-		if err := statsCmd(*addr, flag.Args()[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "scrub" {
-		if err := scrubCmd(*addr, flag.Args()[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "backup" || flag.Arg(0) == "archive-status" {
-		if err := archiveCmd(*addr, flag.Arg(0)); err != nil {
-			fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "restore" {
-		if err := restoreCmd(flag.Args()[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "2pc-status" {
-		if err := twopcStatusCmd(*addr, flag.Args()[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "repl-status" || flag.Arg(0) == "promote" {
-		if err := replCmd(*addr, flag.Arg(0)); err != nil {
-			fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	sc, ok := map[string]quickstore.Scheme{
-		"pd-esm":  quickstore.PDESM,
-		"sd-esm":  quickstore.SDESM,
-		"sl-esm":  quickstore.SLESM,
-		"pd-redo": quickstore.PDREDO,
-		"wpl":     quickstore.WPL,
-	}[*scheme]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "qsctl: unknown scheme %q\n", *scheme)
-		os.Exit(2)
-	}
-	store, err := quickstore.Dial(*addr, quickstore.Options{Scheme: sc})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
-		os.Exit(1)
-	}
-	defer store.Close()
-
-	switch flag.Arg(0) {
-	case "put":
-		data := []byte(flag.Arg(1))
-		var oid quickstore.OID
-		err = store.Update(func(tx *quickstore.Tx) error {
-			var err error
-			oid, err = tx.Allocate(len(data))
-			if err != nil {
-				return err
-			}
-			return tx.Write(oid, 0, data)
-		})
-		if err == nil {
-			fmt.Println(oid)
-		}
-	case "get":
-		oid, perr := parseOID(flag.Arg(1))
-		if perr != nil {
-			err = perr
-			break
-		}
-		err = store.View(func(tx *quickstore.Tx) error {
-			data, err := tx.ReadObject(oid)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s\n", data)
-			return nil
-		})
-	case "bench":
-		//qslint:allow determinism: interactive bench timer, printed to the operator and never replayed
-		start := time.Now()
-		done := 0
-		for ; done < *n; done++ {
-			err = store.Update(func(tx *quickstore.Tx) error {
-				oid, err := tx.Allocate(64)
-				if err != nil {
-					return err
-				}
-				return tx.Write(oid, 0, []byte(fmt.Sprintf("bench %d", done)))
-			})
-			if err != nil {
-				break
-			}
-		}
-		//qslint:allow determinism: interactive bench timer, printed to the operator and never replayed
-		elapsed := time.Since(start)
-		fmt.Printf("%d txns in %v (%.0f txn/s)\n", done, elapsed.Round(time.Millisecond),
-			float64(done)/elapsed.Seconds())
-	default:
-		err = fmt.Errorf("unknown command %q", flag.Arg(0))
-	}
-	if err != nil {
+	if err := cmd(g, flag.Args()[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "qsctl: %v\n", err)
 		os.Exit(1)
 	}
 }
 
+// withStore runs fn on a store dialled with the -scheme flag.
+func withStore(fn func(g globals, store *quickstore.Store, args []string) error) func(globals, []string) error {
+	return func(g globals, args []string) error {
+		sc, ok := map[string]quickstore.Scheme{
+			"pd-esm":  quickstore.PDESM,
+			"sd-esm":  quickstore.SDESM,
+			"sl-esm":  quickstore.SLESM,
+			"pd-redo": quickstore.PDREDO,
+			"wpl":     quickstore.WPL,
+		}[g.scheme]
+		if !ok {
+			return fmt.Errorf("unknown scheme %q", g.scheme)
+		}
+		store, err := quickstore.Dial(g.addr, quickstore.Options{Scheme: sc})
+		if err != nil {
+			return err
+		}
+		defer store.Close()
+		return fn(g, store, args)
+	}
+}
+
+// withClient runs fn on a management connection to the daemon.
+func withClient(addr string, fn func(cli *wire.TCPClient) error) error {
+	cli, err := wire.Dial(addr)
+	if err != nil {
+		return err
+	}
+	defer cli.Close()
+	return fn(cli)
+}
+
+func putCmd(_ globals, store *quickstore.Store, args []string) error {
+	data := []byte(strings.Join(args, " "))
+	var oid quickstore.OID
+	err := store.Update(func(tx *quickstore.Tx) error {
+		var err error
+		oid, err = tx.Allocate(len(data))
+		if err != nil {
+			return err
+		}
+		return tx.Write(oid, 0, data)
+	})
+	if err == nil {
+		fmt.Println(oid)
+	}
+	return err
+}
+
+func getCmd(_ globals, store *quickstore.Store, args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("usage: get <oid>")
+	}
+	oid, err := parseOID(args[0])
+	if err != nil {
+		return err
+	}
+	return store.View(func(tx *quickstore.Tx) error {
+		data, err := tx.ReadObject(oid)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s\n", data)
+		return nil
+	})
+}
+
+func benchCmd(g globals, store *quickstore.Store, _ []string) error {
+	//qslint:allow determinism: interactive bench timer, printed to the operator and never replayed
+	start := time.Now()
+	done := 0
+	var err error
+	for ; done < g.n; done++ {
+		err = store.Update(func(tx *quickstore.Tx) error {
+			oid, err := tx.Allocate(64)
+			if err != nil {
+				return err
+			}
+			return tx.Write(oid, 0, []byte(fmt.Sprintf("bench %d", done)))
+		})
+		if err != nil {
+			break
+		}
+	}
+	//qslint:allow determinism: interactive bench timer, printed to the operator and never replayed
+	elapsed := time.Since(start)
+	fmt.Printf("%d txns in %v (%.0f txn/s)\n", done, elapsed.Round(time.Millisecond),
+		float64(done)/elapsed.Seconds())
+	return err
+}
+
 // faultsCmd manages the daemon's fault-injection plan over the management op.
-func faultsCmd(addr string, seed int64, args []string) error {
+func faultsCmd(g globals, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: faults arm <plan> | faults disarm | faults list")
 	}
@@ -206,142 +204,71 @@ func faultsCmd(addr string, seed int64, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: faults arm <plan> (one of %v)", faultinject.PlanNames())
 		}
-		cli, err := wire.Dial(addr)
-		if err != nil {
+		return withClient(g.addr, func(cli *wire.TCPClient) error {
+			name, err := cli.Faults(true, args[1], g.seed)
+			if err == nil {
+				fmt.Printf("armed plan %q with seed %d\n", name, g.seed)
+			}
 			return err
-		}
-		defer cli.Close()
-		name, err := cli.Faults(true, args[1], seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("armed plan %q with seed %d\n", name, seed)
-		return nil
+		})
 	case "disarm":
-		cli, err := wire.Dial(addr)
-		if err != nil {
+		return withClient(g.addr, func(cli *wire.TCPClient) error {
+			_, err := cli.Faults(false, "", 0)
+			if err == nil {
+				fmt.Println("fault injection disarmed")
+			}
 			return err
-		}
-		defer cli.Close()
-		if _, err := cli.Faults(false, "", 0); err != nil {
-			return err
-		}
-		fmt.Println("fault injection disarmed")
-		return nil
+		})
 	default:
 		return fmt.Errorf("unknown faults subcommand %q", args[0])
 	}
 }
 
-// statsCmd fetches and prints the daemon's extended counters.
-func statsCmd(addr string, args []string) error {
+// fetchStats reads the daemon's stats document over the management op.
+func fetchStats(addr string) (ds wire.DaemonStats, err error) {
+	err = withClient(addr, func(cli *wire.TCPClient) error {
+		ds, err = cli.ServerStats()
+		return err
+	})
+	return ds, err
+}
+
+// statsCmd prints the daemon's whole stats document: as text through
+// render, or as the JSON the daemon sent.
+func statsCmd(g globals, args []string) error {
 	asJSON := len(args) == 1 && args[0] == "-json"
 	if len(args) > 0 && !asJSON {
 		return fmt.Errorf("usage: stats [-json]")
 	}
-	cli, err := wire.Dial(addr)
+	ds, err := fetchStats(g.addr)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
-	x, err := cli.ServerStats()
+	if !asJSON {
+		render(os.Stdout, ds)
+		return nil
+	}
+	out, err := json.MarshalIndent(ds, "", "  ")
 	if err != nil {
 		return err
 	}
-	if asJSON {
-		out, err := json.MarshalIndent(x, "", "  ")
+	fmt.Println(string(out))
+	return nil
+}
+
+// sectionCmd prints the named sections of the daemon's stats document, or
+// runs absent when the daemon has none of them.
+func sectionCmd(absent func() error, sections ...string) func(globals, []string) error {
+	return func(g globals, _ []string) error {
+		ds, err := fetchStats(g.addr)
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(out))
+		if render(os.Stdout, ds, sections...) == 0 {
+			return absent()
+		}
 		return nil
 	}
-	gc := x.GroupCommit
-	fmt.Printf("transactions     commits=%d aborts=%d checkpoints=%d restarts=%d\n",
-		x.Commits, x.Aborts, x.Checkpoints, x.Restarts)
-	fmt.Printf("log              forces=%d pages_written=%d records_applied=%d\n",
-		x.LogForces, x.LogPagesWritten, x.LogRecordsApplied)
-	fmt.Printf("group commit     commits=%d batches=%d flushes_avoided=%d",
-		gc.Commits, gc.Batches, gc.FlushesAvoided)
-	if gc.Batches > 0 {
-		fmt.Printf(" mean_batch=%.2f", float64(gc.Commits)/float64(gc.Batches))
-	}
-	fmt.Println()
-	fmt.Printf("  batch sizes    ")
-	for i, n := range gc.BatchSizes {
-		if n == 0 {
-			continue
-		}
-		label := fmt.Sprintf("%d", i)
-		if i == len(gc.BatchSizes)-1 {
-			label += "+"
-		}
-		fmt.Printf("[%s]=%d ", label, n)
-	}
-	fmt.Println()
-	fmt.Printf("buffer pool      hits=%d misses=%d latch_contention=%d\n",
-		x.PoolHits, x.PoolMisses, x.LatchContention)
-	fmt.Printf("lock manager     waits=%d\n", x.LockWaits)
-	fmt.Printf("data disk        reads=%d writes=%d\n", x.DataReads, x.DataWrites)
-	fmt.Printf("page cleaner     cleaner_pages=%d passes=%d hot_skips=%d dirty_pages=%d\n",
-		x.CleanerPages, x.CleanerPasses, x.CleanerHotSkips, x.DirtyPages)
-	fmt.Printf("checkpointing    redo_distance_bytes=%d ckpt_stall_ns=%d\n",
-		x.RedoDistanceBytes, x.CkptStallNs)
-	// What pins the log head is the lowest retention holder (DESIGN.md §2.2);
-	// one at or past the stable end holds nothing back.
-	ret := x.Retention
-	pin := wal.Held{Name: "nothing", LSN: ret.StableEnd}
-	for _, h := range ret.Holders {
-		if h.LSN < pin.LSN {
-			pin = h
-		}
-	}
-	fmt.Printf("log retention    head=%d stable_end=%d pinned_by=%s (%d bytes behind)\n",
-		ret.Head, ret.StableEnd, pin.Name, ret.StableEnd-pin.LSN)
-	fmt.Printf("integrity        scanned=%d checksum_failures=%d repaired=%d unrepairable=%d\n",
-		x.ScrubScanned, x.ChecksumFailures, x.PagesRepaired, x.PagesUnrepairable)
-	if x.TwoPCPrepares > 0 || x.TwoPCResolutions > 0 || len(x.InDoubt) > 0 {
-		fmt.Printf("two-phase commit prepares=%d presumed_aborts=%d resolutions=%d in_doubt=%d\n",
-			x.TwoPCPrepares, x.TwoPCPresumedAborts, x.TwoPCResolutions, len(x.InDoubt))
-	}
-	if len(x.Ops) > 0 {
-		// Sort the map-keyed section: identical stats must print identically
-		// (scripts diff this output, and map iteration order is randomized).
-		names := make([]string, 0, len(x.Ops))
-		for name := range x.Ops {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Printf("wire ops         ")
-		for _, name := range names {
-			fmt.Printf("%s=%d ", name, x.Ops[name])
-		}
-		fmt.Println()
-	}
-	if r := x.Restart; x.Restarts > 0 {
-		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-		fmt.Printf("restart          verify=%.2fms pass=%.2fms undo=%.2fms checkpoint=%.2fms scanned=%d records/%dB redone=%d verified=%d pages losers=%d in_doubt=%d\n",
-			ms(r.VerifyNs), ms(r.PassNs), ms(r.UndoNs), ms(r.CheckpointNs),
-			r.RecordsScanned, r.BytesScanned, r.RecordsRedone, r.PagesVerified, r.Losers, r.InDoubt)
-	}
-	if a := x.Archive; a != nil {
-		fmt.Printf("archiver         gen=%d segments=%d archived_to=%d lag=%dB (%d segments behind)\n",
-			a.Generation, a.Segments, a.ArchivedUpTo, a.LagBytes, a.SegmentsBehind)
-		fmt.Printf("  backups        count=%d last_backup_lsn=%d\n", a.Backups, a.LastBackupLSN)
-	}
-	if r := x.Repl; r != nil {
-		fmt.Printf("replication      role=primary mode=%s connected=%v acked=%d stable=%d lag=%dB\n",
-			r.Mode, r.Connected, r.AckedLSN, r.StableEnd, r.LagBytes)
-		fmt.Printf("  shipping       fetches=%d ack_waits=%d ack_timeouts=%d\n",
-			r.Fetches, r.AckWaits, r.AckTimeouts)
-	}
-	if s := x.Standby; s != nil {
-		fmt.Printf("replication      role=standby applied=%d remote_stable=%d lag=%dB\n",
-			s.AppliedLSN, s.RemoteStable, s.LagBytes)
-		fmt.Printf("  applying       batches=%d records=%d reconnects=%d\n",
-			s.Batches, s.Records, s.Reconnects)
-	}
-	return nil
 }
 
 // twopcStatusCmd prints every in-doubt transaction branch — prepared under
@@ -350,19 +277,14 @@ func statsCmd(addr string, args []string) error {
 // here holds its locks; a persistently growing age means its coordinator
 // shard is down and a resolution pass (shard.Router.Recover, run by any
 // sharded client at startup) is overdue.
-func twopcStatusCmd(addr string, args []string) error {
+func twopcStatusCmd(g globals, args []string) error {
 	addrs := args
 	if len(addrs) == 0 {
-		addrs = []string{addr}
+		addrs = []string{g.addr}
 	}
 	total := 0
 	for s, a := range addrs {
-		cli, err := wire.Dial(a)
-		if err != nil {
-			return fmt.Errorf("shard %d (%s): %w", s, a, err)
-		}
-		x, err := cli.ServerStats()
-		cli.Close()
+		x, err := fetchStats(a)
 		if err != nil {
 			return fmt.Errorf("shard %d (%s): %w", s, a, err)
 		}
@@ -380,56 +302,22 @@ func twopcStatusCmd(addr string, args []string) error {
 	return nil
 }
 
-// replCmd serves the replication subcommands against a live daemon:
-// repl-status prints shipping or apply lag depending on the daemon's role,
-// and promote turns a hot standby into a writable primary (the point of the
+// promoteCmd turns a hot standby into a writable primary (the point of the
 // whole exercise — see DESIGN.md §14).
-func replCmd(addr, cmd string) error {
-	cli, err := wire.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	switch cmd {
-	case "promote":
+func promoteCmd(g globals, _ []string) error {
+	return withClient(g.addr, func(cli *wire.TCPClient) error {
 		if err := cli.Promote(); err != nil {
 			return err
 		}
 		fmt.Println("standby promoted: now accepting writes")
 		return nil
-	case "repl-status":
-		x, err := cli.ServerStats()
-		if err != nil {
-			return err
-		}
-		switch {
-		case x.Repl != nil:
-			r := x.Repl
-			fmt.Printf("role             primary (%s)\n", r.Mode)
-			fmt.Printf("standby          connected=%v\n", r.Connected)
-			fmt.Printf("shipped          cursor=%d acked=%d stable_end=%d\n", r.CursorLSN, r.AckedLSN, r.StableEnd)
-			fmt.Printf("lag              %d bytes unacked\n", r.LagBytes)
-			fmt.Printf("counters         fetches=%d ack_waits=%d ack_timeouts=%d\n",
-				r.Fetches, r.AckWaits, r.AckTimeouts)
-		case x.Standby != nil:
-			s := x.Standby
-			fmt.Printf("role             standby\n")
-			fmt.Printf("applied          %d (primary stable end %d)\n", s.AppliedLSN, s.RemoteStable)
-			fmt.Printf("lag              %d bytes behind the primary\n", s.LagBytes)
-			fmt.Printf("counters         batches=%d records=%d reconnects=%d\n",
-				s.Batches, s.Records, s.Reconnects)
-		default:
-			fmt.Println("replication not configured (start the primary with -repl, the standby with -replica-of)")
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown repl command %q", cmd)
+	})
 }
 
 // scrubCmd asks the daemon to verify (and repair) stored pages now. With no
 // argument the whole volume is scanned; with a numeric limit only the next
 // batch from the daemon's scrub cursor.
-func scrubCmd(addr string, args []string) error {
+func scrubCmd(g globals, args []string) error {
 	limit := 0
 	if len(args) == 1 {
 		n, err := strconv.Atoi(args[0])
@@ -440,30 +328,20 @@ func scrubCmd(addr string, args []string) error {
 	} else if len(args) > 1 {
 		return fmt.Errorf("usage: scrub [limit]")
 	}
-	cli, err := wire.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	report, err := cli.Scrub(limit)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scanned %d pages: %d checksum failures, %d repaired, %d unrepairable\n",
-		report.Scanned, report.Failures, report.Repaired, report.Unrepairable)
-	return nil
+	return withClient(g.addr, func(cli *wire.TCPClient) error {
+		report, err := cli.Scrub(limit)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("scanned %d pages: %d checksum failures, %d repaired, %d unrepairable\n",
+			report.Scanned, report.Failures, report.Repaired, report.Unrepairable)
+		return nil
+	})
 }
 
-// archiveCmd serves the backup and archive-status subcommands against a live
-// daemon.
-func archiveCmd(addr, cmd string) error {
-	cli, err := wire.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	switch cmd {
-	case "backup":
+// backupCmd asks the daemon for a fuzzy online backup.
+func backupCmd(g globals, _ []string) error {
+	return withClient(g.addr, func(cli *wire.TCPClient) error {
 		info, err := cli.Backup()
 		if err != nil {
 			return err
@@ -471,23 +349,7 @@ func archiveCmd(addr, cmd string) error {
 		fmt.Printf("backup %s: %d pages, redo from %d, fuzz window [%d, %d)\n",
 			info.Name, info.Pages, info.RedoStart, info.Start, info.End)
 		return nil
-	case "archive-status":
-		ds, err := cli.ServerStats()
-		if err != nil {
-			return err
-		}
-		st := ds.Archive
-		if st == nil {
-			return wire.ErrNoArchive
-		}
-		fmt.Printf("generation       %d\n", st.Generation)
-		fmt.Printf("segments         %d (%d bytes archived)\n", st.Segments, st.SegmentBytes)
-		fmt.Printf("archived up to   %d (stable end %d)\n", st.ArchivedUpTo, st.StableEnd)
-		fmt.Printf("lag              %d bytes, %d segments behind\n", st.LagBytes, st.SegmentsBehind)
-		fmt.Printf("backups          %d (last at LSN %d)\n", st.Backups, st.LastBackupLSN)
-		return nil
-	}
-	return fmt.Errorf("unknown archive command %q", cmd)
+	})
 }
 
 // restoreCmd rebuilds a destroyed volume file from an archive directory. It
@@ -495,8 +357,9 @@ func archiveCmd(addr, cmd string) error {
 // what happens when the server's volume is gone. The recovered pages are
 // staged into <data>.tmp and renamed over <data> only after restart
 // completes, so a crash mid-restore leaves a stale temp file and a cleanly
-// re-runnable restore, never a half-written volume.
-func restoreCmd(args []string) error {
+// re-runnable restore, never a half-written volume. The volume is written
+// with checksum envelopes, the format quickstored reads.
+func restoreCmd(_ globals, args []string) error {
 	fs := flag.NewFlagSet("restore", flag.ContinueOnError)
 	var (
 		dir    = fs.String("archive-dir", "", "archive directory (required)")
@@ -533,7 +396,11 @@ func restoreCmd(args []string) error {
 		Mode:      m,
 		TargetLSN: *target,
 		NewStore: func() (disk.Store, error) {
-			return disk.OpenFileStore(tmp)
+			fs, err := disk.OpenFileStore(tmp)
+			if err != nil {
+				return nil, err
+			}
+			return disk.NewChecksummed(fs), nil
 		},
 		Finish: func(st disk.Store) error {
 			if err := st.Close(); err != nil {
@@ -552,34 +419,9 @@ func restoreCmd(args []string) error {
 
 // parseOID parses the P<page>.<slot> form printed by OID.String.
 func parseOID(s string) (quickstore.OID, error) {
-	s = strings.TrimPrefix(s, "P")
-	parts := strings.SplitN(s, ".", 2)
-	if len(parts) != 2 {
-		return quickstore.NilOID, fmt.Errorf("bad OID %q (want P<page>.<slot>)", s)
-	}
-	pg, err := strconv.ParseUint(parts[0], 10, 32)
-	if err != nil {
-		return quickstore.NilOID, err
-	}
-	slot, err := strconv.ParseUint(parts[1], 10, 16)
-	if err != nil {
-		return quickstore.NilOID, err
-	}
 	var oid quickstore.OID
-	var b [8]byte
-	// Build via the encoded form to avoid depending on internal field types.
-	putOID(b[:], uint32(pg), uint16(slot))
-	oid = quickstore.DecodeOID(b[:])
+	if _, err := fmt.Sscanf(strings.TrimPrefix(s, "P"), "%d.%d", &oid.Page, &oid.Slot); err != nil {
+		return quickstore.NilOID, fmt.Errorf("bad OID %q (want P<page>.<slot>): %w", s, err)
+	}
 	return oid, nil
-}
-
-func putOID(b []byte, pg uint32, slot uint16) {
-	b[0] = byte(pg)
-	b[1] = byte(pg >> 8)
-	b[2] = byte(pg >> 16)
-	b[3] = byte(pg >> 24)
-	b[4] = byte(slot)
-	b[5] = byte(slot >> 8)
-	b[6] = 0
-	b[7] = 0
 }

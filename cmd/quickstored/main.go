@@ -41,12 +41,10 @@ func main() {
 		wplSync   = flag.Bool("wpl-sync-install", false, "wpl: install committed pages inline at commit instead of in the background")
 		archDir   = flag.String("archive-dir", "", "archive log segments and backups into this directory (empty = no archiving)")
 		archInt   = flag.Duration("archive-every", 5*time.Second, "background archiver drain interval")
-		cksum     = flag.Bool("checksum", true, "verify per-page checksum envelopes on every read (the volume must have been written with checksums)")
-		scrubInt  = flag.Duration("scrub-every", 0, "background scrubber tick (0 = no scrubbing; requires -checksum)")
+		scrubInt  = flag.Duration("scrub-every", 0, "background scrubber tick (0 = no scrubbing)")
 		scrubN    = flag.Int("scrub-pages", 0, "pages verified per scrubber tick (0 = default)")
 		fuzzy     = flag.Bool("fuzzy-ckpt", false, "fuzzy checkpoints: log the dirty page table instead of flushing it (pair with -cleaner-every)")
 		cleanInt  = flag.Duration("cleaner-every", 0, "background page cleaner tick (0 = no cleaner)")
-		cleanN    = flag.Int("cleaner-batch", 0, "pages written per cleaner tick (0 = default)")
 		dirtyTgt  = flag.Int("dirty-target", 0, "dirty-page count the cleaner drains toward; commits apply soft backpressure past 2x (0 = clean whenever dirty pages exist)")
 		replShip  = flag.Bool("repl", false, "ship the WAL to a hot standby (serves repl-fetch; start the standby with -replica-of)")
 		replAck   = flag.String("repl-ack", "async", "replication ack mode: async|semi-sync (semi-sync blocks each commit until the standby applied it, with a timeout)")
@@ -91,8 +89,9 @@ func main() {
 		WPLInstallAsync:  !*wplSync,
 		FuzzyCheckpoints: *fuzzy,
 		CleanerEvery:     *cleanInt,
-		CleanerBatch:     *cleanN,
 		DirtyPageTarget:  *dirtyTgt,
+		ScrubEvery:       *scrubInt,
+		ScrubPages:       *scrubN,
 	}
 	recover := false
 	var vol disk.Store = disk.NewMemStore()
@@ -109,14 +108,7 @@ func main() {
 	// sits above it, so injected rot and tears land below the integrity
 	// envelope and are caught on the next read, exactly like media damage.
 	faults := faultinject.NewStore(vol)
-	cfg.Store = faults
-	if *cksum {
-		cfg.Store = disk.NewChecksummed(faults)
-		cfg.ScrubEvery = *scrubInt
-		cfg.ScrubPages = *scrubN
-	} else if *scrubInt > 0 {
-		log.Fatalf("quickstored: -scrub-every needs -checksum (nothing to verify without envelopes)")
-	}
+	cfg.Store = disk.NewChecksummed(faults)
 	if *replShip && *replicaOf != "" {
 		log.Fatalf("quickstored: -repl and -replica-of are mutually exclusive (a standby does not ship onward)")
 	}

@@ -44,7 +44,6 @@ func sweepServerConfig(mode server.Mode, store disk.Store, log *wal.Log, v crash
 		CheckpointEvery:  sweepCkptEvery,
 		FuzzyCheckpoints: v.fuzzy,
 		DirtyPageTarget:  v.dirtyTarget,
-		CleanerBatch:     v.cleanBatch,
 	}
 }
 

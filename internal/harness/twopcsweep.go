@@ -108,7 +108,8 @@ func (run *twopcRun) cluster(c *stallCounter) (*client.Client, *shard.Router) {
 			backends[s] = &stallBackend{Backend: backends[s], c: c}
 		}
 	}
-	return client.NewSharded(sweepClientConfig(run.sys), backends)
+	router := shard.NewRouter(backends)
+	return client.New(sweepClientConfig(run.sys), router), router
 }
 
 // runTwoPCWorkload executes the sharded workload. limit bounds the shared

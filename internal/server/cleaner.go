@@ -27,7 +27,7 @@ import (
 	"repro/internal/page"
 )
 
-// DefaultCleanerBatch is the per-pass page budget when CleanerBatch is 0.
+// DefaultCleanerBatch is the background cleaner's per-pass page budget.
 const DefaultCleanerBatch = 32
 
 // backpressureQuantum is the most pages one backpressured commit cleans
@@ -35,13 +35,6 @@ const DefaultCleanerBatch = 32
 // of the watermark is that writers collectively pay the draining cost in
 // small installments, never that a single commit absorbs a flush storm.
 const backpressureQuantum = 4
-
-func (s *Server) cleanerBatch() int {
-	if s.cfg.CleanerBatch > 0 {
-		return s.cfg.CleanerBatch
-	}
-	return DefaultCleanerBatch
-}
 
 // Clean writes up to limit cold dirty pages home, oldest recLSN first, and
 // returns how many it retired. It is the synchronous core of the background
@@ -146,9 +139,9 @@ func (s *Server) cleanOne(sn *Session, pid page.ID) (int, error) {
 }
 
 // cleanerWorker is the paced background cleaner: every Config.CleanerEvery
-// it writes home up to batch cold dirty pages. Mirrors scrubWorker's
-// lifecycle (started by New, stopped by Close).
-func (s *Server) cleanerWorker(every time.Duration, batch int) {
+// it writes home up to DefaultCleanerBatch cold dirty pages. Mirrors
+// scrubWorker's lifecycle (started by New, stopped by Close).
+func (s *Server) cleanerWorker(every time.Duration) {
 	defer s.cleanerWG.Done()
 	sn := s.NewSession(nil, nil)
 	tick := time.NewTicker(every)
@@ -170,7 +163,7 @@ func (s *Server) cleanerWorker(every time.Duration, batch int) {
 			}
 			// Maintenance: errors (including ErrRestarting) resurface on the
 			// eviction and checkpoint paths; keep ticking.
-			_, _ = sn.Clean(batch)
+			_, _ = sn.Clean(DefaultCleanerBatch)
 		}
 	}
 }

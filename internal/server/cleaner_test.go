@@ -31,7 +31,6 @@ func TestCleanerConcurrentWithCommits(t *testing.T) {
 				CheckpointEvery:  1 << 30, // driven explicitly below
 				FuzzyCheckpoints: true,
 				CleanerEvery:     500 * time.Microsecond,
-				CleanerBatch:     8,
 				DirtyPageTarget:  4,
 			})
 			defer s.Close()

@@ -169,12 +169,9 @@ type Config struct {
 	// truncation keeps pace.
 	FuzzyCheckpoints bool
 	// CleanerEvery, when positive, runs the background page cleaner: every
-	// tick it writes home up to CleanerBatch cold dirty pages in recLSN
-	// order, enforcing the WAL rule per page. Commits never wait on it.
+	// tick it writes home up to DefaultCleanerBatch cold dirty pages in
+	// recLSN order, enforcing the WAL rule per page. Commits never wait on it.
 	CleanerEvery time.Duration
-	// CleanerBatch is the per-pass page budget of the cleaner
-	// (DefaultCleanerBatch if 0).
-	CleanerBatch int
 	// DirtyPageTarget bounds restart redo work: the cleaner drains toward
 	// this many DPT entries, and a committing session past 2x the target
 	// cleans a few pages inline (soft backpressure, high watermark).
@@ -457,7 +454,7 @@ func New(cfg Config) *Server {
 	if cfg.CleanerEvery > 0 {
 		s.cleanerStop = make(chan struct{})
 		s.cleanerWG.Add(1)
-		go s.cleanerWorker(cfg.CleanerEvery, s.cleanerBatch())
+		go s.cleanerWorker(cfg.CleanerEvery)
 	}
 	return s
 }

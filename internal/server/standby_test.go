@@ -296,7 +296,6 @@ func TestPromoteWhileCleanerRunning(t *testing.T) {
 	pr := newReplPair(t, ModeESM, Config{FuzzyCheckpoints: true}, Config{
 		FuzzyCheckpoints: true,
 		CleanerEvery:     100 * time.Microsecond,
-		CleanerBatch:     4,
 		PoolPages:        256,
 	})
 	defer pr.p.Close()

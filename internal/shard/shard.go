@@ -87,7 +87,11 @@ type Router struct {
 }
 
 // NewRouter builds a router over the given shard backends (shard i at index
-// i). At least one backend is required.
+// i): wire.NewDirect against a server configured with ShardID=i,
+// ShardCount=len(svcs), or a wire.Dial connection to its daemon. At least one
+// backend is required. Retry belongs below the router — wrap each shard's
+// transport in wire.WithRetry before passing it, so a re-sent Prepare or
+// Decide reaches the same shard that missed it. Drive it with client.New.
 func NewRouter(svcs []Backend) *Router {
 	if len(svcs) == 0 {
 		panic("shard: NewRouter with no backends")

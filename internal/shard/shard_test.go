@@ -25,11 +25,12 @@ func newCluster(t *testing.T, n int) (*client.Client, *shard.Router, []*server.S
 		})
 		backends[s] = wire.NewDirect(srvs[s], nil, nil)
 	}
-	cli, router := client.NewSharded(client.Config{
+	router := shard.NewRouter(backends)
+	cli := client.New(client.Config{
 		Scheme:         client.PD,
 		PoolPages:      32,
 		ShipDirtyPages: true,
-	}, backends)
+	}, router)
 	return cli, router, srvs
 }
 
@@ -168,7 +169,8 @@ func TestJoiningAShardCostsNoFrame(t *testing.T) {
 			LogCapacity: 8 << 20, ShardID: s, ShardCount: n}), nil, nil)
 		backends[s] = wires[s]
 	}
-	cli, router := client.NewSharded(client.Config{Scheme: client.PD, PoolPages: 32, ShipDirtyPages: true}, backends)
+	router := shard.NewRouter(backends)
+	cli := client.New(client.Config{Scheme: client.PD, PoolPages: 32, ShipDirtyPages: true}, router)
 	tx, err := cli.Begin()
 	if err != nil {
 		t.Fatal(err)

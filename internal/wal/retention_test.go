@@ -65,6 +65,7 @@ func TestRetentionOneRule(t *testing.T) {
 		{"catch-up errors: the holder still pins", []hold{{"a", 1, broken, false}}, 1},
 		{"catch-up reaches, another holder pins", []hold{{"a", 1, reach, false}, {"b", 3, none, false}}, 3},
 		{"holder above the target is not asked", []hold{{"a", 6, broken, false}}, target},
+		{"holder at the stable end pins nothing", []hold{{"a", 8, none, false}}, target},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,6 +108,17 @@ func TestRetentionOneRule(t *testing.T) {
 			snap := l.Holders()
 			if snap.Head != head || snap.StableEnd != l.StableEnd() || len(snap.Holders) != len(live) {
 				t.Fatalf("snapshot %+v: want head %d, %d holders", snap, head, len(live))
+			}
+			// PinnedBy is the lowest holder below the stable end, the
+			// first registered on a tie; none at or above it holds anything.
+			pin, low := "", snap.StableEnd
+			for _, held := range snap.Holders {
+				if held.LSN < low {
+					pin, low = held.Name, held.LSN
+				}
+			}
+			if snap.PinnedBy != pin {
+				t.Errorf("PinnedBy = %q, want %q (%+v)", snap.PinnedBy, pin, snap.Holders)
 			}
 			for _, held := range snap.Holders {
 				if live[held.Name] == nil {

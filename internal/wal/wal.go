@@ -462,11 +462,13 @@ type Held struct {
 	LSN  uint64
 }
 
-// Retention is a snapshot of what bounds the log head. The holder with the
-// lowest LSN is the one pinning it.
+// Retention is a snapshot of what bounds the log head.
 type Retention struct {
 	Head, StableEnd uint64
 	Holders         []Held // registration order
+	// PinnedBy names the holder Truncate would stop at: the lowest one
+	// below the stable end. Empty when none holds the head back.
+	PinnedBy string
 }
 
 // Hold registers a holder at pos: until it is moved (Set) or released,
@@ -519,7 +521,22 @@ func (l *Log) Holders() Retention {
 	for _, h := range l.holders {
 		r.Holders = append(r.Holders, Held{h.name, h.pos})
 	}
+	if h := l.lowestBelow(l.flushed); h != nil {
+		r.PinnedBy = h.name
+	}
 	return r
+}
+
+// lowestBelow returns the first-registered of the lowest holders below lsn,
+// or nil. The caller holds l.mu.
+func (l *Log) lowestBelow(lsn uint64) *Holder {
+	var low *Holder
+	for _, h := range l.holders {
+		if h.pos < lsn && (low == nil || h.pos < low.pos) {
+			low = h
+		}
+	}
+	return low
 }
 
 // askBehind runs the catch-up of every holder below target — or, on the
@@ -572,10 +589,8 @@ func (l *Log) Truncate(newHead uint64) error {
 	if newHead > l.flushed {
 		return fmt.Errorf("wal: truncate beyond stable end (%d > %d)", newHead, l.flushed)
 	}
-	for _, h := range l.holders {
-		if h.pos < newHead {
-			newHead = h.pos
-		}
+	if h := l.lowestBelow(newHead); h != nil {
+		newHead = h.pos
 	}
 	if newHead <= l.head {
 		return nil

@@ -152,7 +152,7 @@ type Store struct {
 	store  disk.Store     // nil for remote stores
 	tcp    *wire.TCPClient
 	scheme Scheme
-	opts   Options // defaulted options, for rebuilding the client after Crash
+	opts   Options // for rebuilding the client after Crash
 }
 
 // ErrTxDone is returned when a transaction is used after Commit or Abort.
@@ -162,21 +162,9 @@ var ErrTxDone = client.ErrNoTxn
 // existing volume is recovered (restart recovery runs if the previous
 // process crashed).
 func Open(o Options) (*Store, error) {
-	cs, mode, err := o.Scheme.split()
+	ccfg, mode, err := o.clientConfig()
 	if err != nil {
 		return nil, err
-	}
-	if o.ClientCacheMB == 0 {
-		o.ClientCacheMB = 8
-	}
-	if o.RecoveryBufferMB == 0 {
-		o.RecoveryBufferMB = 4
-	}
-	if o.ServerCacheMB == 0 {
-		o.ServerCacheMB = 36
-	}
-	if o.LogMB == 0 {
-		o.LogMB = 256
 	}
 	var vol disk.Store
 	existing := false
@@ -186,7 +174,8 @@ func Open(o Options) (*Store, error) {
 			return nil, err
 		}
 		existing = fs.Pages() > 0
-		vol = fs
+		// The volume format quickstored reads: checksum envelopes on every page.
+		vol = disk.NewChecksummed(fs)
 	} else {
 		vol = disk.NewMemStore()
 	}
@@ -205,12 +194,7 @@ func Open(o Options) (*Store, error) {
 			return nil, fmt.Errorf("quickstore: recovering %s: %w", o.Path, err)
 		}
 	}
-	cli := client.New(client.Config{
-		Scheme:         cs,
-		PoolPages:      o.ClientCacheMB << 20 / PageSize,
-		RecoveryBytes:  o.RecoveryBufferMB << 20,
-		ShipDirtyPages: mode != server.ModeREDO,
-	}, wire.NewDirect(srv, nil, nil))
+	cli := client.New(ccfg, wire.NewDirect(srv, nil, nil))
 	return &Store{cli: cli, srv: srv, store: vol, scheme: o.Scheme, opts: o}, nil
 }
 
@@ -218,27 +202,27 @@ func Open(o Options) (*Store, error) {
 // recovery mode (PDESM/SDESM/SLESM against an ESM server, PDREDO against a
 // REDO server, WPL against a WPL server).
 func Dial(addr string, o Options) (*Store, error) {
-	cs, mode, err := o.Scheme.split()
+	ccfg, _, err := o.clientConfig()
 	if err != nil {
 		return nil, err
-	}
-	if o.ClientCacheMB == 0 {
-		o.ClientCacheMB = 8
-	}
-	if o.RecoveryBufferMB == 0 {
-		o.RecoveryBufferMB = 4
 	}
 	tcp, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	cli := client.New(client.Config{
+	return &Store{cli: client.New(ccfg, tcp), tcp: tcp, scheme: o.Scheme, opts: o}, nil
+}
+
+// clientConfig is the client half of o and the server mode its scheme
+// needs. A zero size reaches the layer's own default.
+func (o Options) clientConfig() (client.Config, server.Mode, error) {
+	cs, mode, err := o.Scheme.split()
+	return client.Config{
 		Scheme:         cs,
 		PoolPages:      o.ClientCacheMB << 20 / PageSize,
 		RecoveryBytes:  o.RecoveryBufferMB << 20,
 		ShipDirtyPages: mode != server.ModeREDO,
-	}, tcp)
-	return &Store{cli: cli, tcp: tcp, scheme: o.Scheme, opts: o}, nil
+	}, mode, err
 }
 
 // Scheme returns the store's recovery scheme.
@@ -323,42 +307,16 @@ func (s *Store) Crash() error {
 		return err
 	}
 	// The client's cached pages and any open transaction are gone.
-	cs, mode, _ := s.scheme.split()
-	s.cli = client.New(client.Config{
-		Scheme:         cs,
-		PoolPages:      s.opts.ClientCacheMB << 20 / PageSize,
-		RecoveryBytes:  s.opts.RecoveryBufferMB << 20,
-		ShipDirtyPages: mode != server.ModeREDO,
-	}, wire.NewDirect(s.srv, nil, nil))
+	ccfg, _, _ := s.opts.clientConfig()
+	s.cli = client.New(ccfg, wire.NewDirect(s.srv, nil, nil))
 	return nil
 }
 
-// Stats reports operation counts since the store was opened.
-type Stats struct {
-	Commits           int64
-	Aborts            int64
-	Faults            int64 // write-protection faults handled
-	Updates           int64
-	LogRecords        int64
-	LogBytesShipped   int64
-	DirtyPagesShipped int64
-	PagesFetched      int64
-}
+// Stats reports the client's operation counts since the store was opened.
+type Stats = client.Stats
 
 // Stats returns a snapshot of client-side counters.
-func (s *Store) Stats() Stats {
-	c := s.cli.Stats()
-	return Stats{
-		Commits:           c.Commits,
-		Aborts:            c.Aborts,
-		Faults:            c.Faults,
-		Updates:           c.Updates,
-		LogRecords:        c.LogRecords,
-		LogBytesShipped:   c.LogBytesShipped,
-		DirtyPagesShipped: c.DirtyPagesShipped,
-		PagesFetched:      c.PagesFetched,
-	}
-}
+func (s *Store) Stats() Stats { return s.cli.Stats() }
 
 // --- transaction operations -------------------------------------------------
 
