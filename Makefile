@@ -5,8 +5,8 @@
 # microbenchmark, the tests of the bench/ module, which links these packages
 # but which `go test ./...` here never reaches, a short run of every fuzz
 # target and one daemon driven end to end through qsctl (daemon-smoke).
-# Fuzzy checkpoints racing concurrent commits and the page cleaner
-# (§13) are covered by TestCleanerConcurrentWithCommits, under `race` and
+# Checkpoints and the page cleaner racing concurrent commits (§13) are
+# covered by TestCleanerConcurrentWithCommits, under `race` and
 # `race-cleaner`.
 #
 # The race-<subsystem> targets re-run a slice of `race` with -count=1; they
@@ -19,14 +19,14 @@ GO ?= go
 
 check: vet lint lint-fixtures build race sweeps bench-micro-smoke bench-test fuzz-smoke daemon-smoke
 
-# Every sweep kind (crash, fuzzy, restart-crash, group, media, scrub, repl,
+# Every sweep kind (crash, cleaner, restart-crash, group, media, scrub, repl,
 # twopc, twopc-stall — DESIGN.md §2.3) over all five schemes, 50 sampled
 # points each; the group kind, whose committers really race, again under the
 # race detector.
 sweeps: group-sweep-smoke
 	$(GO) test ./internal/harness/ -run '^TestSweep$$' -count=1 -sweep.budget=50
 
-# One kind on its own: crash-sweep-smoke, fuzzy-sweep-smoke,
+# One kind on its own: crash-sweep-smoke, cleaner-sweep-smoke,
 # restart-crash-sweep-smoke, group-sweep-smoke (under -race),
 # media-sweep-smoke, scrub-sweep-smoke, repl-sweep-smoke, twopc-sweep-smoke
 # (a prefix match: twopc and twopc-stall). sweep-smoke is the crash kind's
@@ -98,8 +98,9 @@ daemon-smoke:
 # The concurrency surface (group commit, sharded pool sessions, async WPL
 # installer and the install-before-commit-force window, restart's one pass
 # held against the per-page rebuilder and writing pages home as it goes, WPL
-# restart analysis across sharp and fuzzy checkpoints, the live tables checked
-# against analysis of the log after every call) under the race detector.
+# restart analysis across checkpoints with and without a logged DPT, the
+# live tables checked against analysis of the log after every call) under
+# the race detector.
 race-concurrent:
 	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestRestartMatchesPageRebuilder|TestRestartRedoesBelowAnalysisStart|TestRestartHealsYoungTornPage|TestRestartWritesHome|TestLiveTables' -count=1
 
@@ -113,12 +114,13 @@ race-archive:
 race-scrub:
 	$(GO) test -race ./internal/server/ -run 'TestScrub|TestDemandRead|TestUnrepairable|TestBackgroundScrubber' -count=1
 
-# The background page cleaner and fuzzy checkpoints racing committing
-# sessions under the race detector, including crash+restart afterwards
-# (DESIGN.md §13), and the write-ahead regression that evicts and cleans a
-# page whose newest record straddles the stable end (§2.4).
+# The background page cleaner and checkpoints racing committing sessions
+# under the race detector, including crash+restart afterwards, a commit
+# landing while a checkpoint writes pages (DESIGN.md §13), and the
+# write-ahead regression that evicts and cleans a page whose newest record
+# straddles the stable end (§2.4).
 race-cleaner:
-	$(GO) test -race ./internal/server/ -run 'TestCleaner|TestClean|TestMaintenanceDuringRestart|TestWriteAhead' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestCleaner|TestClean|TestMaintenanceDuringRestart|TestCommitLandsWhileCheckpointWritesPages|TestWriteAhead' -count=1
 
 # The per-layer microbenchmarks, ns/op and allocs/op each: a WAL append,
 # restart phase by phase, the dereference of a resident object, a T1

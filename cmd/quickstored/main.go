@@ -34,16 +34,13 @@ func main() {
 		data      = flag.String("data", "", "data volume file (empty = in-memory)")
 		cacheMB   = flag.Int("cache", 36, "server buffer pool (MB)")
 		logMB     = flag.Int("log", 256, "transaction log capacity (MB)")
-		gcDelay   = flag.Duration("gcdelay", 0, "group-commit max batch delay (0 = batch without delay)")
 		shards    = flag.Int("shards", 0, "buffer pool latch shards (0 = default)")
 		shardID   = flag.Int("shard-id", 0, "this daemon's shard index in a multi-volume cluster (with -shard-count)")
 		shardN    = flag.Int("shard-count", 1, "total shards in the cluster: page ids and transaction ids are allocated in this daemon's residue class, and cross-shard commits run two-phase (see qsctl 2pc-status)")
-		wplSync   = flag.Bool("wpl-sync-install", false, "wpl: install committed pages inline at commit instead of in the background")
 		archDir   = flag.String("archive-dir", "", "archive log segments and backups into this directory (empty = no archiving)")
 		archInt   = flag.Duration("archive-every", 5*time.Second, "background archiver drain interval")
 		scrubInt  = flag.Duration("scrub-every", 0, "background scrubber tick (0 = no scrubbing)")
 		scrubN    = flag.Int("scrub-pages", 0, "pages verified per scrubber tick (0 = default)")
-		fuzzy     = flag.Bool("fuzzy-ckpt", false, "fuzzy checkpoints: log the dirty page table instead of flushing it (pair with -cleaner-every)")
 		cleanInt  = flag.Duration("cleaner-every", 0, "background page cleaner tick (0 = no cleaner)")
 		dirtyTgt  = flag.Int("dirty-target", 0, "dirty-page count the cleaner drains toward; commits apply soft backpressure past 2x (0 = clean whenever dirty pages exist)")
 		replShip  = flag.Bool("repl", false, "ship the WAL to a hot standby (serves repl-fetch; start the standby with -replica-of)")
@@ -66,32 +63,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *fuzzy && m == server.ModeWPL {
-		log.Printf("quickstored: note: WPL checkpoints never flush pages; -fuzzy-ckpt only changes the checkpoint record contents")
-	}
 	if *cleanInt > 0 && m == server.ModeWPL {
 		log.Fatalf("quickstored: -cleaner-every is meaningless under WPL (uncommitted pages must never reach their home location)")
-	}
-	if *gcDelay < 0 {
-		log.Fatalf("quickstored: -gcdelay %v is negative (group commit cannot be disabled; 0 batches without delay)", *gcDelay)
 	}
 	if *shardN < 1 || *shardID < 0 || *shardID >= *shardN {
 		log.Fatalf("quickstored: -shard-id %d out of range for -shard-count %d", *shardID, *shardN)
 	}
 	cfg := server.Config{
-		Mode:             m,
-		ShardID:          *shardID,
-		ShardCount:       *shardN,
-		PoolPages:        *cacheMB << 20 / page.Size,
-		LogCapacity:      *logMB << 20,
-		PoolShards:       *shards,
-		GroupCommitDelay: *gcDelay,
-		WPLInstallAsync:  !*wplSync,
-		FuzzyCheckpoints: *fuzzy,
-		CleanerEvery:     *cleanInt,
-		DirtyPageTarget:  *dirtyTgt,
-		ScrubEvery:       *scrubInt,
-		ScrubPages:       *scrubN,
+		Mode:            m,
+		ShardID:         *shardID,
+		ShardCount:      *shardN,
+		PoolPages:       *cacheMB << 20 / page.Size,
+		LogCapacity:     *logMB << 20,
+		PoolShards:      *shards,
+		WPLInstallAsync: true,
+		CleanerEvery:    *cleanInt,
+		DirtyPageTarget: *dirtyTgt,
+		ScrubEvery:      *scrubInt,
+		ScrubPages:      *scrubN,
 	}
 	recover := false
 	var vol disk.Store = disk.NewMemStore()
@@ -256,16 +245,7 @@ func main() {
 		}
 		log.Printf("shutting down: checkpointing")
 		srv.Close() // drain the WPL install worker before the final checkpoint
-		sn := srv.NewSession(nil, nil)
-		if *fuzzy {
-			// A fuzzy checkpoint does not flush pages, and the in-memory log
-			// dies with the process: write everything home so a file-backed
-			// volume reopens clean (DESIGN.md §13).
-			if err := sn.FlushAll(); err != nil {
-				log.Printf("final flush failed: %v", err)
-			}
-		}
-		if err := sn.Checkpoint(); err != nil {
+		if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
 			log.Printf("checkpoint failed: %v", err)
 		}
 		if arch != nil {

@@ -1,6 +1,6 @@
 package harness
 
-// The single-node kinds (DESIGN.md §2.3): crash, fuzzy and restart-crash.
+// The single-node kinds (DESIGN.md §2.3): crash, cleaner and restart-crash.
 // One server, both stable-storage channels on one fuse; the counting pass
 // numbers every stable event, a replay freezes storage after event P.
 
@@ -17,33 +17,31 @@ import (
 	"repro/internal/wire"
 )
 
-// crashVariant tunes the server's checkpoint/cleaner configuration. The zero
-// value is the sharp-checkpoint crash kind.
+// crashVariant tunes the server's page cleaner configuration. The zero
+// value is the crash kind.
 type crashVariant struct {
-	fuzzy       bool // server.Config.FuzzyCheckpoints
-	cleanEvery  int  // run a synchronous cleaner batch after every N stamps (0 = never)
-	cleanBatch  int  // pages per synchronous cleaner batch
-	dirtyTarget int  // server.Config.DirtyPageTarget (backpressure at 2x)
+	cleanEvery  int // run a synchronous cleaner batch after every N stamps (0 = never)
+	cleanBatch  int // pages per synchronous cleaner batch
+	dirtyTarget int // server.Config.DirtyPageTarget (backpressure at 2x)
 }
 
-// fuzzyVariant is the fuzzy kind: cleaner data writes and the
-// checkpoint-record → superblock window become numbered crash points, and
-// the dirty-page target puts inline Clean calls inside commit brackets.
-var fuzzyVariant = crashVariant{fuzzy: true, cleanEvery: 2, cleanBatch: 8, dirtyTarget: 16}
+// cleanerVariant is the cleaner kind: cleaner data writes between
+// checkpoints become numbered crash points, and the dirty-page target puts
+// inline Clean calls inside commit brackets.
+var cleanerVariant = crashVariant{cleanEvery: 2, cleanBatch: 8, dirtyTarget: 16}
 
 // sweepServerConfig builds the server configuration shared by the workload
 // and every recovery server of a replay; they must agree or the replay would
 // recover under a different regime than the crash was taken under.
 func sweepServerConfig(mode server.Mode, store disk.Store, log *wal.Log, v crashVariant) server.Config {
 	return server.Config{
-		Mode:             mode,
-		Store:            store,
-		Log:              log,
-		LogCapacity:      sweepLogCapacity,
-		PoolPages:        sweepServerPool,
-		CheckpointEvery:  sweepCkptEvery,
-		FuzzyCheckpoints: v.fuzzy,
-		DirtyPageTarget:  v.dirtyTarget,
+		Mode:            mode,
+		Store:           store,
+		Log:             log,
+		LogCapacity:     sweepLogCapacity,
+		PoolPages:       sweepServerPool,
+		CheckpointEvery: sweepCkptEvery,
+		DirtyPageTarget: v.dirtyTarget,
 	}
 }
 
@@ -104,7 +102,7 @@ func runCrashWorkload(sys SweepSystem, seed, limit int64, v crashVariant) (*cras
 	cli := sweepClient(sys, wire.NewDirect(n.srv, nil, nil))
 	err := run.j.build(cli, seed)
 	if err == nil {
-		// The fuzzy kind drives the page cleaner synchronously through a
+		// The cleaner kind drives the page cleaner synchronously through a
 		// server-side session: the background goroutine stays off
 		// (CleanerEvery is never set), because a ticker-driven worker would
 		// make event numbering racy while Session.Clean hits the same code

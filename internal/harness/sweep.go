@@ -558,7 +558,7 @@ type sweepKind struct {
 func sweepKinds() []sweepKind {
 	return []sweepKind{
 		{"crash", func(sys SweepSystem, seed int64) (*pointSpace, error) { return openCrash(sys, seed, crashVariant{}) }},
-		{"fuzzy", func(sys SweepSystem, seed int64) (*pointSpace, error) { return openCrash(sys, seed, fuzzyVariant) }},
+		{"cleaner", func(sys SweepSystem, seed int64) (*pointSpace, error) { return openCrash(sys, seed, cleanerVariant) }},
 		{"restart-crash", openRestartCrash},
 		{"group", openGroup},
 		{"media", openMedia},

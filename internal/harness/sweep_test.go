@@ -43,7 +43,7 @@ func replayBudget() int {
 // media, scrub and group kinds enforce their own floors when they open.
 var minSweepPoints = map[string]int64{
 	"crash":         200,
-	"fuzzy":         200,
+	"cleaner":       200,
 	"restart-crash": 200,
 	"repl":          200,
 	"twopc":         100,
@@ -188,16 +188,16 @@ func TestWideStampsLeaveStableLoserRecords(t *testing.T) {
 	}
 }
 
-// TestFuzzySweepExercisesCleanerAndCkpt checks the fuzzy kind actually
+// TestFuzzySweepExercisesCleanerAndCkpt checks the cleaner kind actually
 // reaches the machinery it exists to crash: the counting pass must show
 // cleaner page writes (except under WPL, where Clean is by design a no-op)
-// and completed fuzzy checkpoints, and must be deterministic.
+// and completed checkpoints, and must be deterministic.
 func TestFuzzySweepExercisesCleanerAndCkpt(t *testing.T) {
 	for _, sys := range SweepSystems() {
 		sys := sys
 		t.Run(sys.Name, func(t *testing.T) {
 			t.Parallel()
-			run, n, err := countCrashPoints(sys, *sweepSeed, fuzzyVariant)
+			run, n, err := countCrashPoints(sys, *sweepSeed, cleanerVariant)
 			if err != nil {
 				t.Fatalf("counting pass: %v", err)
 			}
@@ -209,20 +209,17 @@ func TestFuzzySweepExercisesCleanerAndCkpt(t *testing.T) {
 				t.Errorf("cleaner wrote %d pages under WPL; Clean must be a no-op there", st.CleanerPages)
 			}
 			if st.Checkpoints == 0 {
-				t.Errorf("no fuzzy checkpoint completed: the sweep cannot hit mid-checkpoint points")
+				t.Errorf("no checkpoint completed: the sweep cannot hit mid-checkpoint points")
 			}
-			if st.CkptStallNs != 0 {
-				t.Errorf("fuzzy checkpoints stalled commits for %dns, want 0 (that is the point of fuzzy)", st.CkptStallNs)
-			}
-			run2, n2, err := countCrashPoints(sys, *sweepSeed, fuzzyVariant)
+			run2, n2, err := countCrashPoints(sys, *sweepSeed, cleanerVariant)
 			if err != nil {
 				t.Fatalf("counting pass B: %v", err)
 			}
 			if n != n2 {
-				t.Fatalf("fuzzy crash-point count not deterministic: %d then %d", n, n2)
+				t.Fatalf("cleaner crash-point count not deterministic: %d then %d", n, n2)
 			}
 			sameJournal(t, run.j, run2.j)
-			t.Logf("%s: %d fuzzy crash points, cleaner wrote %d pages over %d passes, %d checkpoints",
+			t.Logf("%s: %d cleaner crash points, cleaner wrote %d pages over %d passes, %d checkpoints",
 				sys.Name, n, st.CleanerPages, st.CleanerPasses, st.Checkpoints)
 		})
 	}

@@ -16,8 +16,8 @@ package lint
 //   - the sync.Mutex fields in leafNames           → level 3 (leaf)
 //   - the "mu" field of the leafMuTypes: state held briefly with nothing
 //     nested inside, so it sits at leaf level
-//   - ckptMu: checkpointFuzzy takes it BEFORE entering the gate, so it gets
-//     its own outermost level above the gate
+//   - ckptMu: Checkpoint takes it BEFORE entering the gate, so it gets its
+//     own outermost level above the gate
 //   - a module function named "enter" returning func() acquires the gate;
 //     calling the returned value releases it (the server's enter/exit pair)
 //
@@ -72,7 +72,7 @@ var leafNames = map[string]bool{
 }
 
 // outerNames are coordination mutexes acquired BEFORE the session gate and
-// held across it: checkpointFuzzy takes ckptMu, then enter()s the gate, then
+// held across it: Checkpoint takes ckptMu, then enter()s the gate, then
 // descends through shard latches. Anything already holding the gate (or
 // below) must not acquire them.
 var outerNames = map[string]bool{"ckptMu": true}

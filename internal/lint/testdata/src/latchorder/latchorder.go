@@ -125,8 +125,8 @@ func (n *node) tryOrWait(i int) {
 	sh.Unlock()
 }
 
-// tryOrSkip is checkpointFuzzy's: a checkpoint already in flight makes this
-// one redundant, and the success path goes on to enter the gate.
+// tryOrSkip gives up when the outer mutex is taken, and the success path goes
+// on to enter the gate.
 func (n *node) tryOrSkip() {
 	if !n.ckptMu.TryLock() {
 		return

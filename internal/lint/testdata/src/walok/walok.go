@@ -20,7 +20,7 @@ func install(log *wal.Log, st disk.Store, r *logrec.Record) error {
 }
 
 // checkpointShape forces before flushing and appends the summary record
-// after: the sharp-checkpoint pattern.
+// after.
 func checkpointShape(log *wal.Log, st disk.Store, r *logrec.Record) error {
 	log.Force()
 	if err := st.WritePage(9, make([]byte, 64)); err != nil {

@@ -38,8 +38,8 @@ func appendLoop(log *wal.Log, st disk.Store, rs []*logrec.Record) error {
 	return nil
 }
 
-// forcedFirst is the sharp-checkpoint shape: force, flush, then append the
-// record describing already-stable state. Clean.
+// forcedFirst forces, flushes, then appends the record describing
+// already-stable state. Clean.
 func forcedFirst(log *wal.Log, st disk.Store, r *logrec.Record) error {
 	log.Force()
 	if err := st.WritePage(3, make([]byte, 64)); err != nil {

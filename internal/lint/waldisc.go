@@ -26,10 +26,10 @@ package lint
 // could be lost in a crash that survives the page. It is a flow over the
 // body's CFG with two facts: "forced before any write", a must fact, and
 // "unforced write pending", a may fact, so a loop that appends after the
-// previous pass's write is caught. Bodies that force first
-// (checkpointQuiesced: Force → WritePage loop) are fine; restore-style paths
-// that intentionally write images before re-appending history carry a
-// //qslint:allow wal-discipline annotation.
+// previous pass's write is caught. Bodies that append and force before they
+// write (checkpointCore: Append → Force → master-record write) are fine;
+// restore-style paths that intentionally write images before re-appending
+// history carry a //qslint:allow wal-discipline annotation.
 
 import (
 	"go/ast"
@@ -160,10 +160,9 @@ type writeAheadFact struct {
 }
 
 // writeAhead runs rule B over one body. A force before the first write
-// covers the whole body (the sharp checkpoint: Force → flush dirty pages →
-// append the checkpoint record is the canonical legitimate write-then-append
-// body); after that, a force clears the pending write and an append reports
-// it.
+// covers the whole body (Force → flush dirty pages → append a summary
+// record is the canonical legitimate write-then-append body); after that, a
+// force clears the pending write and an append reports it.
 func writeAhead(m *Module, pkg *Package, store *types.Interface, body *ast.BlockStmt, report Reporter) {
 	fl := flow[writeAheadFact]{
 		bottom: func() writeAheadFact { return writeAheadFact{} },

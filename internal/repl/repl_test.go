@@ -403,8 +403,8 @@ func (b *stuckBlobs) Put(name string, data []byte) error {
 }
 
 // TestLogHeadIsTheLowestHolder composes every reason to retain log on one
-// primary — restart redo under fuzzy checkpoints with dirty pages, an
-// archiver, a connected standby — and advances them one at a time. After
+// primary — restart redo for an open transaction whose page has not arrived,
+// an archiver, a connected standby — and advances them one at a time. After
 // each checkpoint the head must stand exactly at the lowest of the three,
 // and Holders() must name that one as the pin.
 func TestLogHeadIsTheLowestHolder(t *testing.T) {
@@ -421,7 +421,6 @@ func TestLogHeadIsTheLowestHolder(t *testing.T) {
 	prim := newNode(t, server.ModeESM, func(cfg *server.Config) {
 		cfg.Log = plog
 		cfg.Store = store
-		cfg.FuzzyCheckpoints = true
 		archive.Wire(cfg, arch)
 		p.Wire(cfg)
 	})
@@ -461,12 +460,28 @@ func TestLogHeadIsTheLowestHolder(t *testing.T) {
 	}
 
 	for i := 0; i < 12; i++ {
-		commitPage(t, prim, server.ModeESM, "page.") // dirty in the pool: fuzzy checkpoints flush nothing
+		commitPage(t, prim, server.ModeESM, "page.") // dirty in the pool
+	}
+	// An ESM transaction ships its record and holds its page back: a
+	// checkpoint cannot write that page home, so the DPT entry — and the
+	// transaction's first record — stay below every checkpoint until it
+	// commits.
+	open := prim.sn.Begin()
+	openPid, err := prim.sn.AllocPage(open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	openPage := page.New(openPid)
+	if _, err := openPage.Allocate(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := prim.sn.ShipLog(open, logrec.NewPageImage(open, openPid, openPage.Bytes()).Encode(nil)); err != nil {
+		t.Fatal(err)
 	}
 	// The standby connects and takes exactly one record; its cursor is the
 	// second record. The archive medium is down, so the archiver stays at the
-	// very first. Cleaning the four oldest dirty pages moves redo's start
-	// past both.
+	// very first. Cleaning the four oldest dirty pages and checkpointing
+	// moves redo's start past both, to the open transaction.
 	first, err := p.Fetch(wal.FirstLSN, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -495,8 +510,8 @@ func TestLogHeadIsTheLowestHolder(t *testing.T) {
 		t.Fatalf("head = %d, want the standby cursor %d", plog.Head(), first.Next)
 	}
 
-	// The standby catches up and the archiver drains everything: the oldest
-	// dirty page's recLSN is what is left.
+	// The standby catches up and the archiver drains everything: the open
+	// transaction's first record is what is left.
 	cursor := first.Next
 	for {
 		b, err := p.Fetch(cursor, 0, 0)
@@ -518,9 +533,16 @@ func TestLogHeadIsTheLowestHolder(t *testing.T) {
 		t.Fatalf("redo holder at %d, want a dirty page's recLSN inside (%d, %d)", redo, first.Next, cursor)
 	}
 
-	// Everything is cleaned: redo needs only the newest checkpoint, the
-	// archiver drains up to it on demand, and the standby — which has not
-	// fetched the checkpoint records yet — is the pin again.
+	// The open transaction ships its page and commits, and everything is
+	// cleaned: redo needs only the newest checkpoint, the archiver drains up
+	// to it on demand, and the standby — which has not fetched the
+	// checkpoint records yet — is the pin again.
+	if err := prim.sn.ShipPage(open, openPid, openPage.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := prim.sn.Commit(open); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := prim.sn.Clean(64); err != nil {
 		t.Fatal(err)
 	}

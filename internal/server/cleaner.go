@@ -1,22 +1,22 @@
 package server
 
-// The background page cleaner (DESIGN.md §13).
+// The page cleaner and the page loop checkpoints share (DESIGN.md §13).
 //
-// Fuzzy checkpoints log the dirty page table instead of flushing it, so some
-// other mechanism must write dirty pages home — otherwise the DPT grows
-// without bound, restart redo work grows with it, and log truncation stalls
-// at min(recLSN). The cleaner is that mechanism: a paced worker that picks
-// cold dirty pages in recLSN order (oldest redo obligation first, which is
-// also what advances the redo retention holder fastest) and hands each to
-// writeHome (writeback.go), which owns the write and the write-ahead test.
-// Commits never wait on it; a committer past the high watermark (2x
-// Config.DirtyPageTarget) cleans a small quantum of pages inline as soft
-// backpressure.
+// cleanPages is the one loop that writes dirty ESM/REDO pages home outside
+// eviction: it picks DPT pages in recLSN order (oldest redo obligation
+// first, which is also what advances the redo retention holder fastest) and
+// hands each to cleanOne → writeHome (writeback.go), which owns the write and
+// the write-ahead test. A checkpoint runs it over every page dirty at its
+// start; between checkpoints the paced cleaner runs it over a batch, so the
+// DPT — restart redo work, and the log a checkpoint cannot reclaim — stays
+// near Config.DirtyPageTarget. Commits never wait on it; a committer past
+// the high watermark (2x the target) cleans a small quantum of pages inline
+// as soft backpressure.
 //
-// Latch order: each page is handled under gate.R → its shard latch → dptMu,
-// exactly the order session operations use, so the cleaner can run
-// concurrently with them; Checkpoint/Restart/Crash exclude it per page via
-// the gate like any session. The crash-point sweep drives Clean synchronously
+// Latch order: each page is handled under the gate → its shard latch →
+// dptMu, exactly the order session operations use, so the loop runs
+// concurrently with them under gate.R; Restart and Crash exclude it via the
+// gate like any session. The crash-point sweep drives Clean synchronously
 // (CleanerEvery = 0, no goroutine) so its fuse points stay deterministic.
 
 import (
@@ -51,6 +51,17 @@ func (sn *Session) Clean(limit int) (int, error) {
 	}
 	defer s.enter()()
 	atomic.AddInt64(&s.stats.CleanerPasses, 1)
+	cleaned, err := s.cleanPages(sn, limit)
+	atomic.AddInt64(&s.stats.CleanerPages, int64(cleaned))
+	return cleaned, err
+}
+
+// cleanPages writes home up to limit (< 0: every one) of the ESM/REDO pages
+// in the DPT when it is called, oldest recLSN first, through cleanOne, and
+// returns how many it wrote. It is the one loop behind Clean, Checkpoint,
+// Restart's closing checkpoint and FlushAll; the caller holds either side of
+// the gate. WPL keeps no DPT, so there it writes nothing.
+func (s *Server) cleanPages(sn *Session, limit int) (int, error) {
 	// Candidates are a DPT snapshot ordered by recLSN (page id ties broken
 	// ascending — a deterministic order the crash-point sweep depends on).
 	// Entries added after the snapshot wait for the next pass.
@@ -68,7 +79,7 @@ func (sn *Session) Clean(limit int) (int, error) {
 	})
 	cleaned := 0
 	for _, cand := range cands {
-		if cleaned >= limit {
+		if cleaned == limit {
 			break
 		}
 		n, err := s.cleanOne(sn, cand.pid)
@@ -77,12 +88,11 @@ func (sn *Session) Clean(limit int) (int, error) {
 		}
 		cleaned += n
 	}
-	atomic.AddInt64(&s.stats.CleanerPages, int64(cleaned))
 	return cleaned, nil
 }
 
 // cleanOne writes one DPT page home if it is resident, dirty and cold,
-// returning 1 if a page was written. Caller holds gate.R.
+// returning 1 if a page was written. Caller holds either side of the gate.
 func (s *Server) cleanOne(sn *Session, pid page.ID) (int, error) {
 	// Claim the page so concurrent cleaners (the ticker worker plus any
 	// backpressured committers) fan out over distinct candidates. Without

@@ -12,7 +12,7 @@ import (
 // TestLogPressureCheckpointBacksOffWhenHeadIsPinned: once the log passes half
 // full every commit used to take an early checkpoint. When something pins
 // the head — here a long-running transaction's first record — that checkpoint
-// reclaims nothing, so each later commit paid a full sharp checkpoint and
+// reclaims nothing, so each later commit paid a full checkpoint and
 // added its record to the log it was meant to relieve. The trigger must
 // re-arm only after real growth, and recover once the pin is gone.
 func TestLogPressureCheckpointBacksOffWhenHeadIsPinned(t *testing.T) {

@@ -335,9 +335,9 @@ func seed(mode Mode, ckpt *ckptPayload) tables {
 	for _, cd := range ckpt.decided {
 		tb.decided[cd.tid] = decidedTxn{lsn: cd.lsn, parts: append([]int(nil), cd.parts...)}
 	}
-	// Fuzzy checkpoints flush nothing, so a page may have been dirty since
-	// well before the checkpoint — its logged recLSN is the only record of
-	// that, and the scan's insert-if-absent keeps it.
+	// A page the checkpoint could not write home may have been dirty since
+	// well before it — its logged recLSN is the only record of that, and the
+	// scan's insert-if-absent keeps it.
 	for _, d := range ckpt.dpt {
 		noteDirty(tb.dpt, d.pid, d.rec)
 	}

@@ -220,10 +220,10 @@ func TestDecodeCkpt(t *testing.T) {
 
 // analysisServer is a WPL server over a store that can refuse one page's
 // writes, so an install can be deferred on demand.
-func analysisServer(fuzzy bool) (*Server, *Session, *failingStore) {
+func analysisServer() (*Server, *Session, *failingStore) {
 	store := &failingStore{Store: disk.NewMemStore()}
 	s := New(Config{Mode: ModeWPL, Store: store, PoolPages: 16, LogCapacity: 16 << 20,
-		LockTimeout: time.Second, CheckpointEvery: 1 << 30, FuzzyCheckpoints: fuzzy})
+		LockTimeout: time.Second, CheckpointEvery: 1 << 30})
 	return s, s.NewSession(nil, nil), store
 }
 
@@ -257,8 +257,9 @@ func chainOf(wpl map[page.ID]*wplEntry, pid page.ID) []wplEntry {
 // TestWPLAnalysisAcrossCheckpoint pins restart analysis where the checkpoint
 // and the scan window have to meet: a WPL transaction, or an uninstalled
 // committed copy, that is open across a checkpoint. Each case runs under
-// sharp and fuzzy checkpoints, and every verdict is read again after a second
-// crash and restart — the first restart's closing checkpoint must carry it.
+// Checkpoint and fuzzyCheckpoint, and every verdict is read again after a
+// second crash and restart — the first restart's closing checkpoint must
+// carry it.
 func TestWPLAnalysisAcrossCheckpoint(t *testing.T) {
 	type env struct {
 		t     *testing.T
@@ -267,6 +268,7 @@ func TestWPLAnalysisAcrossCheckpoint(t *testing.T) {
 		store *failingStore
 		pid   page.ID
 		slot  int
+		fuzzy bool
 	}
 	recoverAnd := func(e *env, check func(when string)) {
 		e.t.Helper()
@@ -288,7 +290,11 @@ func TestWPLAnalysisAcrossCheckpoint(t *testing.T) {
 	}
 	ckpt := func(e *env) {
 		e.t.Helper()
-		if err := e.sn.Checkpoint(); err != nil {
+		ckpt := e.sn.Checkpoint
+		if e.fuzzy {
+			ckpt = func() error { return fuzzyCheckpoint(e.sn) }
+		}
+		if err := ckpt(); err != nil {
 			e.t.Fatal(err)
 		}
 	}
@@ -446,9 +452,9 @@ func TestWPLAnalysisAcrossCheckpoint(t *testing.T) {
 	for name, run := range cases {
 		for _, fuzzy := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/fuzzy=%v", name, fuzzy), func(t *testing.T) {
-				s, sn, store := analysisServer(fuzzy)
+				s, sn, store := analysisServer()
 				defer s.Close()
-				e := &env{t: t, s: s, sn: sn, store: store}
+				e := &env{t: t, s: s, sn: sn, store: store, fuzzy: fuzzy}
 				e.pid, e.slot = createPage(t, sn, []byte("old"))
 				run(e)
 			})
@@ -598,11 +604,12 @@ func analysisView(t *testing.T, s *Server) tableView {
 
 // TestLiveTablesMatchAnalysis: the live tables are a function of the log. A
 // scripted history covers every record type — updates and page images, an
-// abort (CLRs under ESM/REDO), a read-only commit, transactions open across a
-// sharp and a fuzzy checkpoint, a prepared branch decided each way, a forget,
-// and a restart that finds a loser and an in-doubt branch — and after EVERY
-// Session call the server's tables equal seed(newest checkpoint) + note over
-// its own log, modulo what a write-home or install has since retired.
+// abort (CLRs under ESM/REDO), a read-only commit, transactions open across
+// a Checkpoint and a fuzzyCheckpoint, a prepared branch decided each way, a
+// forget, and a restart that finds a loser and an in-doubt branch — and
+// after EVERY Session call the server's tables equal seed(newest checkpoint)
+// + note over its own log, modulo what a write-home or install has since
+// retired.
 func TestLiveTablesMatchAnalysis(t *testing.T) {
 	for _, mode := range []Mode{ModeESM, ModeREDO, ModeWPL} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -659,8 +666,11 @@ func TestLiveTablesMatchAnalysis(t *testing.T) {
 			}
 			ckpt := func(fuzzy bool) {
 				t.Helper()
-				s.cfg.FuzzyCheckpoints = fuzzy
-				check(fmt.Sprintf("Checkpoint(fuzzy=%v)", fuzzy), sn.Checkpoint())
+				if fuzzy {
+					check("fuzzyCheckpoint", fuzzyCheckpoint(sn))
+				} else {
+					check("Checkpoint", sn.Checkpoint())
+				}
 			}
 			reads := func(pid page.ID, slot int, want string) {
 				t.Helper()
@@ -684,7 +694,7 @@ func TestLiveTablesMatchAnalysis(t *testing.T) {
 			write(t3, pb, sb, "b2")
 			check("Abort", sn.Abort(t3))
 			reads(pa, sa, "a1")
-			// Transactions open across a sharp and then a fuzzy checkpoint; a
+			// Transactions open across a Checkpoint and then a fuzzyCheckpoint; a
 			// read-only one the checkpoint catches with nothing logged.
 			t4 := begin()
 			write(t4, pb, sb, "b4")
@@ -699,8 +709,8 @@ func TestLiveTablesMatchAnalysis(t *testing.T) {
 			ckpt(true)
 			write(t5, pb, sb, "b5")
 			check("Commit", sn.Commit(t5))
-			// A branch this shard coordinates, decided commit across a fuzzy
-			// checkpoint that carries it in the 2PC trailer, then forgotten.
+			// A branch this shard coordinates, decided commit across a
+			// fuzzyCheckpoint that carries it in the 2PC trailer, then forgotten.
 			t6 := begin()
 			write(t6, pa, sa, "a6")
 			check("Prepare", sn.Prepare(t6, 0, []int{0, 1}))
@@ -708,7 +718,7 @@ func TestLiveTablesMatchAnalysis(t *testing.T) {
 			check("Decide(commit)", sn.Decide(t6, true))
 			ckpt(true) // the decided entry rides the checkpoint
 			check("Forget", sn.Forget(t6))
-			// A branch decided abort, across a sharp checkpoint.
+			// A branch decided abort, across a Checkpoint.
 			t7 := begin()
 			write(t7, pb, sb, "b7")
 			check("Prepare", sn.Prepare(t7, 0, []int{0, 1}))

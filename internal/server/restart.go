@@ -2,10 +2,11 @@ package server
 
 // Checkpointing, crash simulation and restart recovery.
 //
-// ESM/REDO take sharp ARIES-style checkpoints: all dirty pages are flushed
-// (flushDirtyQuiesced, writeback.go), the active-transaction table is logged,
-// and the log is truncated below the oldest LSN any active transaction still
-// needs. Restart then reads the log once, forward: each record is noted in the
+// A checkpoint writes home the pages dirty when it began (cleanPages,
+// cleaner.go), logs the active-transaction table and what is left of the
+// dirty page table, and truncates the log below the oldest LSN restart or an
+// active transaction still needs. Restart then reads the log once, forward,
+// from the oldest logged recLSN: each record is noted in the
 // tables (analysis, seeded from the checkpoint) and replayed onto its page
 // conditionally on the page LSN (redo) as it is read — the step a standby
 // takes for a shipped record — and losers are rolled back with CLRs. What a
@@ -21,9 +22,11 @@ package server
 // The paper reads that window backwards; reading it forwards builds the same
 // table (DESIGN.md §3).
 //
-// Every entry point here takes the write side of the quiesce gate, so it
-// observes a server with no session operation in flight; the leaf mutexes
-// are still taken around map access to keep the lock discipline uniform.
+// Checkpoint holds the read side of the quiesce gate, so sessions keep
+// committing while it runs. Crash, Restart and FlushAll take the write side,
+// so they observe a server with no session operation in flight; the leaf
+// mutexes are still taken around map access to keep the lock discipline
+// uniform.
 
 import (
 	"encoding/binary"
@@ -57,9 +60,9 @@ type ckptWPL struct {
 }
 
 // ckptDPT is a dirty-page-table entry in a checkpoint record: the page and
-// the LSN restart redo must scan from for it. Fuzzy checkpoints log the DPT
-// instead of flushing it; sharp checkpoints log whatever entries their flush
-// could not retire (pages whose logged records outrun the shipped image).
+// the LSN restart redo must scan from for it. A checkpoint logs the entries
+// its page writes could not retire: pages re-dirtied meanwhile, too hot to
+// write, or whose logged records outrun the shipped image.
 type ckptDPT struct {
 	pid page.ID
 	rec uint64
@@ -273,13 +276,14 @@ func decodeCkpt(b []byte) (*ckptPayload, error) {
 
 // --- checkpoint ------------------------------------------------------------
 
-// Checkpoint writes a checkpoint record, updates the master record in the
-// superblock, and reclaims log space. By default it is sharp — the server
-// quiesces and every dirty page is flushed for its duration — which is the
-// stop-the-world stall the fuzzy variant (Config.FuzzyCheckpoints) removes:
-// a fuzzy checkpoint logs the ATT and the DPT (per-page recLSN) under the
-// read side of the gate, flushing nothing; the page cleaner retires dirty
-// pages in the background and restart redo begins at min(recLSN).
+// Checkpoint writes home every page dirty at its start, then writes a
+// checkpoint record that logs what is left of the DPT, updates the master
+// record in the superblock and reclaims log space. Sessions keep committing
+// throughout: it holds only the read side of the gate (Crash and Restart
+// still exclude it), and ckptMu makes a second checkpointer wait for the
+// first, so no checkpoint is skipped. A page re-dirtied meanwhile, one too
+// hot to write this pass, or one whose image has not arrived yet stays in
+// the logged DPT, and restart redo begins at its recLSN (DESIGN.md §13).
 func (sn *Session) Checkpoint() error {
 	s := sn.s
 	if s.restarting.Load() {
@@ -294,51 +298,26 @@ func (sn *Session) Checkpoint() error {
 		// arrive in the shipped stream (ApplyShipped).
 		return ErrStandby
 	}
-	if s.cfg.FuzzyCheckpoints {
-		return s.checkpointFuzzy(sn)
-	}
-	s.gate.Lock()
-	defer s.gate.Unlock()
-	//qslint:allow determinism: wall-clock stall accounting only (CkptStallNs); never logged, never replayed, no control flow depends on it
-	start := time.Now()
-	err := s.checkpointQuiesced(sn)
-	//qslint:allow determinism: wall-clock stall accounting only (CkptStallNs); never logged, never replayed, no control flow depends on it
-	atomic.AddInt64(&s.stats.CkptStallNs, int64(time.Since(start)))
-	return err
-}
-
-// checkpointFuzzy takes an ARIES-style fuzzy checkpoint: sessions keep
-// committing (only the read side of the gate is held, so Crash/Restart still
-// exclude it), no page is flushed, and the checkpoint record carries the DPT
-// so restart knows where redo must begin. ckptMu serializes checkpointers;
-// a checkpoint already in flight makes this one redundant (it would log a
-// near-identical snapshot), so it is skipped rather than queued — checkpoints
-// are maintenance and callers tolerate "not now".
-func (s *Server) checkpointFuzzy(sn *Session) error {
-	if !s.ckptMu.TryLock() {
-		return nil
-	}
+	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	defer s.enter()()
-	return s.checkpointCore(sn)
+	return s.checkpointLocked(sn)
 }
 
-// checkpointQuiesced is the sharp checkpoint body (and Restart's final
-// checkpoint). Caller holds gate.W. Under Config.FuzzyCheckpoints the flush
-// loop is skipped — the quiesced caller still gets a valid fuzzy-style
-// checkpoint record with the DPT logged instead of flushed.
-func (s *Server) checkpointQuiesced(sn *Session) error {
-	if s.cfg.Mode != ModeWPL && !s.cfg.FuzzyCheckpoints {
-		if err := s.flushDirtyQuiesced(sn); err != nil {
-			return err
-		}
+// checkpointLocked is the checkpoint body: every page dirty at its start
+// written home through the cleaner's per-page path, then the record. The
+// caller holds gate.R and ckptMu (Checkpoint) or gate.W (Restart's closing
+// checkpoint).
+func (s *Server) checkpointLocked(sn *Session) error {
+	if _, err := s.cleanPages(sn, -1); err != nil {
+		return err
 	}
 	return s.checkpointCore(sn)
 }
 
 // checkpointCore snapshots the tables, appends the checkpoint record, writes
-// the master record, and reclaims log space. Caller holds gate.W (sharp,
-// restart) or gate.R plus ckptMu (fuzzy).
+// the master record, and reclaims log space. Caller holds gate.R plus ckptMu
+// (Checkpoint) or gate.W (restart).
 //
 // The analysis begin LSN and the snapshot of the tables are captured inside
 // ONE attMu critical section — the other half of logAndNote's invariant
@@ -463,13 +442,12 @@ func (sn *Session) Restart() error {
 		case errors.Is(err, wal.ErrBeyondEnd) || errors.Is(err, wal.ErrTruncated):
 			// The log does not contain the checkpoint: this is a process
 			// restart with a fresh (in-memory) log rather than a crash. The
-			// superblock was written after a sharp checkpoint flushed every
-			// page, so the volume is consistent as of that checkpoint; only
-			// the allocation counters need restoring. (Under fuzzy
-			// checkpoints the superblock does NOT imply a flushed volume —
-			// a fuzzy deployment on a persistent store must reach this point
-			// via orderly shutdown, whose FlushAll provides the same
-			// guarantee; see DESIGN.md §13.)
+			// superblock was written by a checkpoint that wrote home every
+			// page dirty when it began (the daemon's shutdown checkpoint),
+			// so the volume holds every transaction committed before then;
+			// only the allocation counters need restoring. What that
+			// checkpoint left in its logged DPT — commits that overlapped it
+			// — is lost with the process's log, like every commit after it.
 			//
 			// The volume's pages still carry page LSNs from the log that wrote
 			// them, and conditional redo skips a record whose LSN is not above
@@ -484,7 +462,7 @@ func (sn *Session) Restart() error {
 						sb.checkpointLSN, err)
 				}
 			}
-			err = s.checkpointQuiesced(sn)
+			err = s.checkpointLocked(sn)
 			rs.CheckpointNs = lap(&clock)
 			return err
 		case err != nil:
@@ -495,8 +473,9 @@ func (sn *Session) Restart() error {
 			return err
 		}
 		// Analysis rescans the window between the snapshot capture point and
-		// the record's own append (empty for a sharp checkpoint); the scan
-		// passes over the checkpoint record itself, which analysis ignores.
+		// the record's own append (empty if nothing was logged meanwhile); the
+		// scan passes over the checkpoint record itself, which analysis
+		// ignores.
 		start = min(sb.checkpointLSN, ckpt.beginLSN)
 	}
 	// The pass (§3.3 analysis and redo, §3.4.3), whatever the mode: the tables
@@ -542,7 +521,7 @@ func (sn *Session) Restart() error {
 		}
 	} else {
 		// Prune the DPT to the frames redo left dirty, so the checkpoint that
-		// ends restart — and every fuzzy checkpoint and cleaner pass after it —
+		// ends restart — and every checkpoint and cleaner pass after it —
 		// sees the redone-but-unflushed pages and nothing else (conditional redo
 		// leaves pageLSN >= newest for any page it touched).
 		dirty := make(map[page.ID]dptEntry)
@@ -587,7 +566,7 @@ func (sn *Session) Restart() error {
 	}
 	sn.meter().LogWrite(s.log.Force())
 	rs.UndoNs = lap(&clock)
-	err = s.checkpointQuiesced(sn)
+	err = s.checkpointLocked(sn)
 	rs.CheckpointNs = lap(&clock)
 	return err
 }
@@ -659,14 +638,12 @@ func (s *Server) wplInstallQuiesced(sn *Session, tb tables) error {
 	return nil
 }
 
-// FlushAll writes every dirty buffered page home (used by orderly shutdown
-// in the standalone server; not part of the measured protocols).
+// FlushAll writes every dirty page in the DPT home with the server quiesced
+// (for tests; not part of the measured protocols).
 func (sn *Session) FlushAll() error {
 	s := sn.s
 	s.gate.Lock()
 	defer s.gate.Unlock()
-	if s.cfg.Mode == ModeWPL {
-		return nil // installs happen at commit; nothing safe to force early
-	}
-	return s.flushDirtyQuiesced(sn)
+	_, err := s.cleanPages(sn, -1)
+	return err
 }

@@ -40,13 +40,12 @@ func TestRestartMatchesPageRebuilder(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/fuzzy=%v", mode, fuzzy), func(t *testing.T) {
 				store := disk.NewMemStore()
 				s := New(Config{
-					Mode:             mode,
-					Store:            store,
-					PoolPages:        64,
-					LogCapacity:      16 << 20,
-					LockTimeout:      time.Second,
-					CheckpointEvery:  1 << 30,
-					FuzzyCheckpoints: fuzzy,
+					Mode:            mode,
+					Store:           store,
+					PoolPages:       64,
+					LogCapacity:     16 << 20,
+					LockTimeout:     time.Second,
+					CheckpointEvery: 1 << 30,
 				})
 				defer s.Close()
 				sn := s.NewSession(nil, nil)
@@ -61,9 +60,13 @@ func TestRestartMatchesPageRebuilder(t *testing.T) {
 					updateObject(t, sn, pids[i], slots[i], val(i, "early"), true)
 				}
 				// Under a fuzzy checkpoint every page above stays dirty and goes into
-				// the logged DPT with a recLSN below the analysis start; a sharp one
-				// flushes them.
-				if err := sn.Checkpoint(); err != nil {
+				// the logged DPT with a recLSN below the analysis start; Checkpoint
+				// writes them home first.
+				ckpt := sn.Checkpoint
+				if fuzzy {
+					ckpt = func() error { return fuzzyCheckpoint(sn) }
+				}
+				if err := ckpt(); err != nil {
 					t.Fatal(err)
 				}
 				updateObject(t, sn, pids[0], slots[0], val(0, "late"), true)
@@ -145,8 +148,8 @@ func TestRestartMatchesPageRebuilder(t *testing.T) {
 	}
 }
 
-// TestRestartRedoesBelowAnalysisStart: under fuzzy checkpoints a page dirtied
-// before the checkpoint and never cleaned owes redo from its logged recLSN,
+// TestRestartRedoesBelowAnalysisStart: a page dirtied before the checkpoint
+// and left in its logged DPT owes redo from its logged recLSN,
 // below the analysis start. The pass must begin there — a pass that begins at
 // the analysis start loses the committed update — and on the way up it replays
 // only what the logged DPT covers: a page cleaned before the checkpoint, whose
@@ -158,17 +161,16 @@ func TestRestartRedoesBelowAnalysisStart(t *testing.T) {
 			defer s.Close()
 			pid, slot := createPage(t, sn, []byte("born"))
 			cleaned, cslot := createPage(t, sn, []byte("born"))
-			if err := sn.Checkpoint(); err != nil { // sharp: the pages are home, the DPT empty
+			if err := sn.Checkpoint(); err != nil { // the pages are home, the DPT empty
 				t.Fatal(err)
 			}
-			s.cfg.FuzzyCheckpoints = true
 			updateObject(t, sn, pid, slot, []byte("kept"), true) // pool and log only
 			recLSN := s.dpt[pid].rec
 			updateObject(t, sn, cleaned, cslot, []byte("home"), true)
 			if n, err := s.cleanOne(sn, cleaned); err != nil || n != 1 {
 				t.Fatalf("cleaning %v: wrote %d pages, %v", cleaned, n, err)
 			}
-			if err := sn.Checkpoint(); err != nil {
+			if err := fuzzyCheckpoint(sn); err != nil {
 				t.Fatal(err)
 			}
 			other, oslot := createPage(t, sn, []byte("above the checkpoint"))
@@ -268,7 +270,7 @@ func TestRestartDamagedPageWithoutImageFails(t *testing.T) {
 	defer s.Close()
 	sn := s.NewSession(nil, nil)
 	pid, slot := createPage(t, sn, []byte("older"))
-	if err := sn.Checkpoint(); err != nil { // sharp: the creation image is below the window
+	if err := sn.Checkpoint(); err != nil { // the creation image is below the window
 		t.Fatal(err)
 	}
 	updateObject(t, sn, pid, slot, []byte("newer"), true)

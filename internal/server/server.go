@@ -22,10 +22,10 @@
 // instead:
 //
 //   - gate (RWMutex): every session operation holds the read side for its
-//     duration; Checkpoint, Restart, Crash and FlushAll hold the write side,
-//     so they observe (and the crash-point sweep replays) a fully quiesced
-//     server. Lock-manager waits never happen under the gate — page locks
-//     are acquired before entering.
+//     duration, and so do Checkpoint and the page cleaner; Restart, Crash and
+//     FlushAll hold the write side, so they observe (and the crash-point
+//     sweep replays) a fully quiesced server. Lock-manager waits never happen
+//     under the gate — page locks are acquired before entering.
 //   - The buffer pool is sharded (buffer.Sharded): a page's shard latch
 //     protects its frame bytes and that shard's LRU/residency metadata for
 //     the duration of one read/modify step. Isolation across operations is
@@ -37,11 +37,11 @@
 //     one transaction sequentially).
 //   - Stats fields are updated with atomics.
 //
-// Latch order (outer to inner): gate.R → one shard latch → attMu →
+// Latch order (outer to inner): ckptMu → gate.R → one shard latch → attMu →
 // {dptMu | wplMu} → log/store internal locks; allocMu is a leaf taken on its
 // own. Never acquire a shard latch while holding one of the leaf mutexes,
-// and never hold two shard latches (checkpoint-style paths that need all
-// shards run under gate.W, where the pool helpers may latch shards in index
+// and never hold two shard latches (Crash and Restart, which need all
+// shards, run under gate.W, where the pool helpers may latch shards in index
 // order).
 //
 // attMu is more than the ATT map lock: it is the critical section in which
@@ -136,12 +136,6 @@ type Config struct {
 	// crash-point sweep uses this to restart a server over the surviving
 	// store and log of a crashed instance, as reopening the log disk would.
 	Log *wal.Log
-	// GroupCommitDelay tunes group commit. 0 (the default) is no extra
-	// batching delay: a flush still covers every commit parked while the
-	// previous flush was in progress. A positive value makes each group
-	// flush wait that long for more committers to join (throughput up,
-	// commit latency up).
-	GroupCommitDelay time.Duration
 	// WPLInstallAsync moves committed-page installs to a background
 	// goroutine (the paper's §3.4.2 asynchronous installer). Off by
 	// default: the crash-point sweep needs installs to happen at
@@ -161,13 +155,6 @@ type Config struct {
 	// ScrubPages is the per-tick page budget of the background scrubber
 	// (DefaultScrubPages if 0).
 	ScrubPages int
-	// FuzzyCheckpoints switches Checkpoint from sharp (quiesce + flush every
-	// dirty page) to ARIES-style fuzzy: the ATT and the DPT (per-page recLSN)
-	// are logged under the read side of the gate, no page is flushed, and
-	// restart redo begins at min(recLSN). Pair with the page cleaner
-	// (CleanerEvery / DirtyPageTarget) so dirty pages still drain and log
-	// truncation keeps pace.
-	FuzzyCheckpoints bool
 	// CleanerEvery, when positive, runs the background page cleaner: every
 	// tick it writes home up to DefaultCleanerBatch cold dirty pages in
 	// recLSN order, enforcing the WAL rule per page. Commits never wait on it.
@@ -224,7 +211,7 @@ type Stats struct {
 	CleanerPages        int64 // dirty pages written home by the cleaner
 	CleanerPasses       int64 // cleaner passes (ticks + backpressure batches)
 	CleanerHotSkips     int64 // cleaner candidates skipped: re-dirtied while the cleaner forced the log
-	CkptStallNs         int64 // cumulative wall time commits were excluded by sharp checkpoints
+	CkptStallNs         int64 // always 0: no checkpoint stops commits (bench/ reads this field)
 	TwoPCPrepares       int64 // participant branches prepared (forced PREPARE records)
 	TwoPCPresumedAborts int64 // resolution requests answered "no decision" (presumed abort)
 	TwoPCResolutions    int64 // recovery-resolution round-trips served (ResolveInDoubt calls)
@@ -374,8 +361,8 @@ type Server struct {
 	scrubStop   chan struct{} // non-nil iff ScrubEvery > 0
 	scrubWG     sync.WaitGroup
 
-	// ckptMu serializes fuzzy checkpointers (sharp ones serialize on gate.W).
-	// Tried, never waited on: a checkpoint finding one in flight skips.
+	// ckptMu serializes checkpointers: a checkpoint finding one in flight
+	// waits for it, then takes its own.
 	ckptMu      sync.Mutex
 	cleanerStop chan struct{} // non-nil iff CleanerEvery > 0
 	cleanerWG   sync.WaitGroup
@@ -434,9 +421,6 @@ func New(cfg Config) *Server {
 	// Until a checkpoint says otherwise restart needs all the log there is.
 	// On an adopted Config.Log this replaces the previous server's holder.
 	s.redo = s.log.Hold("redo", s.log.Head(), nil, 0)
-	if cfg.GroupCommitDelay > 0 {
-		s.log.SetGroupCommitDelay(cfg.GroupCommitDelay)
-	}
 	if cfg.WPLInstallAsync && cfg.Mode == ModeWPL {
 		s.installCh = make(chan installJob, 256)
 		s.installWG.Add(1)
@@ -511,7 +495,6 @@ func (s *Server) Stats() Stats {
 		CleanerPages:        ld(&s.stats.CleanerPages),
 		CleanerPasses:       ld(&s.stats.CleanerPasses),
 		CleanerHotSkips:     ld(&s.stats.CleanerHotSkips),
-		CkptStallNs:         ld(&s.stats.CkptStallNs),
 		TwoPCPrepares:       ld(&s.stats.TwoPCPrepares),
 		TwoPCPresumedAborts: ld(&s.stats.TwoPCPresumedAborts),
 		TwoPCResolutions:    ld(&s.stats.TwoPCResolutions),

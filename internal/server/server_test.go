@@ -27,6 +27,18 @@ func newTestServer(t *testing.T, mode Mode) (*Server, *Session) {
 	return s, s.NewSession(nil, nil)
 }
 
+// fuzzyCheckpoint logs a checkpoint without writing a page home first: the
+// step Checkpoint ends with, checkpointCore under the read side of the gate,
+// so the whole DPT goes into the record (an ARIES fuzzy checkpoint). Tests
+// use it to get a logged DPT that is not empty.
+func fuzzyCheckpoint(sn *Session) error {
+	s := sn.s
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	defer s.enter()()
+	return s.checkpointCore(sn)
+}
+
 // makePage builds a formatted page containing one object with the given
 // contents and returns the page bytes and the object's slot.
 func makePage(t *testing.T, pid page.ID, contents []byte) ([]byte, int) {
@@ -189,8 +201,8 @@ func TestUncommittedUpdateRolledBackByCrash(t *testing.T) {
 }
 
 // TestRestartRetriesAFailedLoserUndo: a restart whose undo of a loser fails
-// (here a read error on the loser's page, flushed home by a sharp checkpoint
-// so that undo must fetch it) returns the error WITHOUT logging the loser's
+// (here a read error on the loser's page, written home by a checkpoint so
+// that undo must fetch it) returns the error WITHOUT logging the loser's
 // End. Were the End logged and ever stable, the next restart would take the
 // half-undone loser for finished and its update would stay for good.
 func TestRestartRetriesAFailedLoserUndo(t *testing.T) {

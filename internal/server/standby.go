@@ -133,7 +133,7 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 	// reclaiming (the standby owes those writes eventually anyway), then hold
 	// the log at whatever remains dirty — non-resident pages, or ones
 	// re-dirtied while cleanOne forced the log — exactly as the primary's own
-	// fuzzy head stops at its oldest recLSN.
+	// head stops at its oldest logged recLSN.
 	s.dptMu.Lock()
 	orphans := make([]page.ID, 0, len(s.dpt))
 	for pid, e := range s.dpt {

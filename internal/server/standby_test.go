@@ -192,11 +192,11 @@ func TestStandbyRejectsLocalWrites(t *testing.T) {
 	}
 }
 
-// TestStandbyMirrorsCheckpoint ships a fuzzy checkpoint and checks the
+// TestStandbyMirrorsCheckpoint ships a fuzzyCheckpoint and checks the
 // standby mirrors its side effects — master record, allocation counters, log
 // reclamation — and that a record arriving with a gap is refused.
 func TestStandbyMirrorsCheckpoint(t *testing.T) {
-	pr := newReplPair(t, ModeESM, Config{FuzzyCheckpoints: true}, Config{})
+	pr := newReplPair(t, ModeESM, Config{}, Config{})
 	defer pr.p.Close()
 	defer pr.s.Close()
 
@@ -208,7 +208,7 @@ func TestStandbyMirrorsCheckpoint(t *testing.T) {
 		slots = append(slots, slot)
 	}
 	pr.ship(t)
-	if err := pr.psn.Checkpoint(); err != nil {
+	if err := fuzzyCheckpoint(pr.psn); err != nil {
 		t.Fatal(err)
 	}
 	pr.ship(t)
@@ -293,10 +293,9 @@ func TestStandbyByteIdenticalLog(t *testing.T) {
 // quiesce gate plus the cleaner's ErrRestarting fast-fail must make the two
 // coexist without a torn write or a deadlock.
 func TestPromoteWhileCleanerRunning(t *testing.T) {
-	pr := newReplPair(t, ModeESM, Config{FuzzyCheckpoints: true}, Config{
-		FuzzyCheckpoints: true,
-		CleanerEvery:     100 * time.Microsecond,
-		PoolPages:        256,
+	pr := newReplPair(t, ModeESM, Config{}, Config{
+		CleanerEvery: 100 * time.Microsecond,
+		PoolPages:    256,
 	})
 	defer pr.p.Close()
 	defer pr.s.Close()
@@ -324,7 +323,7 @@ func TestPromoteWhileCleanerRunning(t *testing.T) {
 // mid-pass over a checksummed volume (run with -race in CI).
 func TestPromoteWhileScrubbing(t *testing.T) {
 	mem := disk.NewMemStore()
-	pr := newReplPair(t, ModeESM, Config{FuzzyCheckpoints: true}, Config{
+	pr := newReplPair(t, ModeESM, Config{}, Config{
 		Store:      disk.NewChecksummed(mem),
 		ScrubEvery: 100 * time.Microsecond,
 		ScrubPages: 8,
@@ -341,7 +340,7 @@ func TestPromoteWhileScrubbing(t *testing.T) {
 		slots = append(slots, slot)
 	}
 	pr.ship(t)
-	if err := pr.psn.Checkpoint(); err != nil { // ships the alloc frontier
+	if err := fuzzyCheckpoint(pr.psn); err != nil { // ships the alloc frontier
 		t.Fatal(err)
 	}
 	pr.ship(t)

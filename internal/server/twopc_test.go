@@ -29,7 +29,6 @@ func TestDecideRacesCheckpoint(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/fuzzy=%v", mode, fuzzy), func(t *testing.T) {
 				s, sn := newTestServer(t, mode)
 				defer s.Close()
-				s.cfg.FuzzyCheckpoints = fuzzy
 				pid, slot := createPage(t, sn, []byte("old"))
 				cur := "old"
 				inDoubt, presumedAbort := 0, 0
@@ -53,8 +52,12 @@ func TestDecideRacesCheckpoint(t *testing.T) {
 						// needed — and no checkpoint runs on the crashed server, which
 						// would log the emptied tables as if they were recovered state.
 						csn := s.NewSession(nil, nil)
+						ckpt := csn.Checkpoint
+						if fuzzy {
+							ckpt = func() error { return fuzzyCheckpoint(csn) }
+						}
 						for i := 0; i < 1+round%3; i++ {
-							_ = csn.Checkpoint()
+							_ = ckpt()
 						}
 						s.Crash()
 					}()

@@ -6,9 +6,9 @@ package server
 // write — qslint's wal-discipline rejects a WritePage anywhere else in
 // internal/server. On top of storeWrite, writeHome (a dirty ESM/REDO frame)
 // and installWPLLocked (a committed WPL copy) each state their mode's
-// write-ahead test once. Every other path — eviction, the cleaner, the
-// standby's orphan drain, checkpoints, FlushAll, restart, scrub repair — only
-// chooses which pages go and in what order.
+// write-ahead test once. Every other path — eviction, the page loop behind
+// the cleaner, checkpoints and FlushAll, the standby's orphan drain, restart,
+// scrub repair — only chooses which pages go and in what order.
 
 import (
 	"encoding/binary"
@@ -34,7 +34,7 @@ func (s *Server) storeWrite(sn *Session, pid page.ID, img []byte) error {
 }
 
 // writeSuperblock writes the master record at a checkpoint, under page 0's
-// shard latch: a fuzzy checkpoint runs under gate.R, where the scrubber may be
+// shard latch: a checkpoint runs under gate.R, where the scrubber may be
 // repairing page 0 under the same latch. Metered like any page write but not
 // counted in DataWrites, which counts data pages.
 func (s *Server) writeSuperblock(sn *Session, sb superblock) error {
@@ -73,23 +73,6 @@ func (s *Server) writeHome(sn *Session, sh *buffer.PoolShard, f *buffer.Frame, m
 	sh.MarkClean(pid)
 	s.retireDPT(pid, lsn)
 	return true, nil
-}
-
-// flushDirtyQuiesced writes every dirty ESM/REDO frame home (sharp
-// checkpoint, FlushAll, the close of restart): one log force up front, then
-// the pages in ascending id order — the sweeps number stable events, so the
-// order is part of the contract. Caller holds gate.W.
-func (s *Server) flushDirtyQuiesced(sn *Session) error {
-	sn.meter().LogWrite(s.log.Force())
-	for _, pid := range s.pool.DirtyPages() {
-		sh := s.pool.Lock(pid)
-		_, err := s.writeHome(sn, sh, sh.Peek(pid), true)
-		sh.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // installWPLLocked writes the committed head copy e to its permanent
