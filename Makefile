@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race fuzz-smoke daemon-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs
+.PHONY: check vet lint lint-fixtures build test race fuzz-smoke daemon-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs results-full
 
 check: vet lint lint-fixtures build race sweeps bench-micro-smoke bench-test fuzz-smoke daemon-smoke
 
@@ -124,11 +124,12 @@ race-cleaner:
 
 # The per-layer microbenchmarks, ns/op and allocs/op each: a WAL append,
 # restart phase by phase, the dereference of a resident object, a T1
-# traversal by a client whose pool holds half the module, and a one-object
-# update over loopback TCP with its request frames per transaction. The
-# smoke runs each benchmark once.
+# traversal by a client whose pool holds half the module, a one-object
+# update over loopback TCP with its request frames per transaction, and a
+# page fetch over loopback TCP that misses both pools (its B/op is the
+# whole process's, client and daemon). The smoke runs each benchmark once.
 BENCH_MICRO = $(GO) test ./internal/wal/ ./internal/server/ ./internal/client/ ./internal/oo7/ ./internal/wire/ -run '^$$' \
-	-bench '^Benchmark(Append|Restart|ReadObject|TraverseT1|OneObjectUpdate)$$' -benchmem
+	-bench '^Benchmark(Append|Restart|ReadObject|TraverseT1|OneObjectUpdate|PageFetch)$$' -benchmem
 bench-micro:
 	$(BENCH_MICRO)
 
@@ -171,3 +172,9 @@ bench-compare:
 #   make bench-pairs BASE=HEAD~1 W=crash-restart N=10
 bench-pairs:
 	bash bench-pairs.sh $(BASE) $(or $(W),"") $(or $(N),10)
+
+# Regenerate results_full.txt, the simulator's figures and tables (EXPERIMENTS.md
+# quotes its cells): every experiment, three measured rounds each. It takes
+# several minutes. The output is deterministic apart from its elapsed-time line.
+results-full:
+	$(GO) run ./cmd/oo7bench -exp all -measure 3 > results_full.txt

@@ -138,8 +138,8 @@ func rebuildEquivalence(t *testing.T, mode server.Mode) {
 	must(sn.Restart())
 	tid = sn.Begin()
 	for _, pid := range pids {
-		frame, err := sn.ReadPage(tid, pid, lock.Shared)
-		must(err)
+		frame := make([]byte, page.Size)
+		must(sn.ReadPage(tid, pid, lock.Shared, frame))
 		if !bytes.Equal(fromLog[pid], frame) {
 			t.Errorf("%v: live-log rebuild differs from the restarted frame", pid)
 		}

@@ -7,6 +7,12 @@
 // log records for them as their recovery scheme requires, and then replace
 // them. This keeps the replacement policy identical across the client and
 // server roles, matching ESM where both manage their own pools (paper §3.1).
+//
+// Like ESM's fixed pool of page frames, a pool recycles its page buffers:
+// Remove keeps the evicted frame's buffer and the next Insert reuses it, so
+// a pool that only ever replaces pages allocates none. A frame's bytes are
+// therefore valid only while its page is resident; Remove takes them from
+// the frame (Bytes returns nil afterwards).
 package buffer
 
 import (
@@ -37,7 +43,8 @@ type Frame struct {
 // PID returns the page occupying the frame.
 func (f *Frame) PID() page.ID { return f.pid }
 
-// Bytes returns the frame's storage; mutations write through.
+// Bytes returns the frame's storage; mutations write through. It is nil
+// once the frame has been removed: the buffer then belongs to another page.
 func (f *Frame) Bytes() []byte { return f.buf }
 
 // Dirty reports whether the frame is marked dirty.
@@ -50,8 +57,11 @@ type Pool struct {
 	capacity int
 	frames   map[page.ID]*Frame
 	lru      *list.List // front = least recently used; unpinned frames only
-	hits     int64
-	misses   int64
+	// free holds the buffers of removed frames for Insert to reuse; resident
+	// and free buffers together never number more than capacity.
+	free   [][]byte
+	hits   int64
+	misses int64
 }
 
 // NewPool creates a pool with room for capacity pages.
@@ -70,13 +80,24 @@ func NewPool(capacity int) *Pool {
 func (p *Pool) Capacity() int { return p.capacity }
 
 // SetCapacity changes the frame budget. When shrinking, the caller is
-// responsible for evicting surplus pages (Full reports true until then).
-// Capacity never drops below one frame.
+// responsible for evicting surplus pages (Full reports true until then);
+// free buffers beyond the new budget are dropped at once. Capacity never
+// drops below one frame.
 func (p *Pool) SetCapacity(n int) {
 	if n < 1 {
 		n = 1
 	}
 	p.capacity = n
+	p.trimFree()
+}
+
+// trimFree drops free buffers the capacity no longer leaves room for.
+func (p *Pool) trimFree() {
+	keep := max(p.capacity-len(p.frames), 0)
+	if len(p.free) > keep {
+		clear(p.free[keep:])
+		p.free = p.free[:keep]
+	}
 }
 
 // Len returns the number of resident pages.
@@ -130,7 +151,9 @@ func (p *Pool) Victim() *Frame {
 	return e.Value.(*Frame)
 }
 
-// Remove evicts pid from the pool. Pinned pages cannot be removed.
+// Remove evicts pid from the pool and keeps its buffer for the next
+// Insert; the frame's Bytes is nil from then on. Pinned pages cannot be
+// removed.
 func (p *Pool) Remove(pid page.ID) error {
 	f, ok := p.frames[pid]
 	if !ok {
@@ -141,11 +164,15 @@ func (p *Pool) Remove(pid page.ID) error {
 	}
 	p.lru.Remove(f.elem)
 	delete(p.frames, pid)
+	p.free = append(p.free, f.buf)
+	f.buf = nil
+	p.trimFree()
 	return nil
 }
 
-// Insert adds pid with the given contents (copied into the frame) and
-// returns its frame. The pool must not be full and pid must not be resident.
+// Insert adds pid with the given contents (copied into the frame; nil means
+// a zeroed page) and returns its frame, in a recycled buffer when Remove
+// left one. The pool must not be full and pid must not be resident.
 func (p *Pool) Insert(pid page.ID, data []byte) (*Frame, error) {
 	if _, ok := p.frames[pid]; ok {
 		return nil, fmt.Errorf("buffer: %v already resident", pid)
@@ -153,13 +180,27 @@ func (p *Pool) Insert(pid page.ID, data []byte) (*Frame, error) {
 	if p.Full() {
 		return nil, fmt.Errorf("%w: pool full inserting %v", ErrNoFrame, pid)
 	}
-	f := &Frame{pid: pid, buf: make([]byte, page.Size)}
+	f := &Frame{pid: pid, buf: p.takeBuf()}
 	if data != nil {
 		copy(f.buf, data)
+	} else {
+		clear(f.buf)
 	}
 	f.elem = p.lru.PushBack(f)
 	p.frames[pid] = f
 	return f, nil
+}
+
+// takeBuf returns a free buffer, or a new one when none is left.
+func (p *Pool) takeBuf() []byte {
+	n := len(p.free)
+	if n == 0 {
+		return make([]byte, page.Size)
+	}
+	buf := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return buf
 }
 
 // Pin prevents eviction of pid until a matching Unpin. Pins nest.
@@ -246,9 +287,10 @@ func (p *Pool) Each(fn func(*Frame)) {
 	}
 }
 
-// Clear drops every frame regardless of pins or dirtiness; this models
-// volatile memory loss at a crash.
+// Clear drops every frame, and every free buffer, regardless of pins or
+// dirtiness; this models volatile memory loss at a crash.
 func (p *Pool) Clear() {
 	p.frames = make(map[page.ID]*Frame, p.capacity)
 	p.lru.Init()
+	p.free = nil
 }

@@ -220,3 +220,71 @@ func TestScanResistanceNotRequired_CyclicEviction(t *testing.T) {
 		}
 	}
 }
+
+func TestRemovedFrameLosesItsBytes(t *testing.T) {
+	p := NewPool(1)
+	old, _ := p.Insert(1, bytes.Repeat([]byte{7}, page.Size))
+	buf := old.Bytes()
+	if err := p.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	if old.Bytes() != nil {
+		t.Fatal("a removed frame still has bytes")
+	}
+	f, _ := p.Insert(2, bytes.Repeat([]byte{8}, page.Size))
+	if &f.Bytes()[0] != &buf[0] {
+		t.Fatal("Insert did not reuse the removed frame's buffer")
+	}
+	if old.Bytes() != nil {
+		t.Fatal("a stale frame reads the page that took its buffer")
+	}
+}
+
+func TestInsertNilZeroesARecycledBuffer(t *testing.T) {
+	p := NewPool(1)
+	p.Insert(1, bytes.Repeat([]byte{0xff}, page.Size))
+	p.MarkDirty(1)
+	p.MarkClean(1)
+	p.Remove(1)
+	f, _ := p.Insert(2, nil)
+	if !bytes.Equal(f.Bytes(), make([]byte, page.Size)) {
+		t.Fatal("Insert(pid, nil) over a recycled buffer is not all zeros")
+	}
+	if f.Dirty() {
+		t.Fatal("a recycled frame came back dirty")
+	}
+}
+
+func TestFreeListNeverExceedsCapacity(t *testing.T) {
+	p := NewPool(4)
+	check := func(when string) {
+		t.Helper()
+		if len(p.free) > max(p.Capacity()-p.Len(), 0) {
+			t.Fatalf("%s: %d resident + %d free buffers in a pool of %d", when, p.Len(), len(p.free), p.Capacity())
+		}
+	}
+	for i := 1; i <= 4; i++ {
+		p.Insert(page.ID(i), nil)
+	}
+	for i := 1; i <= 4; i++ {
+		p.Remove(page.ID(i))
+		check("after removes")
+	}
+	if len(p.free) != 4 {
+		t.Fatalf("%d free buffers after emptying a pool of 4", len(p.free))
+	}
+	p.SetCapacity(2)
+	check("after SetCapacity(2)")
+	for i := 1; i <= 2; i++ {
+		p.Insert(page.ID(i), nil)
+	}
+	p.SetCapacity(1)
+	check("after shrinking below the resident pages")
+	p.Remove(1)
+	p.Remove(2)
+	check("after draining the shrunk pool")
+	p.Clear()
+	if len(p.free) != 0 {
+		t.Fatalf("Clear left %d free buffers", len(p.free))
+	}
+}

@@ -26,7 +26,13 @@ const DefaultShards = 16
 type PoolShard struct {
 	sync.Mutex
 	*Pool
+	scratch []byte
 }
+
+// Scratch returns the shard's page-sized I/O buffer: a page read from disk
+// lands here before it is inserted. Only the latch holder may use it, and
+// only until it releases the latch.
+func (sh *PoolShard) Scratch() []byte { return sh.scratch }
 
 // Sharded is a concurrency-safe buffer pool made of independently locked
 // shards. A page lives in exactly one shard (pid mod shard count), so LRU
@@ -58,7 +64,7 @@ func NewSharded(capacity, nshards int) *Sharded {
 		if i < extra {
 			c++
 		}
-		s.shards[i] = &PoolShard{Pool: NewPool(c)}
+		s.shards[i] = &PoolShard{Pool: NewPool(c), scratch: make([]byte, page.Size)}
 	}
 	return s
 }

@@ -322,6 +322,8 @@ func (c *Client) fetch(tx *Tx, pid page.ID, mode lock.Mode) (*vmem.Desc, error) 
 		tx.locks[pid] = mode
 	}
 	c.stats.PagesFetched++
+	// The reply is the service's buffer: Insert copies it into the frame
+	// buffer the eviction above left for reuse.
 	f, err := c.pool.Insert(pid, data)
 	if err != nil {
 		return nil, err

@@ -81,8 +81,8 @@ func commitPage(t *testing.T, n *node, mode server.Mode, val string) (page.ID, i
 func readVal(t *testing.T, sn *server.Session, pid page.ID, slot, n int) string {
 	t.Helper()
 	tid := sn.Begin()
-	data, err := sn.ReadPage(tid, pid, lock.Shared)
-	if err != nil {
+	data := make([]byte, page.Size)
+	if err := sn.ReadPage(tid, pid, lock.Shared, data); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]byte, n)

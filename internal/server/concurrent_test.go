@@ -48,7 +48,7 @@ func workerCreate(sn *Session, contents []byte) (page.ID, int, error) {
 // workerUpdate is updateObject without *testing.T, for use inside goroutines.
 func workerUpdate(sn *Session, pid page.ID, slot int, newVal []byte) error {
 	tid := sn.Begin()
-	data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+	data, err := readPage(sn, tid, pid, lock.Exclusive)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func TestLogPressureCheckpointBacksOffWhenHeadIsPinned(t *testing.T) {
 	// The pin: one logged update in a transaction that stays open.
 	pinned, pslot := createPage(t, sn, []byte("pinned"))
 	pinTID := sn.Begin()
-	data, err := sn.ReadPage(pinTID, pinned, lock.Exclusive)
+	data, err := readPage(sn, pinTID, pinned, lock.Exclusive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func analysisServer() (*Server, *Session, *failingStore) {
 func shipCopy(t *testing.T, sn *Session, pid page.ID, slot int, val string) logrec.TID {
 	t.Helper()
 	tid := sn.Begin()
-	data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+	data, err := readPage(sn, tid, pid, lock.Exclusive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestLiveTablesMatchAnalysis(t *testing.T) {
 			}
 			write := func(tid logrec.TID, pid page.ID, slot int, val string) {
 				t.Helper()
-				data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+				data, err := readPage(sn, tid, pid, lock.Exclusive)
 				check("ReadPage", err)
 				pg := page.Wrap(data)
 				old := make([]byte, len(val))
@@ -699,7 +699,7 @@ func TestLiveTablesMatchAnalysis(t *testing.T) {
 			t4 := begin()
 			write(t4, pb, sb, "b4")
 			ro := begin()
-			_, err := sn.ReadPage(ro, pa, lock.Shared)
+			_, err := readPage(sn, ro, pa, lock.Shared)
 			check("ReadPage", err)
 			ckpt(false)
 			check("Commit (read-only)", sn.Commit(ro))

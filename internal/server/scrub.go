@@ -127,15 +127,15 @@ func (s *Server) scrubOne(sn *Session, pid page.ID) (failed, repaired bool, err 
 	sh := s.pool.Lock(pid)
 	defer sh.Unlock()
 	atomic.AddInt64(&s.stats.ScrubScanned, 1)
-	var buf [page.Size]byte
-	rerr := s.store.ReadPage(pid, buf[:])
+	buf := sh.Scratch()
+	rerr := s.store.ReadPage(pid, buf)
 	switch {
 	case rerr == nil || errors.Is(rerr, disk.ErrNotFound):
 		return false, false, nil
 	case errors.Is(rerr, disk.ErrCorruptPage):
 		atomic.AddInt64(&s.stats.ChecksumFailures, 1)
 		sn.meter().DataRead(1)
-		if err := s.repairShardLocked(sn, sh, pid, rerr, buf[:]); err != nil {
+		if err := s.repairShardLocked(sn, sh, pid, rerr, buf); err != nil {
 			return true, false, err
 		}
 		return true, true, nil

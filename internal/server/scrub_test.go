@@ -138,7 +138,7 @@ func TestUnrepairableFailsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	tid := sn2.Begin()
-	_, err := sn2.ReadPage(tid, pid, lock.Shared)
+	_, err := readPage(sn2, tid, pid, lock.Shared)
 	if !errors.Is(err, disk.ErrCorruptPage) || !errors.Is(err, ErrUnrepairable) {
 		t.Fatalf("demand read: err = %v, want ErrCorruptPage and ErrUnrepairable", err)
 	}

@@ -770,17 +770,20 @@ func (sn *Session) AllocPage(tid logrec.TID) (page.ID, error) {
 	return pid, nil
 }
 
-// ReadPage returns the contents of pid after acquiring the requested lock.
-// The lock is acquired before entering the gate, so a conflict wait never
-// delays a checkpoint.
-func (sn *Session) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error) {
+// ReadPage copies the contents of pid into dst, which must be page.Size
+// bytes, after acquiring the requested lock. The lock is acquired before
+// entering the gate, so a conflict wait never delays a checkpoint.
+func (sn *Session) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode, dst []byte) error {
 	s := sn.s
+	if len(dst) != page.Size {
+		return fmt.Errorf("server: ReadPage into %d bytes", len(dst))
+	}
 	if _, ok := s.lookupTxn(tid); !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoTxn, tid)
+		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
 	sn.m.ServerCompute(sn.p.LockReqCPU)
 	if err := s.locks.Lock(tid, pid, mode); err != nil {
-		return nil, err
+		return err
 	}
 	defer s.enter()()
 	sn.m.ServerCompute(sn.p.ServerPage)
@@ -788,17 +791,20 @@ func (sn *Session) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte
 	defer sh.Unlock()
 	f, err := s.fetchShardLocked(sn, sh, pid, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, page.Size)
-	copy(out, f.Bytes())
+	copy(dst, f.Bytes())
 	atomic.AddInt64(&s.stats.PagesServed, 1)
-	return out, nil
+	return nil
 }
 
 // fetchShardLocked brings pid into its pool shard, reading from the WPL log
 // copy or the data volume as appropriate. Caller holds pid's shard latch. If
 // mustExist is false, a missing page is created empty (the replay path).
+//
+// The page is read into the shard's scratch buffer, room is made, and only
+// then is it inserted: a frame inserted before the read would be a blank
+// resident copy that repairImage trusts over the stored one.
 func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID, mustExist bool) (*buffer.Frame, error) {
 	if f := sh.Get(pid); f != nil {
 		return f, nil
@@ -812,7 +818,7 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 		}
 		s.wplMu.Unlock()
 	}
-	var buf [page.Size]byte
+	buf := sh.Scratch()
 	if haveWPL {
 		// The newest logged copy is the current version (paper §3.4.2:
 		// replaced dirty pages are re-read from the log).
@@ -820,11 +826,11 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 		if err != nil {
 			return nil, fmt.Errorf("server: WPL reload of %v: %w", pid, err)
 		}
-		copy(buf[:], rec.After)
+		copy(buf, rec.After)
 		sn.meter().LogRead(1)
 		atomic.AddInt64(&s.stats.WPLLogReloads, 1)
 	} else {
-		err := s.store.ReadPage(pid, buf[:])
+		err := s.store.ReadPage(pid, buf)
 		switch {
 		case errors.Is(err, disk.ErrNotFound) && !mustExist:
 			sn.meter().DataRead(1)
@@ -842,7 +848,7 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 			if s.restarting.Load() {
 				return nil, err
 			}
-			if rerr := s.repairShardLocked(sn, sh, pid, err, buf[:]); rerr != nil {
+			if rerr := s.repairShardLocked(sn, sh, pid, err, buf); rerr != nil {
 				return nil, rerr
 			}
 		case err != nil:
@@ -854,19 +860,22 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 	if err := s.makeRoomShardLocked(sn, sh); err != nil {
 		return nil, err
 	}
-	return sh.Insert(pid, buf[:])
+	return sh.Insert(pid, buf)
 }
 
 // insertBlankShardLocked makes room in the shard and inserts pid as a freshly
 // initialised page: one the volume never stored, or one a whole-page image is
 // about to overwrite. Caller holds the shard latch.
 func (s *Server) insertBlankShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID) (*buffer.Frame, error) {
-	var blank [page.Size]byte
-	page.Wrap(blank[:]).Init(pid)
 	if err := s.makeRoomShardLocked(sn, sh); err != nil {
 		return nil, err
 	}
-	return sh.Insert(pid, blank[:])
+	f, err := sh.Insert(pid, nil)
+	if err != nil {
+		return nil, err
+	}
+	page.Wrap(f.Bytes()).Init(pid)
+	return f, nil
 }
 
 // makeRoomShardLocked evicts the shard's LRU frame if the shard is full,

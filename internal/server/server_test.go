@@ -88,12 +88,18 @@ func createPage(t *testing.T, sn *Session, contents []byte) (page.ID, int) {
 	return pid, slot
 }
 
+// readPage is Session.ReadPage into a page of its own.
+func readPage(sn *Session, tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error) {
+	buf := make([]byte, page.Size)
+	return buf, sn.ReadPage(tid, pid, mode, buf)
+}
+
 // readObject fetches pid in a fresh transaction and returns the object in
 // slot.
 func readObject(t *testing.T, sn *Session, pid page.ID, slot, n int) []byte {
 	t.Helper()
 	tid := sn.Begin()
-	data, err := sn.ReadPage(tid, pid, lock.Shared)
+	data, err := readPage(sn, tid, pid, lock.Shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func readObject(t *testing.T, sn *Session, pid page.ID, slot, n int) []byte {
 func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byte, commit bool) logrec.TID {
 	t.Helper()
 	tid := sn.Begin()
-	data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+	data, err := readPage(sn, tid, pid, lock.Exclusive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +250,7 @@ func TestAbortRestoresOldValue(t *testing.T) {
 			_, sn := newTestServer(t, mode)
 			pid, slot := createPage(t, sn, []byte("before......"))
 			tid := sn.Begin()
-			data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+			data, err := readPage(sn, tid, pid, lock.Exclusive)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +285,7 @@ func TestCrashAfterAbortKeepsOldValue(t *testing.T) {
 			s, sn := newTestServer(t, mode)
 			pid, slot := createPage(t, sn, []byte("stable......"))
 			tid := sn.Begin()
-			data, _ := sn.ReadPage(tid, pid, lock.Exclusive)
+			data, _ := readPage(sn, tid, pid, lock.Exclusive)
 			pg := page.Wrap(data)
 			off, _, _ := pg.ObjectRange(slot)
 			old := make([]byte, 12)
@@ -452,7 +458,7 @@ func TestShipPageRequiresXLock(t *testing.T) {
 	pid, _ := createPage(t, sn, []byte("lock"))
 	tid := sn.Begin()
 	// Only a shared lock held.
-	if _, err := sn.ReadPage(tid, pid, lock.Shared); err != nil {
+	if _, err := readPage(sn, tid, pid, lock.Shared); err != nil {
 		t.Fatal(err)
 	}
 	err := sn.ShipPage(tid, pid, make([]byte, page.Size))
@@ -463,7 +469,7 @@ func TestShipPageRequiresXLock(t *testing.T) {
 
 func TestUnknownTxnRejected(t *testing.T) {
 	_, sn := newTestServer(t, ModeESM)
-	if _, err := sn.ReadPage(999, 1, lock.Shared); !errors.Is(err, ErrNoTxn) {
+	if _, err := readPage(sn, 999, 1, lock.Shared); !errors.Is(err, ErrNoTxn) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := sn.Commit(999); !errors.Is(err, ErrNoTxn) {
@@ -485,7 +491,7 @@ func TestWPLReloadFromLogAfterEviction(t *testing.T) {
 	sn := s.NewSession(nil, nil)
 	pid, slot := createPage(t, sn, []byte("base"))
 	tid := sn.Begin()
-	data, err := sn.ReadPage(tid, pid, lock.Exclusive)
+	data, err := readPage(sn, tid, pid, lock.Exclusive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +509,7 @@ func TestWPLReloadFromLogAfterEviction(t *testing.T) {
 		}
 	}
 	// Re-read within the same transaction: must see the modified value.
-	data2, err := sn.ReadPage(tid, pid, lock.Exclusive)
+	data2, err := readPage(sn, tid, pid, lock.Exclusive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -456,7 +456,7 @@ func TestStandbyWPLKeepsUninstalledCopyAcrossShippedCheckpoint(t *testing.T) {
 		t.Helper()
 		tid := pr.ssn.Begin()
 		defer pr.ssn.Commit(tid)
-		data, err := pr.ssn.ReadPage(tid, 1, lock.Shared)
+		data, err := readPage(pr.ssn, tid, 1, lock.Shared)
 		if err != nil {
 			t.Errorf("%s: %v", when, err)
 			return

@@ -37,7 +37,7 @@ func evict(t *testing.T, s *Server, sn *Session, pid page.ID, others []page.ID) 
 	t.Helper()
 	tid := sn.Begin()
 	for _, o := range others {
-		if _, err := sn.ReadPage(tid, o, lock.Shared); err != nil {
+		if _, err := readPage(sn, tid, o, lock.Shared); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -451,3 +451,87 @@ func TestBeginDropsFramesLeftUnderAReissuedID(t *testing.T) {
 		t.Fatalf("the new transaction's first call carried %q, want %q", got, "open lock")
 	}
 }
+
+// TestReadPageBesideAManagementGoroutine: a ReadPage reply lands in a buffer
+// its carrier reuses, so a management goroutine calling in on the same client
+// — stats and in-doubt queries, whose replies land elsewhere — must never
+// overwrite a page the transaction side is still reading. Every image read
+// equals the committed one (run under -race as well).
+func TestReadPageBesideAManagementGoroutine(t *testing.T) {
+	carriers := []struct {
+		name string
+		dial func(*server.Server) *Client
+	}{
+		{"direct", func(srv *server.Server) *Client { return NewDirect(srv, nil, nil) }},
+		{"tcp", func(srv *server.Server) *Client { return dialTest(t, serveTCP(t, srv, ServeOpts{})) }},
+	}
+	for _, cr := range carriers {
+		srv := testServer(server.ModeESM)
+		cli := cr.dial(srv)
+		tid, err := cli.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pid, err := cli.AllocPage(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg := page.New(pid)
+		slot, err := pg.Allocate(page.Size / 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.WriteAt(slot, 0, bytes.Repeat([]byte{0x5a}, page.Size/2))
+		want := append([]byte(nil), pg.Bytes()...)
+		if err := cli.ShipLog(tid, logrec.NewPageImage(tid, pid, want).Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.ShipPage(tid, pid, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Commit(tid); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+				if _, err := cli.ServerStats(); err != nil {
+					done <- err
+					return
+				}
+				if _, err := cli.InDoubt(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		for i := 0; i < 500; i++ {
+			tid, err := cli.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := cli.ReadPage(tid, pid, lock.Shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data[8:], want[8:]) { // past the LSN stamp
+				close(stop)
+				t.Fatalf("%s: read %d returned another reply's bytes in place of the committed page", cr.name, i)
+			}
+			if err := cli.Commit(tid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", cr.name, err)
+		}
+	}
+}

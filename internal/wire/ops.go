@@ -253,6 +253,11 @@ func decodeErr(status byte, msg []byte) error {
 // maxFrame bounds a frame body; pages plus headers fit comfortably.
 const maxFrame = 1 << 20
 
+// keepBuf bounds a buffer a connection keeps for its next frame. A larger
+// one — a batch shipping many pages — is used once and left to the garbage
+// collector, so an idle connection holds little.
+const keepBuf = 64 << 10
+
 type frame struct {
 	op      byte
 	tid     logrec.TID
@@ -274,7 +279,9 @@ func writeFrame(w io.Writer, head []byte, payload []byte) error {
 	return err
 }
 
-func readBody(r io.Reader) ([]byte, error) {
+// readBody reads one frame body into buf's storage when the body fits, or
+// into a buffer of its own when it does not.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	var lenbuf [4]byte
 	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
 		return nil, err
@@ -283,7 +290,11 @@ func readBody(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
+	body := buf[:0]
+	if int(n) > cap(buf) {
+		body = make([]byte, n)
+	}
+	body = body[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
@@ -316,6 +327,26 @@ func parseRequest(body []byte) (frame, error) {
 		mode:    body[13],
 		payload: body[headSize:],
 	}, nil
+}
+
+// carried returns the op of the call f carries: its own op, or a batch's
+// last member's. It walks the member lengths only; a malformed batch is 0.
+func carried(f frame) byte {
+	if f.op != opBatch {
+		return f.op
+	}
+	var op byte
+	for p := f.payload; len(p) > 0; {
+		if len(p) < 4+headSize {
+			return 0
+		}
+		n := binary.LittleEndian.Uint32(p)
+		if n < headSize || uint64(n) > uint64(len(p)-4) {
+			return 0
+		}
+		op, p = p[4], p[4+n:]
+	}
+	return op
 }
 
 // memberSize is the number of bytes f adds to a batch's payload.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/lock"
 	"repro/internal/logrec"
+	"repro/internal/page"
 	"repro/internal/repl"
 	"repro/internal/server"
 )
@@ -77,6 +78,9 @@ type session struct {
 	// availability argument for server-side logs in §6 of the paper. Nil in
 	// process, where there is no connection to drop.
 	active map[logrec.TID]bool
+	// page is the session's ReadPage reply: the server copies the page into
+	// it, and the reply is written (or, in process, returned) from it.
+	page []byte
 }
 
 // Serve accepts connections on lis and dispatches requests to srv until the
@@ -100,7 +104,8 @@ func ServeWith(lis net.Listener, srv *server.Server, opts ServeOpts) error {
 
 func (d *daemon) serveConn(conn net.Conn) {
 	defer conn.Close()
-	s := &session{d: d, sn: d.srv.NewSession(nil, nil), active: make(map[logrec.TID]bool)}
+	s := &session{d: d, sn: d.srv.NewSession(nil, nil), active: make(map[logrec.TID]bool),
+		page: make([]byte, page.Size)}
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
 	defer func() {
@@ -119,8 +124,12 @@ func (d *daemon) serveConn(conn net.Conn) {
 			s.sn.Abort(tid)
 		}
 	}()
+	// Every request is read into one body buffer: a handler is done with
+	// its payload when it returns (DESIGN.md §2.6).
+	var body []byte
 	for {
-		body, err := readBody(r)
+		var err error
+		body, err = readBody(r, body)
 		if err != nil {
 			return // connection closed
 		}
@@ -154,6 +163,9 @@ func (d *daemon) serveConn(conn net.Conn) {
 		}
 		if err := w.Flush(); err != nil {
 			return
+		}
+		if cap(body) > keepBuf {
+			body = nil
 		}
 	}
 }
@@ -219,7 +231,10 @@ func (s *session) dispatch(f frame) ([]byte, error) {
 		pid, err := sn.AllocPage(f.tid)
 		return binary.LittleEndian.AppendUint32(nil, uint32(pid)), err
 	case opReadPage:
-		return sn.ReadPage(f.tid, f.pid, lock.Mode(f.mode))
+		if err := sn.ReadPage(f.tid, f.pid, lock.Mode(f.mode), s.page); err != nil {
+			return nil, err
+		}
+		return s.page, nil
 	case opShipLog:
 		return nil, sn.ShipLog(f.tid, f.payload)
 	case opShipPage:

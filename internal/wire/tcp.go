@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"net"
 	"sync"
+
+	"repro/internal/page"
 )
 
 // TCPClient is the Client Dial and NewTCPClient return: the one client codec
@@ -28,6 +30,9 @@ type tcpConn struct {
 	drops uint64 // connections dropped or closed so far: the epoch
 	r     *bufio.Reader
 	w     *bufio.Writer
+	// page is where a ReadPage reply lands, status byte first: the page a
+	// ReadPage returns is this buffer's tail until the next ReadPage.
+	page []byte
 }
 
 // Dial connects to a quickstored server.
@@ -51,6 +56,7 @@ func newTCPConn(conn net.Conn) *tcpConn {
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 64<<10),
 		w:    bufio.NewWriterSize(conn, 64<<10),
+		page: make([]byte, 1+page.Size),
 	}
 }
 
@@ -116,7 +122,11 @@ func (t *tcpConn) roundTrip(f frame) ([]byte, error) {
 		t.dropConnLocked()
 		return nil, err
 	}
-	body, err := readBody(t.r)
+	var into []byte
+	if carried(f) == opReadPage {
+		into = t.page
+	}
+	body, err := readBody(t.r, into)
 	if err != nil {
 		t.dropConnLocked()
 		return nil, err

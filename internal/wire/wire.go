@@ -33,7 +33,9 @@ type Service interface {
 	Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error
 	// AllocPage reserves a fresh page id, exclusively locked by tid.
 	AllocPage(tid logrec.TID) (page.ID, error)
-	// ReadPage fetches a page after acquiring the given lock.
+	// ReadPage fetches a page after acquiring the given lock. The page is
+	// in a buffer the Service owns and reuses: it is the caller's until the
+	// next ReadPage on the same Service, and a caller that keeps it copies it.
 	ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error)
 	// ShipLog delivers one page worth of encoded log records. The records
 	// may travel with the transaction's next call instead, and an error they
@@ -105,8 +107,11 @@ type connState struct {
 	// call in beside the transaction's own calls.
 	mu      sync.Mutex
 	pending map[logrec.TID][]byte // per transaction, its deferred frames as batch members
-	tidMu   sync.Mutex
-	tids    tidRun // under tidMu
+	// spare is the buffer of a batch whose carry has returned, emptied: the
+	// next transaction's deferred frames are written into it.
+	spare []byte
+	tidMu sync.Mutex
+	tids  tidRun // under tidMu
 }
 
 // newClient returns a client over c with a connection of its own.
@@ -162,7 +167,7 @@ func NewDirect(srv *server.Server, m costmodel.Meter, p *costmodel.Params) *Clie
 	if m == nil {
 		m = costmodel.NopMeter{}
 	}
-	s := &session{d: &daemon{srv: srv}, sn: srv.NewSession(m, p)}
+	s := &session{d: &daemon{srv: srv}, sn: srv.NewSession(m, p), page: make([]byte, page.Size)}
 	return newClient(&direct{s: s, m: m})
 }
 
@@ -195,6 +200,9 @@ func (c *Client) call(f frame) ([]byte, error) {
 	}
 	switch {
 	case role == deferred:
+		if buf == nil {
+			buf = c.fresh()
+		}
 		c.put(f.tid, appendMember(buf, f))
 		return nil, nil
 	case buf == nil:
@@ -203,10 +211,12 @@ func (c *Client) call(f frame) ([]byte, error) {
 	return c.carry(f.tid, appendMember(buf, f))
 }
 
-// carry sends tid's batch. An open in it that draws ErrNoTxn was refused
-// where a fresh reservation opens — the server lost the block under a live
-// connection, as a standby promoted under it does — so the next Begin
-// reserves anew rather than hand out more ids of a dead block.
+// carry sends tid's batch, and keeps its buffer (up to keepBuf) for the
+// next transaction's frames once the carriers are done with it. An open in
+// it that draws ErrNoTxn was refused where a fresh reservation opens — the
+// server lost the block under a live connection, as a standby promoted under
+// it does — so the next Begin reserves anew rather than hand out more ids of
+// a dead block.
 func (c *Client) carry(tid logrec.TID, payload []byte) ([]byte, error) {
 	out, err := c.c.roundTrip(frame{op: opBatch, tid: tid, payload: payload})
 	if unopened(payload) && errors.Is(err, server.ErrNoTxn) {
@@ -214,7 +224,22 @@ func (c *Client) carry(tid logrec.TID, payload []byte) ([]byte, error) {
 		c.tids.left = 0
 		c.tidMu.Unlock()
 	}
+	if cap(payload) <= keepBuf {
+		c.mu.Lock()
+		c.spare = payload[:0]
+		c.mu.Unlock()
+	}
 	return out, err
+}
+
+// fresh returns the spare batch buffer, if a carry left one, for a
+// transaction's first deferred frame.
+func (c *Client) fresh() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	buf := c.spare
+	c.spare = nil
+	return buf
 }
 
 // put makes buf tid's pending frames.
@@ -282,7 +307,7 @@ func (c *Client) Begin() (logrec.TID, error) {
 	// The open replaces whatever is pending under the id: a restarted
 	// server may reserve it again, and frames left from its first use belong
 	// to a transaction that died with the old connection.
-	c.put(tid, appendMember(nil, frame{op: opOpen, tid: tid}))
+	c.put(tid, appendMember(c.fresh(), frame{op: opOpen, tid: tid}))
 	return tid, nil
 }
 
@@ -307,7 +332,8 @@ func (c *Client) AllocPage(tid logrec.TID) (page.ID, error) {
 	return page.ID(binary.LittleEndian.Uint32(out)), nil
 }
 
-// ReadPage implements Service.
+// ReadPage implements Service. The page is the carrier's: over TCP the
+// connection's reply buffer, in process the session's.
 func (c *Client) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, error) {
 	out, err := c.call(frame{op: opReadPage, tid: tid, pid: pid, mode: byte(mode)})
 	if err != nil {

@@ -172,7 +172,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 }
 
 func TestFrameLimit(t *testing.T) {
-	if _, err := readBody(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err == nil {
+	if _, err := readBody(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -311,7 +311,7 @@ func (s *rawSession) call(f frame) []byte {
 	if err := writeRequest(s.conn, f); err != nil {
 		s.t.Fatal(err)
 	}
-	body, err := readBody(s.conn)
+	body, err := readBody(s.conn, nil)
 	if err != nil {
 		s.t.Fatal(err)
 	}
