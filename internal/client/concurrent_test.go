@@ -2,11 +2,13 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/lock"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -199,5 +201,75 @@ func TestTwoClientsContendOnSharedPage(t *testing.T) {
 	defer mu.Unlock()
 	if torn {
 		t.Fatal("reader observed a torn write under page locking")
+	}
+}
+
+// TestDeferredLockTimeoutAbortsAndRetries: a write to a cached page does not
+// wait for its exclusive lock, so a writer whose page another client holds X
+// on finds out at its commit — ErrDeadlock once the lock timeout passes. It
+// aborts, which drops its copy of the page, and its retry reads the holder's
+// committed value before writing its own.
+func TestDeferredLockTimeoutAbortsAndRetries(t *testing.T) {
+	srv := server.New(server.Config{
+		Mode:            server.ModeESM,
+		PoolPages:       64,
+		LogCapacity:     32 << 20,
+		LockTimeout:     50 * time.Millisecond,
+		CheckpointEvery: 1 << 30,
+	})
+	cfg := Config{Scheme: PD, PoolPages: 32, ShipDirtyPages: true}
+	writer := New(cfg, wire.NewDirect(srv, nil, nil))
+	tx := mustBegin(t, writer)
+	oid, err := tx.Allocate(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(oid, 0, []byte("original")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The holder has no copy: its write fetches the page with X.
+	holder := New(cfg, wire.NewDirect(srv, nil, nil))
+	htx := mustBegin(t, holder)
+	if err := htx.Write(oid, 0, []byte("holder!!")); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = mustBegin(t, writer)
+	if err := tx.Write(oid, 0, []byte("writer!!")); err != nil {
+		t.Fatalf("a write on a cached page = %v, want it to wait for nothing", err)
+	}
+	if err := tx.Commit(); !errors.Is(err, lock.ErrDeadlock) {
+		t.Fatalf("commit behind the holder's X lock = %v, want ErrDeadlock", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if writer.Space().ByPage(oid.Page) != nil || writer.Pool().Peek(oid.Page) != nil {
+		t.Fatal("the aborted writer still caches its copy of the page")
+	}
+	if err := htx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = mustBegin(t, writer)
+	got, err := tx.ReadObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "holder!!" {
+		t.Fatalf("the retry read %q, want the holder's committed value", got)
+	}
+	if err := tx.Write(oid, 0, []byte("writer!!")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("the retry's commit: %v", err)
+	}
+	if got := srv.Stats().Commits; got != 3 {
+		t.Fatalf("commits = %d, want the setup's, the holder's and the retry's", got)
 	}
 }

@@ -261,7 +261,10 @@ func (tx *Tx) ReadObject(oid page.OID) ([]byte, error) {
 // write goes through the virtual-memory protection machinery (first write
 // per page faults); under SD and SL it goes through the software update
 // function. Knowing it will write, it takes the page's exclusive lock up
-// front rather than a shared one the write would then upgrade.
+// front rather than a shared one the write would then upgrade. On a cached
+// page the request does not wait: it rides the transaction's next call to
+// the server, ahead of the page's log records, and a conflict surfaces there
+// (ErrDeadlock at the commit, say), after which the transaction must abort.
 func (tx *Tx) Write(oid page.OID, off int, data []byte) error {
 	d, objOff, size, err := tx.objectRange(oid, lock.Exclusive)
 	if err != nil {

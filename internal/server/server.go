@@ -965,6 +965,17 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
+	// A client logs only pages it holds X on: a client's exclusive lock
+	// request travels ahead of its records, never behind them. One check per
+	// run of records on the same page.
+	for i, r := range recs {
+		if i > 0 && r.Page == recs[i-1].Page {
+			continue
+		}
+		if m, ok := s.locks.Holds(tid, r.Page); !ok || m != lock.Exclusive {
+			return fmt.Errorf("%w: %v logs %v", ErrNotLocked, tid, r.Page)
+		}
+	}
 	atomic.AddInt64(&s.stats.LogPagesReceived, 1)
 	sn.m.ServerCompute(sn.p.ServerPage)
 	for _, r := range recs {

@@ -467,6 +467,50 @@ func TestShipPageRequiresXLock(t *testing.T) {
 	}
 }
 
+// TestShipLogRequiresXLock: a client's records for a page it does not hold X
+// on — no lock, or only S — are refused before any record of the batch is
+// logged, under ESM and REDO; an unknown transaction is still ErrNoTxn first.
+func TestShipLogRequiresXLock(t *testing.T) {
+	for _, mode := range []Mode{ModeESM, ModeREDO} {
+		s, sn := newTestServer(t, mode)
+		a, _ := createPage(t, sn, []byte("held"))
+		b, _ := createPage(t, sn, []byte("free"))
+		upd := func(tid logrec.TID, pid page.ID) []byte {
+			return logrec.NewUpdate(tid, pid, page.HeaderSize, []byte("x"), []byte("y")).Encode(nil)
+		}
+		tid := sn.Begin()
+		if err := sn.ShipLog(999, upd(999, a)); !errors.Is(err, ErrNoTxn) {
+			t.Fatalf("%v: unknown transaction: err = %v, want ErrNoTxn", mode, err)
+		}
+		if err := sn.ShipLog(tid, upd(tid, a)); !errors.Is(err, ErrNotLocked) {
+			t.Fatalf("%v: no lock: err = %v, want ErrNotLocked", mode, err)
+		}
+		if err := sn.Lock(tid, b, lock.Shared); err != nil {
+			t.Fatal(err)
+		}
+		if err := sn.ShipLog(tid, upd(tid, b)); !errors.Is(err, ErrNotLocked) {
+			t.Fatalf("%v: only S held: err = %v, want ErrNotLocked", mode, err)
+		}
+		if err := sn.Lock(tid, a, lock.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		end := s.Log().End()
+		// The records for a, held X, ahead of one for b: the batch is refused whole.
+		if err := sn.ShipLog(tid, append(upd(tid, a), upd(tid, b)...)); !errors.Is(err, ErrNotLocked) {
+			t.Fatalf("%v: a batch ending on an S page: err = %v, want ErrNotLocked", mode, err)
+		}
+		if got := s.Log().End(); got != end {
+			t.Fatalf("%v: the refused batch grew the log from %d to %d", mode, end, got)
+		}
+		if err := sn.ShipLog(tid, append(upd(tid, a), upd(tid, a)...)); err != nil {
+			t.Fatalf("%v: records for a page held X: %v", mode, err)
+		}
+		if err := sn.Abort(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestUnknownTxnRejected(t *testing.T) {
 	_, sn := newTestServer(t, ModeESM)
 	if _, err := readPage(sn, 999, 1, lock.Shared); !errors.Is(err, ErrNoTxn) {

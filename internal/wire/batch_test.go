@@ -61,7 +61,7 @@ func TestFailedMemberStopsItsBatch(t *testing.T) {
 		if err := svc.ShipPage(tid, pid, pg.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Lock(tid, pid, lock.Exclusive); err != nil {
+		if err := svc.Lock(tid, pid, lock.Shared); err != nil {
 			t.Fatalf("%s: the batch of a good ship-log and ship-page: %v", cr.name, err)
 		}
 		end, commits := srv.Log().End(), srv.Stats().Commits
@@ -84,6 +84,144 @@ func TestFailedMemberStopsItsBatch(t *testing.T) {
 	}
 	if len(sleeps) != 0 {
 		t.Fatalf("an application error was retried %d times", len(sleeps))
+	}
+}
+
+// TestFailedBatchFailsItsTransaction: the members of a batch ahead of the
+// deferred one the server refuses were served, so after the refusal the
+// transaction may not commit or prepare — on every carrier Commit and
+// Prepare return the batch's failure and commit nothing — and Abort still
+// rolls it back, leaving nothing of it pending. A carrying call's own error
+// fails nothing: a transaction whose ReadPage finds no page still commits.
+func TestFailedBatchFailsItsTransaction(t *testing.T) {
+	carriers := []struct {
+		name string
+		dial func(*server.Server) *Client
+	}{
+		{"direct", func(srv *server.Server) *Client { return NewDirect(srv, nil, nil) }},
+		{"tcp", func(srv *server.Server) *Client { return dialTest(t, serveTCP(t, srv, ServeOpts{})) }},
+	}
+	for _, cr := range carriers {
+		srv := testServer(server.ModeESM)
+		cli := cr.dial(srv)
+		tid, err := cli.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := cli.AllocPage(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cli.AllocPage(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.ShipLog(tid, logrec.NewPageImage(tid, a, page.New(a).Bytes()).Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.ShipLog(tid, outOfRange(b)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Lock(tid, a, lock.Shared); err == nil || !strings.Contains(err.Error(), "bad log record") {
+			t.Fatalf("%s: Lock behind a refused ship-log = %v, want the ship-log's error", cr.name, err)
+		}
+		end := srv.Log().End()
+		if err := cli.Commit(tid); err == nil || !strings.Contains(err.Error(), "bad log record") {
+			t.Fatalf("%s: Commit after the failed batch = %v, want its failure", cr.name, err)
+		}
+		if err := cli.Prepare(tid, 0, []int{0}); err == nil || !strings.Contains(err.Error(), "bad log record") {
+			t.Fatalf("%s: Prepare after the failed batch = %v, want its failure", cr.name, err)
+		}
+		if got := srv.Stats().Commits; got != 0 {
+			t.Fatalf("%s: %d commits, want none: half the transaction was committed", cr.name, got)
+		}
+		if got := srv.Log().End(); got != end {
+			t.Fatalf("%s: Commit and Prepare grew the log from %d to %d", cr.name, end, got)
+		}
+		if err := cli.Abort(tid); err != nil {
+			t.Fatalf("%s: abort after the failed batch: %v", cr.name, err)
+		}
+		if got := srv.Stats().Aborts; got != 1 {
+			t.Fatalf("%s: %d aborts, want 1", cr.name, got)
+		}
+		if len(cli.pending) != 0 {
+			t.Fatalf("%s: after the abort the client keeps %d pending batches", cr.name, len(cli.pending))
+		}
+		tid, err = cli.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.ReadPage(tid, b+100, lock.Shared); err == nil {
+			t.Fatalf("%s: ReadPage of a page never allocated succeeded", cr.name)
+		}
+		if err := cli.Commit(tid); err != nil {
+			t.Fatalf("%s: Commit after a ReadPage's own error: %v", cr.name, err)
+		}
+	}
+}
+
+// TestDeferredLockConflictSurfacesAtNextCall: an exclusive lock request
+// answers at once, and a conflict it meets at the server surfaces at the
+// transaction's next call — its Commit here — as ErrDeadlock once the lock
+// timeout passes. Nothing of the transaction is logged or committed, and it
+// aborts cleanly.
+func TestDeferredLockConflictSurfacesAtNextCall(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	srv := server.New(server.Config{Mode: server.ModeESM, PoolPages: 64, LogCapacity: 16 << 20,
+		LockTimeout: timeout, CheckpointEvery: 1 << 30})
+	addr := serveTCP(t, srv, ServeOpts{})
+	holder, writer := dialTest(t, addr), dialTest(t, addr)
+	tid, err := holder.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := holder.AllocPage(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Commit(tid); err != nil {
+		t.Fatal(err)
+	}
+	if tid, err = holder.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Lock(tid, pid, lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Lock(tid, pid, lock.Shared); err != nil { // carries the X request
+		t.Fatal(err)
+	}
+
+	tid2, err := writer.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := writer.Lock(tid2, pid, lock.Exclusive); err != nil {
+		t.Fatalf("a deferred X request = %v, want nil", err)
+	}
+	if wait := time.Since(start); wait >= timeout {
+		t.Fatalf("a deferred X request waited %v, at least the lock timeout", wait)
+	}
+	upd := logrec.NewUpdate(tid2, pid, page.HeaderSize, make([]byte, 8), []byte("conflict"))
+	if err := writer.ShipLog(tid2, upd.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	end, commits := srv.Log().End(), srv.Stats().Commits
+	if err := writer.Commit(tid2); !errors.Is(err, lock.ErrDeadlock) {
+		t.Fatalf("Commit behind a conflicting X request = %v, want ErrDeadlock", err)
+	}
+	if got := srv.Log().End(); got != end {
+		t.Fatalf("the refused batch grew the log from %d to %d", end, got)
+	}
+	if got := srv.Stats().Commits; got != commits {
+		t.Fatalf("commits went from %d to %d", commits, got)
+	}
+	if err := writer.Abort(tid2); err != nil {
+		t.Fatalf("abort after the conflict: %v", err)
+	}
+	if err := holder.Commit(tid); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,19 +18,19 @@ import (
 
 // TestOpTableComplete: every op code but the retired one has a name and an
 // explicit re-send rule, names are unique, only idempotent data ops may be
-// duplicated — a reserve (a second block, both the connection's) and an open
-// (a no-op on an active transaction) among them — only the status-only data
-// ops are deferred, a transaction's open among them, and an unknown code
-// still prints as op<N>.
+// duplicated — a reserve (a second block, both the connection's), an open (a
+// no-op on an active transaction) and an exclusive lock among them — only
+// the status-only data ops are deferred, a transaction's open and an
+// exclusive lock among them, and an unknown code still prints as op<N>.
 func TestOpTableComplete(t *testing.T) {
-	if len(ops) != opOpen+1 {
-		t.Fatalf("op table has %d rows, want %d", len(ops), opOpen+1)
+	if len(ops) != opLockX+1 {
+		t.Fatalf("op table has %d rows, want %d", len(ops), opLockX+1)
 	}
 	if ops[opRetired] != (opInfo{}) {
 		t.Fatalf("the retired op code has a row: %+v", ops[opRetired])
 	}
 	seen := map[string]bool{}
-	for op := byte(opReserve); op <= opOpen; op++ {
+	for op := byte(opReserve); op <= opLockX; op++ {
 		if op == opRetired {
 			continue
 		}
@@ -38,17 +38,17 @@ func TestOpTableComplete(t *testing.T) {
 		if row.name == "" || row.resend == 0 {
 			t.Errorf("op %d: row %+v lacks a name or a re-send rule", op, row)
 		}
-		if want := op == opReserve || op == opOpen; want && row.resend != resendAlways {
+		if want := op == opReserve || op == opOpen || op == opLockX; want && row.resend != resendAlways {
 			t.Errorf("op %s: re-send rule %d, want resendAlways", row.name, row.resend)
 		}
 		if seen[row.name] {
 			t.Errorf("op %d: duplicate name %q", op, row.name)
 		}
 		seen[row.name] = true
-		if want := op == opLock || op == opReadPage || op == opShipPage || op == opReserve || op == opOpen; row.dup != want {
+		if want := op == opLock || op == opLockX || op == opReadPage || op == opShipPage || op == opReserve || op == opOpen; row.dup != want {
 			t.Errorf("op %s: dup = %v, want %v", row.name, row.dup, want)
 		}
-		if want := op == opShipLog || op == opShipPage || op == opOpen; (row.batch == deferred) != want {
+		if want := op == opShipLog || op == opShipPage || op == opOpen || op == opLockX; (row.batch == deferred) != want {
 			t.Errorf("op %s: deferred = %v, want %v", row.name, row.batch == deferred, want)
 		}
 	}
@@ -58,8 +58,8 @@ func TestOpTableComplete(t *testing.T) {
 }
 
 // TestFaultsDuplicateOnlyIdempotentOps: with every message duplicated, only
-// a reserve, Lock, ReadPage and a batch of nothing but opens, ShipPages and
-// such a call are delivered twice; everything else once.
+// a reserve, Lock, ReadPage and a batch of nothing but opens, ShipPages,
+// exclusive locks and such a call are delivered twice; everything else once.
 func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	sc, c := scriptedClient()
 	svc := WithFaults(c, faultinject.Plan{Name: "dup-all", Seed: 1, DupRate: 1})
@@ -69,7 +69,8 @@ func TestFaultsDuplicateOnlyIdempotentOps(t *testing.T) {
 	svc.AllocPage(1)
 	svc.ReadPage(1, 1, lock.Shared)
 	svc.ShipPage(1, 1, nil)
-	svc.Lock(1, 1, lock.Exclusive) // batch: ship-page, lock
+	svc.Lock(1, 1, lock.Exclusive)
+	svc.Lock(1, 1, lock.Shared) // batch: ship-page, lock-x, lock
 	svc.ShipLog(1, nil)
 	svc.ShipPage(1, 1, nil)
 	svc.Commit(1) // batch: ship-log, ship-page, commit

@@ -149,7 +149,7 @@ func TestClientFailoverResolvesInDoubtCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Lock(tid2, pid, lock.Exclusive); err != nil {
+	if _, err := svc.ReadPage(tid2, pid, lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	upd := logrec.NewUpdate(tid2, pid, page.HeaderSize, []byte("durable!"), []byte("halfdone"))

@@ -11,13 +11,14 @@ import (
 	"repro/internal/wire"
 )
 
-// TestOneObjectUpdateIsTwoFrames: a PD-ESM transaction updating one object
-// on a cached page crosses the wire to a daemon in two request frames — a
-// batch of the transaction's open and the write's exclusive lock, and one
-// batch carrying the ship-log and ship-page ahead of the commit — where the
-// paper's protocol sends six. Begin itself sends nothing: its id comes from
-// the block the connection reserved for the first transaction.
-func TestOneObjectUpdateIsTwoFrames(t *testing.T) {
+// TestOneObjectUpdateIsOneFrame: a PD-ESM transaction updating one object on
+// a cached page crosses the wire to a daemon in one request frame — a batch
+// of the transaction's open, the write's exclusive lock, the ship-log and the
+// ship-page ahead of the commit — where the paper's protocol sends six. Begin
+// itself sends nothing: its id comes from the block the connection reserved
+// for the first transaction; and the write waits for nothing: its lock rides
+// the commit.
+func TestOneObjectUpdateIsOneFrame(t *testing.T) {
 	srv := server.New(server.Config{Mode: server.ModeESM, PoolPages: 64, LogCapacity: 16 << 20,
 		LockTimeout: time.Second, CheckpointEvery: 1 << 30})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -69,8 +70,8 @@ func TestOneObjectUpdateIsTwoFrames(t *testing.T) {
 			delta[name] = d
 		}
 	}
-	// Members count under their own ops as well: the frames are two batches.
-	const want = "map[batch:2 commit:1 lock:1 open:1 ship-log:1 ship-page:1]"
+	// Members count under their own ops as well: the frame is one batch.
+	const want = "map[batch:1 commit:1 lock-x:1 open:1 ship-log:1 ship-page:1]"
 	if got := fmt.Sprint(delta); got != want {
 		t.Fatalf("one update was served as %s, want %s", got, want)
 	}
@@ -81,7 +82,7 @@ func TestOneObjectUpdateIsTwoFrames(t *testing.T) {
 // request frames the daemon served per transaction, read from its per-op
 // counters: every frame is a plain one, counted under its op, or a batch,
 // counted under the call that ends it — so the batch row and the deferred
-// members (open, ship-log, ship-page) are left out.
+// members (open, lock-x, ship-log, ship-page) are left out.
 func BenchmarkOneObjectUpdate(b *testing.B) {
 	srv := server.New(server.Config{Mode: server.ModeESM, PoolPages: 64, LogCapacity: 16 << 20})
 	defer srv.Close()
@@ -135,7 +136,7 @@ func BenchmarkOneObjectUpdate(b *testing.B) {
 	var frames int64
 	for op, n := range ops() {
 		switch op {
-		case "batch", "open", "ship-log", "ship-page", "stats":
+		case "batch", "open", "lock-x", "ship-log", "ship-page", "stats":
 		default:
 			frames += n - before[op]
 		}

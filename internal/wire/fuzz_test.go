@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/faultinject"
+	"repro/internal/lock"
 	"repro/internal/logrec"
 	"repro/internal/server"
 )
@@ -25,6 +26,14 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte{opDecide, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, decideCommit})
 	f.Add([]byte{opDecide, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, decideForget})
 	f.Add([]byte{opResolveInDoubt, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// A batch of a transaction's open, a deferred exclusive lock, a ship-log
+	// and the commit that carries them.
+	var batch []byte
+	batch = appendMember(batch, frame{op: opOpen, tid: 7})
+	batch = appendMember(batch, frame{op: opLockX, tid: 7, pid: 3, mode: byte(lock.Exclusive)})
+	batch = appendMember(batch, frame{op: opShipLog, tid: 7, payload: []byte{1, 2, 3}})
+	batch = appendMember(batch, frame{op: opCommit, tid: 7})
+	f.Add(append([]byte{opBatch, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, batch...))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := parseRequest(body)
 		if err != nil {
@@ -108,6 +117,10 @@ func FuzzServerAgainstGarbage(f *testing.F) {
 	// A batch whose open is refused (an id never reserved here), whose
 	// out-of-range ship-log would stop it before its commit anyway.
 	f.Add(batch(frame{op: opOpen, tid: tid}, frame{op: opShipLog, tid: tid, payload: oob.Encode(nil)}, frame{op: opCommit, tid: tid}))
+	// A deferred exclusive lock ahead of the ship-log that needs it, on an id
+	// never reserved here: the open refuses the whole batch.
+	f.Add(batch(frame{op: opOpen, tid: tid}, frame{op: opLockX, tid: tid, pid: 1, mode: byte(lock.Exclusive)},
+		frame{op: opShipLog, tid: tid, payload: oob.Encode(nil)}, frame{op: opCommit, tid: tid}))
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {

@@ -55,6 +55,7 @@ const (
 	opResolveInDoubt // recovery resolution against the coordinator shard
 	opBatch          // one transaction's deferred frames and the call that carries them
 	opOpen           // begin (or adopt) a transaction: its first frame, deferred
+	opLockX          // an exclusive lock: deferred, as the page is already the client's
 )
 
 // opDecide mode byte values.
@@ -138,6 +139,10 @@ var ops = [...]opInfo{
 	// connection that carries the open is ErrNoTxn: a second delivery, or a
 	// re-send over a new connection, never creates a transaction twice.
 	opOpen: {"open", resendAlways, true, deferred},
+	// The client writes only its cached copy, which the server sees no
+	// sooner than the page's log records or the page itself, and those ride
+	// behind the lock's frame: in its batch, or a later one.
+	opLockX: {"lock-x", resendAlways, true, deferred}, // re-granting a held lock is a no-op
 }
 
 // rowOf returns op's row; an unknown code has the zero row.

@@ -144,10 +144,12 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 
 // TestFrameBytesUnchanged: the same sequence over TCP sends and receives
 // exactly these bytes. One reserve frame stands for both Begins. Each
-// transaction's open, and its three ship-log/ship-page runs, travel in the
-// batch frame of the call after them: 18 more request bytes apiece (the
-// batch's own length and head), one reply for the batch instead of one per
-// member, and no replies at all for the members the failed ship-log stops.
+// transaction's open and exclusive locks, and its three ship-log/ship-page
+// runs, travel in the batch frame of the call after them: 18 more request
+// bytes per batch (its own length and head), one reply for the batch instead
+// of one per member, and no replies at all for the members the failed
+// ship-log stops. The adopted branch is one batch: open, lock-x, ship-log,
+// prepare.
 func TestFrameBytesUnchanged(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -167,7 +169,7 @@ func TestFrameBytesUnchanged(t *testing.T) {
 		sum := sha256.Sum256(b)
 		return fmt.Sprintf("%d:%s", len(b), hex.EncodeToString(sum[:8]))
 	}
-	const wantTx, wantRx = "25368:10f937feb188fddf", "8545:e69c93b55eb45320"
+	const wantTx, wantRx = "25350:af4db9d5d2d64301", "8535:d38350fb9a81fbd0"
 	if got := digest(conn.tx); got != wantTx {
 		t.Errorf("request bytes changed: got %s, want %s", got, wantTx)
 	}

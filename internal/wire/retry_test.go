@@ -161,7 +161,7 @@ func TestShipLogAmbiguousFailureSurfacesRaw(t *testing.T) {
 	if err := r.ShipLog(1, []byte{1}); err != nil || svc.calls != 0 {
 		t.Fatalf("ShipLog = %v after %d frames, want nil and nothing sent", err, svc.calls)
 	}
-	err := r.Lock(1, 1, lock.Exclusive)
+	err := r.Lock(1, 1, lock.Shared)
 	if !errors.Is(err, io.EOF) || errors.Is(err, ErrCommitOutcomeUnknown) || errors.Is(err, ErrServerUnavailable) {
 		t.Fatalf("err = %v, want the raw transport error (a re-send would double-append)", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/archive"
@@ -81,6 +82,13 @@ type session struct {
 	// page is the session's ReadPage reply: the server copies the page into
 	// it, and the reply is written (or, in process, returned) from it.
 	page []byte
+	// failed holds, per transaction, the error a deferred member of one of
+	// its batches drew. What rode ahead of that member was served, so the
+	// transaction may no longer commit or prepare, only abort. A carrying
+	// call's own error fails nothing: a ReadPage of a page that is not there
+	// leaves its transaction as it was.
+	failMu sync.Mutex
+	failed map[logrec.TID]error
 }
 
 // Serve accepts connections on lis and dispatches requests to srv until the
@@ -179,7 +187,7 @@ func (s *session) epoch() uint64 { return 0 }
 
 // each serves f through one, a batch member by member in order: the first
 // error stops the batch and is its reply, and otherwise its last member's
-// reply is.
+// reply is. A deferred member's error fails its transaction.
 func (s *session) each(f frame, one func(frame) ([]byte, error)) ([]byte, error) {
 	if f.op != opBatch {
 		return one(f)
@@ -192,16 +200,49 @@ func (s *session) each(f frame, one func(frame) ([]byte, error)) ([]byte, error)
 	var out []byte
 	for _, m := range members {
 		if out, err = one(m); err != nil {
+			if rowOf(m.op).batch == deferred {
+				s.setFailed(m.tid, err)
+			}
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
+// setFailed records err as tid's failure; nil forgets it.
+func (s *session) setFailed(tid logrec.TID, err error) {
+	s.failMu.Lock()
+	defer s.failMu.Unlock()
+	if err == nil {
+		delete(s.failed, tid)
+		return
+	}
+	if s.failed == nil {
+		s.failed = make(map[logrec.TID]error)
+	}
+	s.failed[tid] = err
+}
+
+// failure returns tid's failure, if it has one.
+func (s *session) failure(tid logrec.TID) error {
+	s.failMu.Lock()
+	defer s.failMu.Unlock()
+	return s.failed[tid]
+}
+
 // serve serves one frame that is not a batch, and on a daemon connection
 // books the transaction it opens or finishes — whichever place in a batch
-// the frame has.
+// the frame has. A failed transaction's Commit or Prepare draws its failure
+// and does nothing; its abort forgets the failure.
 func (s *session) serve(f frame) ([]byte, error) {
+	switch {
+	case f.op == opCommit, f.op == opPrepare:
+		if err := s.failure(f.tid); err != nil {
+			return nil, err
+		}
+	case f.op == opAbort, f.op == opDecide && f.mode == decideAbort:
+		s.setFailed(f.tid, nil)
+	}
 	out, err := s.dispatch(f)
 	if s.active != nil && err == nil {
 		switch {
@@ -225,7 +266,7 @@ func (s *session) dispatch(f frame) ([]byte, error) {
 		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(first)), stride), nil
 	case opOpen:
 		return nil, sn.Open(f.tid)
-	case opLock:
+	case opLock, opLockX:
 		return nil, sn.Lock(f.tid, f.pid, lock.Mode(f.mode))
 	case opAllocPage:
 		pid, err := sn.AllocPage(f.tid)

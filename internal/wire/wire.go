@@ -29,7 +29,12 @@ type Service interface {
 	// Begin starts a transaction. Its open may travel with the
 	// transaction's next call, and an error it draws may surface there.
 	Begin() (logrec.TID, error)
-	// Lock acquires a page lock, blocking until granted.
+	// Lock acquires a page lock. A Shared request blocks until granted. An
+	// Exclusive one is for a page already in the caller's cache, so it need
+	// not wait: it may travel with the transaction's next call, and an error
+	// it draws — ErrDeadlock among them — may surface there; after it the
+	// transaction must be aborted. The caller's writes stay in its cache
+	// until their log records or pages ship, behind the request.
 	Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error
 	// AllocPage reserves a fresh page id, exclusively locked by tid.
 	AllocPage(tid logrec.TID) (page.ID, error)
@@ -89,11 +94,11 @@ type carrier interface {
 
 // Client is the protocol's client side, written once: every Service, TwoPC
 // and management call builds a frame, hands it to the client's carrier and
-// decodes the reply. A status-only frame (open, ShipLog, ShipPage) is not
-// sent on its own: it waits, encoded, until its transaction's next call that
-// needs an answer carries it along in one batch frame. Begin takes its id
-// from a block the connection reserved, so a transaction's first frame is
-// its first carrying call.
+// decodes the reply. A status-only frame (open, an exclusive Lock, ShipLog,
+// ShipPage) is not sent on its own: it waits, encoded, until its
+// transaction's next call that needs an answer carries it along in one batch
+// frame. Begin takes its id from a block the connection reserved, so a
+// transaction's first frame is its first carrying call.
 type Client struct {
 	c carrier
 	*connState
@@ -315,9 +320,14 @@ func (c *Client) Begin() (logrec.TID, error) {
 // transaction has not reached the server.
 func unopened(pending []byte) bool { return len(pending) > 4 && pending[4] == opOpen }
 
-// Lock implements Service.
+// Lock implements Service. An Exclusive request is a lock-x frame, deferred;
+// a Shared one carries, because its caller reads the page next.
 func (c *Client) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
-	return c.send(frame{op: opLock, tid: tid, pid: pid, mode: byte(mode)})
+	op := byte(opLock)
+	if mode == lock.Exclusive {
+		op = opLockX
+	}
+	return c.send(frame{op: op, tid: tid, pid: pid, mode: byte(mode)})
 }
 
 // AllocPage implements Service.

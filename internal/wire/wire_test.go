@@ -136,10 +136,10 @@ func TestTCPErrorsCrossWire(t *testing.T) {
 	cli.ShipPage(t1, pid, pg.Bytes())
 	cli.Commit(t1)
 	t1b, _ := cli.Begin()
-	if err := cli.Lock(t1b, pid, lock.Exclusive); err != nil {
+	if _, err := cli.ReadPage(t1b, pid, lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli2.Lock(t2, pid, lock.Exclusive); !errors.Is(err, lock.ErrDeadlock) {
+	if err := cli2.Lock(t2, pid, lock.Shared); !errors.Is(err, lock.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestClientCrashAbortsItsTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tid2, _ := cliA.Begin()
-	if err := cliA.Lock(tid2, pid, lock.Exclusive); err != nil {
+	if _, err := cliA.ReadPage(tid2, pid, lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	pg.WriteAt(slot, 0, []byte("halfdone"))
@@ -237,9 +237,10 @@ func TestClientCrashAbortsItsTransactions(t *testing.T) {
 }
 
 // TestDisconnectAbortsATransactionOpenedInABatch: a transaction whose open
-// rode the batch of its first Lock is booked for the disconnect abort like
-// any other — the open is not the batch's last member — so when its client's
-// socket dies, the X lock it took is released at once, not at LockTimeout.
+// and deferred X lock rode the batch of its first carrying Lock is booked for
+// the disconnect abort like any other — the open is not the batch's last
+// member — so when its client's socket dies, the X lock it took is released
+// at once, not at LockTimeout.
 func TestDisconnectAbortsATransactionOpenedInABatch(t *testing.T) {
 	const timeout = 5 * time.Second
 	srv := server.New(server.Config{Mode: server.ModeESM, PoolPages: 64, LogCapacity: 16 << 20,
@@ -267,11 +268,14 @@ func TestDisconnectAbortsATransactionOpenedInABatch(t *testing.T) {
 	if err := cliA.Lock(tid, pid, lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}
+	if err := cliA.Lock(tid, pid, lock.Shared); err != nil {
+		t.Fatal(err)
+	}
 	after, err := cliA.ServerStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []string{"batch", "open", "lock"} {
+	for _, op := range []string{"batch", "open", "lock-x", "lock"} {
 		if d := after.Ops[op] - before.Ops[op]; d != 1 {
 			t.Fatalf("the X lock was served with %d %s frames, want it in one batch after its open", d, op)
 		}
@@ -284,7 +288,9 @@ func TestDisconnectAbortsATransactionOpenedInABatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err = cliB.Lock(tidB, pid, lock.Exclusive)
+	if err = cliB.Lock(tidB, pid, lock.Exclusive); err == nil {
+		err = cliB.Lock(tidB, pid, lock.Shared) // carries the X request
+	}
 	if wait := time.Since(start); err != nil || wait > timeout/5 {
 		t.Fatalf("second client's X lock: %v after %v, want it granted well inside the %v lock timeout", err, wait, timeout)
 	}
@@ -433,8 +439,8 @@ func TestConnectionResetAfterCommitFrame(t *testing.T) {
 // is logged — and the transaction, the connection and the server all carry
 // on. (Unchecked, the record panicked a REDO server on apply and sat in an
 // ESM server's log as poison for the abort's undo and for restart.) The
-// records travel with the transaction's next call, a Lock here, and the
-// refusal is its reply.
+// records travel with the transaction's next call, a Shared Lock here, and
+// the refusal is its reply.
 func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
 	past := logrec.NewUpdate(0, 0, 0, make([]byte, 64), make([]byte, 64))
 	past.Off = page.Size - 8
@@ -469,7 +475,7 @@ func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
 			if err := svc.ShipLog(tid, logrec.NewPageImage(tid, pid, pg.Bytes()).Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.Lock(tid, pid, lock.Exclusive); err != nil {
+			if err := svc.Lock(tid, pid, lock.Shared); err != nil {
 				t.Fatal(err)
 			}
 			end := srv.Log().End()
@@ -480,7 +486,7 @@ func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
 				if err := svc.ShipLog(tid, r.Encode(batch)); err != nil {
 					t.Fatalf("%v/%s: %s: ShipLog = %v, want it deferred", mode, transport, name, err)
 				}
-				err := svc.Lock(tid, pid, lock.Exclusive)
+				err := svc.Lock(tid, pid, lock.Shared)
 				if err == nil || errors.Is(err, server.ErrNoTxn) {
 					t.Fatalf("%v/%s: %s: err = %v, want a request error", mode, transport, name, err)
 				}
@@ -493,7 +499,7 @@ func TestShipLogRejectsOutOfRangeRecords(t *testing.T) {
 			if err := svc.ShipLog(tid, logrec.NewUpdate(tid, pid, 200, make([]byte, 4), []byte("good")).Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.Lock(tid, pid, lock.Exclusive); err != nil {
+			if err := svc.Lock(tid, pid, lock.Shared); err != nil {
 				t.Fatalf("%v/%s: ShipLog after a rejected batch: %v", mode, transport, err)
 			}
 			if err := svc.Abort(tid); err != nil {
