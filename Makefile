@@ -124,12 +124,14 @@ race-cleaner:
 
 # The per-layer microbenchmarks, ns/op and allocs/op each: a WAL append,
 # restart phase by phase, the dereference of a resident object, a T1
-# traversal by a client whose pool holds half the module, a one-object
+# traversal by a client whose pool holds half the module, a T2B update
+# traversal by a PD-ESM and an SD-ESM client with a 96 KB recovery buffer,
+# one shipped 8 KB log page of 8-byte updates into an ESM server, a one-object
 # update over loopback TCP with its request frames per transaction, and a
 # page fetch over loopback TCP that misses both pools (its B/op is the
 # whole process's, client and daemon). The smoke runs each benchmark once.
 BENCH_MICRO = $(GO) test ./internal/wal/ ./internal/server/ ./internal/client/ ./internal/oo7/ ./internal/wire/ -run '^$$' \
-	-bench '^Benchmark(Append|Restart|ReadObject|TraverseT1|OneObjectUpdate|PageFetch)$$' -benchmem
+	-bench '^Benchmark(Append|Restart|ReadObject|TraverseT1|TraverseT2B|ShipLog|OneObjectUpdate|PageFetch)$$' -benchmem
 bench-micro:
 	$(BENCH_MICRO)
 

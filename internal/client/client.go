@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/costmodel"
+	"repro/internal/diff"
 	"repro/internal/lock"
 	"repro/internal/page"
 	"repro/internal/recbuf"
@@ -142,6 +143,13 @@ type Client struct {
 	txSeq uint64
 	// chunk is the unused tail of the slab ReadObject cuts copies from.
 	chunk []byte
+	// logPage holds the active transaction's encoded log records awaiting
+	// shipment; its memory is reused from one transaction to the next.
+	logPage []byte
+	// regions and blockIdxs are log generation's scratch: one object's or
+	// block's diff, and one page's copied block indexes.
+	regions   []diff.Region
+	blockIdxs []int
 }
 
 // readChunk is the size of the slabs ReadObject's copies are cut from.
@@ -268,6 +276,7 @@ func (c *Client) Begin() (*Tx, error) {
 		return nil, err
 	}
 	c.txSeq++
+	c.logPage = c.logPage[:0]
 	c.tx = &Tx{
 		c:              c,
 		tid:            tid,

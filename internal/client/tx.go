@@ -15,14 +15,13 @@ import (
 // Tx is an active transaction. All object access goes through it; at most
 // one transaction is active per client.
 type Tx struct {
-	c      *Client
-	tid    logrec.TID
-	seq    uint64                // the client's number for it (Client.txSeq)
-	dirty  map[page.ID]bool      // pages updated and still resident
-	fresh  map[page.ID]bool      // pages created by this transaction
-	locks  map[page.ID]lock.Mode // page locks taken this transaction
-	logBuf []byte                // encoded log records awaiting shipment
-	done   bool
+	c     *Client
+	tid   logrec.TID
+	seq   uint64                // the client's number for it (Client.txSeq)
+	dirty map[page.ID]bool      // pages updated and still resident
+	fresh map[page.ID]bool      // pages created by this transaction
+	locks map[page.ID]lock.Mode // page locks taken this transaction
+	done  bool
 	// Pressure counters at Begin, for the adaptive memory-split policy.
 	startSpills    int64
 	startEvictions int64
@@ -388,18 +387,42 @@ func (tx *Tx) Free(oid page.OID) error {
 
 // appendRec queues a record for shipment; a full log page is shipped as soon
 // as the next record would not fit (ESM ships log records a page at a time).
+// Only fresh pages' whole-page images take this path; updates are encoded
+// by appendUpdate.
 func (tx *Tx) appendRec(r *logrec.Record) error {
-	c := tx.c
-	sz := r.EncodedSize()
-	if len(tx.logBuf) > 0 && len(tx.logBuf)+sz > page.Size {
-		if err := tx.flushLog(); err != nil {
-			return err
-		}
+	if err := tx.roomFor(r.EncodedSize()); err != nil {
+		return err
 	}
-	tx.logBuf = r.Encode(tx.logBuf)
+	tx.c.logPage = r.Encode(tx.c.logPage)
+	return tx.appended()
+}
+
+// appendUpdate queues the update record for bytes [off, off+len(before)) of
+// pid, encoded straight from the before-image (in the recovery buffer) and
+// the after-image (in the pool) into the log page: the images are copied
+// once, and no record is built.
+func (tx *Tx) appendUpdate(pid page.ID, off int, before, after []byte) error {
+	if err := tx.roomFor(logrec.HeaderSize + len(before) + len(after)); err != nil {
+		return err
+	}
+	tx.c.logPage = logrec.AppendUpdate(tx.c.logPage, tx.tid, pid, off, before, after)
+	return tx.appended()
+}
+
+// roomFor ships the log page if a record of n bytes would not fit it.
+func (tx *Tx) roomFor(n int) error {
+	if l := len(tx.c.logPage); l > 0 && l+n > page.Size {
+		return tx.flushLog()
+	}
+	return nil
+}
+
+// appended charges the record just encoded and ships the log page once full.
+func (tx *Tx) appended() error {
+	c := tx.c
 	c.stats.LogRecords++
 	c.m.ClientCompute(c.p.LogRecCPU)
-	if len(tx.logBuf) >= page.Size {
+	if len(c.logPage) >= page.Size {
 		return tx.flushLog()
 	}
 	return nil
@@ -407,16 +430,16 @@ func (tx *Tx) appendRec(r *logrec.Record) error {
 
 // flushLog ships any buffered log records to the server.
 func (tx *Tx) flushLog() error {
-	if len(tx.logBuf) == 0 {
+	c := tx.c
+	if len(c.logPage) == 0 {
 		return nil
 	}
-	c := tx.c
-	if err := c.svc.ShipLog(tx.tid, tx.logBuf); err != nil {
+	if err := c.svc.ShipLog(tx.tid, c.logPage); err != nil {
 		return err
 	}
-	c.stats.LogBytesShipped += int64(len(tx.logBuf))
-	c.stats.LogPagesShipped += int64((len(tx.logBuf) + page.Size - 1) / page.Size)
-	tx.logBuf = tx.logBuf[:0]
+	c.stats.LogBytesShipped += int64(len(c.logPage))
+	c.stats.LogPagesShipped += int64((len(c.logPage) + page.Size - 1) / page.Size)
+	c.logPage = c.logPage[:0]
 	return nil
 }
 
@@ -445,29 +468,41 @@ func (tx *Tx) emitLogForPage(pid page.ID) error {
 		return tx.emitPageDiff(pid, e.Image, f.Bytes())
 	}
 	// Sub-page blocks, in index order for determinism.
-	idxs := make([]int, 0, len(e.Blocks))
+	idxs := c.blockIdxs[:0]
 	for b := range e.Blocks {
 		idxs = append(idxs, b)
 	}
 	sort.Ints(idxs)
+	c.blockIdxs = idxs
 	bs := c.cfg.BlockSize
 	for _, b := range idxs {
 		old := e.Blocks[b]
 		cur := f.Bytes()[b*bs : b*bs+len(old)]
 		if c.cfg.Scheme == SL {
 			// Log the whole block undiffed.
-			if err := tx.appendRec(logrec.NewUpdate(tx.tid, pid, b*bs, old, cur)); err != nil {
+			if err := tx.appendUpdate(pid, b*bs, old, cur); err != nil {
 				return err
 			}
 			continue
 		}
 		c.m.ClientCompute(c.p.DiffBlock)
 		c.stats.BlockDiffs++
-		for _, r := range diff.Regions(old, cur) {
-			rec := logrec.NewUpdate(tx.tid, pid, b*bs+r.Off, old[r.Off:r.End()], cur[r.Off:r.End()])
-			if err := tx.appendRec(rec); err != nil {
-				return err
-			}
+		if err := tx.appendDiff(pid, b*bs, old, cur); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendDiff logs the combined modified regions between old and cur, the
+// images of the bytes at page offset base of pid, one update record each.
+// The regions go into the client's scratch slice.
+func (tx *Tx) appendDiff(pid page.ID, base int, old, cur []byte) error {
+	c := tx.c
+	c.regions = diff.AppendRegionsH(c.regions[:0], old, cur, diff.HeaderSize)
+	for _, r := range c.regions {
+		if err := tx.appendUpdate(pid, base+r.Off, old[r.Off:r.End()], cur[r.Off:r.End()]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -481,14 +516,8 @@ func (tx *Tx) emitPageDiff(pid page.ID, old, cur []byte) error {
 	po, pn := page.Wrap(old), page.Wrap(cur)
 	if structuralChange(old, cur) {
 		// Raw diff of everything past the page-LSN field (server-owned).
-		for _, r := range diff.Regions(old[page.HeaderSize/2:], cur[page.HeaderSize/2:]) {
-			off := r.Off + page.HeaderSize/2
-			rec := logrec.NewUpdate(tx.tid, pid, off, old[off:off+r.Len], cur[off:off+r.Len])
-			if err := tx.appendRec(rec); err != nil {
-				return err
-			}
-		}
-		return nil
+		const from = page.HeaderSize / 2
+		return tx.appendDiff(pid, from, old[from:], cur[from:])
 	}
 	var firstErr error
 	pn.LiveObjects(func(slot int, data []byte) {
@@ -500,14 +529,7 @@ func (tx *Tx) emitPageDiff(pid page.ID, old, cur []byte) error {
 			firstErr = err
 			return
 		}
-		oldData := old[off : off+len(data)]
-		for _, r := range diff.Regions(oldData, data) {
-			rec := logrec.NewUpdate(tx.tid, pid, off+r.Off, oldData[r.Off:r.End()], data[r.Off:r.End()])
-			if err := tx.appendRec(rec); err != nil {
-				firstErr = err
-				return
-			}
-		}
+		firstErr = tx.appendDiff(pid, off, old[off:off+len(data)], data)
 	})
 	return firstErr
 }

@@ -11,7 +11,18 @@
 // decision depends only on the gap, the greedy left-to-right scan generates
 // the minimum possible amount of log traffic (shown in the paper, verified
 // here by property test against exhaustive search).
+//
+// The scan is on the client's commit path — every page of a page-differencing
+// transaction is diffed whole — so it compares eight bytes at a time, and
+// AppendRegionsH writes the regions into a slice the caller owns and reuses.
+// Its output is exactly the byte-at-a-time scan's (a property test keeps a
+// byte-at-a-time reference to compare against).
 package diff
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // HeaderSize is H, the size in bytes of an ESM log-record header. The paper
 // reports approximately 50 bytes; internal/logrec matches this.
@@ -30,70 +41,100 @@ func (r Region) End() int { return r.Off + r.Len }
 // regions that must be logged, already combined according to the
 // 2*gap > HeaderSize rule. The two slices must be the same length. The
 // result is in increasing offset order; it is nil when the images are equal.
-func Regions(before, after []byte) []Region {
-	return RegionsH(before, after, HeaderSize)
-}
+func Regions(before, after []byte) []Region { return AppendRegionsH(nil, before, after, HeaderSize) }
 
 // RegionsH is Regions with an explicit log-record header size h, used by
 // tests and ablation benchmarks.
-func RegionsH(before, after []byte, h int) []Region {
+func RegionsH(before, after []byte, h int) []Region { return AppendRegionsH(nil, before, after, h) }
+
+// RawRegions returns the maximal runs of differing bytes without any
+// combining (h = 0: two runs are always at least one byte apart). Used by
+// tests and by the no-combining ablation.
+func RawRegions(before, after []byte) []Region { return AppendRegionsH(nil, before, after, 0) }
+
+// AppendRegionsH appends to dst the regions RegionsH(before, after, h) would
+// return and returns the extended slice; a caller that diffs many objects
+// reuses one dst and allocates nothing once it has grown. Regions already in
+// dst are never combined with the new ones.
+//
+// The scan compares eight bytes at a time: an XOR of two little-endian words
+// is zero when they agree, and otherwise its lowest set bit names the first
+// byte that differs; inside a modified run the first byte that agrees again
+// is the lowest zero byte of the XOR, found with the same word arithmetic.
+// Over unmodified bytes it tests four words per step.
+func AppendRegionsH(dst []Region, before, after []byte, h int) []Region {
 	if len(before) != len(after) {
 		panic("diff: image length mismatch")
 	}
-	var out []Region
+	base := len(dst)
 	n := len(before)
-	i := 0
-	for i < n {
-		// Find the next modified byte.
-		for i < n && before[i] == after[i] {
-			i++
-		}
-		if i == n {
-			break
-		}
+	for i := nextDiff(before, after, 0); i < n; i = nextDiff(before, after, i) {
 		start := i
-		for i < n && before[i] != after[i] {
-			i++
-		}
+		i = nextSame(before, after, i+1)
 		r := Region{Off: start, Len: i - start}
-		if m := len(out); m > 0 {
-			gap := r.Off - out[m-1].End()
+		if m := len(dst); m > base {
+			gap := r.Off - dst[m-1].End()
 			if 2*gap <= h {
 				// Combining logs the gap twice but saves a header: cheaper
 				// (or equal), and the combined region may be combined again
 				// with the next one.
-				out[m-1].Len = r.End() - out[m-1].Off
+				dst[m-1].Len = r.End() - dst[m-1].Off
 				continue
 			}
 		}
-		out = append(out, r)
+		dst = append(dst, r)
 	}
-	return out
+	return dst
 }
 
-// RawRegions returns the maximal runs of differing bytes without any
-// combining. Used by tests and by the no-combining ablation.
-func RawRegions(before, after []byte) []Region {
-	if len(before) != len(after) {
-		panic("diff: image length mismatch")
-	}
-	var out []Region
-	n := len(before)
-	i := 0
-	for i < n {
-		for i < n && before[i] == after[i] {
-			i++
-		}
-		if i == n {
+const (
+	lows  = 0x0101010101010101
+	highs = 0x8080808080808080
+)
+
+// nextDiff returns the first index at or after i where the images differ, or
+// len(a) when they agree from i on. Most of an object or page is unmodified,
+// so it skips four agreeing words per step before it looks for the byte.
+func nextDiff(a, b []byte, i int) int {
+	n := len(a)
+	b = b[:n]
+	for ; i+32 <= n; i += 32 {
+		x, y := a[i:i+32:i+32], b[i:i+32:i+32]
+		if (binary.LittleEndian.Uint64(x)^binary.LittleEndian.Uint64(y))|
+			(binary.LittleEndian.Uint64(x[8:])^binary.LittleEndian.Uint64(y[8:]))|
+			(binary.LittleEndian.Uint64(x[16:])^binary.LittleEndian.Uint64(y[16:]))|
+			(binary.LittleEndian.Uint64(x[24:])^binary.LittleEndian.Uint64(y[24:])) != 0 {
 			break
 		}
-		start := i
-		for i < n && before[i] != after[i] {
-			i++
-		}
-		out = append(out, Region{Off: start, Len: i - start})
 	}
-	return out
+	for ; i+8 <= n; i += 8 {
+		x, y := a[i:i+8:i+8], b[i:i+8:i+8]
+		if d := binary.LittleEndian.Uint64(x) ^ binary.LittleEndian.Uint64(y); d != 0 {
+			return i + bits.TrailingZeros64(d)/8
+		}
+	}
+	for ; i < n && a[i] == b[i]; i++ {
+	}
+	return i
+}
+
+// nextSame returns the first index at or after i where the images agree, or
+// len(a) when they differ from i on. A byte that agrees is a zero byte of the
+// XOR d; (d-lows) &^ d & highs flags it, and although a borrow can also flag
+// bytes above a zero byte, the lowest flag is always exact.
+func nextSame(a, b []byte, i int) int {
+	n := len(a)
+	b = b[:n]
+	for ; i+8 <= n; i += 8 {
+		x, y := a[i:i+8:i+8], b[i:i+8:i+8]
+		d := binary.LittleEndian.Uint64(x) ^ binary.LittleEndian.Uint64(y)
+		if z := (d - lows) &^ d & highs; z != 0 {
+			return i + bits.TrailingZeros64(z)/8
+		}
+	}
+	for ; i < n && a[i] != b[i]; i++ {
+	}
+	return i
 }
 
 // LogBytes returns the total log traffic, in bytes, that logging the given
@@ -110,10 +151,8 @@ func LogBytes(regions []Region, h int) int {
 // Changed reports whether the two images differ anywhere. It is cheaper than
 // Regions when only the boolean answer is needed.
 func Changed(before, after []byte) bool {
-	for i := range before {
-		if before[i] != after[i] {
-			return true
-		}
+	if len(before) != len(after) {
+		panic("diff: image length mismatch")
 	}
-	return false
+	return nextDiff(before, after, 0) < len(before)
 }

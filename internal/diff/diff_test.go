@@ -240,3 +240,110 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// refRegionsH is the byte-at-a-time scan AppendRegionsH replaced, kept as
+// the reference the word-at-a-time scan must agree with exactly.
+func refRegionsH(before, after []byte, h int) []Region {
+	var out []Region
+	n := len(before)
+	i := 0
+	for i < n {
+		for i < n && before[i] == after[i] {
+			i++
+		}
+		if i == n {
+			break
+		}
+		start := i
+		for i < n && before[i] != after[i] {
+			i++
+		}
+		r := Region{Off: start, Len: i - start}
+		if m := len(out); m > 0 && 2*(r.Off-out[m-1].End()) <= h {
+			out[m-1].Len = r.End() - out[m-1].Off
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+func sameRegions(a, b []Region) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWordScanMatchesByteScan: for every image length 0..17 and every set of
+// modified bytes (exhaustive up to 12 bytes, random beyond), and h in
+// {0, 50, 200}, the word-at-a-time scan returns the byte-at-a-time
+// reference's regions. Lengths past 8 and 16 put runs across the word
+// boundaries and leave unaligned tails; every byte value of the XOR is
+// covered because the modified bytes take random non-zero masks, 0x01 and
+// 0x80 (the word trick's borrow edge cases) included.
+func TestWordScanMatchesByteScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	masks := []byte{0x01, 0x80, 0xff}
+	check := func(before, after []byte) {
+		t.Helper()
+		for _, h := range []int{0, 50, 200} {
+			want := refRegionsH(before, after, h)
+			if got := RegionsH(before, after, h); !sameRegions(got, want) {
+				t.Fatalf("len %d h %d before %x after %x: got %v, want %v", len(before), h, before, after, got, want)
+			}
+			dst := []Region{{Off: 1000, Len: 1}}
+			if got := AppendRegionsH(dst, before, after, h); !sameRegions(got[1:], want) || got[0] != dst[0] {
+				t.Fatalf("len %d h %d: AppendRegionsH onto a non-empty dst = %v, want prefix then %v", len(before), h, got, want)
+			}
+		}
+		if Changed(before, after) != (refRegionsH(before, after, 0) != nil) {
+			t.Fatalf("Changed(%x, %x) disagrees with the reference", before, after)
+		}
+	}
+	for n := 0; n <= 17; n++ {
+		before := make([]byte, n)
+		rng.Read(before)
+		after := make([]byte, n)
+		sets := 1 << n
+		if n > 12 {
+			sets = 4096
+		}
+		for k := 0; k < sets; k++ {
+			set := k
+			if n > 12 {
+				set = rng.Intn(1 << n)
+			}
+			for i := range after {
+				after[i] = before[i]
+				if set&(1<<i) != 0 {
+					m := masks[rng.Intn(len(masks))]
+					if rng.Intn(2) == 0 {
+						m = byte(1 + rng.Intn(255))
+					}
+					after[i] ^= m
+				}
+			}
+			check(before, after)
+		}
+	}
+	// Page-sized images with sparse and dense runs at every alignment.
+	for trial := 0; trial < 200; trial++ {
+		n := 8192 - rng.Intn(16)
+		before := make([]byte, n)
+		rng.Read(before)
+		after := append([]byte(nil), before...)
+		for k := rng.Intn(40); k > 0; k-- {
+			off := rng.Intn(n)
+			for i := off; i < min(n, off+1+rng.Intn(20)); i++ {
+				after[i] ^= byte(1 + rng.Intn(255))
+			}
+		}
+		check(before, after)
+	}
+}

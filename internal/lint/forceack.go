@@ -142,10 +142,11 @@ func (c *forceAckChecker) isForce(pkg *Package, call *ast.CallExpr) bool {
 	return walCall(c.m, pkg, call, "Force", "CommitWait")
 }
 
-// isAppend: wal.Append extends the unforced tail; ApplyShipped appends the
-// shipped record into the local log (the standby's append).
+// isAppend: wal.Append and wal.AppendRun extend the unforced tail;
+// ApplyShipped appends the shipped record into the local log (the standby's
+// append).
 func (c *forceAckChecker) isAppend(pkg *Package, call *ast.CallExpr) bool {
-	if walCall(c.m, pkg, call, "Append") {
+	if walCall(c.m, pkg, call, walAppends...) {
 		return true
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -122,7 +122,7 @@ func (c *latchIOChecker) directEffects(body ast.Node) uint32 {
 			switch {
 			case walCall(c.m, c.pkg, x, "Force", "CommitWait", "ForceFull"):
 				bits |= bitMayForce
-			case walCall(c.m, c.pkg, x, "Append"):
+			case walCall(c.m, c.pkg, x, walAppends...):
 				bits |= bitMayAppendWAL
 			case storeCall(c.pkg, c.store, x, diskIO...):
 				bits |= bitMayStore
@@ -177,7 +177,7 @@ func (c *latchIOChecker) checkCall(call *ast.CallExpr, t *held, fact heldSet) {
 	case walCall(c.m, c.pkg, call, "Force", "CommitWait", "ForceFull"):
 		c.report(c.pkg, call.Pos(), "wal force while holding %s (%s): release the latch first — the commit path forces after attMu, the cleaner forces latch-free (DESIGN.md §13)",
 			t.name, levelName[t.level])
-	case walCall(c.m, c.pkg, call, "Append") && shard != nil:
+	case walCall(c.m, c.pkg, call, walAppends...) && shard != nil:
 		c.report(c.pkg, call.Pos(), "wal append while holding shard latch %s: log appends belong to the attMu commit section, never under a page latch",
 			shard.name)
 	case storeCall(c.pkg, c.store, call, diskIO...) && shard == nil:

@@ -277,6 +277,10 @@ func inModule(m *Module, pkg *types.Package) bool {
 	return pkg != nil && pathIn(pkg.Path(), []string{m.Path})
 }
 
+// walAppends are the wal.Log methods that append records: one record, or a
+// transaction's run of them.
+var walAppends = []string{"Append", "AppendRun"}
+
 // walCall reports whether call invokes one of the named methods of wal.Log.
 func walCall(m *Module, pkg *Package, call *ast.CallExpr, names ...string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

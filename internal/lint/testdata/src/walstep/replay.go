@@ -53,3 +53,16 @@ func (s *srv) logAndNote(r *logrec.Record) error {
 	_, err := s.logAndNoteIf(r, nil)
 	return err
 }
+
+// logAndNoteRun is the step for a run of records. Clean.
+func (s *srv) logAndNoteRun(recs []logrec.Record, prev uint64) error {
+	s.attMu.Lock()
+	defer s.attMu.Unlock()
+	if _, err := s.log.AppendRun(recs, prev); err != nil {
+		return err
+	}
+	for i := range recs {
+		s.note(&recs[i])
+	}
+	return nil
+}

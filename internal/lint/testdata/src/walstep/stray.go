@@ -21,3 +21,9 @@ func (s *srv) decide(tid logrec.TID) {
 	s.decided[tid] = decidedTxn{lsn: uint64(tid)} // want "entered only by tables.note"
 	s.attMu.Unlock()
 }
+
+// shipRun appends a shipped page's run on its own: the tables never see it.
+func (s *srv) shipRun(recs []logrec.Record, prev uint64) error {
+	_, err := s.log.AppendRun(recs, prev) // want "only through the logging step"
+	return err
+}

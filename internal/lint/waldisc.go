@@ -57,10 +57,11 @@ var poolMutators = map[string]bool{
 var serverStoreWriters = map[string]bool{"storeWrite": true, "writeSuperblock": true}
 
 // serverLogAppenders are the functions of internal/server that may call
-// wal.Append: the logging step of replay.go (logAndNote is a precondition-free
-// call of logAndNoteIf, which holds the append), and the checkpoint record's
-// own append.
-var serverLogAppenders = map[string]bool{"logAndNoteIf": true, "checkpointCore": true}
+// wal.Append or wal.AppendRun: the logging step of replay.go (logAndNote is a
+// precondition-free call of logAndNoteIf, which holds the append;
+// logAndNoteRun is its form for a shipped log page), and the checkpoint
+// record's own append.
+var serverLogAppenders = map[string]bool{"logAndNoteIf": true, "logAndNoteRun": true, "checkpointCore": true}
 
 // noteFile is the file of internal/server that may assign txn.prepared and
 // insert into a decided map.
@@ -135,7 +136,7 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 						case inServer && !serverStoreWriters[fd.Name.Name]:
 							report(pkg, call.Pos(), "WritePage on a disk.Store in %s: inside the server a page reaches the volume only through the write-back module (storeWrite under writeHome or installWPLLocked, writeSuperblock), which carries the write-ahead test", fd.Name.Name)
 						}
-					case walCall(m, pkg, call, "Append"):
+					case walCall(m, pkg, call, walAppends...):
 						if inServer && !serverLogAppenders[fd.Name.Name] {
 							report(pkg, call.Pos(), "wal.Append in %s: inside the server a record enters the log only through the logging step (logAndNote, which advances the recovery tables in the same attMu section) or checkpointCore", fd.Name.Name)
 						}
@@ -183,7 +184,7 @@ func writeAhead(m *Module, pkg *Package, store *types.Interface, body *ast.Block
 					if !f.forced && !f.write.IsValid() {
 						f.write = call.Pos()
 					}
-				case walCall(m, pkg, call, "Append") && f.write.IsValid():
+				case walCall(m, pkg, call, walAppends...) && f.write.IsValid():
 					if rep {
 						report(pkg, call.Pos(), "wal.Append after a page write at line %d with no log force between them: the write-ahead rule requires the log record stable before (or a Force since) any page write it describes",
 							m.Fset.Position(f.write).Line)

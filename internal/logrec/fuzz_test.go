@@ -46,15 +46,21 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzEncodeDecode drives the encoder with arbitrary field values and checks
-// the round trip.
+// the round trip, and that AppendUpdate writes NewUpdate's encoding.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add(uint64(1), uint32(2), uint16(3), []byte("before"), []byte("after!"))
+	// AppendUpdate's edge: empty images at the last offset of a page.
+	f.Add(uint64(7), uint32(9), uint16(page.Size-1), []byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, tid uint64, pg uint32, off uint16, before, after []byte) {
 		if len(before) != len(after) || len(before) > 0xffff {
 			return
 		}
 		r := NewUpdate(TID(tid), 0, int(off), before, after)
 		r.Page = pageID(pg)
+		prefix := []byte("log page so far")
+		if got, want := AppendUpdate(prefix, r.TID, r.Page, int(off), before, after), r.Encode(prefix); !bytes.Equal(got, want) {
+			t.Fatalf("AppendUpdate = %x, want %x", got, want)
+		}
 		r.LSN = tid ^ 0xabcdef
 		r.PrevLSN = tid + 1
 		got, n, err := Decode(r.Encode(nil))

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/page"
 )
@@ -123,11 +124,14 @@ const HeaderSize = 52
 func (r *Record) EncodedSize() int { return HeaderSize + len(r.Before) + len(r.After) }
 
 // Encode appends the binary encoding of r to dst and returns the extended
-// slice.
+// slice. It allocates only when dst lacks the capacity.
 func (r *Record) Encode(dst []byte) []byte {
+	if len(r.Before) > 0xffff {
+		panic("logrec: before-image too large")
+	}
 	total := r.EncodedSize()
 	start := len(dst)
-	dst = append(dst, make([]byte, total)...)
+	dst = slices.Grow(dst, total)[:start+total]
 	b := dst[start:]
 	binary.LittleEndian.PutUint32(b[0:], uint32(total))
 	binary.LittleEndian.PutUint64(b[8:], r.LSN)
@@ -138,15 +142,25 @@ func (r *Record) Encode(dst []byte) []byte {
 	b[44] = byte(r.Type)
 	b[45] = 0
 	binary.LittleEndian.PutUint16(b[46:], r.Off)
-	if len(r.Before) > 0xffff {
-		panic("logrec: before-image too large")
-	}
 	binary.LittleEndian.PutUint16(b[48:], uint16(len(r.Before)))
 	binary.LittleEndian.PutUint16(b[50:], 0)
 	copy(b[HeaderSize:], r.Before)
 	copy(b[HeaderSize+len(r.Before):], r.After)
 	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:total]))
 	return dst
+}
+
+// AppendUpdate appends the encoding of NewUpdate(tid, pg, off, before,
+// after) to dst — the same bytes — straight from the caller's images: no
+// record is allocated and the images are copied once, into dst. The client
+// encodes every diffed region this way, from its recovery buffer and its
+// pool, into the transaction's log page.
+func AppendUpdate(dst []byte, tid TID, pg page.ID, off int, before, after []byte) []byte {
+	if len(before) != len(after) {
+		panic("logrec: image length mismatch")
+	}
+	r := Record{TID: tid, Type: TypeUpdate, Page: pg, Off: uint16(off), Before: before, After: after}
+	return r.Encode(dst)
 }
 
 // Errors returned by Decode.

@@ -2,6 +2,7 @@ package logrec
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -211,5 +212,32 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendUpdateMatchesNewUpdate: AppendUpdate writes, byte for byte, what
+// NewUpdate(...).Encode writes — for image lengths 0..300, offsets up to
+// 8191 and a non-empty dst — and allocates nothing when dst has room.
+func TestAppendUpdateMatchesNewUpdate(t *testing.T) {
+	f := func(tid uint64, pg uint32, off uint16, n uint16, seed int64, prefix []byte) bool {
+		n %= 301
+		off %= page.Size
+		rng := rand.New(rand.NewSource(seed))
+		before, after := make([]byte, n), make([]byte, n)
+		rng.Read(before)
+		rng.Read(after)
+		want := NewUpdate(TID(tid), page.ID(pg), int(off), before, after).Encode(append([]byte(nil), prefix...))
+		got := AppendUpdate(append([]byte(nil), prefix...), TID(tid), page.ID(pg), int(off), before, after)
+		return bytes.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	before, after := make([]byte, 64), make([]byte, 64)
+	buf := make([]byte, 0, page.Size)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendUpdate(buf[:0], 1, 2, 100, before, after)
+	}); allocs != 0 {
+		t.Fatalf("AppendUpdate into a roomy dst: %v allocs, want 0", allocs)
 	}
 }

@@ -18,6 +18,23 @@ import (
 // Most of an op is the client's own work: dereferences of resident objects,
 // and the page faults and evictions of a pool smaller than the module.
 func BenchmarkTraverseT1(b *testing.B) {
+	benchTraverse(b, client.PD, T1)
+}
+
+// BenchmarkTraverseT2B times one T2B transaction — every atomic part of the
+// module updated, then committed — on BenchmarkTraverseT1's module and pool,
+// with a 96 KB recovery buffer: the update path of the oo7-update workload.
+// An op is dominated by log generation (the recovery-buffer copies, the
+// diffs, the record encoding, spills included) and by the server's logging
+// of the shipped log pages.
+func BenchmarkTraverseT2B(b *testing.B) {
+	b.Run("PD-ESM", func(b *testing.B) { benchTraverse(b, client.PD, T2B) })
+	b.Run("SD-ESM", func(b *testing.B) { benchTraverse(b, client.SD, T2B) })
+}
+
+// benchTraverse loads the module, warms a client of scheme up with one
+// traversal of kind tr, and times traversal transactions of that kind.
+func benchTraverse(b *testing.B, scheme client.Scheme, tr Traversal) {
 	cfg := SmallConfig().Scale(10)
 	cfg.NumAssmLevels = 5
 	cfg.NumModules = 1
@@ -40,19 +57,22 @@ func BenchmarkTraverseT1(b *testing.B) {
 	if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
-	cli := client.New(client.Config{PoolPages: store.Pages() / 2, RecoveryBytes: 96 << 10, ShipDirtyPages: true},
+	cli := client.New(client.Config{Scheme: scheme, PoolPages: store.Pages() / 2, RecoveryBytes: 96 << 10, ShipDirtyPages: true},
 		wire.NewDirect(srv, nil, nil))
 	mod := &db.Modules[0]
 	p := costmodel.Default1995()
 	want := Result{CompVisits: cfg.BaseAssemblies() * cfg.NumCompPerAssm}
 	want.AtomicVisits = want.CompVisits * cfg.NumAtomicPerComp
-	if res, err := Run(cli, mod, T1, costmodel.NopMeter{}, p); err != nil || res != want {
-		b.Fatalf("warm-up T1: %+v, %v; want %+v", res, err, want)
+	if tr == T2B {
+		want.Updates = want.AtomicVisits
+	}
+	if res, err := Run(cli, mod, tr, costmodel.NopMeter{}, p); err != nil || res != want {
+		b.Fatalf("warm-up %v: %+v, %v; want %+v", tr, res, err, want)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cli, mod, T1, costmodel.NopMeter{}, p); err != nil {
+		if _, err := Run(cli, mod, tr, costmodel.NopMeter{}, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,6 +23,10 @@ type Buffer struct {
 	entries  map[page.ID]*Entry
 	fifo     []page.ID
 	spills   int64 // pages dropped to make room
+	// free holds the page images of dropped entries for PutPage to reuse,
+	// at most capBytes/page.Size of them: a transaction's copies cost a
+	// copy each, not an allocation each.
+	free [][]byte
 }
 
 // Entry holds the before-images captured for one page.
@@ -52,12 +56,17 @@ func (b *Buffer) Cap() int { return b.capBytes }
 
 // SetCap changes the capacity. Shrinking below the bytes in use is allowed;
 // the buffer simply reports not fitting anything new until the caller spills
-// or clears. Capacity never drops below one page.
+// or clears. Capacity never drops below one page. Recycled images beyond the
+// new capacity are let go.
 func (b *Buffer) SetCap(n int) {
 	if n < page.Size {
 		n = page.Size
 	}
 	b.capBytes = n
+	if max := n / page.Size; len(b.free) > max {
+		clear(b.free[max:])
+		b.free = b.free[:max]
+	}
 }
 
 // Used returns the bytes currently occupied.
@@ -83,9 +92,9 @@ func (b *Buffer) Entry(pid page.ID) *Entry { return b.entries[pid] }
 // HasPage reports whether pid has any copy in the buffer.
 func (b *Buffer) HasPage(pid page.ID) bool { return b.entries[pid] != nil }
 
-// PutPage stores a whole-page before-image for pid. The image is copied.
-// The caller must ensure Fits(page.Size) first, spilling the Oldest page as
-// needed.
+// PutPage stores a whole-page before-image for pid. The image is copied,
+// into the image of a dropped entry when one is free. The caller must ensure
+// Fits(page.Size) first, spilling the Oldest page as needed.
 func (b *Buffer) PutPage(pid page.ID, img []byte) {
 	if len(img) != page.Size {
 		panic("recbuf: image must be one page")
@@ -96,7 +105,14 @@ func (b *Buffer) PutPage(pid page.ID, img []byte) {
 	if b.entries[pid] != nil {
 		panic(fmt.Sprintf("recbuf: %v already present", pid))
 	}
-	cp := make([]byte, page.Size)
+	var cp []byte
+	if n := len(b.free); n > 0 {
+		cp = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else {
+		cp = make([]byte, page.Size)
+	}
 	copy(cp, img)
 	b.entries[pid] = &Entry{Image: cp, bytes: page.Size}
 	b.fifo = append(b.fifo, pid)
@@ -148,12 +164,14 @@ func (b *Buffer) Oldest() (page.ID, bool) {
 	return b.fifo[0], true
 }
 
-// Drop removes pid's entry, freeing its space.
+// Drop removes pid's entry, freeing its space; its page image, if any, is
+// kept for a later PutPage, so the entry must not be used after.
 func (b *Buffer) Drop(pid page.ID) {
 	e := b.entries[pid]
 	if e == nil {
 		return
 	}
+	b.recycle(e)
 	b.used -= e.bytes
 	delete(b.entries, pid)
 	for i, p := range b.fifo {
@@ -171,9 +189,21 @@ func (b *Buffer) Pages() []page.ID {
 	return out
 }
 
-// Clear drops everything (end of transaction).
+// Clear drops everything (end of transaction), keeping page images for
+// reuse as Drop does.
 func (b *Buffer) Clear() {
-	b.entries = make(map[page.ID]*Entry)
+	for _, e := range b.entries {
+		b.recycle(e)
+	}
+	clear(b.entries)
 	b.fifo = b.fifo[:0]
 	b.used = 0
+}
+
+// recycle puts e's page image on the free list while it has room.
+func (b *Buffer) recycle(e *Entry) {
+	if e.Image != nil && len(b.free) < b.capBytes/page.Size {
+		b.free = append(b.free, e.Image)
+	}
+	e.Image = nil
 }

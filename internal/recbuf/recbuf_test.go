@@ -2,6 +2,8 @@ package recbuf
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/page"
@@ -152,4 +154,87 @@ func TestTinyCapacityPanics(t *testing.T) {
 		}
 	}()
 	New(100)
+}
+
+// TestRecycledImagesNeverAlias runs random PutPage/PutBlock/Drop/Clear/SetCap
+// sequences against a model holding a private copy of every image. After
+// each step every live entry holds exactly its model's bytes, no live image
+// shares memory with another live image or with one on the free list, and
+// the free list holds at most capBytes/page.Size images.
+func TestRecycledImagesNeverAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type modelEntry struct {
+		image  []byte
+		blocks map[int][]byte
+	}
+	const bs = 64
+	for trial := 0; trial < 50; trial++ {
+		b := New((1 + rng.Intn(6)) * page.Size)
+		model := map[page.ID]*modelEntry{}
+		src := make([]byte, page.Size)
+		for step := 0; step < 400; step++ {
+			pid := page.ID(1 + rng.Intn(8))
+			rng.Read(src)
+			switch op := rng.Intn(10); {
+			case op < 4:
+				if model[pid] != nil || !b.Fits(page.Size) {
+					continue
+				}
+				b.PutPage(pid, src)
+				model[pid] = &modelEntry{image: append([]byte(nil), src...)}
+			case op < 6:
+				idx := rng.Intn(page.Size / bs)
+				m := model[pid]
+				if (m != nil && (m.image != nil || m.blocks[idx] != nil)) || !b.Fits(bs) {
+					continue
+				}
+				b.PutBlock(pid, idx, src[:bs])
+				if m == nil {
+					m = &modelEntry{blocks: map[int][]byte{}}
+					model[pid] = m
+				}
+				m.blocks[idx] = append([]byte(nil), src[:bs]...)
+			case op < 8:
+				b.Drop(pid)
+				delete(model, pid)
+			case op < 9:
+				b.Clear()
+				clear(model)
+			default:
+				b.SetCap((1 + rng.Intn(6)) * page.Size)
+			}
+			if max := b.Cap() / page.Size; len(b.free) > max {
+				t.Fatalf("trial %d step %d: %d free images, cap allows %d", trial, step, len(b.free), max)
+			}
+			owner := map[*byte]string{}
+			claim := func(img []byte, who string) {
+				if prev, ok := owner[&img[0]]; ok {
+					t.Fatalf("trial %d step %d: %s shares its image with %s", trial, step, who, prev)
+				}
+				owner[&img[0]] = who
+			}
+			for i, img := range b.free {
+				claim(img, fmt.Sprintf("free image %d", i))
+			}
+			if b.Len() != len(model) {
+				t.Fatalf("trial %d step %d: %d entries, model has %d", trial, step, b.Len(), len(model))
+			}
+			for pid, m := range model {
+				e := b.Entry(pid)
+				if m.image != nil {
+					if !bytes.Equal(e.Image, m.image) {
+						t.Fatalf("trial %d step %d: %v's image changed", trial, step, pid)
+					}
+					claim(e.Image, pid.String())
+					continue
+				}
+				for idx, blk := range m.blocks {
+					if !bytes.Equal(e.Blocks[idx], blk) {
+						t.Fatalf("trial %d step %d: block %d of %v changed", trial, step, idx, pid)
+					}
+					claim(e.Blocks[idx], fmt.Sprintf("block %d of %v", idx, pid))
+				}
+			}
+		}
+	}
 }

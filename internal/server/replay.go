@@ -20,13 +20,15 @@ package server
 //     §3.3 and §3.4.3) and snapshot (tables → checkpoint). Restart runs seed
 //     and note over a private value, in one forward scan whatever the mode,
 //     and then makes it the server's; a live server — primary or standby —
-//     embeds one and advances it through logAndNote, the only way a
-//     transactional record enters its log.
+//     embeds one and advances it through logAndNote — or logAndNoteRun for
+//     a client's log page — the only way a transactional record enters its
+//     log.
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -516,10 +518,11 @@ func redoRelevant(r *logrec.Record, dpt map[page.ID]dptEntry) bool {
 // --- the live tables ----------------------------------------------------------
 
 // logAndNote is the only way a transactional record enters the log of a live
-// server and the only way its tables advance: one attMu critical section that
-// appends r — a shipped record at the LSN the primary gave it, or not at all
-// when a cold bootstrap already restored it — and runs note under decMu and
-// the mode's table mutex. The caller has built the record (TID, PrevLSN) and
+// server and the only way its tables advance (logAndNoteRun is the same step
+// for a client's log page): one attMu critical section that appends r — a
+// shipped record at the LSN the primary gave it, or not at all when a cold
+// bootstrap already restored it — and runs note under decMu and the mode's
+// table mutex. The caller has built the record (TID, PrevLSN) and
 // afterwards does what only it owes: the redo apply, the pool copy, the force,
 // the installs, the locks.
 //
@@ -568,14 +571,43 @@ func (s *Server) logAndNoteIf(r *logrec.Record, shipped bool, pre func() bool) (
 			return false, fmt.Errorf("server: shipped record for LSN %d appended at %d (log diverged)", want, got)
 		}
 	}
-	mu := &s.dptMu
-	if s.cfg.Mode == ModeWPL {
-		mu = &s.wplMu
-	}
+	mu := s.tableMu()
 	mu.Lock()
 	s.tables.note(r)
 	mu.Unlock()
 	return true, nil
+}
+
+// logAndNoteRun is logAndNote for a run of t's records, a shipped log page:
+// one attMu section appends the whole run in one wal.AppendRun — each
+// record's PrevLSN chained to the one before it, the first's to t's last LSN
+// — and notes every record under one hold of the table mutex. The run is
+// all or nothing: one the log has no room for returns wal.ErrFull, and
+// neither the log, t's chain nor the DPT moves.
+func (s *Server) logAndNoteRun(t *txn, recs []logrec.Record) error {
+	s.attMu.Lock()
+	defer s.attMu.Unlock()
+	s.decMu.Lock()
+	defer s.decMu.Unlock()
+	if _, err := s.log.AppendRun(recs, t.lastLSN); err != nil {
+		return err
+	}
+	mu := s.tableMu()
+	mu.Lock()
+	for i := range recs {
+		s.tables.note(&recs[i])
+	}
+	mu.Unlock()
+	return nil
+}
+
+// tableMu is the mutex of the mode's page table: the WPL table under WPL,
+// the DPT otherwise.
+func (s *Server) tableMu() *sync.Mutex {
+	if s.cfg.Mode == ModeWPL {
+		return &s.wplMu
+	}
+	return &s.dptMu
 }
 
 // lockTables takes attMu and every table mutex beneath it: what a checkpoint's

@@ -935,9 +935,15 @@ func (s *Server) retireDPT(pid page.ID, written uint64) {
 	s.dptMu.Unlock()
 }
 
+// shipRuns recycles ShipLog's decoded log pages: one slice of record values
+// per page, decoded in place, their images aliasing the shipped bytes.
+var shipRuns = sync.Pool{New: func() any { return new([]logrec.Record) }}
+
 // ShipLog delivers a batch of client-generated log records (one "log page").
 // The server assigns LSNs, chains PrevLSN, and under REDO applies each
-// record to its copy of the page. Not valid under WPL.
+// record to its copy of the page. The page is logged whole or not at all: a
+// log without room for every record returns wal.ErrFull and logs none. Not
+// valid under WPL.
 func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	s := sn.s
 	if s.cfg.Mode == ModeWPL {
@@ -946,19 +952,28 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	if s.standby.Load() {
 		return ErrStandby
 	}
-	recs, err := logrec.DecodeAll(data)
+	rp := shipRuns.Get().(*[]logrec.Record)
+	defer func() {
+		clear(*rp) // drop the aliases of data
+		*rp = (*rp)[:0]
+		shipRuns.Put(rp)
+	}()
+	recs, err := decodeRun((*rp)[:0], data)
+	*rp = recs
 	if err != nil {
 		return fmt.Errorf("server: bad log page from %v: %w", tid, err)
 	}
 	// The whole batch is vetted before any of it is logged: a record whose
 	// images fall outside the page would be poison for redo and undo alike.
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		if r.Type != logrec.TypeUpdate && r.Type != logrec.TypePageImage {
 			return fmt.Errorf("server: client shipped %v record", r.Type)
 		}
 		if err := checkGeometry(r); err != nil {
 			return fmt.Errorf("server: bad log record from %v: %w", tid, err)
 		}
+		r.TID = tid
 	}
 	defer s.enter()()
 	t, ok := s.lookupTxn(tid)
@@ -968,28 +983,27 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	// A client logs only pages it holds X on: a client's exclusive lock
 	// request travels ahead of its records, never behind them. One check per
 	// run of records on the same page.
-	for i, r := range recs {
-		if i > 0 && r.Page == recs[i-1].Page {
+	for i := range recs {
+		if i > 0 && recs[i].Page == recs[i-1].Page {
 			continue
 		}
-		if m, ok := s.locks.Holds(tid, r.Page); !ok || m != lock.Exclusive {
-			return fmt.Errorf("%w: %v logs %v", ErrNotLocked, tid, r.Page)
+		if m, ok := s.locks.Holds(tid, recs[i].Page); !ok || m != lock.Exclusive {
+			return fmt.Errorf("%w: %v logs %v", ErrNotLocked, tid, recs[i].Page)
 		}
 	}
 	atomic.AddInt64(&s.stats.LogPagesReceived, 1)
 	sn.m.ServerCompute(sn.p.ServerPage)
-	for _, r := range recs {
-		r.TID = tid
-		r.PrevLSN = t.lastLSN
-		if err := s.logAndNote(r, false); err != nil {
-			return err
-		}
-		if s.cfg.Mode == ModeREDO {
-			// New history, applied unconditionally: the record postdates
-			// whatever the frame holds by construction, and a volume reopened
-			// under a fresh in-memory log carries pageLSNs from its previous
-			// life that a pageLSN test would misread as "already applied".
-			if _, err := s.replayOne(sn, r, false); err != nil {
+	if err := s.logAndNoteRun(t, recs); err != nil {
+		return err
+	}
+	if s.cfg.Mode == ModeREDO {
+		// New history, applied unconditionally and in log order: each record
+		// postdates whatever the frame holds by construction, and a volume
+		// reopened under a fresh in-memory log carries pageLSNs from its
+		// previous life that a pageLSN test would misread as "already
+		// applied".
+		for i := range recs {
+			if _, err := s.replayOne(sn, &recs[i], false); err != nil {
 				return err
 			}
 		}
@@ -998,6 +1012,20 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	// blocking the client; the commit force queues behind this backlog.
 	sn.m.LogWriteAsync(s.log.ForceFull())
 	return nil
+}
+
+// decodeRun appends the records of a log page to dst, each decoded in place
+// with logrec.DecodeInto: nothing is allocated once dst has grown.
+func decodeRun(dst []logrec.Record, data []byte) ([]logrec.Record, error) {
+	for len(data) > 0 {
+		dst = append(dst, logrec.Record{})
+		n, err := logrec.DecodeInto(&dst[len(dst)-1], data)
+		if err != nil {
+			return dst[:len(dst)-1], err
+		}
+		data = data[n:]
+	}
+	return dst, nil
 }
 
 // replayOne brings r.Page into the pool and replays r onto its frame under

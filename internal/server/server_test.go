@@ -41,7 +41,7 @@ func fuzzyCheckpoint(sn *Session) error {
 
 // makePage builds a formatted page containing one object with the given
 // contents and returns the page bytes and the object's slot.
-func makePage(t *testing.T, pid page.ID, contents []byte) ([]byte, int) {
+func makePage(t testing.TB, pid page.ID, contents []byte) ([]byte, int) {
 	t.Helper()
 	pg := page.New(pid)
 	slot, err := pg.Allocate(len(contents))
@@ -55,7 +55,7 @@ func makePage(t *testing.T, pid page.ID, contents []byte) ([]byte, int) {
 // createPage runs a transaction that creates a page holding contents,
 // following the client protocol for the server's mode: page-image log record
 // then the page (ESM), page image only (REDO), page only (WPL).
-func createPage(t *testing.T, sn *Session, contents []byte) (page.ID, int) {
+func createPage(t testing.TB, sn *Session, contents []byte) (page.ID, int) {
 	t.Helper()
 	tid := sn.Begin()
 	pid, err := sn.AllocPage(tid)

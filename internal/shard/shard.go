@@ -257,20 +257,16 @@ func (r *Router) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode) ([]byte, 
 }
 
 // ShipLog implements wire.Service: the batch is split by each record's page
-// owner and re-encoded per shard, preserving record order within a shard.
-// Shards are shipped in index order for deterministic replay.
+// owner, each record's encoded bytes copied as they are into its shard's
+// batch, preserving record order within a shard. Shards are shipped in index
+// order for deterministic replay.
 func (r *Router) ShipLog(tid logrec.TID, data []byte) error {
 	if r.m.N == 1 {
 		return r.svcs[0].ShipLog(tid, data)
 	}
-	recs, err := logrec.DecodeAll(data)
+	batches, err := r.split(data)
 	if err != nil {
-		return fmt.Errorf("shard: splitting log batch: %w", err)
-	}
-	batches := make([][]byte, r.m.N)
-	for _, rec := range recs {
-		s := r.m.ShardOf(rec.Page)
-		batches[s] = rec.Encode(batches[s])
+		return err
 	}
 	for s, b := range batches {
 		if len(b) == 0 {
@@ -285,6 +281,23 @@ func (r *Router) ShipLog(tid logrec.TID, data []byte) error {
 		}
 	}
 	return nil
+}
+
+// split cuts a log page into one batch per shard: the encoded records whose
+// pages the shard owns, in their order in data.
+func (r *Router) split(data []byte) ([][]byte, error) {
+	batches := make([][]byte, r.m.N)
+	var rec logrec.Record
+	for b := data; len(b) > 0; {
+		n, err := logrec.DecodeInto(&rec, b)
+		if err != nil {
+			return nil, fmt.Errorf("shard: splitting log batch: %w", err)
+		}
+		s := r.m.ShardOf(rec.Page)
+		batches[s] = append(batches[s], b[:n]...)
+		b = b[n:]
+	}
+	return batches, nil
 }
 
 // ShipPage implements wire.Service, routing by page ownership.

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/client"
@@ -237,5 +238,66 @@ func TestJoiningAShardCostsNoFrame(t *testing.T) {
 		if opens := after[s]["open"] - before[s]["open"]; frames != want || opens != 1 {
 			t.Errorf("shard %d (coordinator %d) served %d frames and %d opens, want %d and 1", s, coord, frames, opens, want)
 		}
+	}
+}
+
+// recorder is a shard backend that keeps every log batch shipped to it
+// instead of delivering it.
+type recorder struct {
+	shard.Backend
+	batches [][]byte
+}
+
+func (r *recorder) ShipLog(tid logrec.TID, data []byte) error {
+	r.batches = append(r.batches, append([]byte(nil), data...))
+	return nil
+}
+
+// TestShipLogSplitsEncodedBytes: a log page spanning shards reaches each
+// shard as one batch that is, byte for byte, the concatenation of the
+// original encodings of the records on that shard's pages, in page order;
+// a shard with no record gets no batch.
+func TestShipLogSplitsEncodedBytes(t *testing.T) {
+	const n = 4
+	recs := make([]*recorder, n)
+	backends := make([]shard.Backend, n)
+	for s := 0; s < n; s++ {
+		srv := server.New(server.Config{Mode: server.ModeESM, PoolPages: 16, LogCapacity: 1 << 20, ShardID: s, ShardCount: n})
+		defer srv.Close()
+		recs[s] = &recorder{Backend: wire.NewDirect(srv, nil, nil)}
+		backends[s] = recs[s]
+	}
+	router := shard.NewRouter(backends)
+	m := shard.Map{N: n}
+	tid, err := router.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	want := make([][]byte, n)
+	for i := 0; i < 40; i++ {
+		pid := page.ID(1 + (i*7)%11)
+		if m.ShardOf(pid) == 3 { // shard 3 gets no record
+			continue
+		}
+		k := 1 + i%13
+		rec := logrec.NewUpdate(tid, pid, page.HeaderSize+i, make([]byte, k), bytes.Repeat([]byte{byte(i)}, k))
+		enc := rec.Encode(nil)
+		data = append(data, enc...)
+		want[m.ShardOf(pid)] = append(want[m.ShardOf(pid)], enc...)
+	}
+	if err := router.ShipLog(tid, data); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < n; s++ {
+		switch {
+		case want[s] == nil && len(recs[s].batches) != 0:
+			t.Fatalf("shard %d owns no record but got %d batches", s, len(recs[s].batches))
+		case want[s] != nil && (len(recs[s].batches) != 1 || !bytes.Equal(recs[s].batches[0], want[s])):
+			t.Fatalf("shard %d: got batches %x, want one batch %x", s, recs[s].batches, want[s])
+		}
+	}
+	if err := router.ShipLog(tid, data[:len(data)-1]); err == nil {
+		t.Fatal("a torn log page split without error")
 	}
 }

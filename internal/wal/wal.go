@@ -146,11 +146,11 @@ func (l *Log) StartAt(start uint64) error {
 	return nil
 }
 
-// encPool recycles Append's staging buffers. Every append encodes into a
+// encPool recycles the appends' staging buffers. Every append encodes into a
 // scratch slice before copying into the ring; without pooling that is one
-// allocation per log record on the commit path (BenchmarkAppend reports the
-// difference). Buffers grow to the largest record seen (a whole-page image
-// under WPL) and are reused at that size.
+// allocation per append on the commit path (BenchmarkAppend reports the
+// difference). Buffers grow to the largest append seen (a whole-page image
+// under WPL, a shipped log page) and are reused at that size.
 var encPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)
@@ -164,19 +164,61 @@ var encPool = sync.Pool{
 func (l *Log) Append(r *logrec.Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	size := uint64(r.EncodedSize())
-	if l.next+size-l.head > l.capacity {
-		return 0, fmt.Errorf("%w: need %d bytes, %d in use of %d",
-			ErrFull, size, l.next-l.head, l.capacity)
+	if err := l.room(r.EncodedSize()); err != nil {
+		return 0, err
 	}
 	r.LSN = l.next
 	bp := encPool.Get().(*[]byte)
-	buf := r.Encode((*bp)[:0])
+	l.put(bp, r.Encode((*bp)[:0]))
+	return r.LSN, nil
+}
+
+// AppendRun appends recs, one transaction's records in order, as one
+// contiguous run under one hold of the log: each gets the next LSN, and its
+// PrevLSN is the LSN of the record before it — the first's is prev, the
+// transaction's last LSN before the run. It returns the first LSN. The run
+// is all or nothing: one that does not fit returns ErrFull and appends
+// nothing, with recs untouched.
+func (l *Log) AppendRun(recs []logrec.Record, prev uint64) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	size := 0
+	for i := range recs {
+		size += recs[i].EncodedSize()
+	}
+	if err := l.room(size); err != nil {
+		return 0, err
+	}
+	first := l.next
+	bp := encPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	for i := range recs {
+		r := &recs[i]
+		r.LSN, r.PrevLSN = first+uint64(len(buf)), prev
+		prev = r.LSN
+		buf = r.Encode(buf)
+	}
+	l.put(bp, buf)
+	return first, nil
+}
+
+// room reports ErrFull unless size more bytes fit the log. l.mu held.
+func (l *Log) room(size int) error {
+	if l.next+uint64(size)-l.head > l.capacity {
+		return fmt.Errorf("%w: need %d bytes, %d in use of %d",
+			ErrFull, size, l.next-l.head, l.capacity)
+	}
+	return nil
+}
+
+// put writes buf, the encoding of the records just given LSNs from l.next
+// on, into the ring in one writeRing, advances the end past them, and
+// returns the staging buffer bp to the pool. l.mu held.
+func (l *Log) put(bp *[]byte, buf []byte) {
 	l.writeRing(l.next, buf)
+	l.next += uint64(len(buf))
 	*bp = buf[:0]
 	encPool.Put(bp)
-	l.next += size
-	return r.LSN, nil
 }
 
 func (l *Log) writeRing(at uint64, b []byte) {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/logrec"
@@ -481,6 +482,71 @@ func TestScanDoesNotAllocatePerRecord(t *testing.T) {
 		}
 		if few, many := perScan(10), perScan(1000); many != few {
 			t.Errorf("%s allocates %.0f times over 10 records and %.0f over 1000", name, few, many)
+		}
+	}
+}
+
+// TestAppendRunMatchesAppends: a run appended in one AppendRun leaves the
+// same log — the same LSNs, PrevLSN chain and bytes, across the ring's wrap
+// point too — as its records appended one by one with the chain set by hand;
+// a run that does not fit appends nothing and leaves the records untouched.
+func TestAppendRunMatchesAppends(t *testing.T) {
+	const capacity = 2048
+	run := func() []logrec.Record {
+		var recs []logrec.Record
+		for i, n := range []int{8, 100, 0, 37, 64} {
+			recs = append(recs, *upd(5, page.ID(10+i%2), n))
+		}
+		return recs
+	}
+	one, many := New(capacity), New(capacity)
+	for round := 0; round < 12; round++ {
+		prev := uint64(round) // any chain head
+		recs := run()
+		first, err := one.AppendRun(recs, prev)
+		if err != nil {
+			t.Fatalf("round %d: AppendRun: %v", round, err)
+		}
+		for i, r := range run() {
+			r.PrevLSN = prev
+			lsn, err := many.Append(&r)
+			if err != nil {
+				t.Fatalf("round %d: Append: %v", round, err)
+			}
+			if lsn != recs[i].LSN || recs[i].PrevLSN != prev || (i == 0 && lsn != first) {
+				t.Fatalf("round %d record %d: run gave LSN %d prev %d, appends %d prev %d",
+					round, i, recs[i].LSN, recs[i].PrevLSN, lsn, prev)
+			}
+			prev = lsn
+		}
+		one.Force()
+		many.Force()
+		if !bytes.Equal(one.ring, many.ring) || one.End() != many.End() {
+			t.Fatalf("round %d: logs differ", round)
+		}
+		if err := one.Truncate(first); err != nil {
+			t.Fatal(err)
+		}
+		if err := many.Truncate(first); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l := New(capacity)
+	if _, err := l.Append(upd(1, 1, 700)); err != nil {
+		t.Fatal(err)
+	}
+	end, recs := l.End(), run()
+	recs = append(recs, *upd(5, 12, 300))
+	if _, err := l.AppendRun(recs, 7); !errors.Is(err, ErrFull) {
+		t.Fatalf("AppendRun past capacity = %v, want ErrFull", err)
+	}
+	if l.End() != end {
+		t.Fatalf("a refused run moved the end from %d to %d", end, l.End())
+	}
+	for i := range recs {
+		if recs[i].LSN != 0 || recs[i].PrevLSN != 0 {
+			t.Fatalf("a refused run stamped record %d: LSN %d prev %d", i, recs[i].LSN, recs[i].PrevLSN)
 		}
 	}
 }
