@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race fuzz-smoke daemon-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs results-full
+.PHONY: check vet lint lint-fixtures build test race fuzz-smoke daemon-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs results-full loc
 
 check: vet lint lint-fixtures build race sweeps bench-micro-smoke bench-test fuzz-smoke daemon-smoke
 
@@ -180,3 +180,8 @@ bench-pairs:
 # several minutes. The output is deterministic apart from its elapsed-time line.
 results-full:
 	$(GO) run ./cmd/oo7bench -exp all -measure 3 > results_full.txt
+
+# The non-test Go line count, outside bench/ and the lint fixtures: the size
+# figure CHANGES.md quotes, which a simplification should lower.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v '^internal/lint/testdata/' | xargs cat | wc -l

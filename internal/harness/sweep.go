@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/client"
 	"repro/internal/disk"
@@ -333,14 +334,45 @@ type node struct {
 	log   *wal.Log
 	cfg   func(store disk.Store, log *wal.Log) server.Config
 	srv   *server.Server
+	// fuse is the armed fuse, nil while thawed. The log's device reads it
+	// under the log mutex, perhaps on a flusher goroutine outliving a crash.
+	fuse atomic.Pointer[faultinject.Fuse]
 	// flushes lists the fuse counts at which the armed log advanced (or would
 	// have advanced) its stable end; every other event is a page write or a
 	// head-pointer write.
 	flushes []int64
 }
 
+// fusedLog is a node's log device: a memory ring whose two stable writes,
+// Sync and SetHead, are each one fuse event while the node is armed. Past
+// the fuse's limit a Sync gets nowhere and a head write does not land.
+type fusedLog struct {
+	wal.Ring
+	n *node
+}
+
+func (d fusedLog) Sync(from, to uint64) uint64 {
+	if fuse := d.n.fuse.Load(); fuse != nil {
+		at, ok := fuse.Event()
+		d.n.flushes = append(d.n.flushes, at)
+		if !ok {
+			return from // frozen: the stable end stays where it is
+		}
+	}
+	return to
+}
+
+func (d fusedLog) SetHead(uint64) bool {
+	if fuse := d.n.fuse.Load(); fuse != nil {
+		_, ok := fuse.Event()
+		return ok
+	}
+	return true
+}
+
 func newNode(fuse *faultinject.Fuse, logCapacity int, cfg func(disk.Store, *wal.Log) server.Config) *node {
-	n := &node{mem: disk.NewMemStore(), log: wal.New(logCapacity), cfg: cfg}
+	n := &node{mem: disk.NewMemStore(), cfg: cfg}
+	n.log = wal.Open(fusedLog{make(wal.Ring, logCapacity), n}, logCapacity, wal.FirstLSN)
 	n.arm(fuse)
 	n.srv = server.New(cfg(n.store, n.log))
 	return n
@@ -350,24 +382,11 @@ func newNode(fuse *faultinject.Fuse, logCapacity int, cfg func(disk.Store, *wal.
 func (n *node) arm(fuse *faultinject.Fuse) {
 	if fuse == nil {
 		n.store = n.mem
-		n.log.SetFlushLimiter(nil)
-		n.log.SetTruncateGate(nil)
-		return
+	} else {
+		n.flushes = nil // before the fuse is live: from then on the log's device appends here
+		n.store = faultinject.NewSweepStore(n.mem, fuse)
 	}
-	n.flushes = nil // the log calls the limiter under its own mutex; none is installed here
-	n.store = faultinject.NewSweepStore(n.mem, fuse)
-	n.log.SetFlushLimiter(func(proposed uint64) uint64 {
-		at, ok := fuse.Event()
-		n.flushes = append(n.flushes, at)
-		if !ok {
-			return 0 // frozen: clamped back to the current stable end
-		}
-		return proposed
-	})
-	n.log.SetTruncateGate(func() bool {
-		_, ok := fuse.Event()
-		return ok
-	})
+	n.fuse.Store(fuse)
 }
 
 // crash loses the node's volatile state (the log trims its possibly torn

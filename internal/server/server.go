@@ -1117,10 +1117,10 @@ func (sn *Session) ShipPage(tid logrec.TID, pid page.ID, data []byte) error {
 }
 
 // wplShip logs the page image — note links it into the WPL table — and caches
-// the copy.
+// the copy. The record's image is data itself, not a copy: Append encodes it
+// into the log and note keeps only its LSN.
 func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
-	r := logrec.NewPageImage(t.tid, pid, data)
-	r.PrevLSN = t.lastLSN
+	r := &logrec.Record{TID: t.tid, Type: logrec.TypePageImage, Page: pid, PrevLSN: t.lastLSN, After: data}
 	if err := s.logAndNote(r, false); err != nil {
 		return err
 	}

@@ -10,10 +10,10 @@ import (
 )
 
 // filled returns a log holding n forced records and their LSNs, plus the
-// stable end as a last, (n+1)th boundary.
+// stable end as a last, (n+1)th boundary. The log is on a testDev.
 func filled(t *testing.T, n int) (*Log, []uint64) {
 	t.Helper()
-	l := New(1 << 20)
+	l, _ := newTestLog(1 << 20)
 	var lsns []uint64
 	for i := 0; i < n; i++ {
 		lsn, err := l.Append(upd(1, page.ID(i+1), 64))
@@ -70,8 +70,7 @@ func TestRetentionOneRule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l, at := filled(t, 8)
-			stableEvents := 0
-			l.SetTruncateGate(func() bool { stableEvents++; return true })
+			dev := l.dev.(*testDev)
 			live := map[string]*Holder{}
 			for _, spec := range tc.holds {
 				spec := spec
@@ -138,8 +137,8 @@ func TestRetentionOneRule(t *testing.T) {
 			if tc.want > 0 {
 				wantEvents = 1
 			}
-			if stableEvents != wantEvents {
-				t.Errorf("%d truncate-gate calls, want %d", stableEvents, wantEvents)
+			if dev.heads != wantEvents {
+				t.Errorf("%d SetHead calls, want %d", dev.heads, wantEvents)
 			}
 			// What survives a crash is the log, not who was holding it.
 			clone := l.CrashClone(l.StableEnd())

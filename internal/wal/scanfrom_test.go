@@ -144,7 +144,7 @@ func TestScanFromTruncationRace(t *testing.T) {
 // (a clamped group flush — the mid-batch cut), ScanFrom stops before the
 // partial record and resumes cleanly once a later flush completes it.
 func TestScanFromMidBatchCut(t *testing.T) {
-	l := New(1 << 20)
+	l, dev := newTestLog(1 << 20)
 	lsn1, _ := l.Append(upd(1, 1, 16))
 	r2 := upd(1, 2, 16)
 	lsn2, _ := l.Append(r2)
@@ -153,8 +153,7 @@ func TestScanFromMidBatchCut(t *testing.T) {
 		lsn2 + 4,                     // inside the second record's header
 		lsn2 + logrec.HeaderSize + 1, // header stable, payload torn
 	} {
-		cut := cut
-		l.SetFlushLimiter(func(proposed uint64) uint64 { return cut })
+		dev.clamp, dev.cut = true, cut
 		l.Force()
 		var got []uint64
 		resume, err := l.ScanFrom(lsn1, nil, func(r *logrec.Record) bool {
@@ -172,7 +171,7 @@ func TestScanFromMidBatchCut(t *testing.T) {
 		}
 	}
 
-	l.SetFlushLimiter(nil)
+	dev.clamp = false
 	l.Force()
 	var got []uint64
 	resume, err := l.ScanFrom(lsn2, nil, func(r *logrec.Record) bool {

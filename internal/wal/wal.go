@@ -1,12 +1,15 @@
 // Package wal implements the server's transaction log: a circular,
 // append-only log on a dedicated disk, as in ESM (paper §3.1).
 //
-// LSNs are byte offsets into the conceptually infinite log stream; the
-// physical location of LSN l is l modulo the log capacity. Appended records
-// are volatile until Force is called (write-ahead logging); a simulated
-// crash discards the unforced tail. The log can be scanned forward from any
-// record boundary (ARIES redo), read at a specific LSN (WPL page reload),
-// and truncated from the head as space is reclaimed.
+// LSNs are byte offsets into the conceptually infinite log stream. The log
+// keeps its bytes on a Device, which reads and writes them by LSN and makes
+// two stable writes: Sync advances the stable end and SetHead moves the head.
+// Ring, the memory device, is the only one the server runs on; the
+// crash-point sweep wraps it in a device that can die at any stable write.
+// Appended records are volatile until Force is called (write-ahead logging);
+// a simulated crash discards the unforced tail. The log can be scanned
+// forward from any record boundary (ARIES redo), read at a specific LSN (WPL
+// page reload), and truncated from the head as space is reclaimed.
 //
 // What keeps a record in the log is one rule (DESIGN.md "Log retention"):
 // everyone who still needs log registers a named Holder at the oldest LSN it
@@ -48,16 +51,13 @@ var (
 type Log struct {
 	mu       sync.Mutex
 	capacity uint64
-	ring     []byte
-	head     uint64 // oldest LSN still needed; space below is reclaimed
-	flushed  uint64 // stable up to here; [flushed, next) is volatile
-	next     uint64 // next LSN to assign
+	dev      Device
+	hdr      [4]byte // sizeAt's buffer: a local one would escape through dev.ReadAt
+	head     uint64  // oldest LSN still needed; space below is reclaimed
+	flushed  uint64  // stable up to here; [flushed, next) is volatile
+	next     uint64  // next LSN to assign
 	forces   int64
 	pages    int64 // cumulative 8 KB log pages physically written
-	// limiter, when set, intercepts every flush (fault injection): it may
-	// clamp how far the stable end actually advances, down to not at all.
-	limiter   func(proposed uint64) uint64
-	truncGate func() bool
 	// holders is the retention registry: the head never passes any of them.
 	// A handful at most, names unique, in registration order.
 	holders []*Holder
@@ -65,7 +65,7 @@ type Log struct {
 	// Group commit. Committers park in CommitWait until a flush attempt has
 	// covered their commit LSN; a one-shot flusher goroutine performs one
 	// stable write per group. attempt tracks how far flushes have been
-	// *attempted* (the flush limiter may have clamped the actual stable end):
+	// *attempted* (the device may have stopped short of it):
 	// under fault injection a swallowed flush models a crash, and the commit
 	// call — like the old inline Force — returns rather than hanging.
 	gcCond        *sync.Cond
@@ -98,20 +98,16 @@ const DefaultCapacity = 256 << 20
 // page has page LSN 0).
 const FirstLSN = uint64(page.Size)
 
-// New creates a log with the given capacity in bytes (DefaultCapacity if 0).
-func New(capacity int) *Log {
-	if capacity == 0 {
-		capacity = DefaultCapacity
-	}
-	l := &Log{
-		capacity: uint64(capacity),
-		ring:     make([]byte, capacity),
-		head:     FirstLSN,
-		flushed:  FirstLSN,
-		next:     FirstLSN,
-		attempt:  FirstLSN,
-	}
+// New creates a log on a fresh memory ring with the given capacity in bytes
+// (DefaultCapacity if 0).
+func New(capacity int) *Log { return NewAt(capacity, FirstLSN) }
+
+// Open creates an empty log of the given capacity on dev whose first record
+// will get LSN start.
+func Open(dev Device, capacity int, start uint64) *Log {
+	l := &Log{capacity: uint64(capacity), dev: dev}
 	l.gcCond = sync.NewCond(&l.mu)
+	l.reset(start, start)
 	return l
 }
 
@@ -122,9 +118,10 @@ func New(capacity int) *Log {
 // recorded elsewhere (page headers, checkpoint payloads, the superblock's
 // master record) resolves against the rebuilt log unchanged.
 func NewAt(capacity int, start uint64) *Log {
-	l := New(capacity)
-	l.head, l.flushed, l.next, l.attempt = start, start, start, start
-	return l
+	if capacity == 0 {
+		capacity = DefaultCapacity
+	}
+	return Open(make(Ring, capacity), capacity, start)
 }
 
 // StartAt does to an empty log already handed out what NewAt does to a new
@@ -139,7 +136,7 @@ func (l *Log) StartAt(start uint64) error {
 	if l.next != l.head || start < l.head {
 		return fmt.Errorf("wal: cannot start at %d a log holding [%d, %d)", start, l.head, l.next)
 	}
-	l.head, l.flushed, l.next, l.attempt = start, start, start, start
+	l.reset(start, start)
 	for _, h := range l.holders {
 		h.pos = start
 	}
@@ -147,7 +144,7 @@ func (l *Log) StartAt(start uint64) error {
 }
 
 // encPool recycles the appends' staging buffers. Every append encodes into a
-// scratch slice before copying into the ring; without pooling that is one
+// scratch slice before writing it to the device; without pooling that is one
 // allocation per append on the commit path (BenchmarkAppend reports the
 // difference). Buffers grow to the largest append seen (a whole-page image
 // under WPL, a shipped log page) and are reused at that size.
@@ -212,47 +209,19 @@ func (l *Log) room(size int) error {
 }
 
 // put writes buf, the encoding of the records just given LSNs from l.next
-// on, into the ring in one writeRing, advances the end past them, and
-// returns the staging buffer bp to the pool. l.mu held.
+// on, to the device in one WriteAt, advances the end past them, and returns
+// the staging buffer bp to the pool. l.mu held.
 func (l *Log) put(bp *[]byte, buf []byte) {
-	l.writeRing(l.next, buf)
+	l.dev.WriteAt(buf, l.next)
 	l.next += uint64(len(buf))
 	*bp = buf[:0]
 	encPool.Put(bp)
 }
 
-func (l *Log) writeRing(at uint64, b []byte) {
-	pos := at % l.capacity
-	n := copy(l.ring[pos:], b)
-	if n < len(b) {
-		copy(l.ring, b[n:])
-	}
-}
-
-func (l *Log) readRing(at uint64, b []byte) {
-	pos := at % l.capacity
-	n := copy(b, l.ring[pos:])
-	if n < len(b) {
-		copy(b[n:], l.ring[:len(b)-n])
-	}
-}
-
-// SetFlushLimiter installs fn, called (with the log lock held) on every
-// flush that would advance the stable end; the proposed new stable end is
-// passed in and the value fn returns — clamped to [flushed, proposed] —
-// becomes the actual stable end. The crash-point sweep uses this both to
-// enumerate WAL-flush boundaries and to freeze the log at a chosen crash
-// instant; returning a value mid-record injects a partial (torn) WAL-sector
-// write. A nil fn removes the limiter.
-func (l *Log) SetFlushLimiter(fn func(proposed uint64) uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.limiter = fn
-}
-
-// advanceFlushed moves the stable end toward proposed, consulting the flush
-// limiter, and returns the number of 8 KB log pages written. Caller holds
-// l.mu.
+// advanceFlushed moves the stable end toward proposed as far as the device's
+// Sync gets — clamped to [flushed, proposed]; a Sync that stops mid-record is
+// a torn write — and returns the number of 8 KB log pages written. Caller
+// holds l.mu.
 func (l *Log) advanceFlushed(proposed uint64) int {
 	if proposed > l.attempt {
 		l.attempt = proposed
@@ -260,18 +229,9 @@ func (l *Log) advanceFlushed(proposed uint64) int {
 	if proposed <= l.flushed {
 		return 0
 	}
-	if l.limiter != nil {
-		p := l.limiter(proposed)
-		if p < l.flushed {
-			p = l.flushed
-		}
-		if p > proposed {
-			p = proposed
-		}
-		proposed = p
-		if proposed == l.flushed {
-			return 0
-		}
+	proposed = min(max(l.dev.Sync(l.flushed, proposed), l.flushed), proposed)
+	if proposed == l.flushed {
+		return 0
 	}
 	first := l.flushed / page.Size
 	last := (proposed - 1) / page.Size
@@ -309,11 +269,11 @@ func (l *Log) SetGroupCommitDelay(d time.Duration) {
 // record (so lsn ≤ End()).
 //
 // The commit is satisfied as soon as a flush ATTEMPT covers lsn. Normally
-// the attempt succeeds and the record is stable; under the crash-point
-// sweep's flush limiter the attempt may be swallowed, which models the
-// server dying mid-write — the call returns, exactly as the old inline
-// Force did, and the sweep's recovery invariants treat the transaction by
-// where the durability boundary actually froze.
+// the attempt succeeds and the record is stable; on the crash-point sweep's
+// device the attempt may be swallowed, which models the server dying
+// mid-write — the call returns, exactly as the old inline Force did, and the
+// sweep's recovery invariants treat the transaction by where the durability
+// boundary actually froze.
 func (l *Log) CommitWait(lsn uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -391,11 +351,7 @@ func (l *Log) GroupStats() GroupCommitStats {
 func (l *Log) ForceFull() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	boundary := l.next / page.Size * page.Size
-	if boundary <= l.flushed {
-		return 0
-	}
-	n := l.advanceFlushed(boundary)
+	n := l.advanceFlushed(l.next / page.Size * page.Size)
 	l.pages += int64(n)
 	return n
 }
@@ -415,14 +371,12 @@ func (l *Log) ForceFull() int {
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.next = l.flushed
-	l.trimTornLocked()
+	l.reset(l.head, l.flushed)
 	// Wake committers parked in CommitWait: the LSNs they were waiting on no
 	// longer exist. The epoch bump (rather than an attempt/flushed comparison,
 	// which the trim may have rewound below a waiter's target) is what makes
 	// their wait loops exit.
 	l.epoch++
-	l.attempt = l.flushed
 	l.pendingCharge = 0
 	l.gcCond.Broadcast()
 }
@@ -431,59 +385,36 @@ func (l *Log) Crash() {
 // durability boundary frozen at stableEnd would leave it: records wholly at
 // or below stableEnd (clamped to [Head, End]) are stable, everything above
 // is discarded, and a boundary that falls mid-record is trimmed exactly as
-// Crash trims a torn tail. The receiver is not modified. The group-commit
-// crash sweep uses this to replay one multi-client run at every candidate
-// cut of the volatile region without re-running the workload.
+// Crash trims a torn tail. The receiver is not modified. The copy lives on a
+// fresh memory ring, whatever the receiver's device. The group-commit crash
+// sweep uses this to replay one multi-client run at every candidate cut of
+// the volatile region without re-running the workload.
 func (l *Log) CrashClone(stableEnd uint64) *Log {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if stableEnd < l.head {
-		stableEnd = l.head
-	}
-	if stableEnd > l.next {
-		stableEnd = l.next
-	}
-	c := &Log{
-		capacity: l.capacity,
-		ring:     append([]byte(nil), l.ring...),
-		head:     l.head,
-		flushed:  stableEnd,
-		next:     stableEnd,
-	}
-	c.gcCond = sync.NewCond(&c.mu)
-	c.trimTornLocked()
-	c.attempt = c.flushed
+	stableEnd = min(max(stableEnd, l.head), l.next)
+	c := Open(make(Ring, l.capacity), int(l.capacity), l.head)
+	b := make([]byte, stableEnd-l.head)
+	l.dev.ReadAt(b, l.head)
+	c.dev.WriteAt(b, l.head)
+	c.reset(l.head, stableEnd)
 	return c
 }
 
-// trimTornLocked walks record boundaries from the head and truncates the log
-// end at the last record wholly contained in the stable region. Caller holds
-// l.mu.
-func (l *Log) trimTornLocked() {
-	lsn := l.head
-	for lsn+logrec.HeaderSize <= l.flushed {
+// reset makes head the log's head and everything below end stable, trims a
+// torn record at the end (walking record boundaries from the head to the
+// last record wholly below end) and puts the log's end there, with no flush
+// attempted past it. Caller holds l.mu, or owns a log no one else has yet.
+func (l *Log) reset(head, end uint64) {
+	lsn := head
+	for lsn+logrec.HeaderSize <= end {
 		total := l.sizeAt(lsn)
-		if total < logrec.HeaderSize || lsn+total > l.flushed {
+		if total < logrec.HeaderSize || lsn+total > end {
 			break
 		}
 		lsn += total
 	}
-	l.next, l.flushed = lsn, lsn
-}
-
-// SetTruncateGate installs fn, called (with the log lock held) whenever
-// Truncate would advance the head. Advancing the head is a stable write in
-// its own right — a real log persists its head pointer, or reclamation would
-// not survive restart — so the crash-point sweep counts each advance as a
-// crash point and, past the chosen point, swallows it: the head stays put,
-// exactly as if the process died before the pointer write reached disk.
-// Without this, a checkpoint cut by the fuse could reclaim log space its
-// never-durable checkpoint record was supposed to cover, and restart would
-// find the previous checkpoint truncated away. A nil fn removes the gate.
-func (l *Log) SetTruncateGate(fn func() bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.truncGate = fn
+	l.head, l.next, l.flushed, l.attempt = head, lsn, lsn, lsn
 }
 
 // Holder is one named reason to keep log: its owner (restart redo, an
@@ -618,9 +549,13 @@ func (l *Log) CatchUp() { l.askBehind(0, true) }
 // at or below the stable end. The one retention rule: the head moves to the
 // lowest of newHead and every holder. Holders behind newHead that can catch
 // up are asked to first; then the head advances as far as the lowest holder
-// allows. A truncation clamped to nothing is a no-op, not an error, and not
-// a stable-storage event — the head-pointer write is never attempted, so the
-// truncate gate is consulted only when the head would actually move.
+// allows. Moving the head is a stable write of its own, the device's
+// SetHead: a head write that does not land reclaims nothing, as if the
+// process died before the pointer reached disk — otherwise a checkpoint cut
+// by a crash could reclaim log its never-durable checkpoint record was to
+// cover, and restart would find the previous checkpoint truncated away. A
+// truncation clamped to nothing is a no-op, not an error, and not a
+// stable-storage event: SetHead is asked only when the head would move.
 func (l *Log) Truncate(newHead uint64) error {
 	l.askBehind(newHead, false)
 	l.mu.Lock()
@@ -637,7 +572,7 @@ func (l *Log) Truncate(newHead uint64) error {
 	if newHead <= l.head {
 		return nil
 	}
-	if l.truncGate != nil && !l.truncGate() {
+	if !l.dev.SetHead(newHead) {
 		return nil // swallowed: the head-pointer write never reached disk
 	}
 	l.head = newHead
@@ -691,9 +626,8 @@ func (l *Log) Stable(lsn uint64) bool {
 // sizeAt reads the length field that opens the record header at lsn. Caller
 // holds l.mu and has checked that the header lies inside the log.
 func (l *Log) sizeAt(lsn uint64) uint64 {
-	var b [4]byte
-	l.readRing(lsn, b[:])
-	return uint64(binary.LittleEndian.Uint32(b[:]))
+	l.dev.ReadAt(l.hdr[:], lsn)
+	return uint64(binary.LittleEndian.Uint32(l.hdr[:]))
 }
 
 // End returns the next LSN to be assigned (including volatile records).
@@ -762,7 +696,7 @@ func (l *Log) decodeAt(lsn uint64, dst *logrec.Record, scratch *[]byte) error {
 	} else {
 		buf = make([]byte, total)
 	}
-	l.readRing(lsn, buf)
+	l.dev.ReadAt(buf, lsn)
 	if _, err := logrec.DecodeInto(dst, buf); err != nil {
 		// A record whose extent reaches the stable end and fails its CRC is
 		// the surviving prefix of a torn write (possibly spanning the ring's
@@ -860,7 +794,7 @@ func (l *Log) ScanFrom(from uint64, cancel <-chan struct{}, fn func(*logrec.Reco
 		err := l.decodeAt(lsn, &rec, &scratch)
 		end := lsn + uint64(rec.EncodedSize())
 		if err == nil && end > l.flushed {
-			// The record decodes (its bytes are in the ring) but its tail is
+			// The record decodes (its bytes are on the device) but its tail is
 			// still volatile — a mid-batch cut leaves the durability boundary
 			// inside a record. Stop before it; the next call picks it up once
 			// a flush covers it.

@@ -15,6 +15,30 @@ func upd(tid logrec.TID, pg page.ID, n int) *logrec.Record {
 	return logrec.NewUpdate(tid, pg, 0, b, a)
 }
 
+// testDev is a memory ring a test can fault: while clamp is set its Sync
+// gets no further than cut, and SetHead counts the head writes asked of it.
+type testDev struct {
+	Ring
+	clamp bool
+	cut   uint64
+	heads int
+}
+
+func (d *testDev) Sync(from, to uint64) uint64 {
+	if d.clamp {
+		return d.cut
+	}
+	return to
+}
+
+func (d *testDev) SetHead(uint64) bool { d.heads++; return true }
+
+// newTestLog opens a log of the given capacity on a fresh testDev.
+func newTestLog(capacity int) (*Log, *testDev) {
+	d := &testDev{Ring: make(Ring, capacity)}
+	return Open(d, capacity, FirstLSN), d
+}
+
 func TestAppendAssignsSequentialLSNs(t *testing.T) {
 	l := New(1 << 20)
 	r1 := upd(1, 10, 8)
@@ -345,22 +369,21 @@ func TestUsedAndCapacity(t *testing.T) {
 	}
 }
 
-// TestFlushLimiterClampsStableEnd exercises the fault-injection hook: a
-// limiter can hold the stable end back entirely, and removing it restores
-// normal flushing.
-func TestFlushLimiterClampsStableEnd(t *testing.T) {
-	l := New(1 << 20)
-	l.SetFlushLimiter(func(proposed uint64) uint64 { return 0 }) // clamped up to flushed
+// TestDeviceSyncClampsStableEnd: a device whose Sync gets nowhere holds the
+// stable end back entirely, and once it syncs again flushing is normal.
+func TestDeviceSyncClampsStableEnd(t *testing.T) {
+	l, dev := newTestLog(1 << 20)
+	dev.clamp, dev.cut = true, 0 // clamped up to flushed
 	lsn, _ := l.Append(upd(1, 1, 64))
 	if n := l.Force(); n != 0 {
 		t.Fatalf("frozen force wrote %d pages", n)
 	}
 	if l.StableEnd() != lsn {
-		t.Fatalf("stable end moved to %d under frozen limiter", l.StableEnd())
+		t.Fatalf("stable end moved to %d under a frozen device", l.StableEnd())
 	}
-	l.SetFlushLimiter(nil)
+	dev.clamp = false
 	if n := l.Force(); n != 1 {
-		t.Fatalf("force after limiter removal wrote %d pages, want 1", n)
+		t.Fatalf("force after the device thawed wrote %d pages, want 1", n)
 	}
 	if l.StableEnd() != l.End() {
 		t.Fatalf("stable end %d != end %d after force", l.StableEnd(), l.End())
@@ -376,7 +399,7 @@ func TestFlushLimiterClampsStableEnd(t *testing.T) {
 // a scan read as mid-log corruption.
 func TestTornRecordAcrossWrapPoint(t *testing.T) {
 	const cap = 4 * page.Size
-	l := New(cap)
+	l, dev := newTestLog(cap)
 
 	// March the log end toward the wrap point, reclaiming as we go.
 	filler := upd(1, 1, 700)
@@ -403,9 +426,9 @@ func TestTornRecordAcrossWrapPoint(t *testing.T) {
 
 	// Injected partial write: the flush stops mid-record, past the header.
 	cut := lsn + logrec.HeaderSize + 100
-	l.SetFlushLimiter(func(proposed uint64) uint64 { return cut })
+	dev.clamp, dev.cut = true, cut
 	l.Force()
-	l.SetFlushLimiter(nil)
+	dev.clamp = false
 	if l.StableEnd() != cut {
 		t.Fatalf("stable end = %d, want cut %d", l.StableEnd(), cut)
 	}
@@ -521,7 +544,7 @@ func TestAppendRunMatchesAppends(t *testing.T) {
 		}
 		one.Force()
 		many.Force()
-		if !bytes.Equal(one.ring, many.ring) || one.End() != many.End() {
+		if !bytes.Equal(one.dev.(Ring), many.dev.(Ring)) || one.End() != many.End() {
 			t.Fatalf("round %d: logs differ", round)
 		}
 		if err := one.Truncate(first); err != nil {
