@@ -373,16 +373,9 @@ func restoreCmd(_ globals, args []string) error {
 	if *dir == "" || *data == "" {
 		return fmt.Errorf("usage: restore -archive-dir DIR -data VOL [-mode esm|redo|wpl] [-target LSN]")
 	}
-	var m server.Mode
-	switch *mode {
-	case "esm":
-		m = server.ModeESM
-	case "redo":
-		m = server.ModeREDO
-	case "wpl":
-		m = server.ModeWPL
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	m, err := server.ParseMode(*mode)
+	if err != nil {
+		return err
 	}
 	blobs, err := archive.OpenDir(*dir)
 	if err != nil {
@@ -412,8 +405,8 @@ func restoreCmd(_ globals, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("restored %s from %s: replayed %d records in %d segments to LSN %d (backup %s)\n",
-		*data, *dir, res.Records, res.Segments, res.CutLSN, res.Backup.Name)
+	fmt.Printf("restored %s from %s: replayed log [%d, %d) in %d segments (backup %s)\n",
+		*data, *dir, res.Backup.RedoStart, res.CutLSN, res.Segments, res.Backup.Name)
 	return nil
 }
 

@@ -50,16 +50,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var m server.Mode
-	switch *mode {
-	case "esm":
-		m = server.ModeESM
-	case "redo":
-		m = server.ModeREDO
-	case "wpl":
-		m = server.ModeWPL
-	default:
-		fmt.Fprintf(os.Stderr, "quickstored: unknown mode %q\n", *mode)
+	m, err := server.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "quickstored: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -108,7 +101,7 @@ func main() {
 		if *archDir != "" {
 			// Cold bootstrap: restore the newest backup plus archived log from
 			// a copy of the primary's archive, skipping the restart pass
-			// (ReplayLocal below applies the rebuilt log's effects instead).
+			// (ReplayLocal below applies the restored log's effects instead).
 			blobs, err := archive.OpenDir(*archDir)
 			if err != nil {
 				log.Fatalf("quickstored: opening archive: %v", err)
@@ -121,8 +114,8 @@ func main() {
 				log.Fatalf("quickstored: archive bootstrap: %v", err)
 			}
 			cfg.Log = boot.Log
-			log.Printf("bootstrapped from backup at LSN %d (%d segments, %d records re-appended)",
-				boot.Backup.End, boot.Segments, boot.Records)
+			log.Printf("bootstrapped from backup at LSN %d (%d segments: log [%d, %d))",
+				boot.Backup.End, boot.Segments, boot.Backup.RedoStart, boot.CutLSN)
 		} else if recover {
 			log.Fatalf("quickstored: a standby must start from an empty volume, or cold-bootstrap from an archive copy (-archive-dir)")
 		}
@@ -191,9 +184,10 @@ func main() {
 		close(archDone)
 	}
 	if arch != nil {
-		// The in-memory log restarts its LSN space every process start, so
-		// each archiver generation begins with a base backup: everything a
-		// restore needs from earlier generations is inside it.
+		// The log's unarchived tail dies with the process, so the archive
+		// of an earlier process cannot be continued: each archiver
+		// generation begins with a base backup, and everything a restore
+		// needs from earlier generations is inside it.
 		info, err := arch.Backup()
 		if err != nil {
 			log.Fatalf("quickstored: initial base backup: %v", err)

@@ -34,6 +34,23 @@ func appendRecords(t *testing.T, log *wal.Log, n int) []uint64 {
 	return ends
 }
 
+// segmentRecords reads one segment and decodes its payload.
+func segmentRecords(t *testing.T, blobs BlobStore, s SegmentInfo) []*logrec.Record {
+	t.Helper()
+	payload, err := ReadSegment(blobs, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(payload)) != s.End-s.Start {
+		t.Fatalf("segment %s: %d payload bytes for [%d, %d)", s.Name, len(payload), s.Start, s.End)
+	}
+	recs, err := logrec.DecodeAll(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestArchiverRoundTrip(t *testing.T) {
 	log := wal.New(1 << 20)
 	blobs := NewMemBlobs()
@@ -63,11 +80,7 @@ func TestArchiverRoundTrip(t *testing.T) {
 		if s.Start != next {
 			t.Fatalf("segment %s starts at %d, want %d", s.Name, s.Start, next)
 		}
-		recs, err := ReadSegment(blobs, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
+		for _, r := range segmentRecords(t, blobs, s) {
 			if got, want := r.LSN+uint64(r.EncodedSize()), ends[nrec]; got != want {
 				t.Fatalf("record %d ends at %d, want %d", nrec, got, want)
 			}
@@ -270,11 +283,7 @@ func (w *redoWorld) commitEnds(t *testing.T) []uint64 {
 	}
 	var ends []uint64
 	for _, s := range segs {
-		recs, err := ReadSegment(w.blobs, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
+		for _, r := range segmentRecords(t, w.blobs, s) {
 			if r.Type == logrec.TypeCommit {
 				ends = append(ends, r.LSN+uint64(r.EncodedSize()))
 			}
@@ -360,6 +369,19 @@ func TestBackupRestorePITR(t *testing.T) {
 	wantVal(t, res2.Store, p1, 1, "pitr: committed page")
 	wantVal(t, res2.Store, p3, 3, "pitr: last committed page at the cut")
 	wantVal(t, res2.Store, p5, 0, "pitr: page committed after the cut")
+
+	// A target inside the record after the cut restores to the cut: the
+	// last whole record ending at or before the target.
+	res3, err := Restore(w.blobs, RestoreOptions{Mode: server.ModeREDO, TargetLSN: cut + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res3.Server.Close()
+	if res3.CutLSN != cut {
+		t.Fatalf("target %d inside a record replayed to %d, want the cut %d", cut+1, res3.CutLSN, cut)
+	}
+	wantVal(t, res3.Store, p3, 3, "pitr inside a record: last committed page at the cut")
+	wantVal(t, res3.Store, p5, 0, "pitr inside a record: page committed after the cut")
 
 	// A cut inside the backup's fuzz window has no usable backup.
 	if _, err := Restore(w.blobs, RestoreOptions{Mode: server.ModeREDO, TargetLSN: backup.End - 1}); !errors.Is(err, ErrNoBackup) {

@@ -30,9 +30,11 @@ const (
 
 // Archiver drains a live WAL into immutable, checksummed archive segments
 // and takes fuzzy online backups of the data volume. One archiver owns one
-// *generation* of the archive: because the in-memory WAL restarts its LSN
-// space on every process start, blobs are namespaced by a generation number,
-// and each NewArchiver call begins a fresh generation. Within a generation
+// *generation* of the archive: because the log's unarchived tail dies with
+// the process that wrote it, one process's archived stream cannot continue
+// another's, so blobs are namespaced by a generation number and each
+// NewArchiver call begins a fresh generation, whose restores start from its
+// own base backup. Within a generation
 // the archived segments form one contiguous LSN range starting at the log
 // head observed at creation.
 //

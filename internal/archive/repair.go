@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/logrec"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -53,7 +54,7 @@ func RepairPage(blobs BlobStore, opts RepairOptions) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repairing page %v: %w", opts.Page, err)
 	}
-	chain, err := segmentChain(blobs, backup, ^uint64(0))
+	chain, end, err := segmentChain(blobs, backup, ^uint64(0))
 	if err != nil {
 		return nil, fmt.Errorf("repairing page %v: %w", opts.Page, err)
 	}
@@ -61,7 +62,11 @@ func RepairPage(blobs BlobStore, opts RepairOptions) ([]byte, error) {
 	b := server.NewPageRebuilder(opts.Mode, opts.Page, pages[opts.Page])
 	err = func() error {
 		for _, seg := range chain {
-			recs, err := ReadSegment(blobs, seg)
+			payload, err := ReadSegment(blobs, seg)
+			if err != nil {
+				return err
+			}
+			recs, err := logrec.DecodeAll(payload)
 			if err != nil {
 				return err
 			}
@@ -78,7 +83,7 @@ func RepairPage(blobs BlobStore, opts RepairOptions) ([]byte, error) {
 			return nil
 		}
 		// Records below the archived end were already consumed from the chain.
-		return b.FeedLog(opts.Log, chainEnd(chain, backup))
+		return b.FeedLog(opts.Log, end)
 	}()
 	switch {
 	case errors.Is(err, server.ErrNoBaseImage):

@@ -64,17 +64,14 @@ type RestoreOptions struct {
 	Finish func(disk.Store) error
 }
 
-// RestoreResult reports a completed restore.
+// RestoreResult reports a completed restore: the recovered volume, its log,
+// the base backup used, and the cut the log was replayed to.
 type RestoreResult struct {
-	Store    disk.Store     // the recovered volume
-	Server   *server.Server // live recovered server (nil when Finish was used)
-	Backup   BackupInfo     // the base backup used
-	CutLSN   uint64         // LSN the log was replayed to
-	Segments int            // archive segments replayed
-	Records  int            // log records re-appended
+	BootstrapResult
+	Server *server.Server // live recovered server (nil when Finish was used)
 }
 
-// restoreLogSlack is extra rebuilt-log capacity beyond the archived span,
+// restoreLogSlack is extra restored-log capacity beyond the archived span,
 // for the restart pass's own records (loser CLRs, the closing checkpoint).
 const restoreLogSlack = 8 << 20
 
@@ -85,7 +82,7 @@ type BootstrapOptions struct {
 	TargetLSN uint64
 	// NewStore supplies the staging volume (in-memory store if nil).
 	NewStore func() (disk.Store, error)
-	// LogSlack is extra rebuilt-log capacity beyond the archived span
+	// LogSlack is extra restored-log capacity beyond the archived span
 	// (default 8 MB). A standby bootstrapping to follow a live primary
 	// should size this for the ongoing stream, not just recovery's own
 	// appends.
@@ -93,33 +90,31 @@ type BootstrapOptions struct {
 }
 
 // BootstrapResult is a restored-but-not-recovered volume: the backup image
-// plus the archived log re-appended at identical LSNs, forced, with no
+// plus a stable log that holds the archived bytes at their own LSNs, with no
 // restart pass run. Media restore continues with Restart; a cold standby
-// instead replays the rebuilt log through the server's ApplyShipped and then
+// instead replays the restored log through the server's ApplyShipped and then
 // follows the live stream — running Restart here would append loser CLRs the
 // primary's log does not have, and the replica would diverge before it began.
 type BootstrapResult struct {
 	Store    disk.Store
 	Log      *wal.Log
 	Backup   BackupInfo // the base backup used
-	CutLSN   uint64     // LSN the log was rebuilt to
-	Segments int        // archive segments replayed
-	Records  int        // log records re-appended
+	CutLSN   uint64     // LSN the log was restored to: it holds [Backup.RedoStart, CutLSN)
+	Segments int        // archive segments staged
 }
 
 // Bootstrap rebuilds a volume and its log from the newest usable backup plus
 // the archived log, stopping short of any recovery pass.
 //
-// The rebuilt log is a fresh wal ring seeded at the backup's RedoStart
-// (wal.NewAt): archived records re-appended in order are contiguous, so each
-// receives exactly the LSN it had when first logged, and every LSN embedded
-// elsewhere — page headers, checkpoint payloads, the superblock's master
-// record — resolves against the rebuilt log unchanged.
+// An LSN is a byte offset, and an archived segment's payload is the log's
+// bytes [Start, End) as they were logged. So the restored log is a fresh ring
+// holding the chain's payloads at their own LSNs, opened from the backup's
+// RedoStart (wal.Open): every record sits at the LSN it had when first
+// logged, and every LSN embedded elsewhere — page headers, checkpoint
+// payloads, the superblock's master record — resolves against it unchanged.
 //
 // Bootstrap never writes to the archive and stages into a fresh volume, so
 // it is idempotent: run it again after a crash and it performs the same work.
-//
-//qslint:allow wal-discipline: backup images are written before the archived log is re-appended by design — the records describe history already stable in the archive, and the rebuilt log is forced before any server opens
 func Bootstrap(blobs BlobStore, opts BootstrapOptions) (*BootstrapResult, error) {
 	target := opts.TargetLSN
 	if target == 0 {
@@ -129,7 +124,7 @@ func Bootstrap(blobs BlobStore, opts BootstrapOptions) (*BootstrapResult, error)
 	if err != nil {
 		return nil, err
 	}
-	chain, err := segmentChain(blobs, backup, target)
+	chain, end, err := segmentChain(blobs, backup, target)
 	if err != nil {
 		return nil, err
 	}
@@ -160,56 +155,34 @@ func Bootstrap(blobs BlobStore, opts BootstrapOptions) (*BootstrapResult, error)
 		}
 	}
 
+	// RedoStart is a record boundary. Open keeps the whole records below the
+	// cut: PITR's last whole record ending at or before the target.
 	slack := opts.LogSlack
 	if slack <= 0 {
 		slack = restoreLogSlack
 	}
-	span := 0
-	if end := chainEnd(chain, backup); end > backup.RedoStart {
-		span = int(end - backup.RedoStart)
-	}
-	log := wal.NewAt(span+slack, backup.RedoStart)
-	cut := backup.RedoStart
-	records := 0
-replay:
+	capacity := int(end-backup.RedoStart) + slack
+	ring := make(wal.Ring, capacity)
 	for _, seg := range chain {
-		recs, err := ReadSegment(blobs, seg)
+		payload, err := ReadSegment(blobs, seg)
 		if err != nil {
 			return fail(err)
 		}
-		for _, r := range recs {
-			end := r.LSN + uint64(r.EncodedSize())
-			if r.LSN < backup.RedoStart {
-				continue // archived before the backup's redo horizon
-			}
-			if end > target {
-				break replay // PITR cut: the prefix ends at the last whole record
-			}
-			want := r.LSN
-			got, err := log.Append(r)
-			if err != nil {
-				return fail(fmt.Errorf("archive: rebuilding log: %w", err))
-			}
-			if got != want {
-				return fail(fmt.Errorf("%w: record at LSN %d re-appended at %d (segment %s)",
-					ErrArchiveGap, want, got, seg.Name))
-			}
-			cut = end
-			records++
-		}
+		from := max(seg.Start, backup.RedoStart)
+		ring.WriteAt(payload[from-seg.Start:], from)
 	}
+	log := wal.Open(ring, capacity, backup.RedoStart, min(target, end))
+	cut := log.End()
 	if cut < backup.End {
 		return fail(fmt.Errorf("%w: replay reaches %d, backup fuzz window ends at %d",
 			ErrArchiveGap, cut, backup.End))
 	}
-	log.Force()
 	return &BootstrapResult{
 		Store:    store,
 		Log:      log,
 		Backup:   backup,
 		CutLSN:   cut,
 		Segments: len(chain),
-		Records:  records,
 	}, nil
 }
 
@@ -227,36 +200,22 @@ func Restore(blobs BlobStore, opts RestoreOptions) (*RestoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, log := boot.Store, boot.Log
-	backup, cut := boot.Backup, boot.CutLSN
-	fail := func(err error) (*RestoreResult, error) {
-		store.Close()
-		return nil, err
-	}
-
 	srv := server.New(server.Config{
 		Mode:      opts.Mode,
-		Store:     store,
-		Log:       log,
+		Store:     boot.Store,
+		Log:       boot.Log,
 		PoolPages: opts.PoolPages,
 	})
-	sn := srv.NewSession(nil, nil)
-	if err := sn.Restart(); err != nil {
+	if err := srv.NewSession(nil, nil).Restart(); err != nil {
 		srv.Close()
-		return fail(fmt.Errorf("archive: restart on restored volume: %w", err))
+		boot.Store.Close()
+		return nil, fmt.Errorf("archive: restart on restored volume: %w", err)
 	}
-	res := &RestoreResult{
-		Store:    store,
-		Server:   srv,
-		Backup:   backup,
-		CutLSN:   cut,
-		Segments: boot.Segments,
-		Records:  boot.Records,
-	}
+	res := &RestoreResult{BootstrapResult: *boot, Server: srv}
 	if opts.Finish != nil {
 		srv.Close()
 		res.Server = nil
-		if err := opts.Finish(store); err != nil {
+		if err := opts.Finish(boot.Store); err != nil {
 			return nil, fmt.Errorf("archive: finishing restore: %w", err)
 		}
 	}
@@ -296,14 +255,13 @@ func pickBackup(blobs BlobStore, target uint64) (BackupInfo, map[page.ID][]byte,
 }
 
 // segmentChain returns the contiguous run of backup-generation segments
-// covering [backup.RedoStart, …): starting with the segment containing
+// covering [backup.RedoStart, end): starting with the segment containing
 // RedoStart, each following segment must begin where the previous ended.
-func segmentChain(blobs BlobStore, backup BackupInfo, target uint64) ([]SegmentInfo, error) {
+func segmentChain(blobs BlobStore, backup BackupInfo, target uint64) (chain []SegmentInfo, end uint64, err error) {
 	segs, err := ListSegments(blobs, backup.Gen)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var chain []SegmentInfo
 	next := backup.RedoStart
 	for _, s := range segs {
 		if s.End <= next {
@@ -319,17 +277,8 @@ func segmentChain(blobs BlobStore, backup BackupInfo, target uint64) ([]SegmentI
 		}
 	}
 	if next < backup.End {
-		return nil, fmt.Errorf("%w: generation %d archived to %d, backup fuzz window ends at %d",
+		return nil, 0, fmt.Errorf("%w: generation %d archived to %d, backup fuzz window ends at %d",
 			ErrArchiveGap, backup.Gen, next, backup.End)
 	}
-	return chain, nil
-}
-
-// chainEnd returns the last LSN the chain can replay to.
-func chainEnd(chain []SegmentInfo, backup BackupInfo) uint64 {
-	end := backup.End
-	if n := len(chain); n > 0 && chain[n-1].End > end {
-		end = chain[n-1].End
-	}
-	return end
+	return chain, next, nil
 }

@@ -44,10 +44,11 @@ const (
 	backupHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4 // magic, version, redoStart, start, end, count, crc
 )
 
-// Blob naming. All blobs of one archiver generation share a g%08x prefix (the
-// in-memory WAL restarts its LSN space every process boot, so LSNs are only
-// meaningful within a generation). Fixed-width hex keeps List()'s lexical
-// order equal to (generation, LSN) order.
+// Blob naming. All blobs of one archiver generation share a g%08x prefix: the
+// log's unarchived tail dies with the process that wrote it, so one process's
+// archived stream never continues another's, and each generation's chain
+// starts at its own base backup. Fixed-width hex keeps List()'s lexical order
+// equal to (generation, LSN) order.
 func segName(gen uint64, start, end uint64) string {
 	return fmt.Sprintf("g%08x-seg-%016x-%016x", gen, start, end)
 }
@@ -96,9 +97,10 @@ func encodeSegment(start, end uint64, count int, payload []byte) []byte {
 	return b
 }
 
-// decodeSegment verifies framing and checksum and returns the records.
-func decodeSegment(name string, data []byte) (start, end uint64, recs []*logrec.Record, err error) {
-	fail := func(why string) (uint64, uint64, []*logrec.Record, error) {
+// decodeSegment verifies framing and checksum and returns the payload: the
+// log's bytes [start, end), whole records each at the LSN it carries.
+func decodeSegment(name string, data []byte) (start, end uint64, payload []byte, err error) {
+	fail := func(why string) (uint64, uint64, []byte, error) {
 		return 0, 0, nil, fmt.Errorf("%w: %s: %s", ErrCorruptSegment, name, why)
 	}
 	if len(data) < segHeaderSize || string(data[:4]) != segMagic {
@@ -110,20 +112,29 @@ func decodeSegment(name string, data []byte) (start, end uint64, recs []*logrec.
 	start = binary.LittleEndian.Uint64(data[8:])
 	end = binary.LittleEndian.Uint64(data[16:])
 	count := int(binary.LittleEndian.Uint32(data[24:]))
-	if crc32.ChecksumIEEE(data[segHeaderSize:]) != binary.LittleEndian.Uint32(data[28:]) {
+	payload = data[segHeaderSize:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[28:]) {
 		return fail("payload checksum mismatch")
 	}
-	recs, derr := logrec.DecodeAll(data[segHeaderSize:])
-	if derr != nil {
-		return fail(derr.Error())
+	n := 0
+	var r logrec.Record
+	for off := 0; off < len(payload); n++ {
+		size, derr := logrec.DecodeInto(&r, payload[off:])
+		if derr != nil {
+			return fail(derr.Error())
+		}
+		if r.LSN != start+uint64(off) {
+			return fail(fmt.Sprintf("record at LSN %d carries LSN %d", start+uint64(off), r.LSN))
+		}
+		off += size
 	}
-	if len(recs) != count {
-		return fail(fmt.Sprintf("record count %d, header says %d", len(recs), count))
+	if n != count {
+		return fail(fmt.Sprintf("record count %d, header says %d", n, count))
 	}
-	if uint64(len(data)-segHeaderSize) != end-start {
+	if uint64(len(payload)) != end-start {
 		return fail("payload length disagrees with LSN range")
 	}
-	return start, end, recs, nil
+	return start, end, payload, nil
 }
 
 // encodeBackup frames a fuzzy backup: n × [page id u32][page image].
@@ -267,14 +278,14 @@ func ListBackups(blobs BlobStore, gen uint64) ([]BackupInfo, error) {
 	return backups, nil
 }
 
-// ReadSegment fetches and verifies one segment, returning its records. The
-// records own their payloads (safe to retain).
-func ReadSegment(blobs BlobStore, info SegmentInfo) ([]*logrec.Record, error) {
+// ReadSegment fetches and verifies one segment, returning its payload: the
+// log's bytes [info.Start, info.End) as they were logged.
+func ReadSegment(blobs BlobStore, info SegmentInfo) ([]byte, error) {
 	data, err := blobs.Get(info.Name)
 	if err != nil {
 		return nil, err
 	}
-	start, end, recs, err := decodeSegment(info.Name, data)
+	start, end, payload, err := decodeSegment(info.Name, data)
 	if err != nil {
 		return nil, err
 	}
@@ -282,5 +293,5 @@ func ReadSegment(blobs BlobStore, info SegmentInfo) ([]*logrec.Record, error) {
 		return nil, fmt.Errorf("%w: %s: header range [%d,%d) disagrees with name",
 			ErrCorruptSegment, info.Name, start, end)
 	}
-	return recs, nil
+	return payload, nil
 }

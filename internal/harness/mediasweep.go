@@ -188,7 +188,11 @@ func runMediaWorkload(sys SweepSystem, seed int64) (*mediaRun, error) {
 	boundaries := []uint64{run.backupEnd, run.archEnd}
 	commitEnd := make(map[logrec.TID]uint64)
 	for _, seg := range segs {
-		recs, err := archive.ReadSegment(a.blobs, seg)
+		payload, err := archive.ReadSegment(a.blobs, seg)
+		if err != nil {
+			return nil, fmt.Errorf("reading archive: %w", err)
+		}
+		recs, err := logrec.DecodeAll(payload)
 		if err != nil {
 			return nil, fmt.Errorf("reading archive: %w", err)
 		}

@@ -372,7 +372,7 @@ func (d fusedLog) SetHead(uint64) bool {
 
 func newNode(fuse *faultinject.Fuse, logCapacity int, cfg func(disk.Store, *wal.Log) server.Config) *node {
 	n := &node{mem: disk.NewMemStore(), cfg: cfg}
-	n.log = wal.Open(fusedLog{make(wal.Ring, logCapacity), n}, logCapacity, wal.FirstLSN)
+	n.log = wal.Open(fusedLog{make(wal.Ring, logCapacity), n}, logCapacity, wal.FirstLSN, wal.FirstLSN)
 	n.arm(fuse)
 	n.srv = server.New(cfg(n.store, n.log))
 	return n

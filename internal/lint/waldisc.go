@@ -28,8 +28,8 @@ package lint
 // "unforced write pending", a may fact, so a loop that appends after the
 // previous pass's write is caught. Bodies that append and force before they
 // write (checkpointCore: Append → Force → master-record write) are fine;
-// restore-style paths that intentionally write images before re-appending
-// history carry a //qslint:allow wal-discipline annotation.
+// a body that writes pages no log describes by design carries a
+// //qslint:allow wal-discipline annotation.
 
 import (
 	"go/ast"

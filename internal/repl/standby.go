@@ -85,7 +85,7 @@ func NewStandby(log *wal.Log, sn *server.Session, fetch FetchFunc, opts StandbyO
 }
 
 // ReplayLocal replays every record already in the local log through
-// ApplyShipped — the cold-bootstrap step after archive.Bootstrap rebuilt
+// ApplyShipped — the cold-bootstrap step after archive.Bootstrap restored
 // the log. ApplyShipped recognizes the records as present (no re-append)
 // and applies their table and page effects; pageLSN-conditional redo makes
 // this idempotent over the possibly-newer fuzzy backup image. Call before

@@ -553,8 +553,8 @@ func (s *Server) logAndNoteIf(r *logrec.Record, shipped bool, pre func() bool) (
 	if shipped {
 		switch end := s.log.End(); {
 		case want+uint64(r.EncodedSize()) <= end:
-			// Already in the log (archive.Bootstrap re-appended the restored
-			// stream at identical LSNs); tables and pages still need its effects.
+			// Already in the log (archive.Bootstrap opened the archived bytes
+			// at their own LSNs); tables and pages still need its effects.
 			present = true
 		case want != end:
 			return false, fmt.Errorf("server: shipped record at LSN %d leaves a gap (log ends at %d)", want, end)

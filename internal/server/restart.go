@@ -477,6 +477,26 @@ func (sn *Session) Restart() error {
 		// scan passes over the checkpoint record itself, which analysis
 		// ignores.
 		start = min(sb.checkpointLSN, ckpt.beginLSN)
+	} else if s.log.End() == start {
+		// No checkpoint and an empty log: a fresh log over a volume that a
+		// process may have written pages home to (eviction, the cleaner)
+		// before it died uncheckpointed. Those pages carry LSNs of a log that
+		// died with it, so, as above, the new log continues above them.
+		var top uint64
+		err := s.store.ForEachPage(func(id page.ID, data []byte) error {
+			sn.meter().DataRead(1)
+			if id != superblockPage {
+				top = max(top, page.Wrap(data).LSN())
+			}
+			return nil
+		})
+		if err == nil && top >= start {
+			start = top + 1
+			err = s.log.StartAt(start)
+		}
+		if err != nil {
+			return fmt.Errorf("server: starting a fresh log above the volume's page LSNs: %w", err)
+		}
 	}
 	// The pass (§3.3 analysis and redo, §3.4.3), whatever the mode: the tables
 	// as the checkpoint logged them, advanced record by record over the window

@@ -52,6 +52,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,6 +91,16 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseMode returns the mode String names, in any case: esm, redo or wpl.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{ModeESM, ModeREDO, ModeWPL} {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want esm, redo or wpl)", s)
 }
 
 // Errors returned by the server.

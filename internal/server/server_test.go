@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,6 +156,23 @@ func updateObject(t *testing.T, sn *Session, pid page.ID, slot int, newVal []byt
 		}
 	}
 	return tid
+}
+
+// TestParseModeRoundTrip: ParseMode reads back what String writes, in
+// either case, and refuses any other name.
+func TestParseModeRoundTrip(t *testing.T) {
+	for _, m := range []Mode{ModeESM, ModeREDO, ModeWPL} {
+		for _, name := range []string{m.String(), strings.ToLower(m.String())} {
+			if got, err := ParseMode(name); err != nil || got != m {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, m)
+			}
+		}
+	}
+	for _, name := range []string{"", "aries", "Mode(3)"} {
+		if got, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", name, got)
+		}
+	}
 }
 
 func TestCreateAndReadBack(t *testing.T) {
@@ -654,4 +672,46 @@ func TestRestartBeforeFirstCheckpoint(t *testing.T) {
 			t.Fatal("restart accepted a non-zero page 0 with a bad magic")
 		}
 	})
+}
+
+// TestFreshLogOverUncheckpointedVolume: a process that wrote pages home and
+// died before its first checkpoint leaves a volume stamped with LSNs of a log
+// that died with it. A fresh log over that volume must start above them:
+// otherwise the next crash's conditional redo skips every new record that
+// lands below an old page LSN, and a committed update is lost.
+func TestFreshLogOverUncheckpointedVolume(t *testing.T) {
+	for _, mode := range []Mode{ModeESM, ModeREDO} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := Config{
+				Mode:            mode,
+				Store:           disk.NewMemStore(),
+				PoolPages:       8,
+				LogCapacity:     16 << 20,
+				CheckpointEvery: 1 << 30,
+			}
+			s := New(cfg)
+			sn := s.NewSession(nil, nil)
+			pid, slot := createPage(t, sn, []byte("vv"))
+			updateObject(t, sn, pid, slot, []byte("vx"), true)
+			if err := sn.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close() // dies with no checkpoint: the volume has no master record
+
+			s2 := New(cfg) // the next process: a fresh log on the same volume
+			defer s2.Close()
+			sn2 := s2.NewSession(nil, nil)
+			if err := sn2.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			updateObject(t, sn2, pid, slot, []byte("ZZ"), true)
+			s2.Crash()
+			if err := sn2.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			if got := readObject(t, sn2, pid, slot, 2); string(got) != "ZZ" {
+				t.Fatalf("committed update lost across a crash: read %q, want %q", got, "ZZ")
+			}
+		})
+	}
 }

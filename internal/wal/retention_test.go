@@ -212,8 +212,9 @@ func TestSetRacesTruncate(t *testing.T) {
 }
 
 // TestStartAt: an empty log continues its LSN space at start, its holders
-// along with it, and behaves from there exactly like NewAt's; a log that
-// holds records, or a start below the head, is refused and left alone.
+// along with it, and behaves from there exactly like a log opened empty at
+// start; a log that holds records, or a start below the head, is refused and
+// left alone.
 func TestStartAt(t *testing.T) {
 	const start = 5 << 20
 	l := New(1 << 20)

@@ -98,36 +98,34 @@ const DefaultCapacity = 256 << 20
 // page has page LSN 0).
 const FirstLSN = uint64(page.Size)
 
-// New creates a log on a fresh memory ring with the given capacity in bytes
-// (DefaultCapacity if 0).
-func New(capacity int) *Log { return NewAt(capacity, FirstLSN) }
-
-// Open creates an empty log of the given capacity on dev whose first record
-// will get LSN start.
-func Open(dev Device, capacity int, start uint64) *Log {
-	l := &Log{capacity: uint64(capacity), dev: dev}
-	l.gcCond = sync.NewCond(&l.mu)
-	l.reset(start, start)
-	return l
-}
-
-// NewAt creates an empty log whose first LSN is start instead of FirstLSN.
-// Media restore uses this to rebuild an archived log stream at its original
-// LSNs: records appended in archive order are contiguous from start, so each
-// is reassigned exactly the LSN it had when first logged, and every LSN
-// recorded elsewhere (page headers, checkpoint payloads, the superblock's
-// master record) resolves against the rebuilt log unchanged.
-func NewAt(capacity int, start uint64) *Log {
+// New creates an empty log on a fresh memory ring with the given capacity in
+// bytes (DefaultCapacity if 0).
+func New(capacity int) *Log {
 	if capacity == 0 {
 		capacity = DefaultCapacity
 	}
-	return Open(make(Ring, capacity), capacity, start)
+	return Open(make(Ring, capacity), capacity, FirstLSN, FirstLSN)
 }
 
-// StartAt does to an empty log already handed out what NewAt does to a new
+// Open opens a log of the given capacity on dev, which already holds the log
+// bytes [head, end). head must be a record boundary. The whole records below
+// end are the log, stable; a record that end cuts is trimmed, exactly as a
+// crash trims a torn tail, and the first record appended lands where the last
+// whole one ends. head == end opens an empty log whose first record gets LSN
+// head. Media restore opens the archived log stream this way, at its original
+// LSNs, so every LSN recorded elsewhere (page headers, checkpoint payloads,
+// the superblock's master record) resolves against it unchanged.
+func Open(dev Device, capacity int, head, end uint64) *Log {
+	l := &Log{capacity: uint64(capacity), dev: dev}
+	l.gcCond = sync.NewCond(&l.mu)
+	l.reset(head, end)
+	return l
+}
+
+// StartAt does to an empty log already handed out what Open does to a new
 // one: the first record appended will get LSN start. Restart uses it when a
-// fresh log meets a volume a previous process checkpointed, whose page LSNs
-// the new records must exceed. Every retention holder stands at the head of
+// fresh log meets a volume a previous process wrote, whose page LSNs the new
+// records must exceed. Every retention holder stands at the head of
 // an empty log and moves along with it. A log that holds records, or a start
 // below its head, is refused.
 func (l *Log) StartAt(start uint64) error {
@@ -393,12 +391,11 @@ func (l *Log) CrashClone(stableEnd uint64) *Log {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	stableEnd = min(max(stableEnd, l.head), l.next)
-	c := Open(make(Ring, l.capacity), int(l.capacity), l.head)
+	ring := make(Ring, l.capacity)
 	b := make([]byte, stableEnd-l.head)
 	l.dev.ReadAt(b, l.head)
-	c.dev.WriteAt(b, l.head)
-	c.reset(l.head, stableEnd)
-	return c
+	ring.WriteAt(b, l.head)
+	return Open(ring, int(l.capacity), l.head, stableEnd)
 }
 
 // reset makes head the log's head and everything below end stable, trims a

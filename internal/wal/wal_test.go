@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/logrec"
@@ -36,7 +37,7 @@ func (d *testDev) SetHead(uint64) bool { d.heads++; return true }
 // newTestLog opens a log of the given capacity on a fresh testDev.
 func newTestLog(capacity int) (*Log, *testDev) {
 	d := &testDev{Ring: make(Ring, capacity)}
-	return Open(d, capacity, FirstLSN), d
+	return Open(d, capacity, FirstLSN, FirstLSN), d
 }
 
 func TestAppendAssignsSequentialLSNs(t *testing.T) {
@@ -191,6 +192,71 @@ func TestWrapAround(t *testing.T) {
 			l.Truncate(prev)
 		}
 		prev = lsn
+	}
+}
+
+// TestOpenOnNonEmptyRing: Open over a ring that already holds records from
+// head on keeps every whole record below end — the one across the ring's
+// wrap point included — trims a record that end cuts, and appends from where
+// the last whole record ends.
+func TestOpenOnNonEmptyRing(t *testing.T) {
+	const capacity = 1024
+	head := uint64(3*capacity - 200) // the second record spans the wrap point
+	ring := make(Ring, capacity)
+	var ends []uint64
+	for i, lsn := 0, head; i < 5; i++ {
+		r := upd(logrec.TID(i+1), page.ID(i+1), 40)
+		r.LSN = lsn
+		b := r.Encode(nil)
+		ring.WriteAt(b, lsn)
+		lsn += uint64(len(b))
+		ends = append(ends, lsn)
+	}
+	scanEnds := func(l *Log) []uint64 {
+		var got []uint64
+		if err := l.Scan(l.Head(), func(r *logrec.Record) bool {
+			got = append(got, r.LSN+uint64(r.EncodedSize()))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		name string
+		end  uint64
+		keep int // whole records below end
+	}{
+		{"end on a record boundary", ends[4], 5},
+		{"end inside a record", ends[4] - 1, 4},
+		{"end inside the record across the wrap point", ends[1] - 10, 1},
+		{"end at the head", head, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := append([]uint64(nil), ends[:tc.keep]...)
+			trimmed := head
+			if tc.keep > 0 {
+				trimmed = ends[tc.keep-1]
+			}
+			l := Open(slices.Clone(ring), capacity, head, tc.end)
+			if l.Head() != head || l.End() != trimmed || l.StableEnd() != trimmed {
+				t.Fatalf("opened [%d, %d) stable to %d, want [%d, %d) all stable",
+					l.Head(), l.End(), l.StableEnd(), head, trimmed)
+			}
+			if got := scanEnds(l); !slices.Equal(got, want) {
+				t.Fatalf("scan read records ending at %v, want %v", got, want)
+			}
+			r := upd(9, 9, 40)
+			lsn, err := l.Append(r)
+			if err != nil || lsn != trimmed {
+				t.Fatalf("append at %d (%v), want the trimmed end %d", lsn, err, trimmed)
+			}
+			l.Force()
+			want = append(want, trimmed+uint64(r.EncodedSize()))
+			if got := scanEnds(l); !slices.Equal(got, want) {
+				t.Fatalf("after an append, scan read records ending at %v, want %v", got, want)
+			}
+		})
 	}
 }
 
