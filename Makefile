@@ -59,9 +59,9 @@ lint:
 
 # The analyzer acceptance corpus: every testdata fixture's want comments,
 # plus the seeded-violation tests (a planted latch inversion, an
-# unforced-ack path, a latched force, a leaked goroutine, a == sentinel
-# comparison — each must be caught, proving the suite cannot silently
-# lose a detector).
+# unforced-ack path, a latched force, a log sync under the log's mutex, a
+# leaked goroutine, a == sentinel comparison — each must be caught, proving
+# the suite cannot silently lose a detector).
 lint-fixtures:
 	$(GO) test ./internal/lint/ -count=1
 
@@ -96,13 +96,16 @@ fuzz-smoke:
 daemon-smoke:
 	bash daemon-smoke.sh
 
-# The concurrency surface (group commit, sharded pool sessions, async WPL
+# The concurrency surface (the log's one flush routine — appends during a
+# held sync, groups formed behind a slow sync, a crash while a sync is in
+# flight — group commit in the server, sharded pool sessions, async WPL
 # installer and the install-before-commit-force window, restart's one pass
 # held against the per-page rebuilder and writing pages home as it goes, WPL
 # restart analysis across checkpoints with and without a logged DPT, the
 # live tables checked against analysis of the log after every call) under
 # the race detector.
 race-concurrent:
+	$(GO) test -race ./internal/wal/ -count=1
 	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestRestartMatchesPageRebuilder|TestRestartRedoesBelowAnalysisStart|TestRestartHealsYoungTornPage|TestRestartWritesHome|TestLiveTables' -count=1
 
 # Archive round-trip (segment/backup framing, truncation gate with batches

@@ -122,6 +122,15 @@ func (p *putFailer) Put(name string, data []byte) error {
 	return p.MemBlobs.Put(name, data)
 }
 
+// slowRing is a memory log device whose every Sync takes 200 µs, long
+// enough for committers to park behind it.
+type slowRing struct{ wal.Ring }
+
+func (r slowRing) Sync(from, to uint64) uint64 {
+	time.Sleep(200 * time.Microsecond)
+	return to
+}
+
 // TestTruncateDrainsArchiveFirst is the regression test for the archive
 // retention holder: a truncation past unarchived records drains them first
 // (the holder's catch-up is DrainTo), a drain that fails leaves the head
@@ -129,7 +138,7 @@ func (p *putFailer) Put(name string, data []byte) error {
 // head never passes that LSN while a group-commit batch is in flight across
 // the truncation point.
 func TestTruncateDrainsArchiveFirst(t *testing.T) {
-	log := wal.New(1 << 20)
+	log := wal.Open(slowRing{make(wal.Ring, 1<<20)}, 1<<20, wal.FirstLSN, wal.FirstLSN)
 	blobs := &putFailer{MemBlobs: NewMemBlobs()}
 	a, err := NewArchiver(log, disk.NewMemStore(), blobs, Options{SegmentBytes: 4 << 10})
 	if err != nil {
@@ -159,10 +168,8 @@ func TestTruncateDrainsArchiveFirst(t *testing.T) {
 	}
 
 	// Group-commit batches in flight: committers park in CommitWait while a
-	// delayed flush spans the proposed truncation point; concurrent truncation
+	// slow sync spans the proposed truncation point; concurrent truncation
 	// attempts must never pass the archived-up-to LSN.
-	log.SetGroupCommitDelay(200 * time.Microsecond)
-	defer log.SetGroupCommitDelay(0)
 	done := make(chan error, 2)
 	for w := 0; w < 2; w++ {
 		go func(w int) {

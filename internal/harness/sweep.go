@@ -335,11 +335,13 @@ type node struct {
 	cfg   func(store disk.Store, log *wal.Log) server.Config
 	srv   *server.Server
 	// fuse is the armed fuse, nil while thawed. The log's device reads it
-	// under the log mutex, perhaps on a flusher goroutine outliving a crash.
+	// in Sync, which the log calls without its mutex — from whichever caller
+	// leads the sync — but never two at once.
 	fuse atomic.Pointer[faultinject.Fuse]
 	// flushes lists the fuse counts at which the armed log advanced (or would
 	// have advanced) its stable end; every other event is a page write or a
-	// head-pointer write.
+	// head-pointer write. Only Sync appends to it, so the log's one-sync-at-a-
+	// time rule is its lock.
 	flushes []int64
 }
 

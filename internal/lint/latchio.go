@@ -11,6 +11,9 @@ package lint
 //     forcing, the cleaner forces latch-free and re-latches; the one
 //     exception (scrub's repairImage, which must force redo before
 //     overwriting a corrupt page image) carries a //qslint:allow.
+//   - wal.Device Sync under the same: forbidden. It is the I/O beneath a
+//     force, and the log's one flush routine calls it with the log's own
+//     mutex released, so appends go on while the disk syncs.
 //   - wal.Append under a shard latch: forbidden. Append under attMu is
 //     the §13 commit protocol (it orders the append with the table
 //     mutations) and stays legal.
@@ -43,7 +46,7 @@ type LatchIO struct{}
 
 func (LatchIO) Name() string { return "latch-io" }
 func (LatchIO) Doc() string {
-	return "no wal force, disk store I/O, or blocking operation while holding a shard latch or leaf mutex (DESIGN.md §S9)"
+	return "no wal force or log device sync, disk store I/O, or blocking operation while holding a shard latch or leaf mutex (DESIGN.md §S9)"
 }
 
 const (
@@ -120,7 +123,7 @@ func (c *latchIOChecker) directEffects(body ast.Node) uint32 {
 			return false
 		case *ast.CallExpr:
 			switch {
-			case walCall(c.m, c.pkg, x, "Force", "CommitWait", "ForceFull"):
+			case walCall(c.m, c.pkg, x, "Force", "CommitWait", "ForceFull") || deviceSync(c.m, c.pkg, x):
 				bits |= bitMayForce
 			case walCall(c.m, c.pkg, x, walAppends...):
 				bits |= bitMayAppendWAL
@@ -176,6 +179,9 @@ func (c *latchIOChecker) checkCall(call *ast.CallExpr, t *held, fact heldSet) {
 	switch {
 	case walCall(c.m, c.pkg, call, "Force", "CommitWait", "ForceFull"):
 		c.report(c.pkg, call.Pos(), "wal force while holding %s (%s): release the latch first — the commit path forces after attMu, the cleaner forces latch-free (DESIGN.md §13)",
+			t.name, levelName[t.level])
+	case deviceSync(c.m, c.pkg, call):
+		c.report(c.pkg, call.Pos(), "log device sync while holding %s (%s): the log syncs with its mutex released, so appends go on meanwhile (DESIGN.md §9)",
 			t.name, levelName[t.level])
 	case walCall(c.m, c.pkg, call, walAppends...) && shard != nil:
 		c.report(c.pkg, call.Pos(), "wal append while holding shard latch %s: log appends belong to the attMu commit section, never under a page latch",

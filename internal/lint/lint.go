@@ -295,6 +295,17 @@ func walCall(m *Module, pkg *Package, call *ast.CallExpr, names ...string) bool 
 	return recv != nil && isNamedType(recv.Type(), m.Path+"/internal/wal", "Log")
 }
 
+// deviceSync reports whether call is Sync through a wal.Device: the log's
+// stable write, which waits on the disk as a force does.
+func deviceSync(m *Module, pkg *Package, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Sync" {
+		return false
+	}
+	tv, ok := pkg.Info.Types[sel.X]
+	return ok && isNamedType(tv.Type, m.Path+"/internal/wal", "Device")
+}
+
 // storeInterface resolves disk.Store so implementors can be recognized
 // structurally (MemStore, FileStore, fault-injecting wrappers, fixtures).
 func storeInterface(m *Module) *types.Interface {

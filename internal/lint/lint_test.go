@@ -239,6 +239,12 @@ func TestSeededLatchIO(t *testing.T) {
 	requireSeeded(t, diags, "may force the wal")
 }
 
+func TestSeededLogSync(t *testing.T) {
+	diags := seededFixture(t, "seededwalsync", LatchIO{})
+	requireSeeded(t, diags, "log device sync while holding")
+	requireSeeded(t, diags, "may force the wal")
+}
+
 func TestSeededGoroutineLeak(t *testing.T) {
 	diags := seededFixture(t, "seededworker", Goroutines{})
 	requireSeeded(t, diags, "can never terminate")

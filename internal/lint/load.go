@@ -177,9 +177,18 @@ func (m *Module) Load(importPath string) (*Package, error) {
 
 // LoadDirAs type-checks the single package in dir under a synthetic import
 // path. The lint tests use it to load fixture packages out of testdata/,
-// where the go tool (deliberately) never looks.
+// where the go tool (deliberately) never looks. The package stays out of the
+// cache: a fixture that borrows a real package's path, to fall under that
+// package's rules, must not stand in for it when a later load imports it.
 func (m *Module) LoadDirAs(dir, importPath string) (*Package, error) {
-	return m.loadDir(dir, importPath)
+	prev, cached := m.pkgs[importPath]
+	pkg, err := m.loadDir(dir, importPath)
+	if cached {
+		m.pkgs[importPath] = prev
+	} else {
+		delete(m.pkgs, importPath)
+	}
+	return pkg, err
 }
 
 func (m *Module) loadDir(dir, importPath string) (*Package, error) {

@@ -78,14 +78,16 @@ var leafNames = map[string]bool{
 var outerNames = map[string]bool{"ckptMu": true}
 
 // leafMuTypes are module types whose "mu" field is a leaf-level state
-// mutex: the repl primary/standby state, the archiver drain lock, and the
+// mutex: the repl primary/standby state, the archiver drain lock, the
 // shard router's membership table (held only around map bookkeeping, never
-// across a Backend call — leaf is the slot that enforces exactly that).
+// across a Backend call — leaf is the slot that enforces exactly that), and
+// the log's own mutex, which its device's Sync must run outside.
 var leafMuTypes = [][2]string{
 	{"internal/repl", "Primary"},
 	{"internal/repl", "Standby"},
 	{"internal/archive", "Archiver"},
 	{"internal/shard", "Router"},
+	{"internal/wal", "Log"},
 }
 
 // event classifies one call expression.

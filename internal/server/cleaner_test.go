@@ -25,20 +25,19 @@ import (
 func TestCleanerConcurrentWithCommits(t *testing.T) {
 	for _, mode := range []Mode{ModeESM, ModeREDO} {
 		t.Run(mode.String(), func(t *testing.T) {
+			// A 200 µs log sync keeps the run long enough for the paced
+			// worker to tick, and the per-worker page fan-out keeps the DPT
+			// backlog above the target so those ticks actually clean.
 			s := New(Config{
 				Mode:            mode,
 				PoolPages:       64,
-				LogCapacity:     16 << 20,
+				Log:             slowLog(16<<20, 200*time.Microsecond),
 				LockTimeout:     time.Second,
 				CheckpointEvery: 1 << 30, // driven explicitly below
 				CleanerEvery:    500 * time.Microsecond,
 				DirtyPageTarget: 4,
 			})
 			defer s.Close()
-			// A group-commit delay keeps the run long enough for the paced
-			// worker to tick, and the per-worker page fan-out keeps the DPT
-			// backlog above the target so those ticks actually clean.
-			s.log.SetGroupCommitDelay(200 * time.Microsecond)
 
 			const workers, pagesPer, txns = 4, 6, 30
 			errs := make([]error, workers)

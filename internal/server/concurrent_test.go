@@ -14,7 +14,25 @@ import (
 	"repro/internal/lock"
 	"repro/internal/logrec"
 	"repro/internal/page"
+	"repro/internal/wal"
 )
+
+// slowRing is a memory log device whose every Sync takes delay: a log disk
+// slow enough for concurrent commits to group behind each sync.
+type slowRing struct {
+	wal.Ring
+	delay time.Duration
+}
+
+func (r slowRing) Sync(from, to uint64) uint64 {
+	time.Sleep(r.delay)
+	return to
+}
+
+// slowLog opens an empty log of capacity bytes on a slowRing.
+func slowLog(capacity int, delay time.Duration) *wal.Log {
+	return wal.Open(slowRing{make(wal.Ring, capacity), delay}, capacity, wal.FirstLSN, wal.FirstLSN)
+}
 
 // workerCreate is createPage without *testing.T, for use inside goroutines.
 func workerCreate(sn *Session, contents []byte) (page.ID, int, error) {
@@ -136,14 +154,14 @@ func TestConcurrentSessionsDistinctPages(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatchesConcurrentCommits checks group commit: with a
-// group-commit delay holding each flush open, concurrent committers share
-// stable flushes, so the log is forced fewer times than there are commits.
+// TestGroupCommitBatchesConcurrentCommits checks group commit: on a log
+// whose every sync takes 100 µs, concurrent committers share stable
+// flushes, so the log is forced fewer times than there are commits.
 func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 	s := New(Config{
 		Mode:            ModeESM,
 		PoolPages:       64,
-		LogCapacity:     16 << 20,
+		Log:             slowLog(16<<20, 100*time.Microsecond),
 		LockTimeout:     time.Second,
 		CheckpointEvery: 1 << 30,
 	})
@@ -158,7 +176,6 @@ func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 		pids[w], slots[w] = createPage(t, setup, []byte(fmt.Sprintf("worker %d....", w)))
 	}
 
-	s.Log().SetGroupCommitDelay(100 * time.Microsecond) // give groups time to form
 	before := s.ExtendedStats()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -197,7 +214,6 @@ func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 	}
 
 	// The batched commits must still be durable.
-	s.Log().SetGroupCommitDelay(0)
 	s.Crash()
 	sn := s.NewSession(nil, nil)
 	if err := sn.Restart(); err != nil {

@@ -531,7 +531,7 @@ func redoRelevant(r *logrec.Record, dpt map[page.ID]dptEntry) bool {
 // (checkpointCore), so under gate.R any record below the captured begin LSN
 // has its table updates in the snapshot, and any record the snapshot missed
 // lies at or above it and is re-analyzed by the restart scan (DESIGN.md §13).
-// Only the append is inside — a force can wait on the group-commit flusher.
+// Only the append is inside — a force can wait on another caller's sync.
 func (s *Server) logAndNote(r *logrec.Record, shipped bool) error {
 	_, err := s.logAndNoteIf(r, shipped, nil)
 	return err

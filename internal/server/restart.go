@@ -383,9 +383,8 @@ func (c *ckptPayload) reclaimHead(ckptLSN uint64) uint64 {
 
 // Crash simulates a server failure: every volatile structure (buffer pool,
 // transaction tables, WPL table, lock table, unforced log tail) is lost. The
-// data volume and the forced log survive. Committers parked in the group-
-// commit flusher are woken (their commit outcome is whatever the surviving
-// log says), and queued background installs are invalidated by the WPL
+// data volume and the forced log survive. Committers waiting for a log
+// sync are woken (their commit outcome is whatever the surviving log says), and queued background installs are invalidated by the WPL
 // generation bump.
 func (s *Server) Crash() {
 	s.gate.Lock()

@@ -233,7 +233,7 @@ type Stats struct {
 type StatsX struct {
 	Stats
 	GroupCommit     wal.GroupCommitStats
-	LogForces       int64        // stable log writes (each group flush is one)
+	LogForces       int64        // stable log writes: syncs that wrote, one per group
 	LogPagesWritten int64        // cumulative 8 KB log pages written
 	PoolHits        int64        // buffer pool hits
 	PoolMisses      int64        // buffer pool misses
@@ -1154,7 +1154,7 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 }
 
 // Commit commits tid: the commit record and everything before it is made
-// stable via the group-commit flusher, then locks are released. Under WPL
+// stable by a group-commit sync, then locks are released. Under WPL
 // the transaction's logged pages become installable and are installed
 // (inline, or by the background installer).
 func (sn *Session) Commit(tid logrec.TID) error { return sn.commit(tid, false) }

@@ -79,8 +79,8 @@ func (sn *Session) Prepare(tid logrec.TID, coordinator int, participants []int) 
 		exit()
 		return err
 	}
-	// The yes vote must be stable before it is uttered: ride the group-commit
-	// flusher exactly as a commit force does.
+	// The yes vote must be stable before it is uttered: join a group-commit
+	// sync exactly as a commit force does.
 	sn.commitWait(p)
 	atomic.AddInt64(&s.stats.TwoPCPrepares, 1)
 	exit()
@@ -117,7 +117,7 @@ func (sn *Session) Decide(tid logrec.TID, commit bool) error {
 		return err
 	}
 	// Branch already finished; re-delivery. An earlier delivery may still be
-	// parked on the flusher with the commit record unforced: wait with it.
+	// waiting for the log's sync with the commit record unforced: wait with it.
 	defer s.enter()()
 	sn.m.LogWrite(s.log.CommitWait(s.log.End()))
 	return nil

@@ -3,10 +3,12 @@ package server
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/logrec"
+	"repro/internal/wal"
 )
 
 // TestDecideRacesCheckpoint: a prepared branch whose commit decision is on
@@ -100,41 +102,78 @@ func TestDecideRacesCheckpoint(t *testing.T) {
 	}
 }
 
+// gatedRing is a memory log device with a gate: while shut, each Sync
+// reports on held and waits for a release before it makes the log stable.
+type gatedRing struct {
+	wal.Ring
+	shut    atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedRing) Sync(from, to uint64) uint64 {
+	if g.shut.Load() {
+		g.held <- struct{}{}
+		<-g.release
+	}
+	return to
+}
+
 // TestRedeliveredDecideWaitsForTheCommitRecord: the branch's ATT entry retires
 // with the commit record's append, before its force, so a Decide re-delivered
-// while the first delivery is parked on the group-commit flusher finds the
+// while the first delivery waits for the commit record's sync finds the
 // branch finished. It must not say so before the commit record is stable: the
 // router takes the answer as leave to Forget the decision, and a crash would
 // then find the branch in doubt with nothing left to resolve it but presumed
-// abort.
+// abort. The log's gate holds that sync until the re-delivery has been seen
+// waiting.
 func TestRedeliveredDecideWaitsForTheCommitRecord(t *testing.T) {
 	for _, mode := range []Mode{ModeESM, ModeREDO, ModeWPL} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s, sn := newTestServer(t, mode)
+			const capacity = 16 << 20
+			g := &gatedRing{Ring: make(wal.Ring, capacity), held: make(chan struct{}), release: make(chan struct{})}
+			s := New(Config{
+				Mode:            mode,
+				PoolPages:       16,
+				Log:             wal.Open(g, capacity, wal.FirstLSN, wal.FirstLSN),
+				LockTimeout:     time.Second,
+				CheckpointEvery: 1 << 30,
+			})
 			defer s.Close()
+			sn := s.NewSession(nil, nil)
 			pid, slot := createPage(t, sn, []byte("old"))
 			tid := updateObject(t, sn, pid, slot, []byte("new"), false)
-			s.log.SetGroupCommitDelay(100 * time.Millisecond)
 			if err := sn.Prepare(tid, 0, []int{0, 1}); err != nil {
 				t.Fatal(err)
 			}
+			g.shut.Store(true)
 			first := make(chan error, 1)
 			go func() { first <- s.NewSession(nil, nil).Decide(tid, true) }()
-			// The entry leaves the ATT in the commit append's section: from then on
-			// the first delivery is waiting for the flusher.
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			// Let the first delivery's syncs through until the one it waits on
+			// holds the commit record: the entry has left the ATT.
+			for {
+				select {
+				case <-g.held:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the first Decide never logged its commit record")
+				}
 				if _, ok := s.lookupTxn(tid); !ok {
 					break
 				}
-				if time.Now().After(deadline) {
-					t.Fatal("the first Decide never logged its commit record")
-				}
+				g.release <- struct{}{}
 			}
 			commitEnd := s.log.End()
-			if s.log.StableEnd() >= commitEnd {
-				t.Skip("the commit record was forced before the re-delivery could race it")
+			second := make(chan error, 1)
+			go func() { second <- sn.Decide(tid, true) }()
+			select {
+			case err := <-second:
+				t.Errorf("re-delivered Decide returned (%v) while the commit record's sync was held", err)
+				second <- err
+			case <-time.After(50 * time.Millisecond):
 			}
-			if err := sn.Decide(tid, true); err != nil {
+			g.shut.Store(false)
+			g.release <- struct{}{}
+			if err := <-second; err != nil {
 				t.Fatal(err)
 			}
 			if stable := s.log.StableEnd(); stable < commitEnd {

@@ -84,7 +84,7 @@ func (s *Server) installWPLLocked(sn *Session, sh *buffer.PoolShard, e *wplEntry
 	if e.commitEnd > s.log.StableEnd() {
 		// The committed marking is applied with the commit record's append,
 		// before the force — an evictor can get here while the committer is
-		// still parked in the group-commit flusher. The permanent location
+		// still waiting for the log's sync. The permanent location
 		// must not see the copy before its commit record is stable.
 		sn.meter().LogWrite(s.log.Force())
 	}

@@ -2,7 +2,10 @@ package wal
 
 // Device is the log's stable storage, addressed by LSN. The log owns what
 // the bytes mean; a device stores them and says how much of them is durable.
-// The log calls every method with its mutex held.
+// The log calls ReadAt, WriteAt and SetHead with its mutex held, and Sync
+// without it: while a Sync of [from, to) runs, appends write above to, and
+// after a crash possibly inside the range, whose sync the log then ignores.
+// The log never runs two Syncs at once.
 type Device interface {
 	// ReadAt fills b with the log bytes from lsn on.
 	ReadAt(b []byte, lsn uint64)

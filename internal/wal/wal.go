@@ -7,7 +7,11 @@
 // Ring, the memory device, is the only one the server runs on; the
 // crash-point sweep wraps it in a device that can die at any stable write.
 // Appended records are volatile until Force is called (write-ahead logging);
-// a simulated crash discards the unforced tail. The log can be scanned
+// a simulated crash discards the unforced tail. One routine, flush, reaches
+// the device's Sync, and it calls it without the log mutex: appends go on
+// while a sync is in flight, callers who need the log stable meanwhile park
+// until it returns, and the next sync covers all of them — group commit,
+// formed by nothing but the sync's own duration. The log can be scanned
 // forward from any record boundary (ARIES redo), read at a specific LSN (WPL
 // page reload), and truncated from the head as space is reclaimed.
 //
@@ -20,8 +24,8 @@
 // commit's forced PREPARE and DECIDE records (a prepared participant's vote
 // and the coordinator's commit point both require stability before the
 // message that reveals them), and checkpoint forces all funnel through the
-// same Force/CommitWait path, so 2PC forces batch into group-commit flushes
-// exactly like ordinary commits.
+// same flush, so 2PC forces batch into group-commit syncs exactly like
+// ordinary commits.
 package wal
 
 import (
@@ -29,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -56,36 +59,35 @@ type Log struct {
 	head     uint64  // oldest LSN still needed; space below is reclaimed
 	flushed  uint64  // stable up to here; [flushed, next) is volatile
 	next     uint64  // next LSN to assign
-	forces   int64
-	pages    int64 // cumulative 8 KB log pages physically written
+	forces   int64   // syncs that wrote
+	pages    int64   // cumulative 8 KB log pages physically written
 	// holders is the retention registry: the head never passes any of them.
 	// A handful at most, names unique, in registration order.
 	holders []*Holder
 
-	// Group commit. Committers park in CommitWait until a flush attempt has
-	// covered their commit LSN; a one-shot flusher goroutine performs one
-	// stable write per group. attempt tracks how far flushes have been
-	// *attempted* (the device may have stopped short of it):
-	// under fault injection a swallowed flush models a crash, and the commit
-	// call — like the old inline Force — returns rather than hanging.
-	gcCond        *sync.Cond
-	gcDelay       time.Duration // extra wait for a group to form before flushing
-	attempt       uint64        // highest LSN any flush has attempted to make stable
-	gcWaiters     int64
-	flusherOn     bool
-	epoch         uint64 // bumped by Crash so parked committers drain
-	pendingCharge int    // flushed pages not yet charged to a committer's meter
-	gcStats       GroupCommitStats
+	// Forcing (flush). At most one Sync is in flight, led by a caller that
+	// released the mutex for it; everyone else who needs the log stable
+	// parks on gcCond until it returns. attempt tracks how far completed
+	// syncs have *attempted* to make the log stable (the device may have
+	// stopped short of it): under fault injection a swallowed sync models a
+	// crash, and a committer it covered returns rather than hanging.
+	gcCond    *sync.Cond
+	syncing   bool   // a Sync is in flight
+	syncTo    uint64 // the end of the sync in flight
+	attempt   uint64 // highest LSN a completed sync has attempted to make stable
+	epoch     uint64 // bumped by Crash so parked callers drain
+	gcWaiters int64  // committers parked for the next sync
+	gcBatch   int64  // committers the sync in flight releases
+	gcStats   GroupCommitStats
 }
 
 // GroupCommitStats counts group-commit activity for observability
 // (qsctl stats, bench/'s wal.* metrics).
 type GroupCommitStats struct {
 	Commits        int64     // commit waits served
-	Batches        int64     // group flushes performed
-	PagesWritten   int64     // log pages written by group flushes
+	Batches        int64     // syncs that released at least one committer
 	FlushesAvoided int64     // commits that did not need their own stable write
-	BatchSizes     [16]int64 // histogram: group flushes by committer count (last bucket = 15+)
+	BatchSizes     [16]int64 // histogram: syncs by committers released (last bucket = 15+)
 }
 
 // DefaultCapacity is the log size used when Config.Capacity is zero: 256 MB,
@@ -216,123 +218,97 @@ func (l *Log) put(bp *[]byte, buf []byte) {
 	encPool.Put(bp)
 }
 
-// advanceFlushed moves the stable end toward proposed as far as the device's
-// Sync gets — clamped to [flushed, proposed]; a Sync that stops mid-record is
-// a torn write — and returns the number of 8 KB log pages written. Caller
-// holds l.mu.
-func (l *Log) advanceFlushed(proposed uint64) int {
-	if proposed > l.attempt {
-		l.attempt = proposed
-	}
-	if proposed <= l.flushed {
-		return 0
-	}
-	proposed = min(max(l.dev.Sync(l.flushed, proposed), l.flushed), proposed)
-	if proposed == l.flushed {
-		return 0
-	}
-	first := l.flushed / page.Size
-	last := (proposed - 1) / page.Size
-	l.flushed = proposed
-	return int(last - first + 1)
-}
+// Force makes every record appended before the call stable and returns the
+// number of 8 KB log pages written, so callers can charge the log disk. A
+// force that has nothing to flush writes no pages.
+func (l *Log) Force() int { return l.flush(l.End(), false) }
 
-// Force makes every appended record stable and returns the number of 8 KB
-// log pages physically written, so callers can charge the log disk. A force
-// that has nothing to flush writes no pages.
-func (l *Log) Force() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.advanceFlushed(l.next)
-	if n > 0 {
-		l.forces++
-		l.pages += int64(n)
-	}
-	return n
-}
-
-// SetGroupCommitDelay sets the extra time a group flush waits for more
-// committers to join before writing (0 = flush as soon as the flusher runs,
-// which still batches every committer already parked).
-func (l *Log) SetGroupCommitDelay(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.gcDelay = d
-}
+// ForceFull makes only the complete 8 KB log pages of the volatile tail
+// stable, leaving a partially filled tail page buffered in memory. Servers
+// call this as client log records arrive so the disk sees full sequential
+// pages; Force (at commit) flushes the remainder. Returns pages written.
+func (l *Log) ForceFull() int { return l.flush(l.End()/page.Size*page.Size, false) }
 
 // CommitWait makes the record ending at lsn stable via group commit and
-// returns the number of log pages charged to this committer (the whole
-// group's write is charged to the first committer it wakes; the rest charge
-// zero, conserving total pages). The caller must have appended its commit
-// record (so lsn ≤ End()).
+// returns the number of log pages charged to this committer: the committer
+// that leads a sync is charged its pages, every other member of its group
+// zero. The caller must have appended its commit record (so lsn ≤ End()).
 //
-// The commit is satisfied as soon as a flush ATTEMPT covers lsn. Normally
-// the attempt succeeds and the record is stable; on the crash-point sweep's
-// device the attempt may be swallowed, which models the server dying
-// mid-write — the call returns, exactly as the old inline Force did, and the
-// sweep's recovery invariants treat the transaction by where the durability
-// boundary actually froze.
-func (l *Log) CommitWait(lsn uint64) int {
+// The commit is satisfied as soon as a completed sync has attempted lsn.
+// Normally the attempt succeeds and the record is stable; on the crash-point
+// sweep's device the attempt may be swallowed, which models the server dying
+// mid-write — the call returns rather than hanging, and the sweep's recovery
+// invariants treat the transaction by where the durability boundary actually
+// froze.
+func (l *Log) CommitWait(lsn uint64) int { return l.flush(lsn, true) }
+
+// flush is the log's one way to its device, and the only caller of
+// dev.Sync: it returns once the log is stable through target — for a commit,
+// once a completed sync has attempted target — and the pages it wrote
+// itself. With a sync in flight the caller parks until it returns; with
+// none and target not yet stable, the caller leads the next: it takes
+// [flushed, to) under the mutex, syncs without it while appends go on past
+// the end, and retakes it to advance the stable end. to is target, or the
+// whole log when a committer waits, so one sync serves every parked commit:
+// a slow Sync forms the groups. A caller leads at most once; a swallowed
+// sync still releases the callers parked on it, and a later Force syncs
+// again. A Crash while the sync is in flight discards its result.
+func (l *Log) flush(target uint64, commit bool) int {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.gcStats.Commits++
-	if l.flushed >= lsn || l.attempt >= lsn {
-		// Already stable (or already attempted): no write needed at all.
-		l.gcStats.FlushesAvoided++
-		charge := l.pendingCharge
-		l.pendingCharge = 0
-		return charge
+	target = min(target, l.next) // a crash since the caller looked lost the rest
+	done := func() bool { return l.flushed >= target || commit && l.attempt >= target }
+	if commit {
+		l.gcStats.Commits++
+		switch {
+		case done():
+			l.gcStats.FlushesAvoided++
+		case l.syncing && target <= l.syncTo:
+			l.gcBatch++ // rides the sync in flight
+		default:
+			l.gcWaiters++ // joins the next sync
+		}
 	}
 	e := l.epoch
-	l.gcWaiters++
-	for l.flushed < lsn && l.attempt < lsn && l.epoch == e {
-		if !l.flusherOn {
-			l.flusherOn = true
-			go l.flushGroup()
-		}
+	for l.syncing && !done() && l.epoch == e {
 		l.gcCond.Wait()
 	}
-	l.gcWaiters--
-	charge := l.pendingCharge
-	l.pendingCharge = 0
-	return charge
-}
-
-// flushGroup is the dedicated flusher: it performs one stable write covering
-// every commit parked at the moment of the write, then exits. A committer
-// that arrives mid-flush re-arms it, so there is never more than one flusher
-// and never a lost wakeup. The batching delay is slept outside the log
-// lock: it is the window in which new committers join the group.
-func (l *Log) flushGroup() {
-	l.mu.Lock()
-	gcDelay := l.gcDelay
+	if done() || l.epoch != e {
+		l.mu.Unlock()
+		return 0
+	}
+	from, to := l.flushed, target
+	if l.gcWaiters > 0 {
+		to = l.next
+	}
+	l.syncing, l.syncTo = true, to
+	l.gcBatch, l.gcWaiters = l.gcWaiters, 0
 	l.mu.Unlock()
-	if gcDelay > 0 {
-		time.Sleep(gcDelay)
-	}
+	got := l.dev.Sync(from, to)
 	l.mu.Lock()
-	batch := l.gcWaiters
-	n := l.advanceFlushed(l.next)
-	if n > 0 {
-		l.forces++
-		l.pages += int64(n)
-		l.pendingCharge += n
-	}
-	l.gcStats.Batches++
-	idx := batch
-	if idx > int64(len(l.gcStats.BatchSizes)-1) {
-		idx = int64(len(l.gcStats.BatchSizes) - 1)
-	}
-	if idx >= 0 {
-		l.gcStats.BatchSizes[idx]++
-	}
-	if batch > 1 {
-		l.gcStats.FlushesAvoided += batch - 1
-	}
-	l.gcStats.PagesWritten += int64(n)
-	l.flusherOn = false
+	defer l.mu.Unlock()
+	l.syncing = false
 	l.gcCond.Broadcast()
-	l.mu.Unlock()
+	if b := l.gcBatch; b > 0 {
+		l.gcStats.Batches++
+		l.gcStats.BatchSizes[min(b, int64(len(l.gcStats.BatchSizes)-1))]++
+		l.gcStats.FlushesAvoided += b - 1
+		l.gcBatch = 0
+	}
+	if l.epoch != e {
+		return 0 // a crash discarded this sync: flushed stays at its trim
+	}
+	// Ack only now: a commit is released by attempt, which the sync covers
+	// once it has returned. A device that stops mid-record tears it.
+	l.attempt = max(l.attempt, to)
+	got = min(max(got, from), to)
+	if got == from {
+		return 0
+	}
+	l.flushed = got
+	n := PagesInRange(from, got)
+	l.forces++
+	l.pages += int64(n)
+	return n
 }
 
 // GroupStats returns a snapshot of the group-commit counters.
@@ -340,18 +316,6 @@ func (l *Log) GroupStats() GroupCommitStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.gcStats
-}
-
-// ForceFull makes only the complete 8 KB log pages of the volatile tail
-// stable, leaving a partially filled tail page buffered in memory. Servers
-// call this as client log records arrive so the disk sees full sequential
-// pages; Force (at commit) flushes the remainder. Returns pages written.
-func (l *Log) ForceFull() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.advanceFlushed(l.next / page.Size * page.Size)
-	l.pages += int64(n)
-	return n
 }
 
 // Crash discards the volatile tail, as a server failure would, and then
@@ -370,12 +334,14 @@ func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.reset(l.head, l.flushed)
-	// Wake committers parked in CommitWait: the LSNs they were waiting on no
+	// Wake the callers parked in flush: the LSNs they were waiting on no
 	// longer exist. The epoch bump (rather than an attempt/flushed comparison,
 	// which the trim may have rewound below a waiter's target) is what makes
-	// their wait loops exit.
+	// their wait loops exit, and it makes a sync still in flight discard its
+	// result when it returns, so the stable end never passes the trim; no
+	// commit appended after the crash rides it.
 	l.epoch++
-	l.pendingCharge = 0
+	l.syncTo, l.gcWaiters = 0, 0
 	l.gcCond.Broadcast()
 }
 
@@ -634,7 +600,8 @@ func (l *Log) End() uint64 {
 	return l.next
 }
 
-// Forces returns how many Force calls actually wrote.
+// Forces returns how many syncs wrote: stable writes of the device, one per
+// group of commits, forced tail or full-page flush.
 func (l *Log) Forces() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -753,8 +720,7 @@ func (l *Log) Scan(from uint64, fn func(*logrec.Record) bool) error {
 // never delivers the volatile tail (shipping a record the primary could still
 // lose in a crash would let a standby get ahead of its primary), it
 // re-acquires the log lock per record so a long catch-up scan never blocks
-// appenders or the group-commit flusher, and it stops promptly when cancel is
-// closed.
+// appenders or a sync, and it stops promptly when cancel is closed.
 //
 // Like Scan it decodes into one Record over one buffer, private to this call
 // and overwritten by the next record, so callers that retain one must Clone

@@ -17,15 +17,17 @@ func upd(tid logrec.TID, pg page.ID, n int) *logrec.Record {
 }
 
 // testDev is a memory ring a test can fault: while clamp is set its Sync
-// gets no further than cut, and SetHead counts the head writes asked of it.
+// gets no further than cut. It counts the syncs and head writes asked of it.
 type testDev struct {
 	Ring
 	clamp bool
 	cut   uint64
+	syncs int
 	heads int
 }
 
 func (d *testDev) Sync(from, to uint64) uint64 {
+	d.syncs++
 	if d.clamp {
 		return d.cut
 	}
@@ -279,6 +281,29 @@ func TestForcePageAccounting(t *testing.T) {
 	}
 	if l.Forces() != 2 {
 		t.Fatalf("forces = %d", l.Forces())
+	}
+}
+
+// TestNothingToFlushSyncsNothing: a force with nothing above the stable end
+// asks the device for nothing, whichever way it comes.
+func TestNothingToFlushSyncsNothing(t *testing.T) {
+	l, dev := newTestLog(1 << 20)
+	l.Force()
+	lsn, _ := l.Append(upd(1, 1, 64))
+	end := l.End()
+	if n := l.ForceFull(); n != 0 || dev.syncs != 0 {
+		t.Fatalf("ForceFull of a partial page wrote %d pages in %d syncs", n, dev.syncs)
+	}
+	l.Force()
+	l.Force()
+	l.ForceFull()
+	l.CommitWait(end)
+	l.CommitWait(lsn)
+	if dev.syncs != 1 || l.Forces() != 1 {
+		t.Fatalf("%d syncs, %d forces for one flush", dev.syncs, l.Forces())
+	}
+	if g := l.GroupStats(); g.Commits != 2 || g.FlushesAvoided != 2 || g.Batches != 0 {
+		t.Fatalf("group stats %+v for two commits already stable", g)
 	}
 }
 
