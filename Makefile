@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fixtures build test race fuzz-smoke daemon-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs results-full loc
+.PHONY: check vet lint lint-fixtures build test race fuzz-smoke daemon-smoke sweeps sweep-smoke sweep-full race-concurrent race-archive race-scrub race-cleaner bench-micro bench-micro-smoke race-repl race-shard bench-test bench-compare bench-pairs results-full results-check loc
 
 check: vet lint lint-fixtures build race sweeps bench-micro-smoke bench-test fuzz-smoke daemon-smoke
 
@@ -184,6 +184,18 @@ bench-pairs:
 # several minutes. The output is deterministic apart from its elapsed-time line.
 results-full:
 	$(GO) run ./cmd/oo7bench -exp all -measure 3 > results_full.txt
+
+# The same output regenerated into a temporary file and compared with the
+# checked-in results_full.txt, its elapsed-time line aside: every simulated
+# table and figure must be byte-identical. The gate for any change that
+# touches a metering site (an engine call to costmodel.Meter.Add); several
+# minutes, so not part of check.
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/oo7bench -exp all -measure 3 > "$$tmp/new.txt" || exit 1; \
+	grep -v '^(elapsed ' results_full.txt > "$$tmp/want.txt"; \
+	grep -v '^(elapsed ' "$$tmp/new.txt" > "$$tmp/got.txt"; \
+	diff "$$tmp/want.txt" "$$tmp/got.txt" && echo "results-check: results_full.txt reproduced"
 
 # The non-test Go line count, outside bench/ and the lint fixtures: the size
 # figure CHANGES.md quotes, which a simplification should lower.

@@ -128,7 +128,7 @@ func (a *Archiver) DrainTo(target uint64) error {
 		// without consuming it, while ScanFrom's own resume LSN counts every
 		// record delivered to fn.
 		next := from
-		_, err := a.log.ScanFrom(from, nil, func(r *logrec.Record) bool {
+		_, err := a.log.ScanFrom(from, func(r *logrec.Record) bool {
 			if r.LSN >= target {
 				return false
 			}

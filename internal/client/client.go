@@ -98,8 +98,6 @@ type Config struct {
 	AdaptiveRecoveryBuffer bool
 	// Meter receives the client's work; nil means no accounting.
 	Meter costmodel.Meter
-	// Params supplies service times for the meter; nil means defaults.
-	Params *costmodel.Params
 }
 
 // Stats counts client-side work. Figure 9/14 derive their page-write counts
@@ -132,7 +130,6 @@ type Client struct {
 	space *vmem.Space
 	rb    *recbuf.Buffer
 	m     costmodel.Meter
-	p     *costmodel.Params
 	tx    *Tx
 	stats Stats
 	// allocPage is the page new objects are placed on until it fills.
@@ -181,16 +178,12 @@ func New(cfg Config, svc wire.Service) *Client {
 	if cfg.Meter == nil {
 		cfg.Meter = costmodel.NopMeter{}
 	}
-	if cfg.Params == nil {
-		cfg.Params = costmodel.Default1995()
-	}
 	c := &Client{
 		cfg:   cfg,
 		svc:   svc,
 		pool:  buffer.NewPool(cfg.PoolPages),
 		space: vmem.NewSpace(),
 		m:     cfg.Meter,
-		p:     cfg.Params,
 	}
 	if cfg.Scheme != WPL {
 		c.rb = recbuf.New(cfg.RecoveryBytes)
@@ -299,7 +292,7 @@ func (c *Client) handleFault(d *vmem.Desc, _ vmem.Addr, write bool) error {
 	if c.tx == nil {
 		return fmt.Errorf("%w: write outside transaction", ErrNoTxn)
 	}
-	c.m.ClientCompute(c.p.Fault)
+	c.m.Add(costmodel.Fault, 1)
 	c.stats.Faults++
 	return c.tx.enableRecovery(d)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/costmodel"
 	"repro/internal/diff"
 	"repro/internal/lock"
 	"repro/internal/logrec"
@@ -94,7 +95,7 @@ func (tx *Tx) enableRecovery(d *vmem.Desc) error {
 			if err := tx.spillFor(page.Size); err != nil {
 				return err
 			}
-			c.m.ClientCompute(c.p.CopyPage)
+			c.m.Add(costmodel.CopyPage, 1)
 			c.rb.PutPage(d.Page, d.Frame.Bytes())
 			c.stats.PageCopies++
 		}
@@ -156,7 +157,7 @@ func (tx *Tx) touchBlocks(d *vmem.Desc, start, n int) error {
 		if err := tx.spillFor(bs); err != nil {
 			return err
 		}
-		c.m.ClientCompute(c.p.CopyBlock)
+		c.m.Add(costmodel.CopyBlock, 1)
 		c.rb.PutBlock(d.Page, b, d.Frame.Bytes()[b*bs:(b+1)*bs])
 		c.stats.BlockCopies++
 	}
@@ -178,7 +179,7 @@ func (tx *Tx) prepareStructWrite(d *vmem.Desc) error {
 			if err := tx.spillFor(page.Size); err != nil {
 				return err
 			}
-			c.m.ClientCompute(c.p.CopyPage)
+			c.m.Add(costmodel.CopyPage, 1)
 			c.rb.PutPage(d.Page, d.Frame.Bytes())
 			c.stats.PageCopies++
 			d.RecoveryEnabled = true
@@ -236,7 +237,7 @@ func (tx *Tx) Read(oid page.OID, off int, dst []byte) error {
 	if off < 0 || off+len(dst) > size {
 		return fmt.Errorf("client: read [%d,%d) outside %v (size %d)", off, off+len(dst), oid, size)
 	}
-	tx.c.m.ClientCompute(tx.c.p.Deref)
+	tx.c.m.Add(costmodel.Deref, 1)
 	return tx.c.space.Read(d, objOff+off, dst)
 }
 
@@ -248,7 +249,7 @@ func (tx *Tx) ReadObject(oid page.OID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx.c.m.ClientCompute(tx.c.p.Deref)
+	tx.c.m.Add(costmodel.Deref, 1)
 	out := tx.c.objectCopy(size)
 	if err := tx.c.space.Read(d, objOff, out); err != nil {
 		return nil, err
@@ -277,7 +278,7 @@ func (tx *Tx) Write(oid page.OID, off int, data []byte) error {
 	start := objOff + off
 	switch c.cfg.Scheme {
 	case SD, SL:
-		c.m.ClientCompute(c.p.UpdateCall)
+		c.m.Add(costmodel.UpdateCall, 1)
 		if !tx.fresh[oid.Page] {
 			if err := tx.touchBlocks(d, start, len(data)); err != nil {
 				return err
@@ -421,7 +422,7 @@ func (tx *Tx) roomFor(n int) error {
 func (tx *Tx) appended() error {
 	c := tx.c
 	c.stats.LogRecords++
-	c.m.ClientCompute(c.p.LogRecCPU)
+	c.m.Add(costmodel.LogRec, 1)
 	if len(c.logPage) >= page.Size {
 		return tx.flushLog()
 	}
@@ -463,7 +464,7 @@ func (tx *Tx) emitLogForPage(pid page.ID) error {
 		return nil // already spilled; nothing new captured since
 	}
 	if e.Image != nil {
-		c.m.ClientCompute(c.p.DiffPage)
+		c.m.Add(costmodel.DiffPage, 1)
 		c.stats.PageDiffs++
 		return tx.emitPageDiff(pid, e.Image, f.Bytes())
 	}
@@ -485,7 +486,7 @@ func (tx *Tx) emitLogForPage(pid page.ID) error {
 			}
 			continue
 		}
-		c.m.ClientCompute(c.p.DiffBlock)
+		c.m.Add(costmodel.DiffBlock, 1)
 		c.stats.BlockDiffs++
 		if err := tx.appendDiff(pid, b*bs, old, cur); err != nil {
 			return err

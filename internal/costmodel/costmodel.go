@@ -3,16 +3,19 @@
 // (Sun0424) disks, five 20 MIPS SPARC ELC client workstations with 24 MB of
 // memory, and an isolated 10 Mbit Ethernet.
 //
-// The engine reports its work to a Meter; in real executions the meter is a
-// no-op, while in simulated performance runs (internal/harness) the meter
-// charges service times from Params to the queueing resources of a
-// discrete-event simulation. Absolute values are calibrated so that
-// single-client OO7 response times land in the paper's range; the shapes of
-// the multi-client results come from the resource ratios, not the absolute
-// numbers. EXPERIMENTS.md records the calibration.
+// The engine reports its work to a Meter as events, each with a count — a
+// page diffed, a message of n bytes, n log pages forced — and never prices
+// it. In real executions the meter is a no-op; in simulated performance runs
+// (internal/harness) a SimMeter charges each event's service time from
+// Params to its queueing resource in a discrete-event simulation. Absolute
+// values are calibrated so that single-client OO7 response times land in the
+// paper's range; the shapes of the multi-client results come from the
+// resource ratios, not the absolute numbers. EXPERIMENTS.md records the
+// calibration.
 package costmodel
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -90,68 +93,79 @@ func (p *Params) netCPUTime(base time.Duration, n int) time.Duration {
 	return base + time.Duration(n/1024)*p.NetCPUPerKB
 }
 
-// Meter is the sink for simulated work. Engine code reports what it does;
-// the meter decides what it costs. Client-side methods charge the client's
-// CPU; server-side methods charge the shared server resources. Msg charges a
-// network round-trip leg (sender CPU, wire, receiver CPU).
+// Event names one kind of work the engine does. The first twelve are CPU
+// work, each priced by its Params field (LogRec by LogRecCPU, Visit by
+// VisitCPU, LockReq by LockReqCPU); the rest are messages and disk I/O.
+type Event uint8
+
+// The events. A CPU event's count is how many times the work was done; a
+// message event's is its size in bytes; a disk event's is a page count.
+const (
+	Fault       Event = iota // client: protection fault handled
+	CopyPage                 // client: page copied into the recovery buffer
+	DiffPage                 // client: page diffed
+	CopyBlock                // client: block copied into the recovery buffer
+	DiffBlock                // client: block diffed
+	UpdateCall               // client: software update call (SD/SL)
+	LogRec                   // client: log record built
+	Deref                    // client: object dereferenced on a cached page
+	Visit                    // client: application object visit
+	ServerPage               // server: page shipped or served
+	ServerApply              // server: log record applied to a page
+	LockReq                  // server: lock request
+
+	MsgToServer    // one client→server message of n bytes
+	MsgToClient    // one server→client message of n bytes
+	DataRead       // n random data-disk page reads, waited for
+	DataWriteAsync // n background data-disk page writes
+	// LogForce forces the log: n sequential log-disk page writes, then a
+	// wait for every asynchronous log write issued earlier (the write-ahead
+	// durability barrier). n may be zero; the barrier still applies.
+	LogForce
+	LogWriteAsync // n log-disk page writes; a later LogForce queues behind them
+	LogRead       // n log-disk page reads, waited for
+	LogReadAsync  // n background log-disk page reads (WPL reclaim)
+
+	NumEvents
+)
+
+var eventNames = [NumEvents]string{
+	"Fault", "CopyPage", "DiffPage", "CopyBlock", "DiffBlock", "UpdateCall",
+	"LogRec", "Deref", "Visit", "ServerPage", "ServerApply", "LockReq",
+	"MsgToServer", "MsgToClient", "DataRead", "DataWriteAsync", "LogForce",
+	"LogWriteAsync", "LogRead", "LogReadAsync",
+}
+
+// String implements fmt.Stringer.
+func (e Event) String() string {
+	if e < NumEvents {
+		return eventNames[e]
+	}
+	return fmt.Sprintf("Event(%d)", int(e))
+}
+
+// cpuTime returns the service time of one CPU event: an event before
+// MsgToServer, on the server from ServerPage on.
+func (p *Params) cpuTime(e Event) time.Duration {
+	return [MsgToServer]time.Duration{
+		Fault: p.Fault, CopyPage: p.CopyPage, DiffPage: p.DiffPage,
+		CopyBlock: p.CopyBlock, DiffBlock: p.DiffBlock, UpdateCall: p.UpdateCall,
+		LogRec: p.LogRecCPU, Deref: p.Deref, Visit: p.VisitCPU,
+		ServerPage: p.ServerPage, ServerApply: p.ServerApply, LockReq: p.LockReqCPU,
+	}[e]
+}
+
+// Meter is the sink for the engine's work. Engine code reports what it did,
+// as an event and a count; the meter decides what that costs.
 type Meter interface {
-	// ClientCompute burns d on the calling client's CPU.
-	ClientCompute(d time.Duration)
-	// ServerCompute burns d on the server CPU.
-	ServerCompute(d time.Duration)
-	// MsgToServer models a client→server message of n bytes.
-	MsgToServer(n int)
-	// MsgToClient models a server→client message of n bytes.
-	MsgToClient(n int)
-	// DataRead blocks for n random data-disk page reads.
-	DataRead(pages int)
-	// DataWriteAsync schedules n background data-disk page writes.
-	DataWriteAsync(pages int)
-	// LogWrite forces the log: it blocks for n sequential log-disk page
-	// writes and then waits for every asynchronous log write issued earlier
-	// to complete (write-ahead durability barrier). n may be zero.
-	LogWrite(pages int)
-	// LogWriteAsync schedules n log-disk page writes without blocking; a
-	// later LogWrite (the commit force) queues behind them.
-	LogWriteAsync(pages int)
-	// LogRead blocks for n log-disk page reads.
-	LogRead(pages int)
-	// LogReadAsync schedules n background log-disk page reads (WPL reclaim).
-	LogReadAsync(pages int)
+	Add(e Event, n int)
 }
 
 // NopMeter is the Meter used by real (non-simulated) executions.
 type NopMeter struct{}
 
-// ClientCompute implements Meter.
-func (NopMeter) ClientCompute(time.Duration) {}
-
-// ServerCompute implements Meter.
-func (NopMeter) ServerCompute(time.Duration) {}
-
-// MsgToServer implements Meter.
-func (NopMeter) MsgToServer(int) {}
-
-// MsgToClient implements Meter.
-func (NopMeter) MsgToClient(int) {}
-
-// DataRead implements Meter.
-func (NopMeter) DataRead(int) {}
-
-// DataWriteAsync implements Meter.
-func (NopMeter) DataWriteAsync(int) {}
-
-// LogWrite implements Meter.
-func (NopMeter) LogWrite(int) {}
-
-// LogWriteAsync implements Meter.
-func (NopMeter) LogWriteAsync(int) {}
-
-// LogRead implements Meter.
-func (NopMeter) LogRead(int) {}
-
-// LogReadAsync implements Meter.
-func (NopMeter) LogReadAsync(int) {}
+// Add implements Meter.
+func (NopMeter) Add(Event, int) {}
 
 // Testbed is the simulated hardware: the shared resources plus one CPU per
 // client workstation.
@@ -208,11 +222,11 @@ type deferredKind uint8
 const (
 	opServerCPU deferredKind = iota
 	opDataRead
-	opLogWrite
+	opLogForce
 	opLogRead
 )
 
-// opLogWrite entries always end with a barrier: the force returns only when
+// opLogForce entries always end with a barrier: the force returns only when
 // the log disk has completed everything issued so far.
 
 type deferredOp struct {
@@ -226,9 +240,6 @@ type deferredOp struct {
 func (tb *Testbed) Meter(proc *sim.Proc, cpu *sim.Resource) *SimMeter {
 	return &SimMeter{tb: tb, proc: proc, cpu: cpu}
 }
-
-// ClientCompute implements Meter.
-func (m *SimMeter) ClientCompute(d time.Duration) { m.pending += d }
 
 // Flush applies all accumulated charges: private CPU first, then the queued
 // shared-resource operations in order. Call before reading the simulation
@@ -246,7 +257,7 @@ func (m *SimMeter) Flush() {
 			for i := 0; i < op.pages; i++ {
 				m.tb.DataDisk.Use(m.proc, m.tb.P.DataDiskRead)
 			}
-		case opLogWrite:
+		case opLogForce:
 			for i := 0; i < op.pages; i++ {
 				m.tb.LogDisk.Use(m.proc, m.tb.P.LogDiskWrite)
 			}
@@ -260,66 +271,51 @@ func (m *SimMeter) Flush() {
 	m.queue = m.queue[:0]
 }
 
-// ServerCompute implements Meter.
-func (m *SimMeter) ServerCompute(d time.Duration) {
-	m.queue = append(m.queue, deferredOp{kind: opServerCPU, d: d})
-}
-
-// MsgToServer implements Meter.
-func (m *SimMeter) MsgToServer(n int) {
+// Add implements Meter: each event is charged to its resource with its
+// service time from the testbed's Params.
+func (m *SimMeter) Add(e Event, n int) {
 	p := m.tb.P
-	m.pending += p.netCPUTime(p.NetCPUSend, n)
-	m.Flush()
-	m.tb.Net.Use(m.proc, p.NetMsgTime(n))
-	m.tb.ServerCPU.Use(m.proc, p.netCPUTime(p.NetCPURecv, n))
-}
-
-// MsgToClient implements Meter.
-func (m *SimMeter) MsgToClient(n int) {
-	p := m.tb.P
-	m.Flush()
-	m.tb.ServerCPU.Use(m.proc, p.netCPUTime(p.NetCPUSend, n))
-	m.tb.Net.Use(m.proc, p.NetMsgTime(n))
-	m.cpu.Use(m.proc, p.netCPUTime(p.NetCPURecv, n))
-}
-
-// DataRead implements Meter.
-func (m *SimMeter) DataRead(pages int) {
-	if pages > 0 {
-		m.queue = append(m.queue, deferredOp{kind: opDataRead, pages: pages})
+	switch {
+	case e < ServerPage:
+		m.pending += time.Duration(n) * p.cpuTime(e)
+		return
+	case e < MsgToServer:
+		m.queue = append(m.queue, deferredOp{kind: opServerCPU, d: time.Duration(n) * p.cpuTime(e)})
+		return
 	}
-}
-
-// DataWriteAsync implements Meter.
-func (m *SimMeter) DataWriteAsync(pages int) {
-	for i := 0; i < pages; i++ {
-		m.tb.DataDisk.Reserve(m.proc, m.tb.P.DataDiskWrite)
-	}
-}
-
-// LogWrite implements Meter.
-func (m *SimMeter) LogWrite(pages int) {
-	m.queue = append(m.queue, deferredOp{kind: opLogWrite, pages: pages})
-}
-
-// LogWriteAsync implements Meter.
-func (m *SimMeter) LogWriteAsync(pages int) {
-	for i := 0; i < pages; i++ {
-		m.tb.LogDisk.Reserve(m.proc, m.tb.P.LogDiskWrite)
-	}
-}
-
-// LogRead implements Meter.
-func (m *SimMeter) LogRead(pages int) {
-	if pages > 0 {
-		m.queue = append(m.queue, deferredOp{kind: opLogRead, pages: pages})
-	}
-}
-
-// LogReadAsync implements Meter.
-func (m *SimMeter) LogReadAsync(pages int) {
-	for i := 0; i < pages; i++ {
-		m.tb.LogDisk.Reserve(m.proc, m.tb.P.LogDiskRead)
+	switch e {
+	case MsgToServer:
+		m.pending += p.netCPUTime(p.NetCPUSend, n)
+		m.Flush()
+		m.tb.Net.Use(m.proc, p.NetMsgTime(n))
+		m.tb.ServerCPU.Use(m.proc, p.netCPUTime(p.NetCPURecv, n))
+	case MsgToClient:
+		m.Flush()
+		m.tb.ServerCPU.Use(m.proc, p.netCPUTime(p.NetCPUSend, n))
+		m.tb.Net.Use(m.proc, p.NetMsgTime(n))
+		m.cpu.Use(m.proc, p.netCPUTime(p.NetCPURecv, n))
+	case DataRead:
+		if n > 0 {
+			m.queue = append(m.queue, deferredOp{kind: opDataRead, pages: n})
+		}
+	case DataWriteAsync:
+		for i := 0; i < n; i++ {
+			m.tb.DataDisk.Reserve(m.proc, p.DataDiskWrite)
+		}
+	case LogForce:
+		m.queue = append(m.queue, deferredOp{kind: opLogForce, pages: n})
+	case LogWriteAsync:
+		for i := 0; i < n; i++ {
+			m.tb.LogDisk.Reserve(m.proc, p.LogDiskWrite)
+		}
+	case LogRead:
+		if n > 0 {
+			m.queue = append(m.queue, deferredOp{kind: opLogRead, pages: n})
+		}
+	case LogReadAsync:
+		for i := 0; i < n; i++ {
+			m.tb.LogDisk.Reserve(m.proc, p.LogDiskRead)
+		}
 	}
 }
 

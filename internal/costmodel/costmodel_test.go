@@ -47,10 +47,10 @@ func TestSimMeterChargesResources(t *testing.T) {
 	var elapsed time.Duration
 	k.Spawn("client", func(proc *sim.Proc) {
 		m := tb.Meter(proc, cpu)
-		m.ClientCompute(time.Millisecond)
-		m.MsgToServer(8192)
-		m.LogWrite(2)
-		m.DataRead(1)
+		m.Add(Visit, 40) // 40 × 25µs = 1 ms
+		m.Add(MsgToServer, 8192)
+		m.Add(LogForce, 2)
+		m.Add(DataRead, 1)
 		m.Flush()
 		elapsed = proc.Now()
 	})
@@ -71,8 +71,8 @@ func TestSimMeterAsyncDoesNotBlock(t *testing.T) {
 	var elapsed time.Duration
 	k.Spawn("client", func(proc *sim.Proc) {
 		m := tb.Meter(proc, cpu)
-		m.DataWriteAsync(100)
-		m.LogReadAsync(10)
+		m.Add(DataWriteAsync, 100)
+		m.Add(LogReadAsync, 10)
 		elapsed = proc.Now()
 	})
 	k.Run()
@@ -87,6 +87,7 @@ func TestSimMeterAsyncDoesNotBlock(t *testing.T) {
 func TestTwoClientsContendOnServer(t *testing.T) {
 	k := sim.New()
 	p := Default1995()
+	p.ServerApply = time.Millisecond
 	tb := NewTestbed(k, p)
 	var ends [2]time.Duration
 	for i := 0; i < 2; i++ {
@@ -94,7 +95,7 @@ func TestTwoClientsContendOnServer(t *testing.T) {
 		cpu := k.NewResource("cpu")
 		k.Spawn("client", func(proc *sim.Proc) {
 			m := tb.Meter(proc, cpu)
-			m.ServerCompute(10 * time.Millisecond)
+			m.Add(ServerApply, 10) // 10 × 1 ms
 			m.Flush()
 			ends[i] = proc.Now()
 		})
@@ -107,13 +108,31 @@ func TestTwoClientsContendOnServer(t *testing.T) {
 
 func TestNopMeterIsFree(t *testing.T) {
 	var m NopMeter
-	m.ClientCompute(time.Hour)
-	m.ServerCompute(time.Hour)
-	m.MsgToServer(1 << 20)
-	m.MsgToClient(1 << 20)
-	m.DataRead(99)
-	m.DataWriteAsync(99)
-	m.LogWrite(99)
-	m.LogRead(99)
-	m.LogReadAsync(99)
+	for e := Event(0); e < NumEvents; e++ {
+		m.Add(e, 1<<20)
+	}
+}
+
+// TestEventPricing: each CPU event costs n times its Params field, on the
+// client's CPU for the client events and on the server's for the rest.
+func TestEventPricing(t *testing.T) {
+	p := Default1995()
+	for e := Event(0); e < MsgToServer; e++ {
+		k := sim.New()
+		tb := NewTestbed(k, p)
+		cpu := k.NewResource("cpu")
+		k.Spawn("client", func(proc *sim.Proc) {
+			m := tb.Meter(proc, cpu)
+			m.Add(e, 3)
+			m.Flush()
+		})
+		k.Run()
+		onClient, onServer := cpu.BusyTime(), tb.ServerCPU.BusyTime()
+		if e >= ServerPage {
+			onClient, onServer = onServer, onClient
+		}
+		if onClient != 3*p.cpuTime(e) || onServer != 0 {
+			t.Errorf("%v: charged %v on its CPU and %v on the other, want %v and 0", e, onClient, onServer, 3*p.cpuTime(e))
+		}
+	}
 }

@@ -117,6 +117,24 @@ func RunCustom(spec SystemSpec, dbCfg oo7.Config, tr oo7.Traversal, o Options) (
 // counts, returning one Cell per count.
 func runSystem(spec SystemSpec, dbCfg oo7.Config, tr oo7.Traversal, o Options) ([]Cell, error) {
 	o = o.withDefaults()
+	srv, db, err := buildSystem(spec, dbCfg, o)
+	if err != nil {
+		return nil, err
+	}
+	var cells []Cell
+	for _, n := range o.Clients {
+		cell, err := runCell(spec, srv, db, tr, n, o)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, cell)
+	}
+	return cells, nil
+}
+
+// buildSystem starts spec's server and loads the database dbCfg, scaled by
+// o.Scale, into it in real mode.
+func buildSystem(spec SystemSpec, dbCfg oo7.Config, o Options) (*server.Server, *oo7.Database, error) {
 	dbCfg = dbCfg.Scale(o.Scale)
 	srv := server.New(server.Config{
 		Mode: spec.Mode,
@@ -139,17 +157,23 @@ func runSystem(spec SystemSpec, dbCfg oo7.Config, tr oo7.Traversal, o Options) (
 	}, wire.NewDirect(srv, nil, nil))
 	db, err := oo7.Build(builder, dbCfg, o.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("harness: building database: %w", err)
+		return nil, nil, fmt.Errorf("harness: building database: %w", err)
 	}
-	var cells []Cell
-	for _, n := range o.Clients {
-		cell, err := runCell(spec, srv, db, tr, n, o)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
+	return srv, db, nil
+}
+
+// newClient connects one of spec's client workstations to srv in process,
+// reporting its work, and the server's on its behalf, to m.
+func newClient(spec SystemSpec, srv *server.Server, m costmodel.Meter, o Options) *client.Client {
+	return client.New(client.Config{
+		Scheme:                 spec.Scheme,
+		PoolPages:              maxInt(16, scaleMB(spec.PoolMB, o.Scale)/page.Size),
+		RecoveryBytes:          scaleMB(spec.RecMB, o.Scale),
+		BlockSize:              spec.BlockSize,
+		ShipDirtyPages:         spec.Mode != server.ModeREDO,
+		AdaptiveRecoveryBuffer: spec.Adaptive,
+		Meter:                  m,
+	}, wire.NewDirect(srv, m, nil))
 }
 
 func maxInt(a, b int) int {
@@ -183,19 +207,10 @@ func runCell(spec SystemSpec, srv *server.Server, db *oo7.Database, tr oo7.Trave
 		cpu := k.NewResource(fmt.Sprintf("client%d-cpu", i))
 		k.Spawn(fmt.Sprintf("client%d", i), func(proc *sim.Proc) {
 			meter := tb.Meter(proc, cpu)
-			cli := client.New(client.Config{
-				Scheme:                 spec.Scheme,
-				PoolPages:              maxInt(16, scaleMB(spec.PoolMB, o.Scale)/page.Size),
-				RecoveryBytes:          scaleMB(spec.RecMB, o.Scale),
-				BlockSize:              spec.BlockSize,
-				ShipDirtyPages:         spec.Mode != server.ModeREDO,
-				AdaptiveRecoveryBuffer: spec.Adaptive,
-				Meter:                  meter,
-				Params:                 o.Params,
-			}, wire.NewDirect(srv, meter, o.Params))
+			cli := newClient(spec, srv, meter, o)
 			mod := &db.Modules[i]
 			for w := 0; w < o.Warm; w++ {
-				if _, err := oo7.Run(cli, mod, tr, meter, o.Params); err != nil {
+				if _, err := oo7.Run(cli, mod, tr, meter, nil); err != nil {
 					outs[i].err = err
 					return
 				}
@@ -205,7 +220,7 @@ func runCell(spec SystemSpec, srv *server.Server, db *oo7.Database, tr oo7.Trave
 			for r := 0; r < o.Measure; r++ {
 				before := cli.Stats()
 				start := proc.Now()
-				res, err := oo7.Run(cli, mod, tr, meter, o.Params)
+				res, err := oo7.Run(cli, mod, tr, meter, nil)
 				if err != nil {
 					outs[i].err = err
 					return

@@ -60,19 +60,18 @@ func benchTraverse(b *testing.B, scheme client.Scheme, tr Traversal) {
 	cli := client.New(client.Config{Scheme: scheme, PoolPages: store.Pages() / 2, RecoveryBytes: 96 << 10, ShipDirtyPages: true},
 		wire.NewDirect(srv, nil, nil))
 	mod := &db.Modules[0]
-	p := costmodel.Default1995()
 	want := Result{CompVisits: cfg.BaseAssemblies() * cfg.NumCompPerAssm}
 	want.AtomicVisits = want.CompVisits * cfg.NumAtomicPerComp
 	if tr == T2B {
 		want.Updates = want.AtomicVisits
 	}
-	if res, err := Run(cli, mod, tr, costmodel.NopMeter{}, p); err != nil || res != want {
+	if res, err := Run(cli, mod, tr, costmodel.NopMeter{}, nil); err != nil || res != want {
 		b.Fatalf("warm-up %v: %+v, %v; want %+v", tr, res, err, want)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cli, mod, tr, costmodel.NopMeter{}, p); err != nil {
+		if _, err := Run(cli, mod, tr, costmodel.NopMeter{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -95,8 +95,7 @@ func TestBuildShape(t *testing.T) {
 	// 3^(levels-1) base assemblies.
 	var res Result
 	m := costmodel.NopMeter{}
-	p := costmodel.Default1995()
-	if err := visitAssembly(tx, db.Modules[0].Root, T2A, m, p, &res); err != nil {
+	if err := visitAssembly(tx, db.Modules[0].Root, T2A, m, &res); err != nil {
 		t.Fatal(err)
 	}
 	wantComp := cfg.BaseAssemblies() * cfg.NumCompPerAssm
@@ -113,7 +112,6 @@ func TestTraversalCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := costmodel.NopMeter{}
-	p := costmodel.Default1995()
 	visits := cfg.BaseAssemblies() * cfg.NumCompPerAssm
 	for _, tc := range []struct {
 		tr   Traversal
@@ -123,7 +121,7 @@ func TestTraversalCounts(t *testing.T) {
 		{T2B, visits * cfg.NumAtomicPerComp},     // every atomic part
 		{T2C, visits * cfg.NumAtomicPerComp * 4}, // every atomic part, 4 times
 	} {
-		res, err := Run(cli, &db.Modules[0], tc.tr, m, p)
+		res, err := Run(cli, &db.Modules[0], tc.tr, m, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.tr, err)
 		}
@@ -155,7 +153,7 @@ func TestTraversalUpdatesPersistAcrossCrash(t *testing.T) {
 	xBefore := rd32(partBuf, apX)
 	tx.Commit()
 
-	if _, err := Run(cli, mod, T2B, costmodel.NopMeter{}, costmodel.Default1995()); err != nil {
+	if _, err := Run(cli, mod, T2B, costmodel.NopMeter{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.Crash()
@@ -201,7 +199,7 @@ func TestTraversalDeterministicAcrossSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(cli, &db.Modules[0], T2B, costmodel.NopMeter{}, costmodel.Default1995())
+		res, err := Run(cli, &db.Modules[0], T2B, costmodel.NopMeter{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +261,7 @@ func TestT1ReadOnlyHasNoRecoveryOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := cli.Stats()
-		res, err := Run(cli, &db.Modules[0], T1, costmodel.NopMeter{}, costmodel.Default1995())
+		res, err := Run(cli, &db.Modules[0], T1, costmodel.NopMeter{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package oo7
 
 import (
-	"time"
-
 	"fmt"
 
 	"repro/internal/client"
@@ -52,17 +50,23 @@ type Result struct {
 }
 
 // Run performs the traversal over one module as a single transaction,
-// committing at the end. Application CPU (object visits) is charged to m
-// with p.VisitCPU per visit, batched per composite-part visit; updates go
-// through the client's normal recovery machinery. The paper increments the
-// (x,y) attributes rather than swapping them so repeated updates keep
-// changing the object (§4.2 footnote).
-func Run(c *client.Client, mod *Module, t Traversal, m costmodel.Meter, p *costmodel.Params) (Result, error) {
+// committing at the end. Object visits, the application's CPU work, are
+// reported to m as costmodel.Visit events, batched per composite-part visit;
+// updates go through the client's normal recovery machinery. The paper
+// increments the (x,y) attributes rather than swapping them so repeated
+// updates keep changing the object (§4.2 footnote). The ignored
+// *costmodel.Params is kept only because the frozen bench/ module passes one.
+func Run(c *client.Client, mod *Module, t Traversal, m costmodel.Meter, _ *costmodel.Params) (Result, error) {
 	tx, err := c.Begin()
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runIn(tx, mod, t, m, p)
+	// Read the module object and descend the assembly hierarchy DFS.
+	var res Result
+	modBuf, err := tx.ReadObject(mod.Self)
+	if err == nil {
+		err = visitAssembly(tx, rdOID(modBuf, moRoot), t, m, &res)
+	}
 	if err != nil {
 		tx.Abort()
 		return res, err
@@ -70,28 +74,12 @@ func Run(c *client.Client, mod *Module, t Traversal, m costmodel.Meter, p *costm
 	return res, tx.Commit()
 }
 
-// runIn is Run without transaction management (used by tests that share a
-// transaction).
-func runIn(tx *client.Tx, mod *Module, t Traversal, m costmodel.Meter, p *costmodel.Params) (Result, error) {
-	var res Result
-	// Read the module object and descend the assembly hierarchy DFS.
-	modBuf, err := tx.ReadObject(mod.Self)
-	if err != nil {
-		return res, err
-	}
-	root := rdOID(modBuf, moRoot)
-	if err := visitAssembly(tx, root, t, m, p, &res); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-func visitAssembly(tx *client.Tx, a page.OID, t Traversal, m costmodel.Meter, p *costmodel.Params, res *Result) error {
+func visitAssembly(tx *client.Tx, a page.OID, t Traversal, m costmodel.Meter, res *Result) error {
 	buf, err := tx.ReadObject(a)
 	if err != nil {
 		return err
 	}
-	m.ClientCompute(p.VisitCPU)
+	m.Add(costmodel.Visit, 1)
 	level := rd32(buf, asLevel)
 	nchildren := (len(buf) - asChildren) / 8
 	for k := 0; k < nchildren; k++ {
@@ -100,11 +88,11 @@ func visitAssembly(tx *client.Tx, a page.OID, t Traversal, m costmodel.Meter, p 
 			continue
 		}
 		if level == 1 {
-			if err := visitCompPart(tx, child, t, m, p, res); err != nil {
+			if err := visitCompPart(tx, child, t, m, res); err != nil {
 				return err
 			}
 		} else {
-			if err := visitAssembly(tx, child, t, m, p, res); err != nil {
+			if err := visitAssembly(tx, child, t, m, res); err != nil {
 				return err
 			}
 		}
@@ -114,7 +102,7 @@ func visitAssembly(tx *client.Tx, a page.OID, t Traversal, m costmodel.Meter, p 
 
 // visitCompPart performs the depth-first search over the atomic-part graph,
 // applying the traversal's updates.
-func visitCompPart(tx *client.Tx, cp page.OID, t Traversal, m costmodel.Meter, p *costmodel.Params, res *Result) error {
+func visitCompPart(tx *client.Tx, cp page.OID, t Traversal, m costmodel.Meter, res *Result) error {
 	buf, err := tx.ReadObject(cp)
 	if err != nil {
 		return err
@@ -126,8 +114,8 @@ func visitCompPart(tx *client.Tx, cp page.OID, t Traversal, m costmodel.Meter, p
 	if err := dfsAtomic(tx, root, true, t, visited, &visits, res); err != nil {
 		return err
 	}
-	// Charge the application CPU for this composite-part visit in one block.
-	m.ClientCompute(time.Duration(visits) * p.VisitCPU)
+	// Report this composite-part visit's object visits in one event.
+	m.Add(costmodel.Visit, visits)
 	return nil
 }
 

@@ -86,7 +86,7 @@ func (p *Primary) Fetch(from, applied uint64, maxBytes int) (Batch, error) {
 		maxBytes = p.opts.MaxBatchBytes
 	}
 	var payload []byte
-	next, err := p.log.ScanFrom(from, nil, func(r *logrec.Record) bool {
+	next, err := p.log.ScanFrom(from, func(r *logrec.Record) bool {
 		payload = r.Encode(payload)
 		return len(payload) < maxBytes
 	})

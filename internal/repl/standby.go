@@ -93,7 +93,7 @@ func NewStandby(log *wal.Log, sn *server.Session, fetch FetchFunc, opts StandbyO
 func (s *Standby) ReplayLocal() error {
 	var applyErr error
 	n := 0
-	_, err := s.log.ScanFrom(s.log.Head(), nil, func(r *logrec.Record) bool {
+	_, err := s.log.ScanFrom(s.log.Head(), func(r *logrec.Record) bool {
 		if applyErr = s.sn.ApplyShipped(r); applyErr != nil {
 			return false
 		}

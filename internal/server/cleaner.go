@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/page"
 )
 
@@ -144,7 +145,7 @@ func (s *Server) cleanOne(sn *Session, pid page.ID) (int, error) {
 			atomic.AddInt64(&s.stats.CleanerHotSkips, 1)
 			return 0, nil
 		}
-		sn.meter().LogWrite(s.log.Force())
+		sn.meter().Add(costmodel.LogForce, s.log.Force())
 	}
 }
 

@@ -6,11 +6,13 @@ package server
 //
 //   - replay is the paper's redo rule (§3.3): copy the record's after-image
 //     onto the page iff pageLSN < LSN, then stamp the LSN. Restart's pass and
-//     the standby's ApplyShipped call it conditionally (repeat: note a record,
-//     then repeat it, is how both take in a log they did not write);
-//     REDO-mode ShipLog and undo's CLR call it unconditionally (making
-//     history). Every caller owns its own latching, dirty marking and
-//     metering — replay only ever touches the image it is handed.
+//     the standby's ApplyShipped repeat history through it (repeat: note a
+//     record, then repeat it, is how both take in a log they did not write);
+//     REDO-mode ShipLog and undo's CLR make history through it, and since
+//     every record a server appends is above every page LSN it can meet (a
+//     fresh log starts above the volume's), a skip there is an error. Every
+//     caller owns its own latching, dirty marking and metering — replay only
+//     ever touches the image it is handed.
 //   - PageRebuilder is replay aimed at one page with no server around it:
 //     base image + record stream → the image the stored copy should hold.
 //     Scrub's live-log repair and archive.RepairPage are its two feeders.
@@ -64,12 +66,11 @@ func checkGeometry(r *logrec.Record) error {
 }
 
 // replay applies r's redo information to img, a page.Size page image, and
-// stamps r.LSN on it. With conditional set it repeats history: the record is
-// skipped when the image's pageLSN shows it already holds the update
-// (pageLSN 0 is a freshly formatted page, which holds nothing). Without it
-// the record is new history and always lands. Allocation-free; a malformed
+// stamps r.LSN on it, iff the image's pageLSN is below r.LSN; otherwise the
+// image already holds the update and the record is skipped (pageLSN 0 is a
+// freshly formatted page, which holds nothing). Allocation-free; a malformed
 // record is an error and leaves img untouched.
-func replay(img []byte, r *logrec.Record, conditional bool) (applied bool, err error) {
+func replay(img []byte, r *logrec.Record) (applied bool, err error) {
 	if len(img) != page.Size {
 		return false, fmt.Errorf("server: replay onto a %d-byte image", len(img))
 	}
@@ -77,7 +78,7 @@ func replay(img []byte, r *logrec.Record, conditional bool) (applied bool, err e
 		return false, err
 	}
 	pg := page.Wrap(img)
-	if lsn := pg.LSN(); conditional && lsn != 0 && lsn >= r.LSN {
+	if pg.LSN() >= r.LSN {
 		return false, nil
 	}
 	off := 0
@@ -159,7 +160,7 @@ func (b *PageRebuilder) Feed(r *logrec.Record) error {
 		}
 		b.img = make([]byte, page.Size)
 	}
-	_, err := replay(b.img, r, true)
+	_, err := replay(b.img, r)
 	return err
 }
 
@@ -477,8 +478,8 @@ func (tb tables) note(r *logrec.Record) {
 // frontier moves past the record's ids, in whole strides so a sharded server
 // stays in its residue class even when the record carries another shard's id
 // (an adopted cross-shard TID), and under ESM/REDO a redoable record is
-// replayed onto its page, conditionally on the page LSN; repeat returns 1 if
-// it landed. Under WPL a logged copy is neither cached nor written home: the
+// replayed onto its page if the page LSN is below the record's; repeat
+// returns 1 if it landed. Under WPL a logged copy is neither cached nor written home: the
 // no-steal rule stands, and the table says which copy is current.
 func (s *Server) repeat(sn *Session, r *logrec.Record) (int64, error) {
 	st := s.stride()
@@ -495,7 +496,7 @@ func (s *Server) repeat(sn *Session, r *logrec.Record) (int64, error) {
 	if s.cfg.Mode == ModeWPL || !redoable(r) {
 		return 0, nil
 	}
-	return s.replayOne(sn, r, true)
+	return s.replayOne(sn, r)
 }
 
 // redoable reports whether r carries redo information for a page.

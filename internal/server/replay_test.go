@@ -33,9 +33,9 @@ func TestReplayTable(t *testing.T) {
 		"update-at-page-end": rec(logrec.TypeUpdate, page.Size-40, 40, after),
 	}
 	pageLSNs := []struct {
-		name string
-		lsn  uint64
-		cond bool // applied by a conditional replay?
+		name    string
+		lsn     uint64
+		applied bool
 	}{
 		{"zero", 0, true}, // freshly formatted page: holds nothing, so everything lands
 		{"below", recLSN - 1, true},
@@ -44,34 +44,32 @@ func TestReplayTable(t *testing.T) {
 	}
 	for name, r := range good {
 		for _, pl := range pageLSNs {
-			for _, conditional := range []bool{true, false} {
-				img := make([]byte, page.Size)
-				page.Wrap(img).Init(3)
-				page.Wrap(img).SetLSN(pl.lsn)
-				orig := append([]byte(nil), img...)
-				applied, err := replay(img, r, conditional)
-				if err != nil {
-					t.Fatalf("%s/pageLSN %s: %v", name, pl.name, err)
+			img := make([]byte, page.Size)
+			page.Wrap(img).Init(3)
+			page.Wrap(img).SetLSN(pl.lsn)
+			orig := append([]byte(nil), img...)
+			applied, err := replay(img, r)
+			if err != nil {
+				t.Fatalf("%s/pageLSN %s: %v", name, pl.name, err)
+			}
+			if applied != pl.applied {
+				t.Fatalf("%s/pageLSN %s: applied=%v, want %v", name, pl.name, applied, pl.applied)
+			}
+			if !applied {
+				if !bytes.Equal(img, orig) {
+					t.Fatalf("%s/pageLSN %s: skipped record changed the image", name, pl.name)
 				}
-				if want := pl.cond || !conditional; applied != want {
-					t.Fatalf("%s/pageLSN %s/conditional=%v: applied=%v, want %v", name, pl.name, conditional, applied, want)
-				}
-				if !applied {
-					if !bytes.Equal(img, orig) {
-						t.Fatalf("%s/pageLSN %s: skipped record changed the image", name, pl.name)
-					}
-					continue
-				}
-				want := orig
-				off := int(r.Off)
-				if r.Type == logrec.TypePageImage {
-					off = 0
-				}
-				copy(want[off:], r.After)
-				page.Wrap(want).SetLSN(recLSN)
-				if !bytes.Equal(img, want) {
-					t.Fatalf("%s/pageLSN %s: image is not orig + after-image + LSN stamp", name, pl.name)
-				}
+				continue
+			}
+			want := orig
+			off := int(r.Off)
+			if r.Type == logrec.TypePageImage {
+				off = 0
+			}
+			copy(want[off:], r.After)
+			page.Wrap(want).SetLSN(recLSN)
+			if !bytes.Equal(img, want) {
+				t.Fatalf("%s/pageLSN %s: image is not orig + after-image + LSN stamp", name, pl.name)
 			}
 		}
 	}
@@ -87,25 +85,23 @@ func TestReplayTable(t *testing.T) {
 		"checkpoint":              rec(logrec.TypeCheckpoint, 0, 0, after),
 	}
 	for name, r := range bad {
-		for _, conditional := range []bool{true, false} {
-			img := make([]byte, page.Size)
-			orig := append([]byte(nil), img...)
-			if applied, err := replay(img, r, conditional); err == nil || applied {
-				t.Fatalf("%s: applied=%v err=%v, want an error", name, applied, err)
-			}
-			if !bytes.Equal(img, orig) {
-				t.Fatalf("%s: rejected record changed the image", name)
-			}
+		img := make([]byte, page.Size)
+		orig := append([]byte(nil), img...)
+		if applied, err := replay(img, r); err == nil || applied {
+			t.Fatalf("%s: applied=%v err=%v, want an error", name, applied, err)
+		}
+		if !bytes.Equal(img, orig) {
+			t.Fatalf("%s: rejected record changed the image", name)
 		}
 	}
-	if _, err := replay(make([]byte, page.Size-1), good["update"], true); err == nil {
+	if _, err := replay(make([]byte, page.Size-1), good["update"]); err == nil {
 		t.Fatal("replay onto a short image succeeded")
 	}
 }
 
 // FuzzReplay applies arbitrary decoded records to a page image embedded
 // between guard bytes: no panic, no write outside the image, and a second
-// conditional apply of the same record is a no-op.
+// apply of the same record is a no-op.
 func FuzzReplay(f *testing.F) {
 	f.Add(logrec.NewUpdate(1, 2, 100, make([]byte, 8), []byte("12345678")).Encode(nil), uint64(9000), uint64(0))
 	f.Add(logrec.NewPageImage(1, 2, make([]byte, page.Size)).Encode(nil), uint64(9000), uint64(9000))
@@ -126,7 +122,7 @@ func FuzzReplay(f *testing.F) {
 			img[i] = 0
 		}
 		page.Wrap(img).SetLSN(pageLSN)
-		applied, err := replay(img, r, true)
+		applied, err := replay(img, r)
 		if err != nil && applied {
 			t.Fatal("applied with an error")
 		}
@@ -136,13 +132,12 @@ func FuzzReplay(f *testing.F) {
 			}
 		}
 		once := append([]byte(nil), img...)
-		again, err2 := replay(img, r, true)
+		again, err2 := replay(img, r)
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("re-apply changed the verdict: %v then %v", err, err2)
 		}
-		// An applied record stamped its LSN, so the re-apply must skip —
-		// except at LSN 0, which a page cannot distinguish from "fresh".
-		if again && applied && lsn != 0 {
+		// An applied record stamped its LSN, so the re-apply must skip.
+		if again {
 			t.Fatal("re-apply was not skipped")
 		}
 		if !bytes.Equal(img, once) {

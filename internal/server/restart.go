@@ -30,12 +30,12 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/disk"
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -339,7 +339,7 @@ func (s *Server) checkpointCore(sn *Session) error {
 	if err != nil {
 		return err
 	}
-	sn.meter().LogWrite(s.log.Force())
+	sn.meter().Add(costmodel.LogForce, s.log.Force())
 	if err := s.writeSuperblock(sn, c.masterRecord(ckptLSN)); err != nil {
 		return err
 	}
@@ -435,55 +435,20 @@ func (sn *Session) Restart() error {
 	rs.VerifyNs = lap(&clock)
 	start := s.log.Head()
 	var ckpt *ckptPayload
-	if sb.hasCheckpoint {
-		rec, err := s.log.ReadAt(sb.checkpointLSN)
-		switch {
-		case errors.Is(err, wal.ErrBeyondEnd) || errors.Is(err, wal.ErrTruncated):
-			// The log does not contain the checkpoint: this is a process
-			// restart with a fresh (in-memory) log rather than a crash. The
-			// superblock was written by a checkpoint that wrote home every
-			// page dirty when it began (the daemon's shutdown checkpoint),
-			// so the volume holds every transaction committed before then;
-			// only the allocation counters need restoring. What that
-			// checkpoint left in its logged DPT — commits that overlapped it
-			// — is lost with the process's log, like every commit after it.
-			//
-			// The volume's pages still carry page LSNs from the log that wrote
-			// them, and conditional redo skips a record whose LSN is not above
-			// the page's: a log that started over at FirstLSN would have every
-			// commit silently skipped at the next crash until it outgrew the
-			// old one. So an empty log below the checkpoint continues above
-			// anything that log can have stamped — its head never passed the
-			// checkpoint record, so its end was at most one capacity beyond.
-			if s.log.End() <= sb.checkpointLSN {
-				if err := s.log.StartAt(sb.checkpointLSN + s.log.Capacity()); err != nil {
-					return fmt.Errorf("server: the log ends below the volume's checkpoint at %d yet is not empty: %w",
-						sb.checkpointLSN, err)
-				}
-			}
-			err = s.checkpointLocked(sn)
-			rs.CheckpointNs = lap(&clock)
-			return err
-		case err != nil:
-			return fmt.Errorf("server: reading checkpoint: %w", err)
-		}
-		ckpt, err = decodeCkpt(rec.After)
-		if err != nil {
-			return err
-		}
-		// Analysis rescans the window between the snapshot capture point and
-		// the record's own append (empty if nothing was logged meanwhile); the
-		// scan passes over the checkpoint record itself, which analysis
-		// ignores.
-		start = min(sb.checkpointLSN, ckpt.beginLSN)
-	} else if s.log.End() == start {
-		// No checkpoint and an empty log: a fresh log over a volume that a
-		// process may have written pages home to (eviction, the cleaner)
-		// before it died uncheckpointed. Those pages carry LSNs of a log that
-		// died with it, so, as above, the new log continues above them.
+	switch {
+	case s.log.End() == start:
+		// An empty log: a fresh one over a volume that an earlier process's
+		// log wrote pages of — home at its checkpoints, or by eviction and the
+		// cleaner before it died. The volume holds every transaction a
+		// checkpoint wrote home (a daemon's shutdown checkpoint writes home
+		// everything); what the dead log held beyond that is lost with it.
+		// Those pages carry LSNs of the dead log, and redo lands a record only
+		// above its page's LSN, so the new log continues one above the highest
+		// page LSN on the volume: every record it appends is newer than every
+		// page it can meet.
 		var top uint64
 		err := s.store.ForEachPage(func(id page.ID, data []byte) error {
-			sn.meter().DataRead(1)
+			sn.meter().Add(costmodel.DataRead, 1)
 			if id != superblockPage {
 				top = max(top, page.Wrap(data).LSN())
 			}
@@ -496,6 +461,20 @@ func (sn *Session) Restart() error {
 		if err != nil {
 			return fmt.Errorf("server: starting a fresh log above the volume's page LSNs: %w", err)
 		}
+	case sb.hasCheckpoint:
+		rec, err := s.log.ReadAt(sb.checkpointLSN)
+		if err != nil {
+			return fmt.Errorf("server: reading checkpoint: %w", err)
+		}
+		ckpt, err = decodeCkpt(rec.After)
+		if err != nil {
+			return err
+		}
+		// Analysis rescans the window between the snapshot capture point and
+		// the record's own append (empty if nothing was logged meanwhile); the
+		// scan passes over the checkpoint record itself, which analysis
+		// ignores.
+		start = min(sb.checkpointLSN, ckpt.beginLSN)
 	}
 	// The pass (§3.3 analysis and redo, §3.4.3), whatever the mode: the tables
 	// as the checkpoint logged them, advanced record by record over the window
@@ -512,9 +491,9 @@ func (sn *Session) Restart() error {
 	for _, e := range tb.dpt {
 		from = min(from, e.rec)
 	}
-	sn.meter().LogRead(wal.PagesInRange(from, s.log.StableEnd()))
+	sn.meter().Add(costmodel.LogRead, wal.PagesInRange(from, s.log.StableEnd()))
 	var redoErr error
-	end, err := s.log.ScanFrom(from, nil, func(r *logrec.Record) bool {
+	end, err := s.log.ScanFrom(from, func(r *logrec.Record) bool {
 		rs.RecordsScanned++
 		var n int64
 		switch {
@@ -522,7 +501,7 @@ func (sn *Session) Restart() error {
 			tb.note(r)
 			n, redoErr = s.repeat(sn, r)
 		case redoRelevant(r, tb.dpt):
-			n, redoErr = s.replayOne(sn, r, true)
+			n, redoErr = s.replayOne(sn, r)
 		}
 		rs.RecordsRedone += n
 		return redoErr == nil
@@ -583,7 +562,7 @@ func (sn *Session) Restart() error {
 			return err
 		}
 	}
-	sn.meter().LogWrite(s.log.Force())
+	sn.meter().Add(costmodel.LogForce, s.log.Force())
 	rs.UndoNs = lap(&clock)
 	err = s.checkpointLocked(sn)
 	rs.CheckpointNs = lap(&clock)
@@ -648,7 +627,7 @@ func (s *Server) wplInstallQuiesced(sn *Session, tb tables) error {
 		if err != nil {
 			return fmt.Errorf("server: WPL restart install %v: %w", e.pid, err)
 		}
-		sn.meter().LogRead(1)
+		sn.meter().Add(costmodel.LogRead, 1)
 		if err := s.storeWrite(sn, e.pid, rec.After); err != nil {
 			return err
 		}

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/costmodel"
 	"repro/internal/disk"
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -134,7 +135,7 @@ func (s *Server) scrubOne(sn *Session, pid page.ID) (failed, repaired bool, err 
 		return false, false, nil
 	case errors.Is(rerr, disk.ErrCorruptPage):
 		atomic.AddInt64(&s.stats.ChecksumFailures, 1)
-		sn.meter().DataRead(1)
+		sn.meter().Add(costmodel.DataRead, 1)
 		if err := s.repairShardLocked(sn, sh, pid, rerr, buf); err != nil {
 			return true, false, err
 		}
@@ -171,7 +172,7 @@ func (s *Server) repairShardLocked(sn *Session, sh *buffer.PoolShard, pid page.I
 func (s *Server) repairImage(sn *Session, sh *buffer.PoolShard, pid page.ID, corruptErr error) ([]byte, error) {
 	// The write-ahead rule for everything below: repairs are cut at the
 	// stable log end, so force once up front.
-	sn.meter().LogWrite(s.log.Force())
+	sn.meter().Add(costmodel.LogForce, s.log.Force())
 	if s.cfg.Mode != ModeWPL {
 		if f := sh.Peek(pid); f != nil {
 			// The pooled frame supersedes the stored copy (any disk state is
@@ -198,7 +199,7 @@ func (s *Server) repairImage(sn *Session, sh *buffer.PoolShard, pid page.ID, cor
 	// means the prefix is gone and only the archive reaches back far enough.
 	b := NewPageRebuilder(s.cfg.Mode, pid, nil)
 	err := b.FeedLog(s.log, 0)
-	sn.meter().LogRead(1)
+	sn.meter().Add(costmodel.LogRead, 1)
 	switch {
 	case errors.Is(err, ErrNoBaseImage):
 		// the archive's turn
@@ -265,7 +266,7 @@ func (s *Server) verifyVolumeQuiesced(sn *Session) error {
 			continue
 		}
 		atomic.AddInt64(&s.stats.ScrubScanned, 1)
-		sn.meter().DataRead(1)
+		sn.meter().Add(costmodel.DataRead, 1)
 		err := s.store.ReadPage(pid, buf[:])
 		switch {
 		case err == nil || errors.Is(err, disk.ErrNotFound):

@@ -13,8 +13,10 @@
 //     locations after commit.
 //
 // The server owns the stable data volume, the transaction log, the lock
-// manager, and its own buffer pool. Work is reported to a costmodel.Meter
-// per session so simulated runs charge the shared server resources.
+// manager, and its own buffer pool. Each session reports its work to a
+// costmodel.Meter as events (a lock request, a page served, n log pages
+// forced); a simulated run's meter prices them on the shared server
+// resources, and the server itself carries no service times.
 //
 // # Concurrency model (DESIGN.md §9)
 //
@@ -559,7 +561,7 @@ func (s *Server) enter() func() {
 // commitWait parks until a group flush covers rec — a just-appended COMMIT,
 // PREPARE or DECIDE — and charges the session its share of the group's write.
 func (sn *Session) commitWait(rec *logrec.Record) {
-	sn.m.LogWrite(sn.s.log.CommitWait(rec.LSN + uint64(rec.EncodedSize())))
+	sn.m.Add(costmodel.LogForce, sn.s.log.CommitWait(rec.LSN+uint64(rec.EncodedSize())))
 }
 
 // stride is the allocation step for page ids and TIDs: ShardCount in a
@@ -584,7 +586,6 @@ func (s *Server) lookupTxn(tid logrec.TID) (*txn, bool) {
 type Session struct {
 	s *Server
 	m costmodel.Meter
-	p *costmodel.Params
 	// tidMu guards blocks: a management goroutine may call in beside a
 	// transaction's own calls.
 	tidMu sync.Mutex
@@ -631,15 +632,15 @@ func (sn *Session) claim(tid logrec.TID) bool {
 	return false
 }
 
-// NewSession opens a session charging work to m with service times from p.
-func (s *Server) NewSession(m costmodel.Meter, p *costmodel.Params) *Session {
+// NewSession opens a session reporting its work to m (nil for no
+// accounting). The ignored *costmodel.Params is kept only because the
+// frozen bench/ module calls NewSession(nil, nil); the meter prices events
+// itself.
+func (s *Server) NewSession(m costmodel.Meter, _ *costmodel.Params) *Session {
 	if m == nil {
 		m = costmodel.NopMeter{}
 	}
-	if p == nil {
-		p = costmodel.Default1995()
-	}
-	return &Session{s: s, m: m, p: p}
+	return &Session{s: s, m: m}
 }
 
 // meter is sn.m, nil-safe: internal paths with no session (the background
@@ -650,14 +651,6 @@ func (sn *Session) meter() costmodel.Meter {
 		return costmodel.NopMeter{}
 	}
 	return sn.m
-}
-
-// params is sn.p, nil-safe.
-func (sn *Session) params() *costmodel.Params {
-	if sn == nil {
-		return costmodel.Default1995()
-	}
-	return sn.p
 }
 
 // Begin starts a transaction and returns its id: it reserves one id and
@@ -750,7 +743,7 @@ func (s *Server) ownClass(tid logrec.TID) bool {
 // an unknown tid — a Lock re-sent after a dropped connection already aborted
 // its transaction — is ErrNoTxn, as for every other transactional call.
 func (sn *Session) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
-	sn.m.ServerCompute(sn.p.LockReqCPU)
+	sn.m.Add(costmodel.LockReq, 1)
 	if _, ok := sn.s.lookupTxn(tid); !ok {
 		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
@@ -792,12 +785,12 @@ func (sn *Session) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode, dst []b
 	if _, ok := s.lookupTxn(tid); !ok {
 		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
-	sn.m.ServerCompute(sn.p.LockReqCPU)
+	sn.m.Add(costmodel.LockReq, 1)
 	if err := s.locks.Lock(tid, pid, mode); err != nil {
 		return err
 	}
 	defer s.enter()()
-	sn.m.ServerCompute(sn.p.ServerPage)
+	sn.m.Add(costmodel.ServerPage, 1)
 	sh := s.pool.Lock(pid)
 	defer sh.Unlock()
 	f, err := s.fetchShardLocked(sn, sh, pid, true)
@@ -838,13 +831,13 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 			return nil, fmt.Errorf("server: WPL reload of %v: %w", pid, err)
 		}
 		copy(buf, rec.After)
-		sn.meter().LogRead(1)
+		sn.meter().Add(costmodel.LogRead, 1)
 		atomic.AddInt64(&s.stats.WPLLogReloads, 1)
 	} else {
 		err := s.store.ReadPage(pid, buf)
 		switch {
 		case errors.Is(err, disk.ErrNotFound) && !mustExist:
-			sn.meter().DataRead(1)
+			sn.meter().Add(costmodel.DataRead, 1)
 			atomic.AddInt64(&s.stats.DataReads, 1)
 			return s.insertBlankShardLocked(sn, sh, pid)
 		case errors.Is(err, disk.ErrCorruptPage):
@@ -865,7 +858,7 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 		case err != nil:
 			return nil, err
 		}
-		sn.meter().DataRead(1)
+		sn.meter().Add(costmodel.DataRead, 1)
 		atomic.AddInt64(&s.stats.DataReads, 1)
 	}
 	if err := s.makeRoomShardLocked(sn, sh); err != nil {
@@ -1003,25 +996,26 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 		}
 	}
 	atomic.AddInt64(&s.stats.LogPagesReceived, 1)
-	sn.m.ServerCompute(sn.p.ServerPage)
+	sn.m.Add(costmodel.ServerPage, 1)
 	if err := s.logAndNoteRun(t, recs); err != nil {
 		return err
 	}
 	if s.cfg.Mode == ModeREDO {
-		// New history, applied unconditionally and in log order: each record
-		// postdates whatever the frame holds by construction, and a volume
-		// reopened under a fresh in-memory log carries pageLSNs from its
-		// previous life that a pageLSN test would misread as "already
-		// applied".
+		// New history, applied in log order: each record is above every page
+		// LSN, so one that does not land is a bug, not a repeat.
 		for i := range recs {
-			if _, err := s.replayOne(sn, &recs[i], false); err != nil {
+			n, err := s.replayOne(sn, &recs[i])
+			if err != nil {
 				return err
+			}
+			if n == 0 {
+				return fmt.Errorf("server: %v's record at %d on %v is not above the page's LSN", tid, recs[i].LSN, recs[i].Page)
 			}
 		}
 	}
 	// The server writes filled log pages to disk as they arrive, without
 	// blocking the client; the commit force queues behind this backlog.
-	sn.m.LogWriteAsync(s.log.ForceFull())
+	sn.m.Add(costmodel.LogWriteAsync, s.log.ForceFull())
 	return nil
 }
 
@@ -1050,7 +1044,7 @@ func decodeRun(dst []logrec.Record, data []byte) ([]logrec.Record, error) {
 // after the newest checkpoint and torn by the crash, which restart's
 // verification (up to the superblock's frontier) never sees. Any other record
 // over a damaged copy fails, loudly.
-func (s *Server) replayOne(sn *Session, r *logrec.Record, conditional bool) (int64, error) {
+func (s *Server) replayOne(sn *Session, r *logrec.Record) (int64, error) {
 	sh := s.pool.Lock(r.Page)
 	defer sh.Unlock()
 	f, err := s.fetchShardLocked(sn, sh, r.Page, false)
@@ -1060,12 +1054,12 @@ func (s *Server) replayOne(sn *Session, r *logrec.Record, conditional bool) (int
 	if err != nil {
 		return 0, err
 	}
-	applied, err := replay(f.Bytes(), r, conditional)
+	applied, err := replay(f.Bytes(), r)
 	if !applied {
 		return 0, err
 	}
 	sh.MarkDirty(r.Page)
-	sn.meter().ServerCompute(sn.params().ServerApply)
+	sn.meter().Add(costmodel.ServerApply, 1)
 	atomic.AddInt64(&s.stats.LogRecordsApplied, 1)
 	return 1, nil
 }
@@ -1093,7 +1087,7 @@ func (sn *Session) ShipPage(tid logrec.TID, pid page.ID, data []byte) error {
 		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
 	atomic.AddInt64(&s.stats.DirtyPagesReceived, 1)
-	sn.m.ServerCompute(sn.p.ServerPage)
+	sn.m.Add(costmodel.ServerPage, 1)
 	if s.cfg.Mode == ModeWPL {
 		return s.wplShip(sn, t, pid, data)
 	}
@@ -1135,7 +1129,7 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 	if err := s.logAndNote(r, false); err != nil {
 		return err
 	}
-	sn.m.LogWriteAsync(s.log.ForceFull())
+	sn.m.Add(costmodel.LogWriteAsync, s.log.ForceFull())
 	// Cache the copy; the permanent location is untouched until install.
 	sh := s.pool.Lock(pid)
 	defer sh.Unlock()
@@ -1372,7 +1366,7 @@ func (sn *Session) abort(tid logrec.TID, decided bool) error {
 		// pages that later transactions have since committed to.
 		_ = s.logEnd(t)
 	}
-	sn.m.LogWrite(s.log.Force())
+	sn.m.Add(costmodel.LogForce, s.log.Force())
 	atomic.AddInt64(&s.stats.Aborts, 1)
 	// A no-op once the End's note has retired the entry; if the End could not
 	// be logged the entry still leaves, or it would pin the log head for good.
@@ -1452,7 +1446,7 @@ func (s *Server) wplAborted(sn *Session, t *txn) {
 // loser transactions. Undo reads the log, so it begins by forcing the
 // volatile tail.
 func (s *Server) undo(sn *Session, t *txn, stopAt uint64) error {
-	sn.meter().LogWrite(s.log.Force())
+	sn.meter().Add(costmodel.LogForce, s.log.Force())
 	cur := t.lastLSN
 	for cur != logrec.NoLSN && cur != stopAt {
 		r, err := s.log.ReadAt(cur)
@@ -1508,8 +1502,12 @@ func (s *Server) undoApply(sn *Session, t *txn, r *logrec.Record) error {
 	if err := s.logAndNote(clr, false); err != nil {
 		return err
 	}
-	if _, err := replay(f.Bytes(), clr, false); err != nil {
+	applied, err := replay(f.Bytes(), clr)
+	if err != nil {
 		return err
+	}
+	if !applied {
+		return fmt.Errorf("server: undo %v: CLR at %d on %v is not above the page's LSN", t.tid, clr.LSN, r.Page)
 	}
 	sh.MarkDirty(r.Page)
 	return nil

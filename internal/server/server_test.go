@@ -715,3 +715,90 @@ func TestFreshLogOverUncheckpointedVolume(t *testing.T) {
 		})
 	}
 }
+
+// TestNewHistoryMustLand: the two callers that make history, REDO-mode
+// ShipLog and undo's CLR, fail loudly when the redo rule would skip their
+// record, rather than leave a page that looks newer than its log.
+func TestNewHistoryMustLand(t *testing.T) {
+	backdate := func(s *Server, pid page.ID) {
+		sh := s.pool.Lock(pid)
+		page.Wrap(sh.Peek(pid).Bytes()).SetLSN(1 << 40)
+		sh.Unlock()
+	}
+	t.Run("ShipLog", func(t *testing.T) {
+		s := New(Config{Mode: ModeREDO, PoolPages: 8, CheckpointEvery: 1 << 30})
+		defer s.Close()
+		sn := s.NewSession(nil, nil)
+		pid, _ := createPage(t, sn, []byte("vv"))
+		backdate(s, pid)
+		tid := sn.Begin()
+		if err := sn.Lock(tid, pid, lock.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		rec := logrec.NewUpdate(tid, pid, page.HeaderSize, []byte("vv"), []byte("vx"))
+		if err := sn.ShipLog(tid, rec.Encode(nil)); err == nil || !strings.Contains(err.Error(), "not above the page's LSN") {
+			t.Fatalf("ShipLog over a page LSN above the log = %v, want the redo-rule error", err)
+		}
+	})
+	t.Run("CLR", func(t *testing.T) {
+		s := New(Config{Mode: ModeESM, PoolPages: 8, CheckpointEvery: 1 << 30})
+		defer s.Close()
+		sn := s.NewSession(nil, nil)
+		pid, slot := createPage(t, sn, []byte("vv"))
+		tid := updateObject(t, sn, pid, slot, []byte("vx"), false)
+		backdate(s, pid)
+		if err := sn.Abort(tid); err == nil || !strings.Contains(err.Error(), "not above the page's LSN") {
+			t.Fatalf("Abort over a page LSN above the log = %v, want the redo-rule error", err)
+		}
+	})
+}
+
+// TestFreshLogSmallerThanTheLast: a daemon restarted with a smaller log over
+// a checkpointed volume. The old log stamped pages well past the checkpoint,
+// further than one capacity of the new log, so the new log must start above
+// the pages themselves, not at an offset from the checkpoint sized by its own
+// capacity.
+func TestFreshLogSmallerThanTheLast(t *testing.T) {
+	for _, mode := range []Mode{ModeESM, ModeREDO} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := Config{
+				Mode:            mode,
+				Store:           disk.NewMemStore(),
+				PoolPages:       8,
+				LogCapacity:     1 << 20,
+				CheckpointEvery: 1 << 30,
+			}
+			s := New(cfg)
+			sn := s.NewSession(nil, nil)
+			if err := sn.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var pid page.ID
+			var slot int
+			for i := 0; i < 40; i++ {
+				pid, slot = createPage(t, sn, []byte("vv"))
+			}
+			updateObject(t, sn, pid, slot, []byte("vx"), true)
+			if err := sn.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			cfg.LogCapacity = 64 << 10
+			s2 := New(cfg)
+			defer s2.Close()
+			sn2 := s2.NewSession(nil, nil)
+			if err := sn2.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			updateObject(t, sn2, pid, slot, []byte("ZZ"), true)
+			s2.Crash()
+			if err := sn2.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			if got := readObject(t, sn2, pid, slot, 2); string(got) != "ZZ" {
+				t.Fatalf("committed update lost across a crash: read %q, want %q", got, "ZZ")
+			}
+		})
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/costmodel"
 	"repro/internal/logrec"
 	"repro/internal/page"
 )
@@ -102,7 +103,7 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 		return fmt.Errorf("server: shipped checkpoint at %d: %w", r.LSN, err)
 	}
 	// The master record must never name an unstable checkpoint record.
-	sn.meter().LogWrite(s.log.Force())
+	sn.meter().Add(costmodel.LogForce, s.log.Force())
 	if err := s.writeSuperblock(sn, c.masterRecord(r.LSN)); err != nil {
 		return err
 	}

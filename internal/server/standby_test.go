@@ -58,7 +58,7 @@ func newReplPair(t *testing.T, mode Mode, primary, standby Config) *replPair {
 func (pr *replPair) ship(t *testing.T) {
 	t.Helper()
 	pr.p.log.Force()
-	next, err := pr.p.log.ScanFrom(pr.cursor, nil, func(r *logrec.Record) bool {
+	next, err := pr.p.log.ScanFrom(pr.cursor, func(r *logrec.Record) bool {
 		if err := pr.ssn.ApplyShipped(r); err != nil {
 			t.Fatalf("ApplyShipped(%v at %d): %v", r.Type, r.LSN, err)
 		}
@@ -244,7 +244,7 @@ func TestStandbyMirrorsCheckpoint(t *testing.T) {
 	_, slot2 := createPage(t, pr.ssn, []byte("gap.."))
 	pr.s.log.Force()
 	var gapErr error
-	if _, err := pr.s.log.ScanFrom(pr.s.log.Head(), nil, func(r *logrec.Record) bool {
+	if _, err := pr.s.log.ScanFrom(pr.s.log.Head(), func(r *logrec.Record) bool {
 		gapErr = csn.ApplyShipped(r)
 		return false
 	}); err != nil {

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/lock"
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -119,7 +120,7 @@ func (sn *Session) Decide(tid logrec.TID, commit bool) error {
 	// Branch already finished; re-delivery. An earlier delivery may still be
 	// waiting for the log's sync with the commit record unforced: wait with it.
 	defer s.enter()()
-	sn.m.LogWrite(s.log.CommitWait(s.log.End()))
+	sn.m.Add(costmodel.LogForce, s.log.CommitWait(s.log.End()))
 	return nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/buffer"
+	"repro/internal/costmodel"
 	"repro/internal/disk"
 	"repro/internal/logrec"
 	"repro/internal/page"
@@ -28,7 +29,7 @@ func (s *Server) storeWrite(sn *Session, pid page.ID, img []byte) error {
 	if err := s.store.WritePage(pid, img); err != nil {
 		return err
 	}
-	sn.meter().DataWriteAsync(1)
+	sn.meter().Add(costmodel.DataWriteAsync, 1)
 	atomic.AddInt64(&s.stats.DataWrites, 1)
 	return nil
 }
@@ -43,7 +44,7 @@ func (s *Server) writeSuperblock(sn *Session, sb superblock) error {
 	if err := s.store.WritePage(superblockPage, encodeSuperblock(sb)); err != nil {
 		return err
 	}
-	sn.meter().DataWriteAsync(1)
+	sn.meter().Add(costmodel.DataWriteAsync, 1)
 	return nil
 }
 
@@ -65,7 +66,7 @@ func (s *Server) writeHome(sn *Session, sh *buffer.PoolShard, f *buffer.Frame, m
 		if !mayForce {
 			return false, nil
 		}
-		sn.meter().LogWrite(s.log.Force())
+		sn.meter().Add(costmodel.LogForce, s.log.Force())
 	}
 	if err := s.storeWrite(sn, pid, f.Bytes()); err != nil {
 		return false, err
@@ -86,7 +87,7 @@ func (s *Server) installWPLLocked(sn *Session, sh *buffer.PoolShard, e *wplEntry
 		// before the force — an evictor can get here while the committer is
 		// still waiting for the log's sync. The permanent location
 		// must not see the copy before its commit record is stable.
-		sn.meter().LogWrite(s.log.Force())
+		sn.meter().Add(costmodel.LogForce, s.log.Force())
 	}
 	var img []byte
 	cached := sh.Peek(e.pid)
@@ -98,7 +99,7 @@ func (s *Server) installWPLLocked(sn *Session, sh *buffer.PoolShard, e *wplEntry
 			return fmt.Errorf("server: WPL install of %v: %w", e.pid, err)
 		}
 		img = rec.After
-		sn.meter().LogReadAsync(1)
+		sn.meter().Add(costmodel.LogReadAsync, 1)
 		atomic.AddInt64(&s.stats.WPLLogReloads, 1)
 	}
 	if err := s.storeWrite(sn, e.pid, img); err != nil {

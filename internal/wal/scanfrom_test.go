@@ -26,7 +26,7 @@ func TestScanFromResumesAtStableEnd(t *testing.T) {
 	l.Append(upd(1, 2, 16))
 
 	var got []uint64
-	resume, err := l.ScanFrom(FirstLSN, nil, func(r *logrec.Record) bool {
+	resume, err := l.ScanFrom(FirstLSN, func(r *logrec.Record) bool {
 		got = append(got, r.LSN)
 		return true
 	})
@@ -43,7 +43,7 @@ func TestScanFromResumesAtStableEnd(t *testing.T) {
 	// Force the tail; resuming from the returned LSN delivers just it.
 	l.Force()
 	got = got[:0]
-	resume2, err := l.ScanFrom(resume, nil, func(r *logrec.Record) bool {
+	resume2, err := l.ScanFrom(resume, func(r *logrec.Record) bool {
 		got = append(got, r.LSN)
 		return true
 	})
@@ -66,7 +66,7 @@ func TestScanFromAcrossWrap(t *testing.T) {
 	cursor := FirstLSN
 	var shipped []uint64
 	drain := func() {
-		resume, err := l.ScanFrom(cursor, nil, func(r *logrec.Record) bool {
+		resume, err := l.ScanFrom(cursor, func(r *logrec.Record) bool {
 			shipped = append(shipped, r.LSN)
 			return true
 		})
@@ -116,7 +116,7 @@ func TestScanFromTruncationRace(t *testing.T) {
 	// Truncate mid-scan, from inside the callback: ScanFrom holds no lock
 	// while fn runs, which is exactly the window the race needs.
 	calls := 0
-	resume, err := l.ScanFrom(FirstLSN, nil, func(r *logrec.Record) bool {
+	resume, err := l.ScanFrom(FirstLSN, func(r *logrec.Record) bool {
 		calls++
 		if calls == 1 {
 			if terr := l.Truncate(lsns[3]); terr != nil {
@@ -135,7 +135,7 @@ func TestScanFromTruncationRace(t *testing.T) {
 		t.Fatalf("resume = %d, want %d", resume, lsns[1])
 	}
 	// A fresh call below the head reports the same thing immediately.
-	if _, err := l.ScanFrom(lsns[1], nil, func(*logrec.Record) bool { return true }); !errors.Is(err, ErrTruncated) {
+	if _, err := l.ScanFrom(lsns[1], func(*logrec.Record) bool { return true }); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("resumed scan err = %v, want ErrTruncated", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestScanFromMidBatchCut(t *testing.T) {
 		dev.clamp, dev.cut = true, cut
 		l.Force()
 		var got []uint64
-		resume, err := l.ScanFrom(lsn1, nil, func(r *logrec.Record) bool {
+		resume, err := l.ScanFrom(lsn1, func(r *logrec.Record) bool {
 			got = append(got, r.LSN)
 			return true
 		})
@@ -174,7 +174,7 @@ func TestScanFromMidBatchCut(t *testing.T) {
 	dev.clamp = false
 	l.Force()
 	var got []uint64
-	resume, err := l.ScanFrom(lsn2, nil, func(r *logrec.Record) bool {
+	resume, err := l.ScanFrom(lsn2, func(r *logrec.Record) bool {
 		got = append(got, r.LSN)
 		return true
 	})
@@ -189,26 +189,6 @@ func TestScanFromMidBatchCut(t *testing.T) {
 	}
 }
 
-// TestScanFromCancel: a closed cancel channel stops the scan before any
-// callback; the resume LSN marks where it stopped so nothing is lost.
-func TestScanFromCancel(t *testing.T) {
-	l := New(1 << 20)
-	l.Append(upd(1, 1, 16))
-	l.Force()
-	cancel := make(chan struct{})
-	close(cancel)
-	resume, err := l.ScanFrom(FirstLSN, cancel, func(*logrec.Record) bool {
-		t.Fatal("callback ran after cancel")
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resume != FirstLSN {
-		t.Fatalf("resume = %d, want %d", resume, FirstLSN)
-	}
-}
-
 // TestScanFromEarlyStop: fn returning false stops after the current record
 // and the resume LSN points just past it — stop-and-resume loses nothing.
 func TestScanFromEarlyStop(t *testing.T) {
@@ -218,7 +198,7 @@ func TestScanFromEarlyStop(t *testing.T) {
 	lsn2, _ := l.Append(upd(1, 2, 16))
 	l.Force()
 	calls := 0
-	resume, err := l.ScanFrom(lsn1, nil, func(*logrec.Record) bool {
+	resume, err := l.ScanFrom(lsn1, func(*logrec.Record) bool {
 		calls++
 		return false
 	})

@@ -718,9 +718,9 @@ func (l *Log) Scan(from uint64, fn func(*logrec.Record) bool) error {
 // the archiver follow the tail with it, and restart reads its window with it
 // (its callback writes pages home, which consults the log). Unlike Scan it
 // never delivers the volatile tail (shipping a record the primary could still
-// lose in a crash would let a standby get ahead of its primary), it
+// lose in a crash would let a standby get ahead of its primary), and it
 // re-acquires the log lock per record so a long catch-up scan never blocks
-// appenders or a sync, and it stops promptly when cancel is closed.
+// appenders or a sync.
 //
 // Like Scan it decodes into one Record over one buffer, private to this call
 // and overwritten by the next record, so callers that retain one must Clone
@@ -732,18 +732,13 @@ func (l *Log) Scan(from uint64, fn func(*logrec.Record) bool) error {
 // race: the shipper fell behind and held no Holder at its cursor), ScanFrom
 // returns ErrTruncated with the same resume LSN — the caller must
 // re-bootstrap from an archive rather than resume.
-func (l *Log) ScanFrom(from uint64, cancel <-chan struct{}, fn func(*logrec.Record) bool) (uint64, error) {
+func (l *Log) ScanFrom(from uint64, fn func(*logrec.Record) bool) (uint64, error) {
 	lsn := from
 	var (
 		rec     logrec.Record
 		scratch []byte
 	)
 	for {
-		select {
-		case <-cancel:
-			return lsn, nil
-		default:
-		}
 		l.mu.Lock()
 		if lsn < l.head {
 			head := l.head

@@ -575,7 +575,7 @@ func TestScanDoesNotAllocatePerRecord(t *testing.T) {
 	scans := map[string]func(l *Log, fn func(*logrec.Record) bool) error{
 		"Scan": func(l *Log, fn func(*logrec.Record) bool) error { return l.Scan(l.Head(), fn) },
 		"ScanFrom": func(l *Log, fn func(*logrec.Record) bool) error {
-			_, err := l.ScanFrom(l.Head(), nil, fn)
+			_, err := l.ScanFrom(l.Head(), fn)
 			return err
 		},
 	}

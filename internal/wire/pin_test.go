@@ -96,14 +96,17 @@ func pinnedSequence(t *testing.T, svc pinnedTransport) {
 	must("decide abort of a finished branch", svc.Decide(none, false))
 }
 
-// recordingMeter writes down every message charge, in order.
-type recordingMeter struct {
-	costmodel.NopMeter
-	msgs []string
-}
+// recordingMeter writes down every message event, in order.
+type recordingMeter struct{ msgs []string }
 
-func (m *recordingMeter) MsgToServer(n int) { m.msgs = append(m.msgs, fmt.Sprintf(">%d", n)) }
-func (m *recordingMeter) MsgToClient(n int) { m.msgs = append(m.msgs, fmt.Sprintf("<%d", n)) }
+func (m *recordingMeter) Add(e costmodel.Event, n int) {
+	switch e {
+	case costmodel.MsgToServer:
+		m.msgs = append(m.msgs, fmt.Sprintf(">%d", n))
+	case costmodel.MsgToClient:
+		m.msgs = append(m.msgs, fmt.Sprintf("<%d", n))
+	}
+}
 
 // TestDirectChargesFrameSizes: the in-process transport charges each
 // request and reply exactly these byte counts — a batch's members each as

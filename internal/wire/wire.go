@@ -160,19 +160,21 @@ func (d *direct) roundTrip(f frame) ([]byte, error) { return d.s.each(f, d.one) 
 func (d *direct) epoch() uint64 { return 0 }
 
 func (d *direct) one(f frame) ([]byte, error) {
-	d.m.MsgToServer(reqHeader + len(f.payload))
+	d.m.Add(costmodel.MsgToServer, reqHeader+len(f.payload))
 	out, err := d.s.serve(f)
-	d.m.MsgToClient(respHeader + len(out))
+	d.m.Add(costmodel.MsgToClient, respHeader+len(out))
 	return out, err
 }
 
-// NewDirect connects to srv in process, charging server-side work and message
-// transfers to m (which may be nil for no accounting).
-func NewDirect(srv *server.Server, m costmodel.Meter, p *costmodel.Params) *Client {
+// NewDirect connects to srv in process, reporting server-side work and
+// message transfers to m (which may be nil for no accounting). The ignored
+// *costmodel.Params is kept only because the frozen bench/ module calls
+// NewDirect(srv, nil, nil).
+func NewDirect(srv *server.Server, m costmodel.Meter, _ *costmodel.Params) *Client {
 	if m == nil {
 		m = costmodel.NopMeter{}
 	}
-	s := &session{d: &daemon{srv: srv}, sn: srv.NewSession(m, p), page: make([]byte, page.Size)}
+	s := &session{d: &daemon{srv: srv}, sn: srv.NewSession(m, nil), page: make([]byte, page.Size)}
 	return newClient(&direct{s: s, m: m})
 }
 
