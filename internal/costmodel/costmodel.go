@@ -15,7 +15,6 @@
 package costmodel
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -128,21 +127,6 @@ const (
 
 	NumEvents
 )
-
-var eventNames = [NumEvents]string{
-	"Fault", "CopyPage", "DiffPage", "CopyBlock", "DiffBlock", "UpdateCall",
-	"LogRec", "Deref", "Visit", "ServerPage", "ServerApply", "LockReq",
-	"MsgToServer", "MsgToClient", "DataRead", "DataWriteAsync", "LogForce",
-	"LogWriteAsync", "LogRead", "LogReadAsync",
-}
-
-// String implements fmt.Stringer.
-func (e Event) String() string {
-	if e < NumEvents {
-		return eventNames[e]
-	}
-	return fmt.Sprintf("Event(%d)", int(e))
-}
 
 // cpuTime returns the service time of one CPU event: an event before
 // MsgToServer, on the server from ServerPage on.

@@ -132,7 +132,7 @@ func TestEventPricing(t *testing.T) {
 			onClient, onServer = onServer, onClient
 		}
 		if onClient != 3*p.cpuTime(e) || onServer != 0 {
-			t.Errorf("%v: charged %v on its CPU and %v on the other, want %v and 0", e, onClient, onServer, 3*p.cpuTime(e))
+			t.Errorf("event %d: charged %v on its CPU and %v on the other, want %v and 0", e, onClient, onServer, 3*p.cpuTime(e))
 		}
 	}
 }

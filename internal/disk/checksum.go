@@ -159,11 +159,16 @@ func (c *Checksummed) WritePage(id page.ID, data []byte) error {
 // Pages implements Store.
 func (c *Checksummed) Pages() int { return c.inner.Pages() }
 
-// ForEachPage implements Store, verifying every page handed to fn. A
+// ForEachPage implements Store.
+func (c *Checksummed) ForEachPage(fn func(id page.ID, data []byte) error) error {
+	return c.ForEachPageFrom(0, fn)
+}
+
+// ForEachPageFrom implements Store, verifying every page handed to fn. A
 // corrupt page stops the scan with ErrCorruptPage — a bulk consumer (online
 // backup) must never archive damaged bytes.
-func (c *Checksummed) ForEachPage(fn func(id page.ID, data []byte) error) error {
-	return c.inner.ForEachPage(func(id page.ID, data []byte) error {
+func (c *Checksummed) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
+	return c.inner.ForEachPageFrom(from, func(id page.ID, data []byte) error {
 		if err := VerifyPage(id, data); err != nil {
 			c.failures.Add(1)
 			return err

@@ -34,6 +34,9 @@ type Store interface {
 	// their update — the contract online backup needs (each page copy is
 	// individually atomic; cross-page consistency comes from log replay).
 	ForEachPage(fn func(id page.ID, data []byte) error) error
+	// ForEachPageFrom is ForEachPage over the pages from id from on: it
+	// reads none below.
+	ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error
 	// Close releases resources.
 	Close() error
 }
@@ -87,14 +90,22 @@ func (s *MemStore) Pages() int {
 	return len(s.pages)
 }
 
-// ForEachPage implements Store. The id set is snapshotted under the lock,
-// then pages are read one at a time, so concurrent writers are never blocked
-// for the whole scan (fuzzy backup reads the volume while transactions run).
+// ForEachPage implements Store.
 func (s *MemStore) ForEachPage(fn func(id page.ID, data []byte) error) error {
+	return s.ForEachPageFrom(0, fn)
+}
+
+// ForEachPageFrom implements Store. The id set is snapshotted under the
+// lock, then pages are read one at a time, so concurrent writers are never
+// blocked for the whole scan (fuzzy backup reads the volume while
+// transactions run).
+func (s *MemStore) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
 	s.mu.RLock()
 	ids := make([]page.ID, 0, len(s.pages))
 	for id := range s.pages {
-		ids = append(ids, id)
+		if id >= from {
+			ids = append(ids, id)
+		}
 	}
 	s.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -199,14 +210,19 @@ func (s *FileStore) Pages() int {
 	return int(s.size / page.Size)
 }
 
-// ForEachPage implements Store. The file length is snapshotted, then pages
-// are read one at a time under the lock.
+// ForEachPage implements Store.
 func (s *FileStore) ForEachPage(fn func(id page.ID, data []byte) error) error {
+	return s.ForEachPageFrom(0, fn)
+}
+
+// ForEachPageFrom implements Store. The file length is snapshotted, then
+// pages are read one at a time under the lock.
+func (s *FileStore) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
 	s.mu.Lock()
 	n := s.size / page.Size
 	s.mu.Unlock()
 	var buf [page.Size]byte
-	for id := page.ID(0); int64(id) < n; id++ {
+	for id := from; int64(id) < n; id++ {
 		if err := s.ReadPage(id, buf[:]); err != nil {
 			if errors.Is(err, ErrNotFound) {
 				continue

@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -97,5 +98,47 @@ func TestMemStoreWriteCopies(t *testing.T) {
 	s.ReadPage(1, buf)
 	if buf[0] != 0 {
 		t.Fatal("store aliases caller's buffer")
+	}
+}
+
+// TestForEachPageFrom: a scan from an id visits, in order, exactly the
+// stored pages at or above it, on every store; ForEachPage is the scan from 0.
+func TestForEachPageFrom(t *testing.T) {
+	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "vol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	stores := map[string]Store{"mem": NewMemStore(), "file": fs, "checksummed": NewChecksummed(NewMemStore())}
+	for name, s := range stores {
+		data := make([]byte, page.Size)
+		for _, id := range []page.ID{0, 2, 3, 5} {
+			if err := s.WritePage(id, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan := func(from page.ID) []page.ID {
+			var ids []page.ID
+			if err := s.ForEachPageFrom(from, func(id page.ID, _ []byte) error {
+				ids = append(ids, id)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return ids
+		}
+		// The file store reads a hole (id 1, 4) as a zero page.
+		want, wantAll := "[P3 P4 P5]", "[P0 P1 P2 P3 P4 P5]"
+		if name != "file" {
+			want, wantAll = "[P3 P5]", "[P0 P2 P3 P5]"
+		}
+		if got := fmt.Sprint(scan(3)); got != want {
+			t.Errorf("%s: ForEachPageFrom(3) visits %s, want %s", name, got, want)
+		}
+		var all []page.ID
+		s.ForEachPage(func(id page.ID, _ []byte) error { all = append(all, id); return nil })
+		if got := fmt.Sprint(all); got != wantAll || fmt.Sprint(scan(0)) != wantAll {
+			t.Errorf("%s: ForEachPage visits %s, want %s", name, got, wantAll)
+		}
 	}
 }

@@ -210,3 +210,27 @@ func TestTransportDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestScanFromSeesPendingWrites: a scan from an id sees the writes buffered
+// in the reorder window at or above it, and none below.
+func TestScanFromSeesPendingWrites(t *testing.T) {
+	inner := disk.NewMemStore()
+	st := NewStore(inner)
+	st.Arm(Plan{Name: "reorder", Seed: 1, ReorderWindow: 4})
+	data := make([]byte, page.Size)
+	for i := 1; i <= 3; i++ {
+		if err := st.WritePage(page.ID(i), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []page.ID
+	if err := st.ForEachPageFrom(2, func(id page.ID, _ []byte) error {
+		ids = append(ids, id)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(ids); got != "[P2 P3]" {
+		t.Fatalf("ForEachPageFrom(2) over pending writes visits %s, want [P2 P3]", got)
+	}
+}

@@ -205,19 +205,26 @@ func (s *Store) rngIntn(n int) int {
 // Pages implements disk.Store.
 func (s *Store) Pages() int { return s.inner.Pages() }
 
-// ForEachPage implements disk.Store. The scan observes writes buffered in
-// the reorder window (as the OS cache would) and is not itself subject to
+// ForEachPage implements disk.Store.
+func (s *Store) ForEachPage(fn func(id page.ID, data []byte) error) error {
+	return s.ForEachPageFrom(0, fn)
+}
+
+// ForEachPageFrom implements disk.Store. The scan observes writes buffered
+// in the reorder window (as the OS cache would) and is not itself subject to
 // injected read faults: it models a bulk volume scan (online backup), whose
 // per-page errors the fault plans do not target.
-func (s *Store) ForEachPage(fn func(id page.ID, data []byte) error) error {
+func (s *Store) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
 	s.mu.Lock()
 	overlay := make(map[page.ID][]byte, len(s.pending))
 	for _, p := range s.pending {
-		overlay[p.id] = append([]byte(nil), p.data...) // newest write wins
+		if p.id >= from {
+			overlay[p.id] = append([]byte(nil), p.data...) // newest write wins
+		}
 	}
 	s.mu.Unlock()
 	seen := make(map[page.ID]bool, len(overlay))
-	if err := s.inner.ForEachPage(func(id page.ID, data []byte) error {
+	if err := s.inner.ForEachPageFrom(from, func(id page.ID, data []byte) error {
 		if buf, ok := overlay[id]; ok {
 			seen[id] = true
 			return fn(id, buf)

@@ -71,13 +71,13 @@ func TestDemandVectors(t *testing.T) {
 		}
 		for e := costmodel.Event(0); e < costmodel.NumEvents; e++ {
 			if simulated.totals[e] != real.totals[e] || simulated.calls[e] != real.calls[e] {
-				t.Errorf("%s %v: simulated %d in %d calls, real %d in %d calls", spec.Name, e,
+				t.Errorf("%s event %d: simulated %d in %d calls, real %d in %d calls", spec.Name, e,
 					simulated.totals[e], simulated.calls[e], real.totals[e], real.calls[e])
 			}
 		}
 		for _, e := range []costmodel.Event{costmodel.Visit, costmodel.LockReq, costmodel.MsgToServer, costmodel.LogForce} {
 			if real.calls[e] == 0 {
-				t.Errorf("%s: no %v event reported", spec.Name, e)
+				t.Errorf("%s: no event %d reported", spec.Name, e)
 			}
 		}
 	}

@@ -139,7 +139,7 @@ func buildSystem(spec SystemSpec, dbCfg oo7.Config, o Options) (*server.Server, 
 	srv := server.New(server.Config{
 		Mode: spec.Mode,
 		// The paper's server: 36 MB of memory, scaled with the database.
-		PoolPages:       maxInt(64, (36<<20)/page.Size/o.Scale),
+		PoolPages:       max(64, (36<<20)/page.Size/o.Scale),
 		LogCapacity:     512 << 20,
 		CheckpointEvery: 8,
 	})
@@ -167,20 +167,13 @@ func buildSystem(spec SystemSpec, dbCfg oo7.Config, o Options) (*server.Server, 
 func newClient(spec SystemSpec, srv *server.Server, m costmodel.Meter, o Options) *client.Client {
 	return client.New(client.Config{
 		Scheme:                 spec.Scheme,
-		PoolPages:              maxInt(16, scaleMB(spec.PoolMB, o.Scale)/page.Size),
+		PoolPages:              max(16, scaleMB(spec.PoolMB, o.Scale)/page.Size),
 		RecoveryBytes:          scaleMB(spec.RecMB, o.Scale),
 		BlockSize:              spec.BlockSize,
 		ShipDirtyPages:         spec.Mode != server.ModeREDO,
 		AdaptiveRecoveryBuffer: spec.Adaptive,
 		Meter:                  m,
 	}, wire.NewDirect(srv, m, nil))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runCell runs n simulated clients, each traversing its private module.

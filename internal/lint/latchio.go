@@ -230,7 +230,7 @@ func (c *latchIOChecker) checkCall(call *ast.CallExpr, t *held, fact heldSet) {
 // --- event recognition ------------------------------------------------------
 
 // diskIO are the disk.Store methods that do page I/O.
-var diskIO = []string{"ReadPage", "WritePage", "ForEachPage"}
+var diskIO = []string{"ReadPage", "WritePage", "ForEachPage", "ForEachPageFrom"}
 
 func (c *latchIOChecker) isCondWait(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -71,6 +71,10 @@ func (v *volume) Pages() int { return len(v.pages) }
 
 func (v *volume) ForEachPage(fn func(id page.ID, data []byte) error) error { return nil }
 
+func (v *volume) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
+	return nil
+}
+
 func (v *volume) Close() error { return nil }
 
 // writeVolumeUnderLeaf writes through the concrete implementor under a leaf

@@ -66,13 +66,6 @@ func (c Config) Scale(f int) Config {
 	return c
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BaseAssemblies returns the number of base assemblies per module.
 func (c Config) BaseAssemblies() int {
 	n := 1

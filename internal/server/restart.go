@@ -420,6 +420,7 @@ func (sn *Session) Restart() error {
 	s.nextPage = max(s.nextPage, sb.nextPage)
 	s.nextTID = max(s.nextTID, sb.nextTID)
 	s.allocMu.Unlock()
+	var top uint64 // the highest LSN of a page verified
 	if _, ok := s.store.(*disk.Checksummed); ok {
 		// A checksummed volume is verified before any recovery work, so redo and
 		// undo replay over sound pages: every corrupt page below the
@@ -427,7 +428,7 @@ func (sn *Session) Restart() error {
 		// or the archive. A page born above it has its creation image in the
 		// pass's window, and a page image needs no stored copy (replayOne).
 		scanned := atomic.LoadInt64(&s.stats.ScrubScanned)
-		if err := s.verifyVolumeQuiesced(sn); err != nil {
+		if top, err = s.verifyVolumeQuiesced(sn); err != nil {
 			return err
 		}
 		rs.PagesVerified = atomic.LoadInt64(&s.stats.ScrubScanned) - scanned
@@ -437,23 +438,11 @@ func (sn *Session) Restart() error {
 	var ckpt *ckptPayload
 	switch {
 	case s.log.End() == start:
-		// An empty log: a fresh one over a volume that an earlier process's
-		// log wrote pages of — home at its checkpoints, or by eviction and the
-		// cleaner before it died. The volume holds every transaction a
-		// checkpoint wrote home (a daemon's shutdown checkpoint writes home
-		// everything); what the dead log held beyond that is lost with it.
-		// Those pages carry LSNs of the dead log, and redo lands a record only
-		// above its page's LSN, so the new log continues one above the highest
-		// page LSN on the volume: every record it appends is newer than every
-		// page it can meet.
-		var top uint64
-		err := s.store.ForEachPage(func(id page.ID, data []byte) error {
-			sn.meter().Add(costmodel.DataRead, 1)
-			if id != superblockPage {
-				top = max(top, page.Wrap(data).LSN())
-			}
-			return nil
-		})
+		// An empty log: a fresh one over a volume whose pages carry LSNs of an
+		// earlier process's log, which took with it whatever its checkpoints
+		// had not written home. Redo lands a record only above its page's LSN,
+		// so the new log starts one above the highest page LSN on the volume.
+		top, err := s.topPageLSN(sn, top)
 		if err == nil && top >= start {
 			start = top + 1
 			err = s.log.StartAt(start)
@@ -567,6 +556,29 @@ func (sn *Session) Restart() error {
 	err = s.checkpointLocked(sn)
 	rs.CheckpointNs = lap(&clock)
 	return err
+}
+
+// topPageLSN returns the highest page LSN on the volume, given top, the
+// highest verifyVolumeQuiesced read below the allocation frontier of a
+// checksummed volume. No page above the frontier is allocated, and one born
+// there is logged whole, an image redo lands over any stored copy
+// (replayOne), so a corrupt page there is skipped, not repaired.
+func (s *Server) topPageLSN(sn *Session, top uint64) (uint64, error) {
+	store, from := s.store, page.ID(0)
+	cs, checksummed := store.(*disk.Checksummed)
+	if checksummed {
+		s.allocMu.Lock()
+		store, from = cs.Inner(), s.nextPage
+		s.allocMu.Unlock()
+	}
+	err := store.ForEachPageFrom(from, func(id page.ID, data []byte) error {
+		sn.meter().Add(costmodel.DataRead, 1)
+		if id != superblockPage && (!checksummed || disk.VerifyPage(id, data) == nil) {
+			top = max(top, page.Wrap(data).LSN())
+		}
+		return nil
+	})
+	return top, err
 }
 
 // lap times restart's phases: the nanoseconds since the previous lap, whose

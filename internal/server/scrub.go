@@ -255,8 +255,9 @@ func (s *Server) superblockFromLog() (superblock, error) {
 // log is quiesced — when the volume is checksummed, so redo and undo only
 // ever replay over sound pages (the superblock was already verified by
 // readSuperblock). The first unrepairable page fails the restart: recovery
-// must not run over bytes it knows are damaged.
-func (s *Server) verifyVolumeQuiesced(sn *Session) error {
+// must not run over bytes it knows are damaged. It returns the highest LSN
+// of the pages it read, so that topPageLSN reads only the pages above them.
+func (s *Server) verifyVolumeQuiesced(sn *Session) (top uint64, err error) {
 	s.allocMu.Lock()
 	end := s.nextPage
 	s.allocMu.Unlock()
@@ -269,20 +270,23 @@ func (s *Server) verifyVolumeQuiesced(sn *Session) error {
 		sn.meter().Add(costmodel.DataRead, 1)
 		err := s.store.ReadPage(pid, buf[:])
 		switch {
-		case err == nil || errors.Is(err, disk.ErrNotFound):
+		case errors.Is(err, disk.ErrNotFound):
+			continue
+		case err == nil:
 		case errors.Is(err, disk.ErrCorruptPage):
 			atomic.AddInt64(&s.stats.ChecksumFailures, 1)
 			sh := s.pool.Lock(pid)
 			rerr := s.repairShardLocked(sn, sh, pid, err, buf[:])
 			sh.Unlock()
 			if rerr != nil {
-				return rerr
+				return top, rerr
 			}
 		default:
-			return err
+			return top, err
 		}
+		top = max(top, page.Wrap(buf[:]).LSN())
 	}
-	return nil
+	return top, nil
 }
 
 // scrubWorker is the paced background scrubber: every Config.ScrubEvery it

@@ -1002,14 +1002,20 @@ func (sn *Session) ShipLog(tid logrec.TID, data []byte) error {
 	}
 	if s.cfg.Mode == ModeREDO {
 		// New history, applied in log order: each record is above every page
-		// LSN, so one that does not land is a bug, not a repeat.
+		// LSN, so one that does not land is a bug, not a repeat. The one page
+		// it finds at its own LSN is one the fetch repaired from the log, which
+		// now holds the record.
 		for i := range recs {
-			n, err := s.replayOne(sn, &recs[i])
+			r := &recs[i]
+			n, err := s.replayOne(sn, r)
+			if err == nil && n == 0 {
+				var lsn uint64
+				if lsn, err = s.pageLSN(sn, r.Page); err == nil && lsn != r.LSN {
+					err = fmt.Errorf("server: %v's record at %d on %v is not above the page's LSN", tid, r.LSN, r.Page)
+				}
+			}
 			if err != nil {
 				return err
-			}
-			if n == 0 {
-				return fmt.Errorf("server: %v's record at %d on %v is not above the page's LSN", tid, recs[i].LSN, recs[i].Page)
 			}
 		}
 	}
@@ -1062,6 +1068,17 @@ func (s *Server) replayOne(sn *Session, r *logrec.Record) (int64, error) {
 	sn.meter().Add(costmodel.ServerApply, 1)
 	atomic.AddInt64(&s.stats.LogRecordsApplied, 1)
 	return 1, nil
+}
+
+// pageLSN returns pid's page LSN, fetching the page if it is not cached.
+func (s *Server) pageLSN(sn *Session, pid page.ID) (uint64, error) {
+	sh := s.pool.Lock(pid)
+	defer sh.Unlock()
+	f, err := s.fetchShardLocked(sn, sh, pid, true)
+	if err != nil {
+		return 0, err
+	}
+	return page.Wrap(f.Bytes()).LSN(), nil
 }
 
 // ShipPage delivers a dirty page. Under ESM the page is cached and stamped

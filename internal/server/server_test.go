@@ -716,6 +716,68 @@ func TestFreshLogOverUncheckpointedVolume(t *testing.T) {
 	}
 }
 
+// TestFreshLogOverTornPageAboveFrontier: a page born after the last
+// checkpoint, written home and then torn by the crash, lies above the
+// superblock's allocation frontier. A fresh log must start over such a volume
+// (the torn page is unallocated, not lost), and the page reborn at that id
+// must survive the next crash.
+func TestFreshLogOverTornPageAboveFrontier(t *testing.T) {
+	for _, mode := range []Mode{ModeESM, ModeREDO} {
+		t.Run(mode.String(), func(t *testing.T) {
+			vol := disk.NewMemStore()
+			cfg := Config{
+				Mode:            mode,
+				Store:           disk.NewChecksummed(vol),
+				PoolPages:       8,
+				LogCapacity:     1 << 20,
+				CheckpointEvery: 1 << 30,
+			}
+			s := New(cfg)
+			sn := s.NewSession(nil, nil)
+			if err := sn.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			torn, _ := createPage(t, sn, []byte("tt"))
+			pid, slot := createPage(t, sn, []byte("vv"))
+			updateObject(t, sn, pid, slot, []byte("vx"), true)
+			if err := sn.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			var buf [page.Size]byte
+			if err := vol.ReadPage(torn, buf[:]); err != nil {
+				t.Fatal(err)
+			}
+			buf[page.HeaderSize] ^= 0xff
+			if err := vol.WritePage(torn, buf[:]); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := New(cfg)
+			defer s2.Close()
+			sn2 := s2.NewSession(nil, nil)
+			if err := sn2.Restart(); err != nil {
+				t.Fatalf("restart over a torn page above the frontier: %v", err)
+			}
+			reborn, rslot := createPage(t, sn2, []byte("nn"))
+			if reborn != torn {
+				t.Fatalf("the next page allocated is %v, want the torn page's id %v", reborn, torn)
+			}
+			updateObject(t, sn2, pid, slot, []byte("ZZ"), true)
+			s2.Crash()
+			if err := sn2.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			if got := readObject(t, sn2, reborn, rslot, 2); string(got) != "nn" {
+				t.Fatalf("page reborn over the torn one: read %q, want %q", got, "nn")
+			}
+			if got := readObject(t, sn2, pid, slot, 2); string(got) != "ZZ" {
+				t.Fatalf("committed update lost across a crash: read %q, want %q", got, "ZZ")
+			}
+		})
+	}
+}
+
 // TestNewHistoryMustLand: the two callers that make history, REDO-mode
 // ShipLog and undo's CLR, fail loudly when the redo rule would skip their
 // record, rather than leave a page that looks newer than its log.

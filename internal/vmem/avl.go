@@ -120,10 +120,3 @@ func countNodes(n *avlNode) int {
 	}
 	return 1 + countNodes(n.left) + countNodes(n.right)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
