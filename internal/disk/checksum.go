@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/page"
@@ -144,13 +145,19 @@ func (c *Checksummed) ReadPage(id page.ID, buf []byte) error {
 	return nil
 }
 
+// stampBufs recycles WritePage's scratch pages. A pool, not one buffer per
+// store: writers from different buffer-pool shards write concurrently.
+var stampBufs = sync.Pool{New: func() any { return new([page.Size]byte) }}
+
 // WritePage implements Store, stamping the envelope into a scratch copy so
-// the caller's buffer is never mutated.
+// the caller's buffer is never mutated. The copy is recycled once the inner
+// store returns, which keeps none of it (the Store contract).
 func (c *Checksummed) WritePage(id page.ID, data []byte) error {
 	if len(data) != page.Size {
 		return fmt.Errorf("disk: write buffer is %d bytes, want %d", len(data), page.Size)
 	}
-	var stamped [page.Size]byte
+	stamped := stampBufs.Get().(*[page.Size]byte)
+	defer stampBufs.Put(stamped)
 	copy(stamped[:], data)
 	StampTrailer(id, stamped[:])
 	return c.inner.WritePage(id, stamped[:])
@@ -159,16 +166,11 @@ func (c *Checksummed) WritePage(id page.ID, data []byte) error {
 // Pages implements Store.
 func (c *Checksummed) Pages() int { return c.inner.Pages() }
 
-// ForEachPage implements Store.
+// ForEachPage implements Store, verifying every page handed to fn. A corrupt
+// page stops the scan with ErrCorruptPage — a bulk consumer (online backup)
+// must never archive damaged bytes.
 func (c *Checksummed) ForEachPage(fn func(id page.ID, data []byte) error) error {
-	return c.ForEachPageFrom(0, fn)
-}
-
-// ForEachPageFrom implements Store, verifying every page handed to fn. A
-// corrupt page stops the scan with ErrCorruptPage — a bulk consumer (online
-// backup) must never archive damaged bytes.
-func (c *Checksummed) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
-	return c.inner.ForEachPageFrom(from, func(id page.ID, data []byte) error {
+	return c.inner.ForEachPage(func(id page.ID, data []byte) error {
 		if err := VerifyPage(id, data); err != nil {
 			c.failures.Add(1)
 			return err

@@ -103,6 +103,28 @@ func TestChecksummedStore(t *testing.T) {
 	}
 }
 
+// TestChecksummedWriteAllocatesNothing: stamping a page write goes through a
+// recycled scratch page, not a fresh 8 KB one per write (a stack array
+// escapes through the inner store's interface call).
+func TestChecksummedWriteAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account and drops pooled buffers")
+	}
+	cs := NewChecksummed(NewMemStore())
+	data := bytes.Repeat([]byte{0x42}, page.Size)
+	if err := cs.WritePage(3, data); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := cs.WritePage(3, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rewriting a page through Checksummed allocates %v times, want 0", allocs)
+	}
+}
+
 // TestFileStoreTornFinalPage crashes a file store mid-write by truncating
 // the file inside its last page: reopening must succeed and reading the
 // torn page must fail typed, not return short garbage.

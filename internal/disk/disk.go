@@ -22,9 +22,11 @@ var ErrNotFound = errors.New("disk: page not found")
 type Store interface {
 	// ReadPage copies the stored page into buf, which must be page.Size long.
 	ReadPage(id page.ID, buf []byte) error
-	// WritePage durably stores data, which must be page.Size long.
+	// WritePage durably stores data, which must be page.Size long. The
+	// store must not keep data after it returns: callers reuse the buffer.
 	WritePage(id page.ID, data []byte) error
-	// Pages returns the number of distinct pages ever written.
+	// Pages returns the volume's extent: one past the highest page id ever
+	// written, never-written holes below it included.
 	Pages() int
 	// ForEachPage calls fn for every stored page in ascending id order,
 	// stopping at the first error. The data slice is valid only for the
@@ -34,17 +36,15 @@ type Store interface {
 	// their update — the contract online backup needs (each page copy is
 	// individually atomic; cross-page consistency comes from log replay).
 	ForEachPage(fn func(id page.ID, data []byte) error) error
-	// ForEachPageFrom is ForEachPage over the pages from id from on: it
-	// reads none below.
-	ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error
 	// Close releases resources.
 	Close() error
 }
 
 // MemStore is an in-memory Store.
 type MemStore struct {
-	mu    sync.RWMutex
-	pages map[page.ID][]byte
+	mu     sync.RWMutex
+	pages  map[page.ID][]byte
+	extent int // one past the highest id written
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -78,6 +78,7 @@ func (s *MemStore) WritePage(id page.ID, data []byte) error {
 	if !ok {
 		dst = make([]byte, page.Size)
 		s.pages[id] = dst
+		s.extent = max(s.extent, int(id)+1)
 	}
 	copy(dst, data)
 	return nil
@@ -87,25 +88,17 @@ func (s *MemStore) WritePage(id page.ID, data []byte) error {
 func (s *MemStore) Pages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.pages)
+	return s.extent
 }
 
-// ForEachPage implements Store.
+// ForEachPage implements Store. The id set is snapshotted under the lock,
+// then pages are read one at a time, so concurrent writers are never blocked
+// for the whole scan (fuzzy backup reads the volume while transactions run).
 func (s *MemStore) ForEachPage(fn func(id page.ID, data []byte) error) error {
-	return s.ForEachPageFrom(0, fn)
-}
-
-// ForEachPageFrom implements Store. The id set is snapshotted under the
-// lock, then pages are read one at a time, so concurrent writers are never
-// blocked for the whole scan (fuzzy backup reads the volume while
-// transactions run).
-func (s *MemStore) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
 	s.mu.RLock()
 	ids := make([]page.ID, 0, len(s.pages))
 	for id := range s.pages {
-		if id >= from {
-			ids = append(ids, id)
-		}
+		ids = append(ids, id)
 	}
 	s.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -134,6 +127,7 @@ func (s *MemStore) Clone() *MemStore {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	c := NewMemStore()
+	c.extent = s.extent
 	for id, data := range s.pages {
 		c.pages[id] = append([]byte(nil), data...)
 	}
@@ -210,19 +204,14 @@ func (s *FileStore) Pages() int {
 	return int(s.size / page.Size)
 }
 
-// ForEachPage implements Store.
+// ForEachPage implements Store. The file length is snapshotted, then pages
+// are read one at a time under the lock.
 func (s *FileStore) ForEachPage(fn func(id page.ID, data []byte) error) error {
-	return s.ForEachPageFrom(0, fn)
-}
-
-// ForEachPageFrom implements Store. The file length is snapshotted, then
-// pages are read one at a time under the lock.
-func (s *FileStore) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
 	s.mu.Lock()
 	n := s.size / page.Size
 	s.mu.Unlock()
 	var buf [page.Size]byte
-	for id := from; int64(id) < n; id++ {
+	for id := page.ID(0); int64(id) < n; id++ {
 		if err := s.ReadPage(id, buf[:]); err != nil {
 			if errors.Is(err, ErrNotFound) {
 				continue

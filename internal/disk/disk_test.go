@@ -101,9 +101,10 @@ func TestMemStoreWriteCopies(t *testing.T) {
 	}
 }
 
-// TestForEachPageFrom: a scan from an id visits, in order, exactly the
-// stored pages at or above it, on every store; ForEachPage is the scan from 0.
-func TestForEachPageFrom(t *testing.T) {
+// TestForEachPageAndPages: a scan visits, in order, exactly the stored
+// pages, on every store, and every store reports the same extent, holes
+// included.
+func TestForEachPageAndPages(t *testing.T) {
 	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "vol"))
 	if err != nil {
 		t.Fatal(err)
@@ -117,28 +118,20 @@ func TestForEachPageFrom(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		scan := func(from page.ID) []page.ID {
-			var ids []page.ID
-			if err := s.ForEachPageFrom(from, func(id page.ID, _ []byte) error {
-				ids = append(ids, id)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return ids
-		}
 		// The file store reads a hole (id 1, 4) as a zero page.
-		want, wantAll := "[P3 P4 P5]", "[P0 P1 P2 P3 P4 P5]"
+		want := "[P0 P1 P2 P3 P4 P5]"
 		if name != "file" {
-			want, wantAll = "[P3 P5]", "[P0 P2 P3 P5]"
-		}
-		if got := fmt.Sprint(scan(3)); got != want {
-			t.Errorf("%s: ForEachPageFrom(3) visits %s, want %s", name, got, want)
+			want = "[P0 P2 P3 P5]"
 		}
 		var all []page.ID
-		s.ForEachPage(func(id page.ID, _ []byte) error { all = append(all, id); return nil })
-		if got := fmt.Sprint(all); got != wantAll || fmt.Sprint(scan(0)) != wantAll {
-			t.Errorf("%s: ForEachPage visits %s, want %s", name, got, wantAll)
+		if err := s.ForEachPage(func(id page.ID, _ []byte) error { all = append(all, id); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(all); got != want {
+			t.Errorf("%s: ForEachPage visits %s, want %s", name, got, want)
+		}
+		if got := s.Pages(); got != 6 {
+			t.Errorf("%s: Pages = %d after writes to P0, P2, P3 and P5, want 6", name, got)
 		}
 	}
 }

@@ -211,9 +211,9 @@ func TestTransportDeterministic(t *testing.T) {
 	}
 }
 
-// TestScanFromSeesPendingWrites: a scan from an id sees the writes buffered
-// in the reorder window at or above it, and none below.
-func TestScanFromSeesPendingWrites(t *testing.T) {
+// TestScanSeesPendingWrites: a scan and the extent see the writes buffered
+// in the reorder window, as reads do.
+func TestScanSeesPendingWrites(t *testing.T) {
 	inner := disk.NewMemStore()
 	st := NewStore(inner)
 	st.Arm(Plan{Name: "reorder", Seed: 1, ReorderWindow: 4})
@@ -224,13 +224,16 @@ func TestScanFromSeesPendingWrites(t *testing.T) {
 		}
 	}
 	var ids []page.ID
-	if err := st.ForEachPageFrom(2, func(id page.ID, _ []byte) error {
+	if err := st.ForEachPage(func(id page.ID, _ []byte) error {
 		ids = append(ids, id)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(ids); got != "[P2 P3]" {
-		t.Fatalf("ForEachPageFrom(2) over pending writes visits %s, want [P2 P3]", got)
+	if got := fmt.Sprint(ids); got != "[P1 P2 P3]" {
+		t.Fatalf("ForEachPage over pending writes visits %s, want [P1 P2 P3]", got)
+	}
+	if got := st.Pages(); got != 4 || inner.Pages() != 0 {
+		t.Fatalf("Pages over pending writes = %d (inner %d), want 4 (inner 0)", got, inner.Pages())
 	}
 }

@@ -202,29 +202,31 @@ func (s *Store) rngIntn(n int) int {
 	return s.rng.Intn(n)
 }
 
-// Pages implements disk.Store.
-func (s *Store) Pages() int { return s.inner.Pages() }
-
-// ForEachPage implements disk.Store.
-func (s *Store) ForEachPage(fn func(id page.ID, data []byte) error) error {
-	return s.ForEachPageFrom(0, fn)
+// Pages implements disk.Store: the extent counts writes still buffered in
+// the reorder window, which reads already observe.
+func (s *Store) Pages() int {
+	s.mu.Lock()
+	n := 0
+	for _, p := range s.pending {
+		n = max(n, int(p.id)+1)
+	}
+	s.mu.Unlock()
+	return max(n, s.inner.Pages())
 }
 
-// ForEachPageFrom implements disk.Store. The scan observes writes buffered
-// in the reorder window (as the OS cache would) and is not itself subject to
+// ForEachPage implements disk.Store. The scan observes writes buffered in
+// the reorder window (as the OS cache would) and is not itself subject to
 // injected read faults: it models a bulk volume scan (online backup), whose
 // per-page errors the fault plans do not target.
-func (s *Store) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
+func (s *Store) ForEachPage(fn func(id page.ID, data []byte) error) error {
 	s.mu.Lock()
 	overlay := make(map[page.ID][]byte, len(s.pending))
 	for _, p := range s.pending {
-		if p.id >= from {
-			overlay[p.id] = append([]byte(nil), p.data...) // newest write wins
-		}
+		overlay[p.id] = append([]byte(nil), p.data...) // newest write wins
 	}
 	s.mu.Unlock()
 	seen := make(map[page.ID]bool, len(overlay))
-	if err := s.inner.ForEachPageFrom(from, func(id page.ID, data []byte) error {
+	if err := s.inner.ForEachPage(func(id page.ID, data []byte) error {
 		if buf, ok := overlay[id]; ok {
 			seen[id] = true
 			return fn(id, buf)

@@ -63,17 +63,13 @@ func (v *volume) ReadPage(id page.ID, buf []byte) error {
 }
 
 func (v *volume) WritePage(id page.ID, data []byte) error {
-	v.pages[id] = data
+	v.pages[id] = append([]byte(nil), data...)
 	return nil
 }
 
 func (v *volume) Pages() int { return len(v.pages) }
 
 func (v *volume) ForEachPage(fn func(id page.ID, data []byte) error) error { return nil }
-
-func (v *volume) ForEachPageFrom(from page.ID, fn func(id page.ID, data []byte) error) error {
-	return nil
-}
 
 func (v *volume) Close() error { return nil }
 

@@ -14,7 +14,9 @@ package server
 // reaches the volume is writeback.go's; this file owns what is around them:
 // where the pass begins, DPT pruning, the phase timeline. Redo is sequential
 // because the log is read in order; undo is too (CLR LSNs must be
-// deterministic).
+// deterministic). Restart reads only the pages it recovers, each verified
+// and, if corrupt, repaired as it is fetched; the whole volume is walked only
+// when the log is empty (topPageLSN).
 //
 // WPL checkpoints write the WPL table to the log (paper §3.4.3); restart runs
 // the same pass, which replays nothing and leaves the WPL table with every
@@ -30,6 +32,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -396,8 +399,8 @@ func (s *Server) Crash() {
 }
 
 // Restart recovers the server from stable state after a crash, leaving it
-// ready for new transactions: verify the volume, repeat history in one pass
-// over the stable log, roll the losers back, checkpoint. StatsX.Restart
+// ready for new transactions: read the master record, repeat history in one
+// pass over the stable log, roll the losers back, checkpoint. StatsX.Restart
 // reports the phases.
 func (sn *Session) Restart() error {
 	s := sn.s
@@ -420,20 +423,12 @@ func (sn *Session) Restart() error {
 	s.nextPage = max(s.nextPage, sb.nextPage)
 	s.nextTID = max(s.nextTID, sb.nextTID)
 	s.allocMu.Unlock()
-	var top uint64 // the highest LSN of a page verified
-	if _, ok := s.store.(*disk.Checksummed); ok {
-		// A checksummed volume is verified before any recovery work, so redo and
-		// undo replay over sound pages: every corrupt page below the
-		// superblock's allocation frontier is repaired here, from the live log
-		// or the archive. A page born above it has its creation image in the
-		// pass's window, and a page image needs no stored copy (replayOne).
-		scanned := atomic.LoadInt64(&s.stats.ScrubScanned)
-		if top, err = s.verifyVolumeQuiesced(sn); err != nil {
-			return err
-		}
-		rs.PagesVerified = atomic.LoadInt64(&s.stats.ScrubScanned) - scanned
-	}
-	rs.VerifyNs = lap(&clock)
+	// No page is read ahead of the pass: each one the pass or undo reads is
+	// verified as it is fetched, and a corrupt one is repaired there
+	// (fetchShardLocked). A page torn by the crash is on that path — in the
+	// logged DPT or written to by a record in the window — and a whole-page
+	// image needs no stored copy (replayOne). Rot elsewhere is left to demand
+	// reads and the scrubber.
 	start := s.log.Head()
 	var ckpt *ckptPayload
 	switch {
@@ -442,7 +437,8 @@ func (sn *Session) Restart() error {
 		// earlier process's log, which took with it whatever its checkpoints
 		// had not written home. Redo lands a record only above its page's LSN,
 		// so the new log starts one above the highest page LSN on the volume.
-		top, err := s.topPageLSN(sn, top)
+		var top uint64
+		top, rs.PagesVerified, err = s.topPageLSN(sn)
 		if err == nil && top >= start {
 			start = top + 1
 			err = s.log.StartAt(start)
@@ -465,6 +461,7 @@ func (sn *Session) Restart() error {
 		// ignores.
 		start = min(sb.checkpointLSN, ckpt.beginLSN)
 	}
+	rs.VerifyNs = lap(&clock)
 	// The pass (§3.3 analysis and redo, §3.4.3), whatever the mode: the tables
 	// as the checkpoint logged them, advanced record by record over the window
 	// above it, each record repeated as it is read — note, then repeat, the
@@ -558,27 +555,41 @@ func (sn *Session) Restart() error {
 	return err
 }
 
-// topPageLSN returns the highest page LSN on the volume, given top, the
-// highest verifyVolumeQuiesced read below the allocation frontier of a
-// checksummed volume. No page above the frontier is allocated, and one born
-// there is logged whole, an image redo lands over any stored copy
-// (replayOne), so a corrupt page there is skipped, not repaired.
-func (s *Server) topPageLSN(sn *Session, top uint64) (uint64, error) {
-	store, from := s.store, page.ID(0)
-	cs, checksummed := store.(*disk.Checksummed)
-	if checksummed {
-		s.allocMu.Lock()
-		store, from = cs.Inner(), s.nextPage
-		s.allocMu.Unlock()
-	}
-	err := store.ForEachPageFrom(from, func(id page.ID, data []byte) error {
-		sn.meter().Add(costmodel.DataRead, 1)
-		if id != superblockPage && (!checksummed || disk.VerifyPage(id, data) == nil) {
-			top = max(top, page.Wrap(data).LSN())
+// topPageLSN walks the volume for a fresh log, which must start above the
+// highest page LSN on it, and returns that LSN and the number of pages read.
+// Each stored page is read once and verified on the way. A corrupt page below
+// the superblock's allocation frontier is repaired — from the archive, since
+// the fresh log holds nothing — and an unrepairable one fails the restart. A
+// corrupt page above the frontier is skipped: no page there is allocated, and
+// the one next born at its id is logged whole, an image redo lands over any
+// stored copy (replayOne).
+func (s *Server) topPageLSN(sn *Session) (top uint64, read int64, err error) {
+	s.allocMu.Lock()
+	frontier := s.nextPage
+	s.allocMu.Unlock()
+	buf := make([]byte, page.Size)
+	for pid, end := superblockPage+1, page.ID(s.store.Pages()); pid < end; pid++ {
+		err := s.store.ReadPage(pid, buf)
+		if errors.Is(err, disk.ErrNotFound) {
+			continue
 		}
-		return nil
-	})
-	return top, err
+		read++
+		sn.meter().Add(costmodel.DataRead, 1)
+		if errors.Is(err, disk.ErrCorruptPage) {
+			atomic.AddInt64(&s.stats.ChecksumFailures, 1)
+			if pid >= frontier {
+				continue
+			}
+			sh := s.pool.Lock(pid)
+			err = s.repairShardLocked(sn, sh, pid, err, buf)
+			sh.Unlock()
+		}
+		if err != nil {
+			return top, read, err
+		}
+		top = max(top, page.Wrap(buf).LSN())
+	}
+	return top, read, nil
 }
 
 // lap times restart's phases: the nanoseconds since the previous lap, whose

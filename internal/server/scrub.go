@@ -14,15 +14,11 @@ package server
 //     supplies the image. If neither can, the failure is loud and typed: the
 //     error wraps both ErrUnrepairable and the original disk.ErrCorruptPage,
 //     and the damaged bytes are never served.
-//   - fetchShardLocked (server.go) calls it when a demand read hits a
-//     corrupt page, repairing in place under the shard latch.
-//   - verifyVolumeQuiesced runs inside Restart when the volume is
-//     checksummed, before redo: every stored page is verified and corrupt
-//     ones repaired, so recovery for all five schemes replays over sound
-//     pages. It must run there — redo applies records from inside a log
-//     scan, which holds the log mutex, so repair (which forces and scans
-//     the log itself) cannot run from redo's own page fetches; those fail
-//     loudly instead (see fetchShardLocked).
+//   - fetchShardLocked (server.go) calls it when a read hits a corrupt
+//     page, repairing in place under the shard latch: a demand read, or
+//     restart's pass and undo, which read the pages they recover and no
+//     other. Restart walks the whole volume only for a fresh log
+//     (topPageLSN, restart.go), repairing below the allocation frontier.
 //   - Scrub walks the volume page by page, verifying the stored copy and
 //     repairing what it finds, taking the quiesce gate and one shard latch
 //     per page so it never blocks a checkpoint for more than one page.
@@ -248,45 +244,6 @@ func (s *Server) superblockFromLog() (superblock, error) {
 		return superblock{}, err
 	}
 	return ckpt.masterRecord(ckptLSN), nil
-}
-
-// verifyVolumeQuiesced verifies every stored data page and repairs the
-// corrupt ones. It runs inside Restart — the caller holds gate.W and the
-// log is quiesced — when the volume is checksummed, so redo and undo only
-// ever replay over sound pages (the superblock was already verified by
-// readSuperblock). The first unrepairable page fails the restart: recovery
-// must not run over bytes it knows are damaged. It returns the highest LSN
-// of the pages it read, so that topPageLSN reads only the pages above them.
-func (s *Server) verifyVolumeQuiesced(sn *Session) (top uint64, err error) {
-	s.allocMu.Lock()
-	end := s.nextPage
-	s.allocMu.Unlock()
-	var buf [page.Size]byte
-	for pid := page.ID(0); pid < end; pid++ {
-		if pid == superblockPage {
-			continue
-		}
-		atomic.AddInt64(&s.stats.ScrubScanned, 1)
-		sn.meter().Add(costmodel.DataRead, 1)
-		err := s.store.ReadPage(pid, buf[:])
-		switch {
-		case errors.Is(err, disk.ErrNotFound):
-			continue
-		case err == nil:
-		case errors.Is(err, disk.ErrCorruptPage):
-			atomic.AddInt64(&s.stats.ChecksumFailures, 1)
-			sh := s.pool.Lock(pid)
-			rerr := s.repairShardLocked(sn, sh, pid, err, buf[:])
-			sh.Unlock()
-			if rerr != nil {
-				return top, rerr
-			}
-		default:
-			return top, err
-		}
-		top = max(top, page.Wrap(buf[:]).LSN())
-	}
-	return top, nil
 }
 
 // scrubWorker is the paced background scrubber: every Config.ScrubEvery it

@@ -255,14 +255,14 @@ type StatsX struct {
 // took and how much work it found. A restart that failed part-way leaves the
 // phases it finished.
 type RestartStats struct {
-	VerifyNs       int64 // master record read, checksummed volume verified and repaired
+	VerifyNs       int64 // master and checkpoint records read; for a fresh log, the volume walked and verified
 	PassNs         int64 // the log pass: analysis and redo (WPL: analysis, then the installs)
 	UndoNs         int64 // losers rolled back, in-doubt branches re-locked, log forced
 	CheckpointNs   int64 // the closing checkpoint
 	RecordsScanned int64 // log records the pass read
 	BytesScanned   int64 // log bytes the pass read
 	RecordsRedone  int64 // records the pass replayed onto a page (ESM/REDO)
-	PagesVerified  int64 // stored pages verified before the pass (checksummed volumes)
+	PagesVerified  int64 // stored pages the fresh-log walk read (zero over a non-empty log)
 	Losers         int64 // transactions rolled back
 	InDoubt        int64 // prepared branches left for resolution
 }
@@ -844,14 +844,10 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 			// Rot, a torn write, or a misdirected write under the stored
 			// copy. Repair in place before serving or redoing anything;
 			// unrepairable pages fail loudly and the damaged bytes are
-			// never served. Restart does not repair here: verifyVolumeQuiesced
-			// has healed every page the superblock knew of and the pass rebuilds
-			// a page born since from its creation image (replayOne); damage that
-			// neither covers is fatal to it.
+			// never served. Restart's pass and undo repair here too: the
+			// pass reads the log with ScanFrom, whose callback runs without
+			// the log's lock, so repair may force and scan it.
 			atomic.AddInt64(&s.stats.ChecksumFailures, 1)
-			if s.restarting.Load() {
-				return nil, err
-			}
 			if rerr := s.repairShardLocked(sn, sh, pid, err, buf); rerr != nil {
 				return nil, rerr
 			}
