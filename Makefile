@@ -128,7 +128,8 @@ race-cleaner:
 
 # The per-layer microbenchmarks, ns/op and allocs/op each: a WAL append,
 # restart phase by phase, the dereference of a resident object, a T1
-# traversal by a client whose pool holds half the module, a T2B update
+# traversal by a client whose pool holds half the module and by one whose
+# pool holds all of it (the dereferences without page faults), a T2B update
 # traversal by a PD-ESM and an SD-ESM client with a 96 KB recovery buffer,
 # one shipped 8 KB log page of 8-byte updates into an ESM server, a one-object
 # update over loopback TCP with its request frames per transaction, and a
@@ -188,8 +189,10 @@ results-full:
 # The same output regenerated into a temporary file and compared with the
 # checked-in results_full.txt, its elapsed-time line aside: every simulated
 # table and figure must be byte-identical. The gate for any change that
-# touches a metering site (an engine call to costmodel.Meter.Add); several
-# minutes, so not part of check.
+# touches a metering site (an engine call to costmodel.Meter.Add) or the OO7
+# traversal (internal/oo7/traverse.go), whose dereferences and visits are
+# what the simulator's demand vectors count; several minutes, so not part of
+# check.
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/oo7bench -exp all -measure 3 > "$$tmp/new.txt" || exit 1; \

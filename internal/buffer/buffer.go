@@ -287,10 +287,18 @@ func (p *Pool) Each(fn func(*Frame)) {
 	}
 }
 
-// Clear drops every frame, and every free buffer, regardless of pins or
-// dirtiness; this models volatile memory loss at a crash.
+// Clear drops every frame regardless of dirtiness; this models volatile
+// memory loss at a crash. The buffers of unpinned frames go on the free list,
+// as Remove's do, so the pages a restart reads back allocate none; a pinned
+// frame keeps its buffer, which its holder may still read.
 func (p *Pool) Clear() {
-	p.frames = make(map[page.ID]*Frame, p.capacity)
+	for _, f := range p.frames {
+		if f.pins == 0 {
+			p.free = append(p.free, f.buf)
+			f.buf = nil
+		}
+	}
+	clear(p.frames)
 	p.lru.Init()
-	p.free = nil
+	p.trimFree()
 }

@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/page"
@@ -283,8 +284,43 @@ func TestFreeListNeverExceedsCapacity(t *testing.T) {
 	p.Remove(1)
 	p.Remove(2)
 	check("after draining the shrunk pool")
+	p.Insert(1, nil)
 	p.Clear()
-	if len(p.free) != 0 {
-		t.Fatalf("Clear left %d free buffers", len(p.free))
+	check("after Clear")
+}
+
+// TestClearRecyclesUnpinnedBuffers: a crash's Clear keeps the buffers of
+// unpinned frames, so re-inserting as many pages as were resident allocates
+// no page buffer, only each frame's own bookkeeping. A pinned frame keeps
+// its bytes, which its holder may still read; an unpinned one loses them.
+func TestClearRecyclesUnpinnedBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 64
+	p := NewPool(n + 1)
+	for i := 1; i <= n; i++ {
+		p.Insert(page.ID(i), nil)
+	}
+	unpinned := p.Peek(1)
+	held, _ := p.Insert(n+1, bytes.Repeat([]byte{9}, page.Size))
+	p.Pin(n + 1)
+	p.Clear()
+	if unpinned.Bytes() != nil {
+		t.Fatal("an unpinned frame kept its bytes across Clear")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= n; i++ {
+		if _, err := p.Insert(page.ID(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= page.Size/8 {
+		t.Fatalf("re-inserting %d pages after Clear allocated %d bytes per page", n, per)
+	}
+	if !bytes.Equal(held.Bytes(), bytes.Repeat([]byte{9}, page.Size)) {
+		t.Fatal("a pinned frame's bytes were reused after Clear")
 	}
 }

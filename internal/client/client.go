@@ -143,10 +143,8 @@ type Client struct {
 	// logPage holds the active transaction's encoded log records awaiting
 	// shipment; its memory is reused from one transaction to the next.
 	logPage []byte
-	// regions and blockIdxs are log generation's scratch: one object's or
-	// block's diff, and one page's copied block indexes.
-	regions   []diff.Region
-	blockIdxs []int
+	// regions is log generation's scratch: one object's or block's diff.
+	regions []diff.Region
 }
 
 // readChunk is the size of the slabs ReadObject's copies are cut from.

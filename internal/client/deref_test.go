@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -197,6 +198,149 @@ func TestReadObjectCopiesAreIndependent(t *testing.T) {
 			}
 			if now, _ := tx.ReadObject(x); string(now) != "XXXXXXXX" {
 				t.Fatalf("read after write: %q", now)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDescriptorCacheKeepsLRU: the descriptor cache is invisible to the
+// pool. A fixed read sequence over three times more pages than the pool
+// holds, with runs of repeated reads of one page and a commit every few
+// reads, gives the pages fetched, evictions, pool hits and misses, and the
+// victim of every eviction that a plain LRU model computes.
+func TestDescriptorCacheKeepsLRU(t *testing.T) {
+	const poolPages, pages = 4, 12
+	r := newRig(versions[0], 64, 1<<20)
+	tx := mustBegin(t, r.cli)
+	oids := make([]page.OID, pages)
+	for i := range oids {
+		if _, err := tx.NewPage(); err != nil {
+			t.Fatal(err)
+		}
+		oid, err := tx.Allocate(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids[i] = oid
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r.cli = New(Config{Scheme: PD, PoolPages: poolPages, ShipDirtyPages: true}, wire.NewDirect(r.srv, nil, nil))
+	cli, pool := r.cli, r.cli.Pool()
+
+	// The model: lru[0] is the least recently used page.
+	var lru []page.ID
+	var fetched, evictions, hits, misses int64
+	resident := func(pid page.ID) bool {
+		for _, p := range lru {
+			if p == pid {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(7))
+	tx = mustBegin(t, cli)
+	var word [4]byte
+	for step := 0; step < 400; step++ {
+		oid := oids[rng.Intn(pages)]
+		for run := 1 + rng.Intn(3); run > 0; run-- {
+			pid := oid.Page
+			victim := page.ID(0)
+			if resident(pid) {
+				hits++
+				for i, p := range lru {
+					if p == pid {
+						lru = append(lru[:i], lru[i+1:]...)
+						break
+					}
+				}
+			} else {
+				misses++
+				fetched++
+				if len(lru) == poolPages {
+					victim, lru = lru[0], lru[1:]
+					evictions++
+				}
+			}
+			lru = append(lru, pid)
+			if err := tx.Read(oid, 0, word[:]); err != nil {
+				t.Fatal(err)
+			}
+			st := cli.Stats()
+			if st.PagesFetched != fetched || st.Evictions != evictions || pool.Hits() != hits || pool.Misses() != misses {
+				t.Fatalf("step %d: fetched %d, evictions %d, hits %d, misses %d; the model has %d, %d, %d, %d",
+					step, st.PagesFetched, st.Evictions, pool.Hits(), pool.Misses(), fetched, evictions, hits, misses)
+			}
+			if victim != 0 && cli.Space().ByPage(victim) != nil {
+				t.Fatalf("step %d: the model evicted %v, but it is still mapped", step, victim)
+			}
+			for _, p := range lru {
+				if cli.Space().ByPage(p) == nil {
+					t.Fatalf("step %d: %v is resident in the model but not mapped", step, p)
+				}
+			}
+		}
+		if step%5 == 4 {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx = mustBegin(t, cli)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if evictions == 0 || hits == 0 {
+		t.Fatalf("the sequence made %d evictions and %d hits; it tests nothing", evictions, hits)
+	}
+}
+
+// TestAbortLeavesNoStaleDescriptor: an abort unmaps the pages its
+// transaction dirtied. The descriptor the cache last returned must not
+// survive that: the page is fetched again, under a new descriptor.
+func TestAbortLeavesNoStaleDescriptor(t *testing.T) {
+	for _, v := range versions {
+		t.Run(v.name, func(t *testing.T) {
+			r := newRig(v, 64, 1<<20)
+			tx := mustBegin(t, r.cli)
+			oid, _ := tx.Allocate(8)
+			tx.Write(oid, 0, []byte("original"))
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx = mustBegin(t, r.cli)
+			if err := tx.Write(oid, 0, []byte("mistake!")); err != nil {
+				t.Fatal(err)
+			}
+			old := r.cli.Space().ByPage(oid.Page)
+			if old == nil {
+				t.Fatal("the written page is not mapped")
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if d := r.cli.Space().ByPage(oid.Page); d != nil {
+				t.Fatalf("the aborted page is still mapped (stale descriptor %v)", d == old)
+			}
+			fetched := r.cli.Stats().PagesFetched
+			tx = mustBegin(t, r.cli)
+			got := make([]byte, 8)
+			if err := tx.Read(oid, 0, got); err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "original" {
+				t.Fatalf("after abort: %q", got)
+			}
+			if d := r.cli.Space().ByPage(oid.Page); d == nil || d == old {
+				t.Fatal("the page was not mapped again under a new descriptor")
+			}
+			if n := r.cli.Stats().PagesFetched - fetched; n != 1 {
+				t.Fatalf("the aborted page took %d fetches to read again, want 1", n)
 			}
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)

@@ -469,30 +469,17 @@ func (tx *Tx) emitLogForPage(pid page.ID) error {
 		return tx.emitPageDiff(pid, e.Image, f.Bytes())
 	}
 	// Sub-page blocks, in index order for determinism.
-	idxs := c.blockIdxs[:0]
-	for b := range e.Blocks {
-		idxs = append(idxs, b)
-	}
-	sort.Ints(idxs)
-	c.blockIdxs = idxs
-	bs := c.cfg.BlockSize
-	for _, b := range idxs {
-		old := e.Blocks[b]
-		cur := f.Bytes()[b*bs : b*bs+len(old)]
+	return e.Blocks(func(b int, old []byte) error {
+		off := b * len(old)
+		cur := f.Bytes()[off : off+len(old)]
 		if c.cfg.Scheme == SL {
 			// Log the whole block undiffed.
-			if err := tx.appendUpdate(pid, b*bs, old, cur); err != nil {
-				return err
-			}
-			continue
+			return tx.appendUpdate(pid, off, old, cur)
 		}
 		c.m.Add(costmodel.DiffBlock, 1)
 		c.stats.BlockDiffs++
-		if err := tx.appendDiff(pid, b*bs, old, cur); err != nil {
-			return err
-		}
-	}
-	return nil
+		return tx.appendDiff(pid, off, old, cur)
+	})
 }
 
 // appendDiff logs the combined modified regions between old and cur, the

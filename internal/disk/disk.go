@@ -135,9 +135,10 @@ func (s *MemStore) Clone() *MemStore {
 }
 
 // FileStore is a Store backed by a single flat file; page id n lives at byte
-// offset n*page.Size. A bitmap of written pages is kept in memory and
-// rebuilt lazily: reading an all-zero, never-written page returns
-// ErrNotFound only for offsets beyond the file end.
+// offset n*page.Size. It keeps only the file's length: Pages is the file's
+// extent in whole pages, a never-written hole inside the file reads as a
+// zero page, ErrNotFound is returned only for a page past the end, and a
+// file that ends partway into a page reads as ErrCorruptPage.
 type FileStore struct {
 	mu   sync.Mutex
 	f    *os.File

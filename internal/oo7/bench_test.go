@@ -14,11 +14,14 @@ import (
 // BenchmarkTraverseT1 times one read-only T1 traversal transaction of a
 // module with the shape the oo7-read workload uses (a tenth of the small
 // module's composite parts under a five-level assembly tree), by a PD-ESM
-// client whose pool holds half the module, in process over wire.NewDirect.
-// Most of an op is the client's own work: dereferences of resident objects,
-// and the page faults and evictions of a pool smaller than the module.
+// client in process over wire.NewDirect. Most of an op is the client's own
+// work. With a pool that holds half the module (half-pool) that is the
+// dereferences of resident objects and the page faults and evictions; with
+// one that holds all of it (resident) it is the dereferences alone, plus a
+// lock per page per transaction.
 func BenchmarkTraverseT1(b *testing.B) {
-	benchTraverse(b, client.PD, T1)
+	b.Run("half-pool", func(b *testing.B) { benchTraverse(b, client.PD, T1, false) })
+	b.Run("resident", func(b *testing.B) { benchTraverse(b, client.PD, T1, true) })
 }
 
 // BenchmarkTraverseT2B times one T2B transaction — every atomic part of the
@@ -28,13 +31,14 @@ func BenchmarkTraverseT1(b *testing.B) {
 // diffs, the record encoding, spills included) and by the server's logging
 // of the shipped log pages.
 func BenchmarkTraverseT2B(b *testing.B) {
-	b.Run("PD-ESM", func(b *testing.B) { benchTraverse(b, client.PD, T2B) })
-	b.Run("SD-ESM", func(b *testing.B) { benchTraverse(b, client.SD, T2B) })
+	b.Run("PD-ESM", func(b *testing.B) { benchTraverse(b, client.PD, T2B, false) })
+	b.Run("SD-ESM", func(b *testing.B) { benchTraverse(b, client.SD, T2B, false) })
 }
 
 // benchTraverse loads the module, warms a client of scheme up with one
-// traversal of kind tr, and times traversal transactions of that kind.
-func benchTraverse(b *testing.B, scheme client.Scheme, tr Traversal) {
+// traversal of kind tr, and times traversal transactions of that kind. The
+// client's pool holds the whole volume when resident, half of it otherwise.
+func benchTraverse(b *testing.B, scheme client.Scheme, tr Traversal, resident bool) {
 	cfg := SmallConfig().Scale(10)
 	cfg.NumAssmLevels = 5
 	cfg.NumModules = 1
@@ -57,7 +61,11 @@ func benchTraverse(b *testing.B, scheme client.Scheme, tr Traversal) {
 	if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
-	cli := client.New(client.Config{Scheme: scheme, PoolPages: store.Pages() / 2, RecoveryBytes: 96 << 10, ShipDirtyPages: true},
+	poolPages := store.Pages() / 2
+	if resident {
+		poolPages = store.Pages()
+	}
+	cli := client.New(client.Config{Scheme: scheme, PoolPages: poolPages, RecoveryBytes: 96 << 10, ShipDirtyPages: true},
 		wire.NewDirect(srv, nil, nil))
 	mod := &db.Modules[0]
 	want := Result{CompVisits: cfg.BaseAssemblies() * cfg.NumCompPerAssm}

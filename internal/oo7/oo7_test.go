@@ -93,14 +93,13 @@ func TestBuildShape(t *testing.T) {
 	}
 	// The assembly hierarchy has the right shape: walking it visits
 	// 3^(levels-1) base assemblies.
-	var res Result
-	m := costmodel.NopMeter{}
-	if err := visitAssembly(tx, db.Modules[0].Root, T2A, m, &res); err != nil {
+	w := newWalker(tx, T2A, costmodel.NopMeter{})
+	if err := w.visitAssembly(db.Modules[0].Root); err != nil {
 		t.Fatal(err)
 	}
 	wantComp := cfg.BaseAssemblies() * cfg.NumCompPerAssm
-	if res.CompVisits != wantComp {
-		t.Fatalf("comp visits = %d, want %d", res.CompVisits, wantComp)
+	if w.res.CompVisits != wantComp {
+		t.Fatalf("comp visits = %d, want %d", w.res.CompVisits, wantComp)
 	}
 }
 
@@ -340,5 +339,61 @@ func TestDocumentsAndManualIntact(t *testing.T) {
 	}
 	if total < cfg.ManualSize || total > cfg.ManualSize+ManualChunk {
 		t.Fatalf("manual totals %d bytes, want ≈%d", total, cfg.ManualSize)
+	}
+}
+
+// TestResidentTraversalAllocatesNoObjects: once a client's pool holds the
+// whole module, a T1 traversal's dereferences are field reads of resident
+// pages. The transaction around them allocates per page it locks and for its
+// own tables, but the walk must allocate nothing per object. Over the
+// bench's five-level assembly tree, a T1 must allocate fewer objects than it
+// makes composite-part visits (a visited map per visit alone would make
+// more), and a second walk inside a transaction that already holds every
+// lock must allocate none.
+func TestResidentTraversalAllocatesNoObjects(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	cfg := testConfig()
+	cfg.NumModules = 1
+	cfg.NumAssmLevels = 5
+	_, cli := newRig(t, client.PD, server.ModeESM)
+	db, err := Build(cli, cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := &db.Modules[0]
+	res, err := Run(cli, mod, T1, costmodel.NopMeter{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := cli.Stats().PagesFetched
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Run(cli, mod, T1, costmodel.NopMeter{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d := cli.Stats().PagesFetched - fetched; d != 0 {
+		t.Fatalf("the module is not resident: %d pages fetched by warm traversals", d)
+	}
+	if allocs >= float64(res.CompVisits) {
+		t.Fatalf("a resident T1 allocates %.0f objects for %d composite-part visits", allocs, res.CompVisits)
+	}
+
+	tx, err := cli.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	w := newWalker(tx, T1, costmodel.NopMeter{})
+	if err := w.visitAssembly(mod.Root); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := w.visitAssembly(mod.Root); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a walk of resident, locked pages allocates %.0f objects", allocs)
 	}
 }

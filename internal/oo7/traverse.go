@@ -56,45 +56,71 @@ type Result struct {
 // increments the (x,y) attributes rather than swapping them so repeated
 // updates keep changing the object (§4.2 footnote). The ignored
 // *costmodel.Params is kept only because the frozen bench/ module passes one.
+//
+// A traversal copies out only the fields it reads: one dereference is one
+// Tx.Read of an object's fixed-size body or of a single field (a
+// connection's target, a composite part's root) into the walker's own
+// arrays, so it allocates nothing per object.
 func Run(c *client.Client, mod *Module, t Traversal, m costmodel.Meter, _ *costmodel.Params) (Result, error) {
 	tx, err := c.Begin()
 	if err != nil {
 		return Result{}, err
 	}
-	// Read the module object and descend the assembly hierarchy DFS.
-	var res Result
-	modBuf, err := tx.ReadObject(mod.Self)
+	// Read the module's root and descend the assembly hierarchy DFS.
+	w := newWalker(tx, t, m)
+	var root [page.OIDSize]byte
+	err = tx.Read(mod.Self, moRoot, root[:])
 	if err == nil {
-		err = visitAssembly(tx, rdOID(modBuf, moRoot), t, m, &res)
+		err = w.visitAssembly(rdOID(root[:], 0))
 	}
 	if err != nil {
 		tx.Abort()
-		return res, err
+		return w.res, err
 	}
-	return res, tx.Commit()
+	return w.res, tx.Commit()
 }
 
-func visitAssembly(tx *client.Tx, a page.OID, t Traversal, m costmodel.Meter, res *Result) error {
-	buf, err := tx.ReadObject(a)
-	if err != nil {
+// walker is one traversal's state. visited holds the atomic parts the
+// current composite-part visit has reached, in DFS order; it is reset per
+// visit and never holds more than the composite part's atomic parts, so a
+// reused slice scanned linearly is enough.
+type walker struct {
+	tx      *client.Tx
+	t       Traversal
+	m       costmodel.Meter
+	res     Result
+	visited []page.OID
+	visits  int // object visits of the current composite-part visit
+}
+
+// visitedCap is the visited set's starting room, enough for the atomic
+// parts of one composite part in the small and medium configurations.
+const visitedCap = 256
+
+func newWalker(tx *client.Tx, t Traversal, m costmodel.Meter) *walker {
+	return &walker{tx: tx, t: t, m: m, visited: make([]page.OID, 0, visitedCap)}
+}
+
+func (w *walker) visitAssembly(a page.OID) error {
+	var buf [AssemblySize]byte
+	if err := w.tx.Read(a, 0, buf[:]); err != nil {
 		return err
 	}
-	m.Add(costmodel.Visit, 1)
-	level := rd32(buf, asLevel)
-	nchildren := (len(buf) - asChildren) / 8
-	for k := 0; k < nchildren; k++ {
-		child := rdOID(buf, asChildren+8*k)
+	w.m.Add(costmodel.Visit, 1)
+	level := rd32(buf[:], asLevel)
+	for off := asChildren; off+page.OIDSize <= AssemblySize; off += page.OIDSize {
+		child := rdOID(buf[:], off)
 		if child.IsNil() {
 			continue
 		}
+		var err error
 		if level == 1 {
-			if err := visitCompPart(tx, child, t, m, res); err != nil {
-				return err
-			}
+			err = w.visitCompPart(child)
 		} else {
-			if err := visitAssembly(tx, child, t, m, res); err != nil {
-				return err
-			}
+			err = w.visitAssembly(child)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -102,40 +128,50 @@ func visitAssembly(tx *client.Tx, a page.OID, t Traversal, m costmodel.Meter, re
 
 // visitCompPart performs the depth-first search over the atomic-part graph,
 // applying the traversal's updates.
-func visitCompPart(tx *client.Tx, cp page.OID, t Traversal, m costmodel.Meter, res *Result) error {
-	buf, err := tx.ReadObject(cp)
-	if err != nil {
+func (w *walker) visitCompPart(cp page.OID) error {
+	var root [page.OIDSize]byte
+	if err := w.tx.Read(cp, cpRootPart, root[:]); err != nil {
 		return err
 	}
-	res.CompVisits++
-	root := rdOID(buf, cpRootPart)
-	visited := make(map[page.OID]bool)
-	visits := 1 // the composite part itself
-	if err := dfsAtomic(tx, root, true, t, visited, &visits, res); err != nil {
+	w.res.CompVisits++
+	w.visited = w.visited[:0]
+	w.visits = 1 // the composite part itself
+	if err := w.dfsAtomic(rdOID(root[:], 0), true); err != nil {
 		return err
 	}
 	// Report this composite-part visit's object visits in one event.
-	m.Add(costmodel.Visit, visits)
+	w.m.Add(costmodel.Visit, w.visits)
 	return nil
+}
+
+// seen reports whether the current composite-part visit has reached part,
+// recording it if not.
+func (w *walker) seen(part page.OID) bool {
+	for _, p := range w.visited {
+		if p == part {
+			return true
+		}
+	}
+	w.visited = append(w.visited, part)
+	return false
 }
 
 // dfsAtomic visits part and, transitively, every part reachable through its
 // connections. isRoot marks the composite part's designated root part.
-func dfsAtomic(tx *client.Tx, part page.OID, isRoot bool, t Traversal, visited map[page.OID]bool, visits *int, res *Result) error {
-	if visited[part] {
+func (w *walker) dfsAtomic(part page.OID, isRoot bool) error {
+	if w.seen(part) {
 		return nil
 	}
-	visited[part] = true
-	res.AtomicVisits++
-	*visits++
-	buf, err := tx.ReadObject(part)
-	if err != nil {
+	w.res.AtomicVisits++
+	w.visits++
+	var buf [AtomicPartSize]byte
+	if err := w.tx.Read(part, 0, buf[:]); err != nil {
 		return err
 	}
 	// Apply the traversal's updates to this part.
 	update := false
 	times := 1
-	switch t {
+	switch w.t {
 	case T1:
 		// read-only
 	case T2A:
@@ -147,30 +183,28 @@ func dfsAtomic(tx *client.Tx, part page.OID, isRoot bool, t Traversal, visited m
 		times = 4
 	}
 	if update {
-		var xy [8]byte
-		copy(xy[:], buf[apX:apX+8])
+		xy := buf[apX : apX+8]
 		for i := 0; i < times; i++ {
-			wr32(xy[:], 0, rd32(xy[:], 0)+1)
-			wr32(xy[:], 4, rd32(xy[:], 4)+1)
-			if err := tx.Write(part, apX, xy[:]); err != nil {
+			wr32(xy, 0, rd32(xy, 0)+1)
+			wr32(xy, 4, rd32(xy, 4)+1)
+			if err := w.tx.Write(part, apX, xy); err != nil {
 				return err
 			}
-			res.Updates++
+			w.res.Updates++
 		}
 	}
 	// Follow the connections.
-	nconn := (len(buf) - apConns) / 8
-	for k := 0; k < nconn; k++ {
-		connOID := rdOID(buf, apConns+8*k)
+	var to [page.OIDSize]byte
+	for off := apConns; off+page.OIDSize <= AtomicPartSize; off += page.OIDSize {
+		connOID := rdOID(buf[:], off)
 		if connOID.IsNil() {
 			continue
 		}
-		cbuf, err := tx.ReadObject(connOID)
-		if err != nil {
+		if err := w.tx.Read(connOID, cnTo, to[:]); err != nil {
 			return err
 		}
-		*visits++
-		if err := dfsAtomic(tx, rdOID(cbuf, cnTo), false, t, visited, visits, res); err != nil {
+		w.visits++
+		if err := w.dfsAtomic(rdOID(to[:], 0), false); err != nil {
 			return err
 		}
 	}
@@ -180,7 +214,8 @@ func dfsAtomic(tx *client.Tx, part page.OID, isRoot bool, t Traversal, visited m
 // CollectAtomicParts returns every atomic part reachable from the module's
 // composite parts, in deterministic order (composite parts in build order,
 // then the connection DFS). The crash-point sweep uses the list to drive
-// small targeted update transactions with a known expected final state.
+// small targeted update transactions with a known expected final state. It
+// is T1's walk of each composite part, in a transaction it aborts.
 func CollectAtomicParts(c *client.Client, mod *Module) ([]page.OID, error) {
 	tx, err := c.Begin()
 	if err != nil {
@@ -188,46 +223,14 @@ func CollectAtomicParts(c *client.Client, mod *Module) ([]page.OID, error) {
 	}
 	defer tx.Abort()
 	var out []page.OID
-	seen := make(map[page.OID]bool)
+	w := newWalker(tx, T1, costmodel.NopMeter{})
 	for _, cp := range mod.CompParts {
-		buf, err := tx.ReadObject(cp)
-		if err != nil {
+		if err := w.visitCompPart(cp); err != nil {
 			return nil, err
 		}
-		if err := collectAtomic(tx, rdOID(buf, cpRootPart), seen, &out); err != nil {
-			return nil, err
-		}
+		out = append(out, w.visited...)
 	}
 	return out, nil
-}
-
-// collectAtomic appends part and everything reachable through its
-// connections to out, depth first, skipping already-seen parts.
-func collectAtomic(tx *client.Tx, part page.OID, seen map[page.OID]bool, out *[]page.OID) error {
-	if seen[part] {
-		return nil
-	}
-	seen[part] = true
-	*out = append(*out, part)
-	buf, err := tx.ReadObject(part)
-	if err != nil {
-		return err
-	}
-	nconn := (len(buf) - apConns) / 8
-	for k := 0; k < nconn; k++ {
-		connOID := rdOID(buf, apConns+8*k)
-		if connOID.IsNil() {
-			continue
-		}
-		cbuf, err := tx.ReadObject(connOID)
-		if err != nil {
-			return err
-		}
-		if err := collectAtomic(tx, rdOID(cbuf, cnTo), seen, out); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // StampXY writes (x, y) = (val, val) into the atomic part — the paper's
@@ -241,9 +244,9 @@ func StampXY(tx *client.Tx, part page.OID, val uint32) error {
 
 // ReadXY returns the atomic part's (x, y) attributes.
 func ReadXY(tx *client.Tx, part page.OID) (x, y uint32, err error) {
-	buf, err := tx.ReadObject(part)
-	if err != nil {
+	var b [8]byte
+	if err := tx.Read(part, apX, b[:]); err != nil {
 		return 0, 0, err
 	}
-	return rd32(buf, apX), rd32(buf, apY), nil
+	return rd32(b[:], 0), rd32(b[:], 4), nil
 }

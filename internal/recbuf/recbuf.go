@@ -3,14 +3,17 @@
 // compare against the buffer pool at log-generation time.
 //
 // Page differencing stores whole-page copies; sub-page differencing stores
-// copies of the fixed-size blocks that have been updated. Space is managed
-// with the paper's simple FIFO policy over pages: when the buffer cannot
-// hold a new copy, the client generates log records for the page that
+// copies of the fixed-size blocks that have been updated, in one slab per
+// page with a bitmap of the blocks it holds, so asking for a block is a bit
+// test and copying one allocates nothing once the slab has grown. Space is
+// managed with the paper's simple FIFO policy over pages: when the buffer
+// cannot hold a new copy, the client generates log records for the page that
 // entered the buffer first and drops its images.
 package recbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/page"
 )
@@ -27,6 +30,10 @@ type Buffer struct {
 	// at most capBytes/page.Size of them: a transaction's copies cost a
 	// copy each, not an allocation each.
 	free [][]byte
+	// spare holds dropped block entries for PutBlock to reuse, their slabs
+	// together at most capBytes (spareBytes) in size.
+	spare      []*Entry
+	spareBytes int
 }
 
 // Entry holds the before-images captured for one page.
@@ -34,13 +41,51 @@ type Entry struct {
 	// Image is the whole-page before-image (page differencing), nil when
 	// block copies are used instead.
 	Image []byte
-	// Blocks maps block index to block before-image (sub-page schemes).
-	Blocks map[int][]byte
+	// Block copies (sub-page schemes): bit i of copied is set when block i
+	// is held, and slab holds the held blocks' copies, bs bytes each, in
+	// ascending block order. Blocks reads them.
+	copied []uint64
+	slab   []byte
+	bs     int
 	bytes  int
 }
 
 // Bytes returns the space the entry occupies.
 func (e *Entry) Bytes() int { return e.bytes }
+
+// has reports whether block idx is held.
+func (e *Entry) has(idx int) bool {
+	w := idx / 64
+	return w < len(e.copied) && e.copied[w]&(1<<(idx%64)) != 0
+}
+
+// rank returns the number of held blocks below idx: the position of block
+// idx's copy in the slab.
+func (e *Entry) rank(idx int) int {
+	n := 0
+	for _, word := range e.copied[:idx/64] {
+		n += bits.OnesCount64(word)
+	}
+	return n + bits.OnesCount64(e.copied[idx/64]&(1<<(idx%64)-1))
+}
+
+// Blocks calls fn with every held block's index and before-image, in
+// ascending block order, and stops at the first error. The images belong to
+// the entry.
+func (e *Entry) Blocks(fn func(idx int, before []byte) error) error {
+	off := 0
+	for w, word := range e.copied {
+		for word != 0 {
+			idx := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if err := fn(idx, e.slab[off:off+e.bs:off+e.bs]); err != nil {
+				return err
+			}
+			off += e.bs
+		}
+	}
+	return nil
+}
 
 // New creates a buffer holding at most capBytes of copies. Capacity must be
 // at least one page, matching the paper's 1 <= M <= N constraint.
@@ -66,6 +111,12 @@ func (b *Buffer) SetCap(n int) {
 	if max := n / page.Size; len(b.free) > max {
 		clear(b.free[max:])
 		b.free = b.free[:max]
+	}
+	for b.spareBytes > n {
+		last := len(b.spare) - 1
+		b.spareBytes -= cap(b.spare[last].slab)
+		b.spare[last] = nil
+		b.spare = b.spare[:last]
 	}
 }
 
@@ -119,40 +170,72 @@ func (b *Buffer) PutPage(pid page.ID, img []byte) {
 	b.used += page.Size
 }
 
-// PutBlock stores the before-image of one block of pid. The data is copied.
-// The caller must ensure Fits(len(data)) first. Re-copying a block that is
-// already present is an error; callers check HasBlock.
+// PutBlock stores the before-image of block idx of pid: data, the block's
+// bytes, at page offset idx*len(data). The data is copied. Every block of a
+// page has the same size. The caller must ensure Fits(len(data)) first.
+// Re-copying a block that is already present is an error; callers check
+// HasBlock.
 func (b *Buffer) PutBlock(pid page.ID, idx int, data []byte) {
-	if !b.Fits(len(data)) {
+	bs := len(data)
+	if !b.Fits(bs) {
 		panic("recbuf: PutBlock without room (caller must spill first)")
+	}
+	if bs == 0 || idx < 0 || (idx+1)*bs > page.Size {
+		panic(fmt.Sprintf("recbuf: block %d of %d bytes outside a page", idx, bs))
 	}
 	e := b.entries[pid]
 	if e == nil {
-		e = &Entry{Blocks: make(map[int][]byte)}
+		e = b.blockEntry(bs)
 		b.entries[pid] = e
 		b.fifo = append(b.fifo, pid)
 	}
-	if e.Blocks == nil {
+	switch {
+	case e.Image != nil:
 		panic("recbuf: mixing page and block copies for one page")
-	}
-	if _, dup := e.Blocks[idx]; dup {
+	case bs != e.bs:
+		panic(fmt.Sprintf("recbuf: %d-byte block on a page of %d-byte blocks", bs, e.bs))
+	case e.has(idx):
 		panic(fmt.Sprintf("recbuf: block %d of %v already copied", idx, pid))
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	e.Blocks[idx] = cp
-	e.bytes += len(data)
-	b.used += len(data)
+	// Open a gap at the block's rank and copy it in.
+	at := e.rank(idx) * bs
+	end := len(e.slab)
+	e.slab = append(e.slab, data...)
+	copy(e.slab[at+bs:], e.slab[at:end])
+	copy(e.slab[at:], data)
+	e.copied[idx/64] |= 1 << (idx % 64)
+	e.bytes += bs
+	b.used += bs
+}
+
+// blockEntry returns an empty entry for bs-byte blocks, a spare one when
+// there is one.
+func (b *Buffer) blockEntry(bs int) *Entry {
+	var e *Entry
+	if n := len(b.spare); n > 0 {
+		e = b.spare[n-1]
+		b.spare[n-1] = nil
+		b.spare = b.spare[:n-1]
+		b.spareBytes -= cap(e.slab)
+	} else {
+		e = &Entry{}
+	}
+	words := (page.Size/bs + 63) / 64
+	if cap(e.copied) < words {
+		e.copied = make([]uint64, words)
+	}
+	e.copied = e.copied[:words]
+	clear(e.copied)
+	e.slab = e.slab[:0]
+	e.bs = bs
+	e.bytes = 0
+	return e
 }
 
 // HasBlock reports whether block idx of pid has been copied.
 func (b *Buffer) HasBlock(pid page.ID, idx int) bool {
 	e := b.entries[pid]
-	if e == nil || e.Blocks == nil {
-		return false
-	}
-	_, ok := e.Blocks[idx]
-	return ok
+	return e != nil && e.has(idx)
 }
 
 // Oldest returns the page that has been in the buffer longest (the FIFO
@@ -164,8 +247,8 @@ func (b *Buffer) Oldest() (page.ID, bool) {
 	return b.fifo[0], true
 }
 
-// Drop removes pid's entry, freeing its space; its page image, if any, is
-// kept for a later PutPage, so the entry must not be used after.
+// Drop removes pid's entry, freeing its space; its page image or block slab
+// is kept for a later copy, so the entry must not be used after.
 func (b *Buffer) Drop(pid page.ID) {
 	e := b.entries[pid]
 	if e == nil {
@@ -189,8 +272,8 @@ func (b *Buffer) Pages() []page.ID {
 	return out
 }
 
-// Clear drops everything (end of transaction), keeping page images for
-// reuse as Drop does.
+// Clear drops everything (end of transaction), keeping page images and
+// block slabs for reuse as Drop does.
 func (b *Buffer) Clear() {
 	for _, e := range b.entries {
 		b.recycle(e)
@@ -200,10 +283,17 @@ func (b *Buffer) Clear() {
 	b.used = 0
 }
 
-// recycle puts e's page image on the free list while it has room.
+// recycle keeps e's page image, or e itself when it holds blocks, for reuse
+// while the free lists have room.
 func (b *Buffer) recycle(e *Entry) {
-	if e.Image != nil && len(b.free) < b.capBytes/page.Size {
-		b.free = append(b.free, e.Image)
+	switch {
+	case e.Image != nil:
+		if len(b.free) < b.capBytes/page.Size {
+			b.free = append(b.free, e.Image)
+		}
+		e.Image = nil
+	case b.spareBytes+cap(e.slab) <= b.capBytes:
+		b.spare = append(b.spare, e)
+		b.spareBytes += cap(e.slab)
 	}
-	e.Image = nil
 }

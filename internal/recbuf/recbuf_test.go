@@ -11,6 +11,15 @@ import (
 
 func img(b byte) []byte { return bytes.Repeat([]byte{b}, page.Size) }
 
+// block returns e's copy of block idx, or nil.
+func block(e *Entry, idx int) []byte {
+	if !e.has(idx) {
+		return nil
+	}
+	at := e.rank(idx) * e.bs
+	return e.slab[at : at+e.bs]
+}
+
 func TestPutPageAndRetrieve(t *testing.T) {
 	b := New(4 * page.Size)
 	b.PutPage(1, img(0xaa))
@@ -97,18 +106,71 @@ func TestBlocks(t *testing.T) {
 		t.Fatalf("used = %d", b.Used())
 	}
 	e := b.Entry(7)
-	if !bytes.Equal(e.Blocks[0], blk) {
+	if !bytes.Equal(block(e, 0), blk) {
 		t.Fatal("block image mismatch")
 	}
 	// Block copies must not alias.
 	blk[0] = 42
-	if e.Blocks[0][0] != 1 {
+	if block(e, 0)[0] != 1 {
 		t.Fatal("block aliases source")
 	}
 	b.Drop(7)
 	if b.Used() != 0 || b.HasBlock(7, 0) {
 		t.Fatal("drop did not free blocks")
 	}
+}
+
+// TestBlocksInIndexOrder: blocks copied in any order come back from Blocks
+// in ascending index order, each with its own bytes, and a page of them
+// copied again after Clear allocates nothing.
+func TestBlocksInIndexOrder(t *testing.T) {
+	const bs = 64
+	b := New(4 * page.Size)
+	order := rand.New(rand.NewSource(3)).Perm(page.Size / bs)[:40]
+	frame := make([]byte, page.Size)
+	rand.New(rand.NewSource(4)).Read(frame)
+	fill := func() {
+		for _, idx := range order {
+			b.PutBlock(9, idx, frame[idx*bs:(idx+1)*bs])
+		}
+	}
+	fill()
+	prev := -1
+	n := 0
+	b.Entry(9).Blocks(func(idx int, before []byte) error {
+		if idx <= prev {
+			t.Fatalf("block %d after block %d", idx, prev)
+		}
+		if !bytes.Equal(before, frame[idx*bs:(idx+1)*bs]) {
+			t.Fatalf("block %d holds the wrong bytes", idx)
+		}
+		prev = idx
+		n++
+		return nil
+	})
+	if n != len(order) || b.Used() != len(order)*bs {
+		t.Fatalf("%d blocks visited, %d bytes used; want %d, %d", n, b.Used(), len(order), len(order)*bs)
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.Clear()
+		fill()
+	}); allocs != 0 {
+		t.Fatalf("re-copying %d blocks after Clear allocates %.0f objects", len(order), allocs)
+	}
+}
+
+func TestBlockSizeMismatchPanics(t *testing.T) {
+	b := New(page.Size)
+	b.PutBlock(1, 0, make([]byte, 64))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	b.PutBlock(1, 1, make([]byte, 32))
 }
 
 func TestDuplicateBlockPanics(t *testing.T) {
@@ -216,6 +278,14 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 			for i, img := range b.free {
 				claim(img, fmt.Sprintf("free image %d", i))
 			}
+			spare := 0
+			for i, e := range b.spare {
+				spare += cap(e.slab)
+				claim(e.slab[:1], fmt.Sprintf("spare slab %d", i))
+			}
+			if spare != b.spareBytes || spare > b.Cap() {
+				t.Fatalf("trial %d step %d: spare slabs hold %d bytes (counted %d), cap %d", trial, step, spare, b.spareBytes, b.Cap())
+			}
 			if b.Len() != len(model) {
 				t.Fatalf("trial %d step %d: %d entries, model has %d", trial, step, b.Len(), len(model))
 			}
@@ -229,10 +299,10 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 					continue
 				}
 				for idx, blk := range m.blocks {
-					if !bytes.Equal(e.Blocks[idx], blk) {
+					if !bytes.Equal(block(e, idx), blk) {
 						t.Fatalf("trial %d step %d: block %d of %v changed", trial, step, idx, pid)
 					}
-					claim(e.Blocks[idx], fmt.Sprintf("block %d of %v", idx, pid))
+					claim(block(e, idx), fmt.Sprintf("block %d of %v", idx, pid))
 				}
 			}
 		}

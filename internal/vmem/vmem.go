@@ -5,8 +5,8 @@
 // Go offers no portable page protection or safe pointer mapping, so this
 // package substitutes synthetic 8 KB-aligned virtual addresses and routes
 // every access through Read/Write calls on a descriptor the caller holds. An
-// access the frame's protection allows is a bounds check and a copy through
-// that descriptor, the memory-speed dereference of a resident page. The
+// access the frame's protection allows is a bounds check and a copy of just
+// the bytes asked for, the memory-speed dereference of a resident page. The
 // recovery-relevant behaviour is preserved exactly: the first write to a
 // write-protected frame invokes the registered fault handler, which — like
 // the paper's SIGSEGV handler, given only the faulting address — finds the
@@ -14,7 +14,8 @@
 // performs whatever its recovery scheme requires, and upgrades the frame's
 // protection so subsequent writes proceed at memory speed. The AVL table
 // serves faults only; the caller finds a resident page's descriptor by page
-// id (ByPage).
+// id (ByPage), which answers a repeat of its last page from a one-entry
+// cache: a depth-first walk dereferences the same page many times running.
 package vmem
 
 import (
@@ -99,6 +100,7 @@ type FaultHandler func(d *Desc, addr Addr, write bool) error
 type Space struct {
 	root    *avlNode          // descriptors by virtual address, for faults
 	byPage  map[page.ID]*Desc // descriptors by page id, for the client's hits
+	last    *Desc             // the descriptor ByPage returned last, or nil
 	nextVA  Addr
 	handler FaultHandler
 	faults  int64
@@ -120,7 +122,8 @@ func (s *Space) Mapped() int { return countNodes(s.root) }
 
 // Map binds a fresh virtual frame to pid, backed by f (the buffer-pool
 // slot). The frame starts ReadOnly, so the first update faults. It returns
-// the new descriptor.
+// the new descriptor; a descriptor is never reused, so one that was
+// unmapped cannot come back through ByPage's cache.
 func (s *Space) Map(pid page.ID, f *buffer.Frame) *Desc {
 	if s.byPage[pid] != nil {
 		panic(fmt.Sprintf("vmem: %v already mapped", pid))
@@ -138,6 +141,9 @@ func (s *Space) Map(pid page.ID, f *buffer.Frame) *Desc {
 func (s *Space) Unmap(d *Desc) {
 	s.root = remove(s.root, d.VAddr)
 	delete(s.byPage, d.Page)
+	if s.last == d {
+		s.last = nil
+	}
 	d.Prot = None
 }
 
@@ -151,8 +157,18 @@ func (s *Space) Lookup(addr Addr) *Desc {
 	return n.desc
 }
 
-// ByPage returns the descriptor for pid, or nil.
-func (s *Space) ByPage(pid page.ID) *Desc { return s.byPage[pid] }
+// ByPage returns the descriptor for pid, or nil. A repeat of the page it
+// returned last is a pointer compare; any other page is a map probe.
+func (s *Space) ByPage(pid page.ID) *Desc {
+	if d := s.last; d != nil && d.Page == pid {
+		return d
+	}
+	d := s.byPage[pid]
+	if d != nil {
+		s.last = d
+	}
+	return d
+}
 
 // Protect sets the frame's protection (mprotect).
 func (s *Space) Protect(d *Desc, p Prot) { d.Prot = p }

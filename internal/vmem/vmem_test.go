@@ -205,6 +205,38 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// TestByPageCacheNeverStale: ByPage's one-entry cache answers only for a
+// mapped descriptor. Unmapping the cached page empties it, a page mapped
+// again comes back as its new descriptor, and unmapping another page leaves
+// the cached one alone.
+func TestByPageCacheNeverStale(t *testing.T) {
+	s := NewSpace()
+	d1 := s.Map(1, frame())
+	d2 := s.Map(2, frame())
+	if s.ByPage(1) != d1 {
+		t.Fatal("ByPage(1) missed a mapped page")
+	}
+	s.Unmap(d1)
+	if got := s.ByPage(1); got != nil {
+		t.Fatalf("ByPage(1) after Unmap = %p, want nil", got)
+	}
+	d1b := s.Map(1, frame())
+	if got := s.ByPage(1); got != d1b {
+		t.Fatalf("ByPage(1) after a second Map = %p, want the new %p (old %p)", got, d1b, d1)
+	}
+	if s.ByPage(2) != d2 {
+		t.Fatal("ByPage(2) wrong after the cache held page 1")
+	}
+	s.Unmap(d1b)
+	if s.ByPage(2) != d2 || s.ByPage(1) != nil {
+		t.Fatal("unmapping page 1 disturbed the cached page 2")
+	}
+	s.Unmap(d2)
+	if s.ByPage(2) != nil || s.ByPage(99) != nil {
+		t.Fatal("ByPage answers for an unmapped page")
+	}
+}
+
 func TestWriteThroughSharedFrame(t *testing.T) {
 	// The mapped frame IS the buffer-pool frame: writes must be visible to
 	// holders of the slice.
