@@ -98,15 +98,16 @@ daemon-smoke:
 
 # The concurrency surface (the log's one flush routine — appends during a
 # held sync, groups formed behind a slow sync, a crash while a sync is in
-# flight — group commit in the server, sharded pool sessions, async WPL
-# installer and the install-before-commit-force window, restart's one pass
+# flight — group commit in the server, sharded pool sessions, WPL commit
+# installs racing eviction installs and the install-before-commit-force
+# window, restart's one pass
 # held against the per-page rebuilder and writing pages home as it goes, WPL
 # restart analysis across checkpoints with and without a logged DPT, the
 # live tables checked against analysis of the log after every call) under
 # the race detector.
 race-concurrent:
 	$(GO) test -race ./internal/wal/ -count=1
-	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLAsync|TestWPLInstallWaits|TestWPLAnalysis|TestRestartMatchesPageRebuilder|TestRestartRedoesBelowAnalysisStart|TestRestartHealsYoungTornPage|TestRestartWritesHome|TestLiveTables' -count=1
+	$(GO) test -race ./internal/server/ -run 'TestConcurrent|TestGroupCommit|TestWPLInlineInstall|TestWPLInstallWaits|TestWPLAnalysis|TestRestartMatchesPageRebuilder|TestRestartRedoesBelowAnalysisStart|TestRestartHealsYoungTornPage|TestRestartWritesHome|TestLiveTables' -count=1
 
 # Archive round-trip (segment/backup framing, truncation gate with batches
 # in flight, restore re-runnability, corruption detection) under -race.

@@ -69,7 +69,6 @@ func main() {
 		PoolPages:       *cacheMB << 20 / page.Size,
 		LogCapacity:     *logMB << 20,
 		PoolShards:      *shards,
-		WPLInstallAsync: true,
 		CleanerEvery:    *cleanInt,
 		DirtyPageTarget: *dirtyTgt,
 		ScrubEvery:      *scrubInt,

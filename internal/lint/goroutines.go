@@ -1,8 +1,8 @@
 package lint
 
 // goroutine-lifecycle: every background goroutine must be stoppable. The
-// repo's maintenance machinery — page cleaner, scrubber, WPL installer,
-// archiver, standby applier — all follow one shape: a loop that selects
+// repo's maintenance machinery — page cleaner, scrubber, archiver,
+// standby applier — all follow one shape: a loop that selects
 // on a stop channel (closed by Close/Stop) and returns. A loop that
 // cannot reach its own exit outlives Close, keeps a *Server (and its
 // store) alive, and races the next Restart in the crash harness, which

@@ -140,31 +140,6 @@ func (m *Manager) waitWithDeadline(deadline time.Time) {
 	timer.Stop()
 }
 
-// TryLock acquires mode on pid without blocking, reporting success.
-func (m *Manager) TryLock(tid logrec.TID, pid page.ID, mode Mode) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.locks[pid]
-	if e == nil {
-		e = &entry{granted: make(map[logrec.TID]Mode)}
-		m.locks[pid] = e
-	}
-	if held, ok := e.granted[tid]; ok && (held == Exclusive || mode == Shared) {
-		return true
-	}
-	if !compatible(e, tid, mode) {
-		return false
-	}
-	e.granted[tid] = mode
-	h := m.held[tid]
-	if h == nil {
-		h = make(map[page.ID]Mode)
-		m.held[tid] = h
-	}
-	h[pid] = mode
-	return true
-}
-
 // Reset drops the whole lock table (a server crash: the table is volatile).
 // Waiters parked on old entries keep seeing their stale grants and fail by
 // timeout, which is the correct client-visible outcome for a request that
@@ -202,10 +177,3 @@ func (m *Manager) Holds(tid logrec.TID, pid page.ID) (Mode, bool) {
 
 // Waits returns how many Lock calls have blocked on a conflicting holder.
 func (m *Manager) Waits() int64 { return m.waits.Load() }
-
-// HeldCount returns the number of pages tid currently has locked.
-func (m *Manager) HeldCount(tid logrec.TID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.held[tid])
-}

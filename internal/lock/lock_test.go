@@ -18,8 +18,10 @@ func TestSharedCompatible(t *testing.T) {
 	if err := m.Lock(2, 10, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.HeldCount(1); n != 1 {
-		t.Fatalf("HeldCount = %d", n)
+	for _, id := range []logrec.TID{1, 2} {
+		if mode, ok := m.Holds(id, 10); !ok || mode != Shared {
+			t.Fatalf("%v holds %v (%v), want S", id, mode, ok)
+		}
 	}
 }
 
@@ -101,20 +103,32 @@ func TestDeadlockTimeout(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	m := NewManager(time.Second)
-	if !m.TryLock(1, 10, Exclusive) {
-		t.Fatal("TryLock on free page failed")
+// TestSharedUnderExclusive: another transaction's S request under an X lock
+// waits out the timeout, the holder's own S is granted at once and keeps X,
+// and after release the reader gets in.
+func TestSharedUnderExclusive(t *testing.T) {
+	m := NewManager(50 * time.Millisecond)
+	if err := m.Lock(1, 10, Exclusive); err != nil {
+		t.Fatal(err)
 	}
-	if m.TryLock(2, 10, Shared) {
-		t.Fatal("TryLock granted S under X")
+	if err := m.Lock(2, 10, Shared); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("S under X: err = %v, want ErrDeadlock", err)
 	}
-	if !m.TryLock(1, 10, Shared) {
-		t.Fatal("reentrant TryLock failed")
+	if _, ok := m.Holds(2, 10); ok {
+		t.Fatal("refused S request left a grant")
+	}
+	if err := m.Lock(1, 10, Shared); err != nil {
+		t.Fatalf("reentrant S: %v", err)
+	}
+	if mode, _ := m.Holds(1, 10); mode != Exclusive {
+		t.Fatalf("mode = %v after reentrant S, want X", mode)
 	}
 	m.ReleaseAll(1)
-	if !m.TryLock(2, 10, Shared) {
-		t.Fatal("TryLock after release failed")
+	if err := m.Lock(2, 10, Shared); err != nil {
+		t.Fatalf("S after release: %v", err)
+	}
+	if mode, ok := m.Holds(2, 10); !ok || mode != Shared {
+		t.Fatalf("after release 2 holds %v (%v), want S", mode, ok)
 	}
 }
 
@@ -123,12 +137,16 @@ func TestReleaseAllDropsEverything(t *testing.T) {
 	for pid := 1; pid <= 5; pid++ {
 		m.Lock(1, pageID(pid), Exclusive)
 	}
-	if m.HeldCount(1) != 5 {
-		t.Fatalf("HeldCount = %d", m.HeldCount(1))
+	for pid := 1; pid <= 5; pid++ {
+		if _, ok := m.Holds(1, pageID(pid)); !ok {
+			t.Fatalf("P%d not held", pid)
+		}
 	}
 	m.ReleaseAll(1)
-	if m.HeldCount(1) != 0 {
-		t.Fatal("locks survive ReleaseAll")
+	for pid := 1; pid <= 5; pid++ {
+		if _, ok := m.Holds(1, pageID(pid)); ok {
+			t.Fatalf("lock on P%d survives ReleaseAll", pid)
+		}
 	}
 	for pid := 1; pid <= 5; pid++ {
 		if err := m.Lock(2, pageID(pid), Exclusive); err != nil {

@@ -256,7 +256,7 @@ func TestCommitLandsWhileCheckpointWritesPages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := s.log.ReadAt(sb.checkpointLSN)
+			rec, err := s.log.ReadAt(sb.checkpointLSN, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

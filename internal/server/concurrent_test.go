@@ -1,8 +1,8 @@
 package server
 
-// Concurrency tests for the session gate, sharded pool, group commit and the
-// async WPL installer. All of them are run under the race detector by make
-// check.
+// Concurrency tests for the session gate, sharded pool, group commit and
+// inline WPL installs racing eviction. All of them are run under the race
+// detector by make check.
 
 import (
 	"bytes"
@@ -228,50 +228,144 @@ func TestGroupCommitBatchesConcurrentCommits(t *testing.T) {
 	}
 }
 
-// TestWPLAsyncInstaller covers the background installer: commits return
-// before their pages are installed, the installer catches up, and the
-// installed state is what recovery reproduces.
-func TestWPLAsyncInstaller(t *testing.T) {
+// workerUpdatePages overwrites the object in slots[i] of pids[i] with val
+// for every page in one WPL transaction, and commits it.
+func workerUpdatePages(sn *Session, pids []page.ID, slots []int, val []byte) error {
+	tid := sn.Begin()
+	for i, pid := range pids {
+		data, err := readPage(sn, tid, pid, lock.Exclusive)
+		if err != nil {
+			return err
+		}
+		pg := page.Wrap(data)
+		if err := pg.WriteAt(slots[i], 0, val); err != nil {
+			return err
+		}
+		if err := sn.ShipPage(tid, pid, pg.Bytes()); err != nil {
+			return err
+		}
+	}
+	return sn.Commit(tid)
+}
+
+// checkInstalled reports whether each of pids has left the WPL table and
+// holds val in its slot at its permanent location — in the store, not only
+// the pool.
+func checkInstalled(s *Server, pids []page.ID, slots []int, val []byte) error {
+	buf := make([]byte, page.Size)
+	got := make([]byte, len(val))
+	for i, pid := range pids {
+		s.wplMu.Lock()
+		e := s.wpl[pid]
+		s.wplMu.Unlock()
+		if e != nil {
+			return fmt.Errorf("page %v still in the WPL table (committed=%v)", pid, e.committed)
+		}
+		if err := s.store.ReadPage(pid, buf); err != nil {
+			return err
+		}
+		if err := page.Wrap(buf).ReadAt(slots[i], 0, got); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, val) {
+			return fmt.Errorf("page %v in the store: got %q want %q", pid, got, val)
+		}
+	}
+	return nil
+}
+
+// TestWPLInlineInstall covers the WPL install schedule: by the time Commit
+// returns, the committer has installed every page its transaction heads, so
+// the table holds no committed entry and the store has the new bytes. Two
+// sessions over a pool smaller than their pages make commit installs race
+// eviction installs (an evictor may install a copy between its committed
+// marking and the committer's install); either way each page is installed
+// once, and restart reproduces the installed state.
+func TestWPLInlineInstall(t *testing.T) {
 	s := New(Config{
 		Mode:            ModeWPL,
-		PoolPages:       64,
+		PoolPages:       8,
 		LogCapacity:     16 << 20,
 		LockTimeout:     time.Second,
 		CheckpointEvery: 1 << 30,
-		WPLInstallAsync: true,
 	})
 	defer s.Close()
-	sn := s.NewSession(nil, nil)
-	const pages = 6
-	var pids [pages]page.ID
-	var slots [pages]int
-	for i := range pids {
-		pids[i], slots[i] = createPage(t, sn, []byte(fmt.Sprintf("page %d......", i)))
-		updateObject(t, sn, pids[i], slots[i], []byte(fmt.Sprintf("updated %d...", i)), true)
-	}
-	// Installs drain asynchronously; wait for the WPL table to empty.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.wplMu.Lock()
-		pending := len(s.wpl)
-		s.wplMu.Unlock()
-		if pending == 0 {
-			break
+	const workers, perWorker, txns = 2, 6, 8
+	pids := make([][]page.ID, workers)
+	slots := make([][]int, workers)
+	setup := s.NewSession(nil, nil)
+	for w := range pids {
+		pids[w] = make([]page.ID, perWorker)
+		slots[w] = make([]int, perWorker)
+		for i := range pids[w] {
+			pids[w][i], slots[w][i] = createPage(t, setup, []byte(fmt.Sprintf("w%d page %d...", w, i)))
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async installer never drained: %d pages still pending", pending)
-		}
-		time.Sleep(time.Millisecond)
 	}
+
+	// Alone, a commit installs exactly its transaction's pages.
+	before := s.Stats().WPLInstalls
+	if err := workerUpdatePages(setup, pids[0], slots[0], []byte("serial turn.")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().WPLInstalls - before; got != perWorker {
+		t.Errorf("WPLInstalls rose by %d at commit, want %d", got, perWorker)
+	}
+	if err := checkInstalled(s, pids[0], slots[0], []byte("serial turn.")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Concurrently, each commit's pages are installed — by the committer or
+	// by an evictor — before Commit returns.
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sn := s.NewSession(nil, nil)
+			for i := 0; i < txns; i++ {
+				val := []byte(fmt.Sprintf("w%d turn %04d", w, i))
+				before := s.Stats().WPLInstalls
+				if err := workerUpdatePages(sn, pids[w], slots[w], val); err != nil {
+					errs[w] = err
+					return
+				}
+				if got := s.Stats().WPLInstalls - before; got < perWorker {
+					errs[w] = fmt.Errorf("turn %d: WPLInstalls rose by %d at commit, want >= %d", i, got, perWorker)
+					return
+				}
+				if err := checkInstalled(s, pids[w], slots[w], val); err != nil {
+					errs[w] = fmt.Errorf("turn %d: %w", i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	s.wplMu.Lock()
+	for pid, e := range s.wpl {
+		if e.committed {
+			t.Errorf("page %v: committed copy left in the WPL table", pid)
+		}
+	}
+	s.wplMu.Unlock()
+
 	s.Crash()
+	sn := s.NewSession(nil, nil)
 	if err := sn.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range pids {
-		want := fmt.Sprintf("updated %d...", i)
-		got := readObject(t, sn, pids[i], slots[i], len(want))
-		if string(got) != want {
-			t.Errorf("page %d: got %q want %q", i, got, want)
+	for w := range pids {
+		want := fmt.Sprintf("w%d turn %04d", w, txns-1)
+		for i, pid := range pids[w] {
+			if got := readObject(t, sn, pid, slots[w][i], len(want)); string(got) != want {
+				t.Errorf("worker %d page %v after restart: got %q want %q", w, pid, got, want)
+			}
 		}
 	}
 }

@@ -628,11 +628,9 @@ func (s *Server) unlockTables() {
 }
 
 // install makes tb the server's tables: empty ones at a crash, the analysis
-// result at restart. The WPL generation moves with them, so an install job
-// queued against the old table is dropped.
+// result at restart.
 func (s *Server) install(tb tables) {
 	s.lockTables()
 	s.tables = tb
-	s.wplGen++
 	s.unlockTables()
 }

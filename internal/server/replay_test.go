@@ -581,7 +581,7 @@ func analysisView(t *testing.T, s *Server) tableView {
 	}
 	start, ckpt := s.log.Head(), (*ckptPayload)(nil)
 	if sb.hasCheckpoint {
-		rec, err := s.log.ReadAt(sb.checkpointLSN)
+		rec, err := s.log.ReadAt(sb.checkpointLSN, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

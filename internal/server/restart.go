@@ -387,8 +387,7 @@ func (c *ckptPayload) reclaimHead(ckptLSN uint64) uint64 {
 // Crash simulates a server failure: every volatile structure (buffer pool,
 // transaction tables, WPL table, lock table, unforced log tail) is lost. The
 // data volume and the forced log survive. Committers waiting for a log
-// sync are woken (their commit outcome is whatever the surviving log says), and queued background installs are invalidated by the WPL
-// generation bump.
+// sync are woken (their commit outcome is whatever the surviving log says).
 func (s *Server) Crash() {
 	s.gate.Lock()
 	defer s.gate.Unlock()
@@ -447,7 +446,7 @@ func (sn *Session) Restart() error {
 			return fmt.Errorf("server: starting a fresh log above the volume's page LSNs: %w", err)
 		}
 	case sb.hasCheckpoint:
-		rec, err := s.log.ReadAt(sb.checkpointLSN)
+		rec, err := s.log.ReadAt(sb.checkpointLSN, nil)
 		if err != nil {
 			return fmt.Errorf("server: reading checkpoint: %w", err)
 		}
@@ -645,8 +644,9 @@ func (s *Server) wplInstallQuiesced(sn *Session, tb tables) error {
 	// be reclaimed by the checkpoint that follows. Installs run in page
 	// order for run-to-run reproducibility.
 	sort.Slice(installs, func(i, j int) bool { return installs[i].pid < installs[j].pid })
+	var scratch []byte
 	for _, e := range installs {
-		rec, err := s.log.ReadAt(e.lsn)
+		rec, err := s.log.ReadAt(e.lsn, &scratch)
 		if err != nil {
 			return fmt.Errorf("server: WPL restart install %v: %w", e.pid, err)
 		}

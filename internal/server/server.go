@@ -149,10 +149,8 @@ type Config struct {
 	// crash-point sweep uses this to restart a server over the surviving
 	// store and log of a crashed instance, as reopening the log disk would.
 	Log *wal.Log
-	// WPLInstallAsync moves committed-page installs to a background
-	// goroutine (the paper's §3.4.2 asynchronous installer). Off by
-	// default: the crash-point sweep needs installs to happen at
-	// deterministic points, and they then run inline at commit.
+	// WPLInstallAsync is ignored: a committed WPL copy is installed inline
+	// by whoever makes it the chain head. Kept only so bench/ still builds.
 	WPLInstallAsync bool
 	// RepairPage, when non-nil, rebuilds the current contents of one corrupt
 	// page from media beyond the live log. archive.Wire installs
@@ -319,14 +317,6 @@ type wplEntry struct {
 	prev      *wplEntry // previously logged copy still needed for recovery
 }
 
-// installJob asks the background installer to install e if it is still the
-// committed head for pid in generation gen.
-type installJob struct {
-	pid page.ID
-	e   *wplEntry
-	gen uint64
-}
-
 // Server is the storage server. Its methods are invoked through Sessions.
 type Server struct {
 	cfg   Config
@@ -352,7 +342,6 @@ type Server struct {
 	attMu, decMu, dptMu, wplMu sync.Mutex
 
 	cleaning map[page.ID]bool // pages claimed by an in-flight cleanOne; under dptMu
-	wplGen   uint64           // under wplMu; moves with install so stale async installs are dropped
 
 	allocMu  sync.Mutex
 	nextTID  logrec.TID
@@ -365,8 +354,6 @@ type Server struct {
 
 	stats Stats // atomics
 
-	installCh chan installJob // non-nil iff WPLInstallAsync
-	installWG sync.WaitGroup
 	closeOnce sync.Once
 
 	scrubMu     sync.Mutex
@@ -434,11 +421,6 @@ func New(cfg Config) *Server {
 	// Until a checkpoint says otherwise restart needs all the log there is.
 	// On an adopted Config.Log this replaces the previous server's holder.
 	s.redo = s.log.Hold("redo", s.log.Head(), nil, 0)
-	if cfg.WPLInstallAsync && cfg.Mode == ModeWPL {
-		s.installCh = make(chan installJob, 256)
-		s.installWG.Add(1)
-		go s.installWorker()
-	}
 	if cfg.ScrubEvery > 0 {
 		batch := cfg.ScrubPages
 		if batch <= 0 {
@@ -456,9 +438,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops the background installer and scrubber, if any. Safe to call
-// more than once; a closed server still serves requests (installs just run
-// inline again).
+// Close stops the background cleaner and scrubber, if any. Safe to call
+// more than once; a closed server still serves requests.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.cleanerStop != nil {
@@ -468,14 +449,6 @@ func (s *Server) Close() {
 		if s.scrubStop != nil {
 			close(s.scrubStop)
 			s.scrubWG.Wait()
-		}
-		if s.installCh != nil {
-			ch := s.installCh
-			s.gate.Lock()
-			s.installCh = nil
-			s.gate.Unlock()
-			close(ch)
-			s.installWG.Wait()
 		}
 	})
 }
@@ -643,9 +616,8 @@ func (s *Server) NewSession(m costmodel.Meter, _ *costmodel.Params) *Session {
 	return &Session{s: s, m: m}
 }
 
-// meter is sn.m, nil-safe: internal paths with no session (the background
-// installer, the master record's repair) pass a nil *Session and charge
-// nothing.
+// meter is sn.m, nil-safe: internal paths with no session (the master
+// record's repair) pass a nil *Session and charge nothing.
 func (sn *Session) meter() costmodel.Meter {
 	if sn == nil {
 		return costmodel.NopMeter{}
@@ -826,7 +798,9 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 	if haveWPL {
 		// The newest logged copy is the current version (paper §3.4.2:
 		// replaced dirty pages are re-read from the log).
-		rec, err := s.log.ReadAt(wplLSN)
+		bp := logScratch.Get().(*[]byte)
+		defer logScratch.Put(bp)
+		rec, err := s.log.ReadAt(wplLSN, bp)
 		if err != nil {
 			return nil, fmt.Errorf("server: WPL reload of %v: %w", pid, err)
 		}
@@ -934,6 +908,10 @@ func (s *Server) retireDPT(pid page.ID, written uint64) {
 	}
 	s.dptMu.Unlock()
 }
+
+// logScratch recycles the buffers WPL copy reloads decode a log record into;
+// each reload copies or writes the image out before its buffer goes back.
+var logScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // shipRuns recycles ShipLog's decoded log pages: one slice of record values
 // per page, decoded in place, their images aliasing the shipped bytes.
@@ -1163,7 +1141,7 @@ func (s *Server) wplShip(sn *Session, t *txn, pid page.ID, data []byte) error {
 // Commit commits tid: the commit record and everything before it is made
 // stable by a group-commit sync, then locks are released. Under WPL
 // the transaction's logged pages become installable and are installed
-// (inline, or by the background installer).
+// before Commit returns.
 func (sn *Session) Commit(tid logrec.TID) error { return sn.commit(tid, false) }
 
 // commit is Commit, and — with decided set — the commit half of Decide: a
@@ -1270,56 +1248,33 @@ const pressureRearmFraction = 8
 func (s *Server) logPressure() bool { return s.log.Used() > s.log.Capacity()/2 }
 
 // wplCommit installs the transaction's logged pages whose entries are chain
-// heads (the asynchronous installer of §3.4.2 — inline here unless
-// Config.WPLInstallAsync hands the work to the background goroutine). The
+// heads, inline (the paper's §3.4.2 installer; see DESIGN.md §3). The
 // committed marking itself happened with the commit record's append (note).
 func (s *Server) wplCommit(sn *Session, t *txn) {
 	for _, pid := range t.wplPages {
 		s.wplMu.Lock()
 		head := s.wpl[pid]
-		mine := head != nil && head.tid == t.tid
-		gen := s.wplGen
 		s.wplMu.Unlock()
-		if !mine {
-			continue
+		if head != nil && head.tid == t.tid {
+			// Newest copy is ours and now committed: install it (dropping
+			// the whole chain — older copies are obsolete).
+			s.installHead(sn, pid, head)
 		}
-		// Newest copy is ours and now committed: install it (dropping the
-		// whole chain — older copies are obsolete).
-		if s.installCh != nil {
-			select {
-			case s.installCh <- installJob{pid: pid, e: head, gen: gen}:
-				continue
-			default:
-				// Installer backlogged: fall through and install inline
-				// rather than block the commit path on it.
-			}
-		}
-		s.installHead(sn, pid, head, gen)
-	}
-}
-
-// installWorker is the background WPL installer: one goroutine draining
-// installCh, holding the read side of the gate per job so checkpoint/crash
-// quiesce it.
-func (s *Server) installWorker() {
-	defer s.installWG.Done()
-	for job := range s.installCh {
-		s.gate.RLock()
-		s.installHead(nil, job.pid, job.e, job.gen)
-		s.gate.RUnlock()
 	}
 }
 
 // installHead installs e to pid's permanent location if it is still the
-// committed chain head of generation gen (a crash/restart or a newer copy
-// makes the job stale — validated under wplMu before any write). Install
-// failures degrade: the entry is retained and retried at eviction/restart.
-func (s *Server) installHead(sn *Session, pid page.ID, e *wplEntry, gen uint64) {
+// committed chain head — validated under wplMu before any write, since a
+// concurrent eviction may have installed it first. Every caller holds
+// gate.R, and the tables are replaced only under gate.W, so e cannot be a
+// stale entry from before a crash. Install failures degrade: the entry is
+// retained and retried at eviction/restart.
+func (s *Server) installHead(sn *Session, pid page.ID, e *wplEntry) {
 	sh := s.pool.Lock(pid)
 	defer sh.Unlock()
 	s.wplMu.Lock()
 	defer s.wplMu.Unlock()
-	if s.wplGen != gen || s.wpl[pid] != e || !e.committed {
+	if s.wpl[pid] != e || !e.committed {
 		return
 	}
 	if err := s.installWPLLocked(sn, sh, e); err != nil {
@@ -1446,10 +1401,10 @@ func (s *Server) wplAborted(sn *Session, t *txn) {
 		}
 		sh.Unlock()
 		s.wplMu.Lock()
-		head, gen := s.wpl[pid], s.wplGen
+		head := s.wpl[pid]
 		s.wplMu.Unlock()
 		if head != nil && head.committed {
-			s.installHead(sn, pid, head, gen)
+			s.installHead(sn, pid, head)
 		}
 	}
 }
@@ -1461,8 +1416,9 @@ func (s *Server) wplAborted(sn *Session, t *txn) {
 func (s *Server) undo(sn *Session, t *txn, stopAt uint64) error {
 	sn.meter().Add(costmodel.LogForce, s.log.Force())
 	cur := t.lastLSN
+	var scratch []byte // one record at a time: undoApply copies what it keeps
 	for cur != logrec.NoLSN && cur != stopAt {
-		r, err := s.log.ReadAt(cur)
+		r, err := s.log.ReadAt(cur, &scratch)
 		if err != nil {
 			return fmt.Errorf("server: undo %v at %d: %w", t.tid, cur, err)
 		}

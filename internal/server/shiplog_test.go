@@ -142,7 +142,7 @@ func TestShipLogRunChainsAndAppliesInOrder(t *testing.T) {
 		lsns := make([]uint64, len(recs))
 		for i, want := range recs {
 			lsns[i] = lsn
-			got, err := s.log.ReadAt(lsn)
+			got, err := s.log.ReadAt(lsn, nil)
 			if err != nil {
 				t.Fatalf("%v: record %d at %d: %v", mode, i, lsn, err)
 			}

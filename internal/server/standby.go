@@ -164,14 +164,13 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 
 // wplHoldBelow is the WPL twin of the orphan drain above: copies the primary
 // has installed are out of its logged table, but an install here may have
-// been deferred by a disk error or still be queued, leaving the standby's
-// table naming a copy below head. Committed chain heads reaching below head
-// are installed now; the log is then held at whatever the table still names —
-// a copy the disk refused again, an open transaction's — as the primary's own
-// head stops at its oldest table entry.
+// been deferred by a disk error, leaving the standby's table naming a copy
+// below head. Committed chain heads reaching below head are installed now;
+// the log is then held at whatever the table still names — a copy the disk
+// refused again, an open transaction's — as the primary's own head stops at
+// its oldest table entry.
 func (s *Server) wplHoldBelow(sn *Session, head uint64) uint64 {
 	s.wplMu.Lock()
-	gen := s.wplGen
 	var owed []*wplEntry
 	for _, e := range s.wpl {
 		if e.committed && wplOldest(e) < head {
@@ -181,7 +180,7 @@ func (s *Server) wplHoldBelow(sn *Session, head uint64) uint64 {
 	s.wplMu.Unlock()
 	sort.Slice(owed, func(i, j int) bool { return owed[i].pid < owed[j].pid })
 	for _, e := range owed {
-		s.installHead(sn, e.pid, e, gen)
+		s.installHead(sn, e.pid, e)
 	}
 	s.wplMu.Lock()
 	for _, e := range s.wpl {

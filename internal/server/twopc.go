@@ -223,8 +223,9 @@ func (s *Server) resurrectInDoubt(t *txn, start uint64) error {
 	if t.firstLSN < start {
 		cur = t.lastLSN
 	}
+	var scratch []byte
 	for cur != logrec.NoLSN {
-		r, err := s.log.ReadAt(cur)
+		r, err := s.log.ReadAt(cur, &scratch)
 		if err != nil {
 			return fmt.Errorf("server: in-doubt %v page walk at %d: %w", t.tid, cur, err)
 		}

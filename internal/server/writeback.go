@@ -94,7 +94,9 @@ func (s *Server) installWPLLocked(sn *Session, sh *buffer.PoolShard, e *wplEntry
 	if cached != nil {
 		img = cached.Bytes() // "marked as read" optimization: cached at commit
 	} else {
-		rec, err := s.log.ReadAt(e.lsn)
+		bp := logScratch.Get().(*[]byte)
+		defer logScratch.Put(bp)
+		rec, err := s.log.ReadAt(e.lsn, bp)
 		if err != nil {
 			return fmt.Errorf("server: WPL install of %v: %w", e.pid, err)
 		}

@@ -230,7 +230,7 @@ func TestStartAt(t *testing.T) {
 		t.Fatalf("first append at %d (%v), want %d", lsn, err, start)
 	}
 	l.Force()
-	if rec, err := l.ReadAt(start); err != nil || rec.LSN != start {
+	if rec, err := l.ReadAt(start, nil); err != nil || rec.LSN != start {
 		t.Fatalf("ReadAt(%d): %v, %v", start, rec, err)
 	}
 	if err := l.Truncate(l.StableEnd()); err != nil || l.Head() != start {

@@ -615,12 +615,14 @@ func (l *Log) PagesWritten() int64 {
 	return l.pages
 }
 
-// ReadAt decodes the stable record starting at lsn.
-func (l *Log) ReadAt(lsn uint64) (*logrec.Record, error) {
+// ReadAt decodes the record starting at lsn. scratch is as decodeAt's: nil
+// gives the record its own payload; a caller reading many records passes one
+// buffer, and each record's images are then valid until the next read into it.
+func (l *Log) ReadAt(lsn uint64, scratch *[]byte) (*logrec.Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	r := new(logrec.Record)
-	if err := l.decodeAt(lsn, r, nil); err != nil {
+	if err := l.decodeAt(lsn, r, scratch); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -67,14 +67,14 @@ func TestForceAndReadAt(t *testing.T) {
 	r := upd(7, 42, 16)
 	lsn, _ := l.Append(r)
 	// Unforced records are readable (they live in the log buffer) …
-	if _, err := l.ReadAt(lsn); err != nil {
+	if _, err := l.ReadAt(lsn, nil); err != nil {
 		t.Fatalf("read of unforced record: %v", err)
 	}
 	// … but do not survive a crash (TestCrashDropsVolatileTail).
 	if n := l.Force(); n != 1 {
 		t.Fatalf("force wrote %d pages, want 1", n)
 	}
-	got, err := l.ReadAt(lsn)
+	got, err := l.ReadAt(lsn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +83,33 @@ func TestForceAndReadAt(t *testing.T) {
 	}
 	if n := l.Force(); n != 0 {
 		t.Fatalf("idle force wrote %d pages", n)
+	}
+}
+
+// TestReadAtReusesScratch checks that reads into one scratch buffer decode
+// the same records as reads that own their payload, and that a warm buffer
+// is not reallocated.
+func TestReadAtReusesScratch(t *testing.T) {
+	l := New(1 << 20)
+	lsn1, _ := l.Append(upd(1, 10, 64))
+	lsn2, _ := l.Append(upd(2, 20, 32))
+	var scratch []byte
+	for _, lsn := range []uint64{lsn1, lsn2, lsn1} {
+		want, err := l.ReadAt(lsn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := l.ReadAt(lsn, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TID != want.TID || got.Page != want.Page || !bytes.Equal(got.Before, want.Before) || !bytes.Equal(got.After, want.After) {
+			t.Fatalf("LSN %d: scratch read %v, owned read %v", lsn, got, want)
+		}
+	}
+	// One allocation remains: the Record itself.
+	if n := testing.AllocsPerRun(100, func() { l.ReadAt(lsn1, &scratch) }); n > 1 {
+		t.Errorf("ReadAt into a warm scratch: %.0f allocs, want <= 1", n)
 	}
 }
 
@@ -166,7 +193,7 @@ func TestTruncateReclaimsSpace(t *testing.T) {
 		t.Fatalf("append after truncate: %v", err)
 	}
 	// The reclaimed record is no longer readable.
-	if _, err := l.ReadAt(lsns[0]); err == nil {
+	if _, err := l.ReadAt(lsns[0], nil); err == nil {
 		t.Fatal("read of truncated record succeeded")
 	}
 }
@@ -183,7 +210,7 @@ func TestWrapAround(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		l.Force()
-		got, err := l.ReadAt(lsn)
+		got, err := l.ReadAt(lsn, nil)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -435,7 +462,7 @@ func TestTornRecordStopsScanAfterCrash(t *testing.T) {
 		t.Fatalf("scanned %d records from a torn log", count)
 	}
 	// ReadAt of the torn record reports ErrTorn (or beyond-end).
-	if _, err := l.ReadAt(lsn1); err == nil {
+	if _, err := l.ReadAt(lsn1, nil); err == nil {
 		t.Fatal("read of torn record succeeded")
 	}
 }
