@@ -80,11 +80,12 @@ race:
 # Every fuzz target for FUZZTIME each (go test fuzzes one target per run):
 # the wire frame parser and its batch parser, a live daemon fed garbage with
 # flaky-net armed (its message-fault path), log-record decoding, replay onto
-# a page, and the archive's segment decoder (blobs read from a directory).
+# a page, the checkpoint payload decoder (a standby decodes its primary's),
+# and the archive's segment decoder (blobs read from a directory).
 FUZZTIME ?= 10s
 FUZZ_TARGETS = internal/wire:FuzzParseRequest internal/wire:FuzzSubFrames internal/wire:FuzzServerAgainstGarbage \
 	internal/logrec:FuzzDecode internal/logrec:FuzzEncodeDecode internal/server:FuzzReplay \
-	internal/archive:FuzzDecodeSegment
+	internal/server:FuzzDecodeCkpt internal/archive:FuzzDecodeSegment
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		$(GO) test ./$${t%%:*}/ -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) -parallel 2; \

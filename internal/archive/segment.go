@@ -185,7 +185,9 @@ func decodeBackup(name string, data []byte) (BackupInfo, map[page.ID][]byte, err
 	return info, pages, nil
 }
 
-// encodeGenMarker records the first LSN of a generation's log stream.
+// encodeGenMarker is the body of a generation's begin blob. Only the blob's
+// name is ever read (Generations lists generations by it); the start LSN and
+// its CRC are a record for a reader of the archive directory.
 func encodeGenMarker(start uint64) []byte {
 	b := make([]byte, 4+4+8+4)
 	copy(b, genMagic)
@@ -193,14 +195,6 @@ func encodeGenMarker(start uint64) []byte {
 	binary.LittleEndian.PutUint64(b[8:], start)
 	binary.LittleEndian.PutUint32(b[16:], crc32.ChecksumIEEE(b[8:16]))
 	return b
-}
-
-func decodeGenMarker(name string, data []byte) (start uint64, err error) {
-	if len(data) != 20 || string(data[:4]) != genMagic ||
-		crc32.ChecksumIEEE(data[8:16]) != binary.LittleEndian.Uint32(data[16:]) {
-		return 0, fmt.Errorf("%w: %s: bad generation marker", ErrCorruptSegment, name)
-	}
-	return binary.LittleEndian.Uint64(data[8:]), nil
 }
 
 // parseName classifies a blob name; ok is false for names this package does

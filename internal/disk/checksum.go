@@ -122,10 +122,6 @@ type Checksummed struct {
 // NewChecksummed wraps inner.
 func NewChecksummed(inner Store) *Checksummed { return &Checksummed{inner: inner} }
 
-// Inner returns the wrapped store (tools and tests that must bypass
-// verification, e.g. to inspect raw bytes).
-func (c *Checksummed) Inner() Store { return c.inner }
-
 // Verified returns the number of pages that passed verification.
 func (c *Checksummed) Verified() int64 { return c.verified.Load() }
 

@@ -53,8 +53,8 @@ var poolMutators = map[string]bool{
 }
 
 // serverStoreWriters are the functions of internal/server that may call
-// WritePage: the data-page write and the master-record write of writeback.go.
-var serverStoreWriters = map[string]bool{"storeWrite": true, "writeSuperblock": true}
+// WritePage: the data-page write and the one page-0 write of writeback.go.
+var serverStoreWriters = map[string]bool{"storeWrite": true, "writeSuperblockLocked": true}
 
 // serverLogAppenders are the functions of internal/server that may call
 // wal.Append or wal.AppendRun: the logging step of replay.go (logAndNote is a
@@ -134,7 +134,7 @@ func (WALDiscipline) Check(m *Module, pkgs []*Package, report Reporter) {
 						case !storeOK:
 							report(pkg, call.Pos(), "WritePage on a disk.Store from package %s: page writes are reserved to the storage-protocol packages (server/wal/archive/recbuf/faultinject); go through a Session so the WAL protocol covers the write", pkg.Path)
 						case inServer && !serverStoreWriters[fd.Name.Name]:
-							report(pkg, call.Pos(), "WritePage on a disk.Store in %s: inside the server a page reaches the volume only through the write-back module (storeWrite under writeHome or installWPLLocked, writeSuperblock), which carries the write-ahead test", fd.Name.Name)
+							report(pkg, call.Pos(), "WritePage on a disk.Store in %s: inside the server a page reaches the volume only through the write-back module (storeWrite under writeHome or installWPLLocked, writeSuperblockLocked), which carries the write-ahead test", fd.Name.Name)
 						}
 					case walCall(m, pkg, call, walAppends...):
 						if inServer && !serverLogAppenders[fd.Name.Name] {

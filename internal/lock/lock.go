@@ -3,7 +3,9 @@
 // update pages and release everything at transaction end (no
 // inter-transaction lock caching, paper §3.1).
 //
-// Requests queue FIFO per page. Deadlocks are broken by a wait timeout:
+// There is no queue: a request is granted once it fits the page's current
+// grants, so a later Shared request overtakes a waiting Exclusive one.
+// Deadlocks are broken by a wait timeout:
 // waiting longer than the configured bound fails the request with
 // ErrDeadlock and the caller is expected to abort. The paper's experiments
 // give each client a private module precisely to keep conflicts out of the

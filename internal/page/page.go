@@ -350,6 +350,3 @@ func (p *Page) Clone() *Page {
 	copy(b, p.buf)
 	return &Page{buf: b}
 }
-
-// CopyFrom overwrites the page's contents with those of src.
-func (p *Page) CopyFrom(src *Page) { copy(p.buf, src.buf) }

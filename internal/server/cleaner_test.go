@@ -252,7 +252,7 @@ func TestCommitLandsWhileCheckpointWritesPages(t *testing.T) {
 			}
 
 			s.Crash()
-			sb, err := s.readSuperblock()
+			sb, err := s.readSuperblock(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -146,10 +147,9 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// TestDecodeCkpt round-trips the checkpoint layout, with and without a 2PC
-// trailer's worth of entries, and rejects everything else — the legacy
-// (magic-less) layout included — with an error, never a panic.
-func TestDecodeCkpt(t *testing.T) {
+// ckptSamples are checkpoint payloads with ATT, WPL-table and DPT entries,
+// with and without a 2PC trailer's, and one with none.
+func ckptSamples() map[string]ckptPayload {
 	single := ckptPayload{
 		nextPage: 41, nextTID: 9, beginLSN: 123_456,
 		txns: []ckptTxn{{tid: 3, lastLSN: 900, firstLSN: 800}, {tid: 5, lastLSN: logrec.NoLSN, firstLSN: logrec.NoLSN}},
@@ -159,7 +159,16 @@ func TestDecodeCkpt(t *testing.T) {
 	sharded := single
 	sharded.prepared = []ckptPrepared{{tid: 3, prepLSN: 890, coord: 1, parts: []int{0, 1, 2}}, {tid: 5, prepLSN: 895, coord: 0}}
 	sharded.decided = []ckptDecided{{tid: 11, lsn: 700, parts: []int{0, 1}}}
-	for name, c := range map[string]ckptPayload{"single": single, "sharded": sharded, "empty": {nextPage: 1, nextTID: 1, beginLSN: 8192}} {
+	return map[string]ckptPayload{"single": single, "sharded": sharded, "empty": {nextPage: 1, nextTID: 1, beginLSN: 8192}}
+}
+
+// TestDecodeCkpt round-trips the checkpoint layout, with and without a 2PC
+// trailer's worth of entries, and rejects everything else — the legacy
+// (magic-less) layout included — with an error, never a panic.
+func TestDecodeCkpt(t *testing.T) {
+	samples := ckptSamples()
+	single, sharded := samples["single"], samples["sharded"]
+	for name, c := range samples {
 		enc := c.encode()
 		got, err := decodeCkpt(enc)
 		if err != nil {
@@ -211,6 +220,29 @@ func TestDecodeCkpt(t *testing.T) {
 			t.Fatalf("%s decoded", name)
 		}
 	}
+}
+
+// FuzzDecodeCkpt feeds arbitrary bytes to the checkpoint decoder, which also
+// decodes what a standby receives from its primary: it never panics, and a
+// payload it accepts re-encodes to bytes that decode to the same value.
+func FuzzDecodeCkpt(f *testing.F) {
+	for _, c := range ckptSamples() {
+		f.Add(c.encode())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := decodeCkpt(b)
+		if err != nil {
+			return
+		}
+		enc := c.encode() // sorts c's lists in place, as every encode does
+		again, err := decodeCkpt(enc)
+		if err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		if !reflect.DeepEqual(c, again) {
+			t.Fatalf("decode→encode→decode changed the payload:\n%+v\n%+v", c, again)
+		}
+	})
 }
 
 // analysisServer is a WPL server over a store that can refuse one page's
@@ -575,7 +607,7 @@ func diffTables(a, b tableView, aSrv, bSrv *Server) []string {
 // from its begin LSN — or over the whole log, before the first checkpoint.
 func analysisView(t *testing.T, s *Server) tableView {
 	t.Helper()
-	sb, err := s.readSuperblock()
+	sb, err := s.readSuperblock(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

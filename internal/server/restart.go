@@ -5,8 +5,8 @@ package server
 // A checkpoint writes home the pages dirty when it began (cleanPages,
 // cleaner.go), logs the active-transaction table and what is left of the
 // dirty page table, and truncates the log below the oldest LSN restart or an
-// active transaction still needs. Restart then reads the log once, forward,
-// from the oldest logged recLSN: each record is noted in the
+// active transaction still needs (reclaim). Restart then reads the log once,
+// forward, from the oldest logged recLSN: each record is noted in the
 // tables (analysis, seeded from the checkpoint) and replayed onto its page
 // conditionally on the page LSN (redo) as it is read — the step a standby
 // takes for a shipped record — and losers are rolled back with CLRs. What a
@@ -318,9 +318,9 @@ func (s *Server) checkpointLocked(sn *Session) error {
 	return s.checkpointCore(sn)
 }
 
-// checkpointCore snapshots the tables, appends the checkpoint record, writes
-// the master record, and reclaims log space. Caller holds gate.R plus ckptMu
-// (Checkpoint) or gate.W (restart).
+// checkpointCore snapshots the tables, appends the checkpoint record, and
+// reclaims log space. Caller holds gate.R plus ckptMu (Checkpoint) or gate.W
+// (restart).
 //
 // The analysis begin LSN and the snapshot of the tables are captured inside
 // ONE attMu critical section — the other half of logAndNote's invariant
@@ -342,16 +342,21 @@ func (s *Server) checkpointCore(sn *Session) error {
 	if err != nil {
 		return err
 	}
+	return s.reclaim(sn, c.masterRecord(ckptLSN), c.reclaimHead(ckptLSN))
+}
+
+// reclaim is the one tail of a checkpoint, the primary's and the standby's
+// mirrored one: the checkpoint record is made stable, then named by the master
+// record sb, then the log below head — which restart from sb never reads — is
+// reclaimed. A volume sync, once the store has one, goes before the
+// master-record write. Whoever else still needs older log (DESIGN.md "Log
+// retention") holds the head back inside Truncate.
+func (s *Server) reclaim(sn *Session, sb superblock, head uint64) error {
 	sn.meter().Add(costmodel.LogForce, s.log.Force())
-	if err := s.writeSuperblock(sn, c.masterRecord(ckptLSN)); err != nil {
+	if err := s.writeSuperblock(sn, sb); err != nil {
 		return err
 	}
 	atomic.AddInt64(&s.stats.Checkpoints, 1)
-	// Restart now reads nothing below head. Moving the redo holder there and
-	// truncating to it is all this checkpoint knows about retention: whoever
-	// else still needs older log (DESIGN.md "Log retention") holds the head
-	// back inside Truncate, which then advances as far as they allow.
-	head := c.reclaimHead(ckptLSN)
 	s.redo.Set(head)
 	return s.log.Truncate(head)
 }
@@ -414,7 +419,7 @@ func (sn *Session) Restart() error {
 	)
 	lap(&clock)
 	defer func() { s.lastRestart = rs }()
-	sb, err := s.readSuperblock()
+	sb, err := s.readSuperblock(sn)
 	if err != nil {
 		return err
 	}

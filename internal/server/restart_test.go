@@ -176,7 +176,7 @@ func TestRestartRedoesBelowAnalysisStart(t *testing.T) {
 			}
 			other, oslot := createPage(t, sn, []byte("above the checkpoint"))
 			s.Crash()
-			sb, err := s.readSuperblock()
+			sb, err := s.readSuperblock(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,6 +366,7 @@ func BenchmarkRestart(b *testing.B) {
 				b.Fatal(err)
 			}
 			var rs RestartStats
+			b.ResetTimer() // the server and volume above are setup, not restart
 			for n := 0; n < b.N; n++ {
 				b.StopTimer()
 				for x := 0; x < txns; x++ {

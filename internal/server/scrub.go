@@ -6,7 +6,8 @@ package server
 // torn page surfaces as disk.ErrCorruptPage. This file turns detection into
 // healing:
 //
-//   - repairImage rebuilds one page. First choice is the live log alone,
+//   - repairImage rebuilds one page (page 0 from the log's newest checkpoint
+//     record). First choice is the live log alone,
 //     fed to a PageRebuilder (replay.go) — always sufficient under WPL, and
 //     under ESM/REDO whenever the page's creation image is still in the log,
 //     the PD-style repair. Otherwise Config.RepairPage — wired by
@@ -22,7 +23,8 @@ package server
 //   - Scrub walks the volume page by page, verifying the stored copy and
 //     repairing what it finds, taking the quiesce gate and one shard latch
 //     per page so it never blocks a checkpoint for more than one page.
-//     Config.ScrubEvery starts the paced background loop over it.
+//     Config.ScrubEvery starts the paced background loop over it. Restart
+//     reads the master record the same way (readSuperblock).
 //
 // Locking: repair runs under gate.R → one shard latch, and touches only the
 // log and store below it — the §9 latch order is unchanged. The replay cut
@@ -124,25 +126,28 @@ func (s *Server) scrubOne(sn *Session, pid page.ID) (failed, repaired bool, err 
 	sh := s.pool.Lock(pid)
 	defer sh.Unlock()
 	atomic.AddInt64(&s.stats.ScrubScanned, 1)
-	buf := sh.Scratch()
-	rerr := s.store.ReadPage(pid, buf)
-	switch {
-	case rerr == nil || errors.Is(rerr, disk.ErrNotFound):
+	failed, err = s.readVerifiedLocked(sn, sh, pid, sh.Scratch())
+	if errors.Is(err, disk.ErrNotFound) {
 		return false, false, nil
-	case errors.Is(rerr, disk.ErrCorruptPage):
-		atomic.AddInt64(&s.stats.ChecksumFailures, 1)
-		sn.meter().Add(costmodel.DataRead, 1)
-		if err := s.repairShardLocked(sn, sh, pid, rerr, buf); err != nil {
-			return true, false, err
-		}
-		return true, true, nil
-	default:
-		return false, false, rerr
 	}
+	return failed, failed && err == nil, err
+}
+
+// readVerifiedLocked reads pid's stored copy into buf, repairing a corrupt one
+// in place and reporting it as failed. Caller holds pid's shard latch.
+func (s *Server) readVerifiedLocked(sn *Session, sh *buffer.PoolShard, pid page.ID, buf []byte) (failed bool, err error) {
+	err = s.store.ReadPage(pid, buf)
+	if !errors.Is(err, disk.ErrCorruptPage) {
+		return false, err
+	}
+	atomic.AddInt64(&s.stats.ChecksumFailures, 1)
+	sn.meter().Add(costmodel.DataRead, 1)
+	return true, s.repairShardLocked(sn, sh, pid, err, buf)
 }
 
 // repairShardLocked rebuilds pid's stored copy after corruptErr and writes
-// it home, leaving the repaired image in buf. Caller holds pid's shard
+// it home — page 0 through writeSuperblockLocked, every other page through
+// storeWrite — leaving the repaired image in buf. Caller holds pid's shard
 // latch. On success the stats count a repair; on failure the error wraps
 // ErrUnrepairable and corruptErr and the unrepairable counter advances.
 func (s *Server) repairShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID, corruptErr error, buf []byte) error {
@@ -151,24 +156,39 @@ func (s *Server) repairShardLocked(sn *Session, sh *buffer.PoolShard, pid page.I
 		atomic.AddInt64(&s.stats.PagesUnrepairable, 1)
 		return err
 	}
-	if werr := s.storeWrite(sn, pid, img); werr != nil {
-		return fmt.Errorf("server: writing repaired page %v: %w", pid, werr)
+	if pid == superblockPage {
+		err = s.writeSuperblockLocked(sn, img)
+	} else {
+		err = s.storeWrite(sn, pid, img)
+	}
+	if err != nil {
+		return fmt.Errorf("server: writing repaired page %v: %w", pid, err)
 	}
 	atomic.AddInt64(&s.stats.PagesRepaired, 1)
 	copy(buf, img)
 	return nil
 }
 
-// repairImage produces the bytes pid's stored copy should hold, trying in
-// order: the clean pooled frame (the cache is the authoritative copy), the
-// live log, Config.RepairPage (the archive). The shard latch is held, so
-// the page cannot change mid-repair.
+// repairImage produces the bytes pid's stored copy should hold: page 0 from
+// the log's newest checkpoint record; a data page from, in order, the clean
+// pooled frame (the cache is the authoritative copy), the live log,
+// Config.RepairPage (the archive). The shard latch is held, so the page
+// cannot change mid-repair.
 //
 //qslint:allow latch-io: repair forces the log under the held shard latch on purpose — the latch is what freezes the frame while its bytes are rebuilt, and every repair source is cut at the stable end
 func (s *Server) repairImage(sn *Session, sh *buffer.PoolShard, pid page.ID, corruptErr error) ([]byte, error) {
 	// The write-ahead rule for everything below: repairs are cut at the
 	// stable log end, so force once up front.
 	sn.meter().Add(costmodel.LogForce, s.log.Force())
+	if pid == superblockPage {
+		// Never from the archive: its copy could name a checkpoint the log
+		// has truncated away, and restart would then skip redo it still needs.
+		sb, err := s.superblockFromLog()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v: %v: %w", ErrUnrepairable, pid, err, corruptErr)
+		}
+		return encodeSuperblock(sb), nil
+	}
 	if s.cfg.Mode != ModeWPL {
 		if f := sh.Peek(pid); f != nil {
 			// The pooled frame supersedes the stored copy (any disk state is
@@ -178,16 +198,6 @@ func (s *Server) repairImage(sn *Session, sh *buffer.PoolShard, pid page.ID, cor
 			// this path.
 			return append([]byte(nil), f.Bytes()...), nil
 		}
-	}
-	if pid == superblockPage {
-		// The superblock is rebuilt from the log, not the archive: an
-		// archived copy could name a checkpoint the log has truncated away,
-		// and restart would then skip redo it still needs.
-		sb, err := s.superblockFromLog()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v: %v: %w", ErrUnrepairable, pid, err, corruptErr)
-		}
-		return encodeSuperblock(sb), nil
 	}
 	// The live log alone determines the page when its creation image (ESM/
 	// REDO clients log one whole-page image when a page is born) or, under

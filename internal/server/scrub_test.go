@@ -197,3 +197,68 @@ func TestBackgroundScrubberUnderConcurrentCommits(t *testing.T) {
 		t.Fatalf("object after background repair = %q", got)
 	}
 }
+
+// TestMasterRecordHasOneRepairPath damages page 0 twice: once found by the
+// scrubber, once by a restart with nothing else to write home. Both go
+// through repairShardLocked, which writes the rebuilt master record through
+// writeSuperblockLocked: each repair counts one checksum failure and one
+// repaired page, and neither counts a data-page write.
+func TestMasterRecordHasOneRepairPath(t *testing.T) {
+	for _, mode := range []Mode{ModeESM, ModeREDO, ModeWPL} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, sn, mem := newChecksummedServer(t, mode, Config{})
+			defer s.Close()
+			pid, slot := createPage(t, sn, []byte("master"))
+			if err := sn.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var pristine [page.Size]byte
+			if err := mem.ReadPage(superblockPage, pristine[:]); err != nil {
+				t.Fatal(err)
+			}
+			oneRepair := func(how string, before Stats) {
+				t.Helper()
+				st := s.Stats()
+				if d := st.ChecksumFailures - before.ChecksumFailures; d != 1 {
+					t.Errorf("%s: %d checksum failures, want 1", how, d)
+				}
+				if d := st.PagesRepaired - before.PagesRepaired; d != 1 {
+					t.Errorf("%s: %d pages repaired, want 1", how, d)
+				}
+				if d := st.DataWrites - before.DataWrites; d != 0 {
+					t.Errorf("%s: %d data-page writes, want 0 (page 0 is not a data page)", how, d)
+				}
+			}
+
+			if _, err := faultinject.RotPage(mem, superblockPage, 5); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats()
+			rep, err := sn.Scrub(0)
+			if err != nil || rep.Failures != 1 || rep.Repaired != 1 {
+				t.Fatalf("scrub: %+v, %v, want one repaired failure", rep, err)
+			}
+			oneRepair("scrub", before)
+			var healed [page.Size]byte
+			if err := mem.ReadPage(superblockPage, healed[:]); err != nil {
+				t.Fatal(err)
+			}
+			if healed != pristine {
+				t.Fatal("the scrubber's repaired master record differs from the pristine one")
+			}
+
+			s.Crash()
+			if err := faultinject.TearPage(mem, superblockPage, 1); err != nil {
+				t.Fatal(err)
+			}
+			before = s.Stats()
+			if err := sn.Restart(); err != nil {
+				t.Fatalf("restart over a torn master record: %v", err)
+			}
+			oneRepair("restart", before)
+			if got := readObject(t, sn, pid, slot, len("master")); string(got) != "master" {
+				t.Fatalf("object after restart = %q", got)
+			}
+		})
+	}
+}

@@ -124,6 +124,9 @@ var (
 	// transaction branch: once a branch has voted yes its fate belongs to the
 	// coordinator, and only Decide (or restart resolution) may finish it.
 	ErrInDoubt = errors.New("server: transaction is prepared (in doubt); awaiting coordinator decision")
+	// ErrMasterRecord refuses a client's lock on page 0, so no client reads,
+	// ships or logs the master record.
+	ErrMasterRecord = errors.New("server: page 0 holds the master record")
 )
 
 // Config configures a Server.
@@ -195,7 +198,7 @@ type Config struct {
 const DefaultPoolPages = 36 << 20 / page.Size
 
 // superblockPage holds the master record (checkpoint LSN and allocation
-// counters); it is never handed to clients.
+// counters); it is never handed to clients (ErrMasterRecord).
 const superblockPage page.ID = 0
 
 // Stats counts server-side work. Fields are updated with atomics; read them
@@ -714,11 +717,16 @@ func (s *Server) ownClass(tid logrec.TID) bool {
 // checkpoint). A lock for a finished transaction would never be released, so
 // an unknown tid — a Lock re-sent after a dropped connection already aborted
 // its transaction — is ErrNoTxn, as for every other transactional call.
+// Page 0 is the master record's and is refused (ErrMasterRecord). Only a
+// request that reaches the lock table is metered.
 func (sn *Session) Lock(tid logrec.TID, pid page.ID, mode lock.Mode) error {
-	sn.m.Add(costmodel.LockReq, 1)
+	if pid == superblockPage {
+		return ErrMasterRecord
+	}
 	if _, ok := sn.s.lookupTxn(tid); !ok {
 		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
 	}
+	sn.m.Add(costmodel.LockReq, 1)
 	return sn.s.locks.Lock(tid, pid, mode)
 }
 
@@ -747,18 +755,14 @@ func (sn *Session) AllocPage(tid logrec.TID) (page.ID, error) {
 }
 
 // ReadPage copies the contents of pid into dst, which must be page.Size
-// bytes, after acquiring the requested lock. The lock is acquired before
-// entering the gate, so a conflict wait never delays a checkpoint.
+// bytes, after acquiring the requested lock through Lock. The lock is acquired
+// before entering the gate, so a conflict wait never delays a checkpoint.
 func (sn *Session) ReadPage(tid logrec.TID, pid page.ID, mode lock.Mode, dst []byte) error {
 	s := sn.s
 	if len(dst) != page.Size {
 		return fmt.Errorf("server: ReadPage into %d bytes", len(dst))
 	}
-	if _, ok := s.lookupTxn(tid); !ok {
-		return fmt.Errorf("%w: %v", ErrNoTxn, tid)
-	}
-	sn.m.Add(costmodel.LockReq, 1)
-	if err := s.locks.Lock(tid, pid, mode); err != nil {
+	if err := sn.Lock(tid, pid, mode); err != nil {
 		return err
 	}
 	defer s.enter()()

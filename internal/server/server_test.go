@@ -864,3 +864,38 @@ func TestFreshLogSmallerThanTheLast(t *testing.T) {
 		})
 	}
 }
+
+// TestClientsCannotReachTheMasterRecord: page 0 holds the master record, so a
+// client may neither lock nor read it, and without the X lock its ship of
+// page 0 is refused too. Were it accepted, the shipped bytes would reach the
+// volume when eviction wrote page 0 home, and the next restart would find no
+// master record.
+func TestClientsCannotReachTheMasterRecord(t *testing.T) {
+	s := New(Config{Mode: ModeESM, PoolPages: 2, PoolShards: 1, LogCapacity: 16 << 20,
+		LockTimeout: time.Second, CheckpointEvery: 1 << 30})
+	defer s.Close()
+	sn := s.NewSession(nil, nil)
+	if err := sn.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tid := sn.Begin()
+	if err := sn.Lock(tid, superblockPage, lock.Exclusive); !errors.Is(err, ErrMasterRecord) {
+		t.Fatalf("X lock on page 0: %v, want ErrMasterRecord", err)
+	}
+	if _, err := readPage(sn, tid, superblockPage, lock.Shared); !errors.Is(err, ErrMasterRecord) {
+		t.Fatalf("ReadPage of page 0: %v, want ErrMasterRecord", err)
+	}
+	if err := sn.ShipPage(tid, superblockPage, bytes.Repeat([]byte{0xAB}, page.Size)); err == nil {
+		t.Fatal("ShipPage of page 0 accepted")
+	}
+	if err := sn.Commit(tid); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // enough one-page commits to cycle the 2-frame pool
+		createPage(t, sn, []byte{'e', byte('0' + i)})
+	}
+	s.Crash()
+	if err := sn.Restart(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+}

@@ -19,9 +19,7 @@ package server
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"repro/internal/costmodel"
 	"repro/internal/logrec"
 	"repro/internal/page"
 )
@@ -92,22 +90,17 @@ func (sn *Session) ApplyShipped(r *logrec.Record) error {
 }
 
 // applyShippedCheckpoint mirrors the primary's checkpoint side effects from
-// the record's payload: the master-record write (so promotion's Restart finds
-// the same newest checkpoint a crashed primary's would), the allocation
-// counters, and the log reclamation — checkpointCore's own head computation
-// (reclaimHead) over the logged snapshot, so the standby's ring reclaims in
-// lockstep with the primary's.
+// the record's payload: the allocation counters, then the primary's reclaim
+// step — the master-record write, so promotion's Restart finds the same newest
+// checkpoint a crashed primary's would, and the log reclamation from
+// checkpointCore's own head (reclaimHead), so the standby's ring reclaims in
+// lockstep with the primary's. If draining the standby's own obligations
+// below that head fails, the previous master record stays: a longer redo.
 func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 	c, err := decodeCkpt(r.After)
 	if err != nil {
 		return fmt.Errorf("server: shipped checkpoint at %d: %w", r.LSN, err)
 	}
-	// The master record must never name an unstable checkpoint record.
-	sn.meter().Add(costmodel.LogForce, s.log.Force())
-	if err := s.writeSuperblock(sn, c.masterRecord(r.LSN)); err != nil {
-		return err
-	}
-	atomic.AddInt64(&s.stats.Checkpoints, 1)
 	s.allocMu.Lock()
 	s.nextPage = max(s.nextPage, c.nextPage)
 	s.nextTID = max(s.nextTID, c.nextTID)
@@ -154,12 +147,10 @@ func (s *Server) applyShippedCheckpoint(sn *Session, r *logrec.Record) error {
 		head = min(head, e.rec)
 	}
 	s.dptMu.Unlock()
-	head = s.wplHoldBelow(sn, head)
-	s.redo.Set(head)
-	if head > s.log.Head() {
-		return s.log.Truncate(head)
-	}
-	return nil
+	// A cold-bootstrapped ring can start above the primary's head; a redo
+	// holder at the ring head pins the same log as one below it.
+	head = max(s.wplHoldBelow(sn, head), s.log.Head())
+	return s.reclaim(sn, c.masterRecord(r.LSN), head)
 }
 
 // wplHoldBelow is the WPL twin of the orphan drain above: copies the primary

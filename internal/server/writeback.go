@@ -2,13 +2,14 @@ package server
 
 // Write-back: the one path from a page image to the data volume (DESIGN.md
 // §2.4; replay.go is the opposite direction). storeWrite is the only
-// data-page write in the package and writeSuperblock the only master-record
-// write — qslint's wal-discipline rejects a WritePage anywhere else in
-// internal/server. On top of storeWrite, writeHome (a dirty ESM/REDO frame)
-// and installWPLLocked (a committed WPL copy) each state their mode's
-// write-ahead test once. Every other path — eviction, the page loop behind
-// the cleaner, checkpoints and FlushAll, the standby's orphan drain, restart,
-// scrub repair — only chooses which pages go and in what order.
+// data-page write in the package and writeSuperblockLocked the only write of
+// page 0, the master record, at a checkpoint or a repair — qslint's
+// wal-discipline rejects a WritePage anywhere else in internal/server. On top
+// of storeWrite, writeHome (a dirty ESM/REDO frame) and installWPLLocked (a
+// committed WPL copy) each state their mode's write-ahead test once. Every
+// other path — eviction, the page loop behind the cleaner, checkpoints and
+// FlushAll, the standby's orphan drain, restart, scrub repair — only chooses
+// which pages go and in what order.
 
 import (
 	"encoding/binary"
@@ -23,8 +24,9 @@ import (
 	"repro/internal/page"
 )
 
-// storeWrite hands one page image to the data volume, charges the session's
-// meter and counts the write.
+// storeWrite hands one data page's image to the data volume, charges the
+// session's meter and counts the write. No client can lock page 0, so no
+// frame, shipped copy or logged image brings it here.
 func (s *Server) storeWrite(sn *Session, pid page.ID, img []byte) error {
 	if err := s.store.WritePage(pid, img); err != nil {
 		return err
@@ -34,14 +36,21 @@ func (s *Server) storeWrite(sn *Session, pid page.ID, img []byte) error {
 	return nil
 }
 
-// writeSuperblock writes the master record at a checkpoint, under page 0's
-// shard latch: a checkpoint runs under gate.R, where the scrubber may be
-// repairing page 0 under the same latch. Metered like any page write but not
-// counted in DataWrites, which counts data pages.
+// writeSuperblock writes the master record at a checkpoint (reclaim), under
+// page 0's shard latch: a checkpoint runs under gate.R, where the scrubber may
+// be repairing page 0 under the same latch.
 func (s *Server) writeSuperblock(sn *Session, sb superblock) error {
 	sh := s.pool.Lock(superblockPage)
 	defer sh.Unlock()
-	if err := s.store.WritePage(superblockPage, encodeSuperblock(sb)); err != nil {
+	return s.writeSuperblockLocked(sn, encodeSuperblock(sb))
+}
+
+// writeSuperblockLocked is the one write of page 0: a checkpoint's master
+// record, or the copy repairShardLocked rebuilt from the log. Caller holds
+// page 0's shard latch. Metered like any page write but not counted in
+// DataWrites, which counts data pages.
+func (s *Server) writeSuperblockLocked(sn *Session, img []byte) error {
+	if err := s.store.WritePage(superblockPage, img); err != nil {
 		return err
 	}
 	sn.meter().Add(costmodel.DataWriteAsync, 1)
@@ -140,37 +149,23 @@ func encodeSuperblock(sb superblock) []byte {
 	return buf
 }
 
-func (s *Server) readSuperblock() (superblock, error) {
-	var buf [page.Size]byte
-	err := s.store.ReadPage(superblockPage, buf[:])
+// readSuperblock reads the master record at restart as the scrubber reads any
+// page, under its shard latch: a rotted or torn copy is repaired in place by
+// repairShardLocked, from the newest checkpoint record in the log.
+func (s *Server) readSuperblock(sn *Session) (superblock, error) {
+	sh := s.pool.Lock(superblockPage)
+	defer sh.Unlock()
+	buf := sh.Scratch()
+	_, err := s.readVerifiedLocked(sn, sh, superblockPage, buf)
 	fresh := superblock{nextPage: 1, nextTID: 1}
 	if errors.Is(err, disk.ErrNotFound) {
 		return fresh, nil
-	}
-	if errors.Is(err, disk.ErrCorruptPage) {
-		// A rotted or torn master record. Rebuild it from the newest
-		// checkpoint record still in the log — never from the archive, whose
-		// copy could name an older checkpoint and make restart skip redo it
-		// still needs. No checkpoint record means the superblock cannot be
-		// trusted at all: fail loudly rather than recover from a guess.
-		atomic.AddInt64(&s.stats.ChecksumFailures, 1)
-		sb, rerr := s.superblockFromLog()
-		if rerr != nil {
-			atomic.AddInt64(&s.stats.PagesUnrepairable, 1)
-			return superblock{}, fmt.Errorf("%w: %v: %v: %w",
-				ErrUnrepairable, superblockPage, rerr, err)
-		}
-		if werr := s.storeWrite(nil, superblockPage, encodeSuperblock(sb)); werr != nil {
-			return superblock{}, werr
-		}
-		atomic.AddInt64(&s.stats.PagesRepaired, 1)
-		return sb, nil
 	}
 	if err != nil {
 		return superblock{}, err
 	}
 	if binary.LittleEndian.Uint32(buf[0:]) != superMagic {
-		if buf == [page.Size]byte{} {
+		if [page.Size]byte(buf) == [page.Size]byte{} {
 			// No superblock yet (a crash before the first checkpoint): a
 			// file volume reads the hole at page 0 as zeros.
 			return fresh, nil
