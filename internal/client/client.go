@@ -283,7 +283,7 @@ func (c *Client) Begin() (*Tx, error) {
 
 // handleFault is the QuickStore page-fault handler (paper §3.2.1): invoked
 // on the first write to a write-protected frame.
-func (c *Client) handleFault(d *vmem.Desc, _ vmem.Addr, write bool) error {
+func (c *Client) handleFault(d *vmem.Desc, write bool) error {
 	if !write {
 		return fmt.Errorf("%w: read fault on %v", vmem.ErrProtection, d.Page)
 	}

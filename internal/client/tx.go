@@ -80,7 +80,6 @@ func (tx *Tx) lockDesc(d *vmem.Desc, mode lock.Mode) error {
 
 // markDirty records that the page has uncommitted updates.
 func (tx *Tx) markDirty(d *vmem.Desc) {
-	d.Dirty = true
 	tx.dirty[d.Page] = true
 	tx.c.pool.MarkDirty(d.Page)
 }
@@ -585,7 +584,6 @@ func (tx *Tx) Commit() error {
 	for _, pid := range pids {
 		c.pool.MarkClean(pid)
 		if d := c.space.ByPage(pid); d != nil {
-			d.Dirty = false
 			d.RecoveryEnabled = false
 			c.space.Protect(d, vmem.ReadOnly)
 		}

@@ -39,7 +39,7 @@ type Params struct {
 	LogDiskRead   time.Duration // 8 KB log page read (WPL reclaim)
 
 	// Client CPU costs for the recovery machinery (§3).
-	Fault       time.Duration // protection fault + AVL descriptor lookup + mprotect
+	Fault       time.Duration // protection fault + the paper's descriptor-tree search (simulated: vmem keeps a map) + mprotect
 	CopyPage    time.Duration // copy 8 KB into the recovery buffer
 	DiffPage    time.Duration // diff 8 KB before/after images
 	CopyBlock   time.Duration // copy one sub-page block (SD/SL)

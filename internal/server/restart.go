@@ -573,12 +573,11 @@ func (s *Server) topPageLSN(sn *Session) (top uint64, read int64, err error) {
 	s.allocMu.Unlock()
 	buf := make([]byte, page.Size)
 	for pid, end := superblockPage+1, page.ID(s.store.Pages()); pid < end; pid++ {
-		err := s.store.ReadPage(pid, buf)
+		err := s.storeRead(sn, pid, buf)
 		if errors.Is(err, disk.ErrNotFound) {
 			continue
 		}
 		read++
-		sn.meter().Add(costmodel.DataRead, 1)
 		if errors.Is(err, disk.ErrCorruptPage) {
 			atomic.AddInt64(&s.stats.ChecksumFailures, 1)
 			if pid >= frontier {

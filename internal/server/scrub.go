@@ -136,12 +136,11 @@ func (s *Server) scrubOne(sn *Session, pid page.ID) (failed, repaired bool, err 
 // readVerifiedLocked reads pid's stored copy into buf, repairing a corrupt one
 // in place and reporting it as failed. Caller holds pid's shard latch.
 func (s *Server) readVerifiedLocked(sn *Session, sh *buffer.PoolShard, pid page.ID, buf []byte) (failed bool, err error) {
-	err = s.store.ReadPage(pid, buf)
+	err = s.storeRead(sn, pid, buf)
 	if !errors.Is(err, disk.ErrCorruptPage) {
 		return false, err
 	}
 	atomic.AddInt64(&s.stats.ChecksumFailures, 1)
-	sn.meter().Add(costmodel.DataRead, 1)
 	return true, s.repairShardLocked(sn, sh, pid, err, buf)
 }
 

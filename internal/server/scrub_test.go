@@ -82,6 +82,34 @@ func TestScrubRepairsRotFromLiveLog(t *testing.T) {
 			}
 		})
 	}
+	// Every page the scrubber or restart reads from the volume counts in
+	// DataReads, as a demand fetch does.
+	t.Run("counts-reads", func(t *testing.T) {
+		s, sn, _ := newChecksummedServer(t, ModeESM, Config{})
+		defer s.Close()
+		for i := 0; i < 5; i++ {
+			createPage(t, sn, []byte("counted"))
+		}
+		if err := sn.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		rep, err := sn.Scrub(0)
+		if err != nil || rep.Failures != 0 {
+			t.Fatalf("scrub: %+v, %v, want clean", rep, err)
+		}
+		if d := s.Stats().DataReads - before.DataReads; d != rep.Scanned || d != 6 {
+			t.Fatalf("scrub of the superblock and 5 pages: DataReads +%d, scanned %d, want 6", d, rep.Scanned)
+		}
+		s.Crash()
+		before = s.Stats()
+		if err := sn.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		if d := s.Stats().DataReads - before.DataReads; d < 1 {
+			t.Fatalf("restart: DataReads +%d, want at least the superblock's read", d)
+		}
+	})
 }
 
 // TestDemandReadRepairsCorruptPage rots a page and reads it through the

@@ -812,11 +812,9 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 		sn.meter().Add(costmodel.LogRead, 1)
 		atomic.AddInt64(&s.stats.WPLLogReloads, 1)
 	} else {
-		err := s.store.ReadPage(pid, buf)
+		err := s.storeRead(sn, pid, buf)
 		switch {
 		case errors.Is(err, disk.ErrNotFound) && !mustExist:
-			sn.meter().Add(costmodel.DataRead, 1)
-			atomic.AddInt64(&s.stats.DataReads, 1)
 			return s.insertBlankShardLocked(sn, sh, pid)
 		case errors.Is(err, disk.ErrCorruptPage):
 			// Rot, a torn write, or a misdirected write under the stored
@@ -832,8 +830,6 @@ func (s *Server) fetchShardLocked(sn *Session, sh *buffer.PoolShard, pid page.ID
 		case err != nil:
 			return nil, err
 		}
-		sn.meter().Add(costmodel.DataRead, 1)
-		atomic.AddInt64(&s.stats.DataReads, 1)
 	}
 	if err := s.makeRoomShardLocked(sn, sh); err != nil {
 		return nil, err

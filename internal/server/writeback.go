@@ -9,7 +9,10 @@ package server
 // committed WPL copy) each state their mode's write-ahead test once. Every
 // other path — eviction, the page loop behind the cleaner, checkpoints and
 // FlushAll, the standby's orphan drain, restart, scrub repair — only chooses
-// which pages go and in what order.
+// which pages go and in what order. Beside storeWrite, storeRead is the one
+// read of a stored page, so every read the volume serves is metered and
+// counted alike: a demand fetch, the scrubber, restart's superblock and its
+// fresh-log walk.
 
 import (
 	"encoding/binary"
@@ -34,6 +37,16 @@ func (s *Server) storeWrite(sn *Session, pid page.ID, img []byte) error {
 	sn.meter().Add(costmodel.DataWriteAsync, 1)
 	atomic.AddInt64(&s.stats.DataWrites, 1)
 	return nil
+}
+
+// storeRead reads pid's stored copy into buf, charges the session's meter and
+// counts the read, whatever the store answers: the bytes, a corrupt copy the
+// caller repairs, or that it holds no such page.
+func (s *Server) storeRead(sn *Session, pid page.ID, buf []byte) error {
+	err := s.store.ReadPage(pid, buf)
+	sn.meter().Add(costmodel.DataRead, 1)
+	atomic.AddInt64(&s.stats.DataReads, 1)
+	return err
 }
 
 // writeSuperblock writes the master record at a checkpoint (reclaim), under

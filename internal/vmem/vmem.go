@@ -3,19 +3,22 @@
 // fault handling (paper §3.2.1).
 //
 // Go offers no portable page protection or safe pointer mapping, so this
-// package substitutes synthetic 8 KB-aligned virtual addresses and routes
-// every access through Read/Write calls on a descriptor the caller holds. An
-// access the frame's protection allows is a bounds check and a copy of just
-// the bytes asked for, the memory-speed dereference of a resident page. The
-// recovery-relevant behaviour is preserved exactly: the first write to a
-// write-protected frame invokes the registered fault handler, which — like
-// the paper's SIGSEGV handler, given only the faulting address — finds the
-// page descriptor in a height-balanced (AVL) table keyed by virtual address,
-// performs whatever its recovery scheme requires, and upgrades the frame's
-// protection so subsequent writes proceed at memory speed. The AVL table
-// serves faults only; the caller finds a resident page's descriptor by page
-// id (ByPage), which answers a repeat of its last page from a one-entry
-// cache: a depth-first walk dereferences the same page many times running.
+// package routes every access through Read/Write calls on a descriptor the
+// caller holds. An access the frame's protection allows is a bounds check
+// and a copy of just the bytes asked for, the memory-speed dereference of a
+// resident page. The recovery-relevant behaviour is preserved exactly: the
+// first write to a write-protected frame invokes the registered fault
+// handler, which performs whatever its recovery scheme requires and upgrades
+// the frame's protection so subsequent writes proceed at memory speed.
+//
+// The paper's SIGSEGV handler is given only a faulting address, so it
+// searches a height-balanced tree keyed by virtual address for the page
+// descriptor. Here the fault already holds its descriptor, so the table is
+// one map from page id to descriptor: a fault checks that the descriptor is
+// still its page's mapping, and the caller finds a resident page's
+// descriptor by page id (ByPage), which answers a repeat of its last page
+// from a one-entry cache. The paper's tree search is charged in every
+// simulated figure through costmodel.Fault, not by this table.
 package vmem
 
 import (
@@ -55,15 +58,9 @@ func (p Prot) String() string {
 	}
 }
 
-// Addr is a synthetic virtual address.
-type Addr = uint64
-
-// Base is the first virtual-frame address handed out.
-const Base Addr = 0x1000_0000
-
 // Errors returned by the address space.
 var (
-	ErrUnmapped   = errors.New("vmem: address not mapped")
+	ErrUnmapped   = errors.New("vmem: page not mapped")
 	ErrProtection = errors.New("vmem: access violates protection")
 	ErrBounds     = errors.New("vmem: access crosses frame boundary")
 )
@@ -72,7 +69,6 @@ var (
 // (paper Figure 1). The recovery-related fields are owned by the client's
 // scheme implementation.
 type Desc struct {
-	VAddr Addr
 	Page  page.ID
 	Frame *buffer.Frame // the buffer-pool frame backing this virtual frame
 	Prot  Prot
@@ -80,8 +76,6 @@ type Desc struct {
 	// RecoveryEnabled is set once the scheme has captured whatever it needs
 	// (page copy, lock) to allow in-place updates.
 	RecoveryEnabled bool
-	// Dirty is set on the first write fault (whole-page logging state).
-	Dirty bool
 	// LockTx and Lock cache the page lock held by the client's transaction
 	// number LockTx: at least Lock. The client's lock table stays the truth;
 	// this copy may lag it, never lead it.
@@ -90,35 +84,26 @@ type Desc struct {
 }
 
 // FaultHandler is invoked on access violations, in the role of QuickStore's
-// SIGSEGV handler. It receives the descriptor of the faulted frame, the
-// faulting address and whether the access was a write. If it returns nil the
-// access is retried; protection must have been raised or the retry fails.
-type FaultHandler func(d *Desc, addr Addr, write bool) error
+// SIGSEGV handler. It receives the descriptor of the faulted frame and
+// whether the access was a write. If it returns nil the access proceeds;
+// protection must have been raised or the access fails.
+type FaultHandler func(d *Desc, write bool) error
 
-// Space is a process address space: the descriptor table plus the mapping
-// allocator. Not safe for concurrent use; each client owns one.
+// Space is a process address space: the page-descriptor table. Not safe for
+// concurrent use; each client owns one.
 type Space struct {
-	root    *avlNode          // descriptors by virtual address, for faults
-	byPage  map[page.ID]*Desc // descriptors by page id, for the client's hits
+	byPage  map[page.ID]*Desc // the mapped descriptor of each page
 	last    *Desc             // the descriptor ByPage returned last, or nil
-	nextVA  Addr
 	handler FaultHandler
-	faults  int64
 }
 
 // NewSpace creates an empty address space.
 func NewSpace() *Space {
-	return &Space{byPage: make(map[page.ID]*Desc), nextVA: Base}
+	return &Space{byPage: make(map[page.ID]*Desc)}
 }
 
 // SetFaultHandler installs the handler invoked on protection violations.
 func (s *Space) SetFaultHandler(h FaultHandler) { s.handler = h }
-
-// Faults returns the number of handled protection faults.
-func (s *Space) Faults() int64 { return s.faults }
-
-// Mapped returns the number of mapped frames.
-func (s *Space) Mapped() int { return countNodes(s.root) }
 
 // Map binds a fresh virtual frame to pid, backed by f (the buffer-pool
 // slot). The frame starts ReadOnly, so the first update faults. It returns
@@ -128,33 +113,20 @@ func (s *Space) Map(pid page.ID, f *buffer.Frame) *Desc {
 	if s.byPage[pid] != nil {
 		panic(fmt.Sprintf("vmem: %v already mapped", pid))
 	}
-	d := &Desc{VAddr: s.nextVA, Page: pid, Frame: f, Prot: ReadOnly}
-	s.nextVA += page.Size
-	s.root = insert(s.root, d.VAddr, d)
+	d := &Desc{Page: pid, Frame: f, Prot: ReadOnly}
 	s.byPage[pid] = d
 	return d
 }
 
 // Unmap removes the frame mapping (page evicted from the buffer pool). The
 // descriptor's protection drops to None, so an access through a stale
-// descriptor faults and finds no mapping.
+// descriptor faults and finds that it is no longer its page's mapping.
 func (s *Space) Unmap(d *Desc) {
-	s.root = remove(s.root, d.VAddr)
 	delete(s.byPage, d.Page)
 	if s.last == d {
 		s.last = nil
 	}
 	d.Prot = None
-}
-
-// Lookup finds the descriptor whose frame contains addr, as the fault
-// handler does, or nil.
-func (s *Space) Lookup(addr Addr) *Desc {
-	n := floor(s.root, addr)
-	if n == nil || addr >= n.desc.VAddr+page.Size {
-		return nil
-	}
-	return n.desc
 }
 
 // ByPage returns the descriptor for pid, or nil. A repeat of the page it
@@ -178,7 +150,7 @@ func (s *Space) Protect(d *Desc, p Prot) { d.Prot = p }
 // faults first.
 func (s *Space) Read(d *Desc, off int, dst []byte) error {
 	if off < 0 || off+len(dst) > page.Size {
-		return fmt.Errorf("%w: %#x+%d", ErrBounds, d.VAddr+uint64(off), len(dst))
+		return fmt.Errorf("%w: %v+%d len %d", ErrBounds, d.Page, off, len(dst))
 	}
 	if d.Prot == None {
 		if err := s.fault(d, off, false); err != nil {
@@ -194,7 +166,7 @@ func (s *Space) Read(d *Desc, off int, dst []byte) error {
 // page-differencing and whole-page-logging schemes rely on.
 func (s *Space) Write(d *Desc, off int, src []byte) error {
 	if off < 0 || off+len(src) > page.Size {
-		return fmt.Errorf("%w: %#x+%d", ErrBounds, d.VAddr+uint64(off), len(src))
+		return fmt.Errorf("%w: %v+%d len %d", ErrBounds, d.Page, off, len(src))
 	}
 	if d.Prot != ReadWrite {
 		if err := s.fault(d, off, true); err != nil {
@@ -206,25 +178,22 @@ func (s *Space) Write(d *Desc, off int, src []byte) error {
 }
 
 // fault runs the handler for an access at d's offset off that d's
-// protection forbids. Like a SIGSEGV handler it starts from the faulting
-// address alone: the descriptor it passes on is the AVL table's, and an
-// address no longer mapped is ErrUnmapped. The access then proceeds only if
-// the handler raised the protection far enough.
+// protection forbids. A descriptor that is no longer its page's mapping (the
+// page was unmapped, and perhaps mapped again under a new descriptor) is
+// ErrUnmapped. The access then proceeds only if the handler raised the
+// protection far enough.
 func (s *Space) fault(d *Desc, off int, write bool) error {
-	addr := d.VAddr + uint64(off)
-	fd := s.Lookup(addr)
-	if fd == nil {
-		return fmt.Errorf("%w: %#x", ErrUnmapped, addr)
+	if s.byPage[d.Page] != d {
+		return fmt.Errorf("%w: %v+%d", ErrUnmapped, d.Page, off)
 	}
 	if s.handler == nil {
-		return fmt.Errorf("%w: %#x (no fault handler)", ErrProtection, addr)
+		return fmt.Errorf("%w: %v+%d (no fault handler)", ErrProtection, d.Page, off)
 	}
-	s.faults++
-	if err := s.handler(fd, addr, write); err != nil {
+	if err := s.handler(d, write); err != nil {
 		return err
 	}
-	if fd.Prot == None || write && fd.Prot != ReadWrite {
-		return fmt.Errorf("%w: %#x still %v after fault", ErrProtection, addr, fd.Prot)
+	if d.Prot == None || write && d.Prot != ReadWrite {
+		return fmt.Errorf("%w: %v+%d still %v after fault", ErrProtection, d.Page, off, d.Prot)
 	}
 	return nil
 }

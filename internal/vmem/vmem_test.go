@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/buffer"
@@ -28,24 +27,16 @@ func frame() *buffer.Frame {
 
 func TestMapLookup(t *testing.T) {
 	s := NewSpace()
-	d1 := s.Map(1, frame())
-	d2 := s.Map(2, frame())
-	if d2.VAddr != d1.VAddr+page.Size {
-		t.Fatalf("addresses not contiguous: %#x %#x", d1.VAddr, d2.VAddr)
+	f1, f2 := frame(), frame()
+	d1 := s.Map(1, f1)
+	d2 := s.Map(2, f2)
+	if d1 == d2 || d1.Page != 1 || d2.Page != 2 || d1.Frame != f1 || d2.Frame != f2 {
+		t.Fatalf("descriptors wrong: %+v %+v", d1, d2)
 	}
-	if got := s.Lookup(d1.VAddr); got != d1 {
-		t.Fatal("lookup at base failed")
+	if d1.Prot != ReadOnly || d2.Prot != ReadOnly {
+		t.Fatalf("fresh mappings are %v %v, want ReadOnly", d1.Prot, d2.Prot)
 	}
-	if got := s.Lookup(d1.VAddr + 100); got != d1 {
-		t.Fatal("lookup inside frame failed")
-	}
-	if got := s.Lookup(d2.VAddr + page.Size); got != nil {
-		t.Fatal("lookup past end returned a frame")
-	}
-	if got := s.Lookup(d1.VAddr - 1); got != nil {
-		t.Fatal("lookup below base returned a frame")
-	}
-	if s.ByPage(2) != d2 || s.ByPage(99) != nil {
+	if s.ByPage(1) != d1 || s.ByPage(2) != d2 || s.ByPage(99) != nil {
 		t.Fatal("ByPage wrong")
 	}
 }
@@ -71,13 +62,15 @@ func TestReadableByDefaultWriteFaults(t *testing.T) {
 func TestFaultHandlerEnablesWrite(t *testing.T) {
 	s := NewSpace()
 	d := s.Map(1, frame())
-	var faultedAddr Addr
-	var faultedWrite bool
-	s.SetFaultHandler(func(fd *Desc, addr Addr, write bool) error {
+	faults := 0
+	s.SetFaultHandler(func(fd *Desc, write bool) error {
 		if fd != d {
 			t.Error("handler got wrong descriptor")
 		}
-		faultedAddr, faultedWrite = addr, write
+		if !write {
+			t.Error("a write faulted as a read")
+		}
+		faults++
 		s.Protect(fd, ReadWrite)
 		fd.RecoveryEnabled = true
 		return nil
@@ -85,20 +78,17 @@ func TestFaultHandlerEnablesWrite(t *testing.T) {
 	if err := s.Write(d, 8, []byte{42}); err != nil {
 		t.Fatal(err)
 	}
-	if faultedAddr != d.VAddr+8 || !faultedWrite {
-		t.Fatalf("fault at %#x write=%v", faultedAddr, faultedWrite)
-	}
 	if d.Frame.Bytes()[8] != 42 {
 		t.Fatal("write not applied")
 	}
-	if s.Faults() != 1 {
-		t.Fatalf("faults = %d", s.Faults())
+	if faults != 1 {
+		t.Fatalf("faults = %d", faults)
 	}
 	// Second write: no fault (memory speed).
 	if err := s.Write(d, 9, []byte{43}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Faults() != 1 {
+	if faults != 1 {
 		t.Fatal("second write faulted")
 	}
 }
@@ -108,7 +98,7 @@ func TestNoneProtFaultsOnRead(t *testing.T) {
 	d := s.Map(1, frame())
 	s.Protect(d, None)
 	faults := 0
-	s.SetFaultHandler(func(fd *Desc, addr Addr, write bool) error {
+	s.SetFaultHandler(func(fd *Desc, write bool) error {
 		faults++
 		s.Protect(fd, ReadOnly)
 		return nil
@@ -128,10 +118,10 @@ func TestHeldDescriptorFaultsThroughTable(t *testing.T) {
 	d := s.Map(2, frame())
 	s.Map(3, frame())
 	var calls int
-	s.SetFaultHandler(func(fd *Desc, addr Addr, write bool) error {
+	s.SetFaultHandler(func(fd *Desc, write bool) error {
 		calls++
-		if want := s.Lookup(addr); fd != want || fd != d {
-			t.Errorf("handler got %p for %#x, Lookup gives %p, held %p", fd, addr, want, d)
+		if want := s.ByPage(2); fd != want || fd != d {
+			t.Errorf("handler got %p, the table holds %p, held %p", fd, want, d)
 		}
 		if write {
 			s.Protect(fd, ReadWrite)
@@ -145,8 +135,8 @@ func TestHeldDescriptorFaultsThroughTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if calls != 1 || s.Faults() != 1 {
-		t.Fatalf("three writes to a ReadOnly frame: handler ran %d times, %d faults; want 1", calls, s.Faults())
+	if calls != 1 {
+		t.Fatalf("three writes to a ReadOnly frame: handler ran %d times, want 1", calls)
 	}
 	if err := s.Read(d, 40, make([]byte, 3)); err != nil || calls != 1 {
 		t.Fatalf("read of a ReadWrite frame: err %v, handler ran %d times", err, calls)
@@ -175,19 +165,39 @@ func TestCrossBoundaryAccessRejected(t *testing.T) {
 
 func TestUnmappedAccess(t *testing.T) {
 	// An access through a descriptor whose frame was unmapped faults, and
-	// the fault finds no mapping at its address.
+	// the fault finds it is not its page's mapping, even once the page is
+	// mapped again under a new descriptor.
 	s := NewSpace()
-	s.SetFaultHandler(func(*Desc, Addr, bool) error {
-		t.Fatal("handler called for an unmapped address")
+	var handled *Desc
+	s.SetFaultHandler(func(fd *Desc, write bool) error {
+		handled = fd
+		s.Protect(fd, ReadWrite)
 		return nil
 	})
-	d := s.Map(1, frame())
-	s.Unmap(d)
-	if err := s.Read(d, 0, make([]byte, 4)); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("read of unmapped frame: %v, want ErrUnmapped", err)
+	d1 := s.Map(1, frame())
+	s.Unmap(d1)
+	stale := func(when string) {
+		t.Helper()
+		if err := s.Read(d1, 0, make([]byte, 4)); !errors.Is(err, ErrUnmapped) {
+			t.Fatalf("%s: read of unmapped frame: %v, want ErrUnmapped", when, err)
+		}
+		if err := s.Write(d1, 0, make([]byte, 4)); !errors.Is(err, ErrUnmapped) {
+			t.Fatalf("%s: write of unmapped frame: %v, want ErrUnmapped", when, err)
+		}
+		if handled != nil {
+			t.Fatalf("%s: handler ran for an unmapped descriptor", when)
+		}
 	}
-	if err := s.Write(d, 0, make([]byte, 4)); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("write of unmapped frame: %v, want ErrUnmapped", err)
+	stale("unmapped")
+
+	d1b := s.Map(1, frame())
+	stale("page mapped again")
+	if err := s.Write(d1b, 0, []byte{9}); err != nil || handled != d1b {
+		t.Fatalf("write through the new descriptor: %v, handler got %p, want %p", err, handled, d1b)
+	}
+	got := make([]byte, 1)
+	if err := s.Read(d1b, 0, got); err != nil || got[0] != 9 {
+		t.Fatalf("read through the new descriptor: %v, %v", err, got)
 	}
 }
 
@@ -195,13 +205,28 @@ func TestUnmap(t *testing.T) {
 	s := NewSpace()
 	d := s.Map(1, frame())
 	s.Unmap(d)
-	if s.Lookup(d.VAddr) != nil || s.ByPage(1) != nil {
-		t.Fatal("descriptor survives unmap")
+	if s.ByPage(1) != nil || d.Prot != None {
+		t.Fatalf("descriptor survives unmap: ByPage %p, prot %v", s.ByPage(1), d.Prot)
 	}
-	// Page can be remapped at a fresh address.
+	// Page can be remapped under a fresh descriptor.
 	d2 := s.Map(1, frame())
-	if d2.VAddr == d.VAddr {
-		t.Fatal("address reused")
+	if d2 == d || s.ByPage(1) != d2 {
+		t.Fatal("descriptor reused")
+	}
+}
+
+// TestMapUnmapAllocatesDescriptorOnly: mapping a page the table has held
+// before allocates the descriptor and nothing else, and unmapping it
+// allocates nothing.
+func TestMapUnmapAllocatesDescriptorOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	s := NewSpace()
+	f := frame()
+	s.Unmap(s.Map(1, f))
+	if n := testing.AllocsPerRun(100, func() { s.Unmap(s.Map(1, f)) }); n != 1 {
+		t.Fatalf("Map+Unmap of a warm page: %v allocs, want 1 (the descriptor)", n)
 	}
 }
 
@@ -250,89 +275,35 @@ func TestWriteThroughSharedFrame(t *testing.T) {
 	}
 }
 
-func TestAVLManyMappings(t *testing.T) {
+func TestManyMappings(t *testing.T) {
 	s := NewSpace()
 	const n = 2000
 	descs := make([]*Desc, 0, n)
 	for i := 0; i < n; i++ {
 		descs = append(descs, s.Map(page.ID(i+1), frame()))
 	}
-	if s.Mapped() != n {
-		t.Fatalf("Mapped = %d", s.Mapped())
-	}
-	// Every interior address resolves to the right descriptor.
-	for _, d := range descs {
-		for _, off := range []uint64{0, 1, page.Size / 2, page.Size - 1} {
-			if got := s.Lookup(d.VAddr + off); got != d {
-				t.Fatalf("lookup %#x+%d wrong", d.VAddr, off)
-			}
+	for i, d := range descs {
+		if s.ByPage(page.ID(i+1)) != d {
+			t.Fatalf("ByPage(%d) wrong", i+1)
 		}
 	}
 	// Remove a random half and re-verify.
 	rng := rand.New(rand.NewSource(3))
-	perm := rng.Perm(n)
 	removed := map[int]bool{}
-	for _, i := range perm[:n/2] {
+	for _, i := range rng.Perm(n)[:n/2] {
 		s.Unmap(descs[i])
 		removed[i] = true
 	}
-	if s.Mapped() != n/2 {
-		t.Fatalf("Mapped after removal = %d", s.Mapped())
+	if len(s.byPage) != n/2 {
+		t.Fatalf("mapped after removal = %d", len(s.byPage))
 	}
 	for i, d := range descs {
-		got := s.Lookup(d.VAddr)
+		got := s.ByPage(page.ID(i + 1))
 		if removed[i] && got != nil {
 			t.Fatalf("removed mapping %d still found", i)
 		}
 		if !removed[i] && got != d {
 			t.Fatalf("surviving mapping %d lost", i)
-		}
-	}
-}
-
-func TestAVLBalanced(t *testing.T) {
-	// Sequential inserts into an unbalanced BST would give height n; the AVL
-	// tree must stay logarithmic.
-	s := NewSpace()
-	const n = 4096
-	for i := 0; i < n; i++ {
-		s.Map(page.ID(i+1), frame())
-	}
-	h := height(s.root)
-	// AVL height bound: 1.44*log2(n+2). For 4096, ~18.
-	if h > 18 {
-		t.Fatalf("height %d for %d sequential inserts", h, n)
-	}
-}
-
-func TestAVLFloorMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var root *avlNode
-	keys := map[uint64]bool{}
-	var sorted []uint64
-	for i := 0; i < 500; i++ {
-		k := uint64(rng.Intn(100000)) * page.Size
-		if keys[k] {
-			continue
-		}
-		keys[k] = true
-		root = insert(root, k, &Desc{VAddr: k})
-		sorted = append(sorted, k)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for trial := 0; trial < 5000; trial++ {
-		q := uint64(rng.Intn(100000 * page.Size))
-		// Reference floor via binary search.
-		idx := sort.Search(len(sorted), func(i int) bool { return sorted[i] > q })
-		n := floor(root, q)
-		if idx == 0 {
-			if n != nil {
-				t.Fatalf("floor(%d) = %d, want none", q, n.key)
-			}
-			continue
-		}
-		if n == nil || n.key != sorted[idx-1] {
-			t.Fatalf("floor(%d) wrong", q)
 		}
 	}
 }
