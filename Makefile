@@ -51,11 +51,11 @@ vet:
 # determinism, stable-storage error discipline, and the dataflow
 # protocol analyzers (force-before-ack, latch-io, goroutine-lifecycle,
 # sentinel-errors) — over every package including cmd/, plus the harness's
-# in-package test files (-tests). Fails on any finding the checked-in
-# baseline does not cover, and on stale baseline entries; the JSON report
-# is left in lint-report.json (untracked) for tooling either way.
+# in-package test files (-tests). Fails on any finding that no
+# `//qslint:allow` with a reason suppresses; the JSON report is left in
+# lint-report.json (untracked) for tooling either way.
 lint:
-	$(GO) run ./cmd/qslint -tests -baseline lint-baseline.json -json . > lint-report.json
+	$(GO) run ./cmd/qslint -tests -json . > lint-report.json
 
 # The analyzer acceptance corpus: every testdata fixture's want comments,
 # plus the seeded-violation tests (a planted latch inversion, an

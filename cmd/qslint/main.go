@@ -3,22 +3,18 @@
 // layering discipline, sweep determinism, stable-storage error handling,
 // and the dataflow protocol analyzers (force-before-ack, latch-io,
 // goroutine-lifecycle, sentinel-errors), all described in DESIGN.md §11.
-// It exits nonzero if any unsuppressed, non-baselined diagnostic remains,
-// so `make lint` (part of `make check`) gates every change.
+// It exits nonzero if any diagnostic remains that no `//qslint:allow` with a
+// reason suppresses, so `make lint` (part of `make check`) gates every
+// change.
 //
 // Usage:
 //
-//	qslint [-json] [-tests] [-baseline file] [-write-baseline file] [dir]
+//	qslint [-json] [-tests] [dir]
 //
-// dir defaults to "." and may be anywhere inside the module.
-//
-// -baseline applies a checked-in suppression baseline: findings covered by
-// it are accepted debt, findings not covered fail the build, and baseline
-// entries that no longer match anything fail too (stale entries must be
-// deleted when their debt is paid). -write-baseline regenerates the file
-// from the current findings. -tests additionally loads internal/harness's
-// in-package test files, so the determinism analyzer covers the sweep
-// repro helpers that must replay exactly like the sweeps.
+// dir defaults to "." and may be anywhere inside the module. -tests
+// additionally loads internal/harness's in-package test files, so the
+// determinism analyzer covers the sweep repro helpers that must replay
+// exactly like the sweeps.
 package main
 
 import (
@@ -37,8 +33,6 @@ const harnessPath = "repro/internal/harness"
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (machine-readable)")
 	list := flag.Bool("list", false, "list the analyzer suite and exit")
-	baseline := flag.String("baseline", "", "suppression baseline file: fail only on findings it does not cover, and on stale entries")
-	writeBaseline := flag.String("write-baseline", "", "write the current findings to this baseline file and exit")
 	tests := flag.Bool("tests", false, "also lint internal/harness's in-package test files")
 	flag.Parse()
 
@@ -68,26 +62,6 @@ func main() {
 	}
 	diags := lint.Run(m, pkgs, lint.All())
 
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "qslint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "qslint: wrote %d baseline entr%s to %s\n",
-			len(diags), plural(len(diags), "y", "ies"), *writeBaseline)
-		return
-	}
-
-	var stale []lint.BaselineEntry
-	if *baseline != "" {
-		entries, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qslint: %v\n", err)
-			os.Exit(2)
-		}
-		diags, stale = lint.ApplyBaseline(entries, diags)
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -103,20 +77,8 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "qslint: stale baseline entry (fixed? delete it): [%s] %s: %s\n",
-			e.Analyzer, e.File, e.Message)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "qslint: %d finding(s), %d stale baseline entr%s\n",
-			len(diags), len(stale), plural(len(stale), "y", "ies"))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "qslint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

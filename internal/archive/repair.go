@@ -5,9 +5,10 @@ package archive
 //
 // This is Restore scoped to one page id. The base image comes from the
 // newest backup (pickBackup with no target cut); the record stream is the
-// backup generation's contiguous segment chain followed by the live log
-// records past the archived end, cut at the live log's stable end. Both are
-// fed to a server.PageRebuilder, whose replay is restart redo's own — a
+// backup generation's contiguous segment chain, staged into a log exactly as
+// Bootstrap stages it (stageLog), followed by the live log records past the
+// archived end, cut at the live log's stable end. Both logs are fed to a
+// server.PageRebuilder, whose replay is restart redo's own — a
 // record the backup already contains is skipped, and running the repair twice
 // produces the identical image. By the truncation invariant every record
 // newer than the archived end is still in the live log, so the stream has no
@@ -22,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/logrec"
 	"repro/internal/page"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -61,22 +61,14 @@ func RepairPage(blobs BlobStore, opts RepairOptions) ([]byte, error) {
 
 	b := server.NewPageRebuilder(opts.Mode, opts.Page, pages[opts.Page])
 	err = func() error {
-		for _, seg := range chain {
-			payload, err := ReadSegment(blobs, seg)
+		// A chain with no bytes past RedoStart stages nothing.
+		if end > backup.RedoStart {
+			staged, err := stageLog(blobs, chain, backup.RedoStart, end, end, 0)
 			if err != nil {
 				return err
 			}
-			recs, err := logrec.DecodeAll(payload)
-			if err != nil {
+			if err := b.FeedLog(staged, backup.RedoStart); err != nil {
 				return err
-			}
-			for _, r := range recs {
-				if r.LSN < backup.RedoStart {
-					continue
-				}
-				if err := b.Feed(r); err != nil {
-					return err
-				}
 			}
 		}
 		if opts.Log == nil {

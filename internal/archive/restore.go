@@ -161,17 +161,10 @@ func Bootstrap(blobs BlobStore, opts BootstrapOptions) (*BootstrapResult, error)
 	if slack <= 0 {
 		slack = restoreLogSlack
 	}
-	capacity := int(end-backup.RedoStart) + slack
-	ring := make(wal.Ring, capacity)
-	for _, seg := range chain {
-		payload, err := ReadSegment(blobs, seg)
-		if err != nil {
-			return fail(err)
-		}
-		from := max(seg.Start, backup.RedoStart)
-		ring.WriteAt(payload[from-seg.Start:], from)
+	log, err := stageLog(blobs, chain, backup.RedoStart, end, min(target, end), slack)
+	if err != nil {
+		return fail(err)
 	}
-	log := wal.Open(ring, capacity, backup.RedoStart, min(target, end))
 	cut := log.End()
 	if cut < backup.End {
 		return fail(fmt.Errorf("%w: replay reaches %d, backup fuzz window ends at %d",
@@ -184,6 +177,24 @@ func Bootstrap(blobs BlobStore, opts BootstrapOptions) (*BootstrapResult, error)
 		CutLSN:   cut,
 		Segments: len(chain),
 	}, nil
+}
+
+// stageLog opens a stable log over the chain's archived bytes [redoStart,
+// end), each at its own LSN, in a fresh ring with slack bytes to spare; the
+// log ends at the last whole record ending at or before cut. redoStart must be
+// a record boundary below end.
+func stageLog(blobs BlobStore, chain []SegmentInfo, redoStart, end, cut uint64, slack int) (*wal.Log, error) {
+	capacity := int(end-redoStart) + slack
+	ring := make(wal.Ring, capacity)
+	for _, seg := range chain {
+		payload, err := ReadSegment(blobs, seg)
+		if err != nil {
+			return nil, err
+		}
+		from := max(seg.Start, redoStart)
+		ring.WriteAt(payload[from-seg.Start:], from)
+	}
+	return wal.Open(ring, capacity, redoStart, cut), nil
 }
 
 // Restore rebuilds a destroyed volume from the newest usable backup plus the

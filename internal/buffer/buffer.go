@@ -1,7 +1,7 @@
 // Package buffer implements the LRU buffer pool used by both the QuickStore
 // client and the storage server. Frames are fixed 8 KB page slots; pages may
-// be pinned to keep them resident, marked dirty, and evicted in
-// least-recently-used order when a frame is needed.
+// be marked dirty, and are evicted in least-recently-used order when a frame
+// is needed.
 //
 // The pool does no I/O itself: callers look up victims, flush or generate
 // log records for them as their recovery scheme requires, and then replace
@@ -27,7 +27,6 @@ import (
 // Errors returned by the pool.
 var (
 	ErrNoFrame = errors.New("buffer: no evictable frame")
-	ErrPinned  = errors.New("buffer: page is pinned")
 	ErrAbsent  = errors.New("buffer: page not resident")
 )
 
@@ -35,9 +34,8 @@ var (
 type Frame struct {
 	pid   page.ID
 	buf   []byte
-	pins  int
 	dirty bool
-	elem  *list.Element // position in the LRU list (nil while pinned)
+	elem  *list.Element // position in the LRU list
 }
 
 // PID returns the page occupying the frame.
@@ -56,7 +54,7 @@ func (f *Frame) Dirty() bool { return f.dirty }
 type Pool struct {
 	capacity int
 	frames   map[page.ID]*Frame
-	lru      *list.List // front = least recently used; unpinned frames only
+	lru      *list.List // front = least recently used
 	// free holds the buffers of removed frames for Insert to reuse; resident
 	// and free buffers together never number more than capacity.
 	free   [][]byte
@@ -115,9 +113,7 @@ func (p *Pool) Get(pid page.ID) *Frame {
 		return nil
 	}
 	p.hits++
-	if f.elem != nil {
-		p.lru.MoveToBack(f.elem)
-	}
+	p.lru.MoveToBack(f.elem)
 	return f
 }
 
@@ -125,9 +121,7 @@ func (p *Pool) Get(pid page.ID) *Frame {
 // recency update, without the lookup. f must be resident.
 func (p *Pool) Touch(f *Frame) {
 	p.hits++
-	if f.elem != nil {
-		p.lru.MoveToBack(f.elem)
-	}
+	p.lru.MoveToBack(f.elem)
 }
 
 // Miss counts a miss the caller found without a lookup (its own table
@@ -140,9 +134,9 @@ func (p *Pool) Peek(pid page.ID) *Frame { return p.frames[pid] }
 // Full reports whether inserting a new page requires an eviction.
 func (p *Pool) Full() bool { return len(p.frames) >= p.capacity }
 
-// Victim returns the least-recently-used unpinned frame, or nil if every
-// frame is pinned. The frame remains resident until Remove is called, so the
-// caller can flush it or generate log records first.
+// Victim returns the least-recently-used frame, or nil if the pool is
+// empty. The frame remains resident until Remove is called, so the caller
+// can flush it or generate log records first.
 func (p *Pool) Victim() *Frame {
 	e := p.lru.Front()
 	if e == nil {
@@ -152,15 +146,11 @@ func (p *Pool) Victim() *Frame {
 }
 
 // Remove evicts pid from the pool and keeps its buffer for the next
-// Insert; the frame's Bytes is nil from then on. Pinned pages cannot be
-// removed.
+// Insert; the frame's Bytes is nil from then on.
 func (p *Pool) Remove(pid page.ID) error {
 	f, ok := p.frames[pid]
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrAbsent, pid)
-	}
-	if f.pins > 0 {
-		return fmt.Errorf("%w: %v", ErrPinned, pid)
 	}
 	p.lru.Remove(f.elem)
 	delete(p.frames, pid)
@@ -203,36 +193,6 @@ func (p *Pool) takeBuf() []byte {
 	return buf
 }
 
-// Pin prevents eviction of pid until a matching Unpin. Pins nest.
-func (p *Pool) Pin(pid page.ID) error {
-	f, ok := p.frames[pid]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrAbsent, pid)
-	}
-	if f.pins == 0 {
-		p.lru.Remove(f.elem)
-		f.elem = nil
-	}
-	f.pins++
-	return nil
-}
-
-// Unpin releases one pin on pid.
-func (p *Pool) Unpin(pid page.ID) error {
-	f, ok := p.frames[pid]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrAbsent, pid)
-	}
-	if f.pins == 0 {
-		return fmt.Errorf("buffer: %v not pinned", pid)
-	}
-	f.pins--
-	if f.pins == 0 {
-		f.elem = p.lru.PushBack(f)
-	}
-	return nil
-}
-
 // MarkDirty flags pid as modified.
 func (p *Pool) MarkDirty(pid page.ID) error {
 	f, ok := p.frames[pid]
@@ -268,35 +228,13 @@ func (p *Pool) DirtyPages() []page.ID {
 	return out
 }
 
-// DirtyCount returns the number of resident dirty pages (no allocation; the
-// cleaner and stats paths poll it).
-func (p *Pool) DirtyCount() int {
-	n := 0
-	for _, f := range p.frames {
-		if f.dirty {
-			n++
-		}
-	}
-	return n
-}
-
-// Each calls fn for every resident frame.
-func (p *Pool) Each(fn func(*Frame)) {
-	for _, f := range p.frames {
-		fn(f)
-	}
-}
-
 // Clear drops every frame regardless of dirtiness; this models volatile
-// memory loss at a crash. The buffers of unpinned frames go on the free list,
-// as Remove's do, so the pages a restart reads back allocate none; a pinned
-// frame keeps its buffer, which its holder may still read.
+// memory loss at a crash. Every frame's buffer goes on the free list, as
+// Remove's does, so the pages a restart reads back allocate none.
 func (p *Pool) Clear() {
 	for _, f := range p.frames {
-		if f.pins == 0 {
-			p.free = append(p.free, f.buf)
-			f.buf = nil
-		}
+		p.free = append(p.free, f.buf)
+		f.buf = nil
 	}
 	clear(p.frames)
 	p.lru.Init()

@@ -71,8 +71,7 @@ func TestLRUVictimOrder(t *testing.T) {
 }
 
 // TestTouchIsGetWithoutTheLookup: the same access sequence through Get and
-// through Touch on held frames leaves the same victim order and hit count;
-// a pinned frame is counted but not queued.
+// through Touch on held frames leaves the same victim order and hit count.
 func TestTouchIsGetWithoutTheLookup(t *testing.T) {
 	byGet, byTouch := NewPool(4), NewPool(4)
 	var held []*Frame
@@ -81,8 +80,6 @@ func TestTouchIsGetWithoutTheLookup(t *testing.T) {
 		f, _ := byTouch.Insert(pid, nil)
 		held = append(held, f)
 	}
-	byGet.Pin(4)
-	byTouch.Pin(4)
 	for _, pid := range []page.ID{3, 1, 4, 3, 2} {
 		byGet.Get(pid)
 		byTouch.Touch(held[pid-1])
@@ -90,7 +87,7 @@ func TestTouchIsGetWithoutTheLookup(t *testing.T) {
 	if byGet.Hits() != 5 || byTouch.Hits() != 5 || byTouch.Misses() != 0 {
 		t.Fatalf("hits %d by Get, %d by Touch (misses %d)", byGet.Hits(), byTouch.Hits(), byTouch.Misses())
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		g, h := byGet.Victim(), byTouch.Victim()
 		if g.PID() != h.PID() {
 			t.Fatalf("victim %d: %v by Get, %v by Touch", i, g.PID(), h.PID())
@@ -98,8 +95,8 @@ func TestTouchIsGetWithoutTheLookup(t *testing.T) {
 		byGet.Remove(g.PID())
 		byTouch.Remove(h.PID())
 	}
-	if byTouch.Victim() != nil {
-		t.Fatal("the pinned frame became a victim")
+	if byGet.Victim() != nil || byTouch.Victim() != nil {
+		t.Fatal("an empty pool found a victim")
 	}
 }
 
@@ -108,47 +105,6 @@ func TestFullPoolRejectsInsert(t *testing.T) {
 	p.Insert(1, nil)
 	if _, err := p.Insert(2, nil); !errors.Is(err, ErrNoFrame) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestPinBlocksEviction(t *testing.T) {
-	p := NewPool(2)
-	p.Insert(1, nil)
-	p.Insert(2, nil)
-	if err := p.Pin(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Remove(1); !errors.Is(err, ErrPinned) {
-		t.Fatalf("Remove of pinned page: %v", err)
-	}
-	if v := p.Victim(); v == nil || v.PID() != 1+1 {
-		t.Fatalf("victim should skip pinned page, got %v", v)
-	}
-	p.Pin(2)
-	if p.Victim() != nil {
-		t.Fatal("victim found with all pages pinned")
-	}
-	p.Unpin(1)
-	if v := p.Victim(); v == nil || v.PID() != 1 {
-		t.Fatal("unpinned page not evictable")
-	}
-}
-
-func TestNestedPins(t *testing.T) {
-	p := NewPool(1)
-	p.Insert(1, nil)
-	p.Pin(1)
-	p.Pin(1)
-	p.Unpin(1)
-	if p.Victim() != nil {
-		t.Fatal("page evictable with outstanding pin")
-	}
-	p.Unpin(1)
-	if p.Victim() == nil {
-		t.Fatal("page not evictable after final unpin")
-	}
-	if err := p.Unpin(1); err == nil {
-		t.Fatal("unbalanced unpin succeeded")
 	}
 }
 
@@ -177,25 +133,12 @@ func TestClearDropsEverything(t *testing.T) {
 	p := NewPool(3)
 	p.Insert(1, nil)
 	p.Insert(2, nil)
-	p.Pin(2)
 	p.Clear()
 	if p.Len() != 0 {
 		t.Fatalf("Len = %d after Clear", p.Len())
 	}
 	if _, err := p.Insert(1, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEachVisitsAll(t *testing.T) {
-	p := NewPool(5)
-	for i := 1; i <= 4; i++ {
-		p.Insert(page.ID(i), nil)
-	}
-	seen := map[page.ID]bool{}
-	p.Each(func(f *Frame) { seen[f.PID()] = true })
-	if len(seen) != 4 {
-		t.Fatalf("Each visited %d frames", len(seen))
 	}
 }
 
@@ -289,25 +232,26 @@ func TestFreeListNeverExceedsCapacity(t *testing.T) {
 	check("after Clear")
 }
 
-// TestClearRecyclesUnpinnedBuffers: a crash's Clear keeps the buffers of
-// unpinned frames, so re-inserting as many pages as were resident allocates
-// no page buffer, only each frame's own bookkeeping. A pinned frame keeps
-// its bytes, which its holder may still read; an unpinned one loses them.
-func TestClearRecyclesUnpinnedBuffers(t *testing.T) {
+// TestClearRecyclesEveryBuffer: a crash's Clear puts every frame's buffer
+// on the free list, so no frame keeps its bytes and re-inserting as many
+// pages as were resident allocates no page buffer, only each frame's own
+// bookkeeping.
+func TestClearRecyclesEveryBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n = 64
-	p := NewPool(n + 1)
+	p := NewPool(n)
+	var held []*Frame
 	for i := 1; i <= n; i++ {
-		p.Insert(page.ID(i), nil)
+		f, _ := p.Insert(page.ID(i), nil)
+		held = append(held, f)
 	}
-	unpinned := p.Peek(1)
-	held, _ := p.Insert(n+1, bytes.Repeat([]byte{9}, page.Size))
-	p.Pin(n + 1)
 	p.Clear()
-	if unpinned.Bytes() != nil {
-		t.Fatal("an unpinned frame kept its bytes across Clear")
+	for _, f := range held {
+		if f.Bytes() != nil {
+			t.Fatalf("%v kept its bytes across Clear", f.PID())
+		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -319,8 +263,5 @@ func TestClearRecyclesUnpinnedBuffers(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= page.Size/8 {
 		t.Fatalf("re-inserting %d pages after Clear allocated %d bytes per page", n, per)
-	}
-	if !bytes.Equal(held.Bytes(), bytes.Repeat([]byte{9}, page.Size)) {
-		t.Fatal("a pinned frame's bytes were reused after Clear")
 	}
 }

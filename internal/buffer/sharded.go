@@ -87,11 +87,8 @@ func (s *Sharded) Lock(pid page.ID) *PoolShard {
 // Contention returns how many Lock calls found their shard latch held.
 func (s *Sharded) Contention() int64 { return s.contention.Load() }
 
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Shard returns shard i without locking it (for iteration by quiesced
-// callers such as checkpoint and crash paths).
+// Shard returns shard i without locking it; the caller latches it. Only the
+// qslint latch-order fixtures call it.
 func (s *Sharded) Shard(i int) *PoolShard { return s.shards[i] }
 
 // lockAll latches every shard in index order (the canonical multi-shard
@@ -107,25 +104,6 @@ func (s *Sharded) lockAll() func() {
 			sh.Unlock()
 		}
 	}
-}
-
-// Len returns the total number of resident pages.
-func (s *Sharded) Len() int {
-	defer s.lockAll()()
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Pool.Len()
-	}
-	return n
-}
-
-// Capacity returns the total frame budget across shards.
-func (s *Sharded) Capacity() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Pool.Capacity()
-	}
-	return n
 }
 
 // Hits and Misses aggregate Get statistics across shards.
@@ -158,29 +136,6 @@ func (s *Sharded) DirtyPages() []page.ID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// DirtyCount returns the total number of resident dirty pages, latching each
-// shard in turn (a point-in-time estimate, not a consistent snapshot — fine
-// for pacing and stats, which is all it is used for).
-func (s *Sharded) DirtyCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.Lock()
-		n += sh.Pool.DirtyCount()
-		sh.Unlock()
-	}
-	return n
-}
-
-// Each calls fn for every resident frame, holding each shard's latch in
-// turn. fn must not touch other shards.
-func (s *Sharded) Each(fn func(*Frame)) {
-	for _, sh := range s.shards {
-		sh.Lock()
-		sh.Pool.Each(fn)
-		sh.Unlock()
-	}
 }
 
 // Clear drops every frame in every shard (volatile memory loss at a crash).

@@ -132,7 +132,6 @@ func (tx *Tx) spillFor(n int) error {
 			return err
 		}
 		c.rb.Drop(victim)
-		c.rb.NoteSpill()
 		c.stats.RecbufSpills++
 		if d := c.space.ByPage(victim); d != nil {
 			d.RecoveryEnabled = false

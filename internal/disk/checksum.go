@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/page"
 )
@@ -114,31 +113,18 @@ func getU32(b []byte) uint32 {
 // it — injected rot, torn file tails, real media errors — surfaces as
 // ErrCorruptPage instead of silently entering recovery.
 type Checksummed struct {
-	inner    Store
-	verified atomic.Int64
-	failures atomic.Int64
+	inner Store
 }
 
 // NewChecksummed wraps inner.
 func NewChecksummed(inner Store) *Checksummed { return &Checksummed{inner: inner} }
-
-// Verified returns the number of pages that passed verification.
-func (c *Checksummed) Verified() int64 { return c.verified.Load() }
-
-// Failures returns the number of checksum verification failures observed.
-func (c *Checksummed) Failures() int64 { return c.failures.Load() }
 
 // ReadPage implements Store, verifying the envelope after the inner read.
 func (c *Checksummed) ReadPage(id page.ID, buf []byte) error {
 	if err := c.inner.ReadPage(id, buf); err != nil {
 		return err
 	}
-	if err := VerifyPage(id, buf); err != nil {
-		c.failures.Add(1)
-		return err
-	}
-	c.verified.Add(1)
-	return nil
+	return VerifyPage(id, buf)
 }
 
 // stampBufs recycles WritePage's scratch pages. A pool, not one buffer per
@@ -168,10 +154,8 @@ func (c *Checksummed) Pages() int { return c.inner.Pages() }
 func (c *Checksummed) ForEachPage(fn func(id page.ID, data []byte) error) error {
 	return c.inner.ForEachPage(func(id page.ID, data []byte) error {
 		if err := VerifyPage(id, data); err != nil {
-			c.failures.Add(1)
 			return err
 		}
-		c.verified.Add(1)
 		return fn(id, data)
 	})
 }

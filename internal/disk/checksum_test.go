@@ -57,7 +57,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 // TestChecksummedStore checks the wrapper end to end: transparent round
-// trips, counters, detection of damage written below it, and that the
+// trips, detection of damage written below it, and that the
 // caller's write buffer is never mutated by stamping.
 func TestChecksummedStore(t *testing.T) {
 	mem := NewMemStore()
@@ -77,9 +77,6 @@ func TestChecksummedStore(t *testing.T) {
 	if !bytes.Equal(buf[:page.Size-page.TrailerSize], data[:page.Size-page.TrailerSize]) {
 		t.Fatal("payload did not round-trip")
 	}
-	if cs.Verified() == 0 || cs.Failures() != 0 {
-		t.Fatalf("counters: verified=%d failures=%d", cs.Verified(), cs.Failures())
-	}
 	// Rot the stored copy below the wrapper.
 	if err := mem.ReadPage(9, buf); err != nil {
 		t.Fatal(err)
@@ -93,9 +90,6 @@ func TestChecksummedStore(t *testing.T) {
 	}
 	if err := cs.ForEachPage(func(page.ID, []byte) error { return nil }); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("ForEachPage scanned past a corrupt page: %v", err)
-	}
-	if cs.Failures() < 2 {
-		t.Fatalf("failures counter = %d, want >= 2", cs.Failures())
 	}
 	// Missing pages are absence, not corruption.
 	if err := cs.ReadPage(1000, make([]byte, page.Size)); !errors.Is(err, ErrNotFound) {

@@ -258,58 +258,6 @@ func TestSeededSentinel(t *testing.T) {
 	requireSeeded(t, diags, "use errors.As")
 }
 
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := []Diagnostic{
-		{Analyzer: "latch-io", File: "internal/server/server.go", Line: 42, Col: 3, Message: "wal force while holding sh (buffer shard latch)"},
-		{Analyzer: "latch-io", File: "internal/server/server.go", Line: 99, Col: 3, Message: "wal force while holding sh (buffer shard latch)"},
-		{Analyzer: "sentinel-errors", File: "internal/client/tx.go", Line: 7, Col: 5, Message: "page.ErrPageFull compared with ==: a wrapped sentinel never matches by identity — use errors.Is"},
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, diags); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("round-trip lost entries: %v", entries)
-	}
-
-	// Same findings, different lines: everything covered, nothing stale.
-	moved := append([]Diagnostic(nil), diags...)
-	moved[0].Line = 57
-	fresh, stale := ApplyBaseline(entries, moved)
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("line churn must not invalidate the baseline: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// A new finding is fresh; multiset semantics keep the duplicate covered.
-	extra := append(moved, Diagnostic{Analyzer: "latch-io", File: "internal/server/scrub.go", Line: 1, Message: "time.Sleep while holding sh (buffer shard latch)"})
-	fresh, stale = ApplyBaseline(entries, extra)
-	if len(fresh) != 1 || fresh[0].File != "internal/server/scrub.go" {
-		t.Fatalf("new finding not detected as fresh: fresh=%v", fresh)
-	}
-	if len(stale) != 0 {
-		t.Fatalf("unexpected stale entries: %v", stale)
-	}
-
-	// A paid-down finding leaves its entry stale.
-	fresh, stale = ApplyBaseline(entries, moved[:2])
-	if len(fresh) != 0 {
-		t.Fatalf("unexpected fresh findings: %v", fresh)
-	}
-	if len(stale) != 1 || stale[0].Analyzer != "sentinel-errors" {
-		t.Fatalf("paid-down debt must surface as stale: %v", stale)
-	}
-
-	// A missing file is an empty baseline, not an error.
-	none, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil || none != nil {
-		t.Fatalf("missing baseline: entries=%v err=%v", none, err)
-	}
-}
-
 func TestRepoIsLintClean(t *testing.T) {
 	m, err := LoadModule(".")
 	if err != nil {

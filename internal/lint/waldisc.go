@@ -49,7 +49,7 @@ func (WALDiscipline) Doc() string {
 // poolMutators are the buffer-pool frame mutations rule A fences in.
 var poolMutators = map[string]bool{
 	"Insert": true, "Remove": true, "MarkDirty": true, "MarkClean": true,
-	"Clear": true, "Pin": true, "Unpin": true, "SetCapacity": true,
+	"Clear": true, "SetCapacity": true,
 }
 
 // serverStoreWriters are the functions of internal/server that may call

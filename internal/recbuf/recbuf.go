@@ -25,7 +25,6 @@ type Buffer struct {
 	used     int
 	entries  map[page.ID]*Entry
 	fifo     []page.ID
-	spills   int64 // pages dropped to make room
 	// free holds the page images of dropped entries for PutPage to reuse,
 	// at most capBytes/page.Size of them: a transaction's copies cost a
 	// copy each, not an allocation each.
@@ -126,22 +125,11 @@ func (b *Buffer) Used() int { return b.used }
 // Len returns the number of pages with copies in the buffer.
 func (b *Buffer) Len() int { return len(b.entries) }
 
-// Spills returns how many pages have been force-dropped via Oldest/Drop to
-// make room. The caller increments it by calling NoteSpill.
-func (b *Buffer) Spills() int64 { return b.spills }
-
-// NoteSpill records that a page was dropped due to space pressure rather
-// than commit.
-func (b *Buffer) NoteSpill() { b.spills++ }
-
 // Fits reports whether n more bytes can be stored.
 func (b *Buffer) Fits(n int) bool { return b.used+n <= b.capBytes }
 
 // Entry returns the entry for pid, or nil.
 func (b *Buffer) Entry(pid page.ID) *Entry { return b.entries[pid] }
-
-// HasPage reports whether pid has any copy in the buffer.
-func (b *Buffer) HasPage(pid page.ID) bool { return b.entries[pid] != nil }
 
 // PutPage stores a whole-page before-image for pid. The image is copied,
 // into the image of a dropped entry when one is free. The caller must ensure
