@@ -34,13 +34,11 @@ func main() {
 		data      = flag.String("data", "", "data volume file (empty = in-memory)")
 		cacheMB   = flag.Int("cache", 36, "server buffer pool (MB)")
 		logMB     = flag.Int("log", 256, "transaction log capacity (MB)")
-		shards    = flag.Int("shards", 0, "buffer pool latch shards (0 = default)")
 		shardID   = flag.Int("shard-id", 0, "this daemon's shard index in a multi-volume cluster (with -shard-count)")
 		shardN    = flag.Int("shard-count", 1, "total shards in the cluster: page ids and transaction ids are allocated in this daemon's residue class, and cross-shard commits run two-phase (see qsctl 2pc-status)")
 		archDir   = flag.String("archive-dir", "", "archive log segments and backups into this directory (empty = no archiving)")
 		archInt   = flag.Duration("archive-every", 5*time.Second, "background archiver drain interval")
 		scrubInt  = flag.Duration("scrub-every", 0, "background scrubber tick (0 = no scrubbing)")
-		scrubN    = flag.Int("scrub-pages", 0, "pages verified per scrubber tick (0 = default)")
 		cleanInt  = flag.Duration("cleaner-every", 0, "background page cleaner tick (0 = no cleaner)")
 		dirtyTgt  = flag.Int("dirty-target", 0, "dirty-page count the cleaner drains toward; commits apply soft backpressure past 2x (0 = clean whenever dirty pages exist)")
 		replShip  = flag.Bool("repl", false, "ship the WAL to a hot standby (serves repl-fetch; start the standby with -replica-of)")
@@ -68,11 +66,9 @@ func main() {
 		ShardCount:      *shardN,
 		PoolPages:       *cacheMB << 20 / page.Size,
 		LogCapacity:     *logMB << 20,
-		PoolShards:      *shards,
 		CleanerEvery:    *cleanInt,
 		DirtyPageTarget: *dirtyTgt,
 		ScrubEvery:      *scrubInt,
-		ScrubPages:      *scrubN,
 	}
 	recover := false
 	var vol disk.Store = disk.NewMemStore()
@@ -159,7 +155,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("quickstored: connecting to primary %s: %v", *replicaOf, err)
 		}
-		sb = repl.NewStandby(cfg.Log, srv.NewSession(nil, nil), feed.ReplFetch, repl.StandbyOptions{})
+		sb = repl.NewStandby(cfg.Log, srv.NewSession(nil, nil), feed.ReplFetch)
 		if boot != nil {
 			if err := sb.ReplayLocal(); err != nil {
 				log.Fatalf("quickstored: bootstrap replay: %v", err)
@@ -237,7 +233,7 @@ func main() {
 			os.Exit(0)
 		}
 		log.Printf("shutting down: checkpointing")
-		srv.Close() // drain the WPL install worker before the final checkpoint
+		srv.Close() // stop the cleaner and the scrubber before the final checkpoint
 		if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
 			log.Printf("checkpoint failed: %v", err)
 		}

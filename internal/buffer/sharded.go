@@ -17,7 +17,7 @@ import (
 	"repro/internal/page"
 )
 
-// DefaultShards is the shard count used when NewSharded is given zero.
+// DefaultShards is the server pool's shard count.
 const DefaultShards = 16
 
 // PoolShard is one latch-protected slice of a Sharded pool. Server code
@@ -45,14 +45,11 @@ type Sharded struct {
 }
 
 // NewSharded creates a sharded pool with room for capacity pages in total,
-// split as evenly as possible across nshards shards (DefaultShards if 0;
-// clamped so every shard gets at least one frame).
+// split as evenly as possible across nshards shards (clamped so every shard
+// gets at least one frame).
 func NewSharded(capacity, nshards int) *Sharded {
-	if capacity < 1 {
-		panic("buffer: capacity must be positive")
-	}
-	if nshards <= 0 {
-		nshards = DefaultShards
+	if capacity < 1 || nshards < 1 {
+		panic("buffer: capacity and shard count must be positive")
 	}
 	if nshards > capacity {
 		nshards = capacity

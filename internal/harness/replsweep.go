@@ -72,7 +72,7 @@ func runReplWorkload(sys SweepSystem, seed int64) (*replRun, error) {
 	commitEnd := make(map[logrec.TID]uint64)
 	drain := func(int) error {
 		for {
-			b, err := prim.Fetch(cursor, cursor, 0)
+			b, err := prim.Fetch(cursor, cursor)
 			if err != nil {
 				return err
 			}

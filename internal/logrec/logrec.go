@@ -113,12 +113,13 @@ const HeaderSize = 52
 //	[45,46) reserved
 //	[46,48) Off
 //	[48,50) len(Before)
-//	[50,52) reserved high bits: lengths are u32 split (see below)
+//	[50,52) reserved, written as 0
 //	[52,..) Before bytes, then After bytes
 //
-// Page images need a 4-byte After length (8192 > 65535 is false, 8192 fits
-// u16, but checkpoints can exceed it), so lengths are encoded as: beforeLen
-// u16 at [48,50) and afterLen derived from the total length.
+// Only the before-image length is stored, as a u16 (Encode refuses a longer
+// before-image). The after-image length is the total less the header and the
+// before-image, so an after-image of any size the u32 total allows fits: a
+// page image or a checkpoint payload of any length.
 
 // EncodedSize returns the number of bytes Encode will produce for r.
 func (r *Record) EncodedSize() int { return HeaderSize + len(r.Before) + len(r.After) }

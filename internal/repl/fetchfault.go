@@ -17,12 +17,12 @@ func WrapFetch(fetch FetchFunc, plan faultinject.Plan) FetchFunc {
 	if msgs == nil {
 		return fetch
 	}
-	return func(from, applied uint64, maxBytes int) (Batch, error) {
+	return func(from, applied uint64) (Batch, error) {
 		m := msgs.Next(false)
 		if m.Drop != nil {
 			return Batch{}, fmt.Errorf("fetch from %d: %w", from, m.Drop)
 		}
 		time.Sleep(m.Delay)
-		return fetch(from, applied, maxBytes)
+		return fetch(from, applied)
 	}
 }

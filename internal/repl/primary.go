@@ -12,8 +12,9 @@ import (
 	"repro/internal/wal"
 )
 
-// DefaultMaxBatchBytes bounds one fetch response's record payload.
-const DefaultMaxBatchBytes = 256 << 10
+// maxBatchBytes bounds one fetch response's record payload: a batch ends at
+// the first record boundary at or past it.
+const maxBatchBytes = 256 << 10
 
 // DefaultAckTimeout is how long a semi-sync commit waits for the standby
 // before degrading to async.
@@ -21,9 +22,8 @@ const DefaultAckTimeout = 500 * time.Millisecond
 
 // PrimaryOptions tunes a Primary. The zero value is async shipping.
 type PrimaryOptions struct {
-	Mode          AckMode
-	AckTimeout    time.Duration // semi-sync wait bound (DefaultAckTimeout if 0)
-	MaxBatchBytes int           // per-fetch payload cap (DefaultMaxBatchBytes if 0)
+	Mode       AckMode
+	AckTimeout time.Duration // semi-sync wait bound (DefaultAckTimeout if 0)
 }
 
 // Primary is the log-shipping side of replication. It serves Fetch against
@@ -53,9 +53,6 @@ func NewPrimary(log *wal.Log, opts PrimaryOptions) *Primary {
 	if opts.AckTimeout <= 0 {
 		opts.AckTimeout = DefaultAckTimeout
 	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = DefaultMaxBatchBytes
-	}
 	p := &Primary{log: log, opts: opts}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -77,18 +74,16 @@ func (p *Primary) Wire(cfg *server.Config) {
 }
 
 // Fetch serves one standby pull: record the ack watermark, return every
-// whole stable record from the request cursor, up to maxBytes, and move the
-// standby holder to that cursor. A cursor below the log head returns ErrGap.
-func (p *Primary) Fetch(from, applied uint64, maxBytes int) (Batch, error) {
+// whole stable record from the request cursor up to the first boundary at or
+// past maxBatchBytes, and move the standby holder to that cursor. A cursor
+// below the log head returns ErrGap.
+func (p *Primary) Fetch(from, applied uint64) (Batch, error) {
 	p.fetches.Add(1)
 	p.recordAck(applied)
-	if maxBytes <= 0 || maxBytes > p.opts.MaxBatchBytes {
-		maxBytes = p.opts.MaxBatchBytes
-	}
 	var payload []byte
 	next, err := p.log.ScanFrom(from, func(r *logrec.Record) bool {
 		payload = r.Encode(payload)
-		return len(payload) < maxBytes
+		return len(payload) < maxBatchBytes
 	})
 	if errors.Is(err, wal.ErrTruncated) {
 		return Batch{}, fmt.Errorf("%w: cursor %d below log head %d", ErrGap, from, p.log.Head())

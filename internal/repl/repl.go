@@ -72,10 +72,10 @@ type Batch struct {
 
 // FetchFunc is the standby's view of a primary: fetch stable records from
 // `from`, reporting `applied` (the standby's applied-and-forced watermark —
-// the semi-sync ack) and accepting at most maxBytes of payload. It is the
-// seam between repl and the transport: wire.Client.ReplFetch for a real
-// link, Primary.Fetch directly for in-process tests and sweeps.
-type FetchFunc func(from, applied uint64, maxBytes int) (Batch, error)
+// the semi-sync ack). It is the seam between repl and the transport:
+// wire.Client.ReplFetch for a real link, Primary.Fetch directly for
+// in-process tests and sweeps.
+type FetchFunc func(from, applied uint64) (Batch, error)
 
 // EncodeBatch flattens b for the wire.
 func EncodeBatch(b Batch) []byte {

@@ -129,7 +129,7 @@ func TestLiveReplicationAndFailover(t *testing.T) {
 			prim := newNode(t, mode, nil)
 			p := NewPrimary(prim.log, PrimaryOptions{})
 			stby := newNode(t, mode, func(cfg *server.Config) { cfg.Standby = true })
-			sb := NewStandby(stby.log, stby.sn, p.Fetch, StandbyOptions{PollInterval: 200 * time.Microsecond})
+			sb := NewStandby(stby.log, stby.sn, p.Fetch)
 			go sb.Run()
 
 			type obj struct {
@@ -180,7 +180,7 @@ func TestSemiSyncAck(t *testing.T) {
 	})
 	prim.log = plog
 	stby := newNode(t, server.ModeREDO, func(cfg *server.Config) { cfg.Standby = true })
-	sb := NewStandby(stby.log, stby.sn, p.Fetch, StandbyOptions{PollInterval: 100 * time.Microsecond})
+	sb := NewStandby(stby.log, stby.sn, p.Fetch)
 	go sb.Run()
 	defer sb.Stop()
 
@@ -224,7 +224,7 @@ func TestSemiSyncTimeoutDegrades(t *testing.T) {
 	}
 
 	// A standby fetches once, then dies silently.
-	if _, err := p.Fetch(plog.Head(), 0, 0); err != nil {
+	if _, err := p.Fetch(plog.Head(), 0); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now() //qslint:allow determinism: test-only timing assertion
@@ -251,11 +251,7 @@ func TestReconnectWithBackoffUnderFaultyLink(t *testing.T) {
 	p := NewPrimary(prim.log, PrimaryOptions{})
 	flaky := WrapFetch(p.Fetch, faultinject.Plan{DropRate: 0.33, DelayRate: 0.1, MaxDelay: time.Millisecond, Seed: 7})
 	stby := newNode(t, server.ModeESM, func(cfg *server.Config) { cfg.Standby = true })
-	sb := NewStandby(stby.log, stby.sn, flaky, StandbyOptions{
-		PollInterval: 100 * time.Microsecond,
-		Backoff:      100 * time.Microsecond,
-		MaxBackoff:   time.Millisecond,
-	})
+	sb := NewStandby(stby.log, stby.sn, flaky)
 	go sb.Run()
 	defer sb.Stop()
 
@@ -329,7 +325,7 @@ func TestColdBootstrapFromArchive(t *testing.T) {
 	}
 
 	// An empty standby's cursor predates the truncated head: ErrGap.
-	if _, err := p.Fetch(wal.FirstLSN, 0, 0); !errors.Is(err, ErrGap) {
+	if _, err := p.Fetch(wal.FirstLSN, 0); !errors.Is(err, ErrGap) {
 		t.Fatalf("fetch below head = %v, want ErrGap", err)
 	}
 
@@ -350,7 +346,7 @@ func TestColdBootstrapFromArchive(t *testing.T) {
 	ssrv := server.New(scfg)
 	defer ssrv.Close()
 	ssn := ssrv.NewSession(nil, nil)
-	sb := NewStandby(boot.Log, ssn, p.Fetch, StandbyOptions{PollInterval: 100 * time.Microsecond})
+	sb := NewStandby(boot.Log, ssn, p.Fetch)
 	if err := sb.ReplayLocal(); err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +363,61 @@ func TestColdBootstrapFromArchive(t *testing.T) {
 		if got := readVal(t, ssn, o.pid, o.slot, 5); got != want {
 			t.Fatalf("object %d after cold-bootstrap failover = %q, want %q", i, got, want)
 		}
+	}
+}
+
+// TestFetchStopsAtTheBatchCap fills a log with more than twice maxBatchBytes
+// of stable records: each fetch ends at the first record boundary at or past
+// the cap, its Next is that boundary and the next fetch resumes there, and a
+// standby fed by Fetch applies every record in more than one batch.
+func TestFetchStopsAtTheBatchCap(t *testing.T) {
+	prim := newNode(t, server.ModeREDO, nil)
+	p := NewPrimary(prim.log, PrimaryOptions{})
+	for prim.log.StableEnd()-prim.log.Head() <= 2*maxBatchBytes {
+		commitPage(t, prim, server.ModeREDO, "capped")
+	}
+	total := 0
+	if err := prim.log.Scan(prim.log.Head(), func(*logrec.Record) bool { total++; return true }); err != nil {
+		t.Fatal(err)
+	}
+
+	cursor, fetched := prim.log.Head(), 0
+	for cursor < prim.log.StableEnd() {
+		b, err := p.Fetch(cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := logrec.DecodeAll(b.Records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 || recs[0].LSN != cursor {
+			t.Fatalf("fetch from %d did not resume at its cursor: %d records", cursor, len(recs))
+		}
+		if b.Next != cursor+uint64(len(b.Records)) {
+			t.Fatalf("Next = %d, want the batch's end boundary %d", b.Next, cursor+uint64(len(b.Records)))
+		}
+		last := recs[len(recs)-1].EncodedSize()
+		if len(b.Records)-last >= maxBatchBytes {
+			t.Fatalf("batch of %d bytes runs past the first boundary at or past the cap %d", len(b.Records), maxBatchBytes)
+		}
+		if b.Next < prim.log.StableEnd() && len(b.Records) < maxBatchBytes {
+			t.Fatalf("batch of %d bytes stops short of the cap %d with more log to ship", len(b.Records), maxBatchBytes)
+		}
+		fetched += len(recs)
+		cursor = b.Next
+	}
+	if fetched != total {
+		t.Fatalf("fetched %d records, the log holds %d", fetched, total)
+	}
+
+	stby := newNode(t, server.ModeREDO, func(cfg *server.Config) { cfg.Standby = true })
+	sb := NewStandby(stby.log, stby.sn, p.Fetch)
+	go sb.Run()
+	defer sb.Stop()
+	waitCaughtUp(t, sb, prim.log)
+	if st := sb.Status(); st.Batches <= 1 || st.Records != int64(total) {
+		t.Fatalf("standby applied %d records in %d batches, want all %d in more than one", st.Records, st.Batches, total)
 	}
 }
 
@@ -478,15 +529,18 @@ func TestLogHeadIsTheLowestHolder(t *testing.T) {
 	if err := prim.sn.ShipLog(open, logrec.NewPageImage(open, openPid, openPage.Bytes()).Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
-	// The standby connects and takes exactly one record; its cursor is the
-	// second record. The archive medium is down, so the archiver stays at the
-	// very first. Cleaning the four oldest dirty pages and checkpointing
-	// moves redo's start past both, to the open transaction.
-	first, err := p.Fetch(wal.FirstLSN, 0, 1)
-	if err != nil {
+	// The standby connects as if it had taken exactly one record: its cursor
+	// is the second record boundary. The archive medium is down, so the
+	// archiver stays at the very first. Cleaning the four oldest dirty pages
+	// and checkpointing moves redo's start past both, to the open transaction.
+	var second uint64
+	if err := plog.Scan(wal.FirstLSN, func(r *logrec.Record) bool {
+		second = r.LSN + uint64(r.EncodedSize())
+		return false
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Fetch(first.Next, 0, 1); err != nil {
+	if _, err := p.Fetch(second, 0); err != nil {
 		t.Fatal(err)
 	}
 	blobs.stuck = true
@@ -506,15 +560,15 @@ func TestLogHeadIsTheLowestHolder(t *testing.T) {
 	if pin := checkpoint(); pin != "standby" {
 		t.Fatalf("pinned by %q, want standby", pin)
 	}
-	if plog.Head() != first.Next {
-		t.Fatalf("head = %d, want the standby cursor %d", plog.Head(), first.Next)
+	if plog.Head() != second {
+		t.Fatalf("head = %d, want the standby cursor %d", plog.Head(), second)
 	}
 
 	// The standby catches up and the archiver drains everything: the open
 	// transaction's first record is what is left.
-	cursor := first.Next
+	cursor := second
 	for {
-		b, err := p.Fetch(cursor, 0, 0)
+		b, err := p.Fetch(cursor, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,8 +583,8 @@ func TestLogHeadIsTheLowestHolder(t *testing.T) {
 	if pin := checkpoint(); pin != "redo" {
 		t.Fatalf("pinned by %q, want redo", pin)
 	}
-	if redo := position("redo"); redo <= first.Next || redo >= cursor {
-		t.Fatalf("redo holder at %d, want a dirty page's recLSN inside (%d, %d)", redo, first.Next, cursor)
+	if redo := position("redo"); redo <= second || redo >= cursor {
+		t.Fatalf("redo holder at %d, want a dirty page's recLSN inside (%d, %d)", redo, second, cursor)
 	}
 
 	// The open transaction ships its page and commits, and everything is

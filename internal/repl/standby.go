@@ -12,20 +12,16 @@ import (
 	"repro/internal/wal"
 )
 
-// StandbyOptions tunes the apply loop. The zero value picks the defaults.
-type StandbyOptions struct {
-	// PollInterval is the idle delay between fetches when the primary has
-	// nothing new (default 2ms).
-	PollInterval time.Duration
-	// MaxBatchBytes is the per-fetch payload cap requested from the primary
-	// (default DefaultMaxBatchBytes).
-	MaxBatchBytes int
-	// Backoff and MaxBackoff bound the reconnect delay after a fetch error:
-	// starting at Backoff, doubling per consecutive failure up to MaxBackoff
-	// (defaults 5ms and 500ms).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-}
+// pollInterval is the idle delay between fetches when the primary has
+// nothing new.
+const pollInterval = 2 * time.Millisecond
+
+// backoff and maxBackoff bound the reconnect delay after a fetch error: it
+// starts at backoff and doubles per consecutive failure up to maxBackoff.
+const (
+	backoff    = 5 * time.Millisecond
+	maxBackoff = 500 * time.Millisecond
+)
 
 // Standby is the applying side of replication: a loop pulling batches from a
 // FetchFunc, replaying each record through the server's ApplyShipped, and
@@ -41,7 +37,6 @@ type Standby struct {
 	log   *wal.Log
 	sn    *server.Session
 	fetch FetchFunc
-	opts  StandbyOptions
 
 	applied      atomic.Uint64 // applied and locally forced (the ack)
 	remoteStable atomic.Uint64 // primary's stable end at last contact
@@ -59,24 +54,11 @@ type Standby struct {
 // NewStandby returns a standby applying fetched records through sn (a
 // session on a server built with Config.Standby). log must be the same log
 // that server appends to — the archiver-style explicit handle.
-func NewStandby(log *wal.Log, sn *server.Session, fetch FetchFunc, opts StandbyOptions) *Standby {
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 2 * time.Millisecond
-	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = DefaultMaxBatchBytes
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 5 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 500 * time.Millisecond
-	}
+func NewStandby(log *wal.Log, sn *server.Session, fetch FetchFunc) *Standby {
 	s := &Standby{
 		log:   log,
 		sn:    sn,
 		fetch: fetch,
-		opts:  opts,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -119,31 +101,31 @@ func (s *Standby) Run() error {
 	s.started.Store(true)
 	defer close(s.done)
 	cursor := s.log.End()
-	backoff := s.opts.Backoff
+	delay := backoff
 	for {
 		select {
 		case <-s.stop:
 			return nil
 		default:
 		}
-		b, err := s.fetch(cursor, s.applied.Load(), s.opts.MaxBatchBytes)
+		b, err := s.fetch(cursor, s.applied.Load())
 		if err != nil {
 			if errors.Is(err, ErrGap) {
 				return err
 			}
 			s.reconnects.Add(1)
-			if !s.sleep(backoff) {
+			if !s.sleep(delay) {
 				return nil
 			}
-			if backoff *= 2; backoff > s.opts.MaxBackoff {
-				backoff = s.opts.MaxBackoff
+			if delay *= 2; delay > maxBackoff {
+				delay = maxBackoff
 			}
 			continue
 		}
-		backoff = s.opts.Backoff
+		delay = backoff
 		s.remoteStable.Store(b.StableEnd)
 		if len(b.Records) == 0 {
-			if !s.sleep(s.opts.PollInterval) {
+			if !s.sleep(pollInterval) {
 				return nil
 			}
 			continue

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"sort"
@@ -222,13 +223,92 @@ func TestDecodeCkpt(t *testing.T) {
 	}
 }
 
+// ckptGolden returns a checkpoint payload listed out of order, and
+// ckptGoldenBytes is its encoding, one little-endian word a line: the layout
+// on the log.
+func ckptGolden() ckptPayload {
+	return ckptPayload{
+		nextPage: 12, nextTID: 8, beginLSN: 40960,
+		txns: []ckptTxn{{tid: 6, lastLSN: 33000, firstLSN: 25000}, {tid: 4, lastLSN: 21000, firstLSN: 17000}},
+		// A WPL chain on page 3: tid 2's committed copy under tid 4's uncommitted one.
+		wpl:      []ckptWPL{{pid: 3, lsn: 18000, tid: 4}, {pid: 3, lsn: 9000, tid: 2, committed: true}},
+		dpt:      []ckptDPT{{pid: 9, rec: 27000}, {pid: 5, rec: 8192}},
+		prepared: []ckptPrepared{{tid: 6, prepLSN: 34000, coord: 1, parts: []int{0, 1, 2}}},
+		decided:  []ckptDecided{{tid: 2, lsn: 9500, parts: []int{0, 2}}},
+	}
+}
+
+var ckptGoldenBytes = strings.Join([]string{
+	"333054504b435351", // magic "QSCKPT03"
+	"0c00000000000000", // nextPage 12
+	"0800000000000000", // nextTID 8
+	"00a0000000000000", // beginLSN 40960
+	"0200000000000000", // 2 txns
+	"0200000000000000", // 2 WPL copies
+	"0200000000000000", // 2 DPT entries
+	"0400000000000000", // txn 4: tid
+	"0852000000000000", //   lastLSN 21000
+	"6842000000000000", //   firstLSN 17000
+	"0600000000000000", // txn 6: tid
+	"e880000000000000", //   lastLSN 33000
+	"a861000000000000", //   firstLSN 25000
+	"0300000000000000", // copy: page 3
+	"2823000000000000", //   lsn 9000
+	"0500000000000000", //   tid 2<<1 | committed
+	"0300000000000000", // copy: page 3
+	"5046000000000000", //   lsn 18000
+	"0800000000000000", //   tid 4<<1, uncommitted
+	"0500000000000000", // DPT: page 5
+	"0020000000000000", //   recLSN 8192
+	"0900000000000000", // DPT: page 9
+	"7869000000000000", //   recLSN 27000
+	"0100000000000000", // 1 prepared branch
+	"0600000000000000", //   tid 6
+	"d084000000000000", //   prepLSN 34000
+	"0100000000000000", //   coordinator shard 1
+	"0300000000000000", //   3 participants
+	"0000000000000000", //     shard 0
+	"0100000000000000", //     shard 1
+	"0200000000000000", //     shard 2
+	"0100000000000000", // 1 decided entry
+	"0200000000000000", //   tid 2
+	"1c25000000000000", //   lsn 9500
+	"0200000000000000", //   2 participants
+	"0000000000000000", //     shard 0
+	"0200000000000000", //     shard 2
+}, "")
+
+// TestCkptGoldenBytes pins the checkpoint layout: ckptGolden encodes to the
+// checked-in bytes, and those bytes decode to ckptGolden with its lists
+// sorted.
+func TestCkptGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(ckptGoldenBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ckptGolden()
+	if got := c.encode(); !bytes.Equal(got, want) {
+		t.Fatalf("encode:\n got %x\nwant %x", got, want)
+	}
+	dec, err := decodeCkpt(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*dec, c) {
+		t.Fatalf("decode:\n got %+v\nwant %+v", *dec, c)
+	}
+}
+
 // FuzzDecodeCkpt feeds arbitrary bytes to the checkpoint decoder, which also
 // decodes what a standby receives from its primary: it never panics, and a
-// payload it accepts re-encodes to bytes that decode to the same value.
+// payload it accepts re-encodes to bytes that decode to the same value, with
+// its lists sorted, and encode to the same bytes again.
 func FuzzDecodeCkpt(f *testing.F) {
 	for _, c := range ckptSamples() {
 		f.Add(c.encode())
 	}
+	golden := ckptGolden()
+	f.Add(golden.encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := decodeCkpt(b)
 		if err != nil {
@@ -241,6 +321,9 @@ func FuzzDecodeCkpt(f *testing.F) {
 		}
 		if !reflect.DeepEqual(c, again) {
 			t.Fatalf("decode→encode→decode changed the payload:\n%+v\n%+v", c, again)
+		}
+		if !bytes.Equal(again.encode(), enc) {
+			t.Fatal("a decoded payload's encoding is not a fixed point of decode→encode")
 		}
 	})
 }

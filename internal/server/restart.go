@@ -167,112 +167,79 @@ func (c *ckptPayload) encode() []byte {
 	return buf
 }
 
-func decodeCkpt(b []byte) (*ckptPayload, error) {
-	if len(b) < 56 {
-		return nil, fmt.Errorf("server: checkpoint payload too short (%d bytes)", len(b))
+// ckptReader reads a checkpoint payload one word at a time. A read past the
+// end, or a count larger than the words left could hold, marks it bad, and
+// every later count reads as zero.
+type ckptReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *ckptReader) word() uint64 {
+	if len(r.b) < 8 {
+		r.bad = true
+		return 0
 	}
-	get := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	if magic := get(0); magic != ckptMagic {
-		return nil, fmt.Errorf("server: unknown checkpoint payload magic %#x", magic)
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+// bound checks a list length n, whose entries take at least per words each,
+// against the words left, before anything is allocated for the list.
+func (r *ckptReader) bound(n uint64, per int) int {
+	if r.bad || n > uint64(len(r.b)/8/per) {
+		r.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+// shards reads a participant list: its count, then one word per shard.
+func (r *ckptReader) shards() []int {
+	var out []int
+	for i, n := 0, r.bound(r.word(), 1); i < n; i++ {
+		out = append(out, int(r.word()))
+	}
+	return out
+}
+
+// decodeCkpt parses an encode payload, which it must consume exactly.
+func decodeCkpt(b []byte) (*ckptPayload, error) {
+	r := &ckptReader{b: b}
+	if magic := r.word(); magic != ckptMagic {
+		return nil, fmt.Errorf("server: checkpoint payload (%d bytes) opens with %#x, not the checkpoint magic", len(b), magic)
 	}
 	c := &ckptPayload{
-		nextPage: page.ID(get(1)),
-		nextTID:  logrec.TID(get(2)),
-		beginLSN: get(3),
+		nextPage: page.ID(r.word()),
+		nextTID:  logrec.TID(r.word()),
+		beginLSN: r.word(),
 	}
-	// Counts are bounded by the payload before any arithmetic on them, so an
-	// absurd count can neither overflow the size check nor index past b.
-	if limit := uint64(len(b) / 8); get(4) > limit || get(5) > limit || get(6) > limit {
-		return nil, fmt.Errorf("server: checkpoint payload size mismatch")
+	nt, nw, nd := r.word(), r.word(), r.word()
+	for i, n := 0, r.bound(nt, 3); i < n; i++ {
+		c.txns = append(c.txns, ckptTxn{tid: logrec.TID(r.word()), lastLSN: r.word(), firstLSN: r.word()})
 	}
-	nt, nw, nd := int(get(4)), int(get(5)), int(get(6))
-	// The fixed-size tables, then at least the trailer's two counts.
-	if body := 56 + 24*nt + 24*nw + 16*nd; len(b) < body+16 || len(b)%8 != 0 {
-		return nil, fmt.Errorf("server: checkpoint payload size mismatch")
+	for i, n := 0, r.bound(nw, 3); i < n; i++ {
+		w := ckptWPL{pid: page.ID(r.word()), lsn: r.word()}
+		packed := r.word()
+		w.tid, w.committed = logrec.TID(packed>>1), packed&1 == 1
+		c.wpl = append(c.wpl, w)
 	}
-	idx := 7
-	for i := 0; i < nt; i++ {
-		c.txns = append(c.txns, ckptTxn{
-			tid:      logrec.TID(get(idx)),
-			lastLSN:  get(idx + 1),
-			firstLSN: get(idx + 2),
-		})
-		idx += 3
+	for i, n := 0, r.bound(nd, 2); i < n; i++ {
+		c.dpt = append(c.dpt, ckptDPT{pid: page.ID(r.word()), rec: r.word()})
 	}
-	for i := 0; i < nw; i++ {
-		pid := page.ID(get(idx))
-		lsn := get(idx + 1)
-		packed := get(idx + 2)
-		c.wpl = append(c.wpl, ckptWPL{
-			pid:       pid,
-			lsn:       lsn,
-			tid:       logrec.TID(packed >> 1),
-			committed: packed&1 == 1,
-		})
-		idx += 3
-	}
-	for i := 0; i < nd; i++ {
-		c.dpt = append(c.dpt, ckptDPT{pid: page.ID(get(idx)), rec: get(idx + 1)})
-		idx += 2
-	}
-	// The 2PC trailer is variable-length (each entry carries a participant
-	// list), so it is parsed with a running cursor and exact-consumption
-	// check instead of one closed-form size.
-	words := len(b) / 8
-	bad := func() (*ckptPayload, error) {
-		return nil, fmt.Errorf("server: checkpoint 2PC trailer malformed")
-	}
-	np := get(idx)
-	idx++
-	if np > uint64(words) {
-		return bad()
-	}
-	for i := 0; i < int(np); i++ {
-		if idx+4 > words {
-			return bad()
-		}
-		p := ckptPrepared{
-			tid:     logrec.TID(get(idx)),
-			prepLSN: get(idx + 1),
-			coord:   int(get(idx + 2)),
-		}
-		nparts := get(idx + 3)
-		idx += 4
-		if nparts > uint64(words) || idx+int(nparts) > words {
-			return bad()
-		}
-		for j := 0; j < int(nparts); j++ {
-			p.parts = append(p.parts, int(get(idx)))
-			idx++
-		}
+	for i, n := 0, r.bound(r.word(), 4); i < n; i++ {
+		p := ckptPrepared{tid: logrec.TID(r.word()), prepLSN: r.word(), coord: int(r.word())}
+		p.parts = r.shards()
 		c.prepared = append(c.prepared, p)
 	}
-	if idx >= words {
-		return bad()
-	}
-	ndec := get(idx)
-	idx++
-	if ndec > uint64(words) {
-		return bad()
-	}
-	for i := 0; i < int(ndec); i++ {
-		if idx+3 > words {
-			return bad()
-		}
-		d := ckptDecided{tid: logrec.TID(get(idx)), lsn: get(idx + 1)}
-		nparts := get(idx + 2)
-		idx += 3
-		if nparts > uint64(words) || idx+int(nparts) > words {
-			return bad()
-		}
-		for j := 0; j < int(nparts); j++ {
-			d.parts = append(d.parts, int(get(idx)))
-			idx++
-		}
+	for i, n := 0, r.bound(r.word(), 3); i < n; i++ {
+		d := ckptDecided{tid: logrec.TID(r.word()), lsn: r.word()}
+		d.parts = r.shards()
 		c.decided = append(c.decided, d)
 	}
-	if idx != words {
-		return bad()
+	if r.bad || len(r.b) != 0 {
+		return nil, fmt.Errorf("server: checkpoint payload malformed (%d bytes)", len(b))
 	}
 	return c, nil
 }

@@ -290,7 +290,7 @@ func TestRestartWritesHomeDuringThePass(t *testing.T) {
 	for _, mode := range []Mode{ModeESM, ModeREDO} {
 		t.Run(mode.String(), func(t *testing.T) {
 			store := disk.NewMemStore()
-			cfg := Config{Mode: mode, Store: store, PoolPages: 64, PoolShards: 1,
+			cfg := Config{Mode: mode, Store: store, PoolPages: 64,
 				LogCapacity: 16 << 20, LockTimeout: time.Second, CheckpointEvery: 1 << 30}
 			s := New(cfg)
 			defer s.Close()

@@ -51,8 +51,7 @@ import (
 // hold end-to-end.
 var ErrUnrepairable = errors.New("server: corrupt page is unrepairable")
 
-// DefaultScrubPages is the per-tick page budget of the background scrubber
-// when Config.ScrubPages is zero.
+// DefaultScrubPages is the per-tick page budget of the background scrubber.
 const DefaultScrubPages = 64
 
 // ScrubReport summarizes one scrub pass (qsctl scrub).
@@ -256,10 +255,10 @@ func (s *Server) superblockFromLog() (superblock, error) {
 }
 
 // scrubWorker is the paced background scrubber: every Config.ScrubEvery it
-// verifies a Config.ScrubPages batch of stored pages. Unrepairable pages
+// verifies a DefaultScrubPages batch of stored pages. Unrepairable pages
 // are counted (PagesUnrepairable) and left for demand reads to report; the
 // loop keeps scanning the rest of the volume.
-func (s *Server) scrubWorker(every time.Duration, batch int) {
+func (s *Server) scrubWorker(every time.Duration) {
 	defer s.scrubWG.Done()
 	sn := s.NewSession(nil, nil)
 	tick := time.NewTicker(every)
@@ -269,7 +268,7 @@ func (s *Server) scrubWorker(every time.Duration, batch int) {
 		case <-s.scrubStop:
 			return
 		case <-tick.C:
-			_, _ = sn.Scrub(batch)
+			_, _ = sn.Scrub(DefaultScrubPages)
 		}
 	}
 }

@@ -191,7 +191,6 @@ func TestBackgroundScrubberUnderConcurrentCommits(t *testing.T) {
 	// workload churns.
 	s, sn, mem := newChecksummedServer(t, ModeESM, Config{
 		ScrubEvery: time.Millisecond,
-		ScrubPages: 8,
 		PoolPages:  256,
 	})
 	defer s.Close()

@@ -144,7 +144,6 @@ type Config struct {
 	Store       disk.Store    // stable data volume; NewMemStore if nil
 	LogCapacity int           // log bytes; wal.DefaultCapacity if 0
 	PoolPages   int           // server buffer pool frames; default 4608 (36 MB)
-	PoolShards  int           // buffer pool shards; buffer.DefaultShards if 0
 	LockTimeout time.Duration // lock wait bound; lock.DefaultTimeout if 0
 	// CheckpointEvery takes a checkpoint after this many commits (0 = 64).
 	CheckpointEvery int
@@ -163,12 +162,9 @@ type Config struct {
 	// and archive media, never server state.
 	RepairPage func(pid page.ID) ([]byte, error)
 	// ScrubEvery, when positive, runs the background scrubber: every tick it
-	// verifies a batch of ScrubPages stored pages against their integrity
-	// envelopes and repairs what it finds (internal/server/scrub.go).
+	// verifies a batch of DefaultScrubPages stored pages against their
+	// integrity envelopes and repairs what it finds (internal/server/scrub.go).
 	ScrubEvery time.Duration
-	// ScrubPages is the per-tick page budget of the background scrubber
-	// (DefaultScrubPages if 0).
-	ScrubPages int
 	// CleanerEvery, when positive, runs the background page cleaner: every
 	// tick it writes home up to DefaultCleanerBatch cold dirty pages in
 	// recLSN order, enforcing the WAL rule per page. Commits never wait on it.
@@ -407,7 +403,7 @@ func New(cfg Config) *Server {
 		store:    cfg.Store,
 		log:      cfg.Log,
 		locks:    lock.NewManager(cfg.LockTimeout),
-		pool:     buffer.NewSharded(cfg.PoolPages, cfg.PoolShards),
+		pool:     buffer.NewSharded(cfg.PoolPages, buffer.DefaultShards),
 		tables:   seed(cfg.Mode, nil),
 		cleaning: make(map[page.ID]bool),
 		nextTID:  1,
@@ -425,13 +421,9 @@ func New(cfg Config) *Server {
 	// On an adopted Config.Log this replaces the previous server's holder.
 	s.redo = s.log.Hold("redo", s.log.Head(), nil, 0)
 	if cfg.ScrubEvery > 0 {
-		batch := cfg.ScrubPages
-		if batch <= 0 {
-			batch = DefaultScrubPages
-		}
 		s.scrubStop = make(chan struct{})
 		s.scrubWG.Add(1)
-		go s.scrubWorker(cfg.ScrubEvery, batch)
+		go s.scrubWorker(cfg.ScrubEvery)
 	}
 	if cfg.CleanerEvery > 0 {
 		s.cleanerStop = make(chan struct{})

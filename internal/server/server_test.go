@@ -871,7 +871,7 @@ func TestFreshLogSmallerThanTheLast(t *testing.T) {
 // volume when eviction wrote page 0 home, and the next restart would find no
 // master record.
 func TestClientsCannotReachTheMasterRecord(t *testing.T) {
-	s := New(Config{Mode: ModeESM, PoolPages: 2, PoolShards: 1, LogCapacity: 16 << 20,
+	s := New(Config{Mode: ModeESM, PoolPages: 2, LogCapacity: 16 << 20,
 		LockTimeout: time.Second, CheckpointEvery: 1 << 30})
 	defer s.Close()
 	sn := s.NewSession(nil, nil)

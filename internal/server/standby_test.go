@@ -326,7 +326,6 @@ func TestPromoteWhileScrubbing(t *testing.T) {
 	pr := newReplPair(t, ModeESM, Config{}, Config{
 		Store:      disk.NewChecksummed(mem),
 		ScrubEvery: 100 * time.Microsecond,
-		ScrubPages: 8,
 		PoolPages:  256,
 	})
 	defer pr.p.Close()

@@ -12,8 +12,10 @@ import (
 	"repro/internal/page"
 )
 
-// writebackPool is the pool size of the write-back tests: one shard, so
-// reading writebackPool other pages is certain to evict the page under test.
+// writebackPool is the pool size of the write-back tests. It is below
+// buffer.DefaultShards, so every shard holds one frame, and reading
+// writebackPool pages of consecutive ids, one per shard, is certain to evict
+// the page under test.
 const writebackPool = 8
 
 func newWritebackServer(mode Mode, store disk.Store) (*Server, *Session) {
@@ -21,7 +23,6 @@ func newWritebackServer(mode Mode, store disk.Store) (*Server, *Session) {
 		Mode:            mode,
 		Store:           store,
 		PoolPages:       writebackPool,
-		PoolShards:      1,
 		LogCapacity:     16 << 20,
 		LockTimeout:     time.Second,
 		CheckpointEvery: 1 << 30,
@@ -29,8 +30,8 @@ func newWritebackServer(mode Mode, store disk.Store) (*Server, *Session) {
 	return s, s.NewSession(nil, nil)
 }
 
-// evict pushes every page but others out of the one-shard pool by reading
-// others, and reports whether pid is gone. The reading transaction is left
+// evict pushes every page but others out of the pool by reading others, and
+// reports whether pid is gone. The reading transaction is left
 // open: its commit would force the log, which is the one thing that must not
 // happen between the eviction and the crash.
 func evict(t *testing.T, s *Server, sn *Session, pid page.ID, others []page.ID) bool {

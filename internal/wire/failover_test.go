@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -88,8 +89,7 @@ func TestClientFailoverResolvesInDoubtCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer feed.Close()
-	sb := repl.NewStandby(slog, ssrv.NewSession(nil, nil), feed.ReplFetch,
-		repl.StandbyOptions{PollInterval: 200 * time.Microsecond})
+	sb := repl.NewStandby(slog, ssrv.NewSession(nil, nil), feed.ReplFetch)
 	go sb.Run()
 	slis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -279,8 +279,7 @@ func TestStandbyRejectsWritesOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer feed.Close()
-	sb := repl.NewStandby(slog, ssrv.NewSession(nil, nil), feed.ReplFetch,
-		repl.StandbyOptions{PollInterval: 200 * time.Microsecond})
+	sb := repl.NewStandby(slog, ssrv.NewSession(nil, nil), feed.ReplFetch)
 	go sb.Run()
 	defer sb.Stop()
 	slis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -380,5 +379,36 @@ func TestPromotionRetiresAStandbysBlock(t *testing.T) {
 	}
 	if err := cli.Commit(tid); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplFetchRefusesOldPayload: a repl-fetch request is [u64 from][u64
+// applied], 16 bytes. The 20-byte form that carried a size cap draws an error
+// reply, and the connection goes on serving.
+func TestReplFetchRefusesOldPayload(t *testing.T) {
+	plog := wal.New(16 << 20)
+	p := repl.NewPrimary(plog, repl.PrimaryOptions{})
+	cfg := server.Config{Mode: server.ModeESM, Log: plog, PoolPages: 64,
+		LockTimeout: time.Second, CheckpointEvery: 1 << 30}
+	p.Wire(&cfg)
+	srv := server.New(cfg)
+	defer srv.Close()
+	if err := srv.NewSession(nil, nil).Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cli := dialTest(t, serveTCP(t, srv, ServeOpts{Repl: p}))
+
+	var old [20]byte
+	binary.LittleEndian.PutUint64(old[0:], plog.Head())
+	binary.LittleEndian.PutUint32(old[16:], 1<<20)
+	if _, err := cli.call(frame{op: opReplFetch, payload: old[:]}); err == nil {
+		t.Fatal("a 20-byte repl-fetch request was served")
+	}
+	b, err := cli.ReplFetch(plog.Head(), 0)
+	if err != nil {
+		t.Fatalf("repl-fetch after the refused request: %v", err)
+	}
+	if len(b.Records) == 0 || b.Next != plog.StableEnd() {
+		t.Fatalf("fetch after the refusal = %d bytes to %d, want the log up to %d", len(b.Records), b.Next, plog.StableEnd())
 	}
 }

@@ -399,19 +399,18 @@ func (d *daemon) stats() ([]byte, error) {
 }
 
 // replFetch serves opReplFetch: one standby pull. Payload: [u64 from][u64
-// applied][u32 maxBytes]; the reply is repl.EncodeBatch. A cursor the primary
-// has already reclaimed is repl.ErrGap, so the standby re-bootstraps.
+// applied], exactly 16 bytes; the reply is repl.EncodeBatch. A cursor the
+// primary has already reclaimed is repl.ErrGap, so the standby re-bootstraps.
 func (d *daemon) replFetch(payload []byte) ([]byte, error) {
 	if d.opts.Repl == nil {
 		return nil, errors.New("wire: replication not enabled on this server (start with -repl)")
 	}
-	if len(payload) < 20 {
-		return nil, errors.New("wire: short repl-fetch request")
+	if len(payload) != 16 {
+		return nil, fmt.Errorf("wire: repl-fetch request is %d bytes, want 16", len(payload))
 	}
 	from := binary.LittleEndian.Uint64(payload)
 	applied := binary.LittleEndian.Uint64(payload[8:])
-	maxBytes := int(binary.LittleEndian.Uint32(payload[16:]))
-	b, err := d.opts.Repl.Fetch(from, applied, maxBytes)
+	b, err := d.opts.Repl.Fetch(from, applied)
 	if err != nil {
 		return nil, err
 	}

@@ -489,11 +489,10 @@ func (c *Client) Scrub(limit int) (server.ScrubReport, error) {
 // ReplFetch pulls one batch of stable WAL records from a primary daemon —
 // the wire form of repl.FetchFunc, so a standby daemon can feed
 // repl.NewStandby with c.ReplFetch directly.
-func (c *Client) ReplFetch(from, applied uint64, maxBytes int) (repl.Batch, error) {
-	var payload [20]byte
+func (c *Client) ReplFetch(from, applied uint64) (repl.Batch, error) {
+	var payload [16]byte
 	binary.LittleEndian.PutUint64(payload[0:], from)
 	binary.LittleEndian.PutUint64(payload[8:], applied)
-	binary.LittleEndian.PutUint32(payload[16:], uint32(maxBytes))
 	out, err := c.call(frame{op: opReplFetch, payload: payload[:]})
 	if err != nil {
 		return repl.Batch{}, err
